@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +25,6 @@ log = logging.getLogger(__name__)
 _EIGENVALUE_FLOOR = 1e-16     # product truncation point
 _FORCED_LEVEL_GAP = 1e-14     # 1 - mu below this: level treated as occupied
 _MAX_GAP_ORDER = 30
-_DEFAULT_NODES = 100
 _MAX_NODES = 1600
 _DET_TOL = 1e-10
 
@@ -78,14 +78,20 @@ def gap_n(spectrum: FredholmSpectrum, n: int) -> GapProfile:
     return GapProfile(n=n, value=prefactor * float(e[k]))
 
 
-def _converged_spectrum(kernel_spec, interval: Interval, tol: float = _DET_TOL,
-                        start_nodes: int | None = None) -> FredholmSpectrum:
-    """Double the node count until det(1 - K) stabilizes to tol."""
-    n = start_nodes or max(_DEFAULT_NODES, int(12 * interval.length))
+def _converged_spectrum(kernel_spec, interval: Interval,
+                        tol: float = _DET_TOL) -> FredholmSpectrum:
+    """Double the node count until det(1 - K) stabilizes to tol.
+
+    Convergence is exponential in the node count for the analytic kernels
+    (Bornemann, Math. Comp. 79, 2010), and the number of eigenvalues that
+    matter grows like the interval length, so the first rule has
+    16 + ceil(2 length) nodes.  No rule exceeds _MAX_NODES.
+    """
+    n = min(16 + math.ceil(2.0 * interval.length), _MAX_NODES)
     spec = nystrom_spectrum(kernel_spec, interval, n)
     prev = generating_value(spec, 1.0)
     while n < _MAX_NODES:
-        n *= 2
+        n = min(2 * n, _MAX_NODES)
         spec = nystrom_spectrum(kernel_spec, interval, n)
         cur = generating_value(spec, 1.0)
         if abs(cur - prev) <= tol:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.stats import chi2 as _chi2_dist
+from scipy.special import chdtrc
 
 from .errors import ArgumentError, NumericError, UnsupportedError
 from .quadrature import Interval
@@ -227,7 +227,7 @@ def chi_square_test(hist: Histogram, density_fn, min_expected: float = 5.0):
     merged_exp = np.array(merged_exp)
     stat = float(np.sum((merged_obs - merged_exp) ** 2 / merged_exp))
     dof = len(merged_exp) - 1
-    return stat, float(_chi2_dist.sf(stat, dof)), dof
+    return stat, float(chdtrc(dof, stat)), dof
 
 
 def _simpson_bin(f, a, b):

@@ -2,12 +2,20 @@
 
 Reference nodes on (-1, 1) are found by Newton iteration on the Legendre
 polynomial with the classical cosine initial guesses, so the module has no
-dependency beyond numpy for linear algebra.  Rules on a general interval are
-affine images of the reference rule.
+dependency beyond numpy for linear algebra.  Each reference rule is computed
+once per order and cached as read-only arrays; rules on a general interval
+are affine images of it.
+
+Hard-edge Bessel kernels carry an (xy)^(-1/4) endpoint factor, against which
+Gauss-Legendre converges only algebraically.  They are discretized in
+p = sqrt(x) instead: a Gauss rule on (sqrt(lo), sqrt(hi)) mapped to nodes p^2
+with weights 2 p w, which makes the symmetrized matrix analytic in p.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,9 +68,11 @@ def _legendre_and_derivative(n: int, x: np.ndarray):
     return p, dp
 
 
+@functools.lru_cache(maxsize=256)
 def _reference_rule(n: int):
+    """Read-only (nodes, weights) of the order-n rule on (-1, 1), ascending."""
     if n == 1:
-        return np.array([0.0]), np.array([2.0])
+        return _read_only(np.array([0.0])), _read_only(np.array([2.0]))
     k = np.arange(1, n + 1)
     x = np.cos(np.pi * (k - 0.25) / (n + 0.5))
     for _ in range(100):
@@ -77,7 +87,12 @@ def _reference_rule(n: int):
     _, dp = _legendre_and_derivative(n, x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     # iteration walks nodes in descending order; return ascending
-    return x[::-1].copy(), w[::-1].copy()
+    return _read_only(x[::-1].copy()), _read_only(w[::-1].copy())
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def gauss_legendre(n: int, interval: Interval) -> QuadratureRule:
@@ -120,21 +135,30 @@ def nystrom_spectrum(kernel, interval: Interval, n: int) -> FredholmSpectrum:
 
     Discretizes on Gauss-Legendre nodes and diagonalizes the symmetrized
     matrix [sqrt(w_i) K(x_i, x_j) sqrt(w_j)], whose eigenvalues converge
-    spectrally to the operator's for analytic kernels.
+    spectrally to the operator's for analytic kernels.  Hard-edge kernels
+    are discretized in p = sqrt(x), where that matrix is analytic.
     """
     from . import kernels as _kernels
 
     if interval.length == 0.0:
         return FredholmSpectrum(eigenvalues=np.zeros(0), kernel=kernel,
                                 interval=interval, nodes_used=0)
-    rule = gauss_legendre(n, interval)
-    matrix = _kernels.kernel_matrix(kernel, rule.nodes)
+    if kernel.variant == _kernels.HARD_EDGE_BESSEL:
+        if interval.lo < 0.0:
+            raise ArgumentError("hard-edge kernel domain is x, y > 0")
+        rule = gauss_legendre(n, Interval(math.sqrt(interval.lo),
+                                          math.sqrt(interval.hi)))
+        nodes, weights = rule.nodes ** 2, 2.0 * rule.nodes * rule.weights
+    else:
+        rule = gauss_legendre(n, interval)
+        nodes, weights = rule.nodes, rule.weights
+    matrix = _kernels.kernel_matrix(kernel, nodes)
     if not np.all(np.isfinite(matrix)):
         i, j = np.argwhere(~np.isfinite(matrix))[0]
         raise NumericError(
             "kernel evaluated to a non-finite value",
-            context={"x": float(rule.nodes[i]), "y": float(rule.nodes[j])})
-    sw = np.sqrt(rule.weights)
+            context={"x": float(nodes[i]), "y": float(nodes[j])})
+    sw = np.sqrt(weights)
     mu = np.linalg.eigvalsh(sw[:, None] * matrix * sw[None, :])[::-1]
     worst = float(mu[-1])
     if worst < -NEGATIVE_EIGENVALUE_LIMIT:

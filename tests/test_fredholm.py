@@ -16,7 +16,8 @@ from spacing_lab import (
     gauss_legendre,
     painleve,
 )
-from spacing_lab.kernels import sine_bulk
+from spacing_lab.kernels import (hard_edge_bessel, sine_bulk, sine_even,
+                                 sine_odd, spectrum_singularity)
 from spacing_lab.quadrature import FredholmSpectrum, nystrom_spectrum
 
 
@@ -145,6 +146,56 @@ class TestGaudinSplit:
         # a profile with convex log cannot be a gap probability
         with pytest.raises(NumericError):
             fredholm.gaudin_split(lambda x: math.exp(x * x), 0.5)
+
+
+class TestConvergedSpectrum:
+    @pytest.mark.parametrize("kernel", [sine_bulk(), sine_even(), sine_odd(),
+                                        spectrum_singularity(1.0)],
+                             ids=lambda k: k.variant)
+    @pytest.mark.parametrize("length", [0.5, 2.0, 6.0])
+    def test_accepted_at_few_nodes(self, kernel, length):
+        # exponential convergence: a length-scaled start needs one doubling
+        interval = Interval(-length / 2.0, length / 2.0)
+        spectrum = fredholm._converged_spectrum(kernel, interval)
+        assert spectrum.nodes_used <= 64
+        reference = nystrom_spectrum(kernel, interval, 400)
+        assert fredholm.generating_value(spectrum, 1.0) == pytest.approx(
+            fredholm.generating_value(reference, 1.0), abs=1e-14)
+
+    @pytest.mark.parametrize("length", [52.0, 1000.0])
+    def test_doubling_never_exceeds_cap(self, monkeypatch, length):
+        # 16 + 2 * 52 = 120 nodes would double past the cap to 1920;
+        # 1000 starts beyond it.  A negative tolerance never converges.
+        built = []
+
+        def record(kernel, interval, n):
+            built.append(n)
+            return FredholmSpectrum(eigenvalues=np.zeros(0), kernel=kernel,
+                                    interval=interval, nodes_used=n)
+
+        monkeypatch.setattr(fredholm, "nystrom_spectrum", record)
+        with pytest.raises(NumericError):
+            fredholm._converged_spectrum(
+                sine_bulk(), Interval(-length / 2.0, length / 2.0), tol=-1.0)
+        assert max(built) == fredholm._MAX_NODES
+        assert built == sorted(built)
+
+
+class TestHardEdge:
+    @pytest.mark.parametrize("a", [-0.5, 0.5])
+    @pytest.mark.parametrize("s", [0.5, 2.0, 4.0, 16.0])
+    def test_matches_parity_split(self, a, s):
+        # in p = sqrt(x) the a = -1/2 (+1/2) kernel on (0, s) is the even
+        # (odd) sine kernel on (-sqrt(s)/pi, sqrt(s)/pi)
+        r = math.sqrt(s) / math.pi
+        d_plus, d_minus = fredholm.parity_split(Interval(-r, r))
+        det = fredholm.fredholm_det(hard_edge_bessel(a), Interval(0.0, s))
+        assert det == pytest.approx(d_plus if a == -0.5 else d_minus,
+                                    abs=1e-14)
+
+    def test_negative_endpoint_rejected(self):
+        with pytest.raises(ArgumentError):
+            nystrom_spectrum(hard_edge_bessel(0.5), Interval(-1.0, 1.0), 16)
 
 
 class TestGapEvaluators:

@@ -67,6 +67,17 @@ class TestGaussLegendre:
         approx = float(np.sum(rule.weights * poly(rule.nodes)))
         assert abs(approx - exact) <= 1e-12 * max(1.0, abs(exact))
 
+    def test_cached_reference_rule_is_read_only(self):
+        from spacing_lab.quadrature import _reference_rule
+
+        nodes, weights = _reference_rule(12)
+        assert _reference_rule(12)[0] is nodes
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        rule = gauss_legendre(12, Interval(-1.0, 1.0))
+        assert np.array_equal(rule.nodes, nodes)
+        rule.nodes[0] = 0.0                    # a rule owns its arrays
+        assert nodes[0] != 0.0
+
     def test_invalid_order(self):
         with pytest.raises(ArgumentError):
             gauss_legendre(0, Interval(0.0, 1.0))
