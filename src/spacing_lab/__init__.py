@@ -38,8 +38,9 @@ from .surmise import (SurmiseCoefficients, gaussian_class_coefficients,
                       p1_spacing1_approx, poisson_p, solve_ansatz,
                       wigner_surmise)
 from .montecarlo import (Histogram, SpectrumSample, build_histogram,
-                         central_spacing, chi_square_test, sample_ensemble,
-                         sample_goe, semicircle_density, unfold)
+                         central_spacing, central_spacings, chi_square_test,
+                         sample_ensemble, sample_goe, semicircle_density,
+                         unfold, unfold_spectra)
 from .sequences import (PrimeWindow, ZeroDataset, histogram_ks_distance,
                         ks_distance, load_zeros, miller_rabin, nn_statistic,
                         poisson_nn_density, prime_spacing_histogram,
@@ -73,8 +74,8 @@ __all__ = [
     "gaussian_class_coefficients", "wigner_surmise", "p1_spacing1_approx",
     # montecarlo
     "SpectrumSample", "Histogram", "sample_goe", "sample_ensemble",
-    "semicircle_density", "unfold", "central_spacing", "build_histogram",
-    "chi_square_test",
+    "semicircle_density", "unfold", "unfold_spectra", "central_spacing",
+    "central_spacings", "build_histogram", "chi_square_test",
     # sequences
     "PrimeWindow", "ZeroDataset", "miller_rabin", "primes_from",
     "prime_spacing_histogram", "load_zeros", "unfold_zeros", "nn_statistic",

@@ -298,13 +298,11 @@ def write_sample(config: RunConfig, stream):
             f"got {config.n}")
     if config.order not in (0, 1):
         raise ArgumentError(f"--order must be 0 or 1, got {config.order}")
-    spacings = []
-    for sample in montecarlo.sample_ensemble(config.n, config.reps,
-                                             config.seed,
-                                             workers=_pool_size(config)):
-        spacings.extend(montecarlo.central_spacing(montecarlo.unfold(sample),
-                                                   config.order))
-    spacings = np.asarray(spacings)
+    samples = montecarlo.sample_ensemble(config.n, config.reps, config.seed,
+                                         workers=_pool_size(config))
+    stack = montecarlo.unfold(montecarlo.SpectrumSample(
+        n=config.n, raw=np.stack([s.raw for s in samples])))
+    spacings = montecarlo.central_spacing(stack, config.order).ravel()
     width = config.bin_width if config.bin_width is not None else 0.1
     hist = montecarlo.build_histogram(
         spacings, width, Interval(0.0, float(np.max(spacings)) + width))

@@ -3,20 +3,22 @@
 The characteristic-polynomial recurrence with N(0,1) diagonal and
 Gamma(k/2, 1) squared off-diagonal entries is realized directly as a
 symmetric tridiagonal matrix; its eigenvalues are the polynomial's zeros
-but come from a tridiagonal eigensolver instead of root finding.  Spectra
-are unfolded by the semicircle density at spacing midpoints, and central
-spacings are histogrammed for comparison with the analytic densities.
+but come from a tridiagonal eigensolver instead of root finding.  The
+spectra of an ensemble are the rows of one array, unfolded as a whole by
+the semicircle density at spacing midpoints, and central spacings are
+histogrammed for comparison with the analytic densities.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstevd
 from scipy.special import chdtrc
 
 from .errors import ArgumentError, NumericError, UnsupportedError
@@ -30,7 +32,8 @@ _DENSITY_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class SpectrumSample:
-    """One sampled spectrum; ``unfolded`` is filled by unfold()."""
+    """One sampled spectrum (``raw`` of shape (n,)), or a stack of them
+    along the leading axes of ``raw``; ``unfolded`` is filled by unfold()."""
 
     n: int
     raw: np.ndarray
@@ -74,50 +77,65 @@ def _rng_for(seed, chunk=None):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
-def _draw_sample(n: int, rng) -> SpectrumSample:
-    # draw order (diagonal first, then off-diagonal) is part of the
-    # reproducibility contract
-    diag = rng.standard_normal(n)
+def _draw_spectra(spectra: np.ndarray, rng) -> None:
+    """Fill each row of ``spectra`` (k, n) with one ascending spectrum.
+
+    Per replica the draw order (diagonal first, then off-diagonal) is part
+    of the reproducibility contract, so the draws stay row by row; the
+    eigensolve is LAPACK stevd without eigenvectors, whose eigenvalues come
+    back ascending.
+    """
+    n = spectra.shape[1]
     if n == 1:
-        return SpectrumSample(n=1, raw=diag)
-    off = np.sqrt(rng.gamma(shape=np.arange(1, n) / 2.0, scale=1.0))
-    try:
-        values = eigh_tridiagonal(diag, off, eigvals_only=True)
-    except Exception as exc:
-        raise NumericError("tridiagonal eigensolver failed to converge",
-                           context={"n": n}) from exc
-    return SpectrumSample(n=n, raw=np.sort(values))
+        rng.standard_normal(out=spectra[:, 0])
+        return
+    off = np.empty((spectra.shape[0], n - 1))
+    shape = np.arange(1, n) / 2.0
+    for diag, gamma in zip(spectra, off):
+        rng.standard_normal(out=diag)
+        rng.standard_gamma(shape, out=gamma)
+    np.sqrt(off, out=off)
+    for i, (diag, sub) in enumerate(zip(spectra, off)):
+        values, _, info = dstevd(diag, sub, compute_v=0)
+        if info != 0:
+            raise NumericError("tridiagonal eigensolver failed to converge",
+                               context={"n": n, "info": int(info)})
+        spectra[i] = values
 
 
 def sample_goe(n: int, rng_seed: int) -> SpectrumSample:
     """One spectrum of the rank-n tridiagonal ensemble, deterministic in seed."""
     if n < 1:
         raise ArgumentError(f"matrix rank must be >= 1, got {n}")
-    return _draw_sample(n, _rng_for(rng_seed))
+    spectra = np.empty((1, n))
+    _draw_spectra(spectra, _rng_for(rng_seed))
+    return SpectrumSample(n=n, raw=spectra[0])
 
 
 def sample_ensemble(n: int, reps: int, seed: int, workers: int | None = None):
-    """reps independent spectra.
+    """reps independent spectra; each ``raw`` is a row of one (reps, n) array.
 
     Replicas are grouped in fixed chunks of CHUNK, each chunk drawing from
-    its own counter-based stream keyed by (seed, chunk index), so the result
-    is bit-identical for any worker count.
+    its own counter-based stream keyed by (seed, chunk index) into its own
+    rows, so the result is bit-identical for any worker count.
     """
+    if n < 1:
+        raise ArgumentError(f"matrix rank must be >= 1, got {n}")
     if reps < 1:
         raise ArgumentError(f"reps must be >= 1, got {reps}")
+    spectra = np.empty((reps, n))
     n_chunks = (reps + CHUNK - 1) // CHUNK
 
     def run_chunk(c):
-        rng = _rng_for(seed, c)
-        take = min(CHUNK, reps - c * CHUNK)
-        return [_draw_sample(n, rng) for _ in range(take)]
+        _draw_spectra(spectra[c * CHUNK:(c + 1) * CHUNK], _rng_for(seed, c))
 
     if workers is None or workers <= 1 or n_chunks == 1:
-        chunks = [run_chunk(c) for c in range(n_chunks)]
+        for c in range(n_chunks):
+            run_chunk(c)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(run_chunk, range(n_chunks)))
-    return [s for chunk in chunks for s in chunk]
+            list(pool.map(run_chunk, range(n_chunks)))
+    return [SpectrumSample(n=n, raw=row) for row in spectra]
 
 
 def semicircle_density(x, n: int):
@@ -126,53 +144,69 @@ def semicircle_density(x, n: int):
     return np.sqrt(np.maximum(2.0 * n - x * x, 0.0)) / math.pi
 
 
-def unfold(sample: SpectrumSample, density=None) -> SpectrumSample:
-    """Rescale each spacing by the local density at its midpoint.
+def unfold_spectra(spectra, density=None) -> np.ndarray:
+    """Unfold each spectrum along the last axis of ``spectra``.
 
-    Default density is the semicircle for the sample's rank.  Eigenvalues
-    outside the support are clipped to the edge (count logged); the density
-    is floored at a tiny positive value so the unfolded sequence stays
-    strictly ascending even at the clipped edge.
+    Each spacing is rescaled by the local density at its midpoint.  Default
+    density is the semicircle for the rank (the length of the last axis);
+    eigenvalues outside its support are clipped to the edge (count logged).
+    The density is floored at a tiny positive value so each unfolded
+    sequence stays strictly ascending even at the clipped edge.  A custom
+    ``density`` is called once, on the array of all midpoints.
     """
-    if sample.n < 2:
+    raw = np.asarray(spectra, dtype=float)
+    n = raw.shape[-1]
+    if n < 2:
         raise ArgumentError("need at least 2 eigenvalues to unfold")
-    raw = sample.raw
     if density is None:
-        edge = math.sqrt(2.0 * sample.n)
+        edge = math.sqrt(2.0 * n)
         clipped = int(np.count_nonzero((raw < -edge) | (raw > edge)))
         if clipped:
             log.info("unfold: clipped %d eigenvalues to the support edge",
                      clipped)
         work = np.clip(raw, -edge, edge)
-        dens_fn = lambda x: semicircle_density(x, sample.n)
+        density = functools.partial(semicircle_density, n=n)
     else:
         work = raw
-        dens_fn = density
-    mids = 0.5 * (work[1:] + work[:-1])
-    rho = np.maximum(np.asarray(dens_fn(mids), dtype=float), _DENSITY_FLOOR)
-    scaled = np.diff(work) * rho
-    unfolded = np.concatenate(([work[0]], work[0] + np.cumsum(scaled)))
-    return SpectrumSample(n=sample.n, raw=raw, unfolded=unfolded)
+    mids = 0.5 * (work[..., 1:] + work[..., :-1])
+    rho = np.maximum(np.asarray(density(mids), dtype=float), _DENSITY_FLOOR)
+    scaled = np.diff(work, axis=-1) * rho
+    first = work[..., :1]
+    return np.concatenate((first, first + np.cumsum(scaled, axis=-1)),
+                          axis=-1)
 
 
-def central_spacing(sample: SpectrumSample, order: int = 0) -> np.ndarray:
-    """Unfolded spacings around the middle eigenvalue.
+def unfold(sample: SpectrumSample, density=None) -> SpectrumSample:
+    """The sample (one spectrum or a stack) with ``unfolded`` set by
+    unfold_spectra."""
+    return SpectrumSample(n=sample.n, raw=sample.raw,
+                          unfolded=unfold_spectra(sample.raw, density))
 
-    order=0: the two gaps flanking the middle index, both returned (they are
-    pooled by callers).  order=1: the single span across them.
+
+def central_spacings(unfolded, order: int = 0) -> np.ndarray:
+    """Spacings around the middle of each unfolded spectrum (last axis).
+
+    order=0: the two gaps flanking the middle index, both returned in a
+    last axis of length 2 (they are pooled by callers).  order=1: the
+    single span across them, in a last axis of length 1.
     """
     if order not in (0, 1):
         raise UnsupportedError(f"central spacing order must be 0 or 1, got {order}")
-    if sample.n % 2 == 0 or sample.n < 2 * order + 3:
-        raise ArgumentError(
-            f"rank must be odd and >= {2 * order + 3}, got {sample.n}")
+    u = np.asarray(unfolded, dtype=float)
+    n = u.shape[-1]
+    if n % 2 == 0 or n < 2 * order + 3:
+        raise ArgumentError(f"rank must be odd and >= {2 * order + 3}, got {n}")
+    m = n // 2
+    if order == 0:
+        return np.diff(u[..., m - 1:m + 2], axis=-1)
+    return u[..., m + 1:m + 2] - u[..., m - 1:m]
+
+
+def central_spacing(sample: SpectrumSample, order: int = 0) -> np.ndarray:
+    """central_spacings of an unfolded sample (one spectrum or a stack)."""
     if sample.unfolded is None:
         raise ArgumentError("sample must be unfolded first")
-    u = sample.unfolded
-    m = sample.n // 2
-    if order == 0:
-        return np.array([u[m] - u[m - 1], u[m + 1] - u[m]])
-    return np.array([u[m + 1] - u[m - 1]])
+    return central_spacings(sample.unfolded, order)
 
 
 def build_histogram(data, bin_width: float, rng: Interval) -> Histogram:

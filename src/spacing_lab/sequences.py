@@ -9,6 +9,7 @@ each interior point.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,6 +22,10 @@ from .quadrature import Interval
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _UINT63 = 2 ** 63
 DEFAULT_SEGMENT = 1 << 20
+_CSV_BLOCK = 1 << 14        # rows formatted per write
+_SLICE_BELOW = 1 << 12      # base primes below this strike one slice each
+_BASE_GRAIN = (1 << 12) - 1  # or-ed into the base-prime limit, so that
+                             # neighbouring segments share one cached sieve
 
 
 def miller_rabin(n: int) -> bool:
@@ -62,65 +67,83 @@ class PrimeWindow:
         try:
             stream.write("index,prime,gap\n")
             gaps = np.append(np.diff(self.primes), 0)
-            for i, (p, g) in enumerate(zip(self.primes, gaps)):
-                stream.write(f"{i},{int(p)},{int(g)}\n")
+            for lo in range(0, len(gaps), _CSV_BLOCK):
+                hi = min(lo + _CSV_BLOCK, len(gaps))
+                block = np.column_stack((np.arange(lo, hi),
+                                         self.primes[lo:hi], gaps[lo:hi]))
+                stream.write("%d,%d,%d\n" * (hi - lo)
+                             % tuple(block.ravel().tolist()))
         finally:
             if close:
                 stream.close()
 
 
-def _base_primes(limit: int) -> np.ndarray:
+@functools.lru_cache(maxsize=1)
+def _odd_base_primes(limit: int) -> np.ndarray:
+    """Odd primes <= limit, read-only; cached because the segments of one
+    window ask for the same rounded-up limit."""
     sieve = np.ones(limit + 1, dtype=bool)
     sieve[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p::p] = False
-    return np.flatnonzero(sieve)
+    primes = np.flatnonzero(sieve)[1:]
+    primes.setflags(write=False)
+    return primes
 
 
-def _sieve_range(lo: int, hi: int, segment: int) -> list:
+def _sieve_range(lo: int, hi: int, segment: int) -> np.ndarray:
     """All primes in [lo, hi) by segmented odds-only sieving."""
-    out = []
-    if lo <= 2 < hi:
-        out.append(2)
-    base = _base_primes(math.isqrt(hi) + 1)
-    odd_base = base[base > 2]
+    found = [np.array([2], dtype=np.int64)] if lo <= 2 < hi else []
+    odd_base = _odd_base_primes(math.isqrt(max(hi - 1, 0)) | _BASE_GRAIN)
     seg_lo = max(lo, 3) | 1          # first odd candidate
     while seg_lo < hi:
         seg_hi = min(seg_lo + 2 * segment, hi)
-        size = (seg_hi - seg_lo + 1) // 2          # odds in [seg_lo, seg_hi)
-        flags = np.ones(size, dtype=bool)
-        for p in odd_base:
-            p = int(p)
-            start = max(p * p, ((seg_lo + p - 1) // p) * p)
-            if start % 2 == 0:
-                start += p
-            if start >= seg_hi:
-                continue
-            flags[(start - seg_lo) // 2::p] = False
-        out.extend((seg_lo + 2 * np.flatnonzero(flags)).tolist())
+        flags = np.ones((seg_hi - seg_lo + 1) // 2, dtype=bool)   # odds
+        # base primes with p^2 < seg_hi; offsets from seg_lo of the first
+        # odd multiple >= max(p^2, seg_lo), kept small so int64 holds them
+        base = odd_base[:np.searchsorted(odd_base, math.isqrt(seg_hi - 1),
+                                         side="right")]
+        first = (-seg_lo) % base
+        first += base * (first & 1)
+        first = np.maximum(first, base * base - seg_lo) // 2
+        few = np.searchsorted(base, _SLICE_BELOW)
+        for p, i in zip(base[:few].tolist(), first[:few].tolist()):
+            flags[i::p] = False
+        # the larger primes strike a few times each: one pass per multiple
+        step, hit = base[few:], first[few:]
+        while hit.size:
+            live = hit < flags.size
+            step, hit = step[live], hit[live]
+            flags[hit] = False
+            hit += step
+        found.append(seg_lo + 2 * np.flatnonzero(flags))
         seg_lo = seg_hi if seg_hi % 2 else seg_hi + 1
-    return out
+    return np.concatenate(found) if found else np.empty(0, dtype=np.int64)
 
 
 def primes_from(start: int, count: int,
                 segment: int = DEFAULT_SEGMENT) -> PrimeWindow:
-    """First `count` primes >= start."""
+    """First `count` primes >= start.
+
+    Sieves forward one segment of `segment` odd numbers at a time and stops
+    in the segment that holds the `count`-th prime.
+    """
     if start < 2:
         raise ArgumentError(f"start must be >= 2, got {start}")
     if count < 1:
         raise ArgumentError(f"count must be >= 1, got {count}")
-    span = int(count * (math.log(max(start, 3)) + 2.0) * 1.3) + 64
-    while True:
-        hi = start + span
+    found, total, lo = [], 0, start
+    while total < count:
+        hi = lo + 2 * segment
         if hi >= _UINT63:
             raise ArgumentError(
                 f"window [{start}, {hi}) risks 64-bit overflow")
-        found = _sieve_range(start, hi, segment)
-        if len(found) >= count:
-            primes = np.array(found[:count], dtype=np.int64)
-            return PrimeWindow(start=start, primes=primes, count=count)
-        span *= 2
+        found.append(_sieve_range(lo, hi, segment))
+        total += found[-1].size
+        lo = hi
+    primes = np.concatenate(found)[:count]
+    return PrimeWindow(start=start, primes=primes, count=count)
 
 
 def prime_spacing_histogram(window: PrimeWindow, order: int,

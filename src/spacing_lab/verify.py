@@ -212,13 +212,10 @@ def check_montecarlo_histograms() -> CriterionResult:
     p_floor = 0.01
     t0 = time.perf_counter()
     samples = montecarlo.sample_ensemble(13, 2000, _MC_SEED)
-    pooled, skipped = [], []
-    for sample in samples:
-        unfolded = montecarlo.unfold(sample)
-        pooled.extend(montecarlo.central_spacing(unfolded, 0))
-        skipped.extend(montecarlo.central_spacing(unfolded, 1))
-    pooled = np.array(pooled)
-    skipped = np.array(skipped)
+    stack = montecarlo.unfold(montecarlo.SpectrumSample(
+        n=13, raw=np.stack([s.raw for s in samples])))
+    pooled = montecarlo.central_spacing(stack, 0).ravel()
+    skipped = montecarlo.central_spacing(stack, 1).ravel()
     h0 = montecarlo.build_histogram(
         pooled, 0.1, Interval(0.0, float(np.max(pooled)) + 0.1))
     h1 = montecarlo.build_histogram(

@@ -1,5 +1,6 @@
 """Command-line surface: CSV writers, exit codes, determinism."""
 
+import hashlib
 import io
 import math
 
@@ -115,6 +116,35 @@ class TestPrimes:
         body = [l for l in out.getvalue().splitlines()
                 if not l.startswith("#")]
         assert body == ["index,prime,gap", "0,11,2", "1,13,4", "2,17,0"]
+
+
+class TestGoldenDigests:
+    """SHA-256 of the data rows (the '#' metadata carries library versions)
+    of CSVs recorded before the sampler and sieve were batched; the sample
+    digests also cover the exact and surmise overlay columns."""
+
+    @staticmethod
+    def _data_digest(argv, tmp_path):
+        path = tmp_path / "out.csv"
+        assert main([*argv, "-o", str(path)]) == 0
+        with open(path, encoding="utf-8") as f:
+            rows = "".join(line for line in f if not line.startswith("#"))
+        return hashlib.sha256(rows.encode()).hexdigest()
+
+    @pytest.mark.parametrize("order, digest", [
+        ("0", "86cd602beadffa8bda00c71ed6cdb4ecfb22da227d0ae8783331bfbb24ff59f0"),
+        ("1", "fc551c88d4f3c42bfa3f9ce30536d0f542564a118b4be33dd4aa2074eeb3027e"),
+    ], ids=["order0", "order1"])
+    def test_sample(self, tmp_path, order, digest):
+        argv = ["sample", "--n", "13", "--reps", "600", "--seed", "11",
+                "--order", order]
+        assert self._data_digest(argv, tmp_path) == digest
+
+    def test_primes_raw(self, tmp_path):
+        argv = ["primes", "--start", "100000000003", "--count", "20000",
+                "--raw"]
+        assert self._data_digest(argv, tmp_path) == (
+            "34e79fcafd3e49857e4fe6e5068e89bd484fd9c3d8c4e87aa46c4b40ad6fa305")
 
 
 class TestZeros:

@@ -6,18 +6,44 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.linalg import eigh_tridiagonal
 
 from spacing_lab import ArgumentError, Interval, UnsupportedError, montecarlo
 from spacing_lab.montecarlo import (
     SpectrumSample,
     build_histogram,
     central_spacing,
+    central_spacings,
     chi_square_test,
     sample_ensemble,
     sample_goe,
     semicircle_density,
     unfold,
+    unfold_spectra,
 )
+
+
+def _reference_spectrum(n, rng):
+    # one replica drawn and solved the replica-by-replica way
+    diag = rng.standard_normal(n)
+    if n == 1:
+        return diag
+    off = np.sqrt(rng.gamma(shape=np.arange(1, n) / 2.0, scale=1.0))
+    return np.sort(eigh_tridiagonal(diag, off, eigvals_only=True))
+
+
+def _reference_unfold(raw, density=None):
+    # the per-spectrum unfolding loop the array path replaced
+    n = raw.size
+    if density is None:
+        edge = math.sqrt(2.0 * n)
+        work = np.clip(raw, -edge, edge)
+        density = lambda x: semicircle_density(x, n)
+    else:
+        work = raw
+    mids = 0.5 * (work[1:] + work[:-1])
+    rho = np.maximum(np.asarray(density(mids), dtype=float), 1e-12)
+    return np.concatenate(([work[0]], work[0] + np.cumsum(np.diff(work) * rho)))
 
 
 def _pooled_central_spacings(n, reps, seed, order=0):
@@ -91,6 +117,63 @@ class TestSampling:
             draws = rng.gamma(shape=shape, scale=1.0, size=1_000_000)
             assert abs(draws.mean() - shape) <= 0.01 * shape
             assert abs(draws.var() - shape) <= 0.01 * shape
+
+
+class TestBatchedSampler:
+    @pytest.mark.parametrize("n", [1, 2, 13])
+    def test_rows_match_replica_loop(self, n):
+        # 300 replicas cross the chunk boundary at CHUNK = 256
+        reps, seed = 300, 11
+        expected = []
+        for c in range((reps + montecarlo.CHUNK - 1) // montecarlo.CHUNK):
+            rng = montecarlo._rng_for(seed, c)
+            take = min(montecarlo.CHUNK, reps - c * montecarlo.CHUNK)
+            expected.extend(_reference_spectrum(n, rng) for _ in range(take))
+        for workers in (1, 3):
+            rows = np.stack([s.raw for s in
+                             sample_ensemble(n, reps, seed, workers=workers)])
+            assert np.array_equal(rows, np.array(expected))
+
+    def test_single_spectrum_matches_replica_loop(self):
+        expected = _reference_spectrum(13, montecarlo._rng_for(5))
+        assert np.array_equal(sample_goe(13, 5).raw, expected)
+
+    def test_rank_validation(self):
+        with pytest.raises(ArgumentError):
+            sample_ensemble(0, 10, 1)
+
+
+class TestArrayUnfold:
+    @pytest.mark.parametrize("density", [
+        None, lambda x: 0.25 + 0.01 * x * x])
+    def test_matches_per_spectrum_loop(self, density):
+        raw = np.stack([s.raw for s in sample_ensemble(13, 300, 4)])
+        raw[0, -1] = 10.0          # beyond the semicircle edge: clipped
+        expected = np.array([_reference_unfold(r, density) for r in raw])
+        unfolded = unfold_spectra(raw, density)
+        assert np.array_equal(unfolded, expected)
+        stack = unfold(SpectrumSample(n=13, raw=raw), density)
+        assert np.array_equal(stack.unfolded, expected)
+        for i in (0, 1, 299):
+            single = unfold(SpectrumSample(n=13, raw=raw[i]), density)
+            assert np.array_equal(single.unfolded, expected[i])
+
+    def test_spacings_match_per_spectrum(self):
+        raw = np.stack([s.raw for s in sample_ensemble(13, 300, 4)])
+        unfolded = unfold_spectra(raw)
+        m = 6
+        order0 = central_spacings(unfolded, 0)
+        order1 = central_spacings(unfolded, 1)
+        assert order0.shape == (300, 2) and order1.shape == (300, 1)
+        stack = SpectrumSample(n=13, raw=raw, unfolded=unfolded)
+        assert np.array_equal(central_spacing(stack, 0), order0)
+        assert np.array_equal(central_spacing(stack, 1), order1)
+        for u, gaps, span in zip(unfolded, order0, order1):
+            assert np.array_equal(gaps, [u[m] - u[m - 1], u[m + 1] - u[m]])
+            assert np.array_equal(span, [u[m + 1] - u[m - 1]])
+            sample = SpectrumSample(n=13, raw=u, unfolded=u)
+            assert np.array_equal(central_spacing(sample, 0), gaps)
+            assert np.array_equal(central_spacing(sample, 1), span)
 
 
 class TestUnfold:

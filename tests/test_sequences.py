@@ -73,6 +73,36 @@ class TestPrimesFrom:
         primes_from(10, 3).to_csv(out)
         assert out.getvalue() == "index,prime,gap\n0,11,2\n1,13,4\n2,17,0\n"
 
+    @pytest.mark.parametrize("start, segment", [(10**6 + 1, 64),
+                                                 (10**9 + 7, 1024)])
+    def test_segmented_window_matches_one_range(self, start, segment):
+        # each 500-prime window spans 5 or more segments; from 1e9 the base
+        # primes above 4096 strike one pass per multiple
+        window = primes_from(start, 500, segment=segment)
+        last = int(window.primes[-1])
+        expected = sequences._sieve_range(start, last + 1, 1 << 20)
+        assert np.array_equal(window.primes, expected)
+        assert window.primes.tolist() == [n for n in range(start, last + 1)
+                                          if miller_rabin(n)]
+        assert np.array_equal(window.primes, primes_from(start, 500).primes)
+
+    @pytest.mark.parametrize("start", [2, 3])
+    def test_small_start(self, start):
+        window = primes_from(start, 10, segment=4)
+        expected = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31][start - 2:][:10]
+        assert window.primes.tolist() == expected
+
+    def test_csv_blocks_match_row_by_row(self, monkeypatch):
+        window = primes_from(10**9, 50)
+        gaps = np.append(np.diff(window.primes), 0)
+        expected = "index,prime,gap\n" + "".join(
+            f"{i},{int(p)},{int(g)}\n"
+            for i, (p, g) in enumerate(zip(window.primes, gaps)))
+        monkeypatch.setattr(sequences, "_CSV_BLOCK", 7)
+        out = io.StringIO()
+        window.to_csv(out)
+        assert out.getvalue() == expected
+
 
 class TestPrimeSpacingHistogram:
     def test_mean_spacing_near_unity(self):
