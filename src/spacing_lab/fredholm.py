@@ -18,7 +18,8 @@ import numpy as np
 
 from . import kernels
 from .errors import ArgumentError, NumericError, UnsupportedError
-from .quadrature import FredholmSpectrum, Interval, nystrom_spectrum
+from .quadrature import (FredholmSpectrum, Interval, nystrom_spectrum,
+                         rule_interval)
 
 log = logging.getLogger(__name__)
 
@@ -84,10 +85,12 @@ def _converged_spectrum(kernel_spec, interval: Interval,
 
     Convergence is exponential in the node count for the analytic kernels
     (Bornemann, Math. Comp. 79, 2010), and the number of eigenvalues that
-    matter grows like the interval length, so the first rule has
+    matter grows like the length of the interval the rule lives on (in
+    p = sqrt(x) for hard-edge kernels), so the first rule has
     16 + ceil(2 length) nodes.  No rule exceeds _MAX_NODES.
     """
-    n = min(16 + math.ceil(2.0 * interval.length), _MAX_NODES)
+    length = rule_interval(kernel_spec, interval).length
+    n = min(16 + math.ceil(2.0 * length), _MAX_NODES)
     spec = nystrom_spectrum(kernel_spec, interval, n)
     prev = generating_value(spec, 1.0)
     while n < _MAX_NODES:

@@ -9,14 +9,19 @@ at t = 0 and adaptive integration beyond it.  Three layers:
    matching cannot determine (resonant exponents, where the linearized action
    vanishes or collides with a later unknown) are pinned from the closed
    forms in _equation_setup; every pinned value is cross-checked against the
-   determinantal route by the test suite.
+   determinantal route by the test suite.  The residuals that decide one
+   unknown (its base and all its probes) are evaluated as one batch of
+   series.  Derived problems are memoised until clear_cache().
 2. integration: the equation is differentiated once, making it linear in
    sigma''', and integrated as a third-order system from t_switch with the
    log-integral accumulated as a fourth component.  The ORIGINAL quadratic
    equation is monitored as a defect at accepted steps.
 3. evaluators: E and p compositions with frozen argument calibrations
    (upper limit pi*s for the bulk two-point gap, 2*pi*s for the conditioned
-   nearest-neighbour gap, the hard-edge variable used as is).
+   nearest-neighbour gap, the hard-edge variable used as is).  Each takes a
+   float or an array of s; an array is served by one trajectory fetch, one
+   series evaluation and one dense-output call, and gets the floats a loop
+   of scalar calls would get.
 """
 
 from __future__ import annotations
@@ -54,8 +59,10 @@ _LOOKAHEAD = 6          # collision window for resonance detection
 
 
 # ---------------------------------------------------------------------------
-# truncated power series in x = sqrt(t); c[i] is the coefficient of
-# x^(off + i), off may be negative
+# truncated power series in x = sqrt(t); c[..., i] is the coefficient of
+# x^(off + i), off may be negative.  Leading axes of c hold a batch of series
+# that share off and length; every operation acts on each series of the batch
+# with the arithmetic, in the order, it would use on that series alone.
 
 class _Series:
     __slots__ = ("c", "off")
@@ -65,14 +72,19 @@ class _Series:
         self.off = int(off)
 
 
+def _zeros(a, b, n):
+    batch = np.broadcast_shapes(a.c.shape[:-1], b.c.shape[:-1])
+    return np.zeros(batch + (n,))
+
+
 def _s_add(a, b, order):
     off = min(a.off, b.off)
-    out = np.zeros(order - off + 1)
+    out = _zeros(a, b, order - off + 1)
     for s in (a, b):
         i = s.off - off
-        m = min(len(s.c), len(out) - i)
+        m = min(s.c.shape[-1], out.shape[-1] - i)
         if m > 0:
-            out[i:i + m] += s.c[:m]
+            out[..., i:i + m] += s.c[..., :m]
     return _Series(out, off)
 
 
@@ -81,16 +93,21 @@ def _s_scale(a, v):
 
 
 def _s_mul(a, b, order):
+    """Truncated product, accumulated over the first factor's coefficients
+    in increasing order.  Terms with a zero first-factor coefficient are
+    skipped when the whole batch has one there; elsewhere they add a zero
+    to an accumulator that, starting at +0.0, never holds -0.0, so every
+    series of a batch gets the bits it would get alone."""
     off = a.off + b.off
     n = order - off + 1
     if n <= 0:
         return _Series(np.zeros(1), order)
-    out = np.zeros(n)
-    for i, ci in enumerate(a.c[:n]):
-        if ci == 0.0:
-            continue
-        m = min(len(b.c), n - i)
-        out[i:i + m] += ci * b.c[:m]
+    out = _zeros(a, b, n)
+    ac = a.c[..., :n]
+    used = np.any(ac.reshape(-1, ac.shape[-1]) != 0.0, axis=0)
+    for i in np.flatnonzero(used):
+        m = min(b.c.shape[-1], n - i)
+        out[..., i:i + m] += ac[..., i, None] * b.c[..., :m]
     return _Series(out, off)
 
 
@@ -99,41 +116,48 @@ def _s_mono(v, e, order):
 
 
 def _s_dx(a):
-    return _Series(a.c * (a.off + np.arange(len(a.c))), a.off - 1)
+    return _Series(a.c * (a.off + np.arange(a.c.shape[-1])), a.off - 1)
 
 
 def _s_coeff(a, e):
     i = e - a.off
-    return a.c[i] if 0 <= i < len(a.c) else 0.0
+    return a.c[..., i] if 0 <= i < a.c.shape[-1] else 0.0
 
 
 def _s_sqrt(a, order):
-    """Series square root; leading term must sit at an even exponent."""
-    nz = np.nonzero(np.abs(a.c) > 1e-300)[0]
-    if len(nz) == 0:
+    """Series square root; the leading term must sit at an even exponent,
+    the same one for every series of a batch."""
+    c = a.c.reshape(-1, a.c.shape[-1])
+    live = np.abs(c) > 1e-300
+    if not np.all(np.any(live, axis=1)):
         raise DerivationError("square root of a vanishing series")
-    lead = nz[0]
+    leads = np.argmax(live, axis=1)
+    lead = int(leads[0])
     e0 = a.off + lead
-    if e0 % 2 != 0 or a.c[lead] <= 0.0:
+    if np.any(leads != lead):
+        raise DerivationError("series sqrt of a batch with different "
+                              "leading exponents")
+    if e0 % 2 != 0 or np.any(c[:, lead] <= 0.0):
         raise DerivationError(
             f"series sqrt needs a positive coefficient at an even exponent, "
             f"found exponent {e0}")
     off = e0 // 2
     n = order - off + 1
-    y = np.zeros(n)
-    y[0] = math.sqrt(a.c[lead])
-    rel = np.zeros(2 * n)
-    m = min(len(a.c) - lead, 2 * n)
-    rel[:m] = a.c[lead:lead + m]
-    for k in range(1, n):
-        y[k] = (rel[k] - np.dot(y[1:k], y[k - 1:0:-1])) / (2.0 * y[0])
-    return _Series(y, off)
+    y = np.zeros((len(c), n))
+    y[:, 0] = np.sqrt(c[:, lead])
+    rel = np.zeros((len(c), 2 * n))
+    m = min(c.shape[1] - lead, 2 * n)
+    rel[:, :m] = c[:, lead:lead + m]
+    for yr, rr in zip(y, rel):      # np.dot per series keeps its bits
+        for k in range(1, n):
+            yr[k] = (rr[k] - np.dot(yr[1:k], yr[k - 1:0:-1])) / (2.0 * yr[0])
+    return _Series(y.reshape(a.c.shape[:-1] + (n,)), off)
 
 
 def _sigma_series(coeffs, order):
     """sigma, sigma', sigma'' as x-series; derivatives are with respect to t."""
-    c = np.concatenate((coeffs, np.zeros(max(0, order - len(coeffs)))))
-    sig = _Series(c, 1)
+    pad = np.zeros(coeffs.shape[:-1] + (max(0, order - coeffs.shape[-1]),))
+    sig = _Series(np.concatenate((coeffs, pad), axis=-1), 1)
     half_inv_x = _s_mono(0.5, -1, order)
     d1 = _s_mul(_s_dx(sig), half_inv_x, order)
     d2 = _s_mul(_s_dx(d1), half_inv_x, order)
@@ -277,25 +301,34 @@ def _third_derivative(family, par, t, s, sp, spp):
 # ---------------------------------------------------------------------------
 # coefficient matching
 
-def _first_action(rs_fn, base, order, e, R0):
-    """First residual order where coefficient e acts, with its linear and
-    quadratic action there (probed at c_e = +1/-1)."""
-    plus = base.copy()
-    plus[e - 1] = 1.0
-    Rp = rs_fn(plus, order)
-    minus = base.copy()
-    minus[e - 1] = -1.0
-    Rm = rs_fn(minus, order)
-    off = min(R0.off, Rp.off, Rm.off)
-    scale = max(1.0, float(np.max(np.abs(R0.c))) if len(R0.c) else 0.0,
-                float(np.max(np.abs(Rp.c))), float(np.max(np.abs(Rm.c))))
-    for ex in range(off, order + 1):
-        beta = (_s_coeff(Rp, ex) - _s_coeff(Rm, ex)) / 2.0
-        alpha = (_s_coeff(Rp, ex) + _s_coeff(Rm, ex)
-                 - 2.0 * _s_coeff(R0, ex)) / 2.0
-        if abs(beta) > _ACTION_TOL * scale or abs(alpha) > _ACTION_TOL * scale:
-            return ex, beta, alpha
-    return None, 0.0, 0.0
+def _first_action(R, order, j):
+    """First residual order where probed unknown j acts, with its linear and
+    quadratic action there.  R is the batched residual of _probe_rows: row 0
+    the base, rows 1 + 2j and 2 + 2j the probes c = +1 and c = -1."""
+    n = order - R.off + 1
+    R0, Rp, Rm = (R.c[i, :n] for i in (0, 1 + 2 * j, 2 + 2 * j))
+    scale = max(1.0, float(np.max(np.abs(R0))) if len(R0) else 0.0,
+                float(np.max(np.abs(Rp))), float(np.max(np.abs(Rm))))
+    beta = (Rp - Rm) / 2.0
+    alpha = (Rp + Rm - 2.0 * R0) / 2.0
+    acts = np.flatnonzero((np.abs(beta) > _ACTION_TOL * scale)
+                          | (np.abs(alpha) > _ACTION_TOL * scale))
+    if len(acts) == 0:
+        return None, 0.0, 0.0
+    i = acts[0]
+    return R.off + int(i), beta[i], alpha[i]
+
+
+def _probe_rows(coeffs, e, order):
+    """The base (c_e = 0) and the c = +1/-1 probes of c_e and of the
+    _LOOKAHEAD unknowns after it, one row each."""
+    probed = range(e, min(e + _LOOKAHEAD, order) + 1)
+    rows = np.tile(coeffs, (1 + 2 * len(probed), 1))
+    rows[:, e - 1] = 0.0
+    for j, u in enumerate(probed):
+        rows[1 + 2 * j, u - 1] = 1.0
+        rows[2 + 2 * j, u - 1] = -1.0
+    return rows, len(probed)
 
 
 def _match_coefficients(family, par, leading, order, pinned):
@@ -305,9 +338,9 @@ def _match_coefficients(family, par, leading, order, pinned):
     later unknown within the lookahead window, the equation cannot see c_e
     (a resonant exponent) and the pinned value is used.  A quadratic action
     over an exactly vanishing base residual means two legitimate branches:
-    the pinned value if given, otherwise the nonzero escape root.
+    the pinned value if given, otherwise the nonzero escape root.  The base
+    and all probes of one unknown are evaluated as one batch.
     """
-    rs_fn = lambda c, k: _residual_series(family, par, c, k)
     coeffs = np.zeros(order)
     for e, v in leading.items():
         coeffs[e - 1] = v
@@ -315,40 +348,40 @@ def _match_coefficients(family, par, leading, order, pinned):
     for e in range(1, order + 1):
         if e in known:
             continue
-        base = coeffs.copy()
-        base[e - 1] = 0.0
-        R0 = rs_fn(base, order)
-        nu, beta, alpha = _first_action(rs_fn, base, order, e, R0)
+        rows, n_probed = _probe_rows(coeffs, e, order)
+        R = _residual_series(family, par, rows, order)
+        R0 = R.c[0]
+        nu, beta, alpha = _first_action(R, order, 0)
         if nu is None:
             coeffs[e - 1] = pinned.get(e, 0.0)
             continue
         collided = False
-        for later in range(e + 1, min(e + _LOOKAHEAD, order) + 1):
-            nu2, _, _ = _first_action(rs_fn, base, order, later, R0)
+        for j in range(1, n_probed):
+            nu2, _, _ = _first_action(R, order, j)
             if nu2 is not None and nu2 <= nu:
                 collided = True
                 break
         if collided:
             coeffs[e - 1] = pinned.get(e, 0.0)
             continue
-        gamma = _s_coeff(R0, nu)
+        gamma = R0[nu - R.off]
         if abs(alpha) <= _ACTION_TOL * max(abs(beta), 1.0):
             coeffs[e - 1] = -gamma / beta
         else:
             disc = max(beta * beta - 4.0 * alpha * gamma, 0.0)
             r1 = (-beta + math.sqrt(disc)) / (2.0 * alpha)
             r2 = (-beta - math.sqrt(disc)) / (2.0 * alpha)
-            base_scale = max(1.0, float(np.max(np.abs(R0.c)))
-                             if len(R0.c) else 0.0)
-            exact_base = (float(np.max(np.abs(R0.c))) < 1e-12 * base_scale
-                          if len(R0.c) else True)
+            base_scale = max(1.0, float(np.max(np.abs(R0)))
+                             if len(R0) else 0.0)
+            exact_base = (float(np.max(np.abs(R0))) < 1e-12 * base_scale
+                          if len(R0) else True)
             if exact_base:
                 coeffs[e - 1] = pinned.get(
                     e, r1 if abs(r1) > abs(r2) else r2)
             else:
                 coeffs[e - 1] = r1 if abs(r1) < abs(r2) else r2
         known.add(e)
-    resid = rs_fn(coeffs, order)
+    resid = _residual_series(family, par, coeffs, order)
     upto = order - _LOOKAHEAD   # top orders are polluted by truncation
     tail = np.array([_s_coeff(resid, d) for d in range(resid.off, upto)])
     scale = max(1.0, float(np.max(np.abs(resid.c))) if len(resid.c) else 0.0)
@@ -427,36 +460,68 @@ class PainleveProblem:
     params: tuple
     series: tuple              # ((exponent in t as Fraction, coefficient), ...)
     t_switch: float
-    x_coefficients: np.ndarray = field(compare=False, repr=False)
+    x_coefficients: np.ndarray = field(compare=False, repr=False)  # read-only
 
     def series_value(self, t, deriv=0):
-        """Series sigma (deriv 0..2) or int_0^t sigma/tau dtau (deriv=-1)."""
+        """Series sigma (deriv 0..2) or int_0^t sigma/tau dtau (deriv=-1).
+
+        t is a float (a float is returned) or an array of t >= 0."""
         c = self.x_coefficients
-        x = math.sqrt(t)
+        t = np.asarray(t, dtype=float)
+        if np.any(t < 0.0):
+            raise ArgumentError(f"t must be >= 0, got {t[t < 0.0].flat[0]}")
+        x = np.sqrt(t)[..., None]
         k = np.arange(1, len(c) + 1, dtype=float)
         if deriv == 0:
-            return float(np.sum(c * x ** k))
-        if deriv == 1:
-            return float(np.sum(c * (k / 2.0) * x ** (k - 2)))
-        if deriv == 2:
-            return float(np.sum(c * (k / 2.0) * ((k - 2) / 2.0) * x ** (k - 4)))
-        if deriv == -1:
-            return float(np.sum(c * x ** k / (k / 2.0)))
-        raise ArgumentError(f"unsupported derivative order {deriv}")
+            terms = c * x ** k
+        elif deriv == 1:
+            terms = c * (k / 2.0) * x ** (k - 2)
+        elif deriv == 2:
+            terms = c * (k / 2.0) * ((k - 2) / 2.0) * x ** (k - 4)
+        elif deriv == -1:
+            terms = c * x ** k / (k / 2.0)
+        else:
+            raise ArgumentError(f"unsupported derivative order {deriv}")
+        values = np.sum(terms, axis=-1)
+        return float(values) if values.ndim == 0 else values
+
+
+# derived problems and integrated trajectories, shared by every caller
+# (immutable values; the lock is reentrant because _solution holds it while
+# it builds a problem)
+_cache_lock = threading.RLock()
+_problems: dict = {}
+_solutions: dict = {}
 
 
 def build_problem(equation_id, params=(), t_switch=DEFAULT_T_SWITCH,
                   n_terms=DEFAULT_ORDER):
-    """Derive the boundary series and package it with its equation."""
+    """Derive the boundary series and package it with its equation.
+
+    Memoised on (equation_id, params, t_switch, n_terms) until
+    clear_cache(): repeated calls return the same problem, whose
+    x_coefficients array is read-only.
+    """
     if not 0.0 < t_switch <= 0.1:
         raise ArgumentError(f"t_switch must lie in (0, 0.1], got {t_switch}")
     params = tuple(float(p) for p in params)
+    key = (equation_id, params, float(t_switch), int(n_terms))
+    with _cache_lock:
+        problem = _problems.get(key)
+        if problem is None:
+            problem = _problems[key] = _derive_problem(
+                equation_id, params, t_switch, n_terms)
+        return problem
+
+
+def _derive_problem(equation_id, params, t_switch, n_terms):
     family, par, leading, pinned = _equation_setup(equation_id, params)
     if all(v == 0.0 for v in leading.values()):        # xi = 0: sigma == 0
         coeffs = np.zeros(n_terms)
     else:
         coeffs = _match_coefficients(family, par, leading, n_terms, pinned)
         _check_tail(coeffs, t_switch)
+    coeffs.setflags(write=False)
     series = tuple((Fraction(k, 2), float(coeffs[k - 1]))
                    for k in range(1, n_terms + 1) if coeffs[k - 1] != 0.0)
     return PainleveProblem(equation_id=equation_id, params=params,
@@ -495,6 +560,9 @@ def series_residual(problem: PainleveProblem, t=None) -> float:
     return float(abs(r) / scale)
 
 
+_SERIES_DERIV = {0: 0, 1: 1, 2: 2, 3: -1}    # state component -> deriv
+
+
 @dataclass(frozen=True)
 class PainleveSolution:
     """Dense trajectory of (sigma, sigma', sigma'', int sigma/t dt)."""
@@ -509,15 +577,31 @@ class PainleveSolution:
     _dense: object = field(compare=False, repr=False)
 
     def _state(self, t, component):
-        if t < 0.0:
-            raise ArgumentError(f"t must be >= 0, got {t}")
-        if t > self.t_max * (1.0 + 1e-12):
+        """One state component at a float t (a float is returned) or at an
+        array of t: the series layer up to t_switch, the dense output of
+        the integrator beyond it, each called once for all its points."""
+        t = np.asarray(t, dtype=float)
+        flat = t.ravel()
+        if (flat < 0.0).any():
+            raise ArgumentError(f"t must be >= 0, got {flat[flat < 0.0][0]}")
+        beyond = flat > self.t_max * (1.0 + 1e-12)
+        if beyond.any():
             raise ArgumentError(
-                f"t={t} beyond integrated range {self.t_max}; re-integrate")
-        if t <= self.problem.t_switch:
-            deriv = {0: 0, 1: 1, 2: 2, 3: -1}[component]
-            return self.problem.series_value(t, deriv)
-        return float(self._dense(min(t, self.t_max))[component])
+                f"t={flat[beyond][0]} beyond integrated range {self.t_max}; "
+                "re-integrate")
+        out = np.empty(flat.shape)
+        series = flat <= self.problem.t_switch
+        n_series = np.count_nonzero(series)
+        if n_series:
+            out[series] = self.problem.series_value(
+                flat[series], _SERIES_DERIV[component])
+        if n_series < len(flat):
+            dense = ~series
+            td = np.minimum(flat[dense], self.t_max)
+            # a single point goes in as a float: the dense output's array
+            # path sorts and regroups, and costs several times more for it
+            out[dense] = self._dense(td[0] if len(td) == 1 else td)[component]
+        return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
     def sigma_at(self, t):
         return self._state(t, 0)
@@ -553,7 +637,7 @@ def integrate(problem: PainleveProblem, t_max: float,
         return PainleveSolution(problem=problem, grid=grid, sigma=zeros,
                                 sigma_prime=zeros, log_integral_grid=zeros,
                                 t_max=float(t_max), tol=tol,
-                                _dense=lambda t: np.zeros(4))
+                                _dense=lambda t: np.zeros((4,) + np.shape(t)))
 
     def rhs(t, y):
         return [y[1], y[2],
@@ -583,11 +667,7 @@ def integrate(problem: PainleveProblem, t_max: float,
 
 
 # ---------------------------------------------------------------------------
-# shared trajectory cache (immutable solutions; guarded for thread use)
-
-_cache_lock = threading.Lock()
-_solutions: dict = {}
-
+# shared trajectory cache
 
 def _solution(equation_id, params, t_needed, tol=DEFAULT_TOL,
               t_switch=DEFAULT_T_SWITCH) -> PainleveSolution:
@@ -611,59 +691,88 @@ def _solution(equation_id, params, t_needed, tol=DEFAULT_TOL,
 
 
 def clear_cache():
+    """Forget every derived problem and integrated trajectory."""
     with _cache_lock:
+        _problems.clear()
         _solutions.clear()
 
 
 # ---------------------------------------------------------------------------
 # evaluators
 
-def e2_bulk(s: float, xi: float = 1.0) -> float:
+# Each evaluator takes a float s (and returns a float) or an array of s (and
+# returns an array of its shape).  For an array the trajectory is fetched
+# once, at the largest argument, and the series layer and the dense output
+# are each evaluated once over all points.  Python's own float pow and exp
+# are kept element by element where numpy's differ in the last bit, so an
+# array gives exactly the floats a loop of scalar calls gives on the same
+# trajectory.
+
+def _on_points(s, at_zero, fn):
+    """at_zero where s == 0 and fn(array of the other s) elsewhere."""
+    s = np.asarray(s, dtype=float)
+    flat = s.ravel()
+    if (flat < 0.0).any():
+        raise ArgumentError(f"s must be >= 0, got {flat[flat < 0.0][0]}")
+    out = np.full(flat.shape, at_zero)
+    live = np.flatnonzero(flat)
+    if len(live):
+        out[live] = fn(flat[live])
+    return float(out[0]) if s.ndim == 0 else out.reshape(s.shape)
+
+
+def _squared(v):
+    return np.array([x ** 2 for x in v.tolist()])
+
+
+def _exp(v):
+    return np.array([math.exp(x) for x in v.tolist()])
+
+
+def _trajectory(equation_id, params, t):
+    """The cached solution covering every argument in t."""
+    return _solution(equation_id, params, float(t.max()))
+
+
+def _gap(equation_id, params, t):
+    """exp int_0^t sigma/u du at each t."""
+    return _exp(_trajectory(equation_id, params, t).log_integral_at(t))
+
+
+def e2_bulk(s, xi: float = 1.0):
     """E2(0; interval of length s) as exp int_0^{pi s} sigma/u du.
 
     The upper limit pi*s (argument = pi * interval length) is the frozen
     calibration against the determinantal route.
     """
     _check_xi(xi)
-    if s < 0.0:
-        raise ArgumentError(f"s must be >= 0, got {s}")
-    if s == 0.0 or xi == 0.0:
-        return 1.0
-    sol = _solution(SIGMA_JMMS, (xi,), math.pi * s)
-    return math.exp(sol.log_integral_at(math.pi * s))
+    return _on_points(s, 1.0, lambda v: 1.0 if xi == 0.0
+                      else _gap(SIGMA_JMMS, (xi,), math.pi * v))
 
 
-def e2_hard(s: float, a: float, xi: float = 1.0) -> float:
+def e2_hard(s, a: float, xi: float = 1.0):
     """Hard-edge gap generating value exp int_0^s u(t;a;xi)/t dt on (0, s)."""
     _check_xi(xi)
-    if s < 0.0:
-        raise ArgumentError(f"s must be >= 0, got {s}")
-    if s == 0.0 or xi == 0.0:
-        return 1.0
-    sol = _solution(SIGMA_HARD, (a, xi), s)
-    return math.exp(sol.log_integral_at(s))
+    return _on_points(s, 1.0, lambda v: 1.0 if xi == 0.0
+                      else _gap(SIGMA_HARD, (a, xi), v))
 
 
-def e1_bulk(s: float) -> float:
+def e1_bulk(s):
     """E1(0; (-s, s)) through the hard-edge a=-1/2 transcendent."""
-    if s < 0.0:
-        raise ArgumentError(f"s must be >= 0, got {s}")
-    if s == 0.0:
-        return 1.0
-    return e2_hard((math.pi * s) ** 2, -0.5, 1.0)
+    return _on_points(
+        s, 1.0, lambda v: e2_hard(_squared(math.pi * v), -0.5, 1.0))
 
 
-def e4_bulk(s: float) -> float:
+def e4_bulk(s):
     """E4(0; (-s/2, s/2)) as the average of the two hard-edge exponentials."""
-    if s < 0.0:
-        raise ArgumentError(f"s must be >= 0, got {s}")
-    if s == 0.0:
-        return 1.0
-    t = (math.pi * s) ** 2
-    return 0.5 * (e2_hard(t, -0.5, 1.0) + e2_hard(t, 0.5, 1.0))
+    def average(v):
+        t = _squared(math.pi * v)
+        return 0.5 * (e2_hard(t, -0.5, 1.0) + e2_hard(t, 0.5, 1.0))
+
+    return _on_points(s, 1.0, average)
 
 
-def enn_generating(s: float, a: float = 1.0, xi: float = 1.0) -> float:
+def enn_generating(s, a: float = 1.0, xi: float = 1.0):
     """Conditioned-origin gap generating value on (-s, s).
 
     exp int_0^{2 pi s} sigma_a/t dt; the 2*pi*s upper limit (argument =
@@ -671,95 +780,89 @@ def enn_generating(s: float, a: float = 1.0, xi: float = 1.0) -> float:
     calibration, consistent with e2_bulk.
     """
     _check_xi(xi)
-    if s < 0.0:
-        raise ArgumentError(f"s must be >= 0, got {s}")
-    if s == 0.0 or xi == 0.0:
-        return 1.0
-    sol = _solution(SIGMA_NN, (a, xi), 2.0 * math.pi * s)
-    return math.exp(sol.log_integral_at(2.0 * math.pi * s))
+    return _on_points(s, 1.0, lambda v: 1.0 if xi == 0.0
+                      else _gap(SIGMA_NN, (a, xi), 2.0 * math.pi * v))
 
 
-def p2_nn(s: float) -> float:
+def p2_nn(s):
     """Nearest-neighbour spacing density about a conditioned eigenvalue.
 
     -dE/ds of enn_generating at a = xi = 1: -sigma_a(2 pi s)/s times the
     generating value (the chain-rule factor 2*pi combines with the 1/(2*pi*s)
     of the inner logarithmic derivative to leave 1/s).
     """
-    if s < 0.0:
-        raise ArgumentError(f"s must be >= 0, got {s}")
-    if s == 0.0:
-        return 0.0
-    T = 2.0 * math.pi * s
-    sol = _solution(SIGMA_NN, (1.0, 1.0), T)
-    return -sol.sigma_at(T) / s * math.exp(sol.log_integral_at(T))
+    def density(v):
+        T = 2.0 * math.pi * v
+        sol = _trajectory(SIGMA_NN, (1.0, 1.0), T)
+        return -sol.sigma_at(T) / v * _exp(sol.log_integral_at(T))
+
+    return _on_points(s, 0.0, density)
 
 
-def p1_direct(s: float) -> float:
+def p1_direct(s):
     """Spacing density p1(0; s) via its dedicated transcendent.
 
-    (2 u((pi s / 2)^2) / s) * exp(-int); the small-s branch is the exact
-    limit forced by the leading series term t/3.
+    (2 u((pi s / 2)^2) / s) * exp(-int); the small-s branch (s <= 1e-3) is
+    the exact limit forced by the leading series term t/3.
     """
-    if s < 0.0:
-        raise ArgumentError(f"s must be >= 0, got {s}")
-    if s <= 1e-3:
-        return math.pi ** 2 * s / 6.0
-    T = (math.pi * s / 2.0) ** 2
-    sol = _solution(U_TILDE, (), T)
-    return 2.0 * sol.sigma_at(T) / s * math.exp(-sol.log_integral_at(T))
+    def density(v):
+        out = math.pi ** 2 * v / 6.0
+        far = v > 1e-3
+        if far.any():
+            w = v[far]
+            T = _squared(math.pi * w / 2.0)
+            sol = _trajectory(U_TILDE, (), T)
+            out[far] = (2.0 * sol.sigma_at(T) / w
+                        * _exp(-sol.log_integral_at(T)))
+        return out
+
+    return _on_points(s, 0.0, density)
 
 
-def p2_direct(s: float) -> float:
+def p2_direct(s):
     """Spacing density p2(0; s) = (pi^2/3) s^2 exp int_0^{2 pi s} v/t dt."""
-    if s < 0.0:
-        raise ArgumentError(f"s must be >= 0, got {s}")
-    if s == 0.0:
-        return 0.0
-    T = 2.0 * math.pi * s
-    sol = _solution(V_P2, (), T)
-    return math.pi ** 2 / 3.0 * s * s * math.exp(sol.log_integral_at(T))
+    return _on_points(s, 0.0, lambda v: math.pi ** 2 / 3.0 * v * v
+                      * _gap(V_P2, (), 2.0 * math.pi * v))
 
 
-def _dminus_second(u: float) -> float:
+def _dminus_second(u):
     """Second derivative of the odd-parity determinant profile at u.
 
     (4 pi^2 u / 3)(v((pi u)^2) - 1) exp(-int_0^{(pi u)^2} v/t dt) with v the
     V_TILDE transcendent.
     """
-    if u == 0.0:
-        return 0.0
-    T = (math.pi * u) ** 2
-    sol = _solution(V_TILDE, (), T)
-    return (4.0 * math.pi ** 2 * u / 3.0) * (sol.sigma_at(T) - 1.0) * \
-        math.exp(-sol.log_integral_at(T))
+    def second(w):
+        T = _squared(math.pi * w)
+        sol = _trajectory(V_TILDE, (), T)
+        return (4.0 * math.pi ** 2 * w / 3.0) * (sol.sigma_at(T) - 1.0) * \
+            _exp(-sol.log_integral_at(T))
+
+    return _on_points(u, 0.0, second)
 
 
-def p4_direct(s: float) -> float:
+def p4_direct(s):
     """Spacing density p4(0; s) = 2 p1(0; 2s) + (1/2) D''_-(s)."""
-    if s < 0.0:
-        raise ArgumentError(f"s must be >= 0, got {s}")
-    if s == 0.0:
-        return 0.0
-    value = 2.0 * p1_direct(2.0 * s) + 0.5 * _dminus_second(s)
-    if value < -1e-9:
-        raise ConsistencyError(
-            "p4 composition produced a negative density",
-            context={"s": s, "value": value})
-    return max(value, 0.0)
+    def density(v):
+        value = 2.0 * p1_direct(2.0 * v) + 0.5 * _dminus_second(v)
+        negative = value < -1e-9
+        if negative.any():
+            raise ConsistencyError(
+                "p4 composition produced a negative density",
+                context={"s": float(v[negative][0]),
+                         "value": float(value[negative][0])})
+        return np.where(value < 0.0, 0.0, value)
+
+    return _on_points(s, 0.0, density)
 
 
-def p1_gap1(s: float) -> float:
+def p1_gap1(s):
     """Density of the distance between next-nearest beta=1 neighbours.
 
     p1(1; s) = d^2/ds^2 [2 E1(0;s) + E1(1;s)] collapses to
     p1(0; s) + (1/4) D''_-(s/2) through the parity identities.
     """
-    if s < 0.0:
-        raise ArgumentError(f"s must be >= 0, got {s}")
-    if s == 0.0:
-        return 0.0
-    return p1_direct(s) + 0.25 * _dminus_second(s / 2.0)
+    return _on_points(
+        s, 0.0, lambda v: p1_direct(v) + 0.25 * _dminus_second(v / 2.0))
 
 
 def am5_identity_residual(s: float, a: float) -> float:

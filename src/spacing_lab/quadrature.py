@@ -130,6 +130,19 @@ class FredholmSpectrum:
         return float(np.sum(self.eigenvalues))
 
 
+def rule_interval(kernel, interval: Interval) -> Interval:
+    """The interval that nystrom_spectrum puts its Gauss rule on:
+    (sqrt(lo), sqrt(hi)) for hard-edge kernels, the interval itself
+    otherwise."""
+    from . import kernels as _kernels
+
+    if kernel.variant != _kernels.HARD_EDGE_BESSEL:
+        return interval
+    if interval.lo < 0.0:
+        raise ArgumentError("hard-edge kernel domain is x, y > 0")
+    return Interval(math.sqrt(interval.lo), math.sqrt(interval.hi))
+
+
 def nystrom_spectrum(kernel, interval: Interval, n: int) -> FredholmSpectrum:
     """Spectrum of the operator with the given kernel on the interval.
 
@@ -143,14 +156,10 @@ def nystrom_spectrum(kernel, interval: Interval, n: int) -> FredholmSpectrum:
     if interval.length == 0.0:
         return FredholmSpectrum(eigenvalues=np.zeros(0), kernel=kernel,
                                 interval=interval, nodes_used=0)
+    rule = gauss_legendre(n, rule_interval(kernel, interval))
     if kernel.variant == _kernels.HARD_EDGE_BESSEL:
-        if interval.lo < 0.0:
-            raise ArgumentError("hard-edge kernel domain is x, y > 0")
-        rule = gauss_legendre(n, Interval(math.sqrt(interval.lo),
-                                          math.sqrt(interval.hi)))
         nodes, weights = rule.nodes ** 2, 2.0 * rule.nodes * rule.weights
     else:
-        rule = gauss_legendre(n, interval)
         nodes, weights = rule.nodes, rule.weights
     matrix = _kernels.kernel_matrix(kernel, nodes)
     if not np.all(np.isfinite(matrix)):

@@ -19,6 +19,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import fredholm, kernels, montecarlo, painleve, sequences, surmise
+from .errors import ArgumentError
 from .quadrature import Interval, nystrom_spectrum
 
 _STENCIL_H = 1e-3
@@ -35,6 +36,22 @@ class CriterionResult:
         flag = "PASS" if self.passed else "FAIL"
         parts = ", ".join(f"{k}={v}" for k, v in self.details.items())
         return f"[{flag}] {self.name}: {parts}"
+
+
+def _criterion(name):
+    """Register a check under the name its result prints.  The check
+    returns (passed, details); the registered function returns the
+    CriterionResult and carries the name as ``criterion``."""
+    def register(check):
+        @functools.wraps(check)
+        def run() -> CriterionResult:
+            passed, details = check()
+            return CriterionResult(name, passed, details)
+
+        run.criterion = name
+        return run
+
+    return register
 
 
 def _fmt(x):
@@ -61,7 +78,8 @@ def _stencil_second(f, s, h=_STENCIL_H):
     return (-v[0] + 16 * v[1] - 30 * v[2] + 16 * v[3] - v[4]) / (12 * h * h)
 
 
-def check_e2_cross_route() -> CriterionResult:
+@_criterion("e2-cross-route")
+def check_e2_cross_route():
     """Sine-kernel determinant vs the bulk sigma evaluation, |.| <= 1e-6."""
     tol = 1e-6
     t0 = time.perf_counter()
@@ -69,12 +87,12 @@ def check_e2_cross_route() -> CriterionResult:
     worst = max(abs(_e2_det(float(s)) - painleve.e2_bulk(float(s)))
                 for s in grid)
     elapsed = time.perf_counter() - t0
-    return CriterionResult(
-        "e2-cross-route", worst <= tol and elapsed < 60.0,
-        {"worst": _fmt(worst), "tol": tol, "seconds": _fmt(elapsed)})
+    return (worst <= tol and elapsed < 60.0,
+            {"worst": _fmt(worst), "tol": tol, "seconds": _fmt(elapsed)})
 
 
-def check_parity_identities() -> CriterionResult:
+@_criterion("parity-identities")
+def check_parity_identities():
     """D+ * D- = E2 at 1e-10 (shared rule); log-split recovery at 1e-6."""
     tol_product, tol_split = 1e-10, 1e-6
     worst_product = worst_split = 0.0
@@ -93,13 +111,13 @@ def check_parity_identities() -> CriterionResult:
         worst_split = max(worst_split, abs(g_plus - _d_plus(s)),
                           abs(g_minus - _d_minus(s)))
     ok = worst_product <= tol_product and worst_split <= tol_split
-    return CriterionResult(
-        "parity-identities", ok,
-        {"worst_product": _fmt(worst_product), "tol_product": tol_product,
-         "worst_split": _fmt(worst_split), "tol_split": tol_split})
+    return (ok,
+            {"worst_product": _fmt(worst_product), "tol_product": tol_product,
+             "worst_split": _fmt(worst_split), "tol_split": tol_split})
 
 
-def check_e1_e4_dual_route() -> CriterionResult:
+@_criterion("e1-e4-dual-route")
+def check_e1_e4_dual_route():
     """Hard-edge transcendent vs parity determinants for E1 and E4."""
     tol = 1e-6
     grid = np.arange(0.25, 2.01, 0.25)
@@ -107,12 +125,13 @@ def check_e1_e4_dual_route() -> CriterionResult:
                    for s in grid)
     worst_e4 = max(abs(0.5 * (_d_plus(float(s)) + _d_minus(float(s)))
                        - painleve.e4_bulk(float(s))) for s in grid)
-    return CriterionResult(
-        "e1-e4-dual-route", worst_e1 <= tol and worst_e4 <= tol,
-        {"worst_e1": _fmt(worst_e1), "worst_e4": _fmt(worst_e4), "tol": tol})
+    return (worst_e1 <= tol and worst_e4 <= tol,
+            {"worst_e1": _fmt(worst_e1), "worst_e4": _fmt(worst_e4),
+             "tol": tol})
 
 
-def check_density_stencils() -> CriterionResult:
+@_criterion("density-stencils")
+def check_density_stencils():
     """Direct p1, p2, p4 against 5-point second differences of gap profiles."""
     tol = 1e-4
     grid = np.arange(0.2, 2.01, 0.2)
@@ -128,22 +147,21 @@ def check_density_stencils() -> CriterionResult:
             painleve.p4_direct(s) - _stencil_second(
                 lambda u: 0.5 * (_d_plus(u) + _d_minus(u)), s)))
     ok = all(v <= tol for v in worst.values())
-    return CriterionResult(
-        "density-stencils", ok,
-        {k: _fmt(v) for k, v in worst.items()} | {"tol": tol})
+    return ok, {k: _fmt(v) for k, v in worst.items()} | {"tol": tol}
 
 
-def check_surmise_accuracy() -> CriterionResult:
+@_criterion("surmise-accuracy")
+def check_surmise_accuracy():
     """|p1 - beta=1 surmise| <= 0.02 on [0, 3]."""
     tol = 0.02
     grid = np.arange(0.0, 3.0001, 0.01)
     worst = max(abs(painleve.p1_direct(float(s))
                     - surmise.wigner_surmise(1, float(s))) for s in grid)
-    return CriterionResult("surmise-accuracy", worst <= tol,
-                           {"worst": _fmt(worst), "tol": tol})
+    return worst <= tol, {"worst": _fmt(worst), "tol": tol}
 
 
-def check_spacing1_identity() -> CriterionResult:
+@_criterion("spacing1-identity")
+def check_spacing1_identity():
     """p4(0;s) = 2 p1(1;2s) with p1(1;.) from determinantal gap profiles."""
     tol = 5e-4
     worst = 0.0
@@ -151,11 +169,11 @@ def check_spacing1_identity() -> CriterionResult:
         det_p1_gap1 = _stencil_second(
             lambda u: _d_plus(u / 2.0) + _d_minus(u / 2.0), 2.0 * s)
         worst = max(worst, abs(painleve.p4_direct(s) - 2.0 * det_p1_gap1))
-    return CriterionResult("spacing1-identity", worst <= tol,
-                           {"worst": _fmt(worst), "tol": tol})
+    return worst <= tol, {"worst": _fmt(worst), "tol": tol}
 
 
-def check_sum_rule() -> CriterionResult:
+@_criterion("spacing-sum-rule")
+def check_sum_rule():
     """sum_{n<=8} p2(n;s) equals 1 - sinc^2(pi s) within 2e-3 on [0.1, 2]."""
     tol = 2e-3
     weights = np.array([(9 - j) * (10 - j) / 2.0 for j in range(9)])
@@ -173,20 +191,20 @@ def check_sum_rule() -> CriterionResult:
         total = _stencil_second(cumulative, s)
         target = 1.0 - np.sinc(s) ** 2        # np.sinc(x) = sin(pi x)/(pi x)
         worst = max(worst, abs(total - target))
-    return CriterionResult("spacing-sum-rule", worst <= tol,
-                           {"worst": _fmt(worst), "tol": tol})
+    return worst <= tol, {"worst": _fmt(worst), "tol": tol}
 
 
-def check_am5_identity() -> CriterionResult:
+@_criterion("hard-edge-derivative-identity")
+def check_am5_identity():
     """Hard-edge derivative identity residual <= 1e-7 at s=1, both orders."""
     tol = 1e-7
     worst = max(abs(painleve.am5_identity_residual(1.0, a))
                 for a in (-0.5, 0.5))
-    return CriterionResult("hard-edge-derivative-identity", worst <= tol,
-                           {"worst": _fmt(worst), "tol": tol})
+    return worst <= tol, {"worst": _fmt(worst), "tol": tol}
 
 
-def check_series_layers() -> CriterionResult:
+@_criterion("series-boundary-layers")
+def check_series_layers():
     """Each boundary series leaves relative ODE residual <= 1e-8 at t_switch."""
     tol = 1e-8
     cases = [
@@ -203,11 +221,11 @@ def check_series_layers() -> CriterionResult:
         problem = painleve.build_problem(eq, params)
         residuals[eq + str(params)] = painleve.series_residual(problem)
     worst = max(residuals.values())
-    return CriterionResult("series-boundary-layers", worst <= tol,
-                           {"worst": _fmt(worst), "tol": tol})
+    return worst <= tol, {"worst": _fmt(worst), "tol": tol}
 
 
-def check_montecarlo_histograms() -> CriterionResult:
+@_criterion("montecarlo-central-spacings")
+def check_montecarlo_histograms():
     """2000 rank-13 spectra: central spacings match the exact densities."""
     p_floor = 0.01
     t0 = time.perf_counter()
@@ -225,13 +243,13 @@ def check_montecarlo_histograms() -> CriterionResult:
         h1, lambda s: 0.5 * painleve.p4_direct(s / 2.0))
     elapsed = time.perf_counter() - t0
     ok = p0 > p_floor and p1 > p_floor and elapsed < 30.0
-    return CriterionResult(
-        "montecarlo-central-spacings", ok,
-        {"p_order0": _fmt(p0), "p_order1": _fmt(p1), "p_floor": p_floor,
-         "seconds": _fmt(elapsed)})
+    return (ok,
+            {"p_order0": _fmt(p0), "p_order1": _fmt(p1), "p_floor": p_floor,
+             "seconds": _fmt(elapsed)})
 
 
-def check_prime_gaps() -> CriterionResult:
+@_criterion("prime-gap-poisson")
+def check_prime_gaps():
     """2000 primes from 1e9+7: gap histograms within KS 0.08 of the model."""
     tol = 0.08
     window = sequences.primes_from(10 ** 9 + 7, 2000)
@@ -241,25 +259,25 @@ def check_prime_gaps() -> CriterionResult:
     ks1 = sequences.histogram_ks_distance(
         sequences.prime_spacing_histogram(window, 1),
         lambda s: 1.0 - (1.0 + s) * math.exp(-s))
-    return CriterionResult(
-        "prime-gap-poisson", ks0 <= tol and ks1 <= tol,
-        {"ks_order0": _fmt(ks0), "ks_order1": _fmt(ks1), "tol": tol})
+    return (ks0 <= tol and ks1 <= tol,
+            {"ks_order0": _fmt(ks0), "ks_order1": _fmt(ks1), "tol": tol})
 
 
-def check_nn_routes() -> CriterionResult:
+@_criterion("nearest-neighbour-routes")
+def check_nn_routes():
     """Conditioned-origin gap: determinant vs sigma route; density mass 1."""
     tol_e, tol_mass = 1e-6, 1e-3
     worst = max(abs(fredholm.enn_det(s) - painleve.enn_generating(s))
                 for s in (0.25, 0.5, 1.0))
     mass, _ = quad(painleve.p2_nn, 0.0, 4.0, limit=200)
     ok = worst <= tol_e and abs(mass - 1.0) <= tol_mass
-    return CriterionResult(
-        "nearest-neighbour-routes", ok,
-        {"worst_e": _fmt(worst), "tol_e": tol_e,
-         "mass": float(f"{mass:.6f}"), "tol_mass": tol_mass})
+    return (ok,
+            {"worst_e": _fmt(worst), "tol_e": tol_e,
+             "mass": float(f"{mass:.6f}"), "tol_mass": tol_mass})
 
 
-def check_csv_determinism() -> CriterionResult:
+@_criterion("csv-determinism")
+def check_csv_determinism():
     """Identical configs yield byte-identical CSV output."""
     from . import cli
 
@@ -279,7 +297,7 @@ def check_csv_determinism() -> CriterionResult:
 
     ok = (tabulate_once() == tabulate_once()
           and sample_once() == sample_once())
-    return CriterionResult("csv-determinism", ok, {"bit_identical": ok})
+    return ok, {"bit_identical": ok}
 
 
 ALL_CRITERIA = (
@@ -302,16 +320,15 @@ ALL_CRITERIA = (
 def run_all(names=None):
     """Run the full suite (or the named subset) and return the results.
 
-    Subset names match the check function names (without the check_ prefix);
-    hyphens and underscores are interchangeable so the printed criterion
-    names can be pasted back in.
+    Subset names are the criterion names the results print; hyphens and
+    underscores are interchangeable.  An unknown name raises ArgumentError.
     """
-    if names is not None:
-        names = {str(n).replace("-", "_") for n in names}
-    results = []
-    for fn in ALL_CRITERIA:
-        label = fn.__name__.removeprefix("check_")
-        if names is not None and label not in names:
-            continue
-        results.append(fn())
-    return results
+    if names is None:
+        return [fn() for fn in ALL_CRITERIA]
+    wanted = {str(n).replace("_", "-") for n in names}
+    unknown = wanted - {fn.criterion for fn in ALL_CRITERIA}
+    if unknown:
+        raise ArgumentError(
+            f"unknown criteria: {', '.join(sorted(unknown))}; known: "
+            + ", ".join(fn.criterion for fn in ALL_CRITERIA))
+    return [fn() for fn in ALL_CRITERIA if fn.criterion in wanted]

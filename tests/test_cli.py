@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from spacing_lab import cli, fredholm
+from spacing_lab import cli, fredholm, painleve, verify
 from spacing_lab.cli import RunConfig, main, write_primes, write_sample, write_tabulate
 
 
@@ -147,6 +147,40 @@ class TestGoldenDigests:
             "34e79fcafd3e49857e4fe6e5068e89bd484fd9c3d8c4e87aa46c4b40ad6fa305")
 
 
+class TestPainleveDigests:
+    """SHA-256 of the data rows of each Painleve column on the dense grid,
+    recorded (from a cold solution cache) before the evaluators took
+    arrays; the column is now one array call per grid."""
+
+    @pytest.mark.parametrize("quantity, extra, s_max, digest", [
+        ("E2", (), "4.0",
+         "0edea89d6bd60552c44f0e6c3b51ffa3ec378e4d4e4f5c0aefa89f5c94d8e284"),
+        ("E1", (), "4.0",
+         "81ca6917574bd02eb833e5f24349fd9bfc59c7ec68df4c945126c41a773b8034"),
+        ("E4", (), "4.0",
+         "df368ede6948becfbf5504c83f433e4c33eed4de31cceec4f010f9baecca197f"),
+        ("Enn", (), "4.0",
+         "4981b37d1b7c4578285edf9edb0448b9a94f20e584111b174361bbd678f6bcde"),
+        ("p0", ("--beta", "1"), "4.0",
+         "1e7314311d9917babd74569021b871bf8a9bf15be3e3e58a90bf787f275e6c23"),
+        ("p0", ("--beta", "2"), "4.0",
+         "620e65949bbebef54ed67ab0622bde8f94d95ec0e34f05fa78c03b8cfb1cd77e"),
+        ("p0", ("--beta", "4"), "4.0",
+         "8eaecb022e365a9c2eeb6e997beac2e66538fbc267feb8f0dc721d8a6209b4cf"),
+        ("p1gap", (), "6.0",
+         "caaf369debfdb30f9c36a0fb68ba8190676f7dd8e156c77c0f8de87da8494aec"),
+        ("p2nn", (), "4.0",
+         "22e118d7629639b52f09a275f3c704bb158932fe0b88ce47a135c631a233747b"),
+    ], ids=["E2", "E1", "E4", "Enn", "p0-beta1", "p0-beta2", "p0-beta4",
+            "p1gap", "p2nn"])
+    def test_tabulate(self, tmp_path, quantity, extra, s_max, digest):
+        painleve.clear_cache()
+        argv = ["tabulate", "--quantity", quantity, *extra, "--method",
+                "painleve", "--s-min", "0.0", "--s-max", s_max,
+                "--s-step", "0.001", "--workers", "1"]
+        assert TestGoldenDigests._data_digest(argv, tmp_path) == digest
+
+
 class TestZeros:
     @pytest.fixture()
     def zeros_file(self, tmp_path):
@@ -217,3 +251,34 @@ class TestMainExitCodes:
     def test_verify_unknown_criterion(self, capsys):
         code = main(["verify", "--only", "bogus_name"])
         assert code == 2
+
+    def test_verify_accepts_printed_names(self, capsys):
+        code = main(["verify", "--only", "series-boundary-layers",
+                     "prime_gap_poisson"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "[PASS] series-boundary-layers" in out
+        assert "[PASS] prime-gap-poisson" in out
+        assert "2/2 criteria passed" in out
+
+    def test_verify_unknown_name_in_list_is_usage_error(self, capsys):
+        code = main(["verify", "--only", "surmise-accuracy", "bogus"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "bogus" in captured.err
+        assert "criteria passed" not in captured.out
+
+
+class TestCriterionNames:
+    def test_every_printed_name_selects_its_criterion(self, monkeypatch):
+        # stand-ins carrying the registered names, so the 13 real checks
+        # need not run; the names are read from the real registry
+        names = [fn.criterion for fn in verify.ALL_CRITERIA]
+        assert len(set(names)) == len(names) == 13
+        stubs = tuple(verify._criterion(n)(lambda: (True, {}))
+                      for n in names)
+        monkeypatch.setattr(verify, "ALL_CRITERIA", stubs)
+        for name in names:
+            for spelling in (name, name.replace("-", "_")):
+                results = verify.run_all([spelling])
+                assert [r.name for r in results] == [name]

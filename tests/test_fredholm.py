@@ -193,6 +193,20 @@ class TestHardEdge:
         assert det == pytest.approx(d_plus if a == -0.5 else d_minus,
                                     abs=1e-14)
 
+    def test_first_rule_sized_from_p_length(self, monkeypatch):
+        # on (0, 16) the rule lives on (0, 4) in p: 16 + 2 * 4 = 24 nodes
+        # (the x-length 16 would start at 48), accepted after one doubling
+        built = []
+
+        def record(kernel, interval, n):
+            built.append(n)
+            return nystrom_spectrum(kernel, interval, n)
+
+        monkeypatch.setattr(fredholm, "nystrom_spectrum", record)
+        fredholm._converged_spectrum(hard_edge_bessel(-0.5),
+                                     Interval(0.0, 16.0))
+        assert built == [24, 48]
+
     def test_negative_endpoint_rejected(self):
         with pytest.raises(ArgumentError):
             nystrom_spectrum(hard_edge_bessel(0.5), Interval(-1.0, 1.0), 16)

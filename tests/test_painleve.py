@@ -1,5 +1,6 @@
 """Sigma-form ODE route: series layers, integration, direct densities."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from spacing_lab import (
     ArgumentError,
+    ConsistencyError,
     Interval,
     UnsupportedError,
     fredholm,
@@ -248,3 +250,142 @@ class TestFirstDerivativeIdentity:
     def test_unsupported_order(self):
         with pytest.raises(UnsupportedError):
             painleve.am5_identity_residual(1.0, 1.5)
+
+
+# evaluators as the CLI and verify call them: (name, fn) with a = 1/2 for
+# the hard-edge generating value
+EVALUATORS = [
+    ("e2_bulk", painleve.e2_bulk),
+    ("e1_bulk", painleve.e1_bulk),
+    ("e4_bulk", painleve.e4_bulk),
+    ("e2_hard", lambda s: painleve.e2_hard(s, 0.5)),
+    ("enn_generating", painleve.enn_generating),
+    ("p1_direct", painleve.p1_direct),
+    ("p2_direct", painleve.p2_direct),
+    ("p4_direct", painleve.p4_direct),
+    ("p1_gap1", painleve.p1_gap1),
+    ("p2_nn", painleve.p2_nn),
+]
+# s = 0, the p1 small-s branch (s <= 1e-3), and points on both sides of
+# t_switch = 0.1 for every argument map (pi s, 2 pi s, (pi s)^2,
+# (pi s / 2)^2, s), unsorted and with a repeat
+IDS = [name for name, _ in EVALUATORS]
+GRID = np.concatenate(([0.0, 1e-4, 5e-4, 1e-3], np.linspace(0.005, 0.3, 60),
+                       [2.0, 0.5, 1.0, 0.5, 1.5]))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestArrayEvaluation:
+    @pytest.mark.parametrize("name,fn", EVALUATORS, ids=IDS)
+    def test_array_equals_scalar_loop(self, name, fn):
+        painleve.clear_cache()
+        values = fn(GRID)
+        assert isinstance(values, np.ndarray) and values.shape == GRID.shape
+        # the array call fetched each trajectory at the largest argument, so
+        # the scalar loop runs on the same trajectories
+        assert _bits(values) == _bits([fn(float(s)) for s in GRID])
+        grid2d = GRID[:64].reshape(8, 8)
+        assert _bits(fn(grid2d)) == _bits(values[:64])
+
+    @pytest.mark.parametrize("name,fn", EVALUATORS, ids=IDS)
+    def test_array_extending_the_trajectory(self, name, fn, monkeypatch):
+        painleve.clear_cache()
+        fn(0.2)                         # every trajectory now ends at t = 4
+        calls = []
+        original = painleve.integrate
+
+        def counted(problem, t_max, *args):
+            calls.append(t_max)
+            return original(problem, t_max, *args)
+
+        monkeypatch.setattr(painleve, "integrate", counted)
+        # s = 3 takes every argument map past t = 4, except e2_hard's t = s
+        grid = np.linspace(0.0, 6.0 if name == "e2_hard" else 3.0, 31)
+        values = fn(grid)
+        assert calls and min(calls) > 4.0   # the array call extended them
+        calls.clear()
+        loop = [fn(float(s)) for s in grid]
+        assert calls == []
+        assert _bits(values) == _bits(loop)
+
+    @pytest.mark.parametrize("name,fn", EVALUATORS, ids=IDS)
+    def test_scalar_returns_float(self, name, fn):
+        for s in (0.0, 5e-4, 0.7, np.float64(0.7), np.array(0.7)):
+            assert type(fn(s)) is float
+
+    @pytest.mark.parametrize("name,fn", EVALUATORS, ids=IDS)
+    def test_negative_element_raises(self, name, fn):
+        with pytest.raises(ArgumentError):
+            fn(np.array([0.5, 1.0, -1e-12, 2.0]))
+
+    def test_empty_array(self):
+        assert painleve.e2_bulk(np.array([])).shape == (0,)
+
+    def test_negative_p4_element_raises(self, monkeypatch):
+        real = painleve._dminus_second
+
+        def sunk(u):
+            values = real(u)
+            return np.where(np.asarray(u) == 0.8, -100.0, values)
+
+        monkeypatch.setattr(painleve, "_dminus_second", sunk)
+        assert painleve.p4_direct(0.7) >= 0.0
+        with pytest.raises(ConsistencyError) as info:
+            painleve.p4_direct(np.array([0.2, 0.7, 0.8, 1.1]))
+        assert info.value.context["s"] == 0.8
+
+    def test_state_beyond_range_raises_for_any_element(self):
+        solution = integrate(build_problem(SIGMA_JMMS, (1.0,)), 2.0)
+        assert solution.sigma_at(np.array([0.05, 1.0, 2.0])).shape == (3,)
+        with pytest.raises(ArgumentError):
+            solution.sigma_at(np.array([0.05, 1.0, 2.5]))
+        with pytest.raises(ArgumentError):
+            solution.log_integral_at(np.array([0.05, -1.0]))
+
+
+class TestProblemMemo:
+    # SHA-256 of x_coefficients recorded before the derivation was batched
+    DIGESTS = [
+        (SIGMA_JMMS, (1.0,),
+         "f009526f9275cef47bf671ddc45eef20e4f814cff6dc8facf17e0eddc8d77ddf"),
+        (SIGMA_HARD, (-0.5, 1.0),
+         "a4f9122150da5a3aa7ec0b4a7b6f77dd37114fe615f463d34078d10e96eddd3c"),
+        (SIGMA_HARD, (0.5, 1.0),
+         "0358a02902a95cb8670cb3faa28b2275a3078aec8b1f73742710e5eea01aa5f4"),
+        (SIGMA_HARD_GEN, (-0.5, 2.0, 1.0),
+         "9350db3981839d89059e9243689c1064fad9397433d77f05ba01f4b17408af6c"),
+        (SIGMA_HARD_GEN, (0.5, 2.0, 1.0),
+         "8ec63e1beadd23ef049293531f1d9378dbc5c408e2f52a22b25cb98cf0bd6c2f"),
+        (SIGMA_NN, (0.0, 1.0),
+         "f009526f9275cef47bf671ddc45eef20e4f814cff6dc8facf17e0eddc8d77ddf"),
+        (SIGMA_NN, (1.0, 1.0),
+         "d9aaeb4ca89a6baa7931648123a08be1100ea9fc6afa43d4f6f88ff4ea108600"),
+        (U_TILDE, (),
+         "3cc0616b85dda9afa2d99d5b0df415978b4e445d570da6c9df73ae908482becb"),
+        (V_TILDE, (),
+         "37b1835e499f30dd994d3b69b0cf892a1aaa92984e3dfef2ffd8ccfd35d60d19"),
+        (V_P2, (),
+         "6befebb29f56a661dc0d65c4c37b31b42506b555481df5140e329224dc55aa1b"),
+    ]
+
+    @pytest.mark.parametrize("eq,params,digest", DIGESTS,
+                             ids=[f"{e}{p}" for e, p, _ in DIGESTS])
+    def test_coefficients_unchanged(self, eq, params, digest):
+        painleve.clear_cache()
+        coeffs = build_problem(eq, params).x_coefficients
+        assert hashlib.sha256(coeffs.tobytes()).hexdigest() == digest
+
+    def test_memoised_and_read_only(self):
+        painleve.clear_cache()
+        problem = build_problem(U_TILDE)
+        assert build_problem(U_TILDE, (), 0.1, 44) is problem
+        assert build_problem(U_TILDE, n_terms=30) is not problem
+        with pytest.raises(ValueError):
+            problem.x_coefficients[0] = 1.0
+        painleve.clear_cache()
+        again = build_problem(U_TILDE)
+        assert again is not problem
+        assert np.array_equal(again.x_coefficients, problem.x_coefficients)
