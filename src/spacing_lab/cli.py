@@ -9,7 +9,6 @@ identical configs produce bit-identical files.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -282,15 +281,7 @@ def write_tabulate(config: RunConfig, stream):
 
 def _write_histogram_csv(stream, metadata: dict, hist, overlays: dict):
     """bin_left,bin_right,count,density plus one column per overlay curve."""
-    for key, value in metadata.items():
-        stream.write(f"# {key}: {value}\n")
-    names = ["bin_left", "bin_right", "count", "density"] + list(overlays)
-    stream.write(",".join(names) + "\n")
-    columns = [hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts,
-               hist.density] + [np.asarray(v, dtype=float)
-                                for v in overlays.values()]
-    for row in zip(*columns):
-        stream.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    hist.to_csv(stream, metadata, overlays)
 
 
 def write_sample(config: RunConfig, stream):
@@ -337,9 +328,7 @@ def write_primes(config: RunConfig, stream):
                + (" --raw" if config.raw else ""))
     metadata = _base_metadata(config, command)
     if config.raw:
-        for key, value in metadata.items():
-            stream.write(f"# {key}: {value}\n")
-        window.to_csv(stream)
+        window.to_csv(stream, metadata)
         return
     hist = sequences.prime_spacing_histogram(window, config.order,
                                              config.bin_width)
@@ -361,11 +350,10 @@ def write_zeros(config: RunConfig, stream):
     width = config.bin_width if config.bin_width is not None else 0.1
     hist = montecarlo.build_histogram(
         stats, width, Interval(0.0, float(np.max(stats)) + width))
-    painleve.enn_generating(float(np.max(stats)))   # deterministic warm-up
     ks_exact = sequences.ks_distance(
         stats, lambda s: 1.0 - painleve.enn_generating(s))
     ks_poisson = sequences.ks_distance(
-        stats, lambda s: 1.0 - math.exp(-2.0 * s))
+        stats, lambda s: 1.0 - np.exp(-2.0 * s))
     centers = hist.centers
     overlays = {
         "exact": [painleve.p2_nn(float(c)) for c in centers],
@@ -466,8 +454,10 @@ def _build_parser() -> argparse.ArgumentParser:
     for p in (tab, smp, prm, zrs):
         p.add_argument("-o", "--output", dest="output_path", default=None)
         p.add_argument("--workers", type=int, default=None,
-                       help="pool size (default: processor count; the env "
-                            "var SPACING_LAB_THREADS overrides)")
+                       help="pool size: threads for tabulate, forked "
+                            "processes for sample (at most one per usable "
+                            "CPU); default: processor count; the env var "
+                            "SPACING_LAB_THREADS overrides")
     return parser
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
+from .csvio import write_csv
 from .errors import ArgumentError, NumericError, UnsupportedError
 from .quadrature import (FredholmSpectrum, Interval, nystrom_spectrum,
                          rule_interval)
@@ -272,20 +273,9 @@ class SpacingTable:
 
     def to_csv(self, stream) -> None:
         """17-significant-digit CSV with '#'-prefixed metadata lines."""
-        close = False
-        if isinstance(stream, (str, bytes)):
-            stream, close = open(stream, "w", encoding="utf-8"), True
-        try:
-            for key, value in self.metadata.items():
-                stream.write(f"# {key}: {value}\n")
-            names = ["s"] + list(self.columns)
-            stream.write(",".join(names) + "\n")
-            cols = [self.s_grid] + [self.columns[n] for n in self.columns]
-            for row in zip(*cols):
-                stream.write(",".join(f"{v:.17g}" for v in row) + "\n")
-        finally:
-            if close:
-                stream.close()
+        write_csv(stream, ["s", *self.columns],
+                  [self.s_grid, *self.columns.values()],
+                  ["%.17g"] * (1 + len(self.columns)), self.metadata)
 
     @classmethod
     def from_csv(cls, stream) -> "SpacingTable":

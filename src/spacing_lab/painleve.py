@@ -93,21 +93,28 @@ def _s_scale(a, v):
 
 
 def _s_mul(a, b, order):
-    """Truncated product, accumulated over the first factor's coefficients
-    in increasing order.  Terms with a zero first-factor coefficient are
-    skipped when the whole batch has one there; elsewhere they add a zero
-    to an accumulator that, starting at +0.0, never holds -0.0, so every
-    series of a batch gets the bits it would get alone."""
+    """Truncated product, summed over the first factor's coefficients in
+    increasing order from +0.0.
+
+    Row i of a sliding-window view of the zero-padded second factor holds
+    b shifted right by i, so one product gives every term a_i b_(k-i) and
+    one reduction over the window axis sums them.  That axis is not the
+    innermost one, so the sum runs in sequence over i, as a loop would.
+    Out-of-range and zero terms add a zero to an accumulator that, starting
+    at +0.0, never holds -0.0, so every series of a batch gets the bits it
+    would get alone."""
     off = a.off + b.off
     n = order - off + 1
     if n <= 0:
         return _Series(np.zeros(1), order)
-    out = _zeros(a, b, n)
     ac = a.c[..., :n]
-    used = np.any(ac.reshape(-1, ac.shape[-1]) != 0.0, axis=0)
-    for i in np.flatnonzero(used):
-        m = min(b.c.shape[-1], n - i)
-        out[..., i:i + m] += ac[..., i, None] * b.c[..., :m]
+    na = ac.shape[-1]
+    m = min(b.c.shape[-1], n)
+    padded = np.zeros(b.c.shape[:-1] + (na - 1 + n,))
+    padded[..., na - 1:na - 1 + m] = b.c[..., :m]
+    shifted = np.lib.stride_tricks.sliding_window_view(
+        padded, n, axis=-1)[..., ::-1, :]
+    out = np.add.reduce(ac[..., None] * shifted, axis=-2, initial=0.0)
     return _Series(out, off)
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import write_csv
 from .errors import ArgumentError, FormatError
 from .montecarlo import Histogram, build_histogram
 from .quadrature import Interval
@@ -22,7 +23,6 @@ from .quadrature import Interval
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _UINT63 = 2 ** 63
 DEFAULT_SEGMENT = 1 << 20
-_CSV_BLOCK = 1 << 14        # rows formatted per write
 _SLICE_BELOW = 1 << 12      # base primes below this strike one slice each
 _BASE_GRAIN = (1 << 12) - 1  # or-ed into the base-prime limit, so that
                              # neighbouring segments share one cached sieve
@@ -59,23 +59,12 @@ class PrimeWindow:
     primes: np.ndarray
     count: int
 
-    def to_csv(self, stream) -> None:
+    def to_csv(self, stream, metadata=None) -> None:
         """Columns index, prime, gap (gap to the next prime; 0 on the last row)."""
-        close = False
-        if isinstance(stream, (str, bytes)):
-            stream, close = open(stream, "w", encoding="utf-8"), True
-        try:
-            stream.write("index,prime,gap\n")
-            gaps = np.append(np.diff(self.primes), 0)
-            for lo in range(0, len(gaps), _CSV_BLOCK):
-                hi = min(lo + _CSV_BLOCK, len(gaps))
-                block = np.column_stack((np.arange(lo, hi),
-                                         self.primes[lo:hi], gaps[lo:hi]))
-                stream.write("%d,%d,%d\n" * (hi - lo)
-                             % tuple(block.ravel().tolist()))
-        finally:
-            if close:
-                stream.close()
+        gaps = np.append(np.diff(self.primes), 0)
+        write_csv(stream, ["index", "prime", "gap"],
+                  [range(len(gaps)), self.primes, gaps], ["%d"] * 3,
+                  metadata)
 
 
 @functools.lru_cache(maxsize=1)
@@ -254,11 +243,15 @@ def poisson_nn_density(s) -> np.ndarray:
 
 
 def ks_distance(values, cdf) -> float:
-    """Kolmogorov-Smirnov sup distance between a sample and a CDF."""
+    """Kolmogorov-Smirnov sup distance between a sample and a CDF.
+
+    ``cdf`` is called once, on the array of sorted values, and must
+    return the CDF at each of them.
+    """
     v = np.sort(np.asarray(values, dtype=float))
     if v.size == 0:
         raise ArgumentError("empty sample")
-    f = np.array([cdf(float(x)) for x in v])
+    f = np.asarray(cdf(v), dtype=float)
     n = v.size
     upper = np.max(np.arange(1, n + 1) / n - f)
     lower = np.max(f - np.arange(0, n) / n)

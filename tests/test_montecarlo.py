@@ -2,13 +2,16 @@
 
 import io
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 from scipy import stats
 from scipy.linalg import eigh_tridiagonal
 
-from spacing_lab import ArgumentError, Interval, UnsupportedError, montecarlo
+from spacing_lab import (ArgumentError, Interval, NumericError,
+                         UnsupportedError, montecarlo)
 from spacing_lab.montecarlo import (
     SpectrumSample,
     build_histogram,
@@ -141,6 +144,85 @@ class TestBatchedSampler:
     def test_rank_validation(self):
         with pytest.raises(ArgumentError):
             sample_ensemble(0, 10, 1)
+
+
+def _replica_loop(n, reps, seed):
+    # every chunk's replicas drawn and solved one by one, chunk after chunk
+    rows = []
+    for c in range((reps + montecarlo.CHUNK - 1) // montecarlo.CHUNK):
+        rng = montecarlo._rng_for(seed, c)
+        take = min(montecarlo.CHUNK, reps - c * montecarlo.CHUNK)
+        rows.extend(_reference_spectrum(n, rng) for _ in range(take))
+    return np.array(rows)
+
+
+def _rows(n, reps, seed, workers):
+    return np.stack([s.raw for s in sample_ensemble(n, reps, seed, workers)])
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the usable CPU count that sizes the process pool."""
+    def use(count):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(count)), raising=False)
+    return use
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the process pool needs the fork start method")
+class TestProcessPool:
+    # no test starts more than 3 processes: the CPU count is stubbed to 3
+    @pytest.mark.parametrize("reps", [100, 300, 1000])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_rows_match_replica_loop(self, cpus, reps, workers):
+        # 100: one chunk; 1000: 4 chunks in blocks of 1, 1 and 2
+        cpus(3)
+        assert np.array_equal(_rows(13, reps, 21, workers),
+                              _replica_loop(13, reps, 21))
+
+    def test_more_workers_than_chunks(self, cpus):
+        cpus(3)
+        assert np.array_equal(_rows(13, 300, 8, 16), _rows(13, 300, 8, 1))
+
+    def test_process_count_rule(self, cpus, monkeypatch):
+        count = montecarlo._process_count
+        cpus(2)
+        assert count(None, 10) == 1
+        assert count(1, 10) == 1
+        assert count(4, 1) == 1
+        assert count(4, 10) == 2
+        cpus(8)
+        assert count(3, 10) == 3
+        assert count(8, 3) == 3
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert count(8, 10) == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert count(8, 10) == 1
+
+    def test_worker_numeric_error_reaches_caller(self, cpus, monkeypatch):
+        # the stub is in place before the fork, so the workers run it
+        cpus(2)
+        monkeypatch.setattr(montecarlo, "dsterf", lambda d, e: (d, 7))
+        with pytest.raises(NumericError) as caught:
+            sample_ensemble(13, 600, 1, workers=2)
+        assert caught.value.context == {"n": 13, "info": 7}
+        assert type(caught.value.__cause__).__name__ == "_RemoteTraceback"
+
+    def test_serial_without_fork(self, cpus, monkeypatch):
+        import concurrent.futures.process
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        cpus(2)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        monkeypatch.setattr(concurrent.futures.process,
+                            "ProcessPoolExecutor", no_pool)
+        assert np.array_equal(_rows(13, 600, 3, 2),
+                              _replica_loop(13, 600, 3))
 
 
 class TestArrayUnfold:

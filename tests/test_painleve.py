@@ -346,6 +346,42 @@ class TestArrayEvaluation:
             solution.log_integral_at(np.array([0.05, -1.0]))
 
 
+def _loop_product(a, b, off_a, off_b, order):
+    # the term-by-term product loop: c_k += a_i b_(k-i) for increasing i
+    n = order - off_a - off_b + 1
+    batch = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    out = np.zeros(batch + (n,))
+    for i in range(min(a.shape[-1], n)):
+        m = min(b.shape[-1], n - i)
+        out[..., i:i + m] += a[..., i, None] * b[..., :m]
+    return out
+
+
+class TestSeriesProduct:
+    @pytest.mark.parametrize("shape_a,shape_b,off_a,off_b,order", [
+        ((9,), (6,), 0, 1, 12),
+        ((4, 9), (6,), -1, 2, 7),
+        ((9,), (3, 12), 2, 0, 20),
+        ((5, 12), (5, 12), 0, 0, 11),
+        ((1, 3), (2, 1), 1, 0, 1),
+    ])
+    def test_bits_match_loop(self, shape_a, shape_b, off_a, off_b, order):
+        # terms spanning 30 decades make the sum sensitive to its order
+        rng = np.random.default_rng(len(shape_a) + order)
+        a = rng.standard_normal(shape_a) * 10.0 ** rng.integers(-15, 15,
+                                                                shape_a)
+        b = rng.standard_normal(shape_b) * 10.0 ** rng.integers(-15, 15,
+                                                                shape_b)
+        a[..., 1] = 0.0
+        a[..., -1] = -0.0
+        b[..., 0] = -0.0
+        got = painleve._s_mul(painleve._Series(a, off_a),
+                              painleve._Series(b, off_b), order)
+        assert got.off == off_a + off_b
+        expected = _loop_product(a, b, off_a, off_b, order)
+        assert got.c.tobytes() == expected.tobytes()
+
+
 class TestProblemMemo:
     # SHA-256 of x_coefficients recorded before the derivation was batched
     DIGESTS = [

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from spacing_lab import ArgumentError, FormatError, Interval, sequences
+from spacing_lab import ArgumentError, FormatError, Interval, csvio, sequences
 from spacing_lab.montecarlo import build_histogram, chi_square_test
 from spacing_lab.sequences import (
     ZeroDataset,
@@ -98,7 +98,7 @@ class TestPrimesFrom:
         expected = "index,prime,gap\n" + "".join(
             f"{i},{int(p)},{int(g)}\n"
             for i, (p, g) in enumerate(zip(window.primes, gaps)))
-        monkeypatch.setattr(sequences, "_CSV_BLOCK", 7)
+        monkeypatch.setattr(csvio, "BLOCK_ROWS", 7)
         out = io.StringIO()
         window.to_csv(out)
         assert out.getvalue() == expected
@@ -151,9 +151,20 @@ class TestKSDistance:
     def test_matches_scipy(self):
         rng = np.random.default_rng(2)
         values = rng.exponential(1.0, 400)
-        cdf = lambda x: 1.0 - math.exp(-x)
-        expected = stats.kstest(values, lambda x: 1.0 - np.exp(-x)).statistic
+        cdf = lambda x: 1.0 - np.exp(-x)
+        expected = stats.kstest(values, cdf).statistic
         assert ks_distance(values, cdf) == pytest.approx(expected, abs=1e-12)
+
+    def test_cdf_called_once_on_sorted_values(self):
+        calls = []
+
+        def cdf(x):
+            calls.append(np.array(x))
+            return np.clip(x, 0.0, 1.0)
+
+        assert ks_distance([0.9, 0.1, 0.5], cdf) == pytest.approx(7 / 30)
+        assert len(calls) == 1
+        assert calls[0].tolist() == [0.1, 0.5, 0.9]
 
 
 class TestLoadZeros:
