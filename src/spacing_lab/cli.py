@@ -24,8 +24,6 @@ from .errors import ArgumentError, SpacingLabError, UnsupportedError
 from .fredholm import SpacingTable
 from .quadrature import Interval
 
-_STENCIL_H = 1e-3
-
 QUANTITIES = ("E2", "E1", "E4", "Enn", "p0", "p1gap", "p2nn", "En")
 METHODS = ("fredholm", "painleve", "surmise", "all")
 
@@ -107,24 +105,6 @@ def _base_metadata(config: RunConfig, command_line: str) -> dict:
 # ---------------------------------------------------------------------------
 # tabulate
 
-def _second_stencil(f, s: float, h: float = _STENCIL_H) -> float:
-    if s >= 2.0 * h:
-        v = [f(s + k * h) for k in (-2, -1, 0, 1, 2)]
-        return (-v[0] + 16 * v[1] - 30 * v[2] + 16 * v[3] - v[4]) / (12 * h * h)
-    v = [f(s + k * h) for k in range(5)]
-    return (35 * v[0] - 104 * v[1] + 114 * v[2] - 56 * v[3]
-            + 11 * v[4]) / (12 * h * h)
-
-
-def _first_stencil(f, s: float, h: float = _STENCIL_H) -> float:
-    if s >= 2.0 * h:
-        return (f(s - 2 * h) - 8 * f(s - h) + 8 * f(s + h)
-                - f(s + 2 * h)) / (12 * h)
-    v = [f(s + k * h) for k in range(5)]
-    return (-25 * v[0] + 48 * v[1] - 36 * v[2] + 16 * v[3]
-            - 3 * v[4]) / (12 * h)
-
-
 def _methods_for(config: RunConfig) -> tuple:
     supported = _SUPPORTED[config.quantity]
     if config.quantity == "En" and config.n > 0:
@@ -176,16 +156,16 @@ def _column_fn(config: RunConfig, method: str):
                 4: lambda u: 0.5 * (det(kernels.sine_even(), -u, u)
                                     + det(kernels.sine_odd(), -u, u)),
             }[config.beta])
-            return lambda s: _second_stencil(profile, s)
+            return lambda s: fredholm._second_stencil(profile, s)
         if q == "p1gap":
             profile = _cached(
                 lambda u: det(kernels.sine_even(), -u / 2, u / 2)
                 + det(kernels.sine_odd(), -u / 2, u / 2))
-            return lambda s: _second_stencil(profile, s)
+            return lambda s: fredholm._second_stencil(profile, s)
         if q == "p2nn":
             profile = _cached(
                 lambda u: det(kernels.spectrum_singularity(1.0), -u, u))
-            return lambda s: -_first_stencil(profile, s)
+            return lambda s: -fredholm._first_stencil(profile, s)
         if q == "En":
             n = config.n
 
@@ -254,7 +234,7 @@ def write_tabulate(config: RunConfig, stream):
     metadata = _base_metadata(config, _tabulate_command_line(config))
     metadata["det_tol"] = f"{config.det_tol:g}"
     if config.quantity in ("p0", "p1gap", "p2nn"):
-        metadata["stencil_h"] = f"{_STENCIL_H:g}"
+        metadata["stencil_h"] = f"{fredholm._STENCIL_H:g}"
     table = SpacingTable(s_grid=grid, metadata=metadata)
 
     workers = _pool_size(config)
@@ -389,11 +369,24 @@ def run(config: RunConfig) -> int:
     else:
         outcome = writer(config, sys.stdout)
     if config.command == "tabulate":
-        _, deviations = outcome
+        table, deviations = outcome
+        q = config.quantity
         for (m_i, m_j), delta in deviations.items():
-            print(f"max |{config.quantity}_{m_i} - {config.quantity}_{m_j}| "
-                  f"= {delta:.3g}", file=sys.stderr)
+            relative = _max_relative(table.columns[f"{q}_{m_i}"],
+                                     table.columns[f"{q}_{m_j}"])
+            print(f"max |{q}_{m_i} - {q}_{m_j}| = {delta:.3g}, "
+                  f"relative {relative:.3g}", file=sys.stderr)
     return 0
+
+
+def _max_relative(a, b) -> float:
+    """max |a - b| / max(|a|, |b|) over the points where the denominator is
+    > 0 (0 when there are none)."""
+    scale = np.maximum(np.abs(a), np.abs(b))
+    live = scale > 0.0
+    if not live.any():
+        return 0.0
+    return float(np.max(np.abs(a - b)[live] / scale[live]))
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -29,6 +29,7 @@ _FORCED_LEVEL_GAP = 1e-14     # 1 - mu below this: level treated as occupied
 _MAX_GAP_ORDER = 30
 _MAX_NODES = 1600
 _DET_TOL = 1e-10
+_STENCIL_H = 1e-3             # step of the point stencils below
 
 
 def generating_value(spectrum: FredholmSpectrum, xi: float) -> float:
@@ -240,6 +241,27 @@ def _second_derivative(values: np.ndarray, h: float) -> np.ndarray:
     out[-1] = (35 * f[-1] - 104 * f[-2] + 114 * f[-3] - 56 * f[-4]
                + 11 * f[-5]) / (12 * h * h)
     return out
+
+
+def _second_stencil(f, s: float, h: float = _STENCIL_H) -> float:
+    """5-point second difference of f at one point: centred where s >= 2h,
+    one-sided forward below, so that f is never asked for a negative s."""
+    if s >= 2.0 * h:
+        v = [f(s + k * h) for k in (-2, -1, 0, 1, 2)]
+        return (-v[0] + 16 * v[1] - 30 * v[2] + 16 * v[3] - v[4]) / (12 * h * h)
+    v = [f(s + k * h) for k in range(5)]
+    return (35 * v[0] - 104 * v[1] + 114 * v[2] - 56 * v[3]
+            + 11 * v[4]) / (12 * h * h)
+
+
+def _first_stencil(f, s: float, h: float = _STENCIL_H) -> float:
+    """5-point first difference of f at one point, branches as above."""
+    if s >= 2.0 * h:
+        return (f(s - 2 * h) - 8 * f(s - h) + 8 * f(s + h)
+                - f(s + 2 * h)) / (12 * h)
+    v = [f(s + k * h) for k in range(5)]
+    return (-25 * v[0] + 48 * v[1] - 36 * v[2] + 16 * v[3]
+            - 3 * v[4]) / (12 * h)
 
 
 @dataclass

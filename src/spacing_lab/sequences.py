@@ -26,6 +26,8 @@ DEFAULT_SEGMENT = 1 << 20
 _SLICE_BELOW = 1 << 12      # base primes below this strike one slice each
 _BASE_GRAIN = (1 << 12) - 1  # or-ed into the base-prime limit, so that
                              # neighbouring segments share one cached sieve
+_DIRECT_BASE_MAX = 1 << 16   # base primes up to here: one byte per integer
+                             # (no slower than segments, and ends recursion)
 
 
 def miller_rabin(n: int) -> bool:
@@ -70,13 +72,20 @@ class PrimeWindow:
 @functools.lru_cache(maxsize=1)
 def _odd_base_primes(limit: int) -> np.ndarray:
     """Odd primes <= limit, read-only; cached because the segments of one
-    window ask for the same rounded-up limit."""
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = False
-    primes = np.flatnonzero(sieve)[1:]
+    window ask for the same rounded-up limit.
+
+    Up to _DIRECT_BASE_MAX one byte per integer is sieved directly; above
+    it the primes come segment by segment from _sieve_range, whose own base
+    primes stop at sqrt(limit), so memory stays at one segment."""
+    if limit > _DIRECT_BASE_MAX:
+        primes = _sieve_range(3, limit + 1, DEFAULT_SEGMENT)
+    else:
+        sieve = np.ones(limit + 1, dtype=bool)
+        sieve[:2] = False
+        for p in range(2, math.isqrt(limit) + 1):
+            if sieve[p]:
+                sieve[p * p::p] = False
+        primes = np.flatnonzero(sieve)[1:]
     primes.setflags(write=False)
     return primes
 

@@ -22,7 +22,6 @@ from . import fredholm, kernels, montecarlo, painleve, sequences, surmise
 from .errors import ArgumentError
 from .quadrature import Interval, nystrom_spectrum
 
-_STENCIL_H = 1e-3
 _MC_SEED = 42
 
 
@@ -73,19 +72,14 @@ def _d_minus(s: float) -> float:
     return fredholm.fredholm_det(kernels.sine_odd(), Interval(-s, s))
 
 
-def _stencil_second(f, s, h=_STENCIL_H):
-    v = [f(s + k * h) for k in (-2, -1, 0, 1, 2)]
-    return (-v[0] + 16 * v[1] - 30 * v[2] + 16 * v[3] - v[4]) / (12 * h * h)
-
-
 @_criterion("e2-cross-route")
 def check_e2_cross_route():
     """Sine-kernel determinant vs the bulk sigma evaluation, |.| <= 1e-6."""
     tol = 1e-6
     t0 = time.perf_counter()
     grid = np.arange(0.25, 2.01, 0.25)
-    worst = max(abs(_e2_det(float(s)) - painleve.e2_bulk(float(s)))
-                for s in grid)
+    det = np.array([_e2_det(float(s)) for s in grid])
+    worst = float(np.max(np.abs(det - painleve.e2_bulk(grid))))
     elapsed = time.perf_counter() - t0
     return (worst <= tol and elapsed < 60.0,
             {"worst": _fmt(worst), "tol": tol, "seconds": _fmt(elapsed)})
@@ -93,18 +87,23 @@ def check_e2_cross_route():
 
 @_criterion("parity-identities")
 def check_parity_identities():
-    """D+ * D- = E2 at 1e-10 (shared rule); log-split recovery at 1e-6."""
+    """D+ * D- = E2 at 1e-10 (shared rule); log-split recovery at 1e-6.
+
+    The shared rule has the node count at which the full sine-kernel
+    determinant on the interval converges."""
     tol_product, tol_split = 1e-10, 1e-6
     worst_product = worst_split = 0.0
+    max_nodes = 0
     for s in (0.5, 1.0):
         iv = Interval(-s, s)
-        n = 320
+        full = fredholm._converged_spectrum(kernels.sine_bulk(), iv)
+        n = full.nodes_used
+        max_nodes = max(max_nodes, n)
         d_plus = fredholm.generating_value(
             nystrom_spectrum(kernels.sine_even(), iv, n), 1.0)
         d_minus = fredholm.generating_value(
             nystrom_spectrum(kernels.sine_odd(), iv, n), 1.0)
-        e2 = fredholm.generating_value(
-            nystrom_spectrum(kernels.sine_bulk(), iv, n), 1.0)
+        e2 = fredholm.generating_value(full, 1.0)
         worst_product = max(worst_product, abs(d_plus * d_minus - e2))
         g_plus, g_minus = fredholm.gaudin_split(
             lambda x: _e2_det(2.0 * x) if x > 0 else 1.0, s)
@@ -113,7 +112,8 @@ def check_parity_identities():
     ok = worst_product <= tol_product and worst_split <= tol_split
     return (ok,
             {"worst_product": _fmt(worst_product), "tol_product": tol_product,
-             "worst_split": _fmt(worst_split), "tol_split": tol_split})
+             "worst_split": _fmt(worst_split), "tol_split": tol_split,
+             "max_nodes": max_nodes})
 
 
 @_criterion("e1-e4-dual-route")
@@ -121,10 +121,11 @@ def check_e1_e4_dual_route():
     """Hard-edge transcendent vs parity determinants for E1 and E4."""
     tol = 1e-6
     grid = np.arange(0.25, 2.01, 0.25)
-    worst_e1 = max(abs(_d_plus(float(s)) - painleve.e1_bulk(float(s)))
-                   for s in grid)
-    worst_e4 = max(abs(0.5 * (_d_plus(float(s)) + _d_minus(float(s)))
-                       - painleve.e4_bulk(float(s))) for s in grid)
+    d_plus = np.array([_d_plus(float(s)) for s in grid])
+    d_minus = np.array([_d_minus(float(s)) for s in grid])
+    worst_e1 = float(np.max(np.abs(d_plus - painleve.e1_bulk(grid))))
+    worst_e4 = float(np.max(np.abs(0.5 * (d_plus + d_minus)
+                                   - painleve.e4_bulk(grid))))
     return (worst_e1 <= tol and worst_e4 <= tol,
             {"worst_e1": _fmt(worst_e1), "worst_e4": _fmt(worst_e4),
              "tol": tol})
@@ -135,17 +136,16 @@ def check_density_stencils():
     """Direct p1, p2, p4 against 5-point second differences of gap profiles."""
     tol = 1e-4
     grid = np.arange(0.2, 2.01, 0.2)
-    worst = {"p1": 0.0, "p2": 0.0, "p4": 0.0}
-    for s in grid:
-        s = float(s)
-        worst["p2"] = max(worst["p2"], abs(
-            painleve.p2_direct(s) - _stencil_second(_e2_det, s)))
-        worst["p1"] = max(worst["p1"], abs(
-            painleve.p1_direct(s)
-            - _stencil_second(lambda u: _d_plus(u / 2.0), s)))
-        worst["p4"] = max(worst["p4"], abs(
-            painleve.p4_direct(s) - _stencil_second(
-                lambda u: 0.5 * (_d_plus(u) + _d_minus(u)), s)))
+    profiles = {
+        "p1": (painleve.p1_direct, lambda u: _d_plus(u / 2.0)),
+        "p2": (painleve.p2_direct, _e2_det),
+        "p4": (painleve.p4_direct, lambda u: 0.5 * (_d_plus(u) + _d_minus(u))),
+    }
+    worst = {}
+    for name, (direct, profile) in profiles.items():
+        stencil = np.array([fredholm._second_stencil(profile, float(s))
+                            for s in grid])
+        worst[name] = float(np.max(np.abs(direct(grid) - stencil)))
     ok = all(v <= tol for v in worst.values())
     return ok, {k: _fmt(v) for k, v in worst.items()} | {"tol": tol}
 
@@ -155,8 +155,8 @@ def check_surmise_accuracy():
     """|p1 - beta=1 surmise| <= 0.02 on [0, 3]."""
     tol = 0.02
     grid = np.arange(0.0, 3.0001, 0.01)
-    worst = max(abs(painleve.p1_direct(float(s))
-                    - surmise.wigner_surmise(1, float(s))) for s in grid)
+    surmised = np.array([surmise.wigner_surmise(1, float(s)) for s in grid])
+    worst = float(np.max(np.abs(painleve.p1_direct(grid) - surmised)))
     return worst <= tol, {"worst": _fmt(worst), "tol": tol}
 
 
@@ -164,34 +164,40 @@ def check_surmise_accuracy():
 def check_spacing1_identity():
     """p4(0;s) = 2 p1(1;2s) with p1(1;.) from determinantal gap profiles."""
     tol = 5e-4
-    worst = 0.0
-    for s in (0.4, 0.7, 1.0):
-        det_p1_gap1 = _stencil_second(
-            lambda u: _d_plus(u / 2.0) + _d_minus(u / 2.0), 2.0 * s)
-        worst = max(worst, abs(painleve.p4_direct(s) - 2.0 * det_p1_gap1))
+    grid = np.array([0.4, 0.7, 1.0])
+    det_p1_gap1 = np.array([fredholm._second_stencil(
+        lambda u: _d_plus(u / 2.0) + _d_minus(u / 2.0), 2.0 * float(s))
+        for s in grid])
+    worst = float(np.max(np.abs(painleve.p4_direct(grid) - 2.0 * det_p1_gap1)))
     return worst <= tol, {"worst": _fmt(worst), "tol": tol}
 
 
 @_criterion("spacing-sum-rule")
 def check_sum_rule():
-    """sum_{n<=8} p2(n;s) equals 1 - sinc^2(pi s) within 2e-3 on [0.1, 2]."""
+    """sum_{n<=8} p2(n;s) equals 1 - sinc^2(pi s) within 2e-3 on [0.1, 2].
+
+    Each gap profile comes from the spectrum at which det(1 - K) converges
+    on its interval."""
     tol = 2e-3
     weights = np.array([(9 - j) * (10 - j) / 2.0 for j in range(9)])
+    nodes = []
 
     @functools.lru_cache(maxsize=None)
     def cumulative(u: float) -> float:
-        spectrum = nystrom_spectrum(kernels.sine_bulk(),
-                                    Interval(-u / 2.0, u / 2.0), 240)
+        spectrum = fredholm._converged_spectrum(kernels.sine_bulk(),
+                                                Interval(-u / 2.0, u / 2.0))
+        nodes.append(spectrum.nodes_used)
         return float(sum(w * fredholm.gap_n(spectrum, j).value
                          for j, w in enumerate(weights)))
 
     worst = 0.0
     for s in np.arange(0.1, 2.001, 0.1):
         s = float(s)
-        total = _stencil_second(cumulative, s)
+        total = fredholm._second_stencil(cumulative, s)
         target = 1.0 - np.sinc(s) ** 2        # np.sinc(x) = sin(pi x)/(pi x)
         worst = max(worst, abs(total - target))
-    return worst <= tol, {"worst": _fmt(worst), "tol": tol}
+    return (worst <= tol,
+            {"worst": _fmt(worst), "tol": tol, "max_nodes": max(nodes)})
 
 
 @_criterion("hard-edge-derivative-identity")
@@ -267,8 +273,9 @@ def check_prime_gaps():
 def check_nn_routes():
     """Conditioned-origin gap: determinant vs sigma route; density mass 1."""
     tol_e, tol_mass = 1e-6, 1e-3
-    worst = max(abs(fredholm.enn_det(s) - painleve.enn_generating(s))
-                for s in (0.25, 0.5, 1.0))
+    grid = np.array([0.25, 0.5, 1.0])
+    det = np.array([fredholm.enn_det(float(s)) for s in grid])
+    worst = float(np.max(np.abs(det - painleve.enn_generating(grid))))
     mass, _ = quad(painleve.p2_nn, 0.0, 4.0, limit=200)
     ok = worst <= tol_e and abs(mass - 1.0) <= tol_mass
     return (ok,

@@ -136,6 +136,7 @@ class TestGoldenDigests:
         ("1", "fc551c88d4f3c42bfa3f9ce30536d0f542564a118b4be33dd4aa2074eeb3027e"),
     ], ids=["order0", "order1"])
     def test_sample(self, tmp_path, order, digest):
+        painleve.clear_cache()
         argv = ["sample", "--n", "13", "--reps", "600", "--seed", "11",
                 "--order", order]
         assert self._data_digest(argv, tmp_path) == digest
@@ -240,6 +241,21 @@ class TestMainExitCodes:
         assert code == 0
         assert target.read_text().startswith("#")
         assert "max |E2_fredholm - E2_painleve|" in capsys.readouterr().err
+
+    def test_tabulate_reports_relative_deviation(self, capsys):
+        code = main(["tabulate", "--quantity", "E2", "--s-max", "0.5",
+                     "--s-step", "0.25"])
+        assert code == 0
+        line = capsys.readouterr().err.strip()
+        assert line.startswith("max |E2_fredholm - E2_painleve| = ")
+        assert ", relative " in line
+
+    def test_relative_deviation_skips_double_zeros(self):
+        a = np.array([0.0, 1.0, -2.0, 4.0])
+        b = np.array([0.0, 1.5, -2.0, 0.0])
+        assert cli._max_relative(a, b) == 1.0
+        assert cli._max_relative(a[:3], b[:3]) == pytest.approx(1.0 / 3.0)
+        assert cli._max_relative(a[:1], b[:1]) == 0.0
 
     def test_verify_single_criterion(self, capsys):
         code = main(["verify", "--only", "surmise_accuracy"])

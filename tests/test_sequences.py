@@ -86,6 +86,23 @@ class TestPrimesFrom:
                                           if miller_rabin(n)]
         assert np.array_equal(window.primes, primes_from(start, 500).primes)
 
+    @pytest.mark.parametrize("offset", [-4096, -1, 0, 1, 2, 4095])
+    def test_segmented_base_sieve_matches_direct(self, offset):
+        # limits on both sides of the switch from the one-byte-per-integer
+        # sieve to segments, and one spanning three segments
+        for limit in (sequences._DIRECT_BASE_MAX + offset,
+                      5 * 10**6 + offset):
+            sequences._odd_base_primes.cache_clear()
+            got = sequences._odd_base_primes(limit)
+            flags = np.ones(limit + 1, dtype=bool)
+            flags[:2] = False
+            for p in range(2, math.isqrt(limit) + 1):
+                if flags[p]:
+                    flags[p * p::p] = False
+            assert np.array_equal(got, np.flatnonzero(flags)[1:])
+            assert not got.flags.writeable
+        sequences._odd_base_primes.cache_clear()
+
     @pytest.mark.parametrize("start", [2, 3])
     def test_small_start(self, start):
         window = primes_from(start, 10, segment=4)

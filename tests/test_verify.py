@@ -1,0 +1,78 @@
+"""Work done by the verify criteria: Nystrom rule sizes and trajectory fetches.
+
+The pass/fail of each criterion is tested in test_acceptance.py; these
+tests pin how much work the criteria do to reach it.
+"""
+
+import pytest
+
+from spacing_lab import Interval, fredholm, kernels, painleve, verify
+
+
+@pytest.fixture()
+def rules(monkeypatch):
+    """Every Nystrom rule built: (calling module, kernel, interval, nodes)."""
+    built = []
+    original = fredholm.nystrom_spectrum
+
+    def recording_in(module):
+        def recording(kernel, interval, n):
+            built.append((module.__name__, kernel, interval, n))
+            return original(kernel, interval, n)
+        monkeypatch.setattr(module, "nystrom_spectrum", recording)
+
+    recording_in(fredholm)
+    recording_in(verify)
+    return built
+
+
+@pytest.fixture()
+def integrations(monkeypatch):
+    """painleve.integrate calls, from a cold trajectory cache."""
+    calls = []
+    original = painleve.integrate
+
+    def counting(problem, t_max, *args, **kwargs):
+        calls.append((problem.equation_id, problem.params))
+        return original(problem, t_max, *args, **kwargs)
+
+    painleve.clear_cache()
+    monkeypatch.setattr(painleve, "integrate", counting)
+    yield calls
+    painleve.clear_cache()
+
+
+class TestConvergedRules:
+    def test_sum_rule_uses_converged_spectra(self, rules):
+        result = verify.check_sum_rule()
+        assert result.passed, str(result)
+        sizes = {n for *_, n in rules}
+        assert not sizes & {240, 320}
+        assert result.details["max_nodes"] == max(sizes)
+
+    def test_parity_rule_is_the_converged_count(self, rules):
+        result = verify.check_parity_identities()
+        assert result.passed, str(result)
+        assert not {n for *_, n in rules} & {240, 320}
+        shared = [(k, iv, n) for module, k, iv, n in rules
+                  if module == verify.__name__]
+        for s in (0.5, 1.0):
+            iv = Interval(-s, s)
+            accepted = fredholm._converged_spectrum(kernels.sine_bulk(), iv)
+            assert {(k, n) for k, i, n in shared if i == iv} == {
+                (kernels.sine_even(), accepted.nodes_used),
+                (kernels.sine_odd(), accepted.nodes_used)}
+        assert result.details["max_nodes"] == max(n for *_, n in shared)
+
+
+class TestTrajectoryFetches:
+    def test_dual_route_integrates_each_trajectory_once(self, integrations):
+        verify.run_all(["e1-e4-dual-route"])
+        assert sorted(integrations) == [
+            (painleve.SIGMA_HARD, (-0.5, 1.0)),
+            (painleve.SIGMA_HARD, (0.5, 1.0))]
+
+    def test_full_suite_integration_count(self, integrations):
+        results = verify.run_all()
+        assert all(r.passed for r in results)
+        assert len(integrations) <= 11
