@@ -25,8 +25,9 @@ from .quadrature import (FredholmSpectrum, Interval, QuadratureRule,
 from .kernels import (KernelSpec, hard_edge_bessel, kernel_matrix, sine_bulk,
                       sine_even, sine_odd, spectrum_singularity)
 from .fredholm import (GapProfile, SpacingTable, e1_bulk_det, e2_bulk_det,
-                       e4_bulk_det, enn_det, fredholm_det, gap_n,
-                       gaudin_split, generating_value, parity_split,
+                       e4_bulk_det, en_bulk_det, enn_det, fredholm_det,
+                       gap_n, gaudin_split, generating_value, p1_det,
+                       p1_gap1_det, p2_det, p2_nn_det, p4_det, parity_split,
                        rho_k_bulk, spacing_from_gaps)
 from .painleve import (EQUATION_IDS, PainleveProblem, PainleveSolution,
                        SIGMA_HARD, SIGMA_HARD_GEN, SIGMA_JMMS, SIGMA_NN,
@@ -61,7 +62,8 @@ __all__ = [
     # fredholm
     "GapProfile", "SpacingTable", "generating_value", "gap_n", "fredholm_det",
     "parity_split", "gaudin_split", "e2_bulk_det", "e1_bulk_det",
-    "e4_bulk_det", "enn_det", "rho_k_bulk", "spacing_from_gaps",
+    "e4_bulk_det", "enn_det", "en_bulk_det", "p1_det", "p2_det", "p4_det",
+    "p1_gap1_det", "p2_nn_det", "rho_k_bulk", "spacing_from_gaps",
     # painleve
     "EQUATION_IDS", "SIGMA_JMMS", "SIGMA_HARD", "SIGMA_HARD_GEN", "SIGMA_NN",
     "U_TILDE", "V_TILDE", "V_P2", "PainleveProblem", "PainleveSolution",

@@ -4,6 +4,11 @@ Every command writes CSV with '#'-prefixed metadata lines (command line,
 package and library versions, seeds, tolerances; never timestamps) so that
 identical configs produce bit-identical files.  Exit codes: 0 success,
 1 verification failure, 2 usage error, 3 data or numeric error.
+
+`tabulate` fills each column with one call of a library evaluator on the
+whole grid (the fredholm, painleve or surmise function its name maps to in
+_COLUMNS).  `sample` alone runs a pool: forked processes, sized by
+--workers or SPACING_LAB_THREADS.
 """
 
 from __future__ import annotations
@@ -11,14 +16,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import scipy
 
-from . import (__version__, fredholm, kernels, montecarlo, painleve,
-               sequences, surmise)
+from . import (__version__, fredholm, montecarlo, painleve, sequences,
+               surmise)
 from . import verify as verify_mod
 from .errors import ArgumentError, SpacingLabError, UnsupportedError
 from .fredholm import SpacingTable
@@ -26,18 +30,6 @@ from .quadrature import Interval
 
 QUANTITIES = ("E2", "E1", "E4", "Enn", "p0", "p1gap", "p2nn", "En")
 METHODS = ("fredholm", "painleve", "surmise", "all")
-
-# quantity -> methods that can produce it (p0/p1gap gain "surmise")
-_SUPPORTED = {
-    "E2": ("fredholm", "painleve"),
-    "E1": ("fredholm", "painleve"),
-    "E4": ("fredholm", "painleve"),
-    "Enn": ("fredholm", "painleve"),
-    "p0": ("fredholm", "painleve", "surmise"),
-    "p1gap": ("fredholm", "painleve", "surmise"),
-    "p2nn": ("fredholm", "painleve"),
-    "En": ("fredholm", "painleve"),
-}
 
 
 @dataclass
@@ -84,15 +76,6 @@ def _pool_size(config: RunConfig) -> int:
     return os.cpu_count() or 1
 
 
-def _map_grid(fn, grid, workers: int):
-    """fn over the grid, assembled in index order regardless of scheduling."""
-    points = [float(s) for s in grid]
-    if workers <= 1 or len(points) <= 1:
-        return [fn(s) for s in points]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, points))
-
-
 def _base_metadata(config: RunConfig, command_line: str) -> dict:
     return {
         "command": command_line,
@@ -105,8 +88,37 @@ def _base_metadata(config: RunConfig, command_line: str) -> dict:
 # ---------------------------------------------------------------------------
 # tabulate
 
+# column name -> its values on an array of s for a config.  The methods
+# that can produce a quantity are the ones that name a column here.
+_COLUMNS = {
+    "E2_fredholm": lambda c, s: fredholm.e2_bulk_det(s, tol=c.det_tol),
+    "E2_painleve": lambda c, s: painleve.e2_bulk(s),
+    "E1_fredholm": lambda c, s: fredholm.e1_bulk_det(s, c.det_tol),
+    "E1_painleve": lambda c, s: painleve.e1_bulk(s),
+    "E4_fredholm": lambda c, s: fredholm.e4_bulk_det(s, c.det_tol),
+    "E4_painleve": lambda c, s: painleve.e4_bulk(s),
+    "Enn_fredholm": lambda c, s: fredholm.enn_det(s, tol=c.det_tol),
+    "Enn_painleve": lambda c, s: painleve.enn_generating(s),
+    "p0_fredholm": lambda c, s: {1: fredholm.p1_det, 2: fredholm.p2_det,
+                                 4: fredholm.p4_det}[c.beta](s, c.det_tol),
+    "p0_painleve": lambda c, s: {1: painleve.p1_direct, 2: painleve.p2_direct,
+                                 4: painleve.p4_direct}[c.beta](s),
+    "p0_surmise": lambda c, s: [surmise.wigner_surmise(c.beta, x)
+                                for x in s.tolist()],
+    "p1gap_fredholm": lambda c, s: fredholm.p1_gap1_det(s, c.det_tol),
+    "p1gap_painleve": lambda c, s: painleve.p1_gap1(s),
+    "p1gap_surmise": lambda c, s: [surmise.p1_spacing1_approx(x)
+                                   for x in s.tolist()],
+    "p2nn_fredholm": lambda c, s: fredholm.p2_nn_det(s, c.det_tol),
+    "p2nn_painleve": lambda c, s: painleve.p2_nn(s),
+    "En_fredholm": lambda c, s: fredholm.en_bulk_det(s, c.n, c.det_tol),
+    "En_painleve": lambda c, s: painleve.e2_bulk(s),    # n = 0 only
+}
+
+
 def _methods_for(config: RunConfig) -> tuple:
-    supported = _SUPPORTED[config.quantity]
+    supported = tuple(m for m in METHODS
+                      if f"{config.quantity}_{m}" in _COLUMNS)
     if config.quantity == "En" and config.n > 0:
         supported = ("fredholm",)
     if config.method == "all":
@@ -117,90 +129,6 @@ def _methods_for(config: RunConfig) -> tuple:
             + (f" at n={config.n}" if config.quantity == "En" else "")
             + f"; available: {', '.join(supported)}")
     return (config.method,)
-
-
-def _cached(f):
-    cache = {}
-
-    def wrapped(u: float) -> float:
-        hit = cache.get(u)
-        if hit is None:
-            hit = cache[u] = f(u)
-        return hit
-
-    return wrapped
-
-
-def _column_fn(config: RunConfig, method: str):
-    """Scalar evaluator for one (quantity, method) column."""
-    tol = config.det_tol
-    q = config.quantity
-
-    def det(kernel, lo, hi):
-        return fredholm.fredholm_det(kernel, Interval(lo, hi), 1.0, tol)
-
-    if method == "fredholm":
-        if q == "E2":
-            return lambda s: det(kernels.sine_bulk(), -s / 2, s / 2)
-        if q == "E1":
-            return lambda s: det(kernels.sine_even(), -s, s)
-        if q == "E4":
-            return lambda s: 0.5 * (det(kernels.sine_even(), -s, s)
-                                    + det(kernels.sine_odd(), -s, s))
-        if q == "Enn":
-            return lambda s: det(kernels.spectrum_singularity(1.0), -s, s)
-        if q == "p0":
-            profile = _cached({
-                1: lambda u: det(kernels.sine_even(), -u / 2, u / 2),
-                2: lambda u: det(kernels.sine_bulk(), -u / 2, u / 2),
-                4: lambda u: 0.5 * (det(kernels.sine_even(), -u, u)
-                                    + det(kernels.sine_odd(), -u, u)),
-            }[config.beta])
-            return lambda s: fredholm._second_stencil(profile, s)
-        if q == "p1gap":
-            profile = _cached(
-                lambda u: det(kernels.sine_even(), -u / 2, u / 2)
-                + det(kernels.sine_odd(), -u / 2, u / 2))
-            return lambda s: fredholm._second_stencil(profile, s)
-        if q == "p2nn":
-            profile = _cached(
-                lambda u: det(kernels.spectrum_singularity(1.0), -u, u))
-            return lambda s: -fredholm._first_stencil(profile, s)
-        if q == "En":
-            n = config.n
-
-            def en(s: float) -> float:
-                if s == 0.0:
-                    return 1.0 if n == 0 else 0.0
-                spectrum = fredholm._converged_spectrum(
-                    kernels.sine_bulk(), Interval(-s / 2, s / 2), tol)
-                return fredholm.gap_n(spectrum, n).value
-
-            return en
-    if method == "painleve":
-        if q == "E2":
-            return painleve.e2_bulk
-        if q == "E1":
-            return painleve.e1_bulk
-        if q == "E4":
-            return painleve.e4_bulk
-        if q == "Enn":
-            return painleve.enn_generating
-        if q == "p0":
-            return {1: painleve.p1_direct, 2: painleve.p2_direct,
-                    4: painleve.p4_direct}[config.beta]
-        if q == "p1gap":
-            return painleve.p1_gap1
-        if q == "p2nn":
-            return painleve.p2_nn
-        if q == "En":                           # n > 0 filtered upstream
-            return painleve.e2_bulk
-    if method == "surmise":
-        if q == "p0":
-            return lambda s: surmise.wigner_surmise(config.beta, s)
-        if q == "p1gap":
-            return surmise.p1_spacing1_approx
-    raise UnsupportedError(f"method {method!r} cannot produce {q!r}")
 
 
 def _tabulate_command_line(config: RunConfig) -> str:
@@ -237,14 +165,9 @@ def write_tabulate(config: RunConfig, stream):
         metadata["stencil_h"] = f"{fredholm._STENCIL_H:g}"
     table = SpacingTable(s_grid=grid, metadata=metadata)
 
-    workers = _pool_size(config)
     for method in methods:
-        fn = _column_fn(config, method)
-        # Painleve evaluators take the whole grid, and fetch their
-        # trajectory once at its largest s
-        values = fn(grid) if method == "painleve" else _map_grid(fn, grid,
-                                                                 workers)
-        table.add_column(f"{config.quantity}_{method}", values)
+        name = f"{config.quantity}_{method}"
+        table.add_column(name, _COLUMNS[name](config, grid))
 
     deviations = {}
     for i, m_i in enumerate(methods):
@@ -447,10 +370,10 @@ def _build_parser() -> argparse.ArgumentParser:
     for p in (tab, smp, prm, zrs):
         p.add_argument("-o", "--output", dest="output_path", default=None)
         p.add_argument("--workers", type=int, default=None,
-                       help="pool size: threads for tabulate, forked "
-                            "processes for sample (at most one per usable "
-                            "CPU); default: processor count; the env var "
-                            "SPACING_LAB_THREADS overrides")
+                       help="size of sample's pool of forked processes (at "
+                            "most one per usable CPU); no other command "
+                            "uses it; default: processor count; the env "
+                            "var SPACING_LAB_THREADS overrides")
     return parser
 
 

@@ -5,6 +5,14 @@ mu_j of a kernel restricted to an interval, through det(1 - xi K) and its
 xi-derivatives.  Interval conventions differ per statistic and are stated on
 each function; the Interval argument of the underlying spectrum is always
 the ground truth.
+
+The evaluators of s (E2, E1, E4, Enn, En and the spacing densities p1, p2,
+p4, p1(1; s) and the conditioned nearest-neighbour density) take a float
+or an array of s, as points.on_points sets out.  The densities are 5-point
+stencils of the gap probabilities, and each distinct point of a call is
+solved once, so an array gives the floats of a loop of scalar calls.  E2,
+E1, E4 and p1, p2, p4, p1(1; s) take a ``memo`` dict that shares their
+determinants between calls (the verify criteria share one).
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ import numpy as np
 from . import kernels
 from .csvio import write_csv
 from .errors import ArgumentError, NumericError, UnsupportedError
+from .points import on_points
 from .quadrature import (FredholmSpectrum, Interval, nystrom_spectrum,
                          rule_interval)
 
@@ -29,7 +38,7 @@ _FORCED_LEVEL_GAP = 1e-14     # 1 - mu below this: level treated as occupied
 _MAX_GAP_ORDER = 30
 _MAX_NODES = 1600
 _DET_TOL = 1e-10
-_STENCIL_H = 1e-3             # step of the point stencils below
+_STENCIL_H = 1e-3             # step of the point stencils (_stencil)
 
 
 def generating_value(spectrum: FredholmSpectrum, xi: float) -> float:
@@ -167,46 +176,96 @@ def gaudin_split(e2_profile, s: float, grid_step: float = 1e-2):
         float(np.exp(half_log + 0.5 * integral))
 
 
-def e2_bulk_det(s: float, xi: float = 1.0) -> float:
+def _dets(kernel_spec, half, xi: float, tol: float, memo) -> np.ndarray:
+    """Converged det(1 - xi K) on (-x, x) at each x of a 1-D array, each
+    distinct interval solved once.  ``memo`` is a dict that keeps the
+    values for later calls to reuse, or None for one local to the call."""
+    memo = {} if memo is None else memo
+    out = []
+    for x in half.tolist():
+        key = (kernel_spec, x, xi, tol)
+        if key not in memo:
+            memo[key] = fredholm_det(kernel_spec, Interval(-x, x), xi, tol)
+        out.append(memo[key])
+    return np.array(out)
+
+
+def e2_bulk_det(s, xi: float = 1.0, tol: float = _DET_TOL, memo=None):
     """E2(0; interval of length s) from the sine-kernel determinant."""
-    if s < 0.0:
-        raise ArgumentError(f"interval length must be >= 0, got {s}")
-    return fredholm_det(kernels.sine_bulk(), Interval(-s / 2.0, s / 2.0), xi)
+    return on_points(s, 1.0, lambda v: _dets(kernels.sine_bulk(), v / 2.0,
+                                             xi, tol, memo))
 
 
-def e1_bulk_det(s: float) -> float:
-    """E1(0; (-s, s)) = D_plus(s), the even-component determinant."""
-    if s < 0.0:
-        raise ArgumentError(f"s must be >= 0, got {s}")
-    if s == 0.0:
-        return 1.0
-    d_plus, _ = parity_split(Interval(-s, s))
-    return d_plus
+def e1_bulk_det(s, tol: float = _DET_TOL, memo=None):
+    """E1(0; (-s, s)) = D_plus(s): only the even spectrum is built."""
+    return on_points(s, 1.0, lambda v: _dets(kernels.sine_even(), v, 1.0,
+                                             tol, memo))
 
 
-def e4_bulk_det(s: float) -> float:
+def e4_bulk_det(s, tol: float = _DET_TOL, memo=None):
     """E4(0; (-s/2, s/2)) = (D_plus(s) + D_minus(s)) / 2.
 
     The parity determinants are taken on (-s, s): a length-s gap of the
     symplectic ensemble corresponds to a length-2s parity-constrained gap
     of the orthogonal one.
     """
-    if s < 0.0:
-        raise ArgumentError(f"s must be >= 0, got {s}")
-    if s == 0.0:
-        return 1.0
-    d_plus, d_minus = parity_split(Interval(-s, s))
-    return 0.5 * (d_plus + d_minus)
+    return on_points(s, 1.0, lambda v: 0.5 * (
+        _dets(kernels.sine_even(), v, 1.0, tol, memo)
+        + _dets(kernels.sine_odd(), v, 1.0, tol, memo)))
 
 
-def enn_det(s: float, xi: float = 1.0) -> float:
+def enn_det(s, xi: float = 1.0, tol: float = _DET_TOL):
     """Probability of no eigenvalue within distance s of a conditioned one.
 
     Determinant of the spectrum-singularity kernel (a = 1) on (-s, s).
     """
-    if s < 0.0:
-        raise ArgumentError(f"s must be >= 0, got {s}")
-    return fredholm_det(kernels.spectrum_singularity(1.0), Interval(-s, s), xi)
+    return on_points(s, 1.0, lambda v: _dets(kernels.spectrum_singularity(1.0),
+                                             v, xi, tol, None))
+
+
+def en_bulk_det(s, n: int, tol: float = _DET_TOL):
+    """E2(n; interval of length s), exactly n eigenvalues, from gap_n."""
+    if n < 0:
+        raise ArgumentError(f"gap order must be >= 0, got {n}")
+    return on_points(s, 1.0 if n == 0 else 0.0, lambda v: np.array([
+        gap_n(_converged_spectrum(kernels.sine_bulk(),
+                                  Interval(-x / 2.0, x / 2.0), tol), n).value
+        for x in v.tolist()]))
+
+
+# Spacing densities as 5-point stencils (step _STENCIL_H) of the gap
+# probabilities above; each is exactly 0 at s = 0.
+
+def p1_det(s, tol: float = _DET_TOL, memo=None):
+    """p1(0; s) = d^2/ds^2 D_plus(s/2)."""
+    return on_points(s, 0.0, lambda v: _stencil(
+        lambda u: e1_bulk_det(u / 2.0, tol, memo), v, 2))
+
+
+def p2_det(s, tol: float = _DET_TOL, memo=None):
+    """p2(0; s) = d^2/ds^2 E2(0; s)."""
+    return on_points(s, 0.0, lambda v: _stencil(
+        lambda u: e2_bulk_det(u, tol=tol, memo=memo), v, 2))
+
+
+def p4_det(s, tol: float = _DET_TOL, memo=None):
+    """p4(0; s) = d^2/ds^2 E4(0; s)."""
+    return on_points(s, 0.0, lambda v: _stencil(
+        lambda u: e4_bulk_det(u, tol, memo), v, 2))
+
+
+def p1_gap1_det(s, tol: float = _DET_TOL, memo=None):
+    """Next-nearest beta=1 density p1(1; s) = d^2/ds^2 [2 E1(0;s) + E1(1;s)],
+    the second derivative of D_plus(s/2) + D_minus(s/2) = 2 E4(0; s/2)."""
+    return on_points(s, 0.0, lambda v: _stencil(
+        lambda u: 2.0 * e4_bulk_det(u / 2.0, tol, memo), v, 2))
+
+
+def p2_nn_det(s, tol: float = _DET_TOL):
+    """Nearest-neighbour density about a conditioned eigenvalue, -d/ds of
+    enn_det."""
+    return on_points(s, 0.0, lambda v: -_stencil(
+        lambda u: enn_det(u, tol=tol), v, 1))
 
 
 def rho_k_bulk(points) -> float:
@@ -243,25 +302,39 @@ def _second_derivative(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _second_stencil(f, s: float, h: float = _STENCIL_H) -> float:
-    """5-point second difference of f at one point: centred where s >= 2h,
-    one-sided forward below, so that f is never asked for a negative s."""
-    if s >= 2.0 * h:
-        v = [f(s + k * h) for k in (-2, -1, 0, 1, 2)]
-        return (-v[0] + 16 * v[1] - 30 * v[2] + 16 * v[3] - v[4]) / (12 * h * h)
-    v = [f(s + k * h) for k in range(5)]
-    return (35 * v[0] - 104 * v[1] + 114 * v[2] - 56 * v[3]
-            + 11 * v[4]) / (12 * h * h)
+# (offsets, weights) of the 5-point point stencils by derivative order:
+# centred, then one-sided forward
+_STENCILS = {
+    1: (((-2, -1, 1, 2), (1, -8, 8, -1)),
+        ((0, 1, 2, 3, 4), (-25, 48, -36, 16, -3))),
+    2: (((-2, -1, 0, 1, 2), (-1, 16, -30, 16, -1)),
+        ((0, 1, 2, 3, 4), (35, -104, 114, -56, 11))),
+}
 
 
-def _first_stencil(f, s: float, h: float = _STENCIL_H) -> float:
-    """5-point first difference of f at one point, branches as above."""
-    if s >= 2.0 * h:
-        return (f(s - 2 * h) - 8 * f(s - h) + 8 * f(s + h)
-                - f(s + 2 * h)) / (12 * h)
-    v = [f(s + k * h) for k in range(5)]
-    return (-25 * v[0] + 48 * v[1] - 36 * v[2] + 16 * v[3]
-            - 3 * v[4]) / (12 * h)
+def _stencil(profile, s: np.ndarray, order: int,
+             h: float = _STENCIL_H) -> np.ndarray:
+    """5-point derivative of the given order of profile at each s of a 1-D
+    array: centred where s >= 2h, one-sided forward below, so that profile
+    is never asked for a negative argument.
+
+    ``profile`` maps an array of arguments to their values and is called
+    once, on every point either branch needs.  Each result is the weighted
+    sum taken term by term from the left, over 12 h or 12 h h.
+    """
+    centred = s >= 2.0 * h
+    rows = (centred, ~centred)
+    points = [s[r, None] + np.array(offsets) * h
+              for r, (offsets, _) in zip(rows, _STENCILS[order])]
+    values = profile(np.concatenate([p.ravel() for p in points]))
+    out = np.empty_like(s)
+    for r, p, (_, weights) in zip(rows, points, _STENCILS[order]):
+        v, values = values[:p.size].reshape(p.shape), values[p.size:]
+        total = weights[0] * v[:, 0]
+        for j, w in enumerate(weights[1:], 1):
+            total = total + w * v[:, j]
+        out[r] = total / (12 * h * h if order == 2 else 12 * h)
+    return out
 
 
 @dataclass

@@ -36,6 +36,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import (ArgumentError, ConsistencyError, DerivationError,
                      StiffnessError, UnsupportedError)
+from .points import on_points
 
 SIGMA_JMMS = "SIGMA_JMMS"          # bulk two-point generating sigma
 SIGMA_HARD = "SIGMA_HARD"          # hard-edge sigma, params (a, xi)
@@ -707,26 +708,12 @@ def clear_cache():
 # ---------------------------------------------------------------------------
 # evaluators
 
-# Each evaluator takes a float s (and returns a float) or an array of s (and
-# returns an array of its shape).  For an array the trajectory is fetched
-# once, at the largest argument, and the series layer and the dense output
-# are each evaluated once over all points.  Python's own float pow and exp
-# are kept element by element where numpy's differ in the last bit, so an
-# array gives exactly the floats a loop of scalar calls gives on the same
-# trajectory.
-
-def _on_points(s, at_zero, fn):
-    """at_zero where s == 0 and fn(array of the other s) elsewhere."""
-    s = np.asarray(s, dtype=float)
-    flat = s.ravel()
-    if (flat < 0.0).any():
-        raise ArgumentError(f"s must be >= 0, got {flat[flat < 0.0][0]}")
-    out = np.full(flat.shape, at_zero)
-    live = np.flatnonzero(flat)
-    if len(live):
-        out[live] = fn(flat[live])
-    return float(out[0]) if s.ndim == 0 else out.reshape(s.shape)
-
+# Each evaluator takes a float or an array of s, as points.on_points sets
+# out.  For an array the trajectory is fetched once, at the largest
+# argument, and the series layer and the dense output are each evaluated
+# once over all points.  Python's own float pow and exp are kept element
+# by element where numpy's differ in the last bit, so an array gives
+# exactly the floats a loop of scalar calls gives on the same trajectory.
 
 def _squared(v):
     return np.array([x ** 2 for x in v.tolist()])
@@ -753,20 +740,20 @@ def e2_bulk(s, xi: float = 1.0):
     calibration against the determinantal route.
     """
     _check_xi(xi)
-    return _on_points(s, 1.0, lambda v: 1.0 if xi == 0.0
-                      else _gap(SIGMA_JMMS, (xi,), math.pi * v))
+    return on_points(s, 1.0, lambda v: 1.0 if xi == 0.0
+                     else _gap(SIGMA_JMMS, (xi,), math.pi * v))
 
 
 def e2_hard(s, a: float, xi: float = 1.0):
     """Hard-edge gap generating value exp int_0^s u(t;a;xi)/t dt on (0, s)."""
     _check_xi(xi)
-    return _on_points(s, 1.0, lambda v: 1.0 if xi == 0.0
-                      else _gap(SIGMA_HARD, (a, xi), v))
+    return on_points(s, 1.0, lambda v: 1.0 if xi == 0.0
+                     else _gap(SIGMA_HARD, (a, xi), v))
 
 
 def e1_bulk(s):
     """E1(0; (-s, s)) through the hard-edge a=-1/2 transcendent."""
-    return _on_points(
+    return on_points(
         s, 1.0, lambda v: e2_hard(_squared(math.pi * v), -0.5, 1.0))
 
 
@@ -776,7 +763,7 @@ def e4_bulk(s):
         t = _squared(math.pi * v)
         return 0.5 * (e2_hard(t, -0.5, 1.0) + e2_hard(t, 0.5, 1.0))
 
-    return _on_points(s, 1.0, average)
+    return on_points(s, 1.0, average)
 
 
 def enn_generating(s, a: float = 1.0, xi: float = 1.0):
@@ -787,8 +774,8 @@ def enn_generating(s, a: float = 1.0, xi: float = 1.0):
     calibration, consistent with e2_bulk.
     """
     _check_xi(xi)
-    return _on_points(s, 1.0, lambda v: 1.0 if xi == 0.0
-                      else _gap(SIGMA_NN, (a, xi), 2.0 * math.pi * v))
+    return on_points(s, 1.0, lambda v: 1.0 if xi == 0.0
+                     else _gap(SIGMA_NN, (a, xi), 2.0 * math.pi * v))
 
 
 def p2_nn(s):
@@ -803,7 +790,7 @@ def p2_nn(s):
         sol = _trajectory(SIGMA_NN, (1.0, 1.0), T)
         return -sol.sigma_at(T) / v * _exp(sol.log_integral_at(T))
 
-    return _on_points(s, 0.0, density)
+    return on_points(s, 0.0, density)
 
 
 def p1_direct(s):
@@ -823,13 +810,13 @@ def p1_direct(s):
                         * _exp(-sol.log_integral_at(T)))
         return out
 
-    return _on_points(s, 0.0, density)
+    return on_points(s, 0.0, density)
 
 
 def p2_direct(s):
     """Spacing density p2(0; s) = (pi^2/3) s^2 exp int_0^{2 pi s} v/t dt."""
-    return _on_points(s, 0.0, lambda v: math.pi ** 2 / 3.0 * v * v
-                      * _gap(V_P2, (), 2.0 * math.pi * v))
+    return on_points(s, 0.0, lambda v: math.pi ** 2 / 3.0 * v * v
+                     * _gap(V_P2, (), 2.0 * math.pi * v))
 
 
 def _dminus_second(u):
@@ -844,7 +831,7 @@ def _dminus_second(u):
         return (4.0 * math.pi ** 2 * w / 3.0) * (sol.sigma_at(T) - 1.0) * \
             _exp(-sol.log_integral_at(T))
 
-    return _on_points(u, 0.0, second)
+    return on_points(u, 0.0, second)
 
 
 def p4_direct(s):
@@ -859,7 +846,7 @@ def p4_direct(s):
                          "value": float(value[negative][0])})
         return np.where(value < 0.0, 0.0, value)
 
-    return _on_points(s, 0.0, density)
+    return on_points(s, 0.0, density)
 
 
 def p1_gap1(s):
@@ -868,7 +855,7 @@ def p1_gap1(s):
     p1(1; s) = d^2/ds^2 [2 E1(0;s) + E1(1;s)] collapses to
     p1(0; s) + (1/4) D''_-(s/2) through the parity identities.
     """
-    return _on_points(
+    return on_points(
         s, 0.0, lambda v: p1_direct(v) + 0.25 * _dminus_second(v / 2.0))
 
 

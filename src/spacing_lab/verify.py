@@ -57,19 +57,10 @@ def _fmt(x):
     return float(f"{x:.3g}")
 
 
-@functools.lru_cache(maxsize=None)
-def _e2_det(length: float) -> float:
-    return fredholm.e2_bulk_det(length)
-
-
-@functools.lru_cache(maxsize=None)
-def _d_plus(s: float) -> float:
-    return fredholm.fredholm_det(kernels.sine_even(), Interval(-s, s))
-
-
-@functools.lru_cache(maxsize=None)
-def _d_minus(s: float) -> float:
-    return fredholm.fredholm_det(kernels.sine_odd(), Interval(-s, s))
+# Determinants shared by the criteria that call the fredholm evaluators:
+# about 100 values recur between them (the cross-route grids, the Gaudin
+# grid and the stencil points).
+_DETS = {}
 
 
 @_criterion("e2-cross-route")
@@ -78,7 +69,7 @@ def check_e2_cross_route():
     tol = 1e-6
     t0 = time.perf_counter()
     grid = np.arange(0.25, 2.01, 0.25)
-    det = np.array([_e2_det(float(s)) for s in grid])
+    det = fredholm.e2_bulk_det(grid, memo=_DETS)
     worst = float(np.max(np.abs(det - painleve.e2_bulk(grid))))
     elapsed = time.perf_counter() - t0
     return (worst <= tol and elapsed < 60.0,
@@ -106,9 +97,10 @@ def check_parity_identities():
         e2 = fredholm.generating_value(full, 1.0)
         worst_product = max(worst_product, abs(d_plus * d_minus - e2))
         g_plus, g_minus = fredholm.gaudin_split(
-            lambda x: _e2_det(2.0 * x) if x > 0 else 1.0, s)
-        worst_split = max(worst_split, abs(g_plus - _d_plus(s)),
-                          abs(g_minus - _d_minus(s)))
+            lambda x: fredholm.e2_bulk_det(2.0 * x, memo=_DETS), s)
+        converged = fredholm.parity_split(iv)
+        worst_split = max(worst_split, abs(g_plus - converged[0]),
+                          abs(g_minus - converged[1]))
     ok = worst_product <= tol_product and worst_split <= tol_split
     return (ok,
             {"worst_product": _fmt(worst_product), "tol_product": tol_product,
@@ -121,11 +113,10 @@ def check_e1_e4_dual_route():
     """Hard-edge transcendent vs parity determinants for E1 and E4."""
     tol = 1e-6
     grid = np.arange(0.25, 2.01, 0.25)
-    d_plus = np.array([_d_plus(float(s)) for s in grid])
-    d_minus = np.array([_d_minus(float(s)) for s in grid])
-    worst_e1 = float(np.max(np.abs(d_plus - painleve.e1_bulk(grid))))
-    worst_e4 = float(np.max(np.abs(0.5 * (d_plus + d_minus)
-                                   - painleve.e4_bulk(grid))))
+    e1 = fredholm.e1_bulk_det(grid, memo=_DETS)
+    e4 = fredholm.e4_bulk_det(grid, memo=_DETS)
+    worst_e1 = float(np.max(np.abs(e1 - painleve.e1_bulk(grid))))
+    worst_e4 = float(np.max(np.abs(e4 - painleve.e4_bulk(grid))))
     return (worst_e1 <= tol and worst_e4 <= tol,
             {"worst_e1": _fmt(worst_e1), "worst_e4": _fmt(worst_e4),
              "tol": tol})
@@ -136,16 +127,15 @@ def check_density_stencils():
     """Direct p1, p2, p4 against 5-point second differences of gap profiles."""
     tol = 1e-4
     grid = np.arange(0.2, 2.01, 0.2)
-    profiles = {
-        "p1": (painleve.p1_direct, lambda u: _d_plus(u / 2.0)),
-        "p2": (painleve.p2_direct, _e2_det),
-        "p4": (painleve.p4_direct, lambda u: 0.5 * (_d_plus(u) + _d_minus(u))),
+    routes = {
+        "p1": (painleve.p1_direct, fredholm.p1_det),
+        "p2": (painleve.p2_direct, fredholm.p2_det),
+        "p4": (painleve.p4_direct, fredholm.p4_det),
     }
     worst = {}
-    for name, (direct, profile) in profiles.items():
-        stencil = np.array([fredholm._second_stencil(profile, float(s))
-                            for s in grid])
-        worst[name] = float(np.max(np.abs(direct(grid) - stencil)))
+    for name, (direct, stencil) in routes.items():
+        worst[name] = float(np.max(np.abs(direct(grid)
+                                          - stencil(grid, memo=_DETS))))
     ok = all(v <= tol for v in worst.values())
     return ok, {k: _fmt(v) for k, v in worst.items()} | {"tol": tol}
 
@@ -165,9 +155,7 @@ def check_spacing1_identity():
     """p4(0;s) = 2 p1(1;2s) with p1(1;.) from determinantal gap profiles."""
     tol = 5e-4
     grid = np.array([0.4, 0.7, 1.0])
-    det_p1_gap1 = np.array([fredholm._second_stencil(
-        lambda u: _d_plus(u / 2.0) + _d_minus(u / 2.0), 2.0 * float(s))
-        for s in grid])
+    det_p1_gap1 = fredholm.p1_gap1_det(2.0 * grid, memo=_DETS)
     worst = float(np.max(np.abs(painleve.p4_direct(grid) - 2.0 * det_p1_gap1)))
     return worst <= tol, {"worst": _fmt(worst), "tol": tol}
 
@@ -182,20 +170,19 @@ def check_sum_rule():
     weights = np.array([(9 - j) * (10 - j) / 2.0 for j in range(9)])
     nodes = []
 
-    @functools.lru_cache(maxsize=None)
-    def cumulative(u: float) -> float:
-        spectrum = fredholm._converged_spectrum(kernels.sine_bulk(),
-                                                Interval(-u / 2.0, u / 2.0))
-        nodes.append(spectrum.nodes_used)
-        return float(sum(w * fredholm.gap_n(spectrum, j).value
-                         for j, w in enumerate(weights)))
+    def cumulative(u: np.ndarray) -> np.ndarray:
+        spectra = [fredholm._converged_spectrum(kernels.sine_bulk(),
+                                                Interval(-x / 2.0, x / 2.0))
+                   for x in u.tolist()]
+        nodes.extend(spectrum.nodes_used for spectrum in spectra)
+        return np.array([sum(w * fredholm.gap_n(spectrum, j).value
+                             for j, w in enumerate(weights))
+                         for spectrum in spectra])
 
-    worst = 0.0
-    for s in np.arange(0.1, 2.001, 0.1):
-        s = float(s)
-        total = fredholm._second_stencil(cumulative, s)
-        target = 1.0 - np.sinc(s) ** 2        # np.sinc(x) = sin(pi x)/(pi x)
-        worst = max(worst, abs(total - target))
+    grid = np.arange(0.1, 2.001, 0.1)
+    target = 1.0 - np.sinc(grid) ** 2     # np.sinc(x) = sin(pi x)/(pi x)
+    worst = float(np.max(np.abs(fredholm._stencil(cumulative, grid, 2)
+                                - target)))
     return (worst <= tol,
             {"worst": _fmt(worst), "tol": tol, "max_nodes": max(nodes)})
 
@@ -274,7 +261,7 @@ def check_nn_routes():
     """Conditioned-origin gap: determinant vs sigma route; density mass 1."""
     tol_e, tol_mass = 1e-6, 1e-3
     grid = np.array([0.25, 0.5, 1.0])
-    det = np.array([fredholm.enn_det(float(s)) for s in grid])
+    det = fredholm.enn_det(grid)
     worst = float(np.max(np.abs(det - painleve.enn_generating(grid))))
     mass, _ = quad(painleve.p2_nn, 0.0, 4.0, limit=200)
     ok = worst <= tol_e and abs(mass - 1.0) <= tol_mass

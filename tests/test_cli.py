@@ -70,6 +70,21 @@ class TestTabulate:
         assert column[0] == 0.0            # no room for 2 eigenvalues at s=0
         assert np.all(column >= 0.0)
 
+    @pytest.mark.parametrize("quantity, beta", [
+        ("p0", 1), ("p0", 2), ("p0", 4), ("p1gap", 1), ("p2nn", 1)])
+    def test_density_columns_vanish_at_zero(self, capsys, quantity, beta):
+        # the Fredholm densities are exactly 0 at s = 0, so the row no
+        # longer reads as relative deviation 1 against the Painleve column
+        config = _tabulate_config(quantity=quantity, beta=beta, s_max=3.0)
+        assert cli.run(config) == 0
+        captured = capsys.readouterr()
+        table = fredholm.SpacingTable.from_csv(io.StringIO(captured.out))
+        assert table.columns[f"{quantity}_fredholm"][0] == 0.0
+        line = next(l for l in captured.err.splitlines()
+                    if l.startswith(f"max |{quantity}_fredholm - "
+                                    f"{quantity}_painleve|"))
+        assert float(line.rsplit("relative ", 1)[1]) < 1e-6
+
     def test_grid_validation(self):
         with pytest.raises(Exception):
             write_tabulate(_tabulate_config(s_step=0.0), io.StringIO())
@@ -182,6 +197,77 @@ class TestPainleveDigests:
         assert TestGoldenDigests._data_digest(argv, tmp_path) == digest
 
 
+class TestFredholmDigests:
+    """SHA-256 of the s > 0 data rows of each Fredholm column, recorded
+    before the determinant evaluators took arrays: on a coarse grid, and
+    on one whose first points take the stencils' one-sided branch
+    (s < 2h)."""
+
+    GRIDS = {"coarse": ("0", "3", "0.25"), "one-sided": ("0", "0.01", "0.001")}
+
+    @pytest.mark.parametrize("grid", ["coarse", "one-sided"])
+    @pytest.mark.parametrize("quantity, coarse, one_sided", [
+        (("E2",),
+         "5a4a3eddf6acda11b7b5b8fcc334f69151c77336097cf308181e77dba9492119",
+         "0927f67e8c9ef45583d1886f179e598ceab3205bb83ab03b8e3fdcbd45daf357"),
+        (("E1",),
+         "0dd2ee5ef4bf450662d5ff82830c7b788fedb7dcea77ee866440c1a15761c0bb",
+         "a101742d0a563a3db0322cd6787f5eda5ee3a27003e00d9b41242af117057710"),
+        (("E4",),
+         "e5ca17a6804488486ee6048e48857f5c25952fa5ef81e70ba5f7ddce8e8ca19b",
+         "8c4bf3426cf56a717030ce00168dce4fec04636f36c99051c3a0375c82c2876b"),
+        (("Enn",),
+         "c6b5bf616bbd48d279322a418025db83c565a37d109322a2016d0fc7b52d15f4",
+         "7099848de8bddafa3e8142b2ddcdede68394f803fc64096c59eb2e2dc25ce7dc"),
+        (("p0", "--beta", "1"),
+         "4ad60cea4e36ea779449fa05d93e3b0ab5907f5464b56c3ee32745c52f9c6206",
+         "03dd67a89b57520940aff0768303845397cec84fd1726ab5fbc9e35c8ae040d8"),
+        (("p0", "--beta", "2"),
+         "ca49a5de9f08083c5c43308b06df2632236a9c8a53a45e8f477128939daab59e",
+         "ed6c3fdb72a769eb7e9e055ea8a18c63d2537dafe588bf134f408884cbca18a2"),
+        (("p0", "--beta", "4"),
+         "65a53ed64505b5e0988d464ef1c1802f91e1675db2c43d2f6bdf33209eff85c8",
+         "fe07ed7365c247725c1bfdc68321be0d0ae50a6bd83eff12f554d1480ef25e3b"),
+        (("p1gap",),
+         "f9794c2758aa1be6a3d42aeccac319a45ed0b748ebe87afde22182fee670bb25",
+         "d0bfb26254522af589b29c6b8b99ced5ba79d642ec868cabc31e84ec85606e16"),
+        (("p2nn",),
+         "1bdd039c2b3033743a8185e818755d1d3b8c0f578d9bba919e19fdb95a579c61",
+         "941c730b8a52b6681d9ccd7d24396e7bcb9845879a4f0023a6b7c4e5140ac14f"),
+        (("En", "--n", "0"),
+         "5bbdf62e9b2741f3da36491cdabd4998d0b161b8d1b9532f68cede806bf638a1",
+         "2eeb69607b57ad7983828969f25938bd6ec52745358d6f4853497c1483be3107"),
+        (("En", "--n", "1"),
+         "811c72ec00ca8e0b05bee0063eceaebf4f3b7415ad986b3f327776544f4f192f",
+         "f00ca4b11900f41f4a6f4ccfdc6d8bb6b8e87219fe9dd8bc60e8015d0a3c2e6e"),
+        (("En", "--n", "2"),
+         "4093725005429c5d28731d73b060943e3462a38319c59234327da6d28f3b540c",
+         "8fb9439edbdab7988d10da25c602b7e7b93ec638bc8c751d0870aa3d5cdd25d8"),
+        (("En", "--n", "3"),
+         "cb46749e99701d4edf3b0e6cd8fdcb99f6ee8f8c552e0d4bd87b597f9d7af1d6",
+         "c819e70ceddbaabb9d9d6dc2b48919be84e7999f42f600ce790e90aab035f80a"),
+        (("En", "--n", "4"),
+         "146a143429c47de7d74cdbe7530c1e63480678e1fd51c7a9b5ee15ac68136b47",
+         "cee7be478469e2d7d1fa2728ab4ce169d8de56c2b1c667bbb360a9a305426783"),
+        (("En", "--n", "5"),
+         "21df36b5112e24e6b2fbfa9d3c9a1355e3fbc4141e52ba2df43c0a0d59d6024f",
+         "cee7be478469e2d7d1fa2728ab4ce169d8de56c2b1c667bbb360a9a305426783"),
+    ], ids=["E2", "E1", "E4", "Enn", "p0-beta1", "p0-beta2", "p0-beta4",
+            "p1gap", "p2nn", "En0", "En1", "En2", "En3", "En4", "En5"])
+    def test_tabulate(self, tmp_path, grid, quantity, coarse, one_sided):
+        s_min, s_max, s_step = self.GRIDS[grid]
+        path = tmp_path / "out.csv"
+        argv = ["tabulate", "--quantity", *quantity, "--method", "fredholm",
+                "--s-min", s_min, "--s-max", s_max, "--s-step", s_step,
+                "-o", str(path)]
+        assert main(argv) == 0
+        with open(path, encoding="utf-8") as f:
+            rows = "".join(line for line in f
+                           if not line.startswith(("#", "0,")))
+        digest = hashlib.sha256(rows.encode()).hexdigest()
+        assert digest == (coarse if grid == "coarse" else one_sided)
+
+
 class TestZeros:
     @pytest.fixture()
     def zeros_file(self, tmp_path):
@@ -229,9 +315,9 @@ class TestMainExitCodes:
         assert excinfo.value.code == 2
 
     def test_invalid_thread_env(self, monkeypatch, capsys):
+        # sample is the one command that sizes a pool
         monkeypatch.setenv("SPACING_LAB_THREADS", "many")
-        code = main(["tabulate", "--quantity", "E2", "--s-max", "0.5",
-                     "--s-step", "0.25"])
+        code = main(["sample", "--n", "3", "--reps", "8"])
         assert code == 2
 
     def test_tabulate_to_file(self, tmp_path, capsys):

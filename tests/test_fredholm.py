@@ -235,6 +235,88 @@ class TestGapEvaluators:
     def test_zero_length_determinant(self):
         assert fredholm.fredholm_det(sine_bulk(), Interval(0.3, 0.3)) == 1.0
 
+    def test_e1_builds_only_the_even_spectrum(self, monkeypatch):
+        built = []
+        original = fredholm.nystrom_spectrum
+
+        def record(kernel, interval, n):
+            built.append(kernel.variant)
+            return original(kernel, interval, n)
+
+        monkeypatch.setattr(fredholm, "nystrom_spectrum", record)
+        fredholm.e1_bulk_det(np.array([0.5, 1.5]))
+        assert built and set(built) == {sine_even().variant}
+
+
+# (evaluator, exact value at s = 0)
+_EVALUATORS = {
+    "e2": (fredholm.e2_bulk_det, 1.0),
+    "e1": (fredholm.e1_bulk_det, 1.0),
+    "e4": (fredholm.e4_bulk_det, 1.0),
+    "enn": (fredholm.enn_det, 1.0),
+    "en0": (lambda s: fredholm.en_bulk_det(s, 0), 1.0),
+    "en2": (lambda s: fredholm.en_bulk_det(s, 2), 0.0),
+    "p1": (fredholm.p1_det, 0.0),
+    "p2": (fredholm.p2_det, 0.0),
+    "p4": (fredholm.p4_det, 0.0),
+    "p1gap": (fredholm.p1_gap1_det, 0.0),
+    "p2nn": (fredholm.p2_nn_det, 0.0),
+}
+
+
+@pytest.mark.parametrize("name", list(_EVALUATORS))
+class TestArrayEvaluators:
+    """Every evaluator of s takes an array and gives, bit for bit, the
+    floats of a loop of scalar calls; the stencil points below 2h take the
+    one-sided branch."""
+
+    def test_unsorted_array_with_repeat(self, name):
+        fn, _ = _EVALUATORS[name]
+        s = np.array([0.9, 0.0, 0.0015, 0.4, 0.9, 0.002])
+        out = fn(s)
+        assert isinstance(out, np.ndarray) and out.shape == s.shape
+        assert out.tolist() == [fn(float(x)) for x in s]
+
+    def test_two_dimensional_array(self, name):
+        fn, _ = _EVALUATORS[name]
+        s = np.array([[0.3, 0.0005], [1.1, 0.3]])
+        out = fn(s)
+        assert out.shape == (2, 2)
+        assert out.ravel().tolist() == [fn(float(x)) for x in s.ravel()]
+
+    def test_empty_array(self, name):
+        fn, _ = _EVALUATORS[name]
+        out = fn(np.array([]))
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+    def test_float_and_zero_d_give_float(self, name):
+        fn, at_zero = _EVALUATORS[name]
+        for s in (0.7, np.float64(0.7), np.array(0.7)):
+            assert type(fn(s)) is float
+        assert fn(0.0) == fn(np.array(0.0)) == at_zero
+
+    def test_negative_element_raises(self, name):
+        fn, _ = _EVALUATORS[name]
+        with pytest.raises(ArgumentError):
+            fn(np.array([0.5, -0.1]))
+
+
+class TestDeterminantMemo:
+    def test_shared_memo_keeps_values_and_solves_each_interval_once(
+            self, monkeypatch):
+        grid = np.array([0.4, 0.8])
+        alone = fredholm.p1_det(grid), fredholm.e1_bulk_det(grid / 2.0)
+        memo = {}
+        p1 = fredholm.p1_det(grid, memo=memo)
+        solved = []
+        original = fredholm._converged_spectrum
+        monkeypatch.setattr(fredholm, "_converged_spectrum",
+                            lambda *a: solved.append(a) or original(*a))
+        # the centre points of the p1 stencil are D_plus(s/2) itself
+        e1 = fredholm.e1_bulk_det(grid / 2.0, memo=memo)
+        assert solved == []
+        assert [p1.tolist(), e1.tolist()] == [a.tolist() for a in alone]
+
 
 class TestRhoK:
     def test_single_point(self):
