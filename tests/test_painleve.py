@@ -407,11 +407,38 @@ class TestProblemMemo:
          "6befebb29f56a661dc0d65c4c37b31b42506b555481df5140e329224dc55aa1b"),
     ]
 
+    # recorded before the monomial shifts, the one-pass first action and the
+    # shared square-root prefixes; xi != 1 makes the SIGMA_NN square root
+    # sum terms of mixed size, where the summation order shows in the bits
+    MORE_DIGESTS = [
+        (SIGMA_JMMS, (0.37,), 44,
+         "ef947c313318253655ce2bb82eb4710857b040a7a17aa49ecba8a4c16679be5e"),
+        (SIGMA_HARD, (-0.5, 0.77), 44,
+         "d0ed70e8b78eef520dee71d7b3d5170f1b37e9bc54475576e60618f33a74a5d7"),
+        (SIGMA_HARD, (0.5, 0.77), 44,
+         "67bb91300e78cf569185197d748400b76e185f7b9bb903d9e98be06cd24816f5"),
+        (SIGMA_NN, (1.0, 0.3), 44,
+         "05285f29509cea81188d441fa181bca6ef1ca10e27448cb7fcf91ef1198296f6"),
+        (SIGMA_NN, (1.0, 0.05), 44,
+         "56a3e18668f9942006a3977e349912adf4806a68d499bc8ce5992b6de8ea3b91"),
+        (SIGMA_NN, (0.0, 0.8), 44,
+         "d95a835dfc5dc82f03f9e362601858dcd5e8849ceb97252f6291a48abf71ef7d"),
+        (U_TILDE, (), 60,
+         "94fe8fe14f68cb4c674279042deb96d2ec39b6cce8494483adf8be94fdbd30d4"),
+    ]
+
     @pytest.mark.parametrize("eq,params,digest", DIGESTS,
                              ids=[f"{e}{p}" for e, p, _ in DIGESTS])
     def test_coefficients_unchanged(self, eq, params, digest):
         painleve.clear_cache()
         coeffs = build_problem(eq, params).x_coefficients
+        assert hashlib.sha256(coeffs.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("eq,params,n_terms,digest", MORE_DIGESTS,
+                             ids=[f"{e}{p}-{n}" for e, p, n, _ in MORE_DIGESTS])
+    def test_more_coefficients_unchanged(self, eq, params, n_terms, digest):
+        painleve.clear_cache()
+        coeffs = build_problem(eq, params, n_terms=n_terms).x_coefficients
         assert hashlib.sha256(coeffs.tobytes()).hexdigest() == digest
 
     def test_memoised_and_read_only(self):
