@@ -11,7 +11,12 @@ at t = 0 and adaptive integration beyond it.  Three layers:
    forms in _equation_setup; every pinned value is cross-checked against the
    determinantal route by the test suite.  The residuals that decide one
    unknown (its base and all its probes) are evaluated as one batch of
-   series.  Derived problems are memoised until clear_cache().
+   series, and where each probed unknown first acts is read off the batch
+   in one pass.  Products by a monomial are shifted, scaled copies, other
+   products skip coefficients that are zero throughout the batch, and the
+   square root lets each probe share the base's leading coefficients; all
+   of it gives the bits a probe-by-probe derivation gives.  Derived
+   problems are memoised until clear_cache().
 2. integration: the equation is differentiated once, making it linear in
    sigma''', and integrated as a third-order system from t_switch with the
    log-integral accumulated as a fourth component.  The ORIGINAL quadratic
@@ -74,7 +79,9 @@ class _Series:
 
 
 def _zeros(a, b, n):
-    batch = np.broadcast_shapes(a.c.shape[:-1], b.c.shape[:-1])
+    batch = a.c.shape[:-1]
+    if b.c.shape[:-1] != batch:
+        batch = np.broadcast_shapes(batch, b.c.shape[:-1])
     return np.zeros(batch + (n,))
 
 
@@ -97,30 +104,65 @@ def _s_mul(a, b, order):
     """Truncated product, summed over the first factor's coefficients in
     increasing order from +0.0.
 
-    Row i of a sliding-window view of the zero-padded second factor holds
-    b shifted right by i, so one product gives every term a_i b_(k-i) and
-    one reduction over the window axis sums them.  That axis is not the
+    Row i of a strided view of the zero-padded second factor holds b
+    shifted right by i, so one product gives every term a_i b_(k-i) and
+    one reduction over the row axis sums them.  That axis is not the
     innermost one, so the sum runs in sequence over i, as a loop would.
     Out-of-range and zero terms add a zero to an accumulator that, starting
     at +0.0, never holds -0.0, so every series of a batch gets the bits it
-    would get alone."""
+    would get alone.  For the same reason terms are skipped where a factor's
+    coefficient is zero in every series of the batch: the rows span a's
+    nonzero coefficients only, and only the orders that some pair of nonzero
+    coefficients reaches are summed (the factors are finite)."""
     off = a.off + b.off
     n = order - off + 1
     if n <= 0:
         return _Series(np.zeros(1), order)
-    ac = a.c[..., :n]
-    na = ac.shape[-1]
-    m = min(b.c.shape[-1], n)
-    padded = np.zeros(b.c.shape[:-1] + (na - 1 + n,))
-    padded[..., na - 1:na - 1 + m] = b.c[..., :m]
-    shifted = np.lib.stride_tricks.sliding_window_view(
-        padded, n, axis=-1)[..., ::-1, :]
-    out = np.add.reduce(ac[..., None] * shifted, axis=-2, initial=0.0)
+    out = _zeros(a, b, n)
+    i0, i1 = _span(a.c[..., :n])
+    j0, j1 = (i0, i1) if b is a else _span(b.c[..., :n])
+    k0, k1 = i0 + j0, min(n, i1 + j1 - 1)
+    if i1 == 0 or j1 == 0 or k0 >= k1:
+        return _Series(out, off)
+    ac = a.c[..., i0:min(i1, k1 - j0)]
+    na, nk = ac.shape[-1], k1 - k0
+    m = min(j1, k1 - i0) - j0
+    padded = np.zeros(b.c.shape[:-1] + (na - 1 + nk,))
+    padded[..., na - 1:na - 1 + m] = b.c[..., j0:j0 + m]
+    step = padded.strides[-1]       # shifted[..., i, k] = padded[..., na-1-i+k]
+    shifted = np.ndarray(padded.shape[:-1] + (na, nk), padded.dtype, padded,
+                         (na - 1) * step, padded.strides[:-1] + (-step, step))
+    out[..., k0:k1] = np.add.reduce(ac[..., None] * shifted, axis=-2,
+                                    initial=0.0)
     return _Series(out, off)
+
+
+def _span(c):
+    """(first, last + 1) index of the coefficients nonzero in some series
+    of the batch c; (0, 0) when there are none."""
+    live = c.reshape(-1, c.shape[-1]).any(axis=0).nonzero()[0]
+    return (int(live[0]), int(live[-1]) + 1) if len(live) else (0, 0)
 
 
 def _s_mono(v, e, order):
     return _Series(np.concatenate(([v], np.zeros(max(0, order - e)))), e)
+
+
+def _s_mul_mono(a, v, e, order):
+    """a times the monomial v x^e, with the bits of _s_mul by
+    _s_mono(v, e, order) in either factor order.
+
+    Every term of that product but a_k v is a finite coefficient times an
+    exact zero, and its sum starts at +0.0, so coefficient k is
+    a_k * v + 0.0: a shifted, scaled copy whose -0.0 products read +0.0."""
+    off = a.off + e
+    n = order - off + 1
+    if n <= 0:
+        return _Series(np.zeros(1), order)
+    m = min(a.c.shape[-1], n)
+    out = np.zeros(a.c.shape[:-1] + (n,))
+    out[..., :m] = a.c[..., :m] * v + 0.0
+    return _Series(out, off)
 
 
 def _s_dx(a):
@@ -156,9 +198,17 @@ def _s_sqrt(a, order):
     rel = np.zeros((len(c), 2 * n))
     m = min(c.shape[1] - lead, 2 * n)
     rel[:, :m] = c[:, lead:lead + m]
-    for yr, rr in zip(y, rel):      # np.dot per series keeps its bits
-        for k in range(1, n):
-            yr[k] = (rr[k] - np.dot(yr[1:k], yr[k - 1:0:-1])) / (2.0 * yr[0])
+    # y[k] depends on rel[:k + 1] only, so a row takes row 0's coefficients
+    # below the first index where its rel differs from row 0's in any bit
+    bits = rel[:, :n].view(np.int64)
+    differs = bits != bits[0]
+    start = np.where(differs.any(axis=1), np.argmax(differs, axis=1), n)
+    start[0] = 1                    # row 0 itself is computed in full
+    for yr, rr, k0 in zip(y, rel, np.maximum(start, 1)):
+        yr[1:k0] = y[0, 1:k0]
+        twice_root = 2.0 * yr[0]
+        for k in range(k0, n):      # np.dot per series keeps its bits
+            yr[k] = (rr[k] - np.dot(yr[1:k], yr[k - 1:0:-1])) / twice_root
     return _Series(y.reshape(a.c.shape[:-1] + (n,)), off)
 
 
@@ -166,9 +216,8 @@ def _sigma_series(coeffs, order):
     """sigma, sigma', sigma'' as x-series; derivatives are with respect to t."""
     pad = np.zeros(coeffs.shape[:-1] + (max(0, order - coeffs.shape[-1]),))
     sig = _Series(np.concatenate((coeffs, pad), axis=-1), 1)
-    half_inv_x = _s_mono(0.5, -1, order)
-    d1 = _s_mul(_s_dx(sig), half_inv_x, order)
-    d2 = _s_mul(_s_dx(d1), half_inv_x, order)
+    d1 = _s_mul_mono(_s_dx(sig), 0.5, -1, order)
+    d2 = _s_mul_mono(_s_dx(d1), 0.5, -1, order)
     return sig, d1, d2
 
 
@@ -178,12 +227,11 @@ def _sigma_series(coeffs, order):
 
 def _residual_series(family, par, coeffs, order):
     S, Sp, Spp = _sigma_series(coeffs, order)
-    t = _s_mono(1.0, 2, order)
     one = _s_mono(1.0, 0, order)
-    tSpp = _s_mul(t, Spp, order)
+    tSpp = _s_mul_mono(Spp, 1.0, 2, order)
     lead = _s_mul(tSpp, tSpp, order)
     Sp2 = _s_mul(Sp, Sp, order)
-    tSp = _s_mul(t, Sp, order)
+    tSp = _s_mul_mono(Sp, 1.0, 2, order)
     if family == "jmms":
         A = _s_add(tSp, _s_scale(S, -1.0), order)
         B = _s_add(A, Sp2, order)
@@ -309,34 +357,38 @@ def _third_derivative(family, par, t, s, sp, spp):
 # ---------------------------------------------------------------------------
 # coefficient matching
 
-def _first_action(R, order, j):
-    """First residual order where probed unknown j acts, with its linear and
-    quadratic action there.  R is the batched residual of _probe_rows: row 0
-    the base, rows 1 + 2j and 2 + 2j the probes c = +1 and c = -1."""
-    n = order - R.off + 1
-    R0, Rp, Rm = (R.c[i, :n] for i in (0, 1 + 2 * j, 2 + 2 * j))
-    scale = max(1.0, float(np.max(np.abs(R0))) if len(R0) else 0.0,
-                float(np.max(np.abs(Rp))), float(np.max(np.abs(Rm))))
+def _first_actions(R, order):
+    """Where each probed unknown of a _probe_rows batch first acts, in one
+    pass over the batched residual R: row 0 the base, rows 1 + 2j and 2 + 2j
+    the probes c = +1 and c = -1 of unknown j.
+
+    Returns (nu, beta, alpha): nu[j] is the first residual order where
+    unknown j acts (order + 1 where it acts at none up to order), and
+    beta[j] and alpha[j] are its linear and quadratic action at each order
+    from R.off on."""
+    c = R.c[:, :order - R.off + 1]
+    peak = np.max(np.abs(c), axis=1)
+    # max(1, base peak, probe peaks) per unknown; fmax skips a NaN peak as
+    # Python's max over these four floats does
+    scale = np.fmax(np.fmax(np.fmax(1.0, peak[0]), peak[1::2]), peak[2::2])
+    Rp, Rm = c[1::2], c[2::2]
     beta = (Rp - Rm) / 2.0
-    alpha = (Rp + Rm - 2.0 * R0) / 2.0
-    acts = np.flatnonzero((np.abs(beta) > _ACTION_TOL * scale)
-                          | (np.abs(alpha) > _ACTION_TOL * scale))
-    if len(acts) == 0:
-        return None, 0.0, 0.0
-    i = acts[0]
-    return R.off + int(i), beta[i], alpha[i]
+    alpha = (Rp + Rm - 2.0 * c[0]) / 2.0
+    # fmax: either action above the threshold, even where the other is NaN
+    acts = np.fmax(np.abs(beta), np.abs(alpha)) > (_ACTION_TOL * scale)[:, None]
+    nu = np.where(acts.any(axis=1), R.off + np.argmax(acts, axis=1), order + 1)
+    return nu, beta, alpha
 
 
 def _probe_rows(coeffs, e, order):
     """The base (c_e = 0) and the c = +1/-1 probes of c_e and of the
     _LOOKAHEAD unknowns after it, one row each."""
-    probed = range(e, min(e + _LOOKAHEAD, order) + 1)
-    rows = np.tile(coeffs, (1 + 2 * len(probed), 1))
+    probed = np.arange(min(_LOOKAHEAD, order - e) + 1)
+    rows = np.repeat(coeffs[None], 1 + 2 * len(probed), axis=0)
     rows[:, e - 1] = 0.0
-    for j, u in enumerate(probed):
-        rows[1 + 2 * j, u - 1] = 1.0
-        rows[2 + 2 * j, u - 1] = -1.0
-    return rows, len(probed)
+    rows[1 + 2 * probed, e - 1 + probed] = 1.0
+    rows[2 + 2 * probed, e - 1 + probed] = -1.0
+    return rows
 
 
 def _match_coefficients(family, par, leading, order, pinned):
@@ -356,23 +408,16 @@ def _match_coefficients(family, par, leading, order, pinned):
     for e in range(1, order + 1):
         if e in known:
             continue
-        rows, n_probed = _probe_rows(coeffs, e, order)
-        R = _residual_series(family, par, rows, order)
+        R = _residual_series(family, par, _probe_rows(coeffs, e, order),
+                             order)
         R0 = R.c[0]
-        nu, beta, alpha = _first_action(R, order, 0)
-        if nu is None:
+        nu, beta, alpha = _first_actions(R, order)
+        if nu[0] > order or np.any(nu[1:] <= nu[0]):
+            # no action, or a later unknown acts first
             coeffs[e - 1] = pinned.get(e, 0.0)
             continue
-        collided = False
-        for j in range(1, n_probed):
-            nu2, _, _ = _first_action(R, order, j)
-            if nu2 is not None and nu2 <= nu:
-                collided = True
-                break
-        if collided:
-            coeffs[e - 1] = pinned.get(e, 0.0)
-            continue
-        gamma = R0[nu - R.off]
+        i = nu[0] - R.off
+        gamma, beta, alpha = R0[i], beta[0, i], alpha[0, i]
         if abs(alpha) <= _ACTION_TOL * max(abs(beta), 1.0):
             coeffs[e - 1] = -gamma / beta
         else:

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from spacing_lab import cli, fredholm, painleve, verify
+from spacing_lab import cli, fredholm, montecarlo, painleve, verify
 from spacing_lab.cli import RunConfig, main, write_primes, write_sample, write_tabulate
 
 
@@ -45,13 +45,18 @@ class TestTabulate:
         assert first.getvalue() == second.getvalue()
 
     def test_thread_count_invisible(self, monkeypatch):
+        # tabulate is serial; SPACING_LAB_THREADS sizes sample's process
+        # pool, so three chunks of replicas are drawn in one process, then
+        # in several
+        config = RunConfig(command="sample", n=13, reps=3 * montecarlo.CHUNK,
+                           seed=7)
         monkeypatch.setenv("SPACING_LAB_THREADS", "1")
         serial = io.StringIO()
-        write_tabulate(_tabulate_config(), serial)
+        write_sample(config, serial)
         monkeypatch.setenv("SPACING_LAB_THREADS", "3")
-        threaded = io.StringIO()
-        write_tabulate(_tabulate_config(), threaded)
-        assert serial.getvalue() == threaded.getvalue()
+        pooled = io.StringIO()
+        write_sample(config, pooled)
+        assert serial.getvalue() == pooled.getvalue()
 
     def test_surmise_column(self):
         out = io.StringIO()

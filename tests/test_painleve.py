@@ -382,6 +382,211 @@ class TestSeriesProduct:
         assert got.c.tobytes() == expected.tobytes()
 
 
+    @pytest.mark.parametrize("lead_a,tail_a,lead_b,tail_b", [
+        (3, 2, 0, 0), (0, 0, 4, 5), (2, 7, 3, 1), (9, 0, 0, 9), (12, 0, 0, 0),
+    ])
+    def test_zero_spans_match_loop(self, lead_a, tail_a, lead_b, tail_b):
+        # coefficients zero in every series are skipped; signed zeros and a
+        # factor with no nonzero coefficient within the order included
+        rng = np.random.default_rng(lead_a + 10 * lead_b)
+        a = rng.standard_normal((3, 12)) * 10.0 ** rng.integers(-9, 9, (3, 12))
+        b = rng.standard_normal((3, 10)) * 10.0 ** rng.integers(-9, 9, (3, 10))
+        a[:, :lead_a] = -0.0
+        a[:, a.shape[1] - tail_a:] = 0.0
+        b[:, :lead_b] = 0.0
+        b[:, b.shape[1] - tail_b:] = -0.0
+        for off_a, off_b, order in ((0, 0, 15), (-1, 2, 9), (1, -2, 30)):
+            got = painleve._s_mul(painleve._Series(a, off_a),
+                                  painleve._Series(b, off_b), order)
+            expected = _loop_product(a, b, off_a, off_b, order)
+            assert got.c.tobytes() == expected.tobytes()
+
+    def test_square_matches_loop(self):
+        a = np.array([[0.0, 0.0, 3.0, -1e-9, 2e7, 0.0],
+                      [0.0, 0.0, 3.0, 4e-9, -2e7, 0.0]])
+        series = painleve._Series(a, -1)
+        got = painleve._s_mul(series, series, 6)
+        assert got.c.tobytes() == _loop_product(a, a, -1, -1, 6).tobytes()
+
+
+class TestMonomialProduct:
+    @pytest.mark.parametrize("shape,off,v,e,order", [
+        ((8,), 1, 0.5, -1, 12),        # sigma' from sigma: longer than a
+        ((3, 9), -3, 1.0, 2, 5),       # t sigma'': truncated
+        ((3, 9), 0, -2.5, 0, 4),
+        ((2, 6), -2, 0.5, -1, 1),
+        ((2, 6), 2, 3.0, 4, 5),        # nothing within the order
+    ])
+    def test_bits_match_product_by_monomial(self, shape, off, v, e, order):
+        rng = np.random.default_rng(sum(shape) + order)
+        a = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 12, shape)
+        a[..., 0] = -0.0
+        a[..., 2] = 0.0
+        a[..., 1] = -5e-324             # times 0.5 underflows to -0.0
+        series = painleve._Series(a, off)
+        mono = painleve._s_mono(v, e, order)
+        got = painleve._s_mul_mono(series, v, e, order)
+        for expected in (painleve._s_mul(series, mono, order),
+                         painleve._s_mul(mono, series, order)):
+            assert got.off == expected.off
+            assert got.c.shape == expected.c.shape
+            assert got.c.tobytes() == expected.c.tobytes()
+
+
+def _first_action_loop(R, order, j):
+    # the per-unknown first action of one probe pair, as the matcher
+    # evaluated it before the one-pass version
+    n = order - R.off + 1
+    R0, Rp, Rm = (R.c[i, :n] for i in (0, 1 + 2 * j, 2 + 2 * j))
+    scale = max(1.0, float(np.max(np.abs(R0))) if len(R0) else 0.0,
+                float(np.max(np.abs(Rp))), float(np.max(np.abs(Rm))))
+    beta = (Rp - Rm) / 2.0
+    alpha = (Rp + Rm - 2.0 * R0) / 2.0
+    tol = painleve._ACTION_TOL * scale
+    acts = np.flatnonzero((np.abs(beta) > tol) | (np.abs(alpha) > tol))
+    if len(acts) == 0:
+        return None, 0.0, 0.0
+    i = acts[0]
+    return R.off + int(i), beta[i], alpha[i]
+
+
+def _derivation_batches(eq, params, order=painleve.DEFAULT_ORDER):
+    # (unknown, batched residual) for every unknown of a derivation, rebuilt
+    # from its result: while c_e is matched, the coefficients below e are
+    # final and the rest zero but for the leading data
+    family, par, leading, _ = painleve._equation_setup(eq, params)
+    final = build_problem(eq, params, n_terms=order).x_coefficients
+    for e in range(1, order + 1):
+        if e in leading:
+            continue
+        coeffs = np.zeros(order)
+        coeffs[:e - 1] = final[:e - 1]
+        for k, v in leading.items():
+            coeffs[k - 1] = v
+        rows = painleve._probe_rows(coeffs, e, order)
+        yield e, painleve._residual_series(family, par, rows, order)
+
+
+class TestFirstActions:
+    # unknowns the matcher pins: a later unknown acts first (collision), or
+    # c_e acts at no order within the series
+    PINNED = {
+        (U_TILDE, ()): {5: "collision"},
+        (V_P2, ()): {10: "collision"},
+        (SIGMA_NN, (1.0, 1.0)): {43: "none", 44: "none"},
+        (SIGMA_JMMS, (0.37,)): {},
+    }
+
+    @pytest.mark.parametrize("eq,params", list(PINNED), ids=str)
+    def test_one_pass_equals_loop(self, eq, params):
+        order = painleve.DEFAULT_ORDER
+        pinned = {}
+        for e, R in _derivation_batches(eq, params, order):
+            nu, beta, alpha = painleve._first_actions(R, order)
+            loop = [_first_action_loop(R, order, j) for j in range(len(nu))]
+            for j, (nu_j, beta_j, alpha_j) in enumerate(loop):
+                if nu_j is None:
+                    assert nu[j] == order + 1
+                    continue
+                i = nu_j - R.off
+                assert nu[j] == nu_j
+                assert _bits(beta[j, i]) == _bits(beta_j)
+                assert _bits(alpha[j, i]) == _bits(alpha_j)
+            first = loop[0][0]
+            if first is None:
+                pinned[e] = "none"
+            elif any(n is not None and n <= first for n, _, _ in loop[1:]):
+                pinned[e] = "collision"
+        assert pinned == self.PINNED[(eq, params)]
+
+    @staticmethod
+    def _assert_equals_loop(R, order):
+        nu, beta, alpha = painleve._first_actions(R, order)
+        assert len(nu) == (len(R.c) - 1) // 2
+        for j in range(len(nu)):
+            nu_j, beta_j, alpha_j = _first_action_loop(R, order, j)
+            if nu_j is None:
+                assert nu[j] == order + 1
+                continue
+            assert nu[j] == nu_j
+            assert _bits(beta[j, nu_j - R.off]) == _bits(beta_j)
+            assert _bits(alpha[j, nu_j - R.off]) == _bits(alpha_j)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_thresholds_equal_loop(self, seed):
+        # rows whose peaks lie decades apart, and entries spanning 22
+        # decades, put actions on both sides of each unknown's threshold;
+        # one row, the base for some seeds, holds a NaN
+        rng = np.random.default_rng(seed)
+        c = rng.standard_normal((9, 14)) * 10.0 ** rng.uniform(-16, 6, (9, 14))
+        c *= 10.0 ** rng.uniform(-8, 8, (9, 1))
+        c[:, :2] = 0.0
+        c[seed % 5, 2] = np.nan
+        self._assert_equals_loop(painleve._Series(c, -2), 9)
+
+    def test_action_at_the_threshold_is_none(self):
+        # scale 1, so the threshold is _ACTION_TOL itself: beta equal to it
+        # does not act, beta just above it does
+        c = np.zeros((5, 6))
+        c[0, 1] = painleve._ACTION_TOL
+        c[1, 1] = 2.0 * painleve._ACTION_TOL
+        c[3, 1] = np.nextafter(2.0 * painleve._ACTION_TOL, 1.0)
+        c[4, 1] = 0.0
+        c[1:, 4] = 1.0
+        R = painleve._Series(c, 0)
+        nu, _, _ = painleve._first_actions(R, 5)
+        assert list(nu) == [4, 1]
+        self._assert_equals_loop(R, 5)
+
+
+def _sqrt_loop(c, off, order):
+    # the square-root recurrence run on each series alone
+    lead = int(np.argmax(np.abs(c[0]) > 1e-300))
+    n = order - (off + lead) // 2 + 1
+    out = np.zeros((len(c), n))
+    for y, row in zip(out, c):
+        rel = np.zeros(2 * n)
+        m = min(len(row) - lead, 2 * n)
+        rel[:m] = row[lead:lead + m]
+        y[0] = np.sqrt(rel[0])
+        for k in range(1, n):
+            y[k] = (rel[k] - np.dot(y[1:k], y[k - 1:0:-1])) / (2.0 * y[0])
+    return out
+
+
+class TestSquareRoot:
+    @pytest.mark.parametrize("off,lead,order", [(0, 0, 30), (1, 1, 20),
+                                                (-4, 2, 12)])
+    def test_shared_prefixes_equal_row_loop(self, off, lead, order):
+        # rows differ from row 0 first at different indices: the leading
+        # coefficient, the middle, the last used one, only past the used
+        # ones, nowhere, and by the sign of a zero
+        rng = np.random.default_rng(order)
+        width = 2 * order + 8
+        base = rng.standard_normal(width) * 10.0 ** rng.integers(-6, 6, width)
+        base[:lead] = 0.0
+        base[lead] = 2.5
+        base[lead + 1:lead + 5] = 0.0   # root coefficients 1..4 are +0.0
+        n = order - (off + lead) // 2 + 1
+        rows = [base.copy() for _ in range(8)]
+        rows[1][lead] = 0.7
+        rows[2][lead + 2] = 1.0
+        rows[3][lead + n // 2] = 1.0
+        rows[4][lead + n - 1] += 1.0
+        rows[5][lead + n + 1] = 5.0
+        rows[6][lead + 4] = -0.0        # root coefficient 4 is -0.0
+        rows[7][lead + 3] = 1.0
+        rows[7][lead + 6] = -1.0
+        c = np.array(rows)
+        got = painleve._s_sqrt(painleve._Series(c, off), order)
+        assert got.off == (off + lead) // 2
+        assert got.c.tobytes() == _sqrt_loop(c, off, order).tobytes()
+        # a batch of one, and rows ahead of row 0
+        for batch in (c[3:4], c[::-1]):
+            got = painleve._s_sqrt(painleve._Series(batch, off), order)
+            assert got.c.tobytes() == _sqrt_loop(batch, off, order).tobytes()
+
+
 class TestProblemMemo:
     # SHA-256 of x_coefficients recorded before the derivation was batched
     DIGESTS = [
