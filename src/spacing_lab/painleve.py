@@ -129,7 +129,8 @@ def _s_mul(a, b, order):
     m = min(j1, k1 - i0) - j0
     padded = np.zeros(b.c.shape[:-1] + (na - 1 + nk,))
     padded[..., na - 1:na - 1 + m] = b.c[..., j0:j0 + m]
-    step = padded.strides[-1]       # shifted[..., i, k] = padded[..., na-1-i+k]
+    # shifted[..., i, k] = padded[..., na - 1 - i + k]
+    step = padded.strides[-1]
     shifted = np.ndarray(padded.shape[:-1] + (na, nk), padded.dtype, padded,
                          (na - 1) * step, padded.strides[:-1] + (-step, step))
     out[..., k0:k1] = np.add.reduce(ac[..., None] * shifted, axis=-2,
@@ -375,7 +376,8 @@ def _first_actions(R, order):
     beta = (Rp - Rm) / 2.0
     alpha = (Rp + Rm - 2.0 * c[0]) / 2.0
     # fmax: either action above the threshold, even where the other is NaN
-    acts = np.fmax(np.abs(beta), np.abs(alpha)) > (_ACTION_TOL * scale)[:, None]
+    tol = (_ACTION_TOL * scale)[:, None]
+    acts = np.fmax(np.abs(beta), np.abs(alpha)) > tol
     nu = np.where(acts.any(axis=1), R.off + np.argmax(acts, axis=1), order + 1)
     return nu, beta, alpha
 

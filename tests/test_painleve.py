@@ -639,8 +639,9 @@ class TestProblemMemo:
         coeffs = build_problem(eq, params).x_coefficients
         assert hashlib.sha256(coeffs.tobytes()).hexdigest() == digest
 
-    @pytest.mark.parametrize("eq,params,n_terms,digest", MORE_DIGESTS,
-                             ids=[f"{e}{p}-{n}" for e, p, n, _ in MORE_DIGESTS])
+    @pytest.mark.parametrize(
+        "eq,params,n_terms,digest", MORE_DIGESTS,
+        ids=[f"{e}{p}-{n}" for e, p, n, _ in MORE_DIGESTS])
     def test_more_coefficients_unchanged(self, eq, params, n_terms, digest):
         painleve.clear_cache()
         coeffs = build_problem(eq, params, n_terms=n_terms).x_coefficients
