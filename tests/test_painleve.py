@@ -381,7 +381,6 @@ class TestSeriesProduct:
         expected = _loop_product(a, b, off_a, off_b, order)
         assert got.c.tobytes() == expected.tobytes()
 
-
     @pytest.mark.parametrize("lead_a,tail_a,lead_b,tail_b", [
         (3, 2, 0, 0), (0, 0, 4, 5), (2, 7, 3, 1), (9, 0, 0, 9), (12, 0, 0, 0),
     ])
@@ -450,6 +449,23 @@ def _first_action_loop(R, order, j):
     return R.off + int(i), beta[i], alpha[i]
 
 
+def _assert_first_actions_equal_loop(R, order):
+    # the one pass against the loop for every probed unknown of R; returns
+    # the loop's (nu, beta, alpha) per unknown
+    nu, beta, alpha = painleve._first_actions(R, order)
+    loop = [_first_action_loop(R, order, j)
+            for j in range((len(R.c) - 1) // 2)]
+    assert len(nu) == len(loop)
+    for j, (nu_j, beta_j, alpha_j) in enumerate(loop):
+        if nu_j is None:
+            assert nu[j] == order + 1
+            continue
+        assert nu[j] == nu_j
+        assert _bits(beta[j, nu_j - R.off]) == _bits(beta_j)
+        assert _bits(alpha[j, nu_j - R.off]) == _bits(alpha_j)
+    return loop
+
+
 def _derivation_batches(eq, params, order=painleve.DEFAULT_ORDER):
     # (unknown, batched residual) for every unknown of a derivation, rebuilt
     # from its result: while c_e is matched, the coefficients below e are
@@ -482,35 +498,13 @@ class TestFirstActions:
         order = painleve.DEFAULT_ORDER
         pinned = {}
         for e, R in _derivation_batches(eq, params, order):
-            nu, beta, alpha = painleve._first_actions(R, order)
-            loop = [_first_action_loop(R, order, j) for j in range(len(nu))]
-            for j, (nu_j, beta_j, alpha_j) in enumerate(loop):
-                if nu_j is None:
-                    assert nu[j] == order + 1
-                    continue
-                i = nu_j - R.off
-                assert nu[j] == nu_j
-                assert _bits(beta[j, i]) == _bits(beta_j)
-                assert _bits(alpha[j, i]) == _bits(alpha_j)
+            loop = _assert_first_actions_equal_loop(R, order)
             first = loop[0][0]
             if first is None:
                 pinned[e] = "none"
             elif any(n is not None and n <= first for n, _, _ in loop[1:]):
                 pinned[e] = "collision"
         assert pinned == self.PINNED[(eq, params)]
-
-    @staticmethod
-    def _assert_equals_loop(R, order):
-        nu, beta, alpha = painleve._first_actions(R, order)
-        assert len(nu) == (len(R.c) - 1) // 2
-        for j in range(len(nu)):
-            nu_j, beta_j, alpha_j = _first_action_loop(R, order, j)
-            if nu_j is None:
-                assert nu[j] == order + 1
-                continue
-            assert nu[j] == nu_j
-            assert _bits(beta[j, nu_j - R.off]) == _bits(beta_j)
-            assert _bits(alpha[j, nu_j - R.off]) == _bits(alpha_j)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_thresholds_equal_loop(self, seed):
@@ -522,7 +516,7 @@ class TestFirstActions:
         c *= 10.0 ** rng.uniform(-8, 8, (9, 1))
         c[:, :2] = 0.0
         c[seed % 5, 2] = np.nan
-        self._assert_equals_loop(painleve._Series(c, -2), 9)
+        _assert_first_actions_equal_loop(painleve._Series(c, -2), 9)
 
     def test_action_at_the_threshold_is_none(self):
         # scale 1, so the threshold is _ACTION_TOL itself: beta equal to it
@@ -531,12 +525,11 @@ class TestFirstActions:
         c[0, 1] = painleve._ACTION_TOL
         c[1, 1] = 2.0 * painleve._ACTION_TOL
         c[3, 1] = np.nextafter(2.0 * painleve._ACTION_TOL, 1.0)
-        c[4, 1] = 0.0
         c[1:, 4] = 1.0
         R = painleve._Series(c, 0)
         nu, _, _ = painleve._first_actions(R, 5)
         assert list(nu) == [4, 1]
-        self._assert_equals_loop(R, 5)
+        _assert_first_actions_equal_loop(R, 5)
 
 
 def _sqrt_loop(c, off, order):
