@@ -9,6 +9,8 @@ surmise is the 2x2 guess for the same curves; its accuracy (a couple of
 percent for beta = 1) is what makes it the standard quick reference.
 """
 
+import sys
+
 import numpy as np
 from scipy.integrate import quad
 
@@ -17,6 +19,7 @@ from spacing_lab import (
     p1_gap1,
     p1_spacing1_approx,
     p2_direct,
+    p4_det,
     p4_direct,
     solve_ansatz,
     wigner_surmise,
@@ -68,3 +71,21 @@ print(f"\np1 spacing-1 density: mass = {mass:.9f}, mean = {mean:.9f}")
 worst = max(abs(p1_gap1(float(s)) - p1_spacing1_approx(float(s)))
             for s in np.arange(0.5, 3.51, 0.25))
 print(f"rescaled surmise error on [0.5, 3.5]: {worst:.4f}")
+
+# ------------------------------------------------------------------
+# The determinant route where the density is tiny
+# ------------------------------------------------------------------
+
+# p4 ~ (16 pi^4 / 135) s^4 near s = 0.  The Fredholm density is an exact
+# second derivative of the parity determinants (Jacobi's formula), so it
+# keeps its relative accuracy there; the demo fails if the two routes part.
+print("\ns        p4 (Painleve)          p4 (Fredholm)          relative")
+worst = 0.0
+for s in (0.001, 0.5):
+    painleve_value, fredholm_value = p4_direct(s), p4_det(s)
+    relative = abs(fredholm_value - painleve_value) / abs(painleve_value)
+    worst = max(worst, relative)
+    print(f"{s:<8g} {painleve_value:<22.15g} {fredholm_value:<22.15g} "
+          f"{relative:.2g}")
+if worst > 1e-4:
+    sys.exit(f"p4 routes differ by relative {worst:.3g} > 1e-4")

@@ -161,8 +161,6 @@ def write_tabulate(config: RunConfig, stream):
 
     metadata = _base_metadata(config, _tabulate_command_line(config))
     metadata["det_tol"] = f"{config.det_tol:g}"
-    if config.quantity in ("p0", "p1gap", "p2nn"):
-        metadata["stencil_h"] = f"{fredholm._STENCIL_H:g}"
     table = SpacingTable(s_grid=grid, metadata=metadata)
 
     for method in methods:

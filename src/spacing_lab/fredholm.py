@@ -8,11 +8,23 @@ the ground truth.
 
 The evaluators of s (E2, E1, E4, Enn, En and the spacing densities p1, p2,
 p4, p1(1; s) and the conditioned nearest-neighbour density) take a float
-or an array of s, as points.on_points sets out.  The densities are 5-point
-stencils of the gap probabilities, and each distinct point of a call is
-solved once, so an array gives the floats of a loop of scalar calls.  E2,
-E1, E4 and p1, p2, p4, p1(1; s) take a ``memo`` dict that shares their
+or an array of s, as points.on_points sets out.  Each distinct point of a
+call is solved on its own, so an array gives the floats of a loop of
+scalar calls.  E2, E1 and E4 take a ``memo`` dict that shares their
 determinants between calls (the verify criteria share one).
+
+The densities are exact s-derivatives of determinants by Jacobi's formula:
+the Gauss rule sits on (-1, 1), the matrix A(x) = x sqrt(w_i w_j)
+K(x t_i, x t_j) of the kernel on (-x, x) has closed-form x-derivatives
+(kernels.scaled_jets), and with R = (1 - A)^-1,
+
+    D' = -D tr(R A'),   D'' = D [(tr R A')^2 - tr(R A'') - tr(R A' R A')],
+
+where for the parity kernels A' is rank one and D'' = -D tr(R A'').  Each
+point costs one inverse per rule: it doubles its own rule until D and its
+derivatives settle, or raises NumericError.  The densities take no memo.
+_stencil, a 5-point difference of determinants, stays for the verify
+criteria that compare against one.
 """
 
 from __future__ import annotations
@@ -28,8 +40,8 @@ from . import kernels
 from .csvio import write_csv
 from .errors import ArgumentError, NumericError, UnsupportedError
 from .points import on_points
-from .quadrature import (FredholmSpectrum, Interval, nystrom_spectrum,
-                         rule_interval)
+from .quadrature import (FredholmSpectrum, Interval, gauss_legendre,
+                         nystrom_spectrum, rule_interval)
 
 log = logging.getLogger(__name__)
 
@@ -233,39 +245,102 @@ def en_bulk_det(s, n: int, tol: float = _DET_TOL):
         for x in v.tolist()]))
 
 
-# Spacing densities as 5-point stencils (step _STENCIL_H) of the gap
-# probabilities above; each is exactly 0 at s = 0.
+# Spacing densities from exact s-derivatives of determinants (Jacobi's
+# formula); each is exactly 0 at s = 0.
 
-def p1_det(s, tol: float = _DET_TOL, memo=None):
-    """p1(0; s) = d^2/ds^2 D_plus(s/2)."""
-    return on_points(s, 0.0, lambda v: _stencil(
-        lambda u: e1_bulk_det(u / 2.0, tol, memo), v, 2))
+def _det_jet(kernel_spec, x: float, n: int, order: int) -> np.ndarray:
+    """(D, D', D'')[:order + 1] in x of D(x) = det(1 - K) on (-x, x), on the
+    n-node rule put on (-1, 1).
+
+    With A the weighted matrix of x K(x t_i, x t_j) and R = (1 - A)^-1,
+    D' = -D tr(R A') and D'' = D [(tr R A')^2 - tr(R A'') - tr(R A' R A')].
+    """
+    rule = gauss_legendre(n, Interval(-1.0, 1.0))
+    sw = np.sqrt(rule.weights)
+    a, *derivs = [sw[:, None] * m * sw[None, :]
+                  for m in kernels.scaled_jets(kernel_spec, rule.nodes, x,
+                                               order)]
+    m = np.eye(n) - a
+    det = np.linalg.det(m)
+    r = np.linalg.inv(m)
+    # R and the A^(k) are symmetric, so tr(R A^(k)) sums their product.
+    # The A' that kernels.scaled_jets gives at order 2 is rank one, where
+    # (tr R A')^2 = tr(R A' R A') cancels exactly, so D'' = -D tr(R A'').
+    return np.array([det, *(-det * np.sum(r * d) for d in derivs)])
 
 
-def p2_det(s, tol: float = _DET_TOL, memo=None):
-    """p2(0; s) = d^2/ds^2 E2(0; s)."""
-    return on_points(s, 0.0, lambda v: _stencil(
-        lambda u: e2_bulk_det(u, tol=tol, memo=memo), v, 2))
+def _det_jets(kernel_spec, half: np.ndarray, order: int,
+              tol: float) -> np.ndarray:
+    """Rows _det_jet(kernel_spec, x, n, order) at each x of a 1-D array.
+
+    Each point doubles its own rule from 16 + ceil(2 length) nodes, as
+    _converged_spectrum does, until every entry of its row moves by at most
+    tol, so a row never depends on the other points of the call.  No rule
+    exceeds _MAX_NODES.
+    """
+    rows = {}
+    for x in half.tolist():
+        if x in rows:
+            continue
+        n = min(16 + math.ceil(2.0 * Interval(-x, x).length), _MAX_NODES)
+        prev = _det_jet(kernel_spec, x, n, order)
+        while True:
+            if n >= _MAX_NODES:
+                raise NumericError(
+                    "determinant derivatives did not converge under node "
+                    "doubling", context={"kernel": kernel_spec, "x": x})
+            n = min(2 * n, _MAX_NODES)
+            cur = _det_jet(kernel_spec, x, n, order)
+            if np.max(np.abs(cur - prev)) <= tol:
+                break
+            prev = cur
+        rows[x] = cur
+    return np.array([rows[x] for x in half.tolist()]).reshape(-1, order + 1)
 
 
-def p4_det(s, tol: float = _DET_TOL, memo=None):
-    """p4(0; s) = d^2/ds^2 E4(0; s)."""
-    return on_points(s, 0.0, lambda v: _stencil(
-        lambda u: e4_bulk_det(u, tol, memo), v, 2))
+def _parity_jets(half: np.ndarray, tol: float):
+    """(D, D', D'') of the even and of the odd sine kernel on (-x, x), each
+    a tuple of arrays over the x of a 1-D array."""
+    return (tuple(_det_jets(kernels.sine_even(), half, 2, tol).T),
+            tuple(_det_jets(kernels.sine_odd(), half, 2, tol).T))
 
 
-def p1_gap1_det(s, tol: float = _DET_TOL, memo=None):
+def p1_det(s, tol: float = _DET_TOL):
+    """p1(0; s) = d^2/ds^2 D_plus(s/2) = D_plus''(s/2) / 4."""
+    return on_points(s, 0.0, lambda v: 0.25 * _det_jets(
+        kernels.sine_even(), v / 2.0, 2, tol)[:, 2])
+
+
+def p2_det(s, tol: float = _DET_TOL):
+    """p2(0; s) = d^2/ds^2 E2(0; s), with E2(0; s) = D_plus D_minus (s/2)."""
+    def density(v):
+        (dp, dp1, dp2), (dm, dm1, dm2) = _parity_jets(v / 2.0, tol)
+        return 0.25 * (dp2 * dm + 2.0 * dp1 * dm1 + dp * dm2)
+    return on_points(s, 0.0, density)
+
+
+def p4_det(s, tol: float = _DET_TOL):
+    """p4(0; s) = d^2/ds^2 E4(0; s) = (D_plus'' + D_minus'')(s) / 2."""
+    def density(v):
+        (_, _, dp2), (_, _, dm2) = _parity_jets(v, tol)
+        return 0.5 * (dp2 + dm2)
+    return on_points(s, 0.0, density)
+
+
+def p1_gap1_det(s, tol: float = _DET_TOL):
     """Next-nearest beta=1 density p1(1; s) = d^2/ds^2 [2 E1(0;s) + E1(1;s)],
     the second derivative of D_plus(s/2) + D_minus(s/2) = 2 E4(0; s/2)."""
-    return on_points(s, 0.0, lambda v: _stencil(
-        lambda u: 2.0 * e4_bulk_det(u / 2.0, tol, memo), v, 2))
+    def density(v):
+        (_, _, dp2), (_, _, dm2) = _parity_jets(v / 2.0, tol)
+        return 0.25 * (dp2 + dm2)
+    return on_points(s, 0.0, density)
 
 
 def p2_nn_det(s, tol: float = _DET_TOL):
     """Nearest-neighbour density about a conditioned eigenvalue, -d/ds of
     enn_det."""
-    return on_points(s, 0.0, lambda v: -_stencil(
-        lambda u: enn_det(u, tol=tol), v, 1))
+    return on_points(s, 0.0, lambda v: -_det_jets(
+        kernels.spectrum_singularity(1.0), v, 1, tol)[:, 1])
 
 
 def rho_k_bulk(points) -> float:
@@ -302,39 +377,32 @@ def _second_derivative(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-# (offsets, weights) of the 5-point point stencils by derivative order:
-# centred, then one-sided forward
+# (offsets, weights) of the centred 5-point stencils by derivative order
 _STENCILS = {
-    1: (((-2, -1, 1, 2), (1, -8, 8, -1)),
-        ((0, 1, 2, 3, 4), (-25, 48, -36, 16, -3))),
-    2: (((-2, -1, 0, 1, 2), (-1, 16, -30, 16, -1)),
-        ((0, 1, 2, 3, 4), (35, -104, 114, -56, 11))),
+    1: ((-2, -1, 1, 2), (1, -8, 8, -1)),
+    2: ((-2, -1, 0, 1, 2), (-1, 16, -30, 16, -1)),
 }
 
 
 def _stencil(profile, s: np.ndarray, order: int,
              h: float = _STENCIL_H) -> np.ndarray:
-    """5-point derivative of the given order of profile at each s of a 1-D
-    array: centred where s >= 2h, one-sided forward below, so that profile
-    is never asked for a negative argument.
+    """Centred 5-point derivative of the given order of profile at each s
+    >= 2h of a 1-D array, so that profile is never asked for a negative
+    argument.
 
     ``profile`` maps an array of arguments to their values and is called
-    once, on every point either branch needs.  Each result is the weighted
-    sum taken term by term from the left, over 12 h or 12 h h.
+    once, on every point.  Each result is the weighted sum taken term by
+    term from the left, over 12 h or 12 h h.
     """
-    centred = s >= 2.0 * h
-    rows = (centred, ~centred)
-    points = [s[r, None] + np.array(offsets) * h
-              for r, (offsets, _) in zip(rows, _STENCILS[order])]
-    values = profile(np.concatenate([p.ravel() for p in points]))
-    out = np.empty_like(s)
-    for r, p, (_, weights) in zip(rows, points, _STENCILS[order]):
-        v, values = values[:p.size].reshape(p.shape), values[p.size:]
-        total = weights[0] * v[:, 0]
-        for j, w in enumerate(weights[1:], 1):
-            total = total + w * v[:, j]
-        out[r] = total / (12 * h * h if order == 2 else 12 * h)
-    return out
+    if (s < 2.0 * h).any():
+        raise ArgumentError(f"stencil points need s >= {2.0 * h:g}")
+    offsets, weights = _STENCILS[order]
+    points = s[:, None] + np.array(offsets) * h
+    v = profile(points.ravel()).reshape(points.shape)
+    total = weights[0] * v[:, 0]
+    for j, w in enumerate(weights[1:], 1):
+        total = total + w * v[:, j]
+    return total / (12 * h * h if order == 2 else 12 * h)
 
 
 @dataclass

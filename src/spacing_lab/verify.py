@@ -128,14 +128,17 @@ def check_density_stencils():
     tol = 1e-4
     grid = np.arange(0.2, 2.01, 0.2)
     routes = {
-        "p1": (painleve.p1_direct, fredholm.p1_det),
-        "p2": (painleve.p2_direct, fredholm.p2_det),
-        "p4": (painleve.p4_direct, fredholm.p4_det),
+        "p1": (painleve.p1_direct,
+               lambda u: fredholm.e1_bulk_det(u / 2.0, memo=_DETS)),
+        "p2": (painleve.p2_direct,
+               lambda u: fredholm.e2_bulk_det(u, memo=_DETS)),
+        "p4": (painleve.p4_direct,
+               lambda u: fredholm.e4_bulk_det(u, memo=_DETS)),
     }
     worst = {}
-    for name, (direct, stencil) in routes.items():
-        worst[name] = float(np.max(np.abs(direct(grid)
-                                          - stencil(grid, memo=_DETS))))
+    for name, (direct, profile) in routes.items():
+        worst[name] = float(np.max(np.abs(
+            direct(grid) - fredholm._stencil(profile, grid, 2))))
     ok = all(v <= tol for v in worst.values())
     return ok, {k: _fmt(v) for k, v in worst.items()} | {"tol": tol}
 
@@ -152,10 +155,10 @@ def check_surmise_accuracy():
 
 @_criterion("spacing1-identity")
 def check_spacing1_identity():
-    """p4(0;s) = 2 p1(1;2s) with p1(1;.) from determinantal gap profiles."""
+    """p4(0;s) = 2 p1(1;2s) with p1(1;.) from the parity determinants."""
     tol = 5e-4
     grid = np.array([0.4, 0.7, 1.0])
-    det_p1_gap1 = fredholm.p1_gap1_det(2.0 * grid, memo=_DETS)
+    det_p1_gap1 = fredholm.p1_gap1_det(2.0 * grid)
     worst = float(np.max(np.abs(painleve.p4_direct(grid) - 2.0 * det_p1_gap1)))
     return worst <= tol, {"worst": _fmt(worst), "tol": tol}
 

@@ -90,6 +90,18 @@ class TestTabulate:
                                     f"{quantity}_painleve|"))
         assert float(line.rsplit("relative ", 1)[1]) < 1e-6
 
+    def test_p4_relative_deviation_at_small_s(self, capsys):
+        # p4 ~ s^4 reaches 1.15e-11 at s = 0.001, far below the roundoff
+        # of a stencil of determinants (which read relative 0.994 here)
+        argv = ["tabulate", "--quantity", "p0", "--beta", "4", "--method",
+                "all", "--s-max", "0.01", "--s-step", "0.001"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert "stencil_h" not in captured.out
+        line = next(l for l in captured.err.splitlines()
+                    if l.startswith("max |p0_fredholm - p0_painleve|"))
+        assert float(line.rsplit("relative ", 1)[1]) < 1e-3
+
     def test_grid_validation(self):
         with pytest.raises(Exception):
             write_tabulate(_tabulate_config(s_step=0.0), io.StringIO())
@@ -203,10 +215,11 @@ class TestPainleveDigests:
 
 
 class TestFredholmDigests:
-    """SHA-256 of the s > 0 data rows of each Fredholm column, recorded
-    before the determinant evaluators took arrays: on a coarse grid, and
-    on one whose first points take the stencils' one-sided branch
-    (s < 2h)."""
+    """SHA-256 of the s > 0 data rows of each Fredholm column: on a coarse
+    grid, and on one of small s (below 2e-3 the old point stencils were
+    one-sided).  The gap columns were recorded before the determinant
+    evaluators took arrays; the density columns (p0, p1gap, p2nn) when
+    they became exact s-derivatives by Jacobi's formula."""
 
     GRIDS = {"coarse": ("0", "3", "0.25"), "one-sided": ("0", "0.01", "0.001")}
 
@@ -225,20 +238,20 @@ class TestFredholmDigests:
          "c6b5bf616bbd48d279322a418025db83c565a37d109322a2016d0fc7b52d15f4",
          "7099848de8bddafa3e8142b2ddcdede68394f803fc64096c59eb2e2dc25ce7dc"),
         (("p0", "--beta", "1"),
-         "4ad60cea4e36ea779449fa05d93e3b0ab5907f5464b56c3ee32745c52f9c6206",
-         "03dd67a89b57520940aff0768303845397cec84fd1726ab5fbc9e35c8ae040d8"),
+         "d71bf3503abc5699a2401c6481af780a47c3b94241871d44989ac6851b7846a3",
+         "02e63700f4940d762f9c107fed1bc0684b42fbae9b2e3d52371400591c4a709e"),
         (("p0", "--beta", "2"),
-         "ca49a5de9f08083c5c43308b06df2632236a9c8a53a45e8f477128939daab59e",
-         "ed6c3fdb72a769eb7e9e055ea8a18c63d2537dafe588bf134f408884cbca18a2"),
+         "3360964fe0269b73f987ca4f0f1ea158d90dd05aaae99e0ec7079ddb8c2c9658",
+         "d9b24fbf05b4995fa92080acb8bba112e90200ef6fed1d2352f3c5319d6a96e6"),
         (("p0", "--beta", "4"),
-         "65a53ed64505b5e0988d464ef1c1802f91e1675db2c43d2f6bdf33209eff85c8",
-         "fe07ed7365c247725c1bfdc68321be0d0ae50a6bd83eff12f554d1480ef25e3b"),
+         "a440e8cf46113a0e84a7e53d55b5eaf9378658a0ec5b87973a1263896c01ee2c",
+         "e8be6f33fa0bd567a141f2015c862c0b62f9e6fa8875f383f377628287a9f201"),
         (("p1gap",),
-         "f9794c2758aa1be6a3d42aeccac319a45ed0b748ebe87afde22182fee670bb25",
-         "d0bfb26254522af589b29c6b8b99ced5ba79d642ec868cabc31e84ec85606e16"),
+         "05f41a0f05374313826ebaa3b8b776b352b0c37628d1f823e936caf649b247c6",
+         "377ad787c0ea2f79208864039060073b9445f3b5e6db17ca16ffec487b6429bc"),
         (("p2nn",),
-         "1bdd039c2b3033743a8185e818755d1d3b8c0f578d9bba919e19fdb95a579c61",
-         "941c730b8a52b6681d9ccd7d24396e7bcb9845879a4f0023a6b7c4e5140ac14f"),
+         "f5230d45d6ecde9e256906287ec6edc1f84c8f514976667847ef78fd67dd8eb4",
+         "4aa093d5dde7005c46cfff9c11b52cc48070c3049fe4e1e080d0c7a2fa855662"),
         (("En", "--n", "0"),
          "5bbdf62e9b2741f3da36491cdabd4998d0b161b8d1b9532f68cede806bf638a1",
          "2eeb69607b57ad7983828969f25938bd6ec52745358d6f4853497c1483be3107"),

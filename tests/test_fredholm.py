@@ -16,8 +16,8 @@ from spacing_lab import (
     gauss_legendre,
     painleve,
 )
-from spacing_lab.kernels import (hard_edge_bessel, sine_bulk, sine_even,
-                                 sine_odd, spectrum_singularity)
+from spacing_lab.kernels import (hard_edge_bessel, scaled_jets, sine_bulk,
+                                 sine_even, sine_odd, spectrum_singularity)
 from spacing_lab.quadrature import FredholmSpectrum, nystrom_spectrum
 
 
@@ -305,9 +305,14 @@ class TestDeterminantMemo:
     def test_shared_memo_keeps_values_and_solves_each_interval_once(
             self, monkeypatch):
         grid = np.array([0.4, 0.8])
-        alone = fredholm.p1_det(grid), fredholm.e1_bulk_det(grid / 2.0)
+
+        def p1_stencil(memo):
+            return fredholm._stencil(
+                lambda u: fredholm.e1_bulk_det(u / 2, memo=memo), grid, 2)
+
+        alone = p1_stencil(None), fredholm.e1_bulk_det(grid / 2.0)
         memo = {}
-        p1 = fredholm.p1_det(grid, memo=memo)
+        p1 = p1_stencil(memo)
         solved = []
         original = fredholm._converged_spectrum
         monkeypatch.setattr(fredholm, "_converged_spectrum",
@@ -316,6 +321,81 @@ class TestDeterminantMemo:
         e1 = fredholm.e1_bulk_det(grid / 2.0, memo=memo)
         assert solved == []
         assert [p1.tolist(), e1.tolist()] == [a.tolist() for a in alone]
+
+
+class TestStencil:
+    def test_points_below_two_steps_rejected(self):
+        # only the centred stencil is kept, which would ask the profile
+        # for a negative argument there
+        with pytest.raises(ArgumentError):
+            fredholm._stencil(fredholm.e4_bulk_det, np.array([0.5, 0.0015]),
+                              2)
+
+
+# (Jacobi-formula density, its Painleve evaluator, the gap profile whose
+# stencil derivative it is, the derivative order)
+_DENSITIES = {
+    "p1": (fredholm.p1_det, painleve.p1_direct,
+           lambda u: fredholm.e1_bulk_det(u / 2.0), 2),
+    "p2": (fredholm.p2_det, painleve.p2_direct, fredholm.e2_bulk_det, 2),
+    "p4": (fredholm.p4_det, painleve.p4_direct, fredholm.e4_bulk_det, 2),
+    "p1gap": (fredholm.p1_gap1_det, painleve.p1_gap1,
+              lambda u: 2.0 * fredholm.e4_bulk_det(u / 2.0), 2),
+    "p2nn": (fredholm.p2_nn_det, painleve.p2_nn,
+             lambda u: -fredholm.enn_det(u), 1),
+}
+
+
+class TestJacobiDensities:
+    @pytest.mark.parametrize("s", [0.001, 0.003])
+    @pytest.mark.parametrize("name", ["p1", "p2", "p4", "p1gap"])
+    def test_small_s_relative_accuracy(self, name, s):
+        # p4 ~ s^4 and p1(1; s) ~ s^4 sit far below the 1e-9 roundoff
+        # that a stencil of determinants leaves
+        density, direct, _, _ = _DENSITIES[name]
+        if name == "p1gap" and s == 0.001:
+            # the Painleve p1(1; s) adds p1_direct, whose s <= 1e-3 branch
+            # is the bare pi^2 s / 6 (off by 1.6e-9 here), to a cancelling
+            # D_minus'' term; the reference is p1(1; s) = p4(0; s/2) / 2
+            # with p4 = (16 pi^4 / 135) s^4 (1 + O(s^2))
+            expected = math.pi ** 4 * s ** 4 / 270.0
+        else:
+            expected = direct(s)
+        assert density(s) == pytest.approx(expected, rel=1e-4)
+
+    @pytest.mark.parametrize("name", list(_DENSITIES))
+    def test_agrees_with_stencil_of_gap_profile(self, name):
+        density, _, profile, order = _DENSITIES[name]
+        grid = np.arange(0.2, 2.001, 0.2)
+        stencil = fredholm._stencil(profile, grid, order)
+        assert np.max(np.abs(density(grid) - stencil)) <= 5e-9
+
+    def test_doubling_that_cannot_converge_raises(self, monkeypatch):
+        # (-3, 3) starts at 16 + 12 nodes, beyond a cap of 20
+        monkeypatch.setattr(fredholm, "_MAX_NODES", 20)
+        with pytest.raises(NumericError):
+            fredholm.p4_det(3.0)
+
+    @pytest.mark.parametrize("kernel", [sine_even(), sine_odd()],
+                             ids=lambda k: k.variant)
+    @pytest.mark.parametrize("x", [0.3, 1.5])
+    def test_second_derivative_is_full_jacobi_formula(self, kernel, x):
+        # D'' = D [(tr R A')^2 - tr(R A'') - tr(R A' R A')], written out
+        # here without the rank-one reduction the evaluator uses
+        n = 40
+        rule = gauss_legendre(n, Interval(-1.0, 1.0))
+        sw = np.sqrt(rule.weights)
+        a, a1, a2 = [sw[:, None] * m * sw[None, :]
+                     for m in scaled_jets(kernel, rule.nodes, x, 2)]
+        r = np.linalg.inv(np.eye(n) - a)
+        det = np.linalg.det(np.eye(n) - a)
+        ra1 = r @ a1
+        full = det * (np.trace(ra1) ** 2 - np.trace(r @ a2)
+                      - np.trace(ra1 @ ra1))
+        jet = fredholm._det_jet(kernel, x, n, 2)
+        assert jet[0] == pytest.approx(det, abs=1e-15)
+        assert jet[1] == pytest.approx(-det * np.trace(ra1), abs=1e-14)
+        assert jet[2] == pytest.approx(full, abs=1e-13)
 
 
 class TestRhoK:

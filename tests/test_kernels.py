@@ -13,6 +13,7 @@ from spacing_lab.kernels import (
     hard_edge_bessel,
     hard_edge_diagonal,
     kernel_matrix,
+    scaled_jets,
     sine_bulk,
     sine_even,
     sine_odd,
@@ -155,3 +156,62 @@ def test_kernel_matrix_matches_pointwise():
         for j, y in enumerate(nodes):
             assert matrix[i, j] == pytest.approx(evaluate(sine_even(), x, y),
                                                  abs=1e-15)
+
+
+# kernels with closed-form s-derivatives, with the highest order given
+JET_SPECS = [(sine_even(), 2), (sine_odd(), 2), (spectrum_singularity(1.0), 1)]
+
+
+class TestScaledJets:
+    NODES = np.array([-0.9, -0.3, 0.0, 0.3, 0.55, 0.9])
+
+    @pytest.mark.parametrize("spec, order", JET_SPECS,
+                             ids=lambda v: getattr(v, "variant", v))
+    @pytest.mark.parametrize("s", [0.02, 0.7, 3.0])
+    def test_value_is_scaled_kernel_matrix(self, spec, order, s):
+        jet = scaled_jets(spec, self.NODES, s, order)
+        assert len(jet) == order + 1
+        np.testing.assert_allclose(
+            jet[0], s * kernel_matrix(spec, s * self.NODES), rtol=0,
+            atol=1e-15)
+
+    @pytest.mark.parametrize("spec, order", JET_SPECS,
+                             ids=lambda v: getattr(v, "variant", v))
+    @pytest.mark.parametrize("s", [0.02, 0.7, 3.0])
+    def test_derivatives_against_central_differences(self, spec, order, s):
+        # a central difference with h = 1e-5 is off by h^2 |f'''| / 6, and
+        # f''' reaches (2 pi)^3 on these nodes: at most 4e-9
+        h = 1e-5
+        jet = scaled_jets(spec, self.NODES, s, order)
+        up = scaled_jets(spec, self.NODES, s + h, order)
+        down = scaled_jets(spec, self.NODES, s - h, order)
+        for k in range(1, order + 1):
+            np.testing.assert_allclose(
+                jet[k], (up[k - 1] - down[k - 1]) / (2.0 * h), rtol=0,
+                atol=1e-8)
+
+    @pytest.mark.parametrize("spec", [sine_even(), sine_odd()],
+                             ids=lambda k: k.variant)
+    def test_parity_first_derivative_is_rank_one(self, spec):
+        # cos(a - b) +/- cos(a + b) is 2 cos a cos b or 2 sin a sin b
+        s = 1.3
+        a = np.pi * s * self.NODES
+        factor = np.cos(a) if spec == sine_even() else np.sin(a)
+        np.testing.assert_allclose(
+            scaled_jets(spec, self.NODES, s, 1)[1], np.outer(factor, factor),
+            rtol=0, atol=1e-15)
+
+    def test_cos_minus_sinc_branches_agree_at_switch(self):
+        from spacing_lab import kernels
+        z = kernels._COS_MINUS_SINC_SWITCH
+        taylor = kernels._cos_minus_sinc(np.array([z * (1 - 1e-12)]))[0]
+        direct = kernels._cos_minus_sinc(np.array([z]))[0]
+        assert taylor == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize("spec, order", [
+        (sine_bulk(), 0), (hard_edge_bessel(0.5), 0),
+        (spectrum_singularity(0.0), 0), (spectrum_singularity(1.0), 2),
+        (sine_even(), 3)])
+    def test_unsupported(self, spec, order):
+        with pytest.raises(UnsupportedError):
+            scaled_jets(spec, self.NODES, 1.0, order)
