@@ -17,10 +17,13 @@ at t = 0 and adaptive integration beyond it.  Three layers:
    square root lets each probe share the base's leading coefficients; all
    of it gives the bits a probe-by-probe derivation gives.  Derived
    problems are memoised until clear_cache().
-2. integration: the equation is differentiated once, making it linear in
-   sigma''', and integrated as a third-order system from t_switch with the
-   log-integral accumulated as a fourth component.  The ORIGINAL quadratic
-   equation is monitored as a defect at accepted steps.
+2. integration: every family reads (t sigma'')^2 + G(A, sigma') = 0 with
+   A = t sigma' - sigma and states G once, run on series (the residual),
+   float arrays (the defect) and complex numbers: sigma''' = -sigma''/t -
+   (t G_A + G_sigma')/(2 t^2) takes its directional derivative by a
+   complex step.  The third-order system is integrated from t_switch with
+   the log-integral accumulated as a fourth component.  The ORIGINAL
+   quadratic equation is monitored as a defect at accepted steps.
 3. evaluators: E and p compositions with frozen argument calibrations
    (upper limit pi*s for the bulk two-point gap, 2*pi*s for the conditioned
    nearest-neighbour gap, the hard-edge variable used as is).  Each takes a
@@ -31,6 +34,7 @@ at t = 0 and adaptive integration beyond it.  Three layers:
 
 from __future__ import annotations
 
+import cmath
 import math
 import threading
 from dataclasses import dataclass, field
@@ -62,6 +66,7 @@ _TOL_SAFETY = 100.0     # internal solver tolerance = tol / _TOL_SAFETY
 _MIN_SOLVER_TOL = 1e-13
 _ACTION_TOL = 1e-10     # smallest linearized action considered nonzero
 _LOOKAHEAD = 6          # collision window for resonance detection
+_STEP = 1e-30           # complex step of sigma'''; its h^2 is negligible
 
 
 # ---------------------------------------------------------------------------
@@ -223,136 +228,134 @@ def _sigma_series(coeffs, order):
 
 
 # ---------------------------------------------------------------------------
-# equation families: residual as a series, residual at a point, and the
-# differentiated (sigma'''-explicit) right-hand side
+# equation families: (t sigma'')^2 + G(A, sigma') = 0 with A = t sigma' -
+# sigma, each G stated once in (sigma, t sigma', sigma') as groups of terms.
+# The series residual adds the terms one at a time in the order written (the
+# derived coefficients' bits depend on it); the defect's scale is the largest
+# of 1, the lead and each group.
+
+class _Truncated:
+    """A _Series with its truncation order, so that + - * and _root act on
+    it; a float operand is the constant series."""
+
+    __slots__ = ("s", "order")
+
+    def __init__(self, s, order):
+        self.s = s
+        self.order = order
+
+    def _series(self, v):
+        return v.s if isinstance(v, _Truncated) else _s_mono(v, 0, self.order)
+
+    def _new(self, s):
+        return _Truncated(s, self.order)
+
+    def __add__(self, v):
+        return self._new(_s_add(self.s, self._series(v), self.order))
+
+    def __sub__(self, v):
+        return self + -self._new(self._series(v))
+
+    def __rsub__(self, v):
+        return self._new(self._series(v)) + -self
+
+    def __neg__(self):
+        return self._new(_s_scale(self.s, -1.0))
+
+    def __mul__(self, v):
+        if isinstance(v, _Truncated):
+            return self._new(_s_mul(self.s, v.s, self.order))
+        return self._new(_s_scale(self.s, v))
+
+    __rmul__ = __mul__
+
+
+def _root(w):
+    """Square root; on floats and complex steps it reads 0, with a zero
+    derivative, where w <= 0."""
+    if isinstance(w, _Truncated):
+        return w._new(_s_sqrt(w.s, w.order))
+    if isinstance(w, complex):
+        return cmath.sqrt(w) if w.real > 0.0 else 0j
+    return np.sqrt(np.maximum(w, 0.0))
+
+
+def _g_jmms(par, s, tsp, sp):
+    A = tsp - s
+    return ((4.0 * (A * (A + sp * sp)),),)
+
+
+def _g_hard(par, s, tsp, sp):
+    a, mu = par
+    return ((-(mu + a) ** 2 * (sp * sp),),
+            (-(sp * (4.0 * sp + 1.0) * (s - tsp)),),
+            (-mu * (mu + a) / 2.0 * sp, -mu * mu / 16.0))
+
+
+def _g_nn(par, s, tsp, sp):
+    a = par[0]
+    w = a * a - tsp + s
+    if a == 0.0:
+        shifted2 = w                          # (a - sqrt(w))^2 = w
+    else:
+        shifted = a - _root(w)
+        shifted2 = shifted * shifted
+    return ((4.0 * (-w * (sp * sp - shifted2)),),)
+
+
+def _g_utilde(par, s, tsp, sp):
+    sp2 = sp * sp
+    return ((-((4.0 * sp2 - sp) * (tsp - s)),),
+            (-9.0 / 4.0 * sp2, 1.5 * sp, -0.25))
+
+
+def _g_vtilde(par, s, tsp, sp):
+    sp2 = sp * sp
+    return ((-25.0 / 4.0 * sp2, (sp - 4.0 * sp2) * (tsp - s)),
+            (2.5 * sp, -0.25))
+
+
+def _g_p2v(par, s, tsp, sp):
+    A = s - tsp
+    sp2 = sp * sp
+    return ((A * (A + 4.0 - 4.0 * sp2), -16.0 * sp2),)
+
+
+_G = {"jmms": _g_jmms, "hard": _g_hard, "nn": _g_nn, "utilde": _g_utilde,
+      "vtilde": _g_vtilde, "p2v": _g_p2v}
+
 
 def _residual_series(family, par, coeffs, order):
     S, Sp, Spp = _sigma_series(coeffs, order)
-    one = _s_mono(1.0, 0, order)
     tSpp = _s_mul_mono(Spp, 1.0, 2, order)
-    lead = _s_mul(tSpp, tSpp, order)
-    Sp2 = _s_mul(Sp, Sp, order)
+    r = _Truncated(_s_mul(tSpp, tSpp, order), order)
     tSp = _s_mul_mono(Sp, 1.0, 2, order)
-    if family == "jmms":
-        A = _s_add(tSp, _s_scale(S, -1.0), order)
-        B = _s_add(A, Sp2, order)
-        return _s_add(lead, _s_scale(_s_mul(A, B, order), 4.0), order)
-    if family == "hard":
-        a, mu = par
-        r = _s_add(lead, _s_scale(Sp2, -(mu + a) ** 2), order)
-        s_minus_tsp = _s_add(S, _s_scale(tSp, -1.0), order)
-        f = _s_mul(Sp, _s_add(_s_scale(Sp, 4.0), one, order), order)
-        r = _s_add(r, _s_scale(_s_mul(f, s_minus_tsp, order), -1.0), order)
-        r = _s_add(r, _s_scale(Sp, -mu * (mu + a) / 2.0), order)
-        return _s_add(r, _s_mono(-mu * mu / 16.0, 0, order), order)
-    if family == "nn":
-        a = par[0]
-        w = _s_add(_s_add(_s_mono(a * a, 0, order),
-                          _s_scale(tSp, -1.0), order), S, order)
-        if a == 0.0:
-            shifted2 = w                      # (a - sqrt(w))^2 = w
-        else:
-            shifted = _s_add(_s_mono(a, 0, order),
-                             _s_scale(_s_sqrt(w, order), -1.0), order)
-            shifted2 = _s_mul(shifted, shifted, order)
-        inner = _s_add(Sp2, _s_scale(shifted2, -1.0), order)
-        return _s_add(lead, _s_scale(_s_mul(_s_scale(w, -1.0), inner, order),
-                                     4.0), order)
-    if family == "utilde":
-        r = _s_add(lead, _s_scale(
-            _s_mul(_s_add(_s_scale(Sp2, 4.0), _s_scale(Sp, -1.0), order),
-                   _s_add(tSp, _s_scale(S, -1.0), order), order), -1.0), order)
-        r = _s_add(r, _s_scale(Sp2, -9.0 / 4.0), order)
-        r = _s_add(r, _s_scale(Sp, 1.5), order)
-        return _s_add(r, _s_mono(-0.25, 0, order), order)
-    if family == "vtilde":
-        r = _s_add(lead, _s_scale(Sp2, -25.0 / 4.0), order)
-        r = _s_add(r, _s_mul(_s_add(Sp, _s_scale(Sp2, -4.0), order),
-                             _s_add(tSp, _s_scale(S, -1.0), order), order),
-                   order)
-        r = _s_add(r, _s_scale(Sp, 2.5), order)
-        return _s_add(r, _s_mono(-0.25, 0, order), order)
-    if family == "p2v":
-        A = _s_add(S, _s_scale(tSp, -1.0), order)
-        B = _s_add(_s_add(A, _s_mono(4.0, 0, order), order),
-                   _s_scale(Sp2, -4.0), order)
-        r = _s_add(lead, _s_mul(A, B, order), order)
-        return _s_add(r, _s_scale(Sp2, -16.0), order)
-    raise ArgumentError(f"unknown equation family {family!r}")
+    for group in _G[family](par, *(_Truncated(v, order)
+                                   for v in (S, tSp, Sp))):
+        for term in group:
+            r = r + term
+    return r.s
 
 
 def _residual_terms(family, par, t, s, sp, spp):
     """(residual, scale) of the undifferentiated equation; vectorized."""
-    lead = (t * spp) ** 2
-    if family == "jmms":
-        A = t * sp - s
-        term = 4.0 * A * (A + sp * sp)
-        return lead + term, np.maximum(1.0, np.maximum(np.abs(lead),
-                                                       np.abs(term)))
-    if family == "hard":
-        a, mu = par
-        t1 = -(mu + a) ** 2 * sp ** 2
-        t2 = -sp * (4.0 * sp + 1.0) * (s - t * sp)
-        t3 = -mu * (mu + a) / 2.0 * sp - mu * mu / 16.0
-        scale = np.maximum(1.0, np.max(np.abs(np.stack(
-            np.broadcast_arrays(lead, t1, t2, t3))), axis=0))
-        return lead + t1 + t2 + t3, scale
-    if family == "nn":
-        a = par[0]
-        w = a * a - t * sp + s
-        wc = np.maximum(w, 0.0)
-        term = -4.0 * w * (sp ** 2 - (a - np.sqrt(wc)) ** 2)
-        return lead + term, np.maximum(1.0, np.maximum(np.abs(lead),
-                                                       np.abs(term)))
-    if family == "utilde":
-        t1 = -(4.0 * sp ** 2 - sp) * (t * sp - s)
-        t2 = -2.25 * sp ** 2 + 1.5 * sp - 0.25
-        scale = np.maximum(1.0, np.max(np.abs(np.stack(
-            np.broadcast_arrays(lead, t1, t2))), axis=0))
-        return lead + t1 + t2, scale
-    if family == "vtilde":
-        t1 = -6.25 * sp ** 2 + (sp - 4.0 * sp ** 2) * (t * sp - s)
-        t2 = 2.5 * sp - 0.25
-        scale = np.maximum(1.0, np.max(np.abs(np.stack(
-            np.broadcast_arrays(lead, t1, t2))), axis=0))
-        return lead + t1 + t2, scale
-    if family == "p2v":
-        A = s - t * sp
-        term = A * (A + 4.0 - 4.0 * sp ** 2) - 16.0 * sp ** 2
-        return lead + term, np.maximum(1.0, np.maximum(np.abs(lead),
-                                                       np.abs(term)))
-    raise ArgumentError(f"unknown equation family {family!r}")
+    parts = [(t * spp) ** 2]
+    parts += [sum(group) for group in _G[family](par, s, t * sp, sp)]
+    scale = np.max(np.abs(np.stack(np.broadcast_arrays(1.0, *parts))), axis=0)
+    return sum(parts), scale
 
 
 def _third_derivative(family, par, t, s, sp, spp):
-    """sigma''' from d/dt of the equation, with sigma'' divided out."""
-    if family == "jmms":
-        A = t * sp - s
-        return -spp / t - 2.0 * (A + sp * sp) / t - 2.0 * A * (t + 2.0 * sp) / (t * t)
-    if family == "hard":
-        a, mu = par
-        brk = (2.0 * (mu + a) ** 2 * sp + (8.0 * sp + 1.0) * (s - t * sp)
-               - t * (4.0 * sp ** 2 + sp) + mu * (mu + a) / 2.0)
-        return -spp / t + brk / (2.0 * t * t)
-    if family == "nn":
-        a = par[0]
-        w = max(a * a - t * sp + s, 0.0)
-        root = math.sqrt(w)
-        return (-spp / t - (2.0 / t) * (sp * sp - (a - root) ** 2)
-                + 4.0 * w * sp / (t * t) - (2.0 / t) * root * (a - root))
-    if family == "utilde":
-        brk = ((8.0 * sp - 1.0) * (t * sp - s) + t * (4.0 * sp ** 2 - sp)
-               + 4.5 * sp - 1.5)
-        return -spp / t + brk / (2.0 * t * t)
-    if family == "vtilde":
-        brk = (12.5 * sp - (1.0 - 8.0 * sp) * (t * sp - s)
-               - t * (sp - 4.0 * sp ** 2) - 2.5)
-        return -spp / t + brk / (2.0 * t * t)
-    if family == "p2v":
-        A = s - t * sp
-        return (-2.0 * t * spp + t * (2.0 * A + 4.0 - 4.0 * sp ** 2)
-                + 8.0 * A * sp + 32.0 * sp) / (2.0 * t * t)
-    raise ArgumentError(f"unknown equation family {family!r}")
+    """sigma''' = -sigma''/t - (t G_A + G_sigma')/(2 t^2), from d/dt of the
+    equation with sigma'' divided out.  The directional derivative is
+    Im G / h with A stepped by i h t and sigma' by i h, t sigma' held real:
+    a complex step, free of cancellation."""
+    dg = 0.0
+    for group in _G[family](par, complex(s, -_STEP * t), t * sp,
+                            complex(sp, _STEP)):
+        for term in group:
+            dg += term.imag
+    return -spp / t - dg / (2.0 * _STEP * t * t)
 
 
 # ---------------------------------------------------------------------------
@@ -513,9 +516,16 @@ class PainleveProblem:
 
     equation_id: str
     params: tuple
-    series: tuple              # ((exponent in t as Fraction, coefficient), ...)
     t_switch: float
     x_coefficients: np.ndarray = field(compare=False, repr=False)  # read-only
+    _family: str = field(compare=False, repr=False)
+    _par: tuple = field(compare=False, repr=False)
+
+    @property
+    def series(self):
+        """((exponent in t as Fraction, coefficient), ...), nonzero terms."""
+        return tuple((Fraction(k, 2), float(c))
+                     for k, c in enumerate(self.x_coefficients, 1) if c != 0.0)
 
     def series_value(self, t, deriv=0):
         """Series sigma (deriv 0..2) or int_0^t sigma/tau dtau (deriv=-1).
@@ -577,11 +587,9 @@ def _derive_problem(equation_id, params, t_switch, n_terms):
         coeffs = _match_coefficients(family, par, leading, n_terms, pinned)
         _check_tail(coeffs, t_switch)
     coeffs.setflags(write=False)
-    series = tuple((Fraction(k, 2), float(coeffs[k - 1]))
-                   for k in range(1, n_terms + 1) if coeffs[k - 1] != 0.0)
     return PainleveProblem(equation_id=equation_id, params=params,
-                           series=series, t_switch=float(t_switch),
-                           x_coefficients=coeffs)
+                           t_switch=float(t_switch), x_coefficients=coeffs,
+                           _family=family, _par=par)
 
 
 def _check_tail(coeffs, t_switch):
@@ -589,7 +597,7 @@ def _check_tail(coeffs, t_switch):
     k = np.arange(1, len(coeffs) + 1, dtype=float)
     terms = np.abs(coeffs) * x ** k
     nz = np.nonzero(terms > 0.0)[0]
-    if len(nz) == 0:
+    if len(nz) < 2:             # a lone leading term has no tail
         return
     if terms[nz[-1]] > 1e-12 * terms[nz[0]]:
         raise DerivationError(
@@ -608,8 +616,8 @@ def extend_series(problem: PainleveProblem, n_terms: int):
 def series_residual(problem: PainleveProblem, t=None) -> float:
     """Relative defect of the truncated series in its own equation at t."""
     t = problem.t_switch if t is None else float(t)
-    family, par, _, _ = _equation_setup(problem.equation_id, problem.params)
-    r, scale = _residual_terms(family, par, t, problem.series_value(t, 0),
+    r, scale = _residual_terms(problem._family, problem._par, t,
+                               problem.series_value(t, 0),
                                problem.series_value(t, 1),
                                problem.series_value(t, 2))
     return float(abs(r) / scale)
@@ -683,10 +691,10 @@ def integrate(problem: PainleveProblem, t_max: float,
     ts = problem.t_switch
     if t_max <= ts:
         raise ArgumentError(f"t_max={t_max} must exceed t_switch={ts}")
-    family, par, _, _ = _equation_setup(problem.equation_id, problem.params)
+    family, par = problem._family, problem._par
     y0 = [problem.series_value(ts, 0), problem.series_value(ts, 1),
           problem.series_value(ts, 2), problem.series_value(ts, -1)]
-    if all(c == 0.0 for _, c in problem.series):       # sigma == 0 trajectory
+    if not problem.x_coefficients.any():                # sigma == 0 trajectory
         grid = np.array([ts, t_max])
         zeros = np.zeros(2)
         return PainleveSolution(problem=problem, grid=grid, sigma=zeros,
@@ -695,9 +703,9 @@ def integrate(problem: PainleveProblem, t_max: float,
                                 _dense=lambda t: np.zeros((4,) + np.shape(t)))
 
     def rhs(t, y):
-        return [y[1], y[2],
-                _third_derivative(family, par, t, y[0], y[1], y[2]),
-                y[0] / t]
+        t = float(t)
+        s, sp, spp, _ = y.tolist()
+        return [sp, spp, _third_derivative(family, par, t, s, sp, spp), s / t]
 
     solver_tol = max(tol / _TOL_SAFETY, _MIN_SOLVER_TOL)
     sol = solve_ivp(rhs, (ts, t_max), y0, method="DOP853",
@@ -724,23 +732,22 @@ def integrate(problem: PainleveProblem, t_max: float,
 # ---------------------------------------------------------------------------
 # shared trajectory cache
 
-def _solution(equation_id, params, t_needed, tol=DEFAULT_TOL,
-              t_switch=DEFAULT_T_SWITCH) -> PainleveSolution:
-    key = (equation_id, tuple(float(p) for p in params), t_switch, tol)
+def _solution(equation_id, params, t_needed) -> PainleveSolution:
+    key = (equation_id, tuple(float(p) for p in params))
     with _cache_lock:
         sol = _solutions.get(key)
         if sol is None or sol.t_max < t_needed:
             problem = (sol.problem if sol is not None
-                       else build_problem(equation_id, params, t_switch))
+                       else build_problem(equation_id, params))
             t_max = max(4.0, 1.25 * float(t_needed),
                         2.0 * sol.t_max if sol is not None else 0.0)
             try:
-                sol = integrate(problem, t_max, tol)
-            except StiffnessError:
+                sol = integrate(problem, t_max)
+            except (StiffnessError, ConsistencyError):
                 # geometric growth amortizes repeated extensions, but it can
-                # overshoot into a region the solver cannot cross; retry with
-                # the smallest horizon that still serves this request
-                sol = integrate(problem, 1.02 * float(t_needed), tol)
+                # overshoot to where the solver or the defect check fails;
+                # retry with the smallest horizon that serves this request
+                sol = integrate(problem, 1.02 * float(t_needed))
             _solutions[key] = sol
         return sol
 
@@ -841,21 +848,12 @@ def p2_nn(s):
 
 
 def p1_direct(s):
-    """Spacing density p1(0; s) via its dedicated transcendent.
-
-    (2 u((pi s / 2)^2) / s) * exp(-int); the small-s branch (s <= 1e-3) is
-    the exact limit forced by the leading series term t/3.
-    """
+    """Spacing density p1(0; s) = (2 u(T) / s) exp(-int_0^T u/t dt) with
+    T = (pi s / 2)^2 and u the U_TILDE transcendent."""
     def density(v):
-        out = math.pi ** 2 * v / 6.0
-        far = v > 1e-3
-        if far.any():
-            w = v[far]
-            T = _squared(math.pi * w / 2.0)
-            sol = _trajectory(U_TILDE, (), T)
-            out[far] = (2.0 * sol.sigma_at(T) / w
-                        * _exp(-sol.log_integral_at(T)))
-        return out
+        T = _squared(math.pi * v / 2.0)
+        sol = _trajectory(U_TILDE, (), T)
+        return 2.0 * sol.sigma_at(T) / v * _exp(-sol.log_integral_at(T))
 
     return on_points(s, 0.0, density)
 

@@ -153,7 +153,9 @@ class TestPrimes:
 class TestGoldenDigests:
     """SHA-256 of the data rows (the '#' metadata carries library versions)
     of CSVs recorded before the sampler and sieve were batched; the sample
-    digests also cover the exact and surmise overlay columns."""
+    digests also cover the exact and surmise overlay columns, and were
+    re-recorded when the Painleve trajectories behind the exact column
+    moved in their last bits."""
 
     @staticmethod
     def _data_digest(argv, tmp_path):
@@ -164,8 +166,8 @@ class TestGoldenDigests:
         return hashlib.sha256(rows.encode()).hexdigest()
 
     @pytest.mark.parametrize("order, digest", [
-        ("0", "86cd602beadffa8bda00c71ed6cdb4ecfb22da227d0ae8783331bfbb24ff59f0"),
-        ("1", "fc551c88d4f3c42bfa3f9ce30536d0f542564a118b4be33dd4aa2074eeb3027e"),
+        ("0", "3c7738bd0ca25c9015b31834eae3fd676100957e5070b80fc6e71651862abb95"),
+        ("1", "0b191b67e7a1069c2b5c333b3a2e68284dc4bc160bd4473c269dbd3474566513"),
     ], ids=["order0", "order1"])
     def test_sample(self, tmp_path, order, digest):
         painleve.clear_cache()
@@ -182,28 +184,31 @@ class TestGoldenDigests:
 
 class TestPainleveDigests:
     """SHA-256 of the data rows of each Painleve column on the dense grid,
-    recorded (from a cold solution cache) before the evaluators took
-    arrays; the column is now one array call per grid."""
+    from a cold solution cache, one array call per grid.  Re-recorded when
+    the third derivative became the complex-step derivative of each
+    family's one G, which moved the trajectories in their last bits, and
+    p1 at s <= 1e-3 came from the series layer instead of its leading
+    term."""
 
     @pytest.mark.parametrize("quantity, extra, s_max, digest", [
         ("E2", (), "4.0",
-         "0edea89d6bd60552c44f0e6c3b51ffa3ec378e4d4e4f5c0aefa89f5c94d8e284"),
+         "7fc354f02ee790e15e5b2f4145328fe517706c39ad735850c517105f2c56d668"),
         ("E1", (), "4.0",
-         "81ca6917574bd02eb833e5f24349fd9bfc59c7ec68df4c945126c41a773b8034"),
+         "38cdea6c085a8730a12797f6c54755779328ce885681f7f741235e392fb7e111"),
         ("E4", (), "4.0",
-         "df368ede6948becfbf5504c83f433e4c33eed4de31cceec4f010f9baecca197f"),
+         "f250efa9e5e5b519d5b158d4c39c74ff6ea2fabda337b1d336d6ad46bbdac718"),
         ("Enn", (), "4.0",
-         "4981b37d1b7c4578285edf9edb0448b9a94f20e584111b174361bbd678f6bcde"),
+         "f4142774e1a08a179fe7cc9a34f2f6c2dc000c77ca77a05e60174a9ab03e7733"),
         ("p0", ("--beta", "1"), "4.0",
-         "1e7314311d9917babd74569021b871bf8a9bf15be3e3e58a90bf787f275e6c23"),
+         "24c2e026036d2653416dba76bf150a316959f5466e050d465079a931bb1727f4"),
         ("p0", ("--beta", "2"), "4.0",
-         "620e65949bbebef54ed67ab0622bde8f94d95ec0e34f05fa78c03b8cfb1cd77e"),
+         "ce390187a7223fba84b8d8676ccfee6ebd0b094b6025c834b3c9d2b0d2509fa5"),
         ("p0", ("--beta", "4"), "4.0",
-         "8eaecb022e365a9c2eeb6e997beac2e66538fbc267feb8f0dc721d8a6209b4cf"),
+         "32c2bf6ab4c748874bae06d823e4feb584384f324ed8bd0ed271bead0d411a6f"),
         ("p1gap", (), "6.0",
-         "caaf369debfdb30f9c36a0fb68ba8190676f7dd8e156c77c0f8de87da8494aec"),
+         "97d808966ab87e1d9d1ba65279755bf42d7ae28df460794dc29fbc6f6754b4c3"),
         ("p2nn", (), "4.0",
-         "22e118d7629639b52f09a275f3c704bb158932fe0b88ce47a135c631a233747b"),
+         "c53765c6ed7725324bd874d2293dc665154849f3664aef42b0189fe543697b5e"),
     ], ids=["E2", "E1", "E4", "Enn", "p0-beta1", "p0-beta2", "p0-beta4",
             "p1gap", "p2nn"])
     def test_tabulate(self, tmp_path, quantity, extra, s_max, digest):

@@ -266,7 +266,7 @@ EVALUATORS = [
     ("p1_gap1", painleve.p1_gap1),
     ("p2_nn", painleve.p2_nn),
 ]
-# s = 0, the p1 small-s branch (s <= 1e-3), and points on both sides of
+# s = 0, points down to 1e-4, and points on both sides of
 # t_switch = 0.1 for every argument map (pi s, 2 pi s, (pi s)^2,
 # (pi s / 2)^2, s), unsorted and with a repeat
 IDS = [name for name, _ in EVALUATORS]
@@ -651,3 +651,176 @@ class TestProblemMemo:
         again = build_problem(U_TILDE)
         assert again is not problem
         assert np.array_equal(again.x_coefficients, problem.x_coefficients)
+
+
+# the hand-written sigma''' and defect of every family, as the route used
+# them before each equation was stated once; references for the generic code
+
+def _reference_residual_terms(family, par, t, s, sp, spp):
+    lead = (t * spp) ** 2
+    if family == "jmms":
+        A = t * sp - s
+        term = 4.0 * A * (A + sp * sp)
+        return lead + term, np.maximum(1.0, np.maximum(np.abs(lead),
+                                                       np.abs(term)))
+    if family == "hard":
+        a, mu = par
+        t1 = -(mu + a) ** 2 * sp ** 2
+        t2 = -sp * (4.0 * sp + 1.0) * (s - t * sp)
+        t3 = -mu * (mu + a) / 2.0 * sp - mu * mu / 16.0
+        scale = np.maximum(1.0, np.max(np.abs(np.stack(
+            np.broadcast_arrays(lead, t1, t2, t3))), axis=0))
+        return lead + t1 + t2 + t3, scale
+    if family == "nn":
+        a = par[0]
+        w = a * a - t * sp + s
+        wc = np.maximum(w, 0.0)
+        term = -4.0 * w * (sp ** 2 - (a - np.sqrt(wc)) ** 2)
+        return lead + term, np.maximum(1.0, np.maximum(np.abs(lead),
+                                                       np.abs(term)))
+    if family == "utilde":
+        t1 = -(4.0 * sp ** 2 - sp) * (t * sp - s)
+        t2 = -2.25 * sp ** 2 + 1.5 * sp - 0.25
+        scale = np.maximum(1.0, np.max(np.abs(np.stack(
+            np.broadcast_arrays(lead, t1, t2))), axis=0))
+        return lead + t1 + t2, scale
+    if family == "vtilde":
+        t1 = -6.25 * sp ** 2 + (sp - 4.0 * sp ** 2) * (t * sp - s)
+        t2 = 2.5 * sp - 0.25
+        scale = np.maximum(1.0, np.max(np.abs(np.stack(
+            np.broadcast_arrays(lead, t1, t2))), axis=0))
+        return lead + t1 + t2, scale
+    assert family == "p2v"
+    A = s - t * sp
+    term = A * (A + 4.0 - 4.0 * sp ** 2) - 16.0 * sp ** 2
+    return lead + term, np.maximum(1.0, np.maximum(np.abs(lead),
+                                                   np.abs(term)))
+
+
+def _reference_third_derivative(family, par, t, s, sp, spp):
+    if family == "jmms":
+        A = t * sp - s
+        return (-spp / t - 2.0 * (A + sp * sp) / t
+                - 2.0 * A * (t + 2.0 * sp) / (t * t))
+    if family == "hard":
+        a, mu = par
+        brk = (2.0 * (mu + a) ** 2 * sp + (8.0 * sp + 1.0) * (s - t * sp)
+               - t * (4.0 * sp ** 2 + sp) + mu * (mu + a) / 2.0)
+        return -spp / t + brk / (2.0 * t * t)
+    if family == "nn":
+        a = par[0]
+        w = max(a * a - t * sp + s, 0.0)
+        root = math.sqrt(w)
+        return (-spp / t - (2.0 / t) * (sp * sp - (a - root) ** 2)
+                + 4.0 * w * sp / (t * t) - (2.0 / t) * root * (a - root))
+    if family == "utilde":
+        brk = ((8.0 * sp - 1.0) * (t * sp - s) + t * (4.0 * sp ** 2 - sp)
+               + 4.5 * sp - 1.5)
+        return -spp / t + brk / (2.0 * t * t)
+    if family == "vtilde":
+        brk = (12.5 * sp - (1.0 - 8.0 * sp) * (t * sp - s)
+               - t * (sp - 4.0 * sp ** 2) - 2.5)
+        return -spp / t + brk / (2.0 * t * t)
+    assert family == "p2v"
+    A = s - t * sp
+    return (-2.0 * t * spp + t * (2.0 * A + 4.0 - 4.0 * sp ** 2)
+            + 8.0 * A * sp + 32.0 * sp) / (2.0 * t * t)
+
+
+class TestGenericEquation:
+    # every canonical (equation, params) pair, and small xi where the states
+    # are small and the complex step's h^2 must stay negligible
+    PROBLEMS = [(eq, params) for eq, params, _ in TestProblemMemo.DIGESTS] + [
+        (SIGMA_JMMS, (0.05,)), (SIGMA_HARD, (-0.5, 0.05)),
+        (SIGMA_HARD, (0.5, 0.05)), (SIGMA_NN, (0.0, 0.05)),
+        (SIGMA_NN, (1.0, 0.05)),
+    ]
+
+    @pytest.mark.parametrize("eq,params", PROBLEMS, ids=str)
+    def test_agrees_with_hand_written_forms(self, eq, params):
+        problem = build_problem(eq, params)
+        family, par = problem._family, problem._par
+        solution = integrate(problem, 12.0)
+        ts = np.linspace(problem.t_switch, 12.0, 150)
+        states = np.array([solution._state(ts, k) for k in range(3)])
+        for t, (s, sp, spp) in zip(ts.tolist(), states.T.tolist()):
+            got = painleve._third_derivative(family, par, t, s, sp, spp)
+            ref = _reference_third_derivative(family, par, t, s, sp, spp)
+            larger = max(abs(spp / t), abs(ref + spp / t))
+            assert abs(got - ref) <= 1e-11 * larger
+        got_r, got_scale = painleve._residual_terms(family, par, ts, *states)
+        ref_r, ref_scale = _reference_residual_terms(family, par, ts, *states)
+        assert np.all(np.abs(got_scale - ref_scale) <= 1e-11 * ref_scale)
+        assert np.all(np.abs(got_r - ref_r) <= 1e-11 * ref_scale)
+
+    @pytest.mark.parametrize("family,par", [
+        ("jmms", ()), ("hard", (-0.5, 0.0)), ("hard", (0.5, 2.0)),
+        ("nn", (0.0,)), ("nn", (1.0,)), ("utilde", ()), ("vtilde", ()),
+        ("p2v", ()),
+    ], ids=str)
+    def test_defect_scale_at_arbitrary_states(self, family, par):
+        # states of mixed sizes and signs, off any trajectory, make the
+        # groups of G cancel each other, so the scale shows the grouping
+        rng = np.random.default_rng(len(family) + len(par))
+        t = rng.uniform(0.1, 50.0, 400)
+        s, sp, spp = (rng.standard_normal(400) * 10.0 ** rng.uniform(-3, 3, 400)
+                      for _ in range(3))
+        if par == (0.0,):
+            # at a = 0 the square root drops out, (a - sqrt(w))^2 = w, which
+            # holds for w >= 0, as on every trajectory of that family
+            s = np.where(s - t * sp < 0.0, 2.0 * t * sp - s, s)
+        got_r, got_scale = painleve._residual_terms(family, par, t, s, sp, spp)
+        ref_r, ref_scale = _reference_residual_terms(family, par, t, s, sp,
+                                                     spp)
+        assert np.all(np.abs(got_scale - ref_scale) <= 1e-12 * ref_scale)
+        assert np.all(np.abs(got_r - ref_r) <= 1e-12 * ref_scale)
+
+    def test_square_root_clamped(self):
+        # the conditioned-origin square root reads 0 where w <= 0, with a
+        # zero derivative on a complex step
+        got = painleve._root(np.array([-1.0, 0.0, 4.0]))
+        assert got.tolist() == [0.0, 0.0, 2.0]
+        assert painleve._root(complex(-1e-3, 1e-30)) == 0j
+        assert painleve._root(complex(4.0, 1e-30)).imag == pytest.approx(
+            0.25e-30, rel=1e-15)
+
+
+class TestSmallArguments:
+    @pytest.mark.parametrize("painleve_fn,det_fn", [
+        (painleve.p1_direct, fredholm.p1_det),
+        (painleve.p1_gap1, fredholm.p1_gap1_det),
+        (painleve.p4_direct, fredholm.p4_det),
+    ], ids=["p1", "p1_gap1", "p4"])
+    def test_densities_match_jacobi_route(self, painleve_fn, det_fn):
+        # p1(1; s) ~ s^4 and p4 ~ s^4 cancel a p1 term against D''_-, so
+        # every digit of p1's series layer shows in their relative accuracy
+        for s in (5e-4, 1e-3):
+            assert painleve_fn(s) == pytest.approx(det_fn(s), rel=1e-5)
+
+    def test_one_term_series_at_tiny_xi(self):
+        # at xi = 1e-8 the derived series is its leading term alone
+        s = np.linspace(0.5, 3.0, 6)
+        tiny = painleve.e2_bulk(s, xi=1e-8)
+        assert np.all(np.abs(tiny - fredholm.e2_bulk_det(s, xi=1e-8)) <= 1e-12)
+        # at a = 0 the conditioned-origin form is the translation form
+        assert np.all(np.abs(painleve.enn_generating(s / 2.0, 0.0, 1e-8)
+                             - tiny) <= 1e-12)
+
+    def test_extension_retries_after_defect(self, monkeypatch):
+        # doubling the SIGMA_NN horizon past t = 44 trips the defect check;
+        # the extension then integrates to just past the request instead
+        painleve.clear_cache()
+        cold = painleve.p2_nn(4.0)
+        painleve.clear_cache()
+        painleve.p2_nn(3.0)
+        horizons = []
+        original = painleve.integrate
+
+        def recorded(problem, t_max, *args):
+            horizons.append(t_max)
+            return original(problem, t_max, *args)
+
+        monkeypatch.setattr(painleve, "integrate", recorded)
+        warm = painleve.p2_nn(4.0)
+        assert len(horizons) == 2 and horizons[0] > 44.0
+        assert warm == pytest.approx(cold, rel=1e-12)
