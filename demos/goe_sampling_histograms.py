@@ -14,11 +14,11 @@ import numpy as np
 from spacing_lab import (
     Interval,
     build_histogram,
-    central_spacing,
+    central_spacings,
     chi_square_test,
     p1_direct,
     sample_ensemble,
-    unfold,
+    unfold_spectra,
     wigner_surmise,
 )
 
@@ -26,9 +26,8 @@ RANK = 13
 REPS = 2000
 SEED = 42
 
-samples = sample_ensemble(RANK, REPS, seed=SEED)
-spacings = np.concatenate([central_spacing(unfold(s), order=0)
-                           for s in samples])
+spectra = sample_ensemble(RANK, REPS, seed=SEED)    # one spectrum per row
+spacings = central_spacings(unfold_spectra(spectra), order=0).ravel()
 print(f"{REPS} spectra of rank {RANK}, {spacings.size} central spacings")
 print(f"mean spacing: {spacings.mean():.4f}  (unfolding targets 1)")
 
@@ -57,6 +56,5 @@ for k in range(4, 17, 3):
 # ------------------------------------------------------------------
 
 again = sample_ensemble(RANK, REPS, seed=SEED, workers=4)
-identical = all(np.array_equal(a.raw, b.raw)
-                for a, b in zip(samples, again))
+identical = np.array_equal(spectra, again)
 print(f"\nre-run with 4 workers reproduces every spectrum: {identical}")

@@ -193,10 +193,10 @@ def write_sample(config: RunConfig, stream):
             f"got {config.n}")
     if config.order not in (0, 1):
         raise ArgumentError(f"--order must be 0 or 1, got {config.order}")
-    samples = montecarlo.sample_ensemble(config.n, config.reps, config.seed,
+    spectra = montecarlo.sample_ensemble(config.n, config.reps, config.seed,
                                          workers=_pool_size(config))
-    stack = montecarlo.unfold(montecarlo.SpectrumSample(
-        n=config.n, raw=np.stack([s.raw for s in samples])))
+    stack = montecarlo.unfold(montecarlo.SpectrumSample(n=config.n,
+                                                        raw=spectra))
     spacings = montecarlo.central_spacing(stack, config.order).ravel()
     width = config.bin_width if config.bin_width is not None else 0.1
     hist = montecarlo.build_histogram(
@@ -257,7 +257,7 @@ def write_zeros(config: RunConfig, stream):
         stats, lambda s: 1.0 - np.exp(-2.0 * s))
     centers = hist.centers
     overlays = {
-        "exact": [painleve.p2_nn(float(c)) for c in centers],
+        "exact": painleve.p2_nn(centers),
         "poisson": sequences.poisson_nn_density(centers),
     }
     metadata = _base_metadata(config, (

@@ -169,7 +169,7 @@ def _draw_forked(n: int, reps: int, seed: int, n_chunks: int,
 
 
 def sample_ensemble(n: int, reps: int, seed: int, workers: int | None = None):
-    """reps independent spectra; each ``raw`` is a row of one (reps, n) array.
+    """reps independent spectra, the ascending rows of a (reps, n) array.
 
     Replicas are grouped in fixed chunks of CHUNK, each chunk drawing from
     its own counter-based stream keyed by (seed, chunk index) into its own
@@ -187,7 +187,7 @@ def sample_ensemble(n: int, reps: int, seed: int, workers: int | None = None):
         spectra = _draw_forked(n, reps, seed, n_chunks, processes)
     else:
         spectra = _draw_chunks(n, reps, seed, 0, n_chunks)
-    return [SpectrumSample(n=n, raw=row) for row in spectra]
+    return spectra
 
 
 def semicircle_density(x, n: int):

@@ -21,9 +21,9 @@ at t = 0 and adaptive integration beyond it.  Three layers:
    A = t sigma' - sigma and states G once, run on series (the residual),
    float arrays (the defect) and complex numbers: sigma''' = -sigma''/t -
    (t G_A + G_sigma')/(2 t^2) takes its directional derivative by a
-   complex step.  The third-order system is integrated from t_switch with
-   the log-integral accumulated as a fourth component.  The ORIGINAL
-   quadratic equation is monitored as a defect at accepted steps.
+   complex step.  The third-order system, with the log-integral as a fourth
+   component, is stepped on from t_switch as far as requests need, and the
+   ORIGINAL quadratic equation is monitored as a defect at accepted steps.
 3. evaluators: E and p compositions with frozen argument calibrations
    (upper limit pi*s for the bulk two-point gap, 2*pi*s for the conditioned
    nearest-neighbour gap, the hard-edge variable used as is).  Each takes a
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, OdeSolution
 
 from .errors import (ArgumentError, ConsistencyError, DerivationError,
                      StiffnessError, UnsupportedError)
@@ -67,6 +67,7 @@ _MIN_SOLVER_TOL = 1e-13
 _ACTION_TOL = 1e-10     # smallest linearized action considered nonzero
 _LOOKAHEAD = 6          # collision window for resonance detection
 _STEP = 1e-30           # complex step of sigma'''; its h^2 is negligible
+_T_BOUND = 1e6          # the stepper's bound, past any request
 
 
 # ---------------------------------------------------------------------------
@@ -551,9 +552,8 @@ class PainleveProblem:
         return float(values) if values.ndim == 0 else values
 
 
-# derived problems and integrated trajectories, shared by every caller
-# (immutable values; the lock is reentrant because _solution holds it while
-# it builds a problem)
+# derived problems and trajectories, shared by every caller and extended in
+# place under the lock (reentrant: _solution builds problems holding it)
 _cache_lock = threading.RLock()
 _problems: dict = {}
 _solutions: dict = {}
@@ -617,27 +617,58 @@ def series_residual(problem: PainleveProblem, t=None) -> float:
     """Relative defect of the truncated series in its own equation at t."""
     t = problem.t_switch if t is None else float(t)
     r, scale = _residual_terms(problem._family, problem._par, t,
-                               problem.series_value(t, 0),
-                               problem.series_value(t, 1),
-                               problem.series_value(t, 2))
+                               *(problem.series_value(t, d) for d in range(3)))
     return float(abs(r) / scale)
 
 
 _SERIES_DERIV = {0: 0, 1: 1, 2: 2, 3: -1}    # state component -> deriv
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class PainleveSolution:
-    """Dense trajectory of (sigma, sigma', sigma'', int sigma/t dt)."""
+    """Dense (sigma, sigma', sigma'', int sigma/t dt) on [t_switch, t_max]."""
 
     problem: PainleveProblem
     grid: np.ndarray
-    sigma: np.ndarray
-    sigma_prime: np.ndarray
-    log_integral_grid: np.ndarray
-    t_max: float
     tol: float
-    _dense: object = field(compare=False, repr=False)
+    _stepper: object = field(repr=False)
+    _pieces: list = field(default_factory=list, repr=False)
+    _dense: object = field(default=None, repr=False)
+
+    @property
+    def t_max(self):
+        return float(self._dense.t_max)
+
+    def _extend(self, t_needed):
+        """Step on to the first accepted step at or past t_needed, under
+        integrate's defect bound, with the steps a cold integration takes;
+        a failure raises and leaves grid and dense output as they were."""
+        if t_needed > _T_BOUND:
+            raise ArgumentError(f"t={t_needed} beyond the bound {_T_BOUND:g}")
+        stepper, problem = self._stepper, self.problem
+        steps = []
+        while stepper.t < t_needed:
+            message = stepper.step()
+            if stepper.status == "failed":
+                raise StiffnessError(
+                    f"integrator failed for {problem.equation_id} "
+                    f"{problem.params} at t={stepper.t:.6g}: {message}")
+            steps.append((stepper.t, stepper.y, stepper.dense_output()))
+        ts, ys, pieces = zip(*steps)
+        ts, ys = np.array(ts), np.array(ys).T
+        defect, scale = _residual_terms(problem._family, problem._par, ts,
+                                        ys[0], ys[1], ys[2])
+        rel, allowed = np.abs(defect) / scale, _DEFECT_FACTOR * self.tol
+        worst = int(np.argmax(rel))
+        if rel[worst] > allowed:
+            raise ConsistencyError(
+                "branch drift: equation defect exceeded tolerance",
+                context={"equation": problem.equation_id,
+                         "params": problem.params, "t": float(ts[worst]),
+                         "defect": float(rel[worst]), "allowed": allowed})
+        self.grid = np.concatenate((self.grid, ts))
+        self._pieces += pieces
+        self._dense = OdeSolution(self.grid, self._pieces)
 
     def _state(self, t, component):
         """One state component at a float t (a float is returned) or at an
@@ -647,11 +678,9 @@ class PainleveSolution:
         flat = t.ravel()
         if (flat < 0.0).any():
             raise ArgumentError(f"t must be >= 0, got {flat[flat < 0.0][0]}")
-        beyond = flat > self.t_max * (1.0 + 1e-12)
+        beyond = flat > self.t_max
         if beyond.any():
-            raise ArgumentError(
-                f"t={flat[beyond][0]} beyond integrated range {self.t_max}; "
-                "re-integrate")
+            raise ArgumentError(f"t={flat[beyond][0]} past t_max={self.t_max}")
         out = np.empty(flat.shape)
         series = flat <= self.problem.t_switch
         n_series = np.count_nonzero(series)
@@ -660,7 +689,7 @@ class PainleveSolution:
                 flat[series], _SERIES_DERIV[component])
         if n_series < len(flat):
             dense = ~series
-            td = np.minimum(flat[dense], self.t_max)
+            td = flat[dense]
             # a single point goes in as a float: the dense output's array
             # path sorts and regroups, and costs several times more for it
             out[dense] = self._dense(td[0] if len(td) == 1 else td)[component]
@@ -679,7 +708,8 @@ class PainleveSolution:
 
 def integrate(problem: PainleveProblem, t_max: float,
               tol: float = DEFAULT_TOL) -> PainleveSolution:
-    """Integrate the differentiated system from t_switch to t_max.
+    """Integrate the differentiated system from t_switch to its first
+    accepted step at or past t_max; no step is cut short to end there.
 
     State is [sigma, sigma', sigma'', int_0^t sigma/tau dtau]; the
     undifferentiated equation is checked at every accepted step and must
@@ -692,15 +722,7 @@ def integrate(problem: PainleveProblem, t_max: float,
     if t_max <= ts:
         raise ArgumentError(f"t_max={t_max} must exceed t_switch={ts}")
     family, par = problem._family, problem._par
-    y0 = [problem.series_value(ts, 0), problem.series_value(ts, 1),
-          problem.series_value(ts, 2), problem.series_value(ts, -1)]
-    if not problem.x_coefficients.any():                # sigma == 0 trajectory
-        grid = np.array([ts, t_max])
-        zeros = np.zeros(2)
-        return PainleveSolution(problem=problem, grid=grid, sigma=zeros,
-                                sigma_prime=zeros, log_integral_grid=zeros,
-                                t_max=float(t_max), tol=tol,
-                                _dense=lambda t: np.zeros((4,) + np.shape(t)))
+    y0 = [problem.series_value(ts, _SERIES_DERIV[k]) for k in range(4)]
 
     def rhs(t, y):
         t = float(t)
@@ -708,47 +730,30 @@ def integrate(problem: PainleveProblem, t_max: float,
         return [sp, spp, _third_derivative(family, par, t, s, sp, spp), s / t]
 
     solver_tol = max(tol / _TOL_SAFETY, _MIN_SOLVER_TOL)
-    sol = solve_ivp(rhs, (ts, t_max), y0, method="DOP853",
-                    rtol=solver_tol, atol=solver_tol, dense_output=True)
-    if not sol.success:
-        raise StiffnessError(
-            f"integrator failed for {problem.equation_id} {problem.params} "
-            f"at t={sol.t[-1]:.6g}: {sol.message}")
-    defect, scale = _residual_terms(family, par, sol.t, sol.y[0], sol.y[1],
-                                    sol.y[2])
-    rel = np.abs(defect) / scale
-    worst = int(np.argmax(rel))
-    if rel[worst] > _DEFECT_FACTOR * tol:
-        raise ConsistencyError(
-            "branch drift: equation defect exceeded tolerance",
-            context={"equation": problem.equation_id, "params": problem.params,
-                     "t": float(sol.t[worst]), "defect": float(rel[worst]),
-                     "allowed": _DEFECT_FACTOR * tol})
-    return PainleveSolution(problem=problem, grid=sol.t, sigma=sol.y[0],
-                            sigma_prime=sol.y[1], log_integral_grid=sol.y[3],
-                            t_max=float(t_max), tol=tol, _dense=sol.sol)
+    stepper = DOP853(rhs, ts, y0, _T_BOUND, rtol=solver_tol, atol=solver_tol)
+    solution = PainleveSolution(problem, np.array([ts]), tol, stepper)
+    solution._extend(t_max)
+    return solution
 
 
 # ---------------------------------------------------------------------------
 # shared trajectory cache
 
-def _solution(equation_id, params, t_needed) -> PainleveSolution:
+def _solution(equation_id, params, t) -> PainleveSolution:
+    """The cached trajectory covering every argument in t (and t = 4)."""
+    t_needed = float(np.max(t))
     key = (equation_id, tuple(float(p) for p in params))
     with _cache_lock:
         sol = _solutions.get(key)
-        if sol is None or sol.t_max < t_needed:
-            problem = (sol.problem if sol is not None
-                       else build_problem(equation_id, params))
-            t_max = max(4.0, 1.25 * float(t_needed),
-                        2.0 * sol.t_max if sol is not None else 0.0)
+        if sol is None:
+            sol = _solutions[key] = integrate(
+                build_problem(equation_id, params), max(4.0, t_needed))
+        elif sol.t_max < t_needed:
             try:
-                sol = integrate(problem, t_max)
+                sol._extend(t_needed)
             except (StiffnessError, ConsistencyError):
-                # geometric growth amortizes repeated extensions, but it can
-                # overshoot to where the solver or the defect check fails;
-                # retry with the smallest horizon that serves this request
-                sol = integrate(problem, 1.02 * float(t_needed))
-            _solutions[key] = sol
+                del _solutions[key]     # its stepper is past its grid
+                raise
         return sol
 
 
@@ -767,7 +772,7 @@ def clear_cache():
 # argument, and the series layer and the dense output are each evaluated
 # once over all points.  Python's own float pow and exp are kept element
 # by element where numpy's differ in the last bit, so an array gives
-# exactly the floats a loop of scalar calls gives on the same trajectory.
+# exactly the floats a loop of scalar calls gives.
 
 def _squared(v):
     return np.array([x ** 2 for x in v.tolist()])
@@ -777,14 +782,9 @@ def _exp(v):
     return np.array([math.exp(x) for x in v.tolist()])
 
 
-def _trajectory(equation_id, params, t):
-    """The cached solution covering every argument in t."""
-    return _solution(equation_id, params, float(t.max()))
-
-
 def _gap(equation_id, params, t):
     """exp int_0^t sigma/u du at each t."""
-    return _exp(_trajectory(equation_id, params, t).log_integral_at(t))
+    return _exp(_solution(equation_id, params, t).log_integral_at(t))
 
 
 def e2_bulk(s, xi: float = 1.0):
@@ -841,7 +841,7 @@ def p2_nn(s):
     """
     def density(v):
         T = 2.0 * math.pi * v
-        sol = _trajectory(SIGMA_NN, (1.0, 1.0), T)
+        sol = _solution(SIGMA_NN, (1.0, 1.0), T)
         return -sol.sigma_at(T) / v * _exp(sol.log_integral_at(T))
 
     return on_points(s, 0.0, density)
@@ -852,7 +852,7 @@ def p1_direct(s):
     T = (pi s / 2)^2 and u the U_TILDE transcendent."""
     def density(v):
         T = _squared(math.pi * v / 2.0)
-        sol = _trajectory(U_TILDE, (), T)
+        sol = _solution(U_TILDE, (), T)
         return 2.0 * sol.sigma_at(T) / v * _exp(-sol.log_integral_at(T))
 
     return on_points(s, 0.0, density)
@@ -872,7 +872,7 @@ def _dminus_second(u):
     """
     def second(w):
         T = _squared(math.pi * w)
-        sol = _trajectory(V_TILDE, (), T)
+        sol = _solution(V_TILDE, (), T)
         return (4.0 * math.pi ** 2 * w / 3.0) * (sol.sigma_at(T) - 1.0) * \
             _exp(-sol.log_integral_at(T))
 

@@ -319,6 +319,16 @@ class TestZeros:
         header = next(l for l in lines if not l.startswith("#"))
         assert header == "bin_left,bin_right,count,density,exact,poisson"
 
+    def test_exact_overlay_equals_scalar_loop(self, zeros_file):
+        out = io.StringIO()
+        cli.write_zeros(RunConfig(command="zeros", zeros_path=zeros_file), out)
+        body = [l for l in out.getvalue().splitlines()
+                if not l.startswith("#")][1:]
+        rows = np.loadtxt(body, delimiter=",", ndmin=2)
+        centers = 0.5 * (rows[:, 0] + rows[:, 1])
+        loop = [painleve.p2_nn(float(c)) for c in centers]
+        assert np.array(loop).tobytes() == rows[:, 4].tobytes()
+
 
 class TestMainExitCodes:
     def test_usage_error_for_unsupported_combination(self, capsys):

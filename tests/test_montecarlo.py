@@ -51,8 +51,9 @@ def _reference_unfold(raw, density=None):
 
 def _pooled_central_spacings(n, reps, seed, order=0):
     out = []
-    for sample in sample_ensemble(n, reps, seed):
-        out.extend(central_spacing(unfold(sample), order))
+    for raw in sample_ensemble(n, reps, seed):
+        out.extend(central_spacing(unfold(SpectrumSample(n=n, raw=raw)),
+                                   order))
     return np.asarray(out)
 
 
@@ -64,7 +65,7 @@ class TestSampling:
 
     def test_rank_one_moments(self):
         # a rank-1 draw is a single standard normal
-        values = np.array([s.raw[0] for s in sample_ensemble(1, 100_000, 7)])
+        values = sample_ensemble(1, 100_000, 7)[:, 0]
         assert abs(values.mean()) <= 0.02
         assert abs(values.var() - 1.0) <= 0.02
 
@@ -79,15 +80,14 @@ class TestSampling:
     def test_ensemble_worker_count_invisible(self):
         serial = sample_ensemble(13, 600, 11, workers=1)
         threaded = sample_ensemble(13, 600, 11, workers=4)
-        assert len(serial) == len(threaded) == 600
-        for a, b in zip(serial, threaded):
-            assert np.array_equal(a.raw, b.raw)
+        assert serial.shape == (600, 13)
+        assert np.array_equal(serial, threaded)
 
     def test_rank_two_spacing_vanishes_linearly(self):
         # log-log slope of the small-spacing histogram; the weighted fit
         # keeps the sparse leftmost bins from dominating
         samples = sample_ensemble(2, 150_000, 42)
-        spacings = np.array([s.raw[1] - s.raw[0] for s in samples])
+        spacings = samples[:, 1] - samples[:, 0]
         counts, edges = np.histogram(spacings[spacings < 0.4], bins=8,
                                      range=(0.0, 0.4))
         centers = 0.5 * (edges[1:] + edges[:-1])
@@ -100,8 +100,7 @@ class TestSampling:
         # so the outermost bins reflect finite-size spill, not error
         n = 13
         limit = math.sqrt(2.0 * n)
-        samples = sample_ensemble(n, 10_000, 3)
-        eigenvalues = np.concatenate([s.raw for s in samples])
+        eigenvalues = sample_ensemble(n, 10_000, 3).ravel()
         hist = build_histogram(eigenvalues, 0.25, Interval(-limit, limit))
         averaged = np.empty(hist.counts.size)
         for i, (a, b) in enumerate(zip(hist.bin_edges[:-1],
@@ -133,8 +132,7 @@ class TestBatchedSampler:
             take = min(montecarlo.CHUNK, reps - c * montecarlo.CHUNK)
             expected.extend(_reference_spectrum(n, rng) for _ in range(take))
         for workers in (1, 3):
-            rows = np.stack([s.raw for s in
-                             sample_ensemble(n, reps, seed, workers=workers)])
+            rows = sample_ensemble(n, reps, seed, workers=workers)
             assert np.array_equal(rows, np.array(expected))
 
     def test_single_spectrum_matches_replica_loop(self):
@@ -156,10 +154,6 @@ def _replica_loop(n, reps, seed):
     return np.array(rows)
 
 
-def _rows(n, reps, seed, workers):
-    return np.stack([s.raw for s in sample_ensemble(n, reps, seed, workers)])
-
-
 @pytest.fixture
 def cpus(monkeypatch):
     """Set the usable CPU count that sizes the process pool."""
@@ -178,12 +172,13 @@ class TestProcessPool:
     def test_rows_match_replica_loop(self, cpus, reps, workers):
         # 100: one chunk; 1000: 4 chunks in blocks of 1, 1 and 2
         cpus(3)
-        assert np.array_equal(_rows(13, reps, 21, workers),
+        assert np.array_equal(sample_ensemble(13, reps, 21, workers),
                               _replica_loop(13, reps, 21))
 
     def test_more_workers_than_chunks(self, cpus):
         cpus(3)
-        assert np.array_equal(_rows(13, 300, 8, 16), _rows(13, 300, 8, 1))
+        assert np.array_equal(sample_ensemble(13, 300, 8, 16),
+                              sample_ensemble(13, 300, 8, 1))
 
     def test_process_count_rule(self, cpus, monkeypatch):
         count = montecarlo._process_count
@@ -221,7 +216,7 @@ class TestProcessPool:
                             lambda: ["spawn"])
         monkeypatch.setattr(concurrent.futures.process,
                             "ProcessPoolExecutor", no_pool)
-        assert np.array_equal(_rows(13, 600, 3, 2),
+        assert np.array_equal(sample_ensemble(13, 600, 3, 2),
                               _replica_loop(13, 600, 3))
 
 
@@ -229,7 +224,7 @@ class TestArrayUnfold:
     @pytest.mark.parametrize("density", [
         None, lambda x: 0.25 + 0.01 * x * x])
     def test_matches_per_spectrum_loop(self, density):
-        raw = np.stack([s.raw for s in sample_ensemble(13, 300, 4)])
+        raw = sample_ensemble(13, 300, 4)
         raw[0, -1] = 10.0          # beyond the semicircle edge: clipped
         expected = np.array([_reference_unfold(r, density) for r in raw])
         unfolded = unfold_spectra(raw, density)
@@ -241,7 +236,7 @@ class TestArrayUnfold:
             assert np.array_equal(single.unfolded, expected[i])
 
     def test_spacings_match_per_spectrum(self):
-        raw = np.stack([s.raw for s in sample_ensemble(13, 300, 4)])
+        raw = sample_ensemble(13, 300, 4)
         unfolded = unfold_spectra(raw)
         m = 6
         order0 = central_spacings(unfolded, 0)

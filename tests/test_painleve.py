@@ -141,11 +141,36 @@ class TestIntegration:
             solution.sigma_at(3.0)
         with pytest.raises(ArgumentError):
             solution.sigma_at(-1.0)
+        with pytest.raises(ArgumentError):
+            integrate(problem, 2.0 * painleve._T_BOUND)
+
+    def test_xi_zero_trajectory_stays_zero(self):
+        # sigma == 0 solves the equation; the complex step's h^2 term is
+        # all that leaves it
+        solution = integrate(build_problem(SIGMA_JMMS, (0.0,)), 4.0)
+        t = np.linspace(0.0, solution.t_max, 201)
+        assert np.max(np.abs(solution.sigma_at(t))) <= 1e-40
+        assert np.max(np.abs(solution.log_integral_at(t))) <= 1e-40
+
+    @pytest.mark.parametrize("eq,params", CANONICAL_PROBLEMS, ids=str)
+    def test_extension_equals_cold_trajectory(self, eq, params):
+        # no step is clipped to a horizon, so a trajectory stepped on after
+        # a short request takes the steps a cold integration takes
+        painleve.clear_cache()
+        warm = painleve._solution(eq, params, 0.5)
+        assert painleve._solution(eq, params, 30.0) is warm
+        painleve.clear_cache()
+        cold = painleve._solution(eq, params, 30.0)
+        assert _bits(warm.grid) == _bits(cold.grid)
+        t = np.linspace(0.05, cold.t_max, 301)
+        for component in range(4):
+            assert (_bits(warm._state(t, component))
+                    == _bits(cold._state(t, component)))
 
     def test_creeping_requests_near_the_stiff_frontier(self):
-        # the solution cache doubles its horizon on extension; for u-tilde
-        # that doubling can land past the point where the equation becomes
-        # numerically stiff, even though every requested s is reachable
+        # u-tilde becomes numerically stiff not far past t = (8.1 pi / 2)^2;
+        # each extension steps only to the first step past its request, so
+        # every requested s stays reachable
         painleve.clear_cache()
         for s in (3.0, 5.0, 7.0, 7.9, 8.1):
             value = painleve.p1_direct(s)
@@ -293,7 +318,8 @@ class TestArrayEvaluation:
     @pytest.mark.parametrize("name,fn", EVALUATORS, ids=IDS)
     def test_array_extending_the_trajectory(self, name, fn, monkeypatch):
         painleve.clear_cache()
-        fn(0.2)                         # every trajectory now ends at t = 4
+        fn(0.2)                     # every trajectory now ends just past t = 4
+        ends = {key: sol.t_max for key, sol in painleve._solutions.items()}
         calls = []
         original = painleve.integrate
 
@@ -302,11 +328,15 @@ class TestArrayEvaluation:
             return original(problem, t_max, *args)
 
         monkeypatch.setattr(painleve, "integrate", counted)
-        # s = 3 takes every argument map past t = 4, except e2_hard's t = s
+        # s = 3 takes every argument map past those ends, except e2_hard's
+        # t = s, which s = 6 takes
         grid = np.linspace(0.0, 6.0 if name == "e2_hard" else 3.0, 31)
         values = fn(grid)
-        assert calls and min(calls) > 4.0   # the array call extended them
-        calls.clear()
+        # the array call stepped each trajectory on in place
+        assert calls == []
+        assert painleve._solutions.keys() == ends.keys()
+        assert all(painleve._solutions[key].t_max > end > 4.0
+                   for key, end in ends.items())
         loop = [fn(float(s)) for s in grid]
         assert calls == []
         assert _bits(values) == _bits(loop)
@@ -806,21 +836,23 @@ class TestSmallArguments:
         assert np.all(np.abs(painleve.enn_generating(s / 2.0, 0.0, 1e-8)
                              - tiny) <= 1e-12)
 
-    def test_extension_retries_after_defect(self, monkeypatch):
-        # doubling the SIGMA_NN horizon past t = 44 trips the defect check;
-        # the extension then integrates to just past the request instead
+    def test_failed_extension_drops_the_trajectory(self):
+        # SIGMA_NN drifts out of the defect bound near t = 40, so stepping
+        # it on to p2_nn(7.5)'s t = 47.1 raises; the trajectory keeps the
+        # grid it had and leaves the cache, and the next request starts cold
         painleve.clear_cache()
         cold = painleve.p2_nn(4.0)
         painleve.clear_cache()
         painleve.p2_nn(3.0)
-        horizons = []
-        original = painleve.integrate
-
-        def recorded(problem, t_max, *args):
-            horizons.append(t_max)
-            return original(problem, t_max, *args)
-
-        monkeypatch.setattr(painleve, "integrate", recorded)
-        warm = painleve.p2_nn(4.0)
-        assert len(horizons) == 2 and horizons[0] > 44.0
-        assert warm == pytest.approx(cold, rel=1e-12)
+        solution = painleve._solutions[(SIGMA_NN, (1.0, 1.0))]
+        grid, pieces = solution.grid, list(solution._pieces)
+        with pytest.raises(ConsistencyError) as info:
+            painleve.p2_nn(7.5)
+        context = info.value.context
+        assert context["equation"] == SIGMA_NN
+        assert context["params"] == (1.0, 1.0)
+        assert grid[-1] < context["t"] <= 2.0 * math.pi * 7.5
+        assert context["defect"] > context["allowed"] == 1e-8
+        assert solution.grid is grid and solution._pieces == pieces
+        assert painleve._solutions == {}
+        assert painleve.p2_nn(4.0) == cold

@@ -75,4 +75,4 @@ class TestTrajectoryFetches:
     def test_full_suite_integration_count(self, integrations):
         results = verify.run_all()
         assert all(r.passed for r in results)
-        assert len(integrations) <= 11
+        assert len(integrations) == 7
