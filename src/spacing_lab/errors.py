@@ -46,5 +46,7 @@ class StiffnessError(NumericError):
 
 
 class DerivationError(NumericError):
-    """Series order matching failed: leading data inconsistent with the
-    equation, or a resonant coefficient is missing."""
+    """A boundary series could not be derived: the matched coefficients
+    leave a residual (leading data inconsistent with the equation), a
+    series square root has no positive leading term at an even exponent,
+    or the series tail is too large at the switch point."""

@@ -5,21 +5,21 @@ sigma-form equation: quadratic in sigma'', with a power-series boundary layer
 at t = 0 and adaptive integration beyond it.  Three layers:
 
 1. series: sigma = sum c_k x^k with x = sqrt(t), coefficients derived by
-   substituting the ansatz into the ODE and matching orders.  Orders that the
-   matching cannot determine (resonant exponents, where the linearized action
-   vanishes or collides with a later unknown) are pinned from the closed
-   forms in _equation_setup; every pinned value is cross-checked against the
-   determinantal route by the test suite.  The residuals that decide one
-   unknown (its base and all its probes) are evaluated as one batch of
-   series, and where each probed unknown first acts is read off the batch
-   in one pass.  Products by a monomial are shifted, scaled copies, other
-   products skip coefficients that are zero throughout the batch, and the
-   square root lets each probe share the base's leading coefficients; all
-   of it gives the bits a probe-by-probe derivation gives.  Derived
-   problems are memoised until clear_cache().
+   substituting the ansatz into the ODE and matching orders, one unknown at
+   a time.  The resonant orders, where the next unknown acts on the
+   residual no later than this one, so that matching cannot determine it,
+   are pinned from the closed forms in _equation_setup; every pinned value
+   is cross-checked against the determinantal route by the test suite.
+   Every other unknown is probed by one pair, c = +1 and c = -1: the two
+   residuals and the base's are evaluated as one batch of three series,
+   each with the bits it would get alone, and the unknown solves the
+   residual at the first order where it acts (one that acts at no order of
+   the series stays 0).  Products by a monomial are shifted, scaled copies
+   with the bits of the general product.  Derived problems are memoised
+   until clear_cache().
 2. integration: every family reads (t sigma'')^2 + G(A, sigma') = 0 with
    A = t sigma' - sigma and states G once, run on series (the residual),
-   float arrays (the defect) and complex numbers: sigma''' = -sigma''/t -
+   floats (the defect) and complex numbers: sigma''' = -sigma''/t -
    (t G_A + G_sigma')/(2 t^2) takes its directional derivative by a
    complex step.  The third-order system, with the log-integral as a fourth
    component, is stepped on from t_switch as far as requests need, and the
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -65,7 +66,7 @@ _DEFECT_FACTOR = 100.0
 _TOL_SAFETY = 100.0     # internal solver tolerance = tol / _TOL_SAFETY
 _MIN_SOLVER_TOL = 1e-13
 _ACTION_TOL = 1e-10     # smallest linearized action considered nonzero
-_LOOKAHEAD = 6          # collision window for resonance detection
+_TRUNCATED_TOP = 6      # top residual orders the final check skips
 _STEP = 1e-30           # complex step of sigma'''; its h^2 is negligible
 _T_BOUND = 1e6          # the stepper's bound, past any request
 
@@ -116,39 +117,22 @@ def _s_mul(a, b, order):
     innermost one, so the sum runs in sequence over i, as a loop would.
     Out-of-range and zero terms add a zero to an accumulator that, starting
     at +0.0, never holds -0.0, so every series of a batch gets the bits it
-    would get alone.  For the same reason terms are skipped where a factor's
-    coefficient is zero in every series of the batch: the rows span a's
-    nonzero coefficients only, and only the orders that some pair of nonzero
-    coefficients reaches are summed (the factors are finite)."""
+    would get alone."""
     off = a.off + b.off
     n = order - off + 1
     if n <= 0:
         return _Series(np.zeros(1), order)
-    out = _zeros(a, b, n)
-    i0, i1 = _span(a.c[..., :n])
-    j0, j1 = (i0, i1) if b is a else _span(b.c[..., :n])
-    k0, k1 = i0 + j0, min(n, i1 + j1 - 1)
-    if i1 == 0 or j1 == 0 or k0 >= k1:
-        return _Series(out, off)
-    ac = a.c[..., i0:min(i1, k1 - j0)]
-    na, nk = ac.shape[-1], k1 - k0
-    m = min(j1, k1 - i0) - j0
-    padded = np.zeros(b.c.shape[:-1] + (na - 1 + nk,))
-    padded[..., na - 1:na - 1 + m] = b.c[..., j0:j0 + m]
+    ac = a.c[..., :n]
+    na = ac.shape[-1]
+    m = min(b.c.shape[-1], n)
+    padded = np.zeros(b.c.shape[:-1] + (na - 1 + n,))
+    padded[..., na - 1:na - 1 + m] = b.c[..., :m]
     # shifted[..., i, k] = padded[..., na - 1 - i + k]
     step = padded.strides[-1]
-    shifted = np.ndarray(padded.shape[:-1] + (na, nk), padded.dtype, padded,
+    shifted = np.ndarray(padded.shape[:-1] + (na, n), padded.dtype, padded,
                          (na - 1) * step, padded.strides[:-1] + (-step, step))
-    out[..., k0:k1] = np.add.reduce(ac[..., None] * shifted, axis=-2,
-                                    initial=0.0)
+    out = np.add.reduce(ac[..., None] * shifted, axis=-2, initial=0.0)
     return _Series(out, off)
-
-
-def _span(c):
-    """(first, last + 1) index of the coefficients nonzero in some series
-    of the batch c; (0, 0) when there are none."""
-    live = c.reshape(-1, c.shape[-1]).any(axis=0).nonzero()[0]
-    return (int(live[0]), int(live[-1]) + 1) if len(live) else (0, 0)
 
 
 def _s_mono(v, e, order):
@@ -202,19 +186,12 @@ def _s_sqrt(a, order):
     n = order - off + 1
     y = np.zeros((len(c), n))
     y[:, 0] = np.sqrt(c[:, lead])
-    rel = np.zeros((len(c), 2 * n))
-    m = min(c.shape[1] - lead, 2 * n)
+    rel = np.zeros((len(c), n))
+    m = min(c.shape[1] - lead, n)
     rel[:, :m] = c[:, lead:lead + m]
-    # y[k] depends on rel[:k + 1] only, so a row takes row 0's coefficients
-    # below the first index where its rel differs from row 0's in any bit
-    bits = rel[:, :n].view(np.int64)
-    differs = bits != bits[0]
-    start = np.where(differs.any(axis=1), np.argmax(differs, axis=1), n)
-    start[0] = 1                    # row 0 itself is computed in full
-    for yr, rr, k0 in zip(y, rel, np.maximum(start, 1)):
-        yr[1:k0] = y[0, 1:k0]
+    for yr, rr in zip(y, rel):
         twice_root = 2.0 * yr[0]
-        for k in range(k0, n):      # np.dot per series keeps its bits
+        for k in range(1, n):       # np.dot per series keeps its bits
             yr[k] = (rr[k] - np.dot(yr[1:k], yr[k - 1:0:-1])) / twice_root
     return _Series(y.reshape(a.c.shape[:-1] + (n,)), off)
 
@@ -362,86 +339,70 @@ def _third_derivative(family, par, t, s, sp, spp):
 # ---------------------------------------------------------------------------
 # coefficient matching
 
-def _first_actions(R, order):
-    """Where each probed unknown of a _probe_rows batch first acts, in one
-    pass over the batched residual R: row 0 the base, rows 1 + 2j and 2 + 2j
-    the probes c = +1 and c = -1 of unknown j.
+def _first_action(R, order):
+    """Where one probed unknown first acts: R is the residual batch of the
+    base (the unknown at 0) and the probes c = +1 and c = -1.
 
-    Returns (nu, beta, alpha): nu[j] is the first residual order where
-    unknown j acts (order + 1 where it acts at none up to order), and
-    beta[j] and alpha[j] are its linear and quadratic action at each order
-    from R.off on."""
+    Returns (i, beta, alpha) at the first index i of R's orders up to order
+    where the linear action beta or the quadratic action alpha exceeds
+    _ACTION_TOL times the largest of 1 and the three rows' peaks, or None
+    where the unknown acts at no such order."""
     c = R.c[:, :order - R.off + 1]
-    peak = np.max(np.abs(c), axis=1)
-    # max(1, base peak, probe peaks) per unknown; fmax skips a NaN peak as
-    # Python's max over these four floats does
-    scale = np.fmax(np.fmax(np.fmax(1.0, peak[0]), peak[1::2]), peak[2::2])
-    Rp, Rm = c[1::2], c[2::2]
+    R0, Rp, Rm = c
+    # Python's max, from 1.0 on, skips a NaN peak
+    tol = _ACTION_TOL * max(1.0, *np.max(np.abs(c), axis=1).tolist())
     beta = (Rp - Rm) / 2.0
-    alpha = (Rp + Rm - 2.0 * c[0]) / 2.0
-    # fmax: either action above the threshold, even where the other is NaN
-    tol = (_ACTION_TOL * scale)[:, None]
-    acts = np.fmax(np.abs(beta), np.abs(alpha)) > tol
-    nu = np.where(acts.any(axis=1), R.off + np.argmax(acts, axis=1), order + 1)
-    return nu, beta, alpha
-
-
-def _probe_rows(coeffs, e, order):
-    """The base (c_e = 0) and the c = +1/-1 probes of c_e and of the
-    _LOOKAHEAD unknowns after it, one row each."""
-    probed = np.arange(min(_LOOKAHEAD, order - e) + 1)
-    rows = np.repeat(coeffs[None], 1 + 2 * len(probed), axis=0)
-    rows[:, e - 1] = 0.0
-    rows[1 + 2 * probed, e - 1 + probed] = 1.0
-    rows[2 + 2 * probed, e - 1 + probed] = -1.0
-    return rows
+    alpha = (Rp + Rm - 2.0 * R0) / 2.0
+    acts = np.flatnonzero((np.abs(beta) > tol) | (np.abs(alpha) > tol))
+    if len(acts) == 0:
+        return None
+    i = acts[0]
+    return i, beta[i], alpha[i]
 
 
 def _match_coefficients(family, par, leading, order, pinned):
-    """Derive x-coefficients 1..order from the leading data.
+    """Derive x-coefficients 1..order from the leading data, one unknown at
+    a time in increasing order.
 
-    Each unknown c_e is probed: if its first action order is reachable by a
-    later unknown within the lookahead window, the equation cannot see c_e
-    (a resonant exponent) and the pinned value is used.  A quadratic action
-    over an exactly vanishing base residual means two legitimate branches:
-    the pinned value if given, otherwise the nonzero escape root.  The base
-    and all probes of one unknown are evaluated as one batch.
+    A resonant unknown takes its pinned value.  Every other unknown c_e is
+    probed with one batch of three residuals, c_e = 0, +1 and -1, which
+    gives the first order where c_e acts and its linear and quadratic
+    action there; c_e solves the residual at that order.  Of the two roots
+    of a quadratic action the one of smaller magnitude is taken, or, over a
+    base residual that vanishes exactly, the larger (the zero branch's
+    escape root).  An unknown that acts at no order up to order stays 0.
     """
     coeffs = np.zeros(order)
     for e, v in leading.items():
         coeffs[e - 1] = v
-    known = set(leading)
     for e in range(1, order + 1):
-        if e in known:
+        if e in leading:
             continue
-        R = _residual_series(family, par, _probe_rows(coeffs, e, order),
-                             order)
+        if e in pinned:
+            coeffs[e - 1] = pinned[e]
+            continue
+        rows = np.repeat(coeffs[None], 3, axis=0)
+        rows[:, e - 1] = 0.0, 1.0, -1.0
+        R = _residual_series(family, par, rows, order)
+        action = _first_action(R, order)
+        if action is None:
+            continue
+        i, beta, alpha = action
         R0 = R.c[0]
-        nu, beta, alpha = _first_actions(R, order)
-        if nu[0] > order or np.any(nu[1:] <= nu[0]):
-            # no action, or a later unknown acts first
-            coeffs[e - 1] = pinned.get(e, 0.0)
-            continue
-        i = nu[0] - R.off
-        gamma, beta, alpha = R0[i], beta[0, i], alpha[0, i]
+        gamma = R0[i]
         if abs(alpha) <= _ACTION_TOL * max(abs(beta), 1.0):
             coeffs[e - 1] = -gamma / beta
         else:
             disc = max(beta * beta - 4.0 * alpha * gamma, 0.0)
             r1 = (-beta + math.sqrt(disc)) / (2.0 * alpha)
             r2 = (-beta - math.sqrt(disc)) / (2.0 * alpha)
-            base_scale = max(1.0, float(np.max(np.abs(R0)))
-                             if len(R0) else 0.0)
-            exact_base = (float(np.max(np.abs(R0))) < 1e-12 * base_scale
-                          if len(R0) else True)
-            if exact_base:
-                coeffs[e - 1] = pinned.get(
-                    e, r1 if abs(r1) > abs(r2) else r2)
+            peak = float(np.max(np.abs(R0)))
+            if peak < 1e-12 * max(1.0, peak):         # exact base
+                coeffs[e - 1] = r1 if abs(r1) > abs(r2) else r2
             else:
                 coeffs[e - 1] = r1 if abs(r1) < abs(r2) else r2
-        known.add(e)
     resid = _residual_series(family, par, coeffs, order)
-    upto = order - _LOOKAHEAD   # top orders are polluted by truncation
+    upto = order - _TRUNCATED_TOP
     tail = np.array([_s_coeff(resid, d) for d in range(resid.off, upto)])
     scale = max(1.0, float(np.max(np.abs(resid.c))) if len(resid.c) else 0.0)
     if len(tail) and np.max(np.abs(tail)) > 1e-8 * scale:
@@ -455,9 +416,12 @@ def _match_coefficients(family, par, leading, order, pinned):
 def _equation_setup(equation_id, params):
     """(family, family params, leading coeffs, pinned resonant coeffs).
 
-    Exponents are in x = sqrt(t).  Pinned values are closed forms for the
-    resonant orders the matching provably cannot determine; each one is
-    exercised against the determinantal route in the test suite.
+    Exponents are in x = sqrt(t).  The pinned orders are the resonances,
+    where c_(e+1) acts on the residual no later than c_e, so that matching
+    cannot determine c_e; their values are closed forms, which the matcher
+    takes as given.  The test suite replays each derivation to check that
+    the pinned orders are exactly the resonant ones, and exercises each
+    value against the determinantal route.
     """
     if equation_id == SIGMA_JMMS:
         (xi,) = params
@@ -563,14 +527,18 @@ def build_problem(equation_id, params=(), t_switch=DEFAULT_T_SWITCH,
                   n_terms=DEFAULT_ORDER):
     """Derive the boundary series and package it with its equation.
 
+    n_terms is an integer no smaller than the largest leading exponent.
     Memoised on (equation_id, params, t_switch, n_terms) until
     clear_cache(): repeated calls return the same problem, whose
     x_coefficients array is read-only.
     """
     if not 0.0 < t_switch <= 0.1:
         raise ArgumentError(f"t_switch must lie in (0, 0.1], got {t_switch}")
+    if not isinstance(n_terms, numbers.Integral):
+        raise ArgumentError(f"n_terms must be an integer, got {n_terms!r}")
     params = tuple(float(p) for p in params)
-    key = (equation_id, params, float(t_switch), int(n_terms))
+    n_terms = int(n_terms)
+    key = (equation_id, params, float(t_switch), n_terms)
     with _cache_lock:
         problem = _problems.get(key)
         if problem is None:
@@ -581,6 +549,10 @@ def build_problem(equation_id, params=(), t_switch=DEFAULT_T_SWITCH,
 
 def _derive_problem(equation_id, params, t_switch, n_terms):
     family, par, leading, pinned = _equation_setup(equation_id, params)
+    if n_terms < max(leading):
+        raise ArgumentError(
+            f"{equation_id} {params} needs n_terms >= {max(leading)}, its "
+            f"leading exponent, got {n_terms}")
     if all(v == 0.0 for v in leading.values()):        # xi = 0: sigma == 0
         coeffs = np.zeros(n_terms)
     else:
@@ -640,12 +612,14 @@ class PainleveSolution:
         return float(self._dense.t_max)
 
     def _extend(self, t_needed):
-        """Step on to the first accepted step at or past t_needed, under
-        integrate's defect bound, with the steps a cold integration takes;
-        a failure raises and leaves grid and dense output as they were."""
+        """Step on to the first accepted step at or past t_needed, with the
+        steps a cold integration takes; each step's defect must stay within
+        integrate's bound.  A failure raises at the first bad step and
+        leaves grid and dense output as they were."""
         if t_needed > _T_BOUND:
             raise ArgumentError(f"t={t_needed} beyond the bound {_T_BOUND:g}")
         stepper, problem = self._stepper, self.problem
+        allowed = _DEFECT_FACTOR * self.tol
         steps = []
         while stepper.t < t_needed:
             message = stepper.step()
@@ -653,19 +627,18 @@ class PainleveSolution:
                 raise StiffnessError(
                     f"integrator failed for {problem.equation_id} "
                     f"{problem.params} at t={stepper.t:.6g}: {message}")
-            steps.append((stepper.t, stepper.y, stepper.dense_output()))
-        ts, ys, pieces = zip(*steps)
-        ts, ys = np.array(ts), np.array(ys).T
-        defect, scale = _residual_terms(problem._family, problem._par, ts,
-                                        ys[0], ys[1], ys[2])
-        rel, allowed = np.abs(defect) / scale, _DEFECT_FACTOR * self.tol
-        worst = int(np.argmax(rel))
-        if rel[worst] > allowed:
-            raise ConsistencyError(
-                "branch drift: equation defect exceeded tolerance",
-                context={"equation": problem.equation_id,
-                         "params": problem.params, "t": float(ts[worst]),
-                         "defect": float(rel[worst]), "allowed": allowed})
+            t, y = stepper.t, stepper.y
+            defect, scale = _residual_terms(problem._family, problem._par, t,
+                                            *y[:3])
+            rel = float(abs(defect) / scale)
+            if rel > allowed:
+                raise ConsistencyError(
+                    "branch drift: equation defect exceeded tolerance",
+                    context={"equation": problem.equation_id,
+                             "params": problem.params, "t": float(t),
+                             "defect": rel, "allowed": allowed})
+            steps.append((t, stepper.dense_output()))
+        ts, pieces = zip(*steps)
         self.grid = np.concatenate((self.grid, ts))
         self._pieces += pieces
         self._dense = OdeSolution(self.grid, self._pieces)

@@ -64,6 +64,16 @@ class TestSeriesLayer:
         assert coeff_nn == pytest.approx(coeff_j, rel=1e-13)
         assert coeff_j == pytest.approx(-1.0 / math.pi, rel=1e-13)
 
+    @pytest.mark.parametrize("n_terms", [0, 1, 3, 5, -2, 2.5, None])
+    def test_n_terms_domain(self, n_terms):
+        # the a = 1 conditioned-origin series leads at x^6
+        problem = build_problem(SIGMA_NN, (1.0, 1.0), n_terms=np.int64(6))
+        assert problem is build_problem(SIGMA_NN, (1.0, 1.0), n_terms=6)
+        with pytest.raises(ArgumentError):
+            build_problem(SIGMA_NN, (1.0, 1.0), n_terms=n_terms)
+        with pytest.raises(ArgumentError):
+            extend_series(problem, n_terms)
+
     def test_extend_series_preserves_prefix(self):
         problem = build_problem(SIGMA_JMMS, (1.0,), n_terms=30)
         longer = extend_series(problem, 40)
@@ -415,8 +425,8 @@ class TestSeriesProduct:
         (3, 2, 0, 0), (0, 0, 4, 5), (2, 7, 3, 1), (9, 0, 0, 9), (12, 0, 0, 0),
     ])
     def test_zero_spans_match_loop(self, lead_a, tail_a, lead_b, tail_b):
-        # coefficients zero in every series are skipped; signed zeros and a
-        # factor with no nonzero coefficient within the order included
+        # runs of zero coefficients at either end of both factors, signed
+        # zeros and a factor with no nonzero coefficient within the order
         rng = np.random.default_rng(lead_a + 10 * lead_b)
         a = rng.standard_normal((3, 12)) * 10.0 ** rng.integers(-9, 9, (3, 12))
         b = rng.standard_normal((3, 10)) * 10.0 ** rng.integers(-9, 9, (3, 10))
@@ -462,106 +472,6 @@ class TestMonomialProduct:
             assert got.c.tobytes() == expected.c.tobytes()
 
 
-def _first_action_loop(R, order, j):
-    # the per-unknown first action of one probe pair, as the matcher
-    # evaluated it before the one-pass version
-    n = order - R.off + 1
-    R0, Rp, Rm = (R.c[i, :n] for i in (0, 1 + 2 * j, 2 + 2 * j))
-    scale = max(1.0, float(np.max(np.abs(R0))) if len(R0) else 0.0,
-                float(np.max(np.abs(Rp))), float(np.max(np.abs(Rm))))
-    beta = (Rp - Rm) / 2.0
-    alpha = (Rp + Rm - 2.0 * R0) / 2.0
-    tol = painleve._ACTION_TOL * scale
-    acts = np.flatnonzero((np.abs(beta) > tol) | (np.abs(alpha) > tol))
-    if len(acts) == 0:
-        return None, 0.0, 0.0
-    i = acts[0]
-    return R.off + int(i), beta[i], alpha[i]
-
-
-def _assert_first_actions_equal_loop(R, order):
-    # the one pass against the loop for every probed unknown of R; returns
-    # the loop's (nu, beta, alpha) per unknown
-    nu, beta, alpha = painleve._first_actions(R, order)
-    loop = [_first_action_loop(R, order, j)
-            for j in range((len(R.c) - 1) // 2)]
-    assert len(nu) == len(loop)
-    for j, (nu_j, beta_j, alpha_j) in enumerate(loop):
-        if nu_j is None:
-            assert nu[j] == order + 1
-            continue
-        assert nu[j] == nu_j
-        assert _bits(beta[j, nu_j - R.off]) == _bits(beta_j)
-        assert _bits(alpha[j, nu_j - R.off]) == _bits(alpha_j)
-    return loop
-
-
-def _derivation_batches(eq, params, order=painleve.DEFAULT_ORDER):
-    # (unknown, batched residual) for every unknown of a derivation, rebuilt
-    # from its result: while c_e is matched, the coefficients below e are
-    # final and the rest zero but for the leading data
-    family, par, leading, _ = painleve._equation_setup(eq, params)
-    final = build_problem(eq, params, n_terms=order).x_coefficients
-    for e in range(1, order + 1):
-        if e in leading:
-            continue
-        coeffs = np.zeros(order)
-        coeffs[:e - 1] = final[:e - 1]
-        for k, v in leading.items():
-            coeffs[k - 1] = v
-        rows = painleve._probe_rows(coeffs, e, order)
-        yield e, painleve._residual_series(family, par, rows, order)
-
-
-class TestFirstActions:
-    # unknowns the matcher pins: a later unknown acts first (collision), or
-    # c_e acts at no order within the series
-    PINNED = {
-        (U_TILDE, ()): {5: "collision"},
-        (V_P2, ()): {10: "collision"},
-        (SIGMA_NN, (1.0, 1.0)): {43: "none", 44: "none"},
-        (SIGMA_JMMS, (0.37,)): {},
-    }
-
-    @pytest.mark.parametrize("eq,params", list(PINNED), ids=str)
-    def test_one_pass_equals_loop(self, eq, params):
-        order = painleve.DEFAULT_ORDER
-        pinned = {}
-        for e, R in _derivation_batches(eq, params, order):
-            loop = _assert_first_actions_equal_loop(R, order)
-            first = loop[0][0]
-            if first is None:
-                pinned[e] = "none"
-            elif any(n is not None and n <= first for n, _, _ in loop[1:]):
-                pinned[e] = "collision"
-        assert pinned == self.PINNED[(eq, params)]
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_thresholds_equal_loop(self, seed):
-        # rows whose peaks lie decades apart, and entries spanning 22
-        # decades, put actions on both sides of each unknown's threshold;
-        # one row, the base for some seeds, holds a NaN
-        rng = np.random.default_rng(seed)
-        c = rng.standard_normal((9, 14)) * 10.0 ** rng.uniform(-16, 6, (9, 14))
-        c *= 10.0 ** rng.uniform(-8, 8, (9, 1))
-        c[:, :2] = 0.0
-        c[seed % 5, 2] = np.nan
-        _assert_first_actions_equal_loop(painleve._Series(c, -2), 9)
-
-    def test_action_at_the_threshold_is_none(self):
-        # scale 1, so the threshold is _ACTION_TOL itself: beta equal to it
-        # does not act, beta just above it does
-        c = np.zeros((5, 6))
-        c[0, 1] = painleve._ACTION_TOL
-        c[1, 1] = 2.0 * painleve._ACTION_TOL
-        c[3, 1] = np.nextafter(2.0 * painleve._ACTION_TOL, 1.0)
-        c[1:, 4] = 1.0
-        R = painleve._Series(c, 0)
-        nu, _, _ = painleve._first_actions(R, 5)
-        assert list(nu) == [4, 1]
-        _assert_first_actions_equal_loop(R, 5)
-
-
 def _sqrt_loop(c, off, order):
     # the square-root recurrence run on each series alone
     lead = int(np.argmax(np.abs(c[0]) > 1e-300))
@@ -581,9 +491,10 @@ class TestSquareRoot:
     @pytest.mark.parametrize("off,lead,order", [(0, 0, 30), (1, 1, 20),
                                                 (-4, 2, 12)])
     def test_shared_prefixes_equal_row_loop(self, off, lead, order):
-        # rows differ from row 0 first at different indices: the leading
-        # coefficient, the middle, the last used one, only past the used
-        # ones, nowhere, and by the sign of a zero
+        # each row of a batch gets the bits of the recurrence run on it
+        # alone; rows differ from row 0 first at different indices: the
+        # leading coefficient, the middle, the last used one, only past the
+        # used ones, nowhere, and by the sign of a zero
         rng = np.random.default_rng(order)
         width = 2 * order + 8
         base = rng.standard_normal(width) * 10.0 ** rng.integers(-6, 6, width)
@@ -681,6 +592,93 @@ class TestProblemMemo:
         again = build_problem(U_TILDE)
         assert again is not problem
         assert np.array_equal(again.x_coefficients, problem.x_coefficients)
+
+
+def _first_action_loop(c):
+    # where the unknown that rows 1 and 2 of c probe first acts, order by
+    # order in Python floats: (index, beta, alpha), or None
+    tol = painleve._ACTION_TOL * max(1.0, *np.max(np.abs(c), axis=1).tolist())
+    for i, (r0, rp, rm) in enumerate(zip(*c.tolist())):
+        beta, alpha = (rp - rm) / 2.0, (rp + rm - 2.0 * r0) / 2.0
+        if abs(beta) > tol or abs(alpha) > tol:
+            return i, beta, alpha
+    return None
+
+
+def _assert_first_action_equals_loop(c, off, order):
+    # c: a base row and one probe pair
+    got = painleve._first_action(painleve._Series(c, off), order)
+    expected = _first_action_loop(c[:, :order - off + 1])
+    assert _bits(got or ()) == _bits(expected or ())
+    return got
+
+
+class TestFirstActions:
+    PROBLEMS = ([(eq, params, 44) for eq, params, _ in TestProblemMemo.DIGESTS]
+                + [row[:3] for row in TestProblemMemo.MORE_DIGESTS])
+
+    @pytest.mark.parametrize("eq,params,order", PROBLEMS,
+                             ids=[f"{e}{p}-{n}" for e, p, n in PROBLEMS])
+    def test_pinned_orders_are_the_resonances(self, eq, params, order):
+        # replay the derivation, probing c_e and c_(e+1) where the matcher
+        # meets c_e: the orders where c_(e+1) acts no later are exactly the
+        # pinned ones.  The last two conditioned-origin unknowns at a = 1
+        # act only past the series
+        family, par, leading, pinned = painleve._equation_setup(eq, params)
+        final = build_problem(eq, params, n_terms=order).x_coefficients
+        collisions, silent = set(), set()
+        for e in sorted(set(range(1, order + 1)) - set(leading)):
+            known = [k < e or k in leading for k in range(1, order + 1)]
+            rows = np.repeat(np.where(known, final, 0.0)[None], 5, axis=0)
+            rows[1:3, e - 1] = 1.0, -1.0
+            if e < order:
+                rows[3:, e] = 1.0, -1.0
+            R = painleve._residual_series(family, par, rows, order)
+            c = R.c[:, :order - R.off + 1]
+            own, later = (_first_action_loop(c[[0, j, j + 1]]) for j in (1, 3))
+            if own is None:
+                silent.add(e)
+            elif later is not None and later[0] <= own[0]:
+                collisions.add(e)
+        assert collisions == set(pinned)
+        nn_a1 = eq == SIGMA_NN and params[0] == 1.0
+        assert silent == ({order - 1, order} if nn_a1 else set())
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_thresholds_equal_loop(self, seed):
+        # rows whose peaks lie decades apart, and entries spanning 22
+        # decades, put actions on both sides of each probe pair's
+        # threshold; one row, the base for some seeds, holds a NaN
+        rng = np.random.default_rng(seed)
+        c = rng.standard_normal((9, 14)) * 10.0 ** rng.uniform(-16, 6, (9, 14))
+        c *= 10.0 ** rng.uniform(-8, 8, (9, 1))
+        c[:, :2] = 0.0
+        c[seed % 5, 2] = np.nan
+        for j in (1, 3, 5, 7):
+            _assert_first_action_equals_loop(c[[0, j, j + 1]], -2, 9)
+
+    def test_action_at_the_threshold_is_none(self):
+        # scale 1, so the threshold is _ACTION_TOL itself: beta equal to it
+        # does not act, beta just above it does
+        c = np.zeros((3, 6))
+        c[0, 1] = painleve._ACTION_TOL
+        c[1, 1] = 2.0 * painleve._ACTION_TOL
+        assert _assert_first_action_equals_loop(c, 0, 5) is None
+        c[1:, 4] = 1.0
+        assert _assert_first_action_equals_loop(c, 0, 5)[0] == 4
+        c[1, 1] = np.nextafter(2.0 * painleve._ACTION_TOL, 1.0)
+        assert _assert_first_action_equals_loop(c, 0, 5)[0] == 1
+
+    def test_one_probe_batch_per_unknown(self, monkeypatch):
+        # U_TILDE at 44 orders has one leading and one pinned coefficient:
+        # 42 unknowns are each probed by one batch of three residuals, and
+        # one residual of the result is checked
+        shapes, original = [], painleve._residual_series
+        monkeypatch.setattr(painleve, "_residual_series", lambda *args: (
+            shapes.append(args[2].shape) or original(*args)))
+        painleve.clear_cache()
+        build_problem(U_TILDE)
+        assert shapes == [(3, 44)] * 42 + [(44,)]
 
 
 # the hand-written sigma''' and defect of every family, as the route used
@@ -838,8 +836,9 @@ class TestSmallArguments:
 
     def test_failed_extension_drops_the_trajectory(self):
         # SIGMA_NN drifts out of the defect bound near t = 40, so stepping
-        # it on to p2_nn(7.5)'s t = 47.1 raises; the trajectory keeps the
-        # grid it had and leaves the cache, and the next request starts cold
+        # it on to p2_nn(7.5)'s t = 47.1 raises at the first bad step; the
+        # trajectory keeps its grid and leaves the cache, and the next
+        # request starts cold
         painleve.clear_cache()
         cold = painleve.p2_nn(4.0)
         painleve.clear_cache()
@@ -851,7 +850,7 @@ class TestSmallArguments:
         context = info.value.context
         assert context["equation"] == SIGMA_NN
         assert context["params"] == (1.0, 1.0)
-        assert grid[-1] < context["t"] <= 2.0 * math.pi * 7.5
+        assert grid[-1] < context["t"] == solution._stepper.t < 41.0
         assert context["defect"] > context["allowed"] == 1e-8
         assert solution.grid is grid and solution._pieces == pieces
         assert painleve._solutions == {}
