@@ -8,7 +8,7 @@ identical configs produce bit-identical files.  Exit codes: 0 success,
 `tabulate` fills each column with one call of a library evaluator on the
 whole grid (the fredholm, painleve or surmise function its name maps to in
 _COLUMNS).  `sample` alone runs a pool: forked processes, sized by
---workers or SPACING_LAB_THREADS.
+--workers.
 """
 
 from __future__ import annotations
@@ -59,16 +59,6 @@ class RunConfig:
 
 
 def _pool_size(config: RunConfig) -> int:
-    env = os.environ.get("SPACING_LAB_THREADS")
-    if env is not None:
-        try:
-            size = int(env)
-        except ValueError:
-            raise ArgumentError(
-                f"SPACING_LAB_THREADS must be an integer, got {env!r}")
-        if size < 1:
-            raise ArgumentError(f"SPACING_LAB_THREADS must be >= 1, got {size}")
-        return size
     if config.workers is not None:
         if config.workers < 1:
             raise ArgumentError(f"--workers must be >= 1, got {config.workers}")
@@ -370,8 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=None,
                        help="size of sample's pool of forked processes (at "
                             "most one per usable CPU); no other command "
-                            "uses it; default: processor count; the env "
-                            "var SPACING_LAB_THREADS overrides")
+                            "uses it; default: processor count")
     return parser
 
 

@@ -102,29 +102,40 @@ def gap_n(spectrum: FredholmSpectrum, n: int) -> GapProfile:
     return GapProfile(n=n, value=prefactor * float(e[k]))
 
 
-def _converged_spectrum(kernel_spec, interval: Interval,
-                        tol: float = _DET_TOL) -> FredholmSpectrum:
-    """Double the node count until det(1 - K) stabilizes to tol.
+def _node_doubling(build, length: float, tol: float, context: dict,
+                   measure=lambda built: built):
+    """build(n) on the first rule whose measure moves by at most tol.
 
     Convergence is exponential in the node count for the analytic kernels
     (Bornemann, Math. Comp. 79, 2010), and the number of eigenvalues that
     matter grows like the length of the interval the rule lives on (in
     p = sqrt(x) for hard-edge kernels), so the first rule has
-    16 + ceil(2 length) nodes.  No rule exceeds _MAX_NODES.
+    16 + ceil(2 length) nodes; each next one doubles it.  The measure is a
+    float or an array, compared entry by entry.  No rule exceeds
+    _MAX_NODES; a rule there that still moves raises NumericError.
     """
-    length = rule_interval(kernel_spec, interval).length
     n = min(16 + math.ceil(2.0 * length), _MAX_NODES)
-    spec = nystrom_spectrum(kernel_spec, interval, n)
-    prev = generating_value(spec, 1.0)
+    prev = measure(build(n))
     while n < _MAX_NODES:
         n = min(2 * n, _MAX_NODES)
-        spec = nystrom_spectrum(kernel_spec, interval, n)
-        cur = generating_value(spec, 1.0)
-        if abs(cur - prev) <= tol:
-            return spec
+        built = build(n)
+        cur = measure(built)
+        if np.max(np.abs(cur - prev)) <= tol:
+            return built
         prev = cur
     raise NumericError("determinant did not converge under node doubling",
-                       context={"kernel": kernel_spec, "interval": interval})
+                       context=context)
+
+
+def _converged_spectrum(kernel_spec, interval: Interval,
+                        tol: float = _DET_TOL) -> FredholmSpectrum:
+    """The spectrum of the first doubled rule on which det(1 - K) moves by
+    at most tol."""
+    return _node_doubling(
+        lambda n: nystrom_spectrum(kernel_spec, interval, n),
+        rule_interval(kernel_spec, interval).length, tol,
+        {"kernel": kernel_spec, "interval": interval},
+        lambda spec: generating_value(spec, 1.0))
 
 
 def fredholm_det(kernel_spec, interval: Interval, xi: float = 1.0,
@@ -273,28 +284,16 @@ def _det_jets(kernel_spec, half: np.ndarray, order: int,
               tol: float) -> np.ndarray:
     """Rows _det_jet(kernel_spec, x, n, order) at each x of a 1-D array.
 
-    Each point doubles its own rule from 16 + ceil(2 length) nodes, as
-    _converged_spectrum does, until every entry of its row moves by at most
-    tol, so a row never depends on the other points of the call.  No rule
-    exceeds _MAX_NODES.
+    Each point doubles its own rule by _node_doubling until every entry of
+    its row moves by at most tol, so a row never depends on the other
+    points of the call.
     """
     rows = {}
     for x in half.tolist():
-        if x in rows:
-            continue
-        n = min(16 + math.ceil(2.0 * Interval(-x, x).length), _MAX_NODES)
-        prev = _det_jet(kernel_spec, x, n, order)
-        while True:
-            if n >= _MAX_NODES:
-                raise NumericError(
-                    "determinant derivatives did not converge under node "
-                    "doubling", context={"kernel": kernel_spec, "x": x})
-            n = min(2 * n, _MAX_NODES)
-            cur = _det_jet(kernel_spec, x, n, order)
-            if np.max(np.abs(cur - prev)) <= tol:
-                break
-            prev = cur
-        rows[x] = cur
+        if x not in rows:
+            rows[x] = _node_doubling(
+                lambda n: _det_jet(kernel_spec, x, n, order),
+                Interval(-x, x).length, tol, {"kernel": kernel_spec, "x": x})
     return np.array([rows[x] for x in half.tolist()]).reshape(-1, order + 1)
 
 

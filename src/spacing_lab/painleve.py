@@ -2,7 +2,11 @@
 
 Every quantity here is an exp(int sigma(t)/t dt) representation built from a
 sigma-form equation: quadratic in sigma'', with a power-series boundary layer
-at t = 0 and adaptive integration beyond it.  Three layers:
+at t = 0 and adaptive integration beyond it.  There are four equations, one
+id each: SIGMA_JMMS (bulk gap), SIGMA_HARD (hard edge; its mu = 2
+trajectories carry the beta = 1 and beta = 4 spacing densities), SIGMA_NN
+(conditioned origin) and V_P2 (the beta = 2 spacing density).  Three
+layers:
 
 1. series: sigma = sum c_k x^k with x = sqrt(t), coefficients derived by
    substituting the ansatz into the ODE and matching orders, one unknown at
@@ -17,9 +21,9 @@ at t = 0 and adaptive integration beyond it.  Three layers:
    the series stays 0).  Products by a monomial are shifted, scaled copies
    with the bits of the general product.  Derived problems are memoised
    until clear_cache().
-2. integration: every family reads (t sigma'')^2 + G(A, sigma') = 0 with
-   A = t sigma' - sigma and states G once, run on series (the residual),
-   floats (the defect) and complex numbers: sigma''' = -sigma''/t -
+2. integration: every equation reads (t sigma'')^2 + G(A, sigma') = 0 with
+   A = t sigma' - sigma, and _G states each G once, run on series (the
+   residual), floats (the defect) and complex numbers: sigma''' = -sigma''/t -
    (t G_A + G_sigma')/(2 t^2) takes its directional derivative by a
    complex step.  The third-order system, with the log-integral as a fourth
    component, is stepped on from t_switch as far as requests need, and the
@@ -48,16 +52,12 @@ from .errors import (ArgumentError, ConsistencyError, DerivationError,
                      StiffnessError, UnsupportedError)
 from .points import on_points
 
-SIGMA_JMMS = "SIGMA_JMMS"          # bulk two-point generating sigma
-SIGMA_HARD = "SIGMA_HARD"          # hard-edge sigma, params (a, xi)
-SIGMA_HARD_GEN = "SIGMA_HARD_GEN"  # two-parameter hard family, (a, mu, xi)
-SIGMA_NN = "SIGMA_NN"              # conditioned-origin sigma, params (a, xi)
-U_TILDE = "U_TILDE"                # spacing-density transcendent for beta=1
-V_TILDE = "V_TILDE"                # its beta=4 companion (= -SIGMA_HARD_GEN at a=1/2, mu=2)
-V_P2 = "V_P2"                      # spacing-density transcendent for beta=2
+SIGMA_JMMS = "SIGMA_JMMS"  # bulk two-point generating sigma, params (xi,)
+SIGMA_HARD = "SIGMA_HARD"  # hard-edge sigma, params (a, mu, xi)
+SIGMA_NN = "SIGMA_NN"      # conditioned-origin sigma, params (a, xi)
+V_P2 = "V_P2"              # spacing-density transcendent for beta=2, ()
 
-EQUATION_IDS = (SIGMA_JMMS, SIGMA_HARD, SIGMA_HARD_GEN, SIGMA_NN,
-                U_TILDE, V_TILDE, V_P2)
+EQUATION_IDS = (SIGMA_JMMS, SIGMA_HARD, SIGMA_NN, V_P2)
 
 DEFAULT_T_SWITCH = 0.1
 DEFAULT_ORDER = 44
@@ -206,8 +206,8 @@ def _sigma_series(coeffs, order):
 
 
 # ---------------------------------------------------------------------------
-# equation families: (t sigma'')^2 + G(A, sigma') = 0 with A = t sigma' -
-# sigma, each G stated once in (sigma, t sigma', sigma') as groups of terms.
+# equations: (t sigma'')^2 + G(A, sigma') = 0 with A = t sigma' - sigma,
+# each G stated once in (sigma, t sigma', sigma') as groups of terms.
 # The series residual adds the terms one at a time in the order written (the
 # derived coefficients' bits depend on it); the defect's scale is the largest
 # of 1, the lead and each group.
@@ -281,56 +281,44 @@ def _g_nn(par, s, tsp, sp):
     return ((4.0 * (-w * (sp * sp - shifted2)),),)
 
 
-def _g_utilde(par, s, tsp, sp):
-    sp2 = sp * sp
-    return ((-((4.0 * sp2 - sp) * (tsp - s)),),
-            (-9.0 / 4.0 * sp2, 1.5 * sp, -0.25))
-
-
-def _g_vtilde(par, s, tsp, sp):
-    sp2 = sp * sp
-    return ((-25.0 / 4.0 * sp2, (sp - 4.0 * sp2) * (tsp - s)),
-            (2.5 * sp, -0.25))
-
-
 def _g_p2v(par, s, tsp, sp):
     A = s - tsp
     sp2 = sp * sp
     return ((A * (A + 4.0 - 4.0 * sp2), -16.0 * sp2),)
 
 
-_G = {"jmms": _g_jmms, "hard": _g_hard, "nn": _g_nn, "utilde": _g_utilde,
-      "vtilde": _g_vtilde, "p2v": _g_p2v}
+_G = {SIGMA_JMMS: _g_jmms, SIGMA_HARD: _g_hard, SIGMA_NN: _g_nn,
+      V_P2: _g_p2v}
 
 
-def _residual_series(family, par, coeffs, order):
+def _residual_series(equation_id, par, coeffs, order):
     S, Sp, Spp = _sigma_series(coeffs, order)
     tSpp = _s_mul_mono(Spp, 1.0, 2, order)
     r = _Truncated(_s_mul(tSpp, tSpp, order), order)
     tSp = _s_mul_mono(Sp, 1.0, 2, order)
-    for group in _G[family](par, *(_Truncated(v, order)
-                                   for v in (S, tSp, Sp))):
+    for group in _G[equation_id](par, *(_Truncated(v, order)
+                                        for v in (S, tSp, Sp))):
         for term in group:
             r = r + term
     return r.s
 
 
-def _residual_terms(family, par, t, s, sp, spp):
+def _residual_terms(equation_id, par, t, s, sp, spp):
     """(residual, scale) of the undifferentiated equation; vectorized."""
     parts = [(t * spp) ** 2]
-    parts += [sum(group) for group in _G[family](par, s, t * sp, sp)]
+    parts += [sum(group) for group in _G[equation_id](par, s, t * sp, sp)]
     scale = np.max(np.abs(np.stack(np.broadcast_arrays(1.0, *parts))), axis=0)
     return sum(parts), scale
 
 
-def _third_derivative(family, par, t, s, sp, spp):
+def _third_derivative(equation_id, par, t, s, sp, spp):
     """sigma''' = -sigma''/t - (t G_A + G_sigma')/(2 t^2), from d/dt of the
     equation with sigma'' divided out.  The directional derivative is
     Im G / h with A stepped by i h t and sigma' by i h, t sigma' held real:
     a complex step, free of cancellation."""
     dg = 0.0
-    for group in _G[family](par, complex(s, -_STEP * t), t * sp,
-                            complex(sp, _STEP)):
+    for group in _G[equation_id](par, complex(s, -_STEP * t), t * sp,
+                                 complex(sp, _STEP)):
         for term in group:
             dg += term.imag
     return -spp / t - dg / (2.0 * _STEP * t * t)
@@ -360,7 +348,7 @@ def _first_action(R, order):
     return i, beta[i], alpha[i]
 
 
-def _match_coefficients(family, par, leading, order, pinned):
+def _match_coefficients(equation_id, par, leading, order, pinned):
     """Derive x-coefficients 1..order from the leading data, one unknown at
     a time in increasing order.
 
@@ -383,7 +371,7 @@ def _match_coefficients(family, par, leading, order, pinned):
             continue
         rows = np.repeat(coeffs[None], 3, axis=0)
         rows[:, e - 1] = 0.0, 1.0, -1.0
-        R = _residual_series(family, par, rows, order)
+        R = _residual_series(equation_id, par, rows, order)
         action = _first_action(R, order)
         if action is None:
             continue
@@ -401,38 +389,44 @@ def _match_coefficients(family, par, leading, order, pinned):
                 coeffs[e - 1] = r1 if abs(r1) > abs(r2) else r2
             else:
                 coeffs[e - 1] = r1 if abs(r1) < abs(r2) else r2
-    resid = _residual_series(family, par, coeffs, order)
+    resid = _residual_series(equation_id, par, coeffs, order)
     upto = order - _TRUNCATED_TOP
     tail = np.array([_s_coeff(resid, d) for d in range(resid.off, upto)])
     scale = max(1.0, float(np.max(np.abs(resid.c))) if len(resid.c) else 0.0)
     if len(tail) and np.max(np.abs(tail)) > 1e-8 * scale:
         raise DerivationError(
-            f"series for {family} {par} leaves residual "
+            f"series for {equation_id} {par} leaves residual "
             f"{np.max(np.abs(tail)):.2e} (scale {scale:.2e}); "
             "inconsistent leading data")
     return coeffs
 
 
 def _equation_setup(equation_id, params):
-    """(family, family params, leading coeffs, pinned resonant coeffs).
+    """(equation params, leading coeffs, pinned resonant coeffs).
 
-    Exponents are in x = sqrt(t).  The pinned orders are the resonances,
-    where c_(e+1) acts on the residual no later than c_e, so that matching
-    cannot determine c_e; their values are closed forms, which the matcher
-    takes as given.  The test suite replays each derivation to check that
-    the pinned orders are exactly the resonant ones, and exercises each
-    value against the determinantal route.
+    Four equations, one id each: SIGMA_JMMS (xi), SIGMA_HARD (a, mu, xi)
+    with a = +-1/2 and mu in {0, 2} (mu = 2 at xi = 1 only), SIGMA_NN
+    (a, xi) with a in {0, 1}, and V_P2 ().  Exponents are in x = sqrt(t).
+    The pinned orders are the resonances, where c_(e+1) acts on the
+    residual no later than c_e, so that matching cannot determine c_e;
+    their values are closed forms, which the matcher takes as given.  The
+    test suite replays each derivation to check that the pinned orders are
+    exactly the resonant ones, and exercises each value against the
+    determinantal route.
     """
+    arity = {SIGMA_JMMS: 1, SIGMA_HARD: 3, SIGMA_NN: 2, V_P2: 0}.get(
+        equation_id)
+    if arity is None:
+        raise ArgumentError(f"unknown equation id {equation_id!r}")
+    if len(params) != arity:
+        raise ArgumentError(
+            f"{equation_id} takes {arity} params, got {tuple(params)}")
     if equation_id == SIGMA_JMMS:
         (xi,) = params
         _check_xi(xi)
-        return "jmms", (), {2: -xi / math.pi}, {}
-    if equation_id in (SIGMA_HARD, SIGMA_HARD_GEN):
-        if equation_id == SIGMA_HARD:
-            a, xi = params
-            mu = 0.0
-        else:
-            a, mu, xi = params
+        return (), {2: -xi / math.pi}, {}
+    if equation_id == SIGMA_HARD:
+        a, mu, xi = params
         _check_xi(xi)
         if a not in (-0.5, 0.5):
             raise UnsupportedError(f"hard-edge order a must be +-1/2, got {a}")
@@ -440,15 +434,13 @@ def _equation_setup(equation_id, params):
             raise UnsupportedError(f"only mu in {{0, 2}} implemented, got {mu}")
         if mu == 0.0:
             if a == -0.5:
-                return "hard", (a, 0.0), {1: -xi / math.pi}, {}
-            return "hard", (a, 0.0), {3: -xi / (3.0 * math.pi)}, {}
+                return (a, 0.0), {1: -xi / math.pi}, {}
+            return (a, 0.0), {3: -xi / (3.0 * math.pi)}, {}
         if xi != 1.0:
             raise UnsupportedError("mu=2 boundary data is available at xi=1 only")
         if a == -0.5:
-            return ("hard", (a, 2.0), {2: -1.0 / 3.0},
-                    {5: -8.0 / (135.0 * math.pi)})
-        return ("hard", (a, 2.0), {2: -1.0 / 5.0},
-                {7: -8.0 / (23625.0 * math.pi)})
+            return (a, 2.0), {2: -1.0 / 3.0}, {5: -8.0 / (135.0 * math.pi)}
+        return (a, 2.0), {2: -1.0 / 5.0}, {7: -8.0 / (23625.0 * math.pi)}
     if equation_id == SIGMA_NN:
         a, xi = params
         _check_xi(xi)
@@ -457,14 +449,8 @@ def _equation_setup(equation_id, params):
         exp_x = int(2 * (2 * a + 1))
         coeff = -xi * 2.0 * 0.25 ** (2 * a + 1) / (
             math.gamma(0.5 + a) * math.gamma(1.5 + a))
-        return "nn", (a,), {exp_x: coeff}, {}
-    if equation_id == U_TILDE:
-        return "utilde", (), {2: 1.0 / 3.0}, {5: 8.0 / (135.0 * math.pi)}
-    if equation_id == V_TILDE:
-        return "vtilde", (), {2: 1.0 / 5.0}, {7: 8.0 / (23625.0 * math.pi)}
-    if equation_id == V_P2:
-        return "p2v", (), {4: -1.0 / 15.0}, {10: -1.0 / (8640.0 * math.pi)}
-    raise ArgumentError(f"unknown equation id {equation_id!r}")
+        return (a,), {exp_x: coeff}, {}
+    return (), {4: -1.0 / 15.0}, {10: -1.0 / (8640.0 * math.pi)}
 
 
 def _check_xi(xi):
@@ -483,7 +469,6 @@ class PainleveProblem:
     params: tuple
     t_switch: float
     x_coefficients: np.ndarray = field(compare=False, repr=False)  # read-only
-    _family: str = field(compare=False, repr=False)
     _par: tuple = field(compare=False, repr=False)
 
     @property
@@ -548,7 +533,7 @@ def build_problem(equation_id, params=(), t_switch=DEFAULT_T_SWITCH,
 
 
 def _derive_problem(equation_id, params, t_switch, n_terms):
-    family, par, leading, pinned = _equation_setup(equation_id, params)
+    par, leading, pinned = _equation_setup(equation_id, params)
     if n_terms < max(leading):
         raise ArgumentError(
             f"{equation_id} {params} needs n_terms >= {max(leading)}, its "
@@ -556,12 +541,13 @@ def _derive_problem(equation_id, params, t_switch, n_terms):
     if all(v == 0.0 for v in leading.values()):        # xi = 0: sigma == 0
         coeffs = np.zeros(n_terms)
     else:
-        coeffs = _match_coefficients(family, par, leading, n_terms, pinned)
+        coeffs = _match_coefficients(equation_id, par, leading, n_terms,
+                                     pinned)
         _check_tail(coeffs, t_switch)
     coeffs.setflags(write=False)
     return PainleveProblem(equation_id=equation_id, params=params,
                            t_switch=float(t_switch), x_coefficients=coeffs,
-                           _family=family, _par=par)
+                           _par=par)
 
 
 def _check_tail(coeffs, t_switch):
@@ -588,7 +574,7 @@ def extend_series(problem: PainleveProblem, n_terms: int):
 def series_residual(problem: PainleveProblem, t=None) -> float:
     """Relative defect of the truncated series in its own equation at t."""
     t = problem.t_switch if t is None else float(t)
-    r, scale = _residual_terms(problem._family, problem._par, t,
+    r, scale = _residual_terms(problem.equation_id, problem._par, t,
                                *(problem.series_value(t, d) for d in range(3)))
     return float(abs(r) / scale)
 
@@ -628,8 +614,8 @@ class PainleveSolution:
                     f"integrator failed for {problem.equation_id} "
                     f"{problem.params} at t={stepper.t:.6g}: {message}")
             t, y = stepper.t, stepper.y
-            defect, scale = _residual_terms(problem._family, problem._par, t,
-                                            *y[:3])
+            defect, scale = _residual_terms(problem.equation_id, problem._par,
+                                            t, *y[:3])
             rel = float(abs(defect) / scale)
             if rel > allowed:
                 raise ConsistencyError(
@@ -694,13 +680,14 @@ def integrate(problem: PainleveProblem, t_max: float,
     ts = problem.t_switch
     if t_max <= ts:
         raise ArgumentError(f"t_max={t_max} must exceed t_switch={ts}")
-    family, par = problem._family, problem._par
+    equation_id, par = problem.equation_id, problem._par
     y0 = [problem.series_value(ts, _SERIES_DERIV[k]) for k in range(4)]
 
     def rhs(t, y):
         t = float(t)
         s, sp, spp, _ = y.tolist()
-        return [sp, spp, _third_derivative(family, par, t, s, sp, spp), s / t]
+        return [sp, spp, _third_derivative(equation_id, par, t, s, sp, spp),
+                s / t]
 
     solver_tol = max(tol / _TOL_SAFETY, _MIN_SOLVER_TOL)
     stepper = DOP853(rhs, ts, y0, _T_BOUND, rtol=solver_tol, atol=solver_tol)
@@ -775,7 +762,7 @@ def e2_hard(s, a: float, xi: float = 1.0):
     """Hard-edge gap generating value exp int_0^s u(t;a;xi)/t dt on (0, s)."""
     _check_xi(xi)
     return on_points(s, 1.0, lambda v: 1.0 if xi == 0.0
-                     else _gap(SIGMA_HARD, (a, xi), v))
+                     else _gap(SIGMA_HARD, (a, 0.0, xi), v))
 
 
 def e1_bulk(s):
@@ -821,12 +808,13 @@ def p2_nn(s):
 
 
 def p1_direct(s):
-    """Spacing density p1(0; s) = (2 u(T) / s) exp(-int_0^T u/t dt) with
-    T = (pi s / 2)^2 and u the U_TILDE transcendent."""
+    """Spacing density p1(0; s) = -(2 sigma(T) / s) exp int_0^T sigma/t dt
+    with T = (pi s / 2)^2 and sigma the hard-edge transcendent at a = -1/2,
+    mu = 2, xi = 1."""
     def density(v):
         T = _squared(math.pi * v / 2.0)
-        sol = _solution(U_TILDE, (), T)
-        return 2.0 * sol.sigma_at(T) / v * _exp(-sol.log_integral_at(T))
+        sol = _solution(SIGMA_HARD, (-0.5, 2.0, 1.0), T)
+        return -2.0 * sol.sigma_at(T) / v * _exp(sol.log_integral_at(T))
 
     return on_points(s, 0.0, density)
 
@@ -840,14 +828,14 @@ def p2_direct(s):
 def _dminus_second(u):
     """Second derivative of the odd-parity determinant profile at u.
 
-    (4 pi^2 u / 3)(v((pi u)^2) - 1) exp(-int_0^{(pi u)^2} v/t dt) with v the
-    V_TILDE transcendent.
+    -(4 pi^2 u / 3)(sigma(T) + 1) exp int_0^T sigma/t dt with T = (pi u)^2
+    and sigma the hard-edge transcendent at a = 1/2, mu = 2, xi = 1.
     """
     def second(w):
         T = _squared(math.pi * w)
-        sol = _solution(V_TILDE, (), T)
-        return (4.0 * math.pi ** 2 * w / 3.0) * (sol.sigma_at(T) - 1.0) * \
-            _exp(-sol.log_integral_at(T))
+        sol = _solution(SIGMA_HARD, (0.5, 2.0, 1.0), T)
+        return -(4.0 * math.pi ** 2 * w / 3.0) * (sol.sigma_at(T) + 1.0) * \
+            _exp(sol.log_integral_at(T))
 
     return on_points(u, 0.0, second)
 
@@ -882,17 +870,17 @@ def am5_identity_residual(s: float, a: float) -> float:
 
     Left side: -(d/ds) exp int_0^s u|_{mu=0}/t dt.  Right side:
     s^a / (2^{2a+2} Gamma(a+1) Gamma(a+2)) * exp int_0^s u|_{mu=2}/t dt.
-    The mu=2 exponential is taken from the U_TILDE / V_TILDE trajectories,
-    which solve the same equation after a sign flip.
+    Both exponentials come from SIGMA_HARD trajectories; the mu=2 one is
+    the trajectory p1_direct (a = -1/2) or p4_direct (a = 1/2) steps on.
     """
     if a not in (-0.5, 0.5):
         raise UnsupportedError(f"identity implemented for a = +-1/2, got {a}")
     if s <= 0.0:
         raise ArgumentError(f"s must be > 0, got {s}")
-    sol0 = _solution(SIGMA_HARD, (a, 1.0), s)
+    sol0 = _solution(SIGMA_HARD, (a, 0.0, 1.0), s)
     lhs = -sol0.sigma_at(s) / s * math.exp(sol0.log_integral_at(s))
-    sol2 = _solution(U_TILDE if a == -0.5 else V_TILDE, (), s)
+    sol2 = _solution(SIGMA_HARD, (a, 2.0, 1.0), s)
     prefactor = s ** a / (2.0 ** (2 * a + 2) * math.gamma(a + 1.0)
                           * math.gamma(a + 2.0))
-    rhs = prefactor * math.exp(-sol2.log_integral_at(s))
+    rhs = prefactor * math.exp(sol2.log_integral_at(s))
     return lhs - rhs

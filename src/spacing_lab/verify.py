@@ -19,7 +19,7 @@ import numpy as np
 
 from . import fredholm, kernels, montecarlo, painleve, sequences, surmise
 from .errors import ArgumentError
-from .quadrature import Interval, gauss_legendre, nystrom_spectrum
+from .quadrature import Interval, gauss_legendre
 
 _MC_SEED = 42
 
@@ -89,10 +89,7 @@ def check_parity_identities():
         full = fredholm._converged_spectrum(kernels.sine_bulk(), iv)
         n = full.nodes_used
         max_nodes = max(max_nodes, n)
-        d_plus = fredholm.generating_value(
-            nystrom_spectrum(kernels.sine_even(), iv, n), 1.0)
-        d_minus = fredholm.generating_value(
-            nystrom_spectrum(kernels.sine_odd(), iv, n), 1.0)
+        d_plus, d_minus = fredholm.parity_split(iv, n)
         e2 = fredholm.generating_value(full, 1.0)
         worst_product = max(worst_product, abs(d_plus * d_minus - e2))
         g_plus, g_minus = fredholm.gaudin_split(
@@ -204,11 +201,11 @@ def check_series_layers():
     tol = 1e-8
     cases = [
         (painleve.SIGMA_JMMS, (1.0,)),
-        (painleve.SIGMA_HARD, (-0.5, 1.0)),
-        (painleve.SIGMA_HARD, (0.5, 1.0)),
+        (painleve.SIGMA_HARD, (-0.5, 0.0, 1.0)),
+        (painleve.SIGMA_HARD, (0.5, 0.0, 1.0)),
         (painleve.SIGMA_NN, (1.0, 1.0)),
-        (painleve.U_TILDE, ()),
-        (painleve.V_TILDE, ()),
+        (painleve.SIGMA_HARD, (-0.5, 2.0, 1.0)),
+        (painleve.SIGMA_HARD, (0.5, 2.0, 1.0)),
         (painleve.V_P2, ()),
     ]
     residuals = {}

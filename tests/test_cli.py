@@ -44,19 +44,18 @@ class TestTabulate:
         write_tabulate(_tabulate_config(), second)
         assert first.getvalue() == second.getvalue()
 
-    def test_thread_count_invisible(self, monkeypatch):
-        # tabulate is serial; SPACING_LAB_THREADS sizes sample's process
-        # pool, so three chunks of replicas are drawn in one process, then
-        # in several
-        config = RunConfig(command="sample", n=13, reps=3 * montecarlo.CHUNK,
-                           seed=7)
-        monkeypatch.setenv("SPACING_LAB_THREADS", "1")
-        serial = io.StringIO()
-        write_sample(config, serial)
-        monkeypatch.setenv("SPACING_LAB_THREADS", "3")
-        pooled = io.StringIO()
-        write_sample(config, pooled)
-        assert serial.getvalue() == pooled.getvalue()
+    def test_thread_count_invisible(self):
+        # tabulate is serial; workers sizes sample's process pool, so three
+        # chunks of replicas are drawn in one process, then in several
+        outputs = []
+        for workers in (1, 3):
+            config = RunConfig(command="sample", n=13,
+                               reps=3 * montecarlo.CHUNK, seed=7,
+                               workers=workers)
+            out = io.StringIO()
+            write_sample(config, out)
+            outputs.append(out.getvalue())
+        assert outputs[0] == outputs[1]
 
     def test_surmise_column(self):
         out = io.StringIO()
@@ -154,8 +153,9 @@ class TestGoldenDigests:
     """SHA-256 of the data rows (the '#' metadata carries library versions)
     of CSVs recorded before the sampler and sieve were batched; the sample
     digests also cover the exact and surmise overlay columns, and were
-    re-recorded when the Painleve trajectories behind the exact column
-    moved in their last bits."""
+    re-recorded each time the Painleve trajectories behind the exact column
+    moved in their last bits, the last time when p1 and p4 moved onto the
+    mu = 2 hard-edge trajectories."""
 
     @staticmethod
     def _data_digest(argv, tmp_path):
@@ -166,8 +166,8 @@ class TestGoldenDigests:
         return hashlib.sha256(rows.encode()).hexdigest()
 
     @pytest.mark.parametrize("order, digest", [
-        ("0", "3c7738bd0ca25c9015b31834eae3fd676100957e5070b80fc6e71651862abb95"),
-        ("1", "0b191b67e7a1069c2b5c333b3a2e68284dc4bc160bd4473c269dbd3474566513"),
+        ("0", "de17e5ddd8f75a66593767c483da13d30f31d8e8a772d483e85ece42adf3b436"),
+        ("1", "359fa03f3e64600035f574a007c9b6b06a73f44f9efa7d04d12af566fbfec5fe"),
     ], ids=["order0", "order1"])
     def test_sample(self, tmp_path, order, digest):
         painleve.clear_cache()
@@ -188,7 +188,9 @@ class TestPainleveDigests:
     the third derivative became the complex-step derivative of each
     family's one G, which moved the trajectories in their last bits, and
     p1 at s <= 1e-3 came from the series layer instead of its leading
-    term."""
+    term; p0 at beta 1 and 4 and p1gap again when p1 and p4 moved onto the
+    mu = 2 hard-edge trajectories, which negate the former beta = 1 and
+    beta = 4 transcendents and differ from them in the last bits."""
 
     @pytest.mark.parametrize("quantity, extra, s_max, digest", [
         ("E2", (), "4.0",
@@ -200,13 +202,13 @@ class TestPainleveDigests:
         ("Enn", (), "4.0",
          "f4142774e1a08a179fe7cc9a34f2f6c2dc000c77ca77a05e60174a9ab03e7733"),
         ("p0", ("--beta", "1"), "4.0",
-         "24c2e026036d2653416dba76bf150a316959f5466e050d465079a931bb1727f4"),
+         "9b35abd5ac7e78805316467c2048a091b2c75e3e43348b9ab4617f71e9fe91e3"),
         ("p0", ("--beta", "2"), "4.0",
          "ce390187a7223fba84b8d8676ccfee6ebd0b094b6025c834b3c9d2b0d2509fa5"),
         ("p0", ("--beta", "4"), "4.0",
-         "32c2bf6ab4c748874bae06d823e4feb584384f324ed8bd0ed271bead0d411a6f"),
+         "814b81e68f8699dc6a157cd47ea35949249dea0c558a670cb4f1c9bcdf5ba802"),
         ("p1gap", (), "6.0",
-         "97d808966ab87e1d9d1ba65279755bf42d7ae28df460794dc29fbc6f6754b4c3"),
+         "5641a6d04b58dbc84d1ebda583c962df4a7f5cbaf429bd7d7a758c2062313ba1"),
         ("p2nn", (), "4.0",
          "c53765c6ed7725324bd874d2293dc665154849f3664aef42b0189fe543697b5e"),
     ], ids=["E2", "E1", "E4", "Enn", "p0-beta1", "p0-beta2", "p0-beta4",
@@ -347,11 +349,11 @@ class TestMainExitCodes:
             main(["tabulate", "--quantity", "p0", "--beta", "3"])
         assert excinfo.value.code == 2
 
-    def test_invalid_thread_env(self, monkeypatch, capsys):
+    def test_zero_workers(self, capsys):
         # sample is the one command that sizes a pool
-        monkeypatch.setenv("SPACING_LAB_THREADS", "many")
-        code = main(["sample", "--n", "3", "--reps", "8"])
+        code = main(["sample", "--n", "3", "--reps", "8", "--workers", "0"])
         assert code == 2
+        assert "--workers must be >= 1" in capsys.readouterr().err
 
     def test_tabulate_to_file(self, tmp_path, capsys):
         target = tmp_path / "table.csv"

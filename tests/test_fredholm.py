@@ -376,6 +376,31 @@ class TestJacobiDensities:
         with pytest.raises(NumericError):
             fredholm.p4_det(3.0)
 
+    @pytest.mark.parametrize("kernel", [sine_even(), sine_odd(),
+                                        spectrum_singularity(1.0)],
+                             ids=lambda k: k.variant)
+    def test_jets_double_the_rules_of_the_spectrum(self, monkeypatch, kernel):
+        # one doubling policy: on (-26, 26) both start at 16 + 2 * 52 nodes
+        # and double up to the cap; a negative tolerance never converges
+        spectra, jets = [], []
+
+        def spectrum(kernel, interval, n):
+            spectra.append(n)
+            return FredholmSpectrum(eigenvalues=np.zeros(0), kernel=kernel,
+                                    interval=interval, nodes_used=n)
+
+        def jet(kernel, x, n, order):
+            jets.append(n)
+            return np.zeros(order + 1)
+
+        monkeypatch.setattr(fredholm, "nystrom_spectrum", spectrum)
+        monkeypatch.setattr(fredholm, "_det_jet", jet)
+        with pytest.raises(NumericError):
+            fredholm._converged_spectrum(kernel, Interval(-26.0, 26.0), -1.0)
+        with pytest.raises(NumericError):
+            fredholm._det_jets(kernel, np.array([26.0]), 2, -1.0)
+        assert spectra == jets == [120, 240, 480, 960, fredholm._MAX_NODES]
+
     @pytest.mark.parametrize("kernel", [sine_even(), sine_odd()],
                              ids=lambda k: k.variant)
     @pytest.mark.parametrize("x", [0.3, 1.5])

@@ -17,12 +17,9 @@ from spacing_lab import (
 from spacing_lab.kernels import hard_edge_bessel
 from spacing_lab.painleve import (
     SIGMA_HARD,
-    SIGMA_HARD_GEN,
     SIGMA_JMMS,
     SIGMA_NN,
-    U_TILDE,
     V_P2,
-    V_TILDE,
     build_problem,
     extend_series,
     integrate,
@@ -31,11 +28,11 @@ from spacing_lab.painleve import (
 
 CANONICAL_PROBLEMS = [
     (SIGMA_JMMS, (1.0,)),
-    (SIGMA_HARD, (-0.5, 1.0)),
-    (SIGMA_HARD, (0.5, 1.0)),
+    (SIGMA_HARD, (-0.5, 0.0, 1.0)),
+    (SIGMA_HARD, (0.5, 0.0, 1.0)),
     (SIGMA_NN, (1.0, 1.0)),
-    (U_TILDE, ()),
-    (V_TILDE, ()),
+    (SIGMA_HARD, (-0.5, 2.0, 1.0)),
+    (SIGMA_HARD, (0.5, 2.0, 1.0)),
     (V_P2, ()),
 ]
 
@@ -51,7 +48,8 @@ class TestSeriesLayer:
         # the first three derived terms alone already satisfy the equation
         # to 1e-8 near zero; the tiny switch point keeps the truncated
         # series inside its own tail bound
-        problem = build_problem(U_TILDE, t_switch=1e-8, n_terms=5)
+        problem = build_problem(SIGMA_HARD, (-0.5, 2.0, 1.0), t_switch=1e-8,
+                                n_terms=5)
         assert series_residual(problem, 1e-3) <= 1e-8
 
     def test_conditioned_origin_degenerates_to_translation_form(self):
@@ -89,16 +87,25 @@ class TestSeriesLayer:
         with pytest.raises(ArgumentError):
             build_problem("SIGMA_BOGUS", ())
 
+    @pytest.mark.parametrize("eq,params", [
+        (SIGMA_JMMS, ()), (SIGMA_HARD, (-0.5, 1.0)), (SIGMA_NN, (1.0,)),
+        (V_P2, (1.0,)),
+    ], ids=str)
+    def test_params_arity(self, eq, params):
+        # SIGMA_HARD takes (a, mu, xi); its former (a, xi) form is an error
+        with pytest.raises(ArgumentError):
+            build_problem(eq, params)
+
     def test_unsupported_parameters(self):
         with pytest.raises(UnsupportedError):
-            build_problem(SIGMA_HARD, (1.5, 1.0))
+            build_problem(SIGMA_HARD, (1.5, 0.0, 1.0))
         with pytest.raises(UnsupportedError):
             build_problem(SIGMA_NN, (2.0, 1.0))
         with pytest.raises(UnsupportedError):
-            build_problem(SIGMA_HARD_GEN, (-0.5, 1.0, 1.0))
+            build_problem(SIGMA_HARD, (-0.5, 1.0, 1.0))
         # the mu=2 boundary data is only known at xi=1
         with pytest.raises(UnsupportedError):
-            build_problem(SIGMA_HARD_GEN, (-0.5, 2.0, 0.5))
+            build_problem(SIGMA_HARD, (-0.5, 2.0, 0.5))
 
     def test_xi_domain(self):
         with pytest.raises(ArgumentError):
@@ -126,7 +133,7 @@ class TestIntegration:
         # the integrator rejects any step whose defect in the original
         # second-order equation exceeds 100x the tolerance, so a completed
         # long integration is itself the defect certificate
-        problem = build_problem(SIGMA_HARD, (-0.5, 1.0))
+        problem = build_problem(SIGMA_HARD, (-0.5, 0.0, 1.0))
         solution = integrate(problem, 30.0, tol=1e-10)
         assert solution.t_max >= 30.0
 
@@ -178,7 +185,8 @@ class TestIntegration:
                     == _bits(cold._state(t, component)))
 
     def test_creeping_requests_near_the_stiff_frontier(self):
-        # u-tilde becomes numerically stiff not far past t = (8.1 pi / 2)^2;
+        # the a = -1/2, mu = 2 hard-edge trajectory becomes numerically
+        # stiff not far past t = (8.1 pi / 2)^2;
         # each extension steps only to the first step past its request, so
         # every requested s stays reachable
         painleve.clear_cache()
@@ -526,35 +534,33 @@ class TestProblemMemo:
     DIGESTS = [
         (SIGMA_JMMS, (1.0,),
          "f009526f9275cef47bf671ddc45eef20e4f814cff6dc8facf17e0eddc8d77ddf"),
-        (SIGMA_HARD, (-0.5, 1.0),
+        (SIGMA_HARD, (-0.5, 0.0, 1.0),
          "a4f9122150da5a3aa7ec0b4a7b6f77dd37114fe615f463d34078d10e96eddd3c"),
-        (SIGMA_HARD, (0.5, 1.0),
+        (SIGMA_HARD, (0.5, 0.0, 1.0),
          "0358a02902a95cb8670cb3faa28b2275a3078aec8b1f73742710e5eea01aa5f4"),
-        (SIGMA_HARD_GEN, (-0.5, 2.0, 1.0),
+        (SIGMA_HARD, (-0.5, 2.0, 1.0),
          "9350db3981839d89059e9243689c1064fad9397433d77f05ba01f4b17408af6c"),
-        (SIGMA_HARD_GEN, (0.5, 2.0, 1.0),
+        (SIGMA_HARD, (0.5, 2.0, 1.0),
          "8ec63e1beadd23ef049293531f1d9378dbc5c408e2f52a22b25cb98cf0bd6c2f"),
         (SIGMA_NN, (0.0, 1.0),
          "f009526f9275cef47bf671ddc45eef20e4f814cff6dc8facf17e0eddc8d77ddf"),
         (SIGMA_NN, (1.0, 1.0),
          "d9aaeb4ca89a6baa7931648123a08be1100ea9fc6afa43d4f6f88ff4ea108600"),
-        (U_TILDE, (),
-         "3cc0616b85dda9afa2d99d5b0df415978b4e445d570da6c9df73ae908482becb"),
-        (V_TILDE, (),
-         "37b1835e499f30dd994d3b69b0cf892a1aaa92984e3dfef2ffd8ccfd35d60d19"),
         (V_P2, (),
          "6befebb29f56a661dc0d65c4c37b31b42506b555481df5140e329224dc55aa1b"),
     ]
 
     # recorded before the monomial shifts, the one-pass first action and the
-    # shared square-root prefixes; xi != 1 makes the SIGMA_NN square root
-    # sum terms of mixed size, where the summation order shows in the bits
+    # shared square-root prefixes (the 60-order row when the mu = 2 hard-edge
+    # id took over the beta = 1 transcendent); xi != 1 makes the SIGMA_NN
+    # square root sum terms of mixed size, where the summation order shows
+    # in the bits
     MORE_DIGESTS = [
         (SIGMA_JMMS, (0.37,), 44,
          "ef947c313318253655ce2bb82eb4710857b040a7a17aa49ecba8a4c16679be5e"),
-        (SIGMA_HARD, (-0.5, 0.77), 44,
+        (SIGMA_HARD, (-0.5, 0.0, 0.77), 44,
          "d0ed70e8b78eef520dee71d7b3d5170f1b37e9bc54475576e60618f33a74a5d7"),
-        (SIGMA_HARD, (0.5, 0.77), 44,
+        (SIGMA_HARD, (0.5, 0.0, 0.77), 44,
          "67bb91300e78cf569185197d748400b76e185f7b9bb903d9e98be06cd24816f5"),
         (SIGMA_NN, (1.0, 0.3), 44,
          "05285f29509cea81188d441fa181bca6ef1ca10e27448cb7fcf91ef1198296f6"),
@@ -562,8 +568,8 @@ class TestProblemMemo:
          "56a3e18668f9942006a3977e349912adf4806a68d499bc8ce5992b6de8ea3b91"),
         (SIGMA_NN, (0.0, 0.8), 44,
          "d95a835dfc5dc82f03f9e362601858dcd5e8849ceb97252f6291a48abf71ef7d"),
-        (U_TILDE, (), 60,
-         "94fe8fe14f68cb4c674279042deb96d2ec39b6cce8494483adf8be94fdbd30d4"),
+        (SIGMA_HARD, (-0.5, 2.0, 1.0), 60,
+         "c5a04f7fb708989b37e7c0d2e592e32d65a4dbbb98f19e54e198ac6d61f4a700"),
     ]
 
     @pytest.mark.parametrize("eq,params,digest", DIGESTS,
@@ -583,13 +589,14 @@ class TestProblemMemo:
 
     def test_memoised_and_read_only(self):
         painleve.clear_cache()
-        problem = build_problem(U_TILDE)
-        assert build_problem(U_TILDE, (), 0.1, 44) is problem
-        assert build_problem(U_TILDE, n_terms=30) is not problem
+        params = (-0.5, 2.0, 1.0)
+        problem = build_problem(SIGMA_HARD, params)
+        assert build_problem(SIGMA_HARD, params, 0.1, 44) is problem
+        assert build_problem(SIGMA_HARD, params, n_terms=30) is not problem
         with pytest.raises(ValueError):
             problem.x_coefficients[0] = 1.0
         painleve.clear_cache()
-        again = build_problem(U_TILDE)
+        again = build_problem(SIGMA_HARD, params)
         assert again is not problem
         assert np.array_equal(again.x_coefficients, problem.x_coefficients)
 
@@ -624,7 +631,7 @@ class TestFirstActions:
         # meets c_e: the orders where c_(e+1) acts no later are exactly the
         # pinned ones.  The last two conditioned-origin unknowns at a = 1
         # act only past the series
-        family, par, leading, pinned = painleve._equation_setup(eq, params)
+        par, leading, pinned = painleve._equation_setup(eq, params)
         final = build_problem(eq, params, n_terms=order).x_coefficients
         collisions, silent = set(), set()
         for e in sorted(set(range(1, order + 1)) - set(leading)):
@@ -633,7 +640,7 @@ class TestFirstActions:
             rows[1:3, e - 1] = 1.0, -1.0
             if e < order:
                 rows[3:, e] = 1.0, -1.0
-            R = painleve._residual_series(family, par, rows, order)
+            R = painleve._residual_series(eq, par, rows, order)
             c = R.c[:, :order - R.off + 1]
             own, later = (_first_action_loop(c[[0, j, j + 1]]) for j in (1, 3))
             if own is None:
@@ -670,19 +677,24 @@ class TestFirstActions:
         assert _assert_first_action_equals_loop(c, 0, 5)[0] == 1
 
     def test_one_probe_batch_per_unknown(self, monkeypatch):
-        # U_TILDE at 44 orders has one leading and one pinned coefficient:
-        # 42 unknowns are each probed by one batch of three residuals, and
-        # one residual of the result is checked
+        # the a = -1/2, mu = 2 hard-edge series at 44 orders has one leading
+        # and one pinned coefficient: 42 unknowns are each probed by one
+        # batch of three residuals, and one residual of the result is checked
         shapes, original = [], painleve._residual_series
         monkeypatch.setattr(painleve, "_residual_series", lambda *args: (
             shapes.append(args[2].shape) or original(*args)))
         painleve.clear_cache()
-        build_problem(U_TILDE)
+        build_problem(SIGMA_HARD, (-0.5, 2.0, 1.0))
         assert shapes == [(3, 44)] * 42 + [(44,)]
 
 
 # the hand-written sigma''' and defect of every family, as the route used
-# them before each equation was stated once; references for the generic code
+# them before each equation was stated once; references for the generic code.
+# utilde and vtilde are the beta = 1 and beta = 4 transcendents, which the
+# mu = 2 hard-edge equation gives with sigma negated
+_REFERENCE = {SIGMA_JMMS: "jmms", SIGMA_HARD: "hard", SIGMA_NN: "nn",
+              V_P2: "p2v"}
+_EQUATION = {family: eq for eq, family in _REFERENCE.items()}
 
 def _reference_residual_terms(family, par, t, s, sp, spp):
     lead = (t * spp) ** 2
@@ -759,49 +771,81 @@ class TestGenericEquation:
     # every canonical (equation, params) pair, and small xi where the states
     # are small and the complex step's h^2 must stay negligible
     PROBLEMS = [(eq, params) for eq, params, _ in TestProblemMemo.DIGESTS] + [
-        (SIGMA_JMMS, (0.05,)), (SIGMA_HARD, (-0.5, 0.05)),
-        (SIGMA_HARD, (0.5, 0.05)), (SIGMA_NN, (0.0, 0.05)),
+        (SIGMA_JMMS, (0.05,)), (SIGMA_HARD, (-0.5, 0.0, 0.05)),
+        (SIGMA_HARD, (0.5, 0.0, 0.05)), (SIGMA_NN, (0.0, 0.05)),
         (SIGMA_NN, (1.0, 0.05)),
     ]
+
+    @staticmethod
+    def _trajectory_states(problem):
+        solution = integrate(problem, 12.0)
+        ts = np.linspace(problem.t_switch, 12.0, 150)
+        return ts, np.array([solution._state(ts, k) for k in range(3)])
+
+    @staticmethod
+    def _arbitrary_states(seed):
+        # states of mixed sizes and signs, off any trajectory
+        rng = np.random.default_rng(seed)
+        t = rng.uniform(0.1, 50.0, 400)
+        return t, [rng.standard_normal(400) * 10.0 ** rng.uniform(-3, 3, 400)
+                   for _ in range(3)]
 
     @pytest.mark.parametrize("eq,params", PROBLEMS, ids=str)
     def test_agrees_with_hand_written_forms(self, eq, params):
         problem = build_problem(eq, params)
-        family, par = problem._family, problem._par
-        solution = integrate(problem, 12.0)
-        ts = np.linspace(problem.t_switch, 12.0, 150)
-        states = np.array([solution._state(ts, k) for k in range(3)])
+        family, par = _REFERENCE[eq], problem._par
+        ts, states = self._trajectory_states(problem)
         for t, (s, sp, spp) in zip(ts.tolist(), states.T.tolist()):
-            got = painleve._third_derivative(family, par, t, s, sp, spp)
+            got = painleve._third_derivative(eq, par, t, s, sp, spp)
             ref = _reference_third_derivative(family, par, t, s, sp, spp)
             larger = max(abs(spp / t), abs(ref + spp / t))
             assert abs(got - ref) <= 1e-11 * larger
-        got_r, got_scale = painleve._residual_terms(family, par, ts, *states)
+        got_r, got_scale = painleve._residual_terms(eq, par, ts, *states)
         ref_r, ref_scale = _reference_residual_terms(family, par, ts, *states)
         assert np.all(np.abs(got_scale - ref_scale) <= 1e-11 * ref_scale)
         assert np.all(np.abs(got_r - ref_r) <= 1e-11 * ref_scale)
 
     @pytest.mark.parametrize("family,par", [
         ("jmms", ()), ("hard", (-0.5, 0.0)), ("hard", (0.5, 2.0)),
-        ("nn", (0.0,)), ("nn", (1.0,)), ("utilde", ()), ("vtilde", ()),
-        ("p2v", ()),
+        ("nn", (0.0,)), ("nn", (1.0,)), ("p2v", ()),
     ], ids=str)
     def test_defect_scale_at_arbitrary_states(self, family, par):
-        # states of mixed sizes and signs, off any trajectory, make the
-        # groups of G cancel each other, so the scale shows the grouping
-        rng = np.random.default_rng(len(family) + len(par))
-        t = rng.uniform(0.1, 50.0, 400)
-        s, sp, spp = (rng.standard_normal(400) * 10.0 ** rng.uniform(-3, 3, 400)
-                      for _ in range(3))
+        # the groups of G cancel each other at these states, so the scale
+        # shows the grouping
+        t, (s, sp, spp) = self._arbitrary_states(len(family) + len(par))
         if par == (0.0,):
             # at a = 0 the square root drops out, (a - sqrt(w))^2 = w, which
             # holds for w >= 0, as on every trajectory of that family
             s = np.where(s - t * sp < 0.0, 2.0 * t * sp - s, s)
-        got_r, got_scale = painleve._residual_terms(family, par, t, s, sp, spp)
+        got_r, got_scale = painleve._residual_terms(_EQUATION[family], par, t,
+                                                    s, sp, spp)
         ref_r, ref_scale = _reference_residual_terms(family, par, t, s, sp,
                                                      spp)
         assert np.all(np.abs(got_scale - ref_scale) <= 1e-12 * ref_scale)
         assert np.all(np.abs(got_r - ref_r) <= 1e-12 * ref_scale)
+
+    @pytest.mark.parametrize("family,a", [("utilde", -0.5), ("vtilde", 0.5)],
+                             ids=["utilde", "vtilde"])
+    def test_tilde_forms_are_negated_mu2_hard_edge(self, family, a):
+        # on negated states the beta = 1 and beta = 4 forms leave the
+        # residual of the mu = 2 hard-edge equation, and its sigma''' up to
+        # the sign: on its own trajectory and off any trajectory
+        par = (a, 2.0)
+        ts, states = self._trajectory_states(
+            build_problem(SIGMA_HARD, (a, 2.0, 1.0)))
+        for t, (s, sp, spp) in zip(ts.tolist(), states.T.tolist()):
+            got = painleve._third_derivative(SIGMA_HARD, par, t, s, sp, spp)
+            ref = -_reference_third_derivative(family, (), t, -s, -sp, -spp)
+            larger = max(abs(spp / t), abs(ref + spp / t))
+            assert abs(got - ref) <= 1e-11 * larger
+        for t, (s, sp, spp) in ((ts, states),
+                                self._arbitrary_states(len(family))):
+            got_r, got_scale = painleve._residual_terms(SIGMA_HARD, par, t,
+                                                        s, sp, spp)
+            ref_r, ref_scale = _reference_residual_terms(family, (), t, -s,
+                                                         -sp, -spp)
+            scale = np.maximum(got_scale, ref_scale)
+            assert np.all(np.abs(got_r - ref_r) <= 1e-12 * scale)
 
     def test_square_root_clamped(self):
         # the conditioned-origin square root reads 0 where w <= 0, with a

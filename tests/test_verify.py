@@ -11,18 +11,15 @@ from spacing_lab import Interval, fredholm, kernels, painleve, verify
 
 @pytest.fixture()
 def rules(monkeypatch):
-    """Every Nystrom rule built: (calling module, kernel, interval, nodes)."""
+    """Every Nystrom rule built: (kernel, interval, nodes)."""
     built = []
     original = fredholm.nystrom_spectrum
 
-    def recording_in(module):
-        def recording(kernel, interval, n):
-            built.append((module.__name__, kernel, interval, n))
-            return original(kernel, interval, n)
-        monkeypatch.setattr(module, "nystrom_spectrum", recording)
+    def recording(kernel, interval, n):
+        built.append((kernel, interval, n))
+        return original(kernel, interval, n)
 
-    recording_in(fredholm)
-    recording_in(verify)
+    monkeypatch.setattr(fredholm, "nystrom_spectrum", recording)
     return built
 
 
@@ -50,27 +47,39 @@ class TestConvergedRules:
         assert not sizes & {240, 320}
         assert result.details["max_nodes"] == max(sizes)
 
-    def test_parity_rule_is_the_converged_count(self, rules):
+    def test_parity_rule_is_the_converged_count(self, rules, monkeypatch):
+        # the product D+ * D- takes the parity split on the node count at
+        # which the full determinant converged
+        splits = []
+        original = fredholm.parity_split
+
+        def recording(interval, n_nodes=None):
+            splits.append((interval, n_nodes))
+            return original(interval, n_nodes)
+
+        monkeypatch.setattr(fredholm, "parity_split", recording)
         result = verify.check_parity_identities()
         assert result.passed, str(result)
         assert not {n for *_, n in rules} & {240, 320}
-        shared = [(k, iv, n) for module, k, iv, n in rules
-                  if module == verify.__name__]
+        shared = [(iv, n) for iv, n in splits if n is not None]
+        expected = []
         for s in (0.5, 1.0):
             iv = Interval(-s, s)
             accepted = fredholm._converged_spectrum(kernels.sine_bulk(), iv)
-            assert {(k, n) for k, i, n in shared if i == iv} == {
-                (kernels.sine_even(), accepted.nodes_used),
-                (kernels.sine_odd(), accepted.nodes_used)}
-        assert result.details["max_nodes"] == max(n for *_, n in shared)
+            n = accepted.nodes_used
+            expected.append((iv, n))
+            assert {(kernels.sine_even(), iv, n),
+                    (kernels.sine_odd(), iv, n)} <= set(rules)
+        assert shared == expected
+        assert result.details["max_nodes"] == max(n for _, n in shared)
 
 
 class TestTrajectoryFetches:
     def test_dual_route_integrates_each_trajectory_once(self, integrations):
         verify.run_all(["e1-e4-dual-route"])
         assert sorted(integrations) == [
-            (painleve.SIGMA_HARD, (-0.5, 1.0)),
-            (painleve.SIGMA_HARD, (0.5, 1.0))]
+            (painleve.SIGMA_HARD, (-0.5, 0.0, 1.0)),
+            (painleve.SIGMA_HARD, (0.5, 0.0, 1.0))]
 
     def test_full_suite_integration_count(self, integrations):
         results = verify.run_all()
