@@ -18,7 +18,7 @@ from spacing_lab import (
     chi_square_test,
     p1_direct,
     sample_ensemble,
-    unfold_spectra,
+    unfold,
     wigner_surmise,
 )
 
@@ -27,7 +27,7 @@ REPS = 2000
 SEED = 42
 
 spectra = sample_ensemble(RANK, REPS, seed=SEED)    # one spectrum per row
-spacings = central_spacings(unfold_spectra(spectra), order=0).ravel()
+spacings = central_spacings(unfold(spectra), order=0).ravel()
 print(f"{REPS} spectra of rank {RANK}, {spacings.size} central spacings")
 print(f"mean spacing: {spacings.mean():.4f}  (unfolding targets 1)")
 

@@ -10,6 +10,8 @@ which is exactly what separates them from eigenvalue sequences.
 
 import math
 
+import numpy as np
+
 from spacing_lab import histogram_ks_distance, prime_spacing_histogram, primes_from
 
 window = primes_from(10**9 + 7, 2000)
@@ -22,8 +24,8 @@ print(f"local mean gap log(start) = {math.log(window.start):.3f}")
 hist0 = prime_spacing_histogram(window, order=0)
 hist1 = prime_spacing_histogram(window, order=1)
 
-ks0 = histogram_ks_distance(hist0, lambda s: 1.0 - math.exp(-s))
-ks1 = histogram_ks_distance(hist1, lambda s: 1.0 - (1.0 + s) * math.exp(-s))
+ks0 = histogram_ks_distance(hist0, lambda s: 1.0 - np.exp(-s))
+ks1 = histogram_ks_distance(hist1, lambda s: 1.0 - (1.0 + s) * np.exp(-s))
 
 print(f"\nKS distance, consecutive gaps vs 1 - exp(-s):       {ks0:.4f}")
 print(f"KS distance, next-nearest gaps vs Gamma(2) law:     {ks1:.4f}")

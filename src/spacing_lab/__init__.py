@@ -38,10 +38,9 @@ from .painleve import (EQUATION_IDS, PainleveProblem, PainleveSolution,
 from .surmise import (SurmiseCoefficients, gaussian_class_coefficients,
                       p1_spacing1_approx, poisson_p, solve_ansatz,
                       wigner_surmise)
-from .montecarlo import (Histogram, SpectrumSample, build_histogram,
-                         central_spacing, central_spacings, chi_square_test,
-                         sample_ensemble, sample_goe, semicircle_density,
-                         unfold, unfold_spectra)
+from .montecarlo import (Histogram, build_histogram, central_spacings,
+                         chi_square_test, sample_ensemble, semicircle_density,
+                         unfold)
 from .sequences import (PrimeWindow, ZeroDataset, histogram_ks_distance,
                         ks_distance, load_zeros, miller_rabin, nn_statistic,
                         poisson_nn_density, prime_spacing_histogram,
@@ -75,8 +74,7 @@ __all__ = [
     "SurmiseCoefficients", "poisson_p", "solve_ansatz",
     "gaussian_class_coefficients", "wigner_surmise", "p1_spacing1_approx",
     # montecarlo
-    "SpectrumSample", "Histogram", "sample_goe", "sample_ensemble",
-    "semicircle_density", "unfold", "unfold_spectra", "central_spacing",
+    "Histogram", "sample_ensemble", "semicircle_density", "unfold",
     "central_spacings", "build_histogram", "chi_square_test",
     # sequences
     "PrimeWindow", "ZeroDataset", "miller_rabin", "primes_from",

@@ -93,12 +93,10 @@ _COLUMNS = {
                                  4: fredholm.p4_det}[c.beta](s, c.det_tol),
     "p0_painleve": lambda c, s: {1: painleve.p1_direct, 2: painleve.p2_direct,
                                  4: painleve.p4_direct}[c.beta](s),
-    "p0_surmise": lambda c, s: [surmise.wigner_surmise(c.beta, x)
-                                for x in s.tolist()],
+    "p0_surmise": lambda c, s: surmise.wigner_surmise(c.beta, s),
     "p1gap_fredholm": lambda c, s: fredholm.p1_gap1_det(s, c.det_tol),
     "p1gap_painleve": lambda c, s: painleve.p1_gap1(s),
-    "p1gap_surmise": lambda c, s: [surmise.p1_spacing1_approx(x)
-                                   for x in s.tolist()],
+    "p1gap_surmise": lambda c, s: surmise.p1_spacing1_approx(s),
     "p2nn_fredholm": lambda c, s: fredholm.p2_nn_det(s, c.det_tol),
     "p2nn_painleve": lambda c, s: painleve.p2_nn(s),
     "En_fredholm": lambda c, s: fredholm.en_bulk_det(s, c.n, c.det_tol),
@@ -177,30 +175,22 @@ def _write_histogram_csv(stream, metadata: dict, hist, overlays: dict):
 
 def write_sample(config: RunConfig, stream):
     """Ensemble central-spacing histogram with exact and surmise overlays."""
-    if config.n < 3 or config.n % 2 == 0:
-        raise ArgumentError(
-            f"--n must be odd and >= 3 so a middle eigenvalue exists, "
-            f"got {config.n}")
-    if config.order not in (0, 1):
-        raise ArgumentError(f"--order must be 0 or 1, got {config.order}")
+    montecarlo.check_rank(config.n, config.order)
+    width = config.bin_width if config.bin_width is not None else 0.1
+    montecarlo.check_bin_width(width)
     spectra = montecarlo.sample_ensemble(config.n, config.reps, config.seed,
                                          workers=_pool_size(config))
-    stack = montecarlo.unfold(montecarlo.SpectrumSample(n=config.n,
-                                                        raw=spectra))
-    spacings = montecarlo.central_spacing(stack, config.order).ravel()
-    width = config.bin_width if config.bin_width is not None else 0.1
+    spacings = montecarlo.central_spacings(montecarlo.unfold(spectra),
+                                           config.order).ravel()
     hist = montecarlo.build_histogram(
         spacings, width, Interval(0.0, float(np.max(spacings)) + width))
     centers = hist.centers
     if config.order == 0:
-        exact_fn, surmise_fn = painleve.p1_direct, \
-            (lambda s: surmise.wigner_surmise(1, s))
+        overlays = {"exact": painleve.p1_direct(centers),
+                    "surmise": surmise.wigner_surmise(1, centers)}
     else:
-        exact_fn, surmise_fn = painleve.p1_gap1, surmise.p1_spacing1_approx
-    overlays = {
-        "exact": exact_fn(centers),
-        "surmise": [surmise_fn(float(c)) for c in centers],
-    }
+        overlays = {"exact": painleve.p1_gap1(centers),
+                    "surmise": surmise.p1_spacing1_approx(centers)}
     metadata = _base_metadata(config, (
         f"spacing-lab sample --n {config.n} --reps {config.reps} "
         f"--seed {config.seed} --order {config.order} --bin-width {width:g}"))
@@ -213,6 +203,8 @@ def write_primes(config: RunConfig, stream):
     """Prime-gap histogram in s-units (or the raw window with --raw)."""
     if config.order not in (0, 1):
         raise ArgumentError(f"--order must be 0 or 1, got {config.order}")
+    if config.bin_width is not None and not config.raw:
+        montecarlo.check_bin_width(config.bin_width)
     window = sequences.primes_from(config.start, config.count)
     command = (f"spacing-lab primes --start {config.start} "
                f"--count {config.count} --order {config.order}"

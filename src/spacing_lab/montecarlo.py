@@ -42,16 +42,6 @@ _DENSITY_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
-class SpectrumSample:
-    """One sampled spectrum (``raw`` of shape (n,)), or a stack of them
-    along the leading axes of ``raw``; ``unfolded`` is filled by unfold()."""
-
-    n: int
-    raw: np.ndarray
-    unfolded: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class Histogram:
     bin_edges: np.ndarray
     counts: np.ndarray
@@ -79,9 +69,9 @@ class Histogram:
                   metadata)
 
 
-def _rng_for(seed, chunk=None):
-    entropy = int(seed) if chunk is None else (int(seed), int(chunk))
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+def _rng_for(seed, chunk):
+    return np.random.Generator(np.random.Philox(
+        np.random.SeedSequence((int(seed), int(chunk)))))
 
 
 def _draw_spectra(spectra: np.ndarray, rng) -> None:
@@ -108,15 +98,6 @@ def _draw_spectra(spectra: np.ndarray, rng) -> None:
             raise NumericError("tridiagonal eigensolver failed to converge",
                                context={"n": n, "info": int(info)})
         spectra[i] = values
-
-
-def sample_goe(n: int, rng_seed: int) -> SpectrumSample:
-    """One spectrum of the rank-n tridiagonal ensemble, deterministic in seed."""
-    if n < 1:
-        raise ArgumentError(f"matrix rank must be >= 1, got {n}")
-    spectra = np.empty((1, n))
-    _draw_spectra(spectra, _rng_for(rng_seed))
-    return SpectrumSample(n=n, raw=spectra[0])
 
 
 def _process_count(workers: int | None, n_chunks: int) -> int:
@@ -196,15 +177,17 @@ def semicircle_density(x, n: int):
     return np.sqrt(np.maximum(2.0 * n - x * x, 0.0)) / math.pi
 
 
-def unfold_spectra(spectra, density=None) -> np.ndarray:
-    """Unfold each spectrum along the last axis of ``spectra``.
+def unfold(spectra, density=None) -> np.ndarray:
+    """Unfold each spectrum along the last axis of ``spectra`` (one
+    spectrum, or a stack of them along the leading axes).
 
     Each spacing is rescaled by the local density at its midpoint.  Default
     density is the semicircle for the rank (the length of the last axis);
     eigenvalues outside its support are clipped to the edge (count logged).
     The density is floored at a tiny positive value so each unfolded
     sequence stays strictly ascending even at the clipped edge.  A custom
-    ``density`` is called once, on the array of all midpoints.
+    ``density`` is called once, on the array of all midpoints, and must
+    return the density at each of them.
     """
     raw = np.asarray(spectra, dtype=float)
     n = raw.shape[-1]
@@ -228,11 +211,13 @@ def unfold_spectra(spectra, density=None) -> np.ndarray:
                           axis=-1)
 
 
-def unfold(sample: SpectrumSample, density=None) -> SpectrumSample:
-    """The sample (one spectrum or a stack) with ``unfolded`` set by
-    unfold_spectra."""
-    return SpectrumSample(n=sample.n, raw=sample.raw,
-                          unfolded=unfold_spectra(sample.raw, density))
+def check_rank(n: int, order: int) -> None:
+    """Raise unless rank-n spectra have central spacings of this order:
+    order 0 or 1, and n odd and >= 2 * order + 3."""
+    if order not in (0, 1):
+        raise UnsupportedError(f"central spacing order must be 0 or 1, got {order}")
+    if n % 2 == 0 or n < 2 * order + 3:
+        raise ArgumentError(f"rank must be odd and >= {2 * order + 3}, got {n}")
 
 
 def central_spacings(unfolded, order: int = 0) -> np.ndarray:
@@ -242,23 +227,19 @@ def central_spacings(unfolded, order: int = 0) -> np.ndarray:
     last axis of length 2 (they are pooled by callers).  order=1: the
     single span across them, in a last axis of length 1.
     """
-    if order not in (0, 1):
-        raise UnsupportedError(f"central spacing order must be 0 or 1, got {order}")
     u = np.asarray(unfolded, dtype=float)
     n = u.shape[-1]
-    if n % 2 == 0 or n < 2 * order + 3:
-        raise ArgumentError(f"rank must be odd and >= {2 * order + 3}, got {n}")
+    check_rank(n, order)
     m = n // 2
     if order == 0:
         return np.diff(u[..., m - 1:m + 2], axis=-1)
     return u[..., m + 1:m + 2] - u[..., m - 1:m]
 
 
-def central_spacing(sample: SpectrumSample, order: int = 0) -> np.ndarray:
-    """central_spacings of an unfolded sample (one spectrum or a stack)."""
-    if sample.unfolded is None:
-        raise ArgumentError("sample must be unfolded first")
-    return central_spacings(sample.unfolded, order)
+def check_bin_width(bin_width: float) -> None:
+    """Raise unless bin_width is a positive number."""
+    if not bin_width > 0.0:
+        raise ArgumentError(f"bin width must be > 0, got {bin_width}")
 
 
 def build_histogram(data, bin_width: float, rng: Interval) -> Histogram:
@@ -266,8 +247,7 @@ def build_histogram(data, bin_width: float, rng: Interval) -> Histogram:
     data = np.asarray(data, dtype=float)
     if data.size == 0:
         raise ArgumentError("cannot histogram empty data")
-    if bin_width <= 0.0:
-        raise ArgumentError(f"bin width must be > 0, got {bin_width}")
+    check_bin_width(bin_width)
     n_bins = max(1, int(math.ceil((rng.hi - rng.lo) / bin_width - 1e-12)))
     edges = rng.lo + bin_width * np.arange(n_bins + 1)
     counts, _ = np.histogram(data, bins=edges)
@@ -281,16 +261,20 @@ def build_histogram(data, bin_width: float, rng: Interval) -> Histogram:
 def chi_square_test(hist: Histogram, density_fn, min_expected: float = 5.0):
     """(statistic, p_value, dof) of the histogram against an analytic density.
 
-    Expected counts integrate density_fn over each bin (Simpson); the mass
-    beyond the last edge absorbs the overflow tally.  Adjacent bins are
-    merged left to right until every expected count reaches min_expected.
+    Expected counts integrate density_fn over each bin by Simpson's rule
+    on five points; density_fn is called once, on the (bins, 5) array of
+    all of them, and must return the density at each.  The mass beyond the
+    last edge absorbs the overflow tally.  Adjacent bins are merged left to
+    right until every expected count reaches min_expected.
     """
     edges = hist.bin_edges
     total = int(hist.counts.sum()) + hist.overflow
     if total == 0:
         raise ArgumentError("histogram holds no data")
-    expected = np.array([_simpson_bin(density_fn, a, b)
-                         for a, b in zip(edges[:-1], edges[1:])])
+    y = np.asarray(density_fn(np.linspace(edges[:-1], edges[1:], 5, axis=-1)),
+                   dtype=float)
+    expected = (np.diff(edges) / 12.0 * (y[:, 0] + 4 * y[:, 1] + 2 * y[:, 2]
+                                          + 4 * y[:, 3] + y[:, 4]))
     tail = max(1.0 - expected.sum(), 0.0)
     observed = np.append(hist.counts.astype(float), float(hist.overflow))
     expected = np.append(expected, tail) * total
@@ -314,9 +298,3 @@ def chi_square_test(hist: Histogram, density_fn, min_expected: float = 5.0):
     stat = float(np.sum((merged_obs - merged_exp) ** 2 / merged_exp))
     dof = len(merged_exp) - 1
     return stat, float(chdtrc(dof, stat)), dof
-
-
-def _simpson_bin(f, a, b):
-    x = np.linspace(a, b, 5)
-    y = np.array([f(float(v)) for v in x])
-    return float((b - a) / 12.0 * (y[0] + 4 * y[1] + 2 * y[2] + 4 * y[3] + y[4]))

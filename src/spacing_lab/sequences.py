@@ -171,11 +171,12 @@ def histogram_ks_distance(hist: Histogram, cdf) -> float:
     """Kolmogorov-Smirnov distance between binned data and an analytic law.
 
     The binned mass is read as a piecewise-linear CDF (each bin's content
-    spread over the bin) and compared to ``cdf`` at the bin centers.  For
-    lattice-valued data histogrammed with cells centered on the lattice this
-    is the mid-distribution convention, which removes the spurious half-cell
-    jump a raw-sample comparison would report.  Overflow mass counts as
-    lying above the last edge.
+    spread over the bin) and compared to ``cdf`` at the bin centers; ``cdf``
+    is called once, on the array of centers, and must return the CDF at
+    each of them.  For lattice-valued data histogrammed with cells centered
+    on the lattice this is the mid-distribution convention, which removes
+    the spurious half-cell jump a raw-sample comparison would report.
+    Overflow mass counts as lying above the last edge.
     """
     total = int(hist.counts.sum()) + hist.overflow
     if total == 0:
@@ -183,7 +184,7 @@ def histogram_ks_distance(hist: Histogram, cdf) -> float:
     weight = hist.counts / total
     cum = np.cumsum(weight)
     mid = cum - 0.5 * weight
-    reference = np.array([cdf(float(c)) for c in hist.centers])
+    reference = np.asarray(cdf(hist.centers), dtype=float)
     return float(np.max(np.abs(mid - reference)))
 
 

@@ -14,7 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ArgumentError, UnsupportedError
+from .points import on_points
 
 
 def poisson_p(n: int, s: float) -> float:
@@ -74,22 +77,23 @@ def gaussian_class_coefficients(beta: float):
     return 2.0 * top ** (beta + 1.0) / bot ** (beta + 2.0), (top / bot) ** 2
 
 
-def wigner_surmise(beta: int, s: float) -> float:
+def wigner_surmise(beta: int, s):
     """The 2x2-ensemble spacing density for beta in {1, 2, 4}.
 
     beta=1: (pi/2) s exp(-pi s^2/4); beta=2: (32/pi^2) s^2 exp(-4 s^2/pi);
-    beta=4: (2^18/3^6 pi^3) s^4 exp(-64 s^2/(9 pi)).
+    beta=4: (2^18/3^6 pi^3) s^4 exp(-64 s^2/(9 pi)).  Takes a float or an
+    array of s, as points.on_points sets out; Python's own pow and exp are
+    applied point by point, so an array gives a scalar loop's floats.
     """
     if beta not in (1, 2, 4):
         raise UnsupportedError(f"surmise defined for beta in {{1,2,4}}, got {beta}")
-    if s < 0.0:
-        raise ArgumentError(f"s must be >= 0, got {s}")
     c1, c2 = gaussian_class_coefficients(float(beta))
-    return c1 * s ** beta * math.exp(-c2 * s * s)
+    return on_points(s, 0.0, lambda v: np.array(
+        [c1 * x ** beta * math.exp(-c2 * x * x) for x in v.tolist()]))
 
 
-def p1_spacing1_approx(s: float) -> float:
-    """Surmise stand-in for the beta=1 next-nearest spacing: (1/2) p4(0; s/2)."""
-    if s < 0.0:
-        raise ArgumentError(f"s must be >= 0, got {s}")
-    return 0.5 * wigner_surmise(4, s / 2.0)
+def p1_spacing1_approx(s):
+    """Surmise stand-in for the beta=1 next-nearest spacing: (1/2) p4(0; s/2).
+
+    Takes a float or an array of s, as wigner_surmise does."""
+    return on_points(s, 0.0, lambda v: 0.5 * wigner_surmise(4, v / 2.0))

@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from spacing_lab import cli, fredholm, montecarlo, painleve, verify
+from spacing_lab import (cli, fredholm, montecarlo, painleve, sequences,
+                         verify)
 from spacing_lab.cli import RunConfig, main, write_primes, write_sample, write_tabulate
 
 
@@ -348,6 +349,30 @@ class TestMainExitCodes:
         with pytest.raises(SystemExit) as excinfo:
             main(["tabulate", "--quantity", "p0", "--beta", "3"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sample", "--n", "3", "--order", "1"],
+         "rank must be odd and >= 5, got 3"),
+        (["sample", "--n", "12"], "rank must be odd and >= 3, got 12"),
+        (["sample", "--bin-width", "0"], "bin width must be > 0, got 0.0"),
+        (["sample", "--bin-width", "nan"], "bin width must be > 0, got nan"),
+        (["primes", "--bin-width", "0"], "bin width must be > 0, got 0.0"),
+    ], ids=["rank3-order1", "even-rank", "sample-zero-width",
+            "sample-nan-width", "primes-zero-width"])
+    def test_arguments_checked_before_sampling(self, monkeypatch, capsys,
+                                               argv, message):
+        calls = []
+
+        def recording(module, name):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, **k: calls.append(
+                name) or original(*a, **k))
+
+        recording(montecarlo, "sample_ensemble")
+        recording(sequences, "primes_from")
+        assert main([*argv, "--workers", "1"]) == 2
+        assert calls == []
+        assert message in capsys.readouterr().err
 
     def test_zero_workers(self, capsys):
         # sample is the one command that sizes a pool

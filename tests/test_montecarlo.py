@@ -13,16 +13,12 @@ from scipy.linalg import eigh_tridiagonal
 from spacing_lab import (ArgumentError, Interval, NumericError,
                          UnsupportedError, montecarlo)
 from spacing_lab.montecarlo import (
-    SpectrumSample,
     build_histogram,
-    central_spacing,
     central_spacings,
     chi_square_test,
     sample_ensemble,
-    sample_goe,
     semicircle_density,
     unfold,
-    unfold_spectra,
 )
 
 
@@ -52,16 +48,17 @@ def _reference_unfold(raw, density=None):
 def _pooled_central_spacings(n, reps, seed, order=0):
     out = []
     for raw in sample_ensemble(n, reps, seed):
-        out.extend(central_spacing(unfold(SpectrumSample(n=n, raw=raw)),
-                                   order))
+        out.extend(central_spacings(unfold(raw), order))
     return np.asarray(out)
+
+
+def _one_spectrum(n, seed):
+    return sample_ensemble(n, 1, seed)[0]
 
 
 class TestSampling:
     def test_deterministic_in_seed(self):
-        a = sample_goe(13, 7)
-        b = sample_goe(13, 7)
-        assert np.array_equal(a.raw, b.raw)
+        assert np.array_equal(_one_spectrum(13, 7), _one_spectrum(13, 7))
 
     def test_rank_one_moments(self):
         # a rank-1 draw is a single standard normal
@@ -70,12 +67,11 @@ class TestSampling:
         assert abs(values.var() - 1.0) <= 0.02
 
     def test_raw_spectrum_ascending(self):
-        sample = sample_goe(25, 3)
-        assert np.all(np.diff(sample.raw) > 0.0)
+        assert np.all(np.diff(_one_spectrum(25, 3)) > 0.0)
 
     def test_rank_validation(self):
         with pytest.raises(ArgumentError):
-            sample_goe(0, 1)
+            sample_ensemble(0, 1, 1)
 
     def test_ensemble_worker_count_invisible(self):
         serial = sample_ensemble(13, 600, 11, workers=1)
@@ -114,7 +110,7 @@ class TestSampling:
 
     def test_gamma_draw_moments(self):
         # the off-diagonal entries square to these draws
-        rng = montecarlo._rng_for(99)
+        rng = montecarlo._rng_for(99, 0)
         for shape in (0.5, 1.0, 5.0):
             draws = rng.gamma(shape=shape, scale=1.0, size=1_000_000)
             assert abs(draws.mean() - shape) <= 0.01 * shape
@@ -136,8 +132,8 @@ class TestBatchedSampler:
             assert np.array_equal(rows, np.array(expected))
 
     def test_single_spectrum_matches_replica_loop(self):
-        expected = _reference_spectrum(13, montecarlo._rng_for(5))
-        assert np.array_equal(sample_goe(13, 5).raw, expected)
+        expected = _reference_spectrum(13, montecarlo._rng_for(5, 0))
+        assert np.array_equal(_one_spectrum(13, 5), expected)
 
     def test_rank_validation(self):
         with pytest.raises(ArgumentError):
@@ -227,37 +223,35 @@ class TestArrayUnfold:
         raw = sample_ensemble(13, 300, 4)
         raw[0, -1] = 10.0          # beyond the semicircle edge: clipped
         expected = np.array([_reference_unfold(r, density) for r in raw])
-        unfolded = unfold_spectra(raw, density)
-        assert np.array_equal(unfolded, expected)
-        stack = unfold(SpectrumSample(n=13, raw=raw), density)
-        assert np.array_equal(stack.unfolded, expected)
+        assert np.array_equal(unfold(raw, density), expected)
         for i in (0, 1, 299):
-            single = unfold(SpectrumSample(n=13, raw=raw[i]), density)
-            assert np.array_equal(single.unfolded, expected[i])
+            assert np.array_equal(unfold(raw[i], density), expected[i])
+
+    def test_density_called_once_on_all_midpoints(self):
+        raw = sample_ensemble(13, 5, 4)
+        calls = []
+        unfold(raw, lambda x: calls.append(x.shape) or np.ones_like(x))
+        assert calls == [(5, 12)]
 
     def test_spacings_match_per_spectrum(self):
         raw = sample_ensemble(13, 300, 4)
-        unfolded = unfold_spectra(raw)
+        unfolded = unfold(raw)
         m = 6
         order0 = central_spacings(unfolded, 0)
         order1 = central_spacings(unfolded, 1)
         assert order0.shape == (300, 2) and order1.shape == (300, 1)
-        stack = SpectrumSample(n=13, raw=raw, unfolded=unfolded)
-        assert np.array_equal(central_spacing(stack, 0), order0)
-        assert np.array_equal(central_spacing(stack, 1), order1)
         for u, gaps, span in zip(unfolded, order0, order1):
             assert np.array_equal(gaps, [u[m] - u[m - 1], u[m + 1] - u[m]])
             assert np.array_equal(span, [u[m + 1] - u[m - 1]])
-            sample = SpectrumSample(n=13, raw=u, unfolded=u)
-            assert np.array_equal(central_spacing(sample, 0), gaps)
-            assert np.array_equal(central_spacing(sample, 1), span)
+            assert np.array_equal(central_spacings(u, 0), gaps)
+            assert np.array_equal(central_spacings(u, 1), span)
 
 
 class TestUnfold:
     def test_constant_density_is_identity(self):
-        sample = SpectrumSample(n=4, raw=np.array([0.3, 0.9, 1.4, 2.0]))
-        unfolded = unfold(sample, density=lambda x: np.ones_like(x)).unfolded
-        assert np.allclose(unfolded, sample.raw, atol=1e-15)
+        raw = np.array([0.3, 0.9, 1.4, 2.0])
+        unfolded = unfold(raw, density=lambda x: np.ones_like(x))
+        assert np.allclose(unfolded, raw, atol=1e-15)
 
     def test_mean_central_spacing_is_unity(self):
         spacings = _pooled_central_spacings(13, 2000, 42)
@@ -281,44 +275,39 @@ class TestUnfold:
 
     def test_too_small_rank(self):
         with pytest.raises(ArgumentError):
-            unfold(SpectrumSample(n=1, raw=np.array([0.0])))
+            unfold(np.array([0.0]))
 
 
 class TestCentralSpacing:
-    def _sample_with_unfolded(self, values):
-        values = np.asarray(values, dtype=float)
-        return SpectrumSample(n=values.size, raw=values, unfolded=values)
-
     def test_order_zero_flanks_the_middle(self):
-        sample = self._sample_with_unfolded(np.arange(13.0) ** 1.1)
-        gaps = central_spacing(sample, 0)
-        u = sample.unfolded
+        u = np.arange(13.0) ** 1.1
+        gaps = central_spacings(u, 0)
         assert gaps == pytest.approx([u[6] - u[5], u[7] - u[6]])
 
     def test_order_one_telescopes(self):
-        sample = self._sample_with_unfolded(np.cumsum(np.linspace(0.5, 1.5, 13)))
-        assert central_spacing(sample, 1)[0] == pytest.approx(
-            np.sum(central_spacing(sample, 0)), rel=1e-15)
+        u = np.cumsum(np.linspace(0.5, 1.5, 13))
+        assert central_spacings(u, 1)[0] == pytest.approx(
+            np.sum(central_spacings(u, 0)), rel=1e-15)
 
     def test_positive(self):
-        sample = unfold(sample_goe(13, 21))
-        assert np.all(central_spacing(sample, 0) > 0.0)
+        unfolded = unfold(_one_spectrum(13, 21))
+        assert np.all(central_spacings(unfolded, 0) > 0.0)
 
     def test_rank_constraints(self):
         with pytest.raises(ArgumentError):
-            central_spacing(self._sample_with_unfolded(np.arange(12.0)), 0)
+            central_spacings(np.arange(12.0), 0)
         with pytest.raises(ArgumentError):
-            central_spacing(self._sample_with_unfolded(np.arange(3.0)), 1)
+            central_spacings(np.arange(3.0), 1)
         with pytest.raises(UnsupportedError):
-            central_spacing(self._sample_with_unfolded(np.arange(13.0)), 2)
+            central_spacings(np.arange(13.0), 2)
 
     def test_frozen_sample(self):
         # regression pin for the rank-13 seed-1 draw
-        sample = unfold(sample_goe(13, 1))
-        assert central_spacing(sample, 0) == pytest.approx(
+        unfolded = unfold(_one_spectrum(13, 1))
+        assert central_spacings(unfolded, 0) == pytest.approx(
             [1.13338467, 1.24494007], abs=1e-6)
-        assert central_spacing(sample, 1) == pytest.approx([2.37832474],
-                                                           abs=1e-6)
+        assert central_spacings(unfolded, 1) == pytest.approx([2.37832474],
+                                                              abs=1e-6)
 
 
 class TestHistogram:
@@ -358,7 +347,7 @@ class TestChiSquare:
         rng = np.random.default_rng(12)
         hist = build_histogram(rng.exponential(1.0, 20_000), 0.25,
                                Interval(0.0, 5.0))
-        stat, p, dof = chi_square_test(hist, lambda s: math.exp(-s))
+        stat, p, dof = chi_square_test(hist, lambda s: np.exp(-s))
         assert p > 0.01
         assert dof >= 10
 
@@ -367,7 +356,7 @@ class TestChiSquare:
         hist = build_histogram(rng.exponential(1.0, 20_000), 0.25,
                                Interval(0.0, 5.0))
         _, p, _ = chi_square_test(
-            hist, lambda s: 2.0 * math.exp(-2.0 * s))
+            hist, lambda s: 2.0 * np.exp(-2.0 * s))
         assert p < 1e-6
 
     def test_spacing_histogram_accepts_surmise(self):
@@ -376,3 +365,34 @@ class TestChiSquare:
         from spacing_lab.surmise import wigner_surmise
         _, p, _ = chi_square_test(hist, lambda s: wigner_surmise(1, s))
         assert p > 0.01
+
+    def test_density_called_once_on_all_simpson_points(self):
+        hist = build_histogram([0.2, 0.7, 1.1, 1.6], 0.5, Interval(0.0, 2.0))
+        calls = []
+
+        def density(s):
+            calls.append(np.array(s))
+            return np.exp(-s)
+
+        chi_square_test(hist, density, min_expected=0.0)
+        assert len(calls) == 1
+        assert calls[0].shape == (4, 5)
+        assert calls[0][1].tolist() == [0.5, 0.625, 0.75, 0.875, 1.0]
+
+    def test_matches_per_bin_simpson_loop(self):
+        # with min_expected = 0 no bins merge, so the statistic is a sum
+        # over every bin and the tail beyond the last edge
+        rng = np.random.default_rng(3)
+        hist = build_histogram(rng.exponential(1.0, 500), 0.25,
+                               Interval(0.0, 3.0))
+        density = lambda s: 1.0 / ((1.0 + s) * (1.0 + s))
+        expected = []
+        for a, b in zip(hist.bin_edges[:-1], hist.bin_edges[1:]):
+            y = [density(float(x)) for x in np.linspace(a, b, 5)]
+            expected.append((b - a) / 12.0 * (y[0] + 4 * y[1] + 2 * y[2]
+                                              + 4 * y[3] + y[4]))
+        total = int(hist.counts.sum()) + hist.overflow
+        observed = np.append(hist.counts, hist.overflow)
+        expected = np.append(expected, 1.0 - np.sum(expected)) * total
+        stat = float(np.sum((observed - expected) ** 2 / expected))
+        assert chi_square_test(hist, density, min_expected=0.0)[0] == stat

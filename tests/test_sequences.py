@@ -160,6 +160,18 @@ class TestHistogramKS:
         with pytest.raises(ArgumentError):
             histogram_ks_distance(empty, lambda x: x)
 
+    def test_cdf_called_once_on_centers(self):
+        calls = []
+
+        def cdf(x):
+            calls.append(np.array(x))
+            return x / 2.0
+
+        hist = build_histogram([0.2, 0.4, 0.6, 1.5], 1.0, Interval(0.0, 2.0))
+        assert histogram_ks_distance(hist, cdf) == pytest.approx(0.125)
+        assert len(calls) == 1
+        assert calls[0].tolist() == [0.5, 1.5]
+
 
 class TestKSDistance:
     def test_single_point(self):
@@ -264,5 +276,5 @@ class TestNearestNeighbour:
         points = np.sort(rng.uniform(0.0, 40_000.0, 40_000))
         values = nn_statistic(points)
         hist = build_histogram(values, 0.1, Interval(0.0, 3.0))
-        _, p, _ = chi_square_test(hist, lambda s: float(poisson_nn_density(s)))
+        _, p, _ = chi_square_test(hist, poisson_nn_density)
         assert p > 0.01

@@ -134,3 +134,38 @@ class TestNextNearestApprox:
         for s in np.arange(0.5, 3.51, 0.25):
             assert abs(p1_spacing1_approx(s)
                        - painleve.p1_gap1(s)) <= 0.05
+
+
+_SURMISES = {
+    "beta1": lambda s: wigner_surmise(1, s),
+    "beta2": lambda s: wigner_surmise(2, s),
+    "beta4": lambda s: wigner_surmise(4, s),
+    "spacing1": p1_spacing1_approx,
+}
+
+
+@pytest.mark.parametrize("name", list(_SURMISES))
+class TestArrayRule:
+    """The surmises take a float or an array of s, as points.on_points
+    sets out, and an array gives a loop of scalar calls bit for bit."""
+
+    def test_array_gives_scalar_loop(self, name):
+        fn = _SURMISES[name]
+        s = np.array([[0.9, 0.0, 0.0015], [3.7, 0.9, 1.2]])
+        out = fn(s)
+        assert isinstance(out, np.ndarray) and out.shape == s.shape
+        assert out.ravel().tolist() == [fn(float(x)) for x in s.ravel()]
+
+    def test_float_and_zero_d_give_float(self, name):
+        fn = _SURMISES[name]
+        for s in (0.7, np.float64(0.7), np.array(0.7)):
+            assert type(fn(s)) is float
+        assert fn(0.0) == fn(np.array(0.0)) == 0.0
+
+    def test_empty_array(self, name):
+        out = _SURMISES[name](np.array([]))
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+    def test_negative_element_raises(self, name):
+        with pytest.raises(ArgumentError):
+            _SURMISES[name](np.array([0.5, -0.1]))
