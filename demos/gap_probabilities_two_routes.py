@@ -52,13 +52,13 @@ spectrum = nystrom_spectrum(sine_bulk(), Interval(-s / 2.0, s / 2.0), 240)
 print(f"\nladder at s = {s} (Poisson values for comparison):")
 total = 0.0
 for n in range(6):
-    e_n = gap_n(spectrum, n).value
+    e_n = gap_n(spectrum, n)
     total += e_n
     print(f"  E({n}) = {e_n:.12f}    Poisson {poisson_p(n, s):.12f}")
 
 # the ladder is a probability distribution over n, so it sums to one
 for n in range(6, 31):
-    total += gap_n(spectrum, n).value
+    total += gap_n(spectrum, n)
 print(f"\nsum over n <= 30: {total:.15f}")
 
 # The repulsion built into the kernel shows up immediately: compared with

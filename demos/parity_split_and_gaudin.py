@@ -39,21 +39,17 @@ for s in (0.5, 1.0, 1.5):
     print(f"  product gap = {abs(d_plus * d_minus - full):.2e}")
 
 # ------------------------------------------------------------------
-# Gaudin's route: split E2 using only scalar evaluations of E2 itself
+# Gaudin's route: split E2 using only evaluations of E2 itself
 # ------------------------------------------------------------------
 
 # gaudin_split differentiates log E2 numerically, so it needs a profile
-# callable, not a precomputed number.  Any smooth log-concave profile
-# works; here it is the determinant evaluator itself.
-
-
-def e2_profile(s):
-    return e2_bulk_det(s) if s > 0.0 else 1.0
-
+# callable, not a precomputed number; it calls it once, on an array of
+# interval lengths.  Any smooth log-concave profile works; here it is the
+# determinant evaluator itself, which takes arrays and gives 1 at s = 0.
 
 print("\nGaudin split vs parity split:")
 for s in (0.5, 1.0):
-    g_plus, g_minus = gaudin_split(e2_profile, s)
+    g_plus, g_minus = gaudin_split(e2_bulk_det, s)
     p_plus, p_minus = parity_split(Interval(-s / 2.0, s / 2.0))
     print(f"  s = {s}:  |D+ diff| = {abs(g_plus - p_plus):.2e}"
           f"   |D- diff| = {abs(g_minus - p_minus):.2e}")

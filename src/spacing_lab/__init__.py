@@ -24,17 +24,17 @@ from .quadrature import (FredholmSpectrum, Interval, QuadratureRule,
                          gauss_legendre, nystrom_spectrum)
 from .kernels import (KernelSpec, hard_edge_bessel, kernel_matrix, sine_bulk,
                       sine_even, sine_odd, spectrum_singularity)
-from .fredholm import (GapProfile, SpacingTable, e1_bulk_det, e2_bulk_det,
-                       e4_bulk_det, en_bulk_det, enn_det, fredholm_det,
-                       gap_n, gaudin_split, generating_value, p1_det,
-                       p1_gap1_det, p2_det, p2_nn_det, p4_det, parity_split,
-                       rho_k_bulk, spacing_from_gaps)
+from .fredholm import (SpacingTable, e1_bulk_det, e2_bulk_det, e4_bulk_det,
+                       en_bulk_det, enn_det, fredholm_det, gap_n,
+                       gaudin_split, generating_value, p1_det, p1_gap1_det,
+                       p2_det, p2_nn_det, p4_det, parity_split, rho_k_bulk,
+                       spacing_from_gaps)
 from .painleve import (EQUATION_IDS, PainleveProblem, PainleveSolution,
                        SIGMA_HARD, SIGMA_JMMS, SIGMA_NN, V_P2,
                        am5_identity_residual, build_problem, e1_bulk,
                        e2_bulk, e2_hard, e4_bulk, enn_generating,
-                       extend_series, integrate, p1_direct, p1_gap1,
-                       p2_direct, p2_nn, p4_direct, series_residual)
+                       integrate, p1_direct, p1_gap1, p2_direct, p2_nn,
+                       p4_direct, series_residual)
 from .surmise import (SurmiseCoefficients, gaussian_class_coefficients,
                       p1_spacing1_approx, poisson_p, solve_ansatz,
                       wigner_surmise)
@@ -59,14 +59,14 @@ __all__ = [
     "KernelSpec", "sine_bulk", "sine_even", "sine_odd", "hard_edge_bessel",
     "spectrum_singularity", "kernel_matrix",
     # fredholm
-    "GapProfile", "SpacingTable", "generating_value", "gap_n", "fredholm_det",
+    "SpacingTable", "generating_value", "gap_n", "fredholm_det",
     "parity_split", "gaudin_split", "e2_bulk_det", "e1_bulk_det",
     "e4_bulk_det", "enn_det", "en_bulk_det", "p1_det", "p2_det", "p4_det",
     "p1_gap1_det", "p2_nn_det", "rho_k_bulk", "spacing_from_gaps",
     # painleve
     "EQUATION_IDS", "SIGMA_JMMS", "SIGMA_HARD", "SIGMA_NN", "V_P2",
     "PainleveProblem", "PainleveSolution",
-    "build_problem", "integrate", "extend_series", "series_residual",
+    "build_problem", "integrate", "series_residual",
     "e2_bulk", "e2_hard", "e1_bulk", "e4_bulk", "enn_generating", "p2_nn",
     "p1_direct", "p2_direct", "p4_direct", "p1_gap1",
     "am5_identity_residual",

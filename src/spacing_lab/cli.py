@@ -14,6 +14,7 @@ _COLUMNS).  `sample` alone runs a pool: forked processes, sized by
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -66,7 +67,7 @@ def _pool_size(config: RunConfig) -> int:
     return os.cpu_count() or 1
 
 
-def _base_metadata(config: RunConfig, command_line: str) -> dict:
+def _base_metadata(command_line: str) -> dict:
     return {
         "command": command_line,
         "package": f"spacing-lab {__version__}",
@@ -133,21 +134,30 @@ def _tabulate_command_line(config: RunConfig) -> str:
 
 def write_tabulate(config: RunConfig, stream):
     """Write the tabulate CSV; returns (table, pairwise max deviations)."""
-    if config.s_min < 0.0:
-        raise ArgumentError(f"--s-min must be >= 0, got {config.s_min}")
-    if config.s_step <= 0.0:
-        raise ArgumentError(f"--s-step must be > 0, got {config.s_step}")
-    if config.s_max < config.s_min:
-        raise ArgumentError("--s-max must be >= --s-min")
+    # nan fails every comparison, so each check below also refuses it
+    if not 0.0 <= config.s_min < math.inf:
+        raise ArgumentError(
+            f"--s-min must be finite and >= 0, got {config.s_min}")
+    if not 0.0 < config.s_step < math.inf:
+        raise ArgumentError(
+            f"--s-step must be finite and > 0, got {config.s_step}")
+    if not config.s_min <= config.s_max < math.inf:
+        raise ArgumentError(
+            f"--s-max must be finite and >= --s-min, got {config.s_max}")
+    if not 0.0 < config.det_tol < math.inf:
+        raise ArgumentError(
+            f"--det-tol must be finite and > 0, got {config.det_tol}")
     if config.quantity == "p0" and config.beta not in (1, 2, 4):
         raise ArgumentError(f"--beta must be 1, 2 or 4, got {config.beta}")
     if config.quantity == "En" and config.n < 0:
         raise ArgumentError(f"--n must be >= 0, got {config.n}")
-    n_points = int(round((config.s_max - config.s_min) / config.s_step)) + 1
+    # the last point passes --s-max by at most rounding (1e-9 of a step)
+    n_points = math.floor((config.s_max - config.s_min) / config.s_step
+                          + 1e-9) + 1
     grid = config.s_min + config.s_step * np.arange(n_points)
     methods = _methods_for(config)
 
-    metadata = _base_metadata(config, _tabulate_command_line(config))
+    metadata = _base_metadata(_tabulate_command_line(config))
     metadata["det_tol"] = f"{config.det_tol:g}"
     table = SpacingTable(s_grid=grid, metadata=metadata)
 
@@ -191,9 +201,9 @@ def write_sample(config: RunConfig, stream):
     else:
         overlays = {"exact": painleve.p1_gap1(centers),
                     "surmise": surmise.p1_spacing1_approx(centers)}
-    metadata = _base_metadata(config, (
+    metadata = _base_metadata(
         f"spacing-lab sample --n {config.n} --reps {config.reps} "
-        f"--seed {config.seed} --order {config.order} --bin-width {width:g}"))
+        f"--seed {config.seed} --order {config.order} --bin-width {width:g}")
     metadata["seed"] = config.seed
     metadata["overflow"] = hist.overflow
     _write_histogram_csv(stream, metadata, hist, overlays)
@@ -209,7 +219,7 @@ def write_primes(config: RunConfig, stream):
     command = (f"spacing-lab primes --start {config.start} "
                f"--count {config.count} --order {config.order}"
                + (" --raw" if config.raw else ""))
-    metadata = _base_metadata(config, command)
+    metadata = _base_metadata(command)
     if config.raw:
         window.to_csv(stream, metadata)
         return
@@ -242,8 +252,8 @@ def write_zeros(config: RunConfig, stream):
         "exact": painleve.p2_nn(centers),
         "poisson": sequences.poisson_nn_density(centers),
     }
-    metadata = _base_metadata(config, (
-        f"spacing-lab zeros --file {config.zeros_path} --bin-width {width:g}"))
+    metadata = _base_metadata(
+        f"spacing-lab zeros --file {config.zeros_path} --bin-width {width:g}")
     metadata["ordinates"] = len(data.ordinates)
     metadata["ks_exact"] = f"{ks_exact:.6f}"
     metadata["ks_poisson"] = f"{ks_poisson:.6f}"

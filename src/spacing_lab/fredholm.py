@@ -23,8 +23,9 @@ K(x t_i, x t_j) of the kernel on (-x, x) has closed-form x-derivatives
 where for the parity kernels A' is rank one and D'' = -D tr(R A'').  Each
 point costs one inverse per rule: it doubles its own rule until D and its
 derivatives settle, or raises NumericError.  The densities take no memo.
-_stencil, a 5-point difference of determinants, stays for the verify
-criteria that compare against one.
+One table of 5-point stencils serves the centred differences of a profile
+at points (_stencil, which verify compares the densities against) and the
+grid second differences of gaudin_split and spacing_from_gaps.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ _MAX_GAP_ORDER = 30
 _MAX_NODES = 1600
 _DET_TOL = 1e-10
 _STENCIL_H = 1e-3             # step of the point stencils (_stencil)
+_GAUDIN_STEP = 1e-2           # largest grid step of gaudin_split
 
 
 def generating_value(spectrum: FredholmSpectrum, xi: float) -> float:
@@ -62,16 +64,9 @@ def generating_value(spectrum: FredholmSpectrum, xi: float) -> float:
     return float(np.prod(1.0 - xi * mu))
 
 
-@dataclass(frozen=True)
-class GapProfile:
-    """Probability that the interval holds exactly n eigenvalues."""
-
-    n: int
-    value: float
-
-
-def gap_n(spectrum: FredholmSpectrum, n: int) -> GapProfile:
-    """E(n) = (-1)^n/n! d^n/dxi^n det(1 - xi K) at xi = 1.
+def gap_n(spectrum: FredholmSpectrum, n: int) -> float:
+    """E(n) = (-1)^n/n! d^n/dxi^n det(1 - xi K) at xi = 1, the probability
+    that the interval holds exactly n eigenvalues.
 
     Evaluated as prod(1 - mu) * e_n(mu/(1 - mu)) with e_n the elementary
     symmetric function, built by the ascending recurrence (no derivatives,
@@ -88,7 +83,7 @@ def gap_n(spectrum: FredholmSpectrum, n: int) -> GapProfile:
     forced = mu > 1.0 - _FORCED_LEVEL_GAP
     n_forced = int(np.count_nonzero(forced))
     if n < n_forced:
-        return GapProfile(n=n, value=0.0)
+        return 0.0
     free = mu[~forced]
     prefactor = float(np.prod(mu[forced])) * float(np.prod(1.0 - free))
     ratios = free / (1.0 - free)
@@ -99,7 +94,7 @@ def gap_n(spectrum: FredholmSpectrum, n: int) -> GapProfile:
         top = min(k, len(e) - 1)
         for j in range(top, 0, -1):
             e[j] += r * e[j - 1]
-    return GapProfile(n=n, value=prefactor * float(e[k]))
+    return prefactor * float(e[k])
 
 
 def _node_doubling(build, length: float, tol: float, context: dict,
@@ -165,21 +160,22 @@ def parity_split(interval: Interval, n_nodes: int | None = None):
     return generating_value(even, 1.0), generating_value(odd, 1.0)
 
 
-def gaudin_split(e2_profile, s: float, grid_step: float = 1e-2):
+def gaudin_split(e2_profile, s: float):
     """(D_plus, D_minus) recovered from an E2 profile alone.
 
     Splits log E2(s) as (1/2) log E2 -/+ (1/2) int_0^s sqrt(-(log E2)'')
     (minus branch is D_plus: the even determinant is the smaller one).
-    ``e2_profile`` maps x to E2 on (-x, x).
+    ``e2_profile`` maps an array of x to E2 on each (-x, x) and is called
+    once, on a grid over [0, s] of an even number of steps <= _GAUDIN_STEP.
     """
     if s <= 0.0:
         return 1.0, 1.0
-    m = max(4, int(np.ceil(s / grid_step)))
+    m = max(4, int(np.ceil(s / _GAUDIN_STEP)))
     if m % 2:
         m += 1
     h = s / m
     x = np.linspace(0.0, s, m + 1)
-    values = np.array([e2_profile(float(v)) for v in x])
+    values = np.asarray(e2_profile(x), dtype=float)
     if np.any(values <= 0.0):
         raise NumericError("E2 profile must be positive for the log split")
     logE = np.log(values)
@@ -252,7 +248,7 @@ def en_bulk_det(s, n: int, tol: float = _DET_TOL):
         raise ArgumentError(f"gap order must be >= 0, got {n}")
     return on_points(s, 1.0 if n == 0 else 0.0, lambda v: np.array([
         gap_n(_converged_spectrum(kernels.sine_bulk(),
-                                  Interval(-x / 2.0, x / 2.0), tol), n).value
+                                  Interval(-x / 2.0, x / 2.0), tol), n)
         for x in v.tolist()]))
 
 
@@ -357,30 +353,38 @@ def rho_k_bulk(points) -> float:
 # ---------------------------------------------------------------------------
 # spacing tables and numerical second derivatives
 
+# The 5-point stencils as (offsets, weights), the weights over 12 h^order:
+# the centred rows of orders 1 and 2, and the one-sided rows of order 2 at
+# an end point and next to it (mirrored, offsets negated, at the right end).
+_STENCILS = {
+    (1, "centred"): ((-2, -1, 1, 2), (1, -8, 8, -1)),
+    (2, "centred"): ((-2, -1, 0, 1, 2), (-1, 16, -30, 16, -1)),
+    (2, "end"): ((0, 1, 2, 3, 4), (35, -104, 114, -56, 11)),
+    (2, "next-to-end"): ((-1, 0, 1, 2, 3), (11, -20, 6, 4, -1)),
+}
+
+
+def _weighted_sum(weights, columns):
+    """sum_j weights[j] columns[j], taken term by term from the left."""
+    total = weights[0] * columns[0]
+    for w, column in zip(weights[1:], columns[1:]):
+        total = total + w * column
+    return total
+
+
 def _second_derivative(values: np.ndarray, h: float) -> np.ndarray:
     """5-point second differences, one-sided at both ends."""
     f = np.asarray(values, dtype=float)
     if len(f) < 5:
         raise ArgumentError("need at least 5 grid values for the stencil")
+    last = len(f) - 1
     out = np.empty_like(f)
-    out[2:-2] = (-f[:-4] + 16 * f[1:-3] - 30 * f[2:-2]
-                 + 16 * f[3:-1] - f[4:]) / (12 * h * h)
-    out[0] = (35 * f[0] - 104 * f[1] + 114 * f[2] - 56 * f[3]
-              + 11 * f[4]) / (12 * h * h)
-    out[1] = (11 * f[0] - 20 * f[1] + 6 * f[2] + 4 * f[3]
-              - f[4]) / (12 * h * h)
-    out[-2] = (11 * f[-1] - 20 * f[-2] + 6 * f[-3] + 4 * f[-4]
-               - f[-5]) / (12 * h * h)
-    out[-1] = (35 * f[-1] - 104 * f[-2] + 114 * f[-3] - 56 * f[-4]
-               + 11 * f[-5]) / (12 * h * h)
-    return out
-
-
-# (offsets, weights) of the centred 5-point stencils by derivative order
-_STENCILS = {
-    1: ((-2, -1, 1, 2), (1, -8, 8, -1)),
-    2: ((-2, -1, 0, 1, 2), (-1, 16, -30, 16, -1)),
-}
+    for at, sign, row in ((np.arange(2, last - 1), 1, "centred"),
+                          (0, 1, "end"), (1, 1, "next-to-end"),
+                          (last, -1, "end"), (last - 1, -1, "next-to-end")):
+        offsets, weights = _STENCILS[2, row]
+        out[at] = _weighted_sum(weights, [f[at + sign * o] for o in offsets])
+    return out / (12 * h * h)
 
 
 def _stencil(profile, s: np.ndarray, order: int,
@@ -390,18 +394,14 @@ def _stencil(profile, s: np.ndarray, order: int,
     argument.
 
     ``profile`` maps an array of arguments to their values and is called
-    once, on every point.  Each result is the weighted sum taken term by
-    term from the left, over 12 h or 12 h h.
+    once, on every point.
     """
     if (s < 2.0 * h).any():
         raise ArgumentError(f"stencil points need s >= {2.0 * h:g}")
-    offsets, weights = _STENCILS[order]
+    offsets, weights = _STENCILS[order, "centred"]
     points = s[:, None] + np.array(offsets) * h
     v = profile(points.ravel()).reshape(points.shape)
-    total = weights[0] * v[:, 0]
-    for j, w in enumerate(weights[1:], 1):
-        total = total + w * v[:, j]
-    return total / (12 * h * h if order == 2 else 12 * h)
+    return _weighted_sum(weights, v.T) / (12 * h * h if order == 2 else 12 * h)
 
 
 @dataclass

@@ -16,7 +16,6 @@ Conventions (mean spacing 1 in the bulk):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,45 +90,6 @@ def sinc(z):
     taylor = 1.0 - z2 / 6.0 + z2 * z2 / 120.0 - z2 * z2 * z2 / 5040.0
     out = np.where(small, taylor, np.sin(safe) / safe)
     return out if out.ndim else float(out)
-
-
-def bessel_half_integer(order: float, z: float) -> float:
-    """J_order(z) for order in {-1/2, 1/2, 3/2} via trigonometric closed forms.
-
-    Small z is routed through sinc so J_{3/2} does not lose digits to the
-    sin z / z - cos z cancellation.
-    """
-    if z <= 0.0:
-        raise ArgumentError(f"argument must be positive, got {z}")
-    amp = math.sqrt(2.0 / (math.pi * z))
-    if order == -0.5:
-        return amp * math.cos(z)
-    if order == 0.5:
-        return amp * math.sin(z)
-    if order == 1.5:
-        # sin z / z - cos z = z^2/3 (1 - z^2/10 + ...); use the series form
-        if abs(z) < 1e-2:
-            z2 = z * z
-            series = (z2 / 3.0) * (1.0 - z2 / 10.0 + z2 * z2 / 280.0
-                                   - z2 * z2 * z2 / 15120.0)
-            return amp * series
-        return amp * (math.sin(z) / z - math.cos(z))
-    raise UnsupportedError(f"Bessel order {order} has no implemented closed form")
-
-
-def hard_edge_diagonal(a: float, t: float) -> float:
-    """Diagonal value K(t, t) of the hard-edge kernel.
-
-    Equals (1/(2 pi sqrt t)) (1 +/- sinc(2 sqrt t)), the x -> y limit of the
-    off-diagonal quotient (+ for a = -1/2, - for a = +1/2).
-    """
-    if a not in _HARD_EDGE_ORDERS:
-        raise UnsupportedError(f"hard-edge diagonal needs a in {_HARD_EDGE_ORDERS}")
-    if t <= 0.0:
-        raise ArgumentError(f"hard-edge domain is t > 0, got {t}")
-    r = math.sqrt(t)
-    sign = 1.0 if a == -0.5 else -1.0
-    return (1.0 + sign * float(sinc(2.0 * r))) / (2.0 * math.pi * r)
 
 
 def _eval_array(spec: KernelSpec, x, y):

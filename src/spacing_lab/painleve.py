@@ -564,13 +564,6 @@ def _check_tail(coeffs, t_switch):
             "or lower t_switch")
 
 
-def extend_series(problem: PainleveProblem, n_terms: int):
-    """Re-derive the series to n_terms; returns ((t-exponent, coeff), ...)."""
-    extended = build_problem(problem.equation_id, problem.params,
-                             problem.t_switch, n_terms)
-    return extended.series
-
-
 def series_residual(problem: PainleveProblem, t=None) -> float:
     """Relative defect of the truncated series in its own equation at t."""
     t = problem.t_switch if t is None else float(t)
@@ -656,9 +649,6 @@ class PainleveSolution:
 
     def sigma_at(self, t):
         return self._state(t, 0)
-
-    def sigma_prime_at(self, t):
-        return self._state(t, 1)
 
     def log_integral_at(self, t):
         """int_0^t sigma(tau)/tau dtau, series layer included."""
@@ -875,8 +865,8 @@ def am5_identity_residual(s: float, a: float) -> float:
     """
     if a not in (-0.5, 0.5):
         raise UnsupportedError(f"identity implemented for a = +-1/2, got {a}")
-    if s <= 0.0:
-        raise ArgumentError(f"s must be > 0, got {s}")
+    if not (math.isfinite(s) and s > 0.0):
+        raise ArgumentError(f"s must be finite and > 0, got {s}")
     sol0 = _solution(SIGMA_HARD, (a, 0.0, 1.0), s)
     lhs = -sol0.sigma_at(s) / s * math.exp(sol0.log_integral_at(s))
     sol2 = _solution(SIGMA_HARD, (a, 2.0, 1.0), s)

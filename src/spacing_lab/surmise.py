@@ -24,8 +24,8 @@ def poisson_p(n: int, s: float) -> float:
     """Poisson spacing ladder: s^n e^{-s} / n!."""
     if n < 0:
         raise ArgumentError(f"n must be >= 0, got {n}")
-    if s < 0.0:
-        raise ArgumentError(f"s must be >= 0, got {s}")
+    if not (math.isfinite(s) and s >= 0.0):
+        raise ArgumentError(f"s must be finite and >= 0, got {s}")
     if s == 0.0:
         return 1.0 if n == 0 else 0.0
     return math.exp(n * math.log(s) - s - math.lgamma(n + 1))
@@ -43,8 +43,8 @@ class SurmiseCoefficients:
     c2: float
 
     def density(self, s: float) -> float:
-        if s < 0.0:
-            raise ArgumentError(f"s must be >= 0, got {s}")
+        if not (math.isfinite(s) and s >= 0.0):
+            raise ArgumentError(f"s must be finite and >= 0, got {s}")
         if s == 0.0:
             return self.c1 if self.beta == 0.0 else 0.0
         return self.c1 * s ** self.beta * math.exp(

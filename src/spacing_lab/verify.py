@@ -35,10 +35,15 @@ class CriterionResult:
         return f"[{flag}] {self.name}: {parts}"
 
 
+# every criterion, in definition order, which is the order run_all runs
+ALL_CRITERIA = []
+
+
 def _criterion(name):
     """Register a check under the name its result prints.  The check
     returns (passed, details); the registered function returns the
-    CriterionResult and carries the name as ``criterion``."""
+    CriterionResult, carries the name as ``criterion`` and is appended to
+    ALL_CRITERIA."""
     def register(check):
         @functools.wraps(check)
         def run() -> CriterionResult:
@@ -46,6 +51,7 @@ def _criterion(name):
             return CriterionResult(name, passed, details)
 
         run.criterion = name
+        ALL_CRITERIA.append(run)
         return run
 
     return register
@@ -173,7 +179,7 @@ def check_sum_rule():
                                                 Interval(-x / 2.0, x / 2.0))
                    for x in u.tolist()]
         nodes.extend(spectrum.nodes_used for spectrum in spectra)
-        return np.array([sum(w * fredholm.gap_n(spectrum, j).value
+        return np.array([sum(w * fredholm.gap_n(spectrum, j)
                              for j, w in enumerate(weights))
                          for spectrum in spectra])
 
@@ -290,23 +296,6 @@ def check_csv_determinism():
     ok = (tabulate_once() == tabulate_once()
           and sample_once() == sample_once())
     return ok, {"bit_identical": ok}
-
-
-ALL_CRITERIA = (
-    check_e2_cross_route,
-    check_parity_identities,
-    check_e1_e4_dual_route,
-    check_density_stencils,
-    check_surmise_accuracy,
-    check_spacing1_identity,
-    check_sum_rule,
-    check_am5_identity,
-    check_series_layers,
-    check_montecarlo_histograms,
-    check_prime_gaps,
-    check_nn_routes,
-    check_csv_determinism,
-)
 
 
 def run_all(names=None):

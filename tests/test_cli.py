@@ -102,6 +102,15 @@ class TestTabulate:
                     if l.startswith("max |p0_fredholm - p0_painleve|"))
         assert float(line.rsplit("relative ", 1)[1]) < 1e-3
 
+    @pytest.mark.parametrize("s_max, s_step, last", [
+        (1.0, 0.6, 0.6), (1.0, 0.3, 0.9), (1.0, 0.25, 1.0), (3.0, 0.01, 3.0),
+        (4.0, 0.001, 4.0)])
+    def test_grid_never_passes_s_max(self, s_max, s_step, last):
+        table, _ = write_tabulate(
+            _tabulate_config(quantity="p0", method="surmise", s_max=s_max,
+                             s_step=s_step), io.StringIO())
+        assert table.s_grid[-1] == pytest.approx(last, abs=1e-12)
+
     def test_grid_validation(self):
         with pytest.raises(Exception):
             write_tabulate(_tabulate_config(s_step=0.0), io.StringIO())
@@ -371,6 +380,27 @@ class TestMainExitCodes:
         recording(montecarlo, "sample_ensemble")
         recording(sequences, "primes_from")
         assert main([*argv, "--workers", "1"]) == 2
+        assert calls == []
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--s-step", "nan"], "--s-step must be finite and > 0, got nan"),
+        (["--s-step", "inf"], "--s-step must be finite and > 0, got inf"),
+        (["--s-min", "nan"], "--s-min must be finite and >= 0, got nan"),
+        (["--s-max", "nan"], "--s-max must be finite and >= --s-min, got nan"),
+        (["--s-max", "inf"], "--s-max must be finite and >= --s-min, got inf"),
+        (["--det-tol", "nan"], "--det-tol must be finite and > 0, got nan"),
+        (["--det-tol", "0"], "--det-tol must be finite and > 0, got 0.0"),
+        (["--det-tol", "-1"], "--det-tol must be finite and > 0, got -1.0"),
+    ], ids=["step-nan", "step-inf", "min-nan", "max-nan", "max-inf",
+            "tol-nan", "tol-zero", "tol-negative"])
+    def test_tabulate_arguments_checked_before_evaluation(
+            self, monkeypatch, capsys, argv, message):
+        calls = []
+        monkeypatch.setattr(cli, "_COLUMNS", {
+            name: lambda c, s: calls.append(c) or np.zeros_like(s)
+            for name in cli._COLUMNS})
+        assert main(["tabulate", *argv]) == 2
         assert calls == []
         assert message in capsys.readouterr().err
 

@@ -8,10 +8,8 @@ import pytest
 from spacing_lab import ArgumentError, UnsupportedError
 from spacing_lab.kernels import (
     KernelSpec,
-    bessel_half_integer,
     evaluate,
     hard_edge_bessel,
-    hard_edge_diagonal,
     kernel_matrix,
     scaled_jets,
     sine_bulk,
@@ -57,6 +55,11 @@ class TestSymmetry:
             assert abs(evaluate(spec, x, y) - evaluate(spec, y, x)) <= 1e-14
 
 
+def _diagonal(a, t):
+    """K(t, t) of the hard-edge kernel: sinc(0) = 1 fills the limit."""
+    return evaluate(hard_edge_bessel(a), t, t)
+
+
 class TestHardEdge:
     def test_odd_kernel_correspondence(self):
         # 2 sqrt(xy) K_hard(x^2, y^2) at a=1/2 is the odd sine kernel up to
@@ -81,19 +84,19 @@ class TestHardEdge:
     def test_diagonal_matches_kernel_limit(self):
         for a in (-0.5, 0.5):
             for t in (0.3, 1.0, 4.0):
-                diag = hard_edge_diagonal(a, t)
+                diag = _diagonal(a, t)
                 near = evaluate(hard_edge_bessel(a), t, t * (1.0 + 1e-9))
                 assert abs(diag - near) <= 1e-6 * abs(diag)
 
     def test_diagonal_small_t_exponent(self):
         # K(t, t) ~ const * t^(1/2) as t -> 0 at a = 1/2
         lo, hi = 1e-6, 1e-5
-        slope = (math.log(hard_edge_diagonal(0.5, hi))
-                 - math.log(hard_edge_diagonal(0.5, lo))) / math.log(hi / lo)
+        slope = (math.log(_diagonal(0.5, hi))
+                 - math.log(_diagonal(0.5, lo))) / math.log(hi / lo)
         assert slope == pytest.approx(0.5, abs=1e-4)
 
     def test_diagonal_finite_positive(self):
-        assert hard_edge_diagonal(-0.5, 1.0) > 0.0
+        assert _diagonal(-0.5, 1.0) > 0.0
 
     def test_diagonal_is_sine_diagonal_under_variable_map(self):
         # with x = sqrt(t)/pi the a=-1/2 diagonal is the even sine diagonal
@@ -102,8 +105,7 @@ class TestHardEdge:
             for t in (0.2, 1.37, 5.0):
                 x = math.sqrt(t) / math.pi
                 expected = evaluate(parity, x, x) / (math.pi * math.sqrt(t))
-                assert hard_edge_diagonal(a, t) == pytest.approx(expected,
-                                                                 rel=1e-13)
+                assert _diagonal(a, t) == pytest.approx(expected, rel=1e-13)
 
     def test_domain_validation(self):
         with pytest.raises(ArgumentError):
@@ -127,26 +129,6 @@ class TestSpectrumSingularity:
     def test_unsupported_order(self):
         with pytest.raises(UnsupportedError):
             spectrum_singularity(2.0)
-
-
-class TestBesselHalfInteger:
-    def test_zeros_at_trig_zeros(self):
-        assert bessel_half_integer(0.5, math.pi) == pytest.approx(0.0, abs=1e-15)
-        assert bessel_half_integer(-0.5, math.pi / 2) == pytest.approx(0.0,
-                                                                       abs=1e-15)
-
-    def test_three_halves_against_power_series(self):
-        # J_{3/2}(z) = sum_k (-1)^k (z/2)^{3/2 + 2k} / (k! Gamma(k + 5/2))
-        z = 1.0
-        total = 0.0
-        for k in range(20):
-            total += ((-1.0) ** k * (z / 2.0) ** (1.5 + 2 * k)
-                      / (math.factorial(k) * math.gamma(k + 2.5)))
-        assert bessel_half_integer(1.5, z) == pytest.approx(total, abs=1e-13)
-
-    def test_unsupported_order(self):
-        with pytest.raises(UnsupportedError):
-            bessel_half_integer(2.5, 1.0)
 
 
 def test_kernel_matrix_matches_pointwise():

@@ -21,7 +21,6 @@ from spacing_lab.painleve import (
     SIGMA_NN,
     V_P2,
     build_problem,
-    extend_series,
     integrate,
     series_residual,
 )
@@ -70,11 +69,13 @@ class TestSeriesLayer:
         with pytest.raises(ArgumentError):
             build_problem(SIGMA_NN, (1.0, 1.0), n_terms=n_terms)
         with pytest.raises(ArgumentError):
-            extend_series(problem, n_terms)
+            build_problem(problem.equation_id, problem.params,
+                          problem.t_switch, n_terms)
 
     def test_extend_series_preserves_prefix(self):
         problem = build_problem(SIGMA_JMMS, (1.0,), n_terms=30)
-        longer = extend_series(problem, 40)
+        longer = build_problem(problem.equation_id, problem.params,
+                               problem.t_switch, 40).series
         assert longer[:len(problem.series)] == problem.series
 
     def test_t_switch_domain(self):
@@ -294,6 +295,11 @@ class TestFirstDerivativeIdentity:
         with pytest.raises(UnsupportedError):
             painleve.am5_identity_residual(1.0, 1.5)
 
+    def test_s_domain(self):
+        for s in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ArgumentError):
+                painleve.am5_identity_residual(s, 0.5)
+
 
 # evaluators as the CLI and verify call them: (name, fn) with a = 1/2 for
 # the hard-edge generating value
@@ -368,6 +374,14 @@ class TestArrayEvaluation:
     def test_negative_element_raises(self, name, fn):
         with pytest.raises(ArgumentError):
             fn(np.array([0.5, 1.0, -1e-12, 2.0]))
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf,
+                                   np.array([0.5, math.nan])],
+                             ids=["nan", "inf", "array-with-nan"])
+    @pytest.mark.parametrize("name,fn", EVALUATORS, ids=IDS)
+    def test_non_finite_raises(self, name, fn, s):
+        with pytest.raises(ArgumentError):
+            fn(s)
 
     def test_empty_array(self):
         assert painleve.e2_bulk(np.array([])).shape == (0,)

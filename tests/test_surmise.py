@@ -38,8 +38,9 @@ class TestPoisson:
     def test_domain(self):
         with pytest.raises(ArgumentError):
             poisson_p(-1, 1.0)
-        with pytest.raises(ArgumentError):
-            poisson_p(0, -1.0)
+        for s in (-1.0, math.nan, math.inf):
+            with pytest.raises(ArgumentError):
+                poisson_p(1, s)
 
 
 class TestPowerLawAnsatz:
@@ -65,6 +66,11 @@ class TestPowerLawAnsatz:
     def test_beta_domain(self):
         with pytest.raises(ArgumentError):
             solve_ansatz(-1.0)
+
+    def test_s_domain(self):
+        for s in (-1.0, math.nan, math.inf):
+            with pytest.raises(ArgumentError):
+                solve_ansatz(1.0).density(s)
 
 
 class TestGaussianClass:
@@ -169,3 +175,10 @@ class TestArrayRule:
     def test_negative_element_raises(self, name):
         with pytest.raises(ArgumentError):
             _SURMISES[name](np.array([0.5, -0.1]))
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf,
+                                   np.array([0.5, math.nan])],
+                             ids=["nan", "inf", "array-with-nan"])
+    def test_non_finite_raises(self, name, s):
+        with pytest.raises(ArgumentError):
+            _SURMISES[name](s)
