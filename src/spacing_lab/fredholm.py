@@ -168,6 +168,8 @@ def gaudin_split(e2_profile, s: float):
     ``e2_profile`` maps an array of x to E2 on each (-x, x) and is called
     once, on a grid over [0, s] of an even number of steps <= _GAUDIN_STEP.
     """
+    if not math.isfinite(s):
+        raise ArgumentError(f"s must be finite, got {s}")
     if s <= 0.0:
         return 1.0, 1.0
     m = max(4, int(np.ceil(s / _GAUDIN_STEP)))
@@ -423,6 +425,9 @@ class SpacingTable:
 
     @property
     def step(self) -> float:
+        if len(self.s_grid) < 2:
+            raise ArgumentError(
+                f"a grid of {len(self.s_grid)} point(s) has no step")
         return float(self.s_grid[1] - self.s_grid[0])
 
     def add_column(self, name: str, values):

@@ -26,8 +26,10 @@ layers:
    residual), floats (the defect) and complex numbers: sigma''' = -sigma''/t -
    (t G_A + G_sigma')/(2 t^2) takes its directional derivative by a
    complex step.  The third-order system, with the log-integral as a fourth
-   component, is stepped on from t_switch as far as requests need, and the
-   ORIGINAL quadratic equation is monitored as a defect at accepted steps.
+   component, is stepped on from t_switch as far as requests need by the
+   package's DOP853 (_dop853, which gives the bits of SciPy's DOP853 and
+   OdeSolution), and the ORIGINAL quadratic equation is monitored as a
+   defect at accepted steps.
 3. evaluators: E and p compositions with frozen argument calibrations
    (upper limit pi*s for the bulk two-point gap, 2*pi*s for the conditioned
    nearest-neighbour gap, the hard-edge variable used as is).  Each takes a
@@ -46,8 +48,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import DOP853, OdeSolution
 
+from ._dop853 import DOP853, Dense
 from .errors import (ArgumentError, ConsistencyError, DerivationError,
                      StiffnessError, UnsupportedError)
 from .points import on_points
@@ -580,11 +582,14 @@ class PainleveSolution:
     """Dense (sigma, sigma', sigma'', int sigma/t dt) on [t_switch, t_max]."""
 
     problem: PainleveProblem
-    grid: np.ndarray
     tol: float
-    _stepper: object = field(repr=False)
-    _pieces: list = field(default_factory=list, repr=False)
-    _dense: object = field(default=None, repr=False)
+    _stepper: DOP853 = field(repr=False)
+    _dense: Dense = field(repr=False)
+
+    @property
+    def grid(self):
+        """t_switch and every accepted step after it."""
+        return self._dense.ts
 
     @property
     def t_max(self):
@@ -599,7 +604,7 @@ class PainleveSolution:
             raise ArgumentError(f"t={t_needed} beyond the bound {_T_BOUND:g}")
         stepper, problem = self._stepper, self.problem
         allowed = _DEFECT_FACTOR * self.tol
-        steps = []
+        ts, Fs, y_olds = [], [], []
         while stepper.t < t_needed:
             message = stepper.step()
             if stepper.status == "failed":
@@ -616,11 +621,10 @@ class PainleveSolution:
                     context={"equation": problem.equation_id,
                              "params": problem.params, "t": float(t),
                              "defect": rel, "allowed": allowed})
-            steps.append((t, stepper.dense_output()))
-        ts, pieces = zip(*steps)
-        self.grid = np.concatenate((self.grid, ts))
-        self._pieces += pieces
-        self._dense = OdeSolution(self.grid, self._pieces)
+            ts.append(t)
+            Fs.append(stepper.dense_output())
+            y_olds.append(stepper.y_old)
+        self._dense = self._dense.extended(ts, Fs, y_olds)
 
     def _state(self, t, component):
         """One state component at a float t (a float is returned) or at an
@@ -641,10 +645,7 @@ class PainleveSolution:
                 flat[series], _SERIES_DERIV[component])
         if n_series < len(flat):
             dense = ~series
-            td = flat[dense]
-            # a single point goes in as a float: the dense output's array
-            # path sorts and regroups, and costs several times more for it
-            out[dense] = self._dense(td[0] if len(td) == 1 else td)[component]
+            out[dense] = self._dense(flat[dense])[component]
         return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
     def sigma_at(self, t):
@@ -670,8 +671,20 @@ def integrate(problem: PainleveProblem, t_max: float,
     ts = problem.t_switch
     if t_max <= ts:
         raise ArgumentError(f"t_max={t_max} must exceed t_switch={ts}")
+    rhs, y0 = _system(problem)
+    solver_tol = max(tol / _TOL_SAFETY, _MIN_SOLVER_TOL)
+    stepper = DOP853(rhs, ts, y0, _T_BOUND, rtol=solver_tol, atol=solver_tol)
+    solution = PainleveSolution(problem, tol, stepper,
+                                Dense.start(ts, len(y0)))
+    solution._extend(t_max)
+    return solution
+
+
+def _system(problem):
+    """(rhs, y0) of the differentiated first-order system at t_switch."""
     equation_id, par = problem.equation_id, problem._par
-    y0 = [problem.series_value(ts, _SERIES_DERIV[k]) for k in range(4)]
+    y0 = [problem.series_value(problem.t_switch, _SERIES_DERIV[k])
+          for k in range(4)]
 
     def rhs(t, y):
         t = float(t)
@@ -679,11 +692,7 @@ def integrate(problem: PainleveProblem, t_max: float,
         return [sp, spp, _third_derivative(equation_id, par, t, s, sp, spp),
                 s / t]
 
-    solver_tol = max(tol / _TOL_SAFETY, _MIN_SOLVER_TOL)
-    stepper = DOP853(rhs, ts, y0, _T_BOUND, rtol=solver_tol, atol=solver_tol)
-    solution = PainleveSolution(problem, np.array([ts]), tol, stepper)
-    solution._extend(t_max)
-    return solution
+    return rhs, y0
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from spacing_lab import (cli, fredholm, montecarlo, painleve, sequences,
-                         verify)
+from spacing_lab import (ArgumentError, cli, fredholm, montecarlo, painleve,
+                         sequences, verify)
 from spacing_lab.cli import RunConfig, main, write_primes, write_sample, write_tabulate
 
 
@@ -112,9 +112,9 @@ class TestTabulate:
         assert table.s_grid[-1] == pytest.approx(last, abs=1e-12)
 
     def test_grid_validation(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ArgumentError):
             write_tabulate(_tabulate_config(s_step=0.0), io.StringIO())
-        with pytest.raises(Exception):
+        with pytest.raises(ArgumentError):
             write_tabulate(_tabulate_config(s_min=-1.0), io.StringIO())
 
 
@@ -137,7 +137,7 @@ class TestSample:
 
     def test_even_rank_rejected(self):
         config = RunConfig(command="sample", n=12, reps=10, seed=1)
-        with pytest.raises(Exception):
+        with pytest.raises(ArgumentError):
             write_sample(config, io.StringIO())
 
 

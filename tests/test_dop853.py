@@ -1,0 +1,124 @@
+"""The in-package DOP853 against SciPy's: same steps, same dense values, same
+failures, bit for bit; and the package never loads SciPy's ODE solvers."""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy.integrate import DOP853 as ScipyDOP853
+from scipy.integrate import OdeSolution
+
+from spacing_lab import _dop853, painleve
+from spacing_lab.painleve import SIGMA_HARD, SIGMA_JMMS, SIGMA_NN, V_P2
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# one trajectory per equation id, SIGMA_HARD at mu = 0 and mu = 2
+PROBLEMS = [
+    (SIGMA_JMMS, (1.0,)),
+    (SIGMA_HARD, (-0.5, 0.0, 1.0)),
+    (SIGMA_HARD, (-0.5, 2.0, 1.0)),
+    (SIGMA_NN, (1.0, 1.0)),
+    (V_P2, ()),
+]
+T_END = 4.0
+
+
+def _pair(fun, t0, y0, t_bound, tol):
+    return (_dop853.DOP853(fun, t0, y0, t_bound, rtol=tol, atol=tol),
+            ScipyDOP853(fun, t0, y0, t_bound, rtol=tol, atol=tol))
+
+
+@pytest.mark.parametrize("eq,params", PROBLEMS, ids=str)
+def test_steps_and_dense_output_equal_scipy(eq, params):
+    problem = painleve.build_problem(eq, params)
+    rhs, y0 = painleve._system(problem)
+    tol = max(painleve.DEFAULT_TOL / painleve._TOL_SAFETY,
+              painleve._MIN_SOLVER_TOL)
+    ours, theirs = _pair(rhs, problem.t_switch, y0, painleve._T_BOUND, tol)
+    ts, Fs, y_olds, pieces = [problem.t_switch], [], [], []
+    while theirs.t < T_END:
+        assert ours.step() is None and theirs.step() is None
+        assert ours.t == theirs.t
+        assert np.array_equal(ours.y, theirs.y)
+        piece = theirs.dense_output()
+        F = ours.dense_output()
+        assert np.array_equal(F, piece.F)
+        ts.append(ours.t)
+        Fs.append(F)
+        y_olds.append(ours.y_old)
+        pieces.append(piece)
+    assert ours.status == theirs.status == "running"
+
+    dense = _dop853.Dense.start(problem.t_switch, len(y0)).extended(
+        ts[1:], Fs, y_olds)
+    reference = OdeSolution(ts, pieces)
+    rng = np.random.default_rng(7)
+    grid = np.array(ts)
+    t_max = ts[-1]
+    for t in (rng.uniform(ts[0], t_max, 500), grid, rng.permutation(grid)):
+        assert np.array_equal(dense(t), reference(t))
+    middle = float(rng.uniform(ts[0], t_max))
+    for t in (t_max, ts[0], ts[len(ts) // 2], middle):
+        assert np.array_equal(dense(t), reference(t))
+
+
+def test_dense_takes_scipys_piece_on_every_boundary():
+    # unrelated random pieces, so that the two pieces at a boundary differ
+    # there and only the piece OdeSolution takes gives its value
+    from scipy.integrate._ivp.rk import Dop853DenseOutput
+
+    rng = np.random.default_rng(11)
+    ts = np.cumsum(rng.uniform(0.1, 1.0, 9))
+    F = rng.standard_normal((8, 7, 3))
+    y_old = rng.standard_normal((8, 3)) * 10.0 ** rng.integers(-20, 5, (8, 3))
+    dense = _dop853.Dense(ts, F, y_old)
+    reference = OdeSolution(ts, [Dop853DenseOutput(ts[i], ts[i + 1],
+                                                   y_old[i], F[i])
+                                 for i in range(8)])
+    points = np.concatenate((ts, rng.uniform(ts[0], ts[-1], 100)))
+    assert np.array_equal(dense(points), reference(points))
+    for t in ts:
+        assert np.array_equal(dense(t), reference(t))
+
+
+@pytest.mark.parametrize("fun,t_bound,status", [
+    (lambda t, y: y * y, 10.0, "failed"),      # blows up at t = 1
+    (lambda t, y: -y, 1.0, "finished"),
+], ids=["underflow", "bound"])
+def test_status_and_message_equal_scipy(fun, t_bound, status):
+    ours, theirs = _pair(fun, 0.0, [1.0], t_bound, 1e-10)
+    while theirs.status == "running":
+        message = ours.step()
+        assert message == theirs.step()
+        assert ours.status == theirs.status
+        assert ours.t == theirs.t and np.array_equal(ours.y, theirs.y)
+    assert ours.status == status
+    assert message == (ScipyDOP853.TOO_SMALL_STEP if status == "failed"
+                       else None)
+
+
+def test_scipy_integrate_is_never_imported():
+    # a count-free guard: a fresh interpreter that imports the package,
+    # integrates and verifies a Painleve route loads no SciPy ODE module
+    script = textwrap.dedent("""
+        import io, sys, contextlib
+        import spacing_lab
+        from spacing_lab.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = (main(["tabulate", "--quantity", "E2", "--method",
+                           "painleve", "--s-max", "1.0", "--s-step", "0.25"]),
+                     main(["verify", "--only", "e2-cross-route"]))
+        if codes != (0, 0):
+            sys.exit(f"exit codes {codes}")
+        if "scipy.integrate" in sys.modules:
+            sys.exit("scipy.integrate loaded")
+    """)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -147,6 +147,11 @@ class TestGaudinSplit:
         with pytest.raises(NumericError):
             fredholm.gaudin_split(lambda x: np.exp(x * x), 0.5)
 
+    @pytest.mark.parametrize("s", [math.nan, math.inf])
+    def test_non_finite_length_rejected(self, s):
+        with pytest.raises(ArgumentError):
+            fredholm.gaudin_split(lambda x: fredholm.e2_bulk_det(2.0 * x), s)
+
 
 class TestConvergedSpectrum:
     @pytest.mark.parametrize("kernel", [sine_bulk(), sine_even(), sine_odd(),
@@ -490,6 +495,12 @@ class TestSpacingFromGaps:
         table.add_column("E0", np.ones(50))
         with pytest.raises(ArgumentError):
             fredholm.spacing_from_gaps(table, 1)
+
+    def test_one_point_table_rejected(self):
+        table = fredholm.SpacingTable(s_grid=np.array([0.5]))
+        table.add_column("E0", [0.5])
+        with pytest.raises(ArgumentError):
+            fredholm.spacing_from_gaps(table, 0)
 
 
 class TestSpacingTable:

@@ -922,7 +922,7 @@ class TestSmallArguments:
         painleve.clear_cache()
         painleve.p2_nn(3.0)
         solution = painleve._solutions[(SIGMA_NN, (1.0, 1.0))]
-        grid, pieces = solution.grid, list(solution._pieces)
+        grid, dense = solution.grid, solution._dense
         with pytest.raises(ConsistencyError) as info:
             painleve.p2_nn(7.5)
         context = info.value.context
@@ -930,6 +930,6 @@ class TestSmallArguments:
         assert context["params"] == (1.0, 1.0)
         assert grid[-1] < context["t"] == solution._stepper.t < 41.0
         assert context["defect"] > context["allowed"] == 1e-8
-        assert solution.grid is grid and solution._pieces == pieces
+        assert solution.grid is grid and solution._dense is dense
         assert painleve._solutions == {}
         assert painleve.p2_nn(4.0) == cold
