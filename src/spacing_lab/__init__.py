@@ -30,7 +30,7 @@ from .fredholm import (SpacingTable, e1_bulk_det, e2_bulk_det, e4_bulk_det,
                        p2_det, p2_nn_det, p4_det, parity_split, rho_k_bulk,
                        spacing_from_gaps)
 from .painleve import (EQUATION_IDS, PainleveProblem, PainleveSolution,
-                       SIGMA_HARD, SIGMA_JMMS, SIGMA_NN, V_P2,
+                       SIGMA_HARD, SIGMA_JMMS, SIGMA_NN,
                        am5_identity_residual, build_problem, e1_bulk,
                        e2_bulk, e2_hard, e4_bulk, enn_generating,
                        integrate, p1_direct, p1_gap1, p2_direct, p2_nn,
@@ -64,7 +64,7 @@ __all__ = [
     "e4_bulk_det", "enn_det", "en_bulk_det", "p1_det", "p2_det", "p4_det",
     "p1_gap1_det", "p2_nn_det", "rho_k_bulk", "spacing_from_gaps",
     # painleve
-    "EQUATION_IDS", "SIGMA_JMMS", "SIGMA_HARD", "SIGMA_NN", "V_P2",
+    "EQUATION_IDS", "SIGMA_JMMS", "SIGMA_HARD", "SIGMA_NN",
     "PainleveProblem", "PainleveSolution",
     "build_problem", "integrate", "series_residual",
     "e2_bulk", "e2_hard", "e1_bulk", "e4_bulk", "enn_generating", "p2_nn",

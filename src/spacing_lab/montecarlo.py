@@ -237,9 +237,10 @@ def central_spacings(unfolded, order: int = 0) -> np.ndarray:
 
 
 def check_bin_width(bin_width: float) -> None:
-    """Raise unless bin_width is a positive number."""
-    if not bin_width > 0.0:
-        raise ArgumentError(f"bin width must be > 0, got {bin_width}")
+    """Raise unless bin_width is a finite positive number."""
+    if not 0.0 < bin_width < math.inf:
+        raise ArgumentError(
+            f"bin width must be finite and > 0, got {bin_width}")
 
 
 def build_histogram(data, bin_width: float, rng: Interval) -> Histogram:

@@ -2,11 +2,11 @@
 
 Every quantity here is an exp(int sigma(t)/t dt) representation built from a
 sigma-form equation: quadratic in sigma'', with a power-series boundary layer
-at t = 0 and adaptive integration beyond it.  There are four equations, one
-id each: SIGMA_JMMS (bulk gap), SIGMA_HARD (hard edge; its mu = 2
-trajectories carry the beta = 1 and beta = 4 spacing densities), SIGMA_NN
-(conditioned origin) and V_P2 (the beta = 2 spacing density).  Three
-layers:
+at t = 0 and adaptive integration beyond it.  There are three equations,
+one id each: SIGMA_JMMS (bulk gap; its trajectory also carries the beta = 2
+spacing density), SIGMA_HARD (hard edge; its mu = 2 trajectories carry the
+beta = 1 and beta = 4 spacing densities) and SIGMA_NN (conditioned origin).
+Three layers:
 
 1. series: sigma = sum c_k x^k with x = sqrt(t), coefficients derived by
    substituting the ansatz into the ODE and matching orders, one unknown at
@@ -22,13 +22,13 @@ layers:
    with the bits of the general product.  Derived problems are memoised
    until clear_cache().
 2. integration: every equation reads (t sigma'')^2 + G(A, sigma') = 0 with
-   A = t sigma' - sigma, and _G states each G once, run on series (the
-   residual), floats (the defect) and complex numbers: sigma''' = -sigma''/t -
-   (t G_A + G_sigma')/(2 t^2) takes its directional derivative by a
-   complex step.  The third-order system, with the log-integral as a fourth
-   component, is stepped on from t_switch as far as requests need by the
-   package's DOP853 (_dop853, which gives the bits of SciPy's DOP853 and
-   OdeSolution), and the ORIGINAL quadratic equation is monitored as a
+   A = t sigma' - sigma, and _EQUATIONS states each G once, run on series
+   (the residual), floats (the defect) and complex numbers: sigma''' =
+   -sigma''/t - (t G_A + G_sigma')/(2 t^2) takes its directional derivative
+   by a complex step.  The third-order system, with the log-integral as a
+   fourth component, is stepped on from t_switch as far as requests need
+   by the package's DOP853 (_dop853, which gives the bits of SciPy's DOP853
+   and OdeSolution), and the ORIGINAL quadratic equation is monitored as a
    defect at accepted steps.
 3. evaluators: E and p compositions with frozen argument calibrations
    (upper limit pi*s for the bulk two-point gap, 2*pi*s for the conditioned
@@ -57,9 +57,6 @@ from .points import on_points
 SIGMA_JMMS = "SIGMA_JMMS"  # bulk two-point generating sigma, params (xi,)
 SIGMA_HARD = "SIGMA_HARD"  # hard-edge sigma, params (a, mu, xi)
 SIGMA_NN = "SIGMA_NN"      # conditioned-origin sigma, params (a, xi)
-V_P2 = "V_P2"              # spacing-density transcendent for beta=2, ()
-
-EQUATION_IDS = (SIGMA_JMMS, SIGMA_HARD, SIGMA_NN, V_P2)
 
 DEFAULT_T_SWITCH = 0.1
 DEFAULT_ORDER = 44
@@ -283,14 +280,10 @@ def _g_nn(par, s, tsp, sp):
     return ((4.0 * (-w * (sp * sp - shifted2)),),)
 
 
-def _g_p2v(par, s, tsp, sp):
-    A = s - tsp
-    sp2 = sp * sp
-    return ((A * (A + 4.0 - 4.0 * sp2), -16.0 * sp2),)
-
-
-_G = {SIGMA_JMMS: _g_jmms, SIGMA_HARD: _g_hard, SIGMA_NN: _g_nn,
-      V_P2: _g_p2v}
+# each equation id: (its G, the number of params it takes)
+_EQUATIONS = {SIGMA_JMMS: (_g_jmms, 1), SIGMA_HARD: (_g_hard, 3),
+              SIGMA_NN: (_g_nn, 2)}
+EQUATION_IDS = tuple(_EQUATIONS)
 
 
 def _residual_series(equation_id, par, coeffs, order):
@@ -298,8 +291,8 @@ def _residual_series(equation_id, par, coeffs, order):
     tSpp = _s_mul_mono(Spp, 1.0, 2, order)
     r = _Truncated(_s_mul(tSpp, tSpp, order), order)
     tSp = _s_mul_mono(Sp, 1.0, 2, order)
-    for group in _G[equation_id](par, *(_Truncated(v, order)
-                                        for v in (S, tSp, Sp))):
+    g = _EQUATIONS[equation_id][0]
+    for group in g(par, *(_Truncated(v, order) for v in (S, tSp, Sp))):
         for term in group:
             r = r + term
     return r.s
@@ -308,7 +301,8 @@ def _residual_series(equation_id, par, coeffs, order):
 def _residual_terms(equation_id, par, t, s, sp, spp):
     """(residual, scale) of the undifferentiated equation; vectorized."""
     parts = [(t * spp) ** 2]
-    parts += [sum(group) for group in _G[equation_id](par, s, t * sp, sp)]
+    g = _EQUATIONS[equation_id][0]
+    parts += [sum(group) for group in g(par, s, t * sp, sp)]
     scale = np.max(np.abs(np.stack(np.broadcast_arrays(1.0, *parts))), axis=0)
     return sum(parts), scale
 
@@ -318,9 +312,8 @@ def _third_derivative(equation_id, par, t, s, sp, spp):
     equation with sigma'' divided out.  The directional derivative is
     Im G / h with A stepped by i h t and sigma' by i h, t sigma' held real:
     a complex step, free of cancellation."""
-    dg = 0.0
-    for group in _G[equation_id](par, complex(s, -_STEP * t), t * sp,
-                                 complex(sp, _STEP)):
+    dg, g = 0.0, _EQUATIONS[equation_id][0]
+    for group in g(par, complex(s, -_STEP * t), t * sp, complex(sp, _STEP)):
         for term in group:
             dg += term.imag
     return -spp / t - dg / (2.0 * _STEP * t * t)
@@ -406,9 +399,9 @@ def _match_coefficients(equation_id, par, leading, order, pinned):
 def _equation_setup(equation_id, params):
     """(equation params, leading coeffs, pinned resonant coeffs).
 
-    Four equations, one id each: SIGMA_JMMS (xi), SIGMA_HARD (a, mu, xi)
-    with a = +-1/2 and mu in {0, 2} (mu = 2 at xi = 1 only), SIGMA_NN
-    (a, xi) with a in {0, 1}, and V_P2 ().  Exponents are in x = sqrt(t).
+    Three equations, one id each: SIGMA_JMMS (xi), SIGMA_HARD (a, mu, xi)
+    with a = +-1/2 and mu in {0, 2} (mu = 2 at xi = 1 only), and SIGMA_NN
+    (a, xi) with a in {0, 1}.  Exponents are in x = sqrt(t).
     The pinned orders are the resonances, where c_(e+1) acts on the
     residual no later than c_e, so that matching cannot determine c_e;
     their values are closed forms, which the matcher takes as given.  The
@@ -416,10 +409,9 @@ def _equation_setup(equation_id, params):
     exactly the resonant ones, and exercises each value against the
     determinantal route.
     """
-    arity = {SIGMA_JMMS: 1, SIGMA_HARD: 3, SIGMA_NN: 2, V_P2: 0}.get(
-        equation_id)
-    if arity is None:
+    if equation_id not in _EQUATIONS:
         raise ArgumentError(f"unknown equation id {equation_id!r}")
+    arity = _EQUATIONS[equation_id][1]
     if len(params) != arity:
         raise ArgumentError(
             f"{equation_id} takes {arity} params, got {tuple(params)}")
@@ -443,16 +435,14 @@ def _equation_setup(equation_id, params):
         if a == -0.5:
             return (a, 2.0), {2: -1.0 / 3.0}, {5: -8.0 / (135.0 * math.pi)}
         return (a, 2.0), {2: -1.0 / 5.0}, {7: -8.0 / (23625.0 * math.pi)}
-    if equation_id == SIGMA_NN:
-        a, xi = params
-        _check_xi(xi)
-        if a not in (0.0, 1.0):
-            raise UnsupportedError(f"conditioned-origin order a must be 0 or 1, got {a}")
-        exp_x = int(2 * (2 * a + 1))
-        coeff = -xi * 2.0 * 0.25 ** (2 * a + 1) / (
-            math.gamma(0.5 + a) * math.gamma(1.5 + a))
-        return (a,), {exp_x: coeff}, {}
-    return (), {4: -1.0 / 15.0}, {10: -1.0 / (8640.0 * math.pi)}
+    a, xi = params                                      # SIGMA_NN
+    _check_xi(xi)
+    if a not in (0.0, 1.0):
+        raise UnsupportedError(f"conditioned-origin order a must be 0 or 1, got {a}")
+    exp_x = int(2 * (2 * a + 1))
+    coeff = -xi * 2.0 * 0.25 ** (2 * a + 1) / (
+        math.gamma(0.5 + a) * math.gamma(1.5 + a))
+    return (a,), {exp_x: coeff}, {}
 
 
 def _check_xi(xi):
@@ -819,9 +809,23 @@ def p1_direct(s):
 
 
 def p2_direct(s):
-    """Spacing density p2(0; s) = (pi^2/3) s^2 exp int_0^{2 pi s} v/t dt."""
-    return on_points(s, 0.0, lambda v: math.pi ** 2 / 3.0 * v * v
-                     * _gap(V_P2, (), 2.0 * math.pi * v))
+    """Spacing density p2(0; s) = d^2/ds^2 E2(0; s) = E2 (sigma^2 + T sigma'
+    - sigma) / s^2, T = pi s, on e2_bulk's trajectory.  Up to t_switch the
+    numerator, O(T^4) against sigma^2's T^2, is summed from the series from
+    x^8 on, where its x^4 and x^6 coefficients cancel to roundoff."""
+    def density(v):
+        T = math.pi * v
+        sol = _solution(SIGMA_JMMS, (1.0,), T)
+        sigma, c = sol.sigma_at(T), sol.problem.x_coefficients
+        num = sigma * sigma + T * sol._state(T, 1) - sigma
+        n, low = len(c), T <= sol.problem.t_switch
+        series = _s_add(_s_mul(_Series(c, 1), _Series(c, 1), n),
+                        _Series((np.arange(1, n + 1) / 2.0 - 1.0) * c, 1), n)
+        num[low] = np.sum(series.c[8 - series.off:] * np.sqrt(T[low])[:, None]
+                          ** np.arange(8, n + 1), axis=-1)
+        return num / (v * v) * _exp(sol.log_integral_at(T))
+
+    return on_points(s, 0.0, density)
 
 
 def _dminus_second(u):

@@ -20,15 +20,12 @@ from .errors import ArgumentError, UnsupportedError
 from .points import on_points
 
 
-def poisson_p(n: int, s: float) -> float:
-    """Poisson spacing ladder: s^n e^{-s} / n!."""
+def poisson_p(n: int, s):
+    """Poisson spacing ladder s^n e^{-s} / n! at a float or an array of s."""
     if n < 0:
         raise ArgumentError(f"n must be >= 0, got {n}")
-    if not (math.isfinite(s) and s >= 0.0):
-        raise ArgumentError(f"s must be finite and >= 0, got {s}")
-    if s == 0.0:
-        return 1.0 if n == 0 else 0.0
-    return math.exp(n * math.log(s) - s - math.lgamma(n + 1))
+    return on_points(s, 1.0 if n == 0 else 0.0, lambda v: np.array([math.exp(
+        n * math.log(x) - x - math.lgamma(n + 1)) for x in v.tolist()]))
 
 
 @dataclass(frozen=True)
@@ -42,13 +39,12 @@ class SurmiseCoefficients:
     c1: float
     c2: float
 
-    def density(self, s: float) -> float:
-        if not (math.isfinite(s) and s >= 0.0):
-            raise ArgumentError(f"s must be finite and >= 0, got {s}")
-        if s == 0.0:
-            return self.c1 if self.beta == 0.0 else 0.0
-        return self.c1 * s ** self.beta * math.exp(
-            -self.c2 * s ** (self.beta + 1.0) / (self.beta + 1.0))
+    def density(self, s):
+        """p at a float or an array of s, as wigner_surmise takes them."""
+        c1, c2, beta = self.c1, self.c2, self.beta
+        return on_points(s, c1 if beta == 0.0 else 0.0, lambda v: np.array(
+            [c1 * x ** beta * math.exp(-c2 * x ** (beta + 1.0) / (beta + 1.0))
+             for x in v.tolist()]))
 
 
 def solve_ansatz(beta: float) -> SurmiseCoefficients:

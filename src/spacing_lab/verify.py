@@ -211,7 +211,6 @@ def check_series_layers():
         (painleve.SIGMA_NN, (1.0, 1.0)),
         (painleve.SIGMA_HARD, (-0.5, 2.0, 1.0)),
         (painleve.SIGMA_HARD, (0.5, 2.0, 1.0)),
-        (painleve.V_P2, ()),
     ]
     residuals = {}
     for eq, params in cases:

@@ -200,7 +200,9 @@ class TestPainleveDigests:
     p1 at s <= 1e-3 came from the series layer instead of its leading
     term; p0 at beta 1 and 4 and p1gap again when p1 and p4 moved onto the
     mu = 2 hard-edge trajectories, which negate the former beta = 1 and
-    beta = 4 transcendents and differ from them in the last bits."""
+    beta = 4 transcendents and differ from them in the last bits; p0 at
+    beta 2 again when p2 came from the bulk trajectory instead of its own
+    transcendent, which moved it by up to 5.5e-10 (5.9e-6 relative)."""
 
     @pytest.mark.parametrize("quantity, extra, s_max, digest", [
         ("E2", (), "4.0",
@@ -214,7 +216,7 @@ class TestPainleveDigests:
         ("p0", ("--beta", "1"), "4.0",
          "9b35abd5ac7e78805316467c2048a091b2c75e3e43348b9ab4617f71e9fe91e3"),
         ("p0", ("--beta", "2"), "4.0",
-         "ce390187a7223fba84b8d8676ccfee6ebd0b094b6025c834b3c9d2b0d2509fa5"),
+         "0f169e2ddf8567f437ae9acf3c3819d972b22d359faa8ca7eb745fdac51429de"),
         ("p0", ("--beta", "4"), "4.0",
          "814b81e68f8699dc6a157cd47ea35949249dea0c558a670cb4f1c9bcdf5ba802"),
         ("p1gap", (), "6.0",
@@ -363,11 +365,16 @@ class TestMainExitCodes:
         (["sample", "--n", "3", "--order", "1"],
          "rank must be odd and >= 5, got 3"),
         (["sample", "--n", "12"], "rank must be odd and >= 3, got 12"),
-        (["sample", "--bin-width", "0"], "bin width must be > 0, got 0.0"),
-        (["sample", "--bin-width", "nan"], "bin width must be > 0, got nan"),
-        (["primes", "--bin-width", "0"], "bin width must be > 0, got 0.0"),
+        (["sample", "--bin-width", "0"],
+         "bin width must be finite and > 0, got 0.0"),
+        (["sample", "--bin-width", "nan"],
+         "bin width must be finite and > 0, got nan"),
+        (["sample", "--n", "13", "--reps", "50", "--bin-width", "inf"],
+         "bin width must be finite and > 0, got inf"),
+        (["primes", "--bin-width", "0"],
+         "bin width must be finite and > 0, got 0.0"),
     ], ids=["rank3-order1", "even-rank", "sample-zero-width",
-            "sample-nan-width", "primes-zero-width"])
+            "sample-nan-width", "sample-inf-width", "primes-zero-width"])
     def test_arguments_checked_before_sampling(self, monkeypatch, capsys,
                                                argv, message):
         calls = []

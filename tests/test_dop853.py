@@ -13,7 +13,7 @@ from scipy.integrate import DOP853 as ScipyDOP853
 from scipy.integrate import OdeSolution
 
 from spacing_lab import _dop853, painleve
-from spacing_lab.painleve import SIGMA_HARD, SIGMA_JMMS, SIGMA_NN, V_P2
+from spacing_lab.painleve import SIGMA_HARD, SIGMA_JMMS, SIGMA_NN
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -23,7 +23,6 @@ PROBLEMS = [
     (SIGMA_HARD, (-0.5, 0.0, 1.0)),
     (SIGMA_HARD, (-0.5, 2.0, 1.0)),
     (SIGMA_NN, (1.0, 1.0)),
-    (V_P2, ()),
 ]
 T_END = 4.0
 

@@ -332,6 +332,11 @@ class TestHistogram:
         with pytest.raises(ArgumentError):
             build_histogram([], 0.1, Interval(0.0, 1.0))
 
+    @pytest.mark.parametrize("width", [-1.0, math.inf])
+    def test_bin_width_must_be_finite_and_positive(self, width):
+        with pytest.raises(ArgumentError):
+            montecarlo.check_bin_width(width)
+
     def test_csv_columns(self):
         hist = build_histogram([0.5, 1.2], 1.0, Interval(0.0, 2.0))
         out = io.StringIO()

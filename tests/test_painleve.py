@@ -19,7 +19,6 @@ from spacing_lab.painleve import (
     SIGMA_HARD,
     SIGMA_JMMS,
     SIGMA_NN,
-    V_P2,
     build_problem,
     integrate,
     series_residual,
@@ -32,7 +31,6 @@ CANONICAL_PROBLEMS = [
     (SIGMA_NN, (1.0, 1.0)),
     (SIGMA_HARD, (-0.5, 2.0, 1.0)),
     (SIGMA_HARD, (0.5, 2.0, 1.0)),
-    (V_P2, ()),
 ]
 
 
@@ -90,7 +88,6 @@ class TestSeriesLayer:
 
     @pytest.mark.parametrize("eq,params", [
         (SIGMA_JMMS, ()), (SIGMA_HARD, (-0.5, 1.0)), (SIGMA_NN, (1.0,)),
-        (V_P2, (1.0,)),
     ], ids=str)
     def test_params_arity(self, eq, params):
         # SIGMA_HARD takes (a, mu, xi); its former (a, xi) form is an error
@@ -255,9 +252,24 @@ class TestDirectDensities:
                 math.pi ** 2 / 6.0, abs=1e-4)
 
     def test_p2_quadratic_at_origin(self):
-        s = 1e-4
-        assert painleve.p2_direct(s) / s ** 2 == pytest.approx(
-            math.pi ** 2 / 3.0, abs=1e-6)
+        # on the series layer p2 = (pi^2/3) s^2 (1 - (2 pi^2/15) s^2 + O(s^4))
+        for s in (1e-4, 3e-4):
+            expansion = math.pi ** 2 / 3.0 * s * s * (
+                1.0 - 2.0 * math.pi ** 2 / 15.0 * s * s)
+            assert painleve.p2_direct(s) == pytest.approx(expansion,
+                                                          rel=1e-12)
+
+    # p2(0; s) as d^2/ds^2 of the sine-kernel determinant at 40 digits: 48
+    # Gauss-Legendre nodes and a numerical second derivative in mpmath
+    @pytest.mark.parametrize("s,value", [
+        (0.5, 0.59323015852076828542),
+        (1.0, 0.90290378958147140942),
+        (2.0, 0.081298154149308993746),
+        (3.0, 0.00035404533217393095767),
+        (4.0, 1.0493860701014180654e-7),
+    ])
+    def test_p2_against_reference(self, s, value):
+        assert painleve.p2_direct(s) == pytest.approx(value, rel=1e-9)
 
     def test_p4_quartic_at_origin(self):
         lo, hi = 0.02, 0.04
@@ -560,8 +572,6 @@ class TestProblemMemo:
          "f009526f9275cef47bf671ddc45eef20e4f814cff6dc8facf17e0eddc8d77ddf"),
         (SIGMA_NN, (1.0, 1.0),
          "d9aaeb4ca89a6baa7931648123a08be1100ea9fc6afa43d4f6f88ff4ea108600"),
-        (V_P2, (),
-         "6befebb29f56a661dc0d65c4c37b31b42506b555481df5140e329224dc55aa1b"),
     ]
 
     # recorded before the monomial shifts, the one-pass first action and the
@@ -719,8 +729,7 @@ class TestFirstActions:
 # them before each equation was stated once; references for the generic code.
 # utilde and vtilde are the beta = 1 and beta = 4 transcendents, which the
 # mu = 2 hard-edge equation gives with sigma negated
-_REFERENCE = {SIGMA_JMMS: "jmms", SIGMA_HARD: "hard", SIGMA_NN: "nn",
-              V_P2: "p2v"}
+_REFERENCE = {SIGMA_JMMS: "jmms", SIGMA_HARD: "hard", SIGMA_NN: "nn"}
 _EQUATION = {family: eq for eq, family in _REFERENCE.items()}
 
 def _reference_residual_terms(family, par, t, s, sp, spp):
@@ -751,17 +760,12 @@ def _reference_residual_terms(family, par, t, s, sp, spp):
         scale = np.maximum(1.0, np.max(np.abs(np.stack(
             np.broadcast_arrays(lead, t1, t2))), axis=0))
         return lead + t1 + t2, scale
-    if family == "vtilde":
-        t1 = -6.25 * sp ** 2 + (sp - 4.0 * sp ** 2) * (t * sp - s)
-        t2 = 2.5 * sp - 0.25
-        scale = np.maximum(1.0, np.max(np.abs(np.stack(
-            np.broadcast_arrays(lead, t1, t2))), axis=0))
-        return lead + t1 + t2, scale
-    assert family == "p2v"
-    A = s - t * sp
-    term = A * (A + 4.0 - 4.0 * sp ** 2) - 16.0 * sp ** 2
-    return lead + term, np.maximum(1.0, np.maximum(np.abs(lead),
-                                                   np.abs(term)))
+    assert family == "vtilde"
+    t1 = -6.25 * sp ** 2 + (sp - 4.0 * sp ** 2) * (t * sp - s)
+    t2 = 2.5 * sp - 0.25
+    scale = np.maximum(1.0, np.max(np.abs(np.stack(
+        np.broadcast_arrays(lead, t1, t2))), axis=0))
+    return lead + t1 + t2, scale
 
 
 def _reference_third_derivative(family, par, t, s, sp, spp):
@@ -784,14 +788,10 @@ def _reference_third_derivative(family, par, t, s, sp, spp):
         brk = ((8.0 * sp - 1.0) * (t * sp - s) + t * (4.0 * sp ** 2 - sp)
                + 4.5 * sp - 1.5)
         return -spp / t + brk / (2.0 * t * t)
-    if family == "vtilde":
-        brk = (12.5 * sp - (1.0 - 8.0 * sp) * (t * sp - s)
-               - t * (sp - 4.0 * sp ** 2) - 2.5)
-        return -spp / t + brk / (2.0 * t * t)
-    assert family == "p2v"
-    A = s - t * sp
-    return (-2.0 * t * spp + t * (2.0 * A + 4.0 - 4.0 * sp ** 2)
-            + 8.0 * A * sp + 32.0 * sp) / (2.0 * t * t)
+    assert family == "vtilde"
+    brk = (12.5 * sp - (1.0 - 8.0 * sp) * (t * sp - s)
+           - t * (sp - 4.0 * sp ** 2) - 2.5)
+    return -spp / t + brk / (2.0 * t * t)
 
 
 class TestGenericEquation:
@@ -841,7 +841,7 @@ class TestGenericEquation:
 
     @pytest.mark.parametrize("family,par", [
         ("jmms", ()), ("hard", (-0.5, 0.0)), ("hard", (0.5, 2.0)),
-        ("nn", (0.0,)), ("nn", (1.0,)), ("p2v", ()),
+        ("nn", (0.0,)), ("nn", (1.0,)),
     ], ids=str)
     def test_defect_scale_at_arbitrary_states(self, family, par):
         # the groups of G cancel each other at these states, so the scale

@@ -84,7 +84,7 @@ class TestTrajectoryFetches:
     def test_full_suite_integration_count(self, integrations):
         results = verify.run_all()
         assert all(r.passed for r in results)
-        # seven trajectories once each, and csv-determinism's second
+        # six trajectories once each, and csv-determinism's second
         # tabulate integrates the bulk one again from a cold cache
-        assert len(set(integrations)) == 7
-        assert integrations[7:] == [(painleve.SIGMA_JMMS, (1.0,))]
+        assert len(set(integrations)) == 6
+        assert integrations[6:] == [(painleve.SIGMA_JMMS, (1.0,))]
