@@ -20,7 +20,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from . import (__version__, fredholm, montecarlo, painleve, sequences,
                surmise)
@@ -72,7 +71,6 @@ def _base_metadata(command_line: str) -> dict:
         "command": command_line,
         "package": f"spacing-lab {__version__}",
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
     }
 
 

@@ -1,9 +1,17 @@
-"""The package namespace: what ``spacing_lab`` exports by name."""
+"""The package namespace: what ``spacing_lab`` exports by name, and what
+it needs at run time."""
 
 import inspect
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import spacing_lab
 from spacing_lab import fredholm, painleve
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # each removed name with the module that held it
 REMOVED = ((fredholm, "GapProfile"), (painleve, "extend_series"))
@@ -32,3 +40,36 @@ def test_removed_names_are_absent():
         assert not hasattr(module, name)
         assert not hasattr(spacing_lab, name)
         assert name not in spacing_lab.__all__
+
+
+def test_runs_without_scipy():
+    # a fresh interpreter in which every scipy import fails imports the
+    # package and runs every route: determinant, Painleve and surmise
+    # tables, a forked sample, and all of verify
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+
+        class NoScipy:
+            def find_spec(self, name, path=None, target=None):
+                if name == "scipy" or name.startswith("scipy."):
+                    raise ModuleNotFoundError(f"no module named {name!r}")
+                return None
+
+        sys.meta_path.insert(0, NoScipy())
+        import spacing_lab
+        from spacing_lab.cli import main
+        runs = (["tabulate", "--quantity", "E2", "--method", "all"],
+                ["sample", "--n", "13", "--reps", "600", "--workers", "2"],
+                ["verify"])
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [main(argv) for argv in runs]
+        if codes != [0, 0, 0]:
+            sys.exit(f"exit codes {codes}")
+        loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+        if loaded:
+            sys.exit(f"loaded {loaded}")
+    """)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

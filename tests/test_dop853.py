@@ -1,11 +1,5 @@
 """The in-package DOP853 against SciPy's: same steps, same dense values, same
-failures, bit for bit; and the package never loads SciPy's ODE solvers."""
-
-import os
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
+failures, bit for bit."""
 
 import numpy as np
 import pytest
@@ -14,8 +8,6 @@ from scipy.integrate import OdeSolution
 
 from spacing_lab import _dop853, painleve
 from spacing_lab.painleve import SIGMA_HARD, SIGMA_JMMS, SIGMA_NN
-
-ROOT = Path(__file__).resolve().parents[1]
 
 # one trajectory per equation id, SIGMA_HARD at mu = 0 and mu = 2
 PROBLEMS = [
@@ -99,25 +91,3 @@ def test_status_and_message_equal_scipy(fun, t_bound, status):
     assert ours.status == status
     assert message == (ScipyDOP853.TOO_SMALL_STEP if status == "failed"
                        else None)
-
-
-def test_scipy_integrate_is_never_imported():
-    # a count-free guard: a fresh interpreter that imports the package,
-    # integrates and verifies a Painleve route loads no SciPy ODE module
-    script = textwrap.dedent("""
-        import io, sys, contextlib
-        import spacing_lab
-        from spacing_lab.cli import main
-        with contextlib.redirect_stdout(io.StringIO()):
-            codes = (main(["tabulate", "--quantity", "E2", "--method",
-                           "painleve", "--s-max", "1.0", "--s-step", "0.25"]),
-                     main(["verify", "--only", "e2-cross-route"]))
-        if codes != (0, 0):
-            sys.exit(f"exit codes {codes}")
-        if "scipy.integrate" in sys.modules:
-            sys.exit("scipy.integrate loaded")
-    """)
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr

@@ -4,11 +4,13 @@ import io
 import math
 import multiprocessing
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 from scipy.linalg import eigh_tridiagonal
+from scipy.special import chdtrc
 
 from spacing_lab import (ArgumentError, Interval, NumericError,
                          UnsupportedError, montecarlo)
@@ -131,6 +133,17 @@ class TestBatchedSampler:
             rows = sample_ensemble(n, reps, seed, workers=workers)
             assert np.array_equal(rows, np.array(expected))
 
+    def test_large_rank_solves_in_bounded_stacks(self):
+        # one 256-row band at rank 201 would be 83 MB
+        tracemalloc.start()
+        try:
+            rows = sample_ensemble(201, 260, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+        assert np.array_equal(rows, _replica_loop(201, 260, 3))
+
     def test_single_spectrum_matches_replica_loop(self):
         expected = _reference_spectrum(13, montecarlo._rng_for(5, 0))
         assert np.array_equal(_one_spectrum(13, 5), expected)
@@ -194,11 +207,14 @@ class TestProcessPool:
 
     def test_worker_numeric_error_reaches_caller(self, cpus, monkeypatch):
         # the stub is in place before the fork, so the workers run it
+        def no_convergence(a, UPLO="L"):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
         cpus(2)
-        monkeypatch.setattr(montecarlo, "dsterf", lambda d, e: (d, 7))
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
         with pytest.raises(NumericError) as caught:
             sample_ensemble(13, 600, 1, workers=2)
-        assert caught.value.context == {"n": 13, "info": 7}
+        assert caught.value.context == {"n": 13}
         assert type(caught.value.__cause__).__name__ == "_RemoteTraceback"
 
     def test_serial_without_fork(self, cpus, monkeypatch):
@@ -348,6 +364,22 @@ class TestHistogram:
 
 
 class TestChiSquare:
+    @pytest.mark.parametrize("dof", range(1, 121))
+    def test_tail_matches_chdtrc(self, dof):
+        # 3 dof + 50 reaches far into the tail; past x = 1400 the terms
+        # are taken in log space, and dof > 60 keeps the tail above 1e-300
+        for x in np.concatenate((np.geomspace(1e-6, 1.0, 13),
+                                 np.linspace(0.0, 3 * dof + 50, 97)[1:],
+                                 np.linspace(1400.0, 2000.0, 31))):
+            expected = chdtrc(dof, x)
+            if expected >= 1e-300:
+                got = montecarlo._chi_square_tail(dof, x)
+                assert abs(got - expected) <= 1e-12 * expected, (x, got)
+        assert montecarlo._chi_square_tail(dof, 0.0) == 1.0
+        assert montecarlo._chi_square_tail(dof, math.inf) == 0.0
+        for x in (1e300, 1.7e308):
+            assert montecarlo._chi_square_tail(dof, x) == 0.0
+
     def test_exponential_data_accepts_exponential_model(self):
         rng = np.random.default_rng(12)
         hist = build_histogram(rng.exponential(1.0, 20_000), 0.25,
