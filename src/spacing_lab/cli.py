@@ -6,14 +6,14 @@ identical configs produce bit-identical files.  Exit codes: 0 success,
 1 verification failure, 2 usage error, 3 data or numeric error.
 
 `tabulate` fills each column with one call of a library evaluator on the
-whole grid (the fredholm, painleve or surmise function its name maps to in
-_COLUMNS).  `sample` alone runs a pool: forked processes, sized by
---workers.
+whole grid, the one the route table in `routes` names for it.  `sample`
+alone runs a pool: forked processes, sized by --workers.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -21,15 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import (__version__, fredholm, montecarlo, painleve, sequences,
-               surmise)
+from . import __version__, montecarlo, painleve, routes, sequences
 from . import verify as verify_mod
 from .errors import ArgumentError, SpacingLabError, UnsupportedError
 from .fredholm import SpacingTable
 from .quadrature import Interval
-
-QUANTITIES = ("E2", "E1", "E4", "Enn", "p0", "p1gap", "p2nn", "En")
-METHODS = ("fredholm", "painleve", "surmise", "all")
 
 
 @dataclass
@@ -54,7 +50,7 @@ class RunConfig:
     zeros_path: str | None = None
     output_path: str | None = None
     workers: int | None = None
-    det_tol: float = 1e-10
+    det_tol: float = routes.DET_TOL
     only: tuple = ()
 
 
@@ -77,57 +73,12 @@ def _base_metadata(command_line: str) -> dict:
 # ---------------------------------------------------------------------------
 # tabulate
 
-# column name -> its values on an array of s for a config.  The methods
-# that can produce a quantity are the ones that name a column here.
-_COLUMNS = {
-    "E2_fredholm": lambda c, s: fredholm.e2_bulk_det(s, tol=c.det_tol),
-    "E2_painleve": lambda c, s: painleve.e2_bulk(s),
-    "E1_fredholm": lambda c, s: fredholm.e1_bulk_det(s, c.det_tol),
-    "E1_painleve": lambda c, s: painleve.e1_bulk(s),
-    "E4_fredholm": lambda c, s: fredholm.e4_bulk_det(s, c.det_tol),
-    "E4_painleve": lambda c, s: painleve.e4_bulk(s),
-    "Enn_fredholm": lambda c, s: fredholm.enn_det(s, tol=c.det_tol),
-    "Enn_painleve": lambda c, s: painleve.enn_generating(s),
-    "p0_fredholm": lambda c, s: {1: fredholm.p1_det, 2: fredholm.p2_det,
-                                 4: fredholm.p4_det}[c.beta](s, c.det_tol),
-    "p0_painleve": lambda c, s: {1: painleve.p1_direct, 2: painleve.p2_direct,
-                                 4: painleve.p4_direct}[c.beta](s),
-    "p0_surmise": lambda c, s: surmise.wigner_surmise(c.beta, s),
-    "p1gap_fredholm": lambda c, s: fredholm.p1_gap1_det(s, c.det_tol),
-    "p1gap_painleve": lambda c, s: painleve.p1_gap1(s),
-    "p1gap_surmise": lambda c, s: surmise.p1_spacing1_approx(s),
-    "p2nn_fredholm": lambda c, s: fredholm.p2_nn_det(s, c.det_tol),
-    "p2nn_painleve": lambda c, s: painleve.p2_nn(s),
-    "En_fredholm": lambda c, s: fredholm.en_bulk_det(s, c.n, c.det_tol),
-    "En_painleve": lambda c, s: painleve.e2_bulk(s),    # n = 0 only
-}
-
-
-def _methods_for(config: RunConfig) -> tuple:
-    supported = tuple(m for m in METHODS
-                      if f"{config.quantity}_{m}" in _COLUMNS)
-    if config.quantity == "En" and config.n > 0:
-        supported = ("fredholm",)
-    if config.method == "all":
-        return supported
-    if config.method not in supported:
-        raise UnsupportedError(
-            f"method {config.method!r} cannot produce {config.quantity!r}"
-            + (f" at n={config.n}" if config.quantity == "En" else "")
-            + f"; available: {', '.join(supported)}")
-    return (config.method,)
-
-
 def _tabulate_command_line(config: RunConfig) -> str:
-    parts = [f"spacing-lab tabulate --quantity {config.quantity}",
-             f"--method {config.method}",
-             f"--s-min {config.s_min:g} --s-max {config.s_max:g}",
-             f"--s-step {config.s_step:g}"]
-    if config.quantity == "p0":
-        parts.insert(1, f"--beta {config.beta}")
-    if config.quantity == "En":
-        parts.insert(1, f"--n {config.n}")
-    return " ".join(parts)
+    extra = {"p0": f" --beta {config.beta}",
+             "En": f" --n {config.n}"}.get(config.quantity, "")
+    return (f"spacing-lab tabulate --quantity {config.quantity}{extra} "
+            f"--method {config.method} --s-min {config.s_min:g} "
+            f"--s-max {config.s_max:g} --s-step {config.s_step:g}")
 
 
 def write_tabulate(config: RunConfig, stream):
@@ -153,22 +104,19 @@ def write_tabulate(config: RunConfig, stream):
     n_points = math.floor((config.s_max - config.s_min) / config.s_step
                           + 1e-9) + 1
     grid = config.s_min + config.s_step * np.arange(n_points)
-    methods = _methods_for(config)
+    methods = routes.methods_for(config.quantity, config.method, config.n)
 
     metadata = _base_metadata(_tabulate_command_line(config))
     metadata["det_tol"] = f"{config.det_tol:g}"
     table = SpacingTable(s_grid=grid, metadata=metadata)
 
-    for method in methods:
-        name = f"{config.quantity}_{method}"
-        table.add_column(name, _COLUMNS[name](config, grid))
-
-    deviations = {}
-    for i, m_i in enumerate(methods):
-        for m_j in methods[i + 1:]:
-            delta = np.abs(table.columns[f"{config.quantity}_{m_i}"]
-                           - table.columns[f"{config.quantity}_{m_j}"])
-            deviations[(m_i, m_j)] = float(np.max(delta))
+    columns = {m: routes.evaluate(config.quantity, m, grid, beta=config.beta,
+                                  n=config.n, tol=config.det_tol)
+               for m in methods}
+    for method, values in columns.items():
+        table.add_column(f"{config.quantity}_{method}", values)
+    deviations = {(a, b): float(np.max(np.abs(columns[a] - columns[b])))
+                  for a, b in itertools.combinations(methods, 2)}
     table.to_csv(stream)
     return table, deviations
 
@@ -192,13 +140,9 @@ def write_sample(config: RunConfig, stream):
                                            config.order).ravel()
     hist = montecarlo.build_histogram(
         spacings, width, Interval(0.0, float(np.max(spacings)) + width))
-    centers = hist.centers
-    if config.order == 0:
-        overlays = {"exact": painleve.p1_direct(centers),
-                    "surmise": surmise.wigner_surmise(1, centers)}
-    else:
-        overlays = {"exact": painleve.p1_gap1(centers),
-                    "surmise": surmise.p1_spacing1_approx(centers)}
+    quantity = "p0" if config.order == 0 else "p1gap"    # p0 at beta = 1
+    overlays = {"exact": routes.evaluate(quantity, "painleve", hist.centers),
+                "surmise": routes.evaluate(quantity, "surmise", hist.centers)}
     metadata = _base_metadata(
         f"spacing-lab sample --n {config.n} --reps {config.reps} "
         f"--seed {config.seed} --order {config.order} --bin-width {width:g}")
@@ -223,11 +167,8 @@ def write_primes(config: RunConfig, stream):
         return
     hist = sequences.prime_spacing_histogram(window, config.order,
                                              config.bin_width)
-    centers = hist.centers
-    if config.order == 0:
-        poisson = np.exp(-centers)
-    else:
-        poisson = centers * np.exp(-centers)
+    # order 1 is the gamma(2) density s e^-s
+    poisson = np.exp(-hist.centers) * (hist.centers if config.order else 1.0)
     metadata["bin_width"] = f"{hist.bin_width:.17g}"
     metadata["overflow"] = hist.overflow
     _write_histogram_csv(stream, metadata, hist, {"poisson": poisson})
@@ -245,11 +186,8 @@ def write_zeros(config: RunConfig, stream):
         stats, lambda s: 1.0 - painleve.enn_generating(s))
     ks_poisson = sequences.ks_distance(
         stats, lambda s: 1.0 - np.exp(-2.0 * s))
-    centers = hist.centers
-    overlays = {
-        "exact": painleve.p2_nn(centers),
-        "poisson": sequences.poisson_nn_density(centers),
-    }
+    overlays = {"exact": painleve.p2_nn(hist.centers),
+                "poisson": sequences.poisson_nn_density(hist.centers)}
     metadata = _base_metadata(
         f"spacing-lab zeros --file {config.zeros_path} --bin-width {width:g}")
     metadata["ordinates"] = len(data.ordinates)
@@ -283,21 +221,11 @@ def run(config: RunConfig) -> int:
         table, deviations = outcome
         q = config.quantity
         for (m_i, m_j), delta in deviations.items():
-            relative = _max_relative(table.columns[f"{q}_{m_i}"],
-                                     table.columns[f"{q}_{m_j}"])
+            relative = routes.max_relative(table.columns[f"{q}_{m_i}"],
+                                           table.columns[f"{q}_{m_j}"])
             print(f"max |{q}_{m_i} - {q}_{m_j}| = {delta:.3g}, "
                   f"relative {relative:.3g}", file=sys.stderr)
     return 0
-
-
-def _max_relative(a, b) -> float:
-    """max |a - b| / max(|a|, |b|) over the points where the denominator is
-    > 0 (0 when there are none)."""
-    scale = np.maximum(np.abs(a), np.abs(b))
-    live = scale > 0.0
-    if not live.any():
-        return 0.0
-    return float(np.max(np.abs(a - b)[live] / scale[live]))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -308,14 +236,19 @@ def _build_parser() -> argparse.ArgumentParser:
                     "surmises, and sampled or number-theoretic spectra.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    by_methods = {}
+    for q in routes.QUANTITIES:
+        by_methods.setdefault(routes.methods_for(q), []).append(q)
+    supported = "; ".join(f"{'/'.join(qs)}: {', '.join(ms)}"
+                          for ms, qs in by_methods.items())
     tab = sub.add_parser(
         "tabulate", help="tabulate a quantity over an s grid as CSV",
         description="Columns are named <quantity>_<method>.  Supported "
-                    "methods per quantity: E2/E1/E4/Enn/p2nn/En: fredholm, "
-                    "painleve; p0/p1gap: fredholm, painleve, surmise.  "
-                    "p0 takes --beta; En takes --n (painleve only at n=0).")
-    tab.add_argument("--quantity", choices=QUANTITIES, default="E2")
-    tab.add_argument("--method", choices=METHODS, default="all")
+                    f"methods per quantity: {supported}.  p0 takes --beta; "
+                    "En takes --n (painleve only at n=0).")
+    tab.add_argument("--quantity", choices=routes.QUANTITIES, default="E2")
+    tab.add_argument("--method", choices=(*routes.METHODS, "all"),
+                     default="all")
     tab.add_argument("--s-min", type=float, default=0.0)
     tab.add_argument("--s-max", type=float, default=2.0)
     tab.add_argument("--s-step", type=float, default=0.05)
@@ -323,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="spacing-density symmetry class for p0")
     tab.add_argument("--n", type=int, default=0,
                      help="gap order for the En quantity")
-    tab.add_argument("--det-tol", type=float, default=1e-10,
+    tab.add_argument("--det-tol", type=float, default=routes.DET_TOL,
                      help="determinant convergence tolerance")
 
     smp = sub.add_parser(

@@ -15,7 +15,8 @@ def _assert_criterion(result):
 
 
 def test_e2_cross_route_within_1e6():
-    # sine-kernel determinant vs sigma evaluation at s = 0.25 .. 2.0
+    # sine-kernel determinants vs the sigma route, E2 and p2 at
+    # s = 0.25 .. 2.0, relative gap within 1e-7
     _assert_criterion(verify.check_e2_cross_route())
 
 
@@ -25,6 +26,8 @@ def test_parity_identities():
 
 
 def test_e1_e4_dual_route_within_1e6():
+    # parity determinants vs the hard-edge sigma routes, E1, E4, p1, p4
+    # and p1(1; s), relative gap within 1e-7
     _assert_criterion(verify.check_e1_e4_dual_route())
 
 
@@ -64,7 +67,8 @@ def test_prime_gaps_track_poisson_within_ks_008():
 
 
 def test_nearest_neighbour_routes_agree():
-    # generating values within 1e-6; density mass within 1e-3 of 1
+    # Enn and its density p2nn within relative 1e-7 of the sigma route;
+    # density mass within 1e-3 of 1
     _assert_criterion(verify.check_nn_routes())
 
 

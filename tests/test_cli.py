@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from spacing_lab import (ArgumentError, cli, fredholm, montecarlo, painleve,
-                         sequences, verify)
+from spacing_lab import (ArgumentError, UnsupportedError, cli, fredholm,
+                         montecarlo, painleve, routes, sequences, verify)
 from spacing_lab.cli import RunConfig, main, write_primes, write_sample, write_tabulate
 
 
@@ -344,6 +344,44 @@ class TestZeros:
         assert np.array(loop).tobytes() == rows[:, 4].tobytes()
 
 
+class TestRouteTable:
+    @pytest.mark.parametrize("method", routes.METHODS)
+    @pytest.mark.parametrize("quantity", routes.QUANTITIES)
+    def test_tabulate_runs_exactly_the_listed_methods(
+            self, tmp_path, capsys, quantity, method):
+        target = tmp_path / "table.csv"
+        code = main(["tabulate", "--quantity", quantity, "--method", method,
+                     "--s-max", "0.5", "--s-step", "0.25",
+                     "-o", str(target)])
+        if method in routes.methods_for(quantity):
+            assert code == 0
+            header = next(l for l in target.read_text().splitlines()
+                          if not l.startswith("#"))
+            assert header == f"s,{quantity}_{method}"
+        else:
+            assert code == 2
+            assert "usage error" in capsys.readouterr().err
+
+    def test_evaluate_refuses_an_unlisted_method(self):
+        # the painleve En column is E2(0; s), right at n = 0 only
+        with pytest.raises(UnsupportedError):
+            routes.evaluate("En", "painleve", np.array([0.5]), n=2)
+
+    def test_help_lists_the_table(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["tabulate", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        listed = text.split("Supported methods per quantity: ")[1]
+        listed = listed.split(". ")[0]
+        methods = {}
+        for group in listed.split("; "):
+            quantities, names = group.split(": ")
+            for q in quantities.split("/"):
+                methods[q] = tuple(names.split(", "))
+        assert methods == {q: routes.methods_for(q)
+                           for q in routes.QUANTITIES}
+
+
 class TestMainExitCodes:
     def test_usage_error_for_unsupported_combination(self, capsys):
         code = main(["tabulate", "--quantity", "En", "--n", "2",
@@ -404,9 +442,9 @@ class TestMainExitCodes:
     def test_tabulate_arguments_checked_before_evaluation(
             self, monkeypatch, capsys, argv, message):
         calls = []
-        monkeypatch.setattr(cli, "_COLUMNS", {
-            name: lambda c, s: calls.append(c) or np.zeros_like(s)
-            for name in cli._COLUMNS})
+        monkeypatch.setattr(routes, "_COLUMNS", {
+            key: lambda s, **keywords: calls.append(keywords)
+            or np.zeros_like(s) for key in routes._COLUMNS})
         assert main(["tabulate", *argv]) == 2
         assert calls == []
         assert message in capsys.readouterr().err
@@ -436,9 +474,9 @@ class TestMainExitCodes:
     def test_relative_deviation_skips_double_zeros(self):
         a = np.array([0.0, 1.0, -2.0, 4.0])
         b = np.array([0.0, 1.5, -2.0, 0.0])
-        assert cli._max_relative(a, b) == 1.0
-        assert cli._max_relative(a[:3], b[:3]) == pytest.approx(1.0 / 3.0)
-        assert cli._max_relative(a[:1], b[:1]) == 0.0
+        assert routes.max_relative(a, b) == 1.0
+        assert routes.max_relative(a[:3], b[:3]) == pytest.approx(1.0 / 3.0)
+        assert routes.max_relative(a[:1], b[:1]) == 0.0
 
     def test_verify_single_criterion(self, capsys):
         code = main(["verify", "--only", "surmise_accuracy"])
@@ -474,9 +512,11 @@ class TestCriterionNames:
         # need not run; the names are read from the real registry
         names = [fn.criterion for fn in verify.ALL_CRITERIA]
         assert len(set(names)) == len(names) == 13
-        stubs = tuple(verify._criterion(n)(lambda: (True, {}))
-                      for n in names)
-        monkeypatch.setattr(verify, "ALL_CRITERIA", stubs)
+        # _criterion appends to ALL_CRITERIA, so the stubs go to a list
+        # that replaces the real one until the test ends
+        monkeypatch.setattr(verify, "ALL_CRITERIA", [])
+        for name in names:
+            verify._criterion(name)(lambda: (True, {}))
         for name in names:
             for spelling in (name, name.replace("-", "_")):
                 results = verify.run_all([spelling])

@@ -76,10 +76,14 @@ class TestConvergedRules:
 
 class TestTrajectoryFetches:
     def test_dual_route_integrates_each_trajectory_once(self, integrations):
+        # E1 and E4 take the mu = 0 trajectories; p1, p4 and p1(1; s)
+        # take the mu = 2 ones
         verify.run_all(["e1-e4-dual-route"])
         assert sorted(integrations) == [
             (painleve.SIGMA_HARD, (-0.5, 0.0, 1.0)),
-            (painleve.SIGMA_HARD, (0.5, 0.0, 1.0))]
+            (painleve.SIGMA_HARD, (-0.5, 2.0, 1.0)),
+            (painleve.SIGMA_HARD, (0.5, 0.0, 1.0)),
+            (painleve.SIGMA_HARD, (0.5, 2.0, 1.0))]
 
     def test_full_suite_integration_count(self, integrations):
         results = verify.run_all()
@@ -88,3 +92,38 @@ class TestTrajectoryFetches:
         # tabulate integrates the bulk one again from a cold cache
         assert len(set(integrations)) == 6
         assert integrations[6:] == [(painleve.SIGMA_JMMS, (1.0,))]
+
+
+class TestMutations:
+    """Faults each route criterion must catch; every one of them passed
+    verify when the criteria compared only E2, E1, E4 and Enn."""
+
+    @pytest.mark.parametrize("module, name, factor, criterion, row", [
+        (fredholm, "p2_det", 2.0, "e2-cross-route", "p0_beta2"),
+        (fredholm, "p2_nn_det", 1.5, "nearest-neighbour-routes", "p2nn"),
+        (painleve, "p1_gap1", 1.1, "e1-e4-dual-route", "p1gap"),
+    ], ids=["p2_det", "p2_nn_det", "p1_gap1"])
+    def test_scaled_density(self, monkeypatch, module, name, factor,
+                            criterion, row):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, **k: factor * original(*a, **k))
+        [result] = verify.run_all([criterion])
+        assert not result.passed, str(result)
+        assert result.details[f"worst_{row}"] > result.details["tol"]
+
+    def test_jmms_equation_off_by_1e7(self, monkeypatch):
+        # the sigma'^2 term of the JMMS G scaled by 1 + 1e-7
+        def g_faulty(par, s, tsp, sp):
+            A = tsp - s
+            return ((4.0 * (A * (A + (1.0 + 1e-7) * (sp * sp))),),)
+
+        painleve.clear_cache()
+        monkeypatch.setitem(painleve._EQUATIONS, painleve.SIGMA_JMMS,
+                            (g_faulty, 1))
+        try:
+            [result] = verify.run_all(["e2-cross-route"])
+        finally:
+            painleve.clear_cache()
+        assert not result.passed, str(result)
+        assert result.details["worst_E2"] > result.details["tol"]
