@@ -3,10 +3,12 @@
 Every quantity here is an exp(int sigma(t)/t dt) representation built from a
 sigma-form equation: quadratic in sigma'', with a power-series boundary layer
 at t = 0 and adaptive integration beyond it.  There are three equations,
-one id each: SIGMA_JMMS (bulk gap; its trajectory also carries the beta = 2
-spacing density), SIGMA_HARD (hard edge; its mu = 2 trajectories carry the
-beta = 1 and beta = 4 spacing densities) and SIGMA_NN (conditioned origin).
-Three layers:
+one id each: SIGMA_JMMS (bulk gap; at xi = 1 its trajectory carries every
+beta = 1, 2 and 4 gap probability and spacing density, beta = 1 and 4
+through Gaudin's relation for the parity determinants), SIGMA_HARD (hard
+edge; its trajectories are kept as an independent check of the beta = 1
+and 4 columns, which verify compares with the determinants) and SIGMA_NN
+(conditioned origin).  Three layers:
 
 1. series: sigma = sum c_k x^k with x = sqrt(t), coefficients derived by
    substituting the ansatz into the ODE and matching orders, one unknown at
@@ -26,16 +28,19 @@ Three layers:
    (the residual), floats (the defect) and complex numbers: sigma''' =
    -sigma''/t - (t G_A + G_sigma')/(2 t^2) takes its directional derivative
    by a complex step.  The third-order system, with the log-integral as a
-   fourth component, is stepped on from t_switch as far as requests need
-   by the package's DOP853 (_dop853, which gives the bits of SciPy's DOP853
-   and OdeSolution), and the ORIGINAL quadratic equation is monitored as a
-   defect at accepted steps.
+   fourth component (and on the xi = 1 bulk trajectory the integral of
+   sqrt(sigma - t sigma')/t, Gaudin's split, as a fifth, its series the
+   square root of the -A series), is stepped on from t_switch as far as
+   requests need by the package's DOP853 (_dop853, which gives the bits of
+   SciPy's DOP853 and OdeSolution), and the ORIGINAL quadratic equation is
+   monitored as a defect at accepted steps.
 3. evaluators: E and p compositions with frozen argument calibrations
-   (upper limit pi*s for the bulk two-point gap, 2*pi*s for the conditioned
-   nearest-neighbour gap, the hard-edge variable used as is).  Each takes a
-   float or an array of s; an array is served by one trajectory fetch, one
-   series evaluation and one dense-output call, and gets the floats a loop
-   of scalar calls would get.
+   (upper limit pi*s for the bulk two-point gap, 2*pi*s for the parity
+   determinants on (-s, s) and the conditioned nearest-neighbour gap, the
+   hard-edge variable used as is).  Each takes a float or an array of s;
+   an array is served by one trajectory fetch, one series evaluation and
+   one dense-output call, and gets the floats a loop of scalar calls would
+   get.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -57,6 +61,7 @@ from .points import on_points
 SIGMA_JMMS = "SIGMA_JMMS"  # bulk two-point generating sigma, params (xi,)
 SIGMA_HARD = "SIGMA_HARD"  # hard-edge sigma, params (a, mu, xi)
 SIGMA_NN = "SIGMA_NN"      # conditioned-origin sigma, params (a, xi)
+_GAUDIN = (SIGMA_JMMS, (1.0,))  # the trajectory that carries Gaudin's split
 
 DEFAULT_T_SWITCH = 0.1
 DEFAULT_ORDER = 44
@@ -462,6 +467,9 @@ class PainleveProblem:
     t_switch: float
     x_coefficients: np.ndarray = field(compare=False, repr=False)  # read-only
     _par: tuple = field(compare=False, repr=False)
+    # x-coefficients from x^1 of sqrt(sigma - t sigma') on the xi = 1 bulk
+    # trajectory, whose integral is Gaudin's split; None on any other
+    _root: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def series(self):
@@ -473,29 +481,39 @@ class PainleveProblem:
         """Series sigma (deriv 0..2) or int_0^t sigma/tau dtau (deriv=-1).
 
         t is a float (a float is returned) or an array of t >= 0."""
-        c = self.x_coefficients
         t = np.asarray(t, dtype=float)
         if np.any(t < 0.0):
             raise ArgumentError(f"t must be >= 0, got {t[t < 0.0].flat[0]}")
-        x = np.sqrt(t)[..., None]
-        k = np.arange(1, len(c) + 1, dtype=float)
-        if deriv == 0:
-            terms = c * x ** k
-        elif deriv == 1:
-            terms = c * (k / 2.0) * x ** (k - 2)
-        elif deriv == 2:
-            terms = c * (k / 2.0) * ((k - 2) / 2.0) * x ** (k - 4)
-        elif deriv == -1:
-            terms = c * x ** k / (k / 2.0)
-        else:
-            raise ArgumentError(f"unsupported derivative order {deriv}")
-        values = np.sum(terms, axis=-1)
+        values = _x_sum(self.x_coefficients, t, deriv)
         return float(values) if values.ndim == 0 else values
+
+    def _series_component(self, t, component):
+        """State component from the series layer at an array of t >= 0."""
+        if component == _ROOT_INTEGRAL:
+            return _x_sum(self._root, t, -1)
+        return _x_sum(self.x_coefficients, t, _SERIES_DERIV[component])
+
+
+def _x_sum(c, t, deriv):
+    """sum_k c_k x^k with x = sqrt(t), c from x^1 on (deriv 0), its first
+    and second t-derivatives (1, 2) or its int_0^t ./tau dtau (-1)."""
+    x = np.sqrt(t)[..., None]
+    k = np.arange(1, len(c) + 1, dtype=float)
+    if deriv == 0:
+        terms = c * x ** k
+    elif deriv == 1:
+        terms = c * (k / 2.0) * x ** (k - 2)
+    elif deriv == 2:
+        terms = c * (k / 2.0) * ((k - 2) / 2.0) * x ** (k - 4)
+    elif deriv == -1:
+        terms = c * x ** k / (k / 2.0)
+    else:
+        raise ArgumentError(f"unsupported derivative order {deriv}")
+    return np.sum(terms, axis=-1)
 
 
 # derived problems and trajectories, shared by every caller and extended in
-# place under the lock (reentrant: _solution builds problems holding it)
-_cache_lock = threading.RLock()
+# place
 _problems: dict = {}
 _solutions: dict = {}
 
@@ -516,12 +534,11 @@ def build_problem(equation_id, params=(), t_switch=DEFAULT_T_SWITCH,
     params = tuple(float(p) for p in params)
     n_terms = int(n_terms)
     key = (equation_id, params, float(t_switch), n_terms)
-    with _cache_lock:
-        problem = _problems.get(key)
-        if problem is None:
-            problem = _problems[key] = _derive_problem(
-                equation_id, params, t_switch, n_terms)
-        return problem
+    problem = _problems.get(key)
+    if problem is None:
+        problem = _problems[key] = _derive_problem(
+            equation_id, params, t_switch, n_terms)
+    return problem
 
 
 def _derive_problem(equation_id, params, t_switch, n_terms):
@@ -537,9 +554,18 @@ def _derive_problem(equation_id, params, t_switch, n_terms):
                                      pinned)
         _check_tail(coeffs, t_switch)
     coeffs.setflags(write=False)
+    root = None
+    if (equation_id, params) == _GAUDIN and n_terms >= 4:
+        # sigma - t sigma' = -A = sum (1 - k/2) c_k x^k, led by x^4 / pi^2;
+        # the root's x^k takes -A's x^(k+2), so it stops at x^(n_terms - 2)
+        k = np.arange(1, n_terms + 1)
+        root = np.zeros(n_terms)
+        root[1:n_terms - 2] = _s_sqrt(_Series((1.0 - k / 2.0) * coeffs, 1),
+                                      n_terms - 2).c
+        root.setflags(write=False)
     return PainleveProblem(equation_id=equation_id, params=params,
                            t_switch=float(t_switch), x_coefficients=coeffs,
-                           _par=par)
+                           _par=par, _root=root)
 
 
 def _check_tail(coeffs, t_switch):
@@ -565,11 +591,13 @@ def series_residual(problem: PainleveProblem, t=None) -> float:
 
 
 _SERIES_DERIV = {0: 0, 1: 1, 2: 2, 3: -1}    # state component -> deriv
+_ROOT_INTEGRAL = 4      # the state component int sqrt(sigma - t sigma')/t
 
 
 @dataclass(eq=False)
 class PainleveSolution:
-    """Dense (sigma, sigma', sigma'', int sigma/t dt) on [t_switch, t_max]."""
+    """Dense (sigma, sigma', sigma'', int sigma/t dt) on [t_switch, t_max],
+    and int sqrt(sigma - t sigma')/t dt on the xi = 1 bulk trajectory."""
 
     problem: PainleveProblem
     tol: float
@@ -617,9 +645,10 @@ class PainleveSolution:
         self._dense = self._dense.extended(ts, Fs, y_olds)
 
     def _state(self, t, component):
-        """One state component at a float t (a float is returned) or at an
-        array of t: the series layer up to t_switch, the dense output of
-        the integrator beyond it, each called once for all its points."""
+        """One state component (an int) at a float t (a float is returned)
+        or at an array of t, or several (a tuple), stacked on a leading
+        axis: the series layer up to t_switch, the dense output of the
+        integrator beyond it, each called once for all its points."""
         t = np.asarray(t, dtype=float)
         flat = t.ravel()
         if (flat < 0.0).any():
@@ -627,16 +656,20 @@ class PainleveSolution:
         beyond = flat > self.t_max
         if beyond.any():
             raise ArgumentError(f"t={flat[beyond][0]} past t_max={self.t_max}")
-        out = np.empty(flat.shape)
+        components = component if isinstance(component, tuple) else (
+            component,)
+        out = np.empty((len(components), len(flat)))
         series = flat <= self.problem.t_switch
         n_series = np.count_nonzero(series)
         if n_series:
-            out[series] = self.problem.series_value(
-                flat[series], _SERIES_DERIV[component])
+            for row, k in zip(out, components):
+                row[series] = self.problem._series_component(flat[series], k)
         if n_series < len(flat):
             dense = ~series
-            out[dense] = self._dense(flat[dense])[component]
-        return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
+            out[:, dense] = self._dense(flat[dense])[list(components)]
+        if isinstance(component, tuple):
+            return out.reshape((len(components),) + t.shape)
+        return float(out[0, 0]) if t.ndim == 0 else out[0].reshape(t.shape)
 
     def sigma_at(self, t):
         return self._state(t, 0)
@@ -651,7 +684,8 @@ def integrate(problem: PainleveProblem, t_max: float,
     """Integrate the differentiated system from t_switch to its first
     accepted step at or past t_max; no step is cut short to end there.
 
-    State is [sigma, sigma', sigma'', int_0^t sigma/tau dtau]; the
+    State is [sigma, sigma', sigma'', int_0^t sigma/tau dtau], and on the
+    xi = 1 bulk trajectory int_0^t sqrt(sigma - tau sigma')/tau dtau; the
     undifferentiated equation is checked at every accepted step and must
     stay within _DEFECT_FACTOR * tol of zero relative to its largest term.
     The solver runs at tol / _TOL_SAFETY internally: global error grows
@@ -673,14 +707,24 @@ def integrate(problem: PainleveProblem, t_max: float,
 def _system(problem):
     """(rhs, y0) of the differentiated first-order system at t_switch."""
     equation_id, par = problem.equation_id, problem._par
-    y0 = [problem.series_value(problem.t_switch, _SERIES_DERIV[k])
-          for k in range(4)]
+    gaudin = problem._root is not None
+    y0 = [float(problem._series_component(np.asarray(problem.t_switch), k))
+          for k in range(5 if gaudin else 4)]
 
     def rhs(t, y):
         t = float(t)
-        s, sp, spp, _ = y.tolist()
-        return [sp, spp, _third_derivative(equation_id, par, t, s, sp, spp),
-                s / t]
+        s, sp, spp, *_ = y.tolist()
+        f = [sp, spp, _third_derivative(equation_id, par, t, s, sp, spp),
+             s / t]
+        if gaudin:
+            w = s - t * sp
+            if not w > 0.0:
+                raise ConsistencyError(
+                    "Gaudin's relation needs sigma - t sigma' > 0",
+                    context={"equation": equation_id,
+                             "params": problem.params, "t": t, "value": w})
+            f.append(math.sqrt(w) / t)
+        return f
 
     return rhs, y0
 
@@ -692,25 +736,23 @@ def _solution(equation_id, params, t) -> PainleveSolution:
     """The cached trajectory covering every argument in t (and t = 4)."""
     t_needed = float(np.max(t))
     key = (equation_id, tuple(float(p) for p in params))
-    with _cache_lock:
-        sol = _solutions.get(key)
-        if sol is None:
-            sol = _solutions[key] = integrate(
-                build_problem(equation_id, params), max(4.0, t_needed))
-        elif sol.t_max < t_needed:
-            try:
-                sol._extend(t_needed)
-            except (StiffnessError, ConsistencyError):
-                del _solutions[key]     # its stepper is past its grid
-                raise
-        return sol
+    sol = _solutions.get(key)
+    if sol is None:
+        sol = _solutions[key] = integrate(
+            build_problem(equation_id, params), max(4.0, t_needed))
+    elif sol.t_max < t_needed:
+        try:
+            sol._extend(t_needed)
+        except (StiffnessError, ConsistencyError):
+            del _solutions[key]     # its stepper is past its grid
+            raise
+    return sol
 
 
 def clear_cache():
     """Forget every derived problem and integrated trajectory."""
-    with _cache_lock:
-        _problems.clear()
-        _solutions.clear()
+    _problems.clear()
+    _solutions.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -754,21 +796,6 @@ def e2_hard(s, a: float, xi: float = 1.0):
                      else _gap(SIGMA_HARD, (a, 0.0, xi), v))
 
 
-def e1_bulk(s):
-    """E1(0; (-s, s)) through the hard-edge a=-1/2 transcendent."""
-    return on_points(
-        s, 1.0, lambda v: e2_hard(_squared(math.pi * v), -0.5, 1.0))
-
-
-def e4_bulk(s):
-    """E4(0; (-s/2, s/2)) as the average of the two hard-edge exponentials."""
-    def average(v):
-        t = _squared(math.pi * v)
-        return 0.5 * (e2_hard(t, -0.5, 1.0) + e2_hard(t, 0.5, 1.0))
-
-    return on_points(s, 1.0, average)
-
-
 def enn_generating(s, a: float = 1.0, xi: float = 1.0):
     """Conditioned-origin gap generating value on (-s, s).
 
@@ -796,34 +823,171 @@ def p2_nn(s):
     return on_points(s, 0.0, density)
 
 
-def p1_direct(s):
-    """Spacing density p1(0; s) = -(2 sigma(T) / s) exp int_0^T sigma/t dt
-    with T = (pi s / 2)^2 and sigma the hard-edge transcendent at a = -1/2,
-    mu = 2, xi = 1."""
-    def density(v):
-        T = _squared(math.pi * v / 2.0)
-        sol = _solution(SIGMA_HARD, (-0.5, 2.0, 1.0), T)
-        return -2.0 * sol.sigma_at(T) / v * _exp(sol.log_integral_at(T))
+# Up to this t the densities take their numerator, T^2 G''/G for G =
+# exp(w int_0^T u/t dt), from the x-series instead of the trajectory: its
+# leading orders cancel, which costs the trajectory's value digits as T
+# falls, while the series loses digits to truncation as T grows (3e-14 in
+# sigma and 2e-12 in sigma'' at t = 1, 4e-9 in sigma'' at 1.5).  Measured
+# worst relative gap of p4_direct to p4_det on s = 0.01 .. 0.6 (step 0.002)
+# by crossover: 1.3e-9 at 0.8, 7.1e-10 at 0.9 and 1.0, 4.4e-10 at 1.05,
+# 4.3e-9 at 1.2 and 2.0e-7 at 1.5.
+_SERIES_DENSITY_T = 1.0
 
-    return on_points(s, 0.0, density)
+
+def _series_numerator(u, weight, lead, T):
+    """w^2 u^2 + w (T u' - u) at each T of an array, from the x-coefficients
+    u (from x^1 on) of a sigma-like function, summed from x^lead on: its
+    lower orders cancel to roundoff."""
+    n = len(u)
+    k = np.arange(1, n + 1)
+    wu = _Series(weight * u, 1)
+    series = _s_add(_s_mul(wu, wu, n),
+                    _Series(weight * (k / 2.0 - 1.0) * u, 1), n)
+    return np.sum(series.c[lead - series.off:] * np.sqrt(T)[:, None]
+                  ** np.arange(lead, n + 1), axis=-1)
 
 
 def p2_direct(s):
     """Spacing density p2(0; s) = d^2/ds^2 E2(0; s) = E2 (sigma^2 + T sigma'
-    - sigma) / s^2, T = pi s, on e2_bulk's trajectory.  Up to t_switch the
-    numerator, O(T^4) against sigma^2's T^2, is summed from the series from
-    x^8 on, where its x^4 and x^6 coefficients cancel to roundoff."""
+    - sigma) / s^2, T = pi s, on e2_bulk's trajectory.  Up to
+    _SERIES_DENSITY_T the numerator, O(T^4) against sigma^2's T^2, is summed
+    from the series from x^8 on, where its x^4 and x^6 coefficients cancel
+    to roundoff."""
     def density(v):
         T = math.pi * v
-        sol = _solution(SIGMA_JMMS, (1.0,), T)
-        sigma, c = sol.sigma_at(T), sol.problem.x_coefficients
-        num = sigma * sigma + T * sol._state(T, 1) - sigma
-        n, low = len(c), T <= sol.problem.t_switch
-        series = _s_add(_s_mul(_Series(c, 1), _Series(c, 1), n),
-                        _Series((np.arange(1, n + 1) / 2.0 - 1.0) * c, 1), n)
-        num[low] = np.sum(series.c[8 - series.off:] * np.sqrt(T[low])[:, None]
-                          ** np.arange(8, n + 1), axis=-1)
-        return num / (v * v) * _exp(sol.log_integral_at(T))
+        sol = _solution(*_GAUDIN, T)
+        sigma, sp, L = sol._state(T, (0, 1, 3))
+        num = sigma * sigma + T * sp - sigma
+        low = T <= _SERIES_DENSITY_T
+        num[low] = _series_numerator(sol.problem.x_coefficients, 1.0, 8,
+                                     T[low])
+        return num / (v * v) * _exp(L)
+
+    return on_points(s, 0.0, density)
+
+
+# The parity determinants D_plus and D_minus of the sine kernel on (-x, x)
+# from the bulk trajectory by Gaudin's relation: with T = 2 pi x, L its
+# log-integral and I = int_0^T R/t dt, R = sqrt(sigma - t sigma'),
+#     log D_pm(x) = (L -/+ I) / 2 = (1/2) int_0^T u_pm/t dt,  u_pm = sigma -/+ R.
+# E1 = D_plus(s), E4 = (D_plus + D_minus)(s) / 2, and the densities are
+# second x-derivatives D'' = D (2 pi / T)^2 (u^2/4 + (T u' - u)/2).
+
+def _parity_gaps(x):
+    """(D_plus, D_minus) at each x of an array."""
+    T = 2.0 * math.pi * x
+    L, I = _solution(*_GAUDIN, T)._state(T, (3, _ROOT_INTEGRAL))
+    return _exp(0.5 * (L - I)), _exp(0.5 * (L + I))
+
+
+def _parity_seconds(x):
+    """(D_plus'', D_minus'') at each x of an array.  Past _SERIES_DENSITY_T
+    they come from one dense-output call; up to it, from the series of
+    sigma and R, L and I included, which keeps the digits that p4 and p1gap
+    lose where D_plus'' and D_minus'' cancel.  The numerators are summed
+    from x^6 on: the x^4 terms of u_plus^2/4 and (T u_plus' - u_plus)/2
+    cancel, and u_minus is O(T^3) though sigma and R are O(T)."""
+    T = 2.0 * math.pi * x
+    sol = _solution(*_GAUDIN, T)
+    problem = sol.problem
+    low = T <= _SERIES_DENSITY_T
+    high = ~low
+    L, I = np.empty(T.shape), np.empty(T.shape)
+    L[low] = problem._series_component(T[low], 3)
+    I[low] = problem._series_component(T[low], _ROOT_INTEGRAL)
+    t = T[high]
+    sigma, sp, spp, L[high], I[high] = sol._state(
+        t, (0, 1, 2, 3, _ROOT_INTEGRAL))
+    A = t * sp - sigma
+    R = np.sqrt(-A)
+    dR = -t * t * spp / (2.0 * R) - R     # T R' - R, with R' = -T sigma''/2R
+    seconds = []
+    for sign in (-1.0, 1.0):
+        num = np.empty(T.shape)
+        u = sigma + sign * R
+        num[high] = 0.25 * u * u + 0.5 * (A + sign * dR)
+        num[low] = _series_numerator(
+            problem.x_coefficients + sign * problem._root, 0.5, 6, T[low])
+        seconds.append(_exp(0.5 * (L + sign * I))
+                       * (2.0 * math.pi / T) ** 2 * num)
+    return tuple(seconds)
+
+
+def e1_bulk(s):
+    """E1(0; (-s, s)) = D_plus(s), by Gaudin's relation on the bulk
+    trajectory."""
+    return on_points(s, 1.0, lambda v: _parity_gaps(v)[0])
+
+
+def e4_bulk(s):
+    """E4(0; (-s/2, s/2)) = (D_plus(s) + D_minus(s)) / 2: a length-s gap of
+    the symplectic ensemble is a length-2s parity gap of the orthogonal one."""
+    def average(v):
+        plus, minus = _parity_gaps(v)
+        return 0.5 * (plus + minus)
+
+    return on_points(s, 1.0, average)
+
+
+def p1_direct(s):
+    """Spacing density p1(0; s) = D_plus''(s/2) / 4."""
+    return on_points(s, 0.0, lambda v: 0.25 * _parity_seconds(v / 2.0)[0])
+
+
+def p4_direct(s):
+    """Spacing density p4(0; s) = (D_plus'' + D_minus'')(s) / 2."""
+    def density(v):
+        plus, minus = _parity_seconds(v)
+        value = 0.5 * (plus + minus)
+        negative = value < -1e-9
+        if negative.any():
+            raise ConsistencyError(
+                "p4 composition produced a negative density",
+                context={"s": float(v[negative][0]),
+                         "value": float(value[negative][0])})
+        return np.where(value < 0.0, 0.0, value)
+
+    return on_points(s, 0.0, density)
+
+
+def p1_gap1(s):
+    """Density of the distance between next-nearest beta=1 neighbours.
+
+    p1(1; s) = d^2/ds^2 [2 E1(0;s) + E1(1;s)] = (D_plus'' + D_minus'')(s/2)
+    / 4 through the parity identities.
+    """
+    def density(v):
+        plus, minus = _parity_seconds(v / 2.0)
+        return 0.25 * (plus + minus)
+
+    return on_points(s, 0.0, density)
+
+
+# The same five columns from the hard-edge transcendents, which verify
+# compares with the determinants so that SIGMA_HARD stays checked.
+
+def _e1_hard(s):
+    """E1(0; (-s, s)) through the hard-edge a=-1/2 transcendent."""
+    return on_points(
+        s, 1.0, lambda v: e2_hard(_squared(math.pi * v), -0.5, 1.0))
+
+
+def _e4_hard(s):
+    """E4(0; (-s/2, s/2)) as the average of the two hard-edge exponentials."""
+    def average(v):
+        t = _squared(math.pi * v)
+        return 0.5 * (e2_hard(t, -0.5, 1.0) + e2_hard(t, 0.5, 1.0))
+
+    return on_points(s, 1.0, average)
+
+
+def _p1_hard(s):
+    """p1(0; s) = -(2 sigma(T) / s) exp int_0^T sigma/t dt with T = (pi s /
+    2)^2 and sigma the hard-edge transcendent at a = -1/2, mu = 2, xi = 1."""
+    def density(v):
+        T = _squared(math.pi * v / 2.0)
+        sol = _solution(SIGMA_HARD, (-0.5, 2.0, 1.0), T)
+        return -2.0 * sol.sigma_at(T) / v * _exp(sol.log_integral_at(T))
 
     return on_points(s, 0.0, density)
 
@@ -843,29 +1007,16 @@ def _dminus_second(u):
     return on_points(u, 0.0, second)
 
 
-def p4_direct(s):
-    """Spacing density p4(0; s) = 2 p1(0; 2s) + (1/2) D''_-(s)."""
-    def density(v):
-        value = 2.0 * p1_direct(2.0 * v) + 0.5 * _dminus_second(v)
-        negative = value < -1e-9
-        if negative.any():
-            raise ConsistencyError(
-                "p4 composition produced a negative density",
-                context={"s": float(v[negative][0]),
-                         "value": float(value[negative][0])})
-        return np.where(value < 0.0, 0.0, value)
-
-    return on_points(s, 0.0, density)
+def _p4_hard(s):
+    """p4(0; s) = 2 p1(0; 2s) + (1/2) D''_-(s)."""
+    return on_points(s, 0.0, lambda v: 2.0 * _p1_hard(2.0 * v)
+                     + 0.5 * _dminus_second(v))
 
 
-def p1_gap1(s):
-    """Density of the distance between next-nearest beta=1 neighbours.
-
-    p1(1; s) = d^2/ds^2 [2 E1(0;s) + E1(1;s)] collapses to
-    p1(0; s) + (1/4) D''_-(s/2) through the parity identities.
-    """
+def _p1_gap1_hard(s):
+    """p1(1; s) = p1(0; s) + (1/4) D''_-(s/2)."""
     return on_points(
-        s, 0.0, lambda v: p1_direct(v) + 0.25 * _dminus_second(v / 2.0))
+        s, 0.0, lambda v: _p1_hard(v) + 0.25 * _dminus_second(v / 2.0))
 
 
 def am5_identity_residual(s: float, a: float) -> float:
@@ -874,7 +1025,8 @@ def am5_identity_residual(s: float, a: float) -> float:
     Left side: -(d/ds) exp int_0^s u|_{mu=0}/t dt.  Right side:
     s^a / (2^{2a+2} Gamma(a+1) Gamma(a+2)) * exp int_0^s u|_{mu=2}/t dt.
     Both exponentials come from SIGMA_HARD trajectories; the mu=2 one is
-    the trajectory p1_direct (a = -1/2) or p4_direct (a = 1/2) steps on.
+    the trajectory _p1_hard (a = -1/2) or _dminus_second (a = 1/2) steps
+    on.
     """
     if a not in (-0.5, 0.5):
         raise UnsupportedError(f"identity implemented for a = +-1/2, got {a}")

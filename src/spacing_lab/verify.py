@@ -67,17 +67,29 @@ _DETS = {}
 _ROUTE_GRID = np.arange(0.25, 2.01, 0.25)
 _ROUTE_TOL = 1e-7
 
+# A third column for the rows whose painleve column comes from the bulk
+# trajectory by Gaudin's relation: the same quantity from the hard-edge
+# transcendents, so that a fault in their equations still shows.
+_HARD_EDGE = {"E1": painleve._e1_hard, "E4": painleve._e4_hard,
+              "p0_beta1": painleve._p1_hard, "p0_beta4": painleve._p4_hard,
+              "p1gap": painleve._p1_gap1_hard}
+
 
 def _route_agreement(*rows):
     """The fredholm and painleve columns of each row, a (quantity,
     keywords) pair of the route table, on one grid: their worst relative
-    gap per row against one tol."""
+    gap per row against one tol, and that of the fredholm and hard-edge
+    columns (``hard_<row>``) where _HARD_EDGE has one."""
     worst = {}
     for quantity, keywords in rows:
         label = quantity + "".join(f"_{k}{v}" for k, v in keywords.items())
+        det = routes.evaluate(quantity, "fredholm", _ROUTE_GRID, **keywords)
         worst[label] = routes.max_relative(
-            routes.evaluate(quantity, "fredholm", _ROUTE_GRID, **keywords),
-            routes.evaluate(quantity, "painleve", _ROUTE_GRID, **keywords))
+            det, routes.evaluate(quantity, "painleve", _ROUTE_GRID,
+                                 **keywords))
+        if label in _HARD_EDGE:
+            worst[f"hard_{label}"] = routes.max_relative(
+                det, _HARD_EDGE[label](_ROUTE_GRID))
     return (all(gap <= _ROUTE_TOL for gap in worst.values()),
             {f"worst_{k}": _fmt(v) for k, v in worst.items()}
             | {"tol": _ROUTE_TOL})
@@ -120,8 +132,9 @@ def check_parity_identities():
 
 @_criterion("e1-e4-dual-route")
 def check_e1_e4_dual_route():
-    """Parity determinants vs the hard-edge transcendents: E1, E4, p1, p4
-    and the next-nearest spacing p1(1; s)."""
+    """Parity determinants vs the bulk transcendent by Gaudin's relation
+    and vs the hard-edge transcendents: E1, E4, p1, p4 and the
+    next-nearest spacing p1(1; s)."""
     return _route_agreement(("E1", {}), ("E4", {}), ("p0", {"beta": 1}),
                             ("p0", {"beta": 4}), ("p1gap", {}))
 

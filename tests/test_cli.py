@@ -164,8 +164,9 @@ class TestGoldenDigests:
     of CSVs recorded before the sampler and sieve were batched; the sample
     digests also cover the exact and surmise overlay columns, and were
     re-recorded each time the Painleve trajectories behind the exact column
-    moved in their last bits, the last time when p1 and p4 moved onto the
-    mu = 2 hard-edge trajectories."""
+    moved in their last bits, the last time when p1 and p1(1; s) moved onto
+    the bulk trajectory by Gaudin's relation (the exact column moved by at
+    most 1.2e-11, 4.0e-10 relative)."""
 
     @staticmethod
     def _data_digest(argv, tmp_path):
@@ -176,8 +177,8 @@ class TestGoldenDigests:
         return hashlib.sha256(rows.encode()).hexdigest()
 
     @pytest.mark.parametrize("order, digest", [
-        ("0", "de17e5ddd8f75a66593767c483da13d30f31d8e8a772d483e85ece42adf3b436"),
-        ("1", "359fa03f3e64600035f574a007c9b6b06a73f44f9efa7d04d12af566fbfec5fe"),
+        ("0", "240b94da420601838770bbb6b8454c2db395beb385d070ecb3b28eac716b9439"),
+        ("1", "ae2667c40701f2e7aace16305f24986f55c79d8a33e6ff8256e348debb6c764a"),
     ], ids=["order0", "order1"])
     def test_sample(self, tmp_path, order, digest):
         painleve.clear_cache()
@@ -202,25 +203,33 @@ class TestPainleveDigests:
     mu = 2 hard-edge trajectories, which negate the former beta = 1 and
     beta = 4 transcendents and differ from them in the last bits; p0 at
     beta 2 again when p2 came from the bulk trajectory instead of its own
-    transcendent, which moved it by up to 5.5e-10 (5.9e-6 relative)."""
+    transcendent, which moved it by up to 5.5e-10 (5.9e-6 relative).  E1,
+    E4, p0 at beta 1 and 4 and p1gap again when they moved onto the bulk
+    trajectory by Gaudin's relation, and E2 and p0 at beta 2 with them,
+    because the fifth state component changes the step sequence.  Largest
+    moves, absolute and relative: E2 7.8e-14 and 5.0e-12; p2 1.1e-11 and
+    3.0e-10 (at s = 0.109, where its numerator now comes from the series);
+    E1 1.0e-13 and 4.2e-4, E4 2.5e-13 and 1.7e-5, p1 1.4e-11 and 1.1e-8, p4
+    2.8e-11 and 3.6e-7, all four relative ones at s = 4, the hard-edge
+    route's error there; p1gap 1.4e-11 and 1.2e-6 (at s = 0.001)."""
 
     @pytest.mark.parametrize("quantity, extra, s_max, digest", [
         ("E2", (), "4.0",
-         "7fc354f02ee790e15e5b2f4145328fe517706c39ad735850c517105f2c56d668"),
+         "6de8b0e65e0124b1bbcb6b3a0f37e86ef3a4af596a5b52b0aad4baa362d596c6"),
         ("E1", (), "4.0",
-         "38cdea6c085a8730a12797f6c54755779328ce885681f7f741235e392fb7e111"),
+         "6c23841153023fda6ae4ba46e7f32c5800b5a8730f987e2ce1b0155a6989e4b3"),
         ("E4", (), "4.0",
-         "f250efa9e5e5b519d5b158d4c39c74ff6ea2fabda337b1d336d6ad46bbdac718"),
+         "1a5e65a940adb1321cc240b7f2cd1318594e372a120a3ecbd5a1ddbe766a607b"),
         ("Enn", (), "4.0",
          "f4142774e1a08a179fe7cc9a34f2f6c2dc000c77ca77a05e60174a9ab03e7733"),
         ("p0", ("--beta", "1"), "4.0",
-         "9b35abd5ac7e78805316467c2048a091b2c75e3e43348b9ab4617f71e9fe91e3"),
+         "28b597dcad1b8a25ab224b505a6a060e794676648f50d320a652015b481f4d69"),
         ("p0", ("--beta", "2"), "4.0",
-         "0f169e2ddf8567f437ae9acf3c3819d972b22d359faa8ca7eb745fdac51429de"),
+         "97f2142084f69c4f2dfcfb96d820601ed0befaf4ac27e97b171bd87163e9fce4"),
         ("p0", ("--beta", "4"), "4.0",
-         "814b81e68f8699dc6a157cd47ea35949249dea0c558a670cb4f1c9bcdf5ba802"),
+         "5e619242896d24b38543518accc3bbfb4d800049810bb1000dc1677f614df4fc"),
         ("p1gap", (), "6.0",
-         "5641a6d04b58dbc84d1ebda583c962df4a7f5cbaf429bd7d7a758c2062313ba1"),
+         "071a11f803951aadc2764f46b4a5b752cf7dc5808ea76fcc609b55046f30c435"),
         ("p2nn", (), "4.0",
          "c53765c6ed7725324bd874d2293dc665154849f3664aef42b0189fe543697b5e"),
     ], ids=["E2", "E1", "E4", "Enn", "p0-beta1", "p0-beta2", "p0-beta4",

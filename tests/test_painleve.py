@@ -10,10 +10,13 @@ from spacing_lab import (
     ArgumentError,
     ConsistencyError,
     Interval,
+    NumericError,
     UnsupportedError,
     fredholm,
     painleve,
+    routes,
 )
+from spacing_lab._dop853 import Dense
 from spacing_lab.kernels import hard_edge_bessel
 from spacing_lab.painleve import (
     SIGMA_HARD,
@@ -399,13 +402,13 @@ class TestArrayEvaluation:
         assert painleve.e2_bulk(np.array([])).shape == (0,)
 
     def test_negative_p4_element_raises(self, monkeypatch):
-        real = painleve._dminus_second
+        real = painleve._parity_seconds
 
-        def sunk(u):
-            values = real(u)
-            return np.where(np.asarray(u) == 0.8, -100.0, values)
+        def sunk(x):
+            plus, minus = real(x)
+            return plus, np.where(np.asarray(x) == 0.8, -100.0, minus)
 
-        monkeypatch.setattr(painleve, "_dminus_second", sunk)
+        monkeypatch.setattr(painleve, "_parity_seconds", sunk)
         assert painleve.p4_direct(0.7) >= 0.0
         with pytest.raises(ConsistencyError) as info:
             painleve.p4_direct(np.array([0.2, 0.7, 0.8, 1.1]))
@@ -418,6 +421,96 @@ class TestArrayEvaluation:
             solution.sigma_at(np.array([0.05, 1.0, 2.5]))
         with pytest.raises(ArgumentError):
             solution.log_integral_at(np.array([0.05, -1.0]))
+
+
+# D_plus(s) = E1(0; (-s, s)) and D_minus(s): 40-digit mpmath Nystrom
+# determinants of the even and odd sine kernels on (-s, s) (Gauss-Legendre
+# on (0, s) with kernel S(x - y) +- S(x + y); 36 and 44 nodes agree to 1e-31)
+PARITY_REFERENCE = {
+    2.0: (1.6803544612527762341e-6, 6.4914600050593899356e-4),
+    3.0: (1.4610669070624701492e-12, 1.2973652214544289072e-8),
+    4.0: (9.2577377829229067887e-21, 1.895932302928344418e-15),
+}
+
+
+class TestGaudinRoute:
+    """E1, E4 and the beta = 1, 4 densities from the bulk trajectory by
+    Gaudin's relation log D_pm = (L -/+ I) / 2."""
+
+    # the hard-edge route read 2.2e-9, 9.2e-7 and 4.2e-4 for E1
+    @pytest.mark.parametrize("s,rel", [(2.0, 1e-11), (3.0, 5e-9),
+                                       (4.0, 2e-6)])
+    def test_e1_against_reference(self, s, rel):
+        assert painleve.e1_bulk(s) == pytest.approx(
+            PARITY_REFERENCE[s][0], rel=rel, abs=0.0)
+
+    # the hard-edge route read 1.8e-10, 5.0e-8 and 1.7e-5 for E4
+    @pytest.mark.parametrize("s,rel", [(2.0, 1e-12), (3.0, 1e-10),
+                                       (4.0, 5e-8)])
+    def test_e4_against_reference(self, s, rel):
+        assert painleve.e4_bulk(s) == pytest.approx(
+            0.5 * sum(PARITY_REFERENCE[s]), rel=rel, abs=0.0)
+
+    @pytest.mark.parametrize("fn", [painleve.e1_bulk, painleve.e4_bulk,
+                                    painleve.p4_direct],
+                             ids=["e1_bulk", "e4_bulk", "p4_direct"])
+    def test_range(self, fn):
+        # the hard-edge compositions raised from s = 5.26 (E1, E4) and 4.79
+        # (p4); the bulk trajectory holds to t = 2 pi 6.2 and then fails
+        # its checks before t = 2 pi 6.5
+        painleve.clear_cache()
+        assert math.isfinite(fn(6.2))
+        with pytest.raises(NumericError):
+            fn(6.5)
+        assert painleve._solutions == {}
+
+    @pytest.mark.parametrize("fn", [painleve.e1_bulk, painleve.e4_bulk,
+                                    painleve.p1_direct, painleve.p2_direct,
+                                    painleve.p4_direct, painleve.p1_gap1],
+                             ids=["e1_bulk", "e4_bulk", "p1_direct",
+                                  "p2_direct", "p4_direct", "p1_gap1"])
+    def test_one_dense_output_call(self, fn, monkeypatch):
+        # the grid has points on the series layer, below the densities'
+        # series crossover and on the trajectory past it
+        fn(3.0)
+        calls = []
+        original = Dense.__call__
+
+        def counting(dense, t):
+            calls.append(len(t))
+            return original(dense, t)
+
+        monkeypatch.setattr(Dense, "__call__", counting)
+        fn(np.linspace(0.0, 3.0, 301))
+        assert len(calls) == 1
+
+    # measured 6.3e-12, 6.0e-12, 7.1e-10 and 9.6e-10; p4 and p1(1; s)
+    # cancel D_plus'' against D_minus'' from O(s) to O(s^4)
+    @pytest.mark.parametrize("painleve_fn,det_fn,tol", [
+        (painleve.p1_direct, fredholm.p1_det, 5e-11),
+        (painleve.p2_direct, fredholm.p2_det, 5e-11),
+        (painleve.p4_direct, fredholm.p4_det, 2e-9),
+        (painleve.p1_gap1, fredholm.p1_gap1_det, 2e-9),
+    ], ids=["p1", "p2", "p4", "p1_gap1"])
+    def test_densities_across_the_series_crossover(self, painleve_fn,
+                                                   det_fn, tol):
+        # t = pi s (p1, p2, p1(1; s)) and 2 pi s (p4) pass t_switch = 0.1
+        # and the series crossover t = 1; p2 read 2.4e-10 at s = 0.11 when
+        # its numerator came from the trajectory from t_switch on
+        s = np.arange(0.01, 0.4, 0.01)
+        assert routes.max_relative(painleve_fn(s), det_fn(s)) <= tol
+
+    def test_root_series_squares_to_minus_a(self):
+        problem = build_problem(SIGMA_JMMS, (1.0,))
+        c, r = problem.x_coefficients, problem._root
+        k = np.arange(1, len(c) + 1)
+        square = painleve._s_mul(painleve._Series(r, 1),
+                                 painleve._Series(r, 1), len(c) - 2)
+        minus_a = (1.0 - k / 2.0) * c
+        assert np.allclose(square.c[2:], minus_a[3:len(c) - 2], rtol=0.0,
+                           atol=1e-15)
+        for eq, params in CANONICAL_PROBLEMS[1:]:
+            assert build_problem(eq, params)._root is None
 
 
 def _loop_product(a, b, off_a, off_b, order):

@@ -76,14 +76,16 @@ class TestConvergedRules:
 
 class TestTrajectoryFetches:
     def test_dual_route_integrates_each_trajectory_once(self, integrations):
-        # E1 and E4 take the mu = 0 trajectories; p1, p4 and p1(1; s)
-        # take the mu = 2 ones
+        # the painleve columns take the bulk trajectory; the hard-edge
+        # column takes the mu = 0 trajectories for E1 and E4 and the mu = 2
+        # ones for p1, p4 and p1(1; s)
         verify.run_all(["e1-e4-dual-route"])
         assert sorted(integrations) == [
             (painleve.SIGMA_HARD, (-0.5, 0.0, 1.0)),
             (painleve.SIGMA_HARD, (-0.5, 2.0, 1.0)),
             (painleve.SIGMA_HARD, (0.5, 0.0, 1.0)),
-            (painleve.SIGMA_HARD, (0.5, 2.0, 1.0))]
+            (painleve.SIGMA_HARD, (0.5, 2.0, 1.0)),
+            (painleve.SIGMA_JMMS, (1.0,))]
 
     def test_full_suite_integration_count(self, integrations):
         results = verify.run_all()
@@ -113,7 +115,8 @@ class TestMutations:
         assert result.details[f"worst_{row}"] > result.details["tol"]
 
     def test_jmms_equation_off_by_1e7(self, monkeypatch):
-        # the sigma'^2 term of the JMMS G scaled by 1 + 1e-7
+        # the sigma'^2 term of the JMMS G scaled by 1 + 1e-7: E2 and, by
+        # Gaudin's relation, E1 leave their determinants
         def g_faulty(par, s, tsp, sp):
             A = tsp - s
             return ((4.0 * (A * (A + (1.0 + 1e-7) * (sp * sp))),),)
@@ -122,8 +125,38 @@ class TestMutations:
         monkeypatch.setitem(painleve._EQUATIONS, painleve.SIGMA_JMMS,
                             (g_faulty, 1))
         try:
-            [result] = verify.run_all(["e2-cross-route"])
+            bulk, parity = verify.run_all(["e2-cross-route",
+                                           "e1-e4-dual-route"])
         finally:
             painleve.clear_cache()
+        assert not bulk.passed, str(bulk)
+        assert bulk.details["worst_E2"] > bulk.details["tol"]
+        assert not parity.passed, str(parity)
+        assert parity.details["worst_E1"] > parity.details["tol"]
+        assert parity.details["worst_hard_E1"] <= parity.details["tol"]
+
+    def test_hard_edge_equation_off_by_1e7(self, monkeypatch):
+        # the second group of the hard-edge G scaled by 1 + 1e-7: the
+        # hard-edge column of the parity rows sees it, and neither the
+        # derivative identity nor the series residuals do
+        g = painleve._g_hard
+
+        def g_faulty(par, s, tsp, sp):
+            first, second, third = g(par, s, tsp, sp)
+            return first, tuple((1.0 + 1e-7) * t for t in second), third
+
+        painleve.clear_cache()
+        monkeypatch.setitem(painleve._EQUATIONS, painleve.SIGMA_HARD,
+                            (g_faulty, 3))
+        try:
+            result, *blind = verify.run_all([
+                "e1-e4-dual-route", "hard-edge-derivative-identity",
+                "series-boundary-layers"])
+        finally:
+            painleve.clear_cache()
+        assert all(r.passed for r in blind), [str(r) for r in blind]
         assert not result.passed, str(result)
-        assert result.details["worst_E2"] > result.details["tol"]
+        tol = result.details["tol"]
+        assert result.details["worst_hard_E1"] > tol
+        assert all(result.details[f"worst_{row}"] <= tol
+                   for row in verify._HARD_EDGE)
