@@ -42,7 +42,7 @@ from .montecarlo import (Histogram, build_histogram, central_spacings,
                          chi_square_test, sample_ensemble, semicircle_density,
                          unfold)
 from .sequences import (PrimeWindow, ZeroDataset, histogram_ks_distance,
-                        ks_distance, load_zeros, miller_rabin, nn_statistic,
+                        ks_distance, load_zeros, nn_statistic,
                         poisson_nn_density, prime_spacing_histogram,
                         primes_from, unfold_zeros)
 from .verify import CriterionResult, run_all
@@ -77,7 +77,7 @@ __all__ = [
     "Histogram", "sample_ensemble", "semicircle_density", "unfold",
     "central_spacings", "build_histogram", "chi_square_test",
     # sequences
-    "PrimeWindow", "ZeroDataset", "miller_rabin", "primes_from",
+    "PrimeWindow", "ZeroDataset", "primes_from",
     "prime_spacing_histogram", "load_zeros", "unfold_zeros", "nn_statistic",
     "poisson_nn_density", "ks_distance", "histogram_ks_distance",
     # verify

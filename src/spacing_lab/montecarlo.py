@@ -10,15 +10,20 @@ by the semicircle density at spacing midpoints, and central spacings are
 histogrammed and tested against the analytic densities with a chi-square
 tail in closed form.  The module needs numpy alone.
 
-sample_ensemble spreads its fixed chunks of replicas over forked worker
-processes, one contiguous block of chunks each, and copies the blocks back
-in chunk order, so its output is bit-identical for any worker count.  A
-replica's draws are a few short Python-level calls that hold the
-interpreter lock, so threads cannot overlap them; processes can.  On a
-shared 2-CPU Xeon (Python 3.11, numpy 2.4, one BLAS thread), 20000
-rank-13 spectra took 0.24 s (median of 10) with 2 processes against
-0.39 s serially.  No more processes start than there are chunks or usable
-CPUs, and the serial path runs where the platform cannot fork.
+sample_ensemble draws its replicas in fixed chunks, each from two
+counter-based streams of its own, one for the diagonals and one for the
+squared off-diagonals, each drawn in one call per chunk.  With two
+streams a replica's draws do not depend on how many replicas follow it, so
+an ensemble is a prefix of any larger one of the same seed.  The chunks
+are spread over forked worker processes, one contiguous block of chunks
+each, and the blocks copied back in chunk order, so the output is
+bit-identical for any worker count.  The stacked eigvalsh, not the
+drawing, is the cost: on a shared 2-CPU Xeon (Python 3.11, numpy 2.4, one
+BLAS thread), the draws of 20000 rank-13 replicas took about 0.03 s and
+their solve about 0.19 s, and the whole took 0.14 s with 2 processes
+against 0.22 s serially (medians of 7).  No more processes start than
+there are chunks or usable CPUs, and the serial path runs where the
+platform cannot fork.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from .quadrature import Interval
 
 log = logging.getLogger(__name__)
 
-CHUNK = 256          # replicas per RNG stream; fixed so worker count is moot
+CHUNK = 256          # replicas per stream pair; fixed so worker count is moot
 # a stacked band is (rows, n, n) float64, dense though only two diagonals
 # are read: a whole chunk fits up to n = 64, one row at a time from n = 725
 _BAND_BYTES = 8 << 20
@@ -72,32 +77,33 @@ class Histogram:
                   metadata)
 
 
-def _rng_for(seed, chunk):
+def _rng_for(seed, chunk, kind):
+    # 3-tuple keys: SeedSequence drops trailing zero words, so (s, c) and
+    # (s, c, 0) would name the same stream
     return np.random.Generator(np.random.Philox(
-        np.random.SeedSequence((int(seed), int(chunk)))))
+        np.random.SeedSequence((int(seed), int(chunk), int(kind)))))
 
 
-def _draw_spectra(spectra: np.ndarray, rng) -> None:
-    """Fill each row of ``spectra`` (k, n) with one ascending spectrum.
+def _draw_spectra(spectra: np.ndarray, seed: int, chunk: int) -> None:
+    """Fill each row of ``spectra`` (k, n) with one ascending spectrum of
+    the given chunk of an ensemble.
 
-    Per replica the draw order (diagonal first, then off-diagonal) is part
-    of the reproducibility contract, so the draws stay row by row.  The
-    rows are then solved in stacks, each by one eigvalsh on the rows'
-    lower bands (diagonal and subdiagonal, zeros elsewhere) and each no
-    larger than _BAND_BYTES unless one row is.  The tridiagonal reduction
-    of syevd leaves such a matrix as it is, so its eigenvalues are those of
-    LAPACK sterf, bit for bit, and come back ascending.
+    The reproducibility contract: the diagonals are the first k * n normals
+    of the stream keyed (seed, chunk, 0), row after row, and the squared
+    off-diagonals are Gamma((1..n-1)/2, 1) draws of the stream keyed (seed,
+    chunk, 1), row after row.  Each stream is drawn in one call, and row i
+    depends only on rows <= i, so the first rows of a chunk are the same
+    whatever k is.  The rows are then solved in stacks, each by one
+    eigvalsh on the rows' lower bands (diagonal and subdiagonal, zeros
+    elsewhere) and each no larger than _BAND_BYTES unless one row is.  The
+    tridiagonal reduction of syevd leaves such a matrix as it is, so its
+    eigenvalues are those of LAPACK sterf, bit for bit, and come back
+    ascending.
     """
     k, n = spectra.shape
-    if n == 1:
-        rng.standard_normal(out=spectra[:, 0])
-        return
-    off = np.empty((k, n - 1))
-    shape = np.arange(1, n) / 2.0
-    for diag, gamma in zip(spectra, off):
-        rng.standard_normal(out=diag)
-        rng.standard_gamma(shape, out=gamma)
-    np.sqrt(off, out=off)
+    _rng_for(seed, chunk, 0).standard_normal(out=spectra)
+    off = np.sqrt(_rng_for(seed, chunk, 1).standard_gamma(
+        np.arange(1, n) / 2.0, size=(k, n - 1)))
     step = max(1, _BAND_BYTES // (8 * n * n))
     band = np.zeros((min(k, step), n, n))
     on, below = np.arange(n), np.arange(1, n)
@@ -129,7 +135,7 @@ def _draw_chunks(n: int, reps: int, seed: int, first: int, stop: int):
     block = np.empty((min(stop * CHUNK, reps) - first * CHUNK, n))
     for c in range(first, stop):
         lo = (c - first) * CHUNK
-        _draw_spectra(block[lo:lo + CHUNK], _rng_for(seed, c))
+        _draw_spectra(block[lo:lo + CHUNK], seed, c)
     return block
 
 
@@ -166,9 +172,10 @@ def sample_ensemble(n: int, reps: int, seed: int, workers: int | None = None):
     """reps independent spectra, the ascending rows of a (reps, n) array.
 
     Replicas are grouped in fixed chunks of CHUNK, each chunk drawing from
-    its own counter-based stream keyed by (seed, chunk index) into its own
-    rows, so the result is bit-identical for any worker count.  With
-    ``workers`` > 1 the chunks are drawn in up to that many forked
+    its own two counter-based streams keyed by (seed, chunk index, kind)
+    into its own rows, so the result is bit-identical for any worker count,
+    and is the first reps rows of any larger ensemble of the same seed.
+    With ``workers`` > 1 the chunks are drawn in up to that many forked
     processes (never more than the chunks or the usable CPUs).
     """
     if n < 1:

@@ -1,10 +1,9 @@
 """Deterministic-sequence spacing statistics: prime gaps and zeta zeros.
 
-Primes come from a segmented odds-only sieve, cross-checked by a
-deterministic Miller-Rabin test (exact for 64-bit inputs).  Zero ordinates
-are ingested from text files and unfolded by the smooth counting function;
-the nearest-neighbour statistic is the minimum of the two flanking gaps at
-each interior point.
+Primes come from a segmented odds-only sieve.  Zero ordinates are ingested
+from text files and unfolded by the smooth counting function; the
+nearest-neighbour statistic is the minimum of the two flanking gaps at each
+interior point.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from .errors import ArgumentError, FormatError
 from .montecarlo import Histogram, build_histogram
 from .quadrature import Interval
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _UINT63 = 2 ** 63
 DEFAULT_SEGMENT = 1 << 20
 _SLICE_BELOW = 1 << 12      # base primes below this strike one slice each
@@ -28,31 +26,6 @@ _BASE_GRAIN = (1 << 12) - 1  # or-ed into the base-prime limit, so that
                              # neighbouring segments share one cached sieve
 _DIRECT_BASE_MAX = 1 << 16   # base primes up to here: one byte per integer
                              # (no slower than segments, and ends recursion)
-
-
-def miller_rabin(n: int) -> bool:
-    """Deterministic primality for 0 <= n < 2^63 (fixed witness set)."""
-    if n < 2:
-        return False
-    for p in _MR_WITNESSES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -24,12 +24,12 @@ from spacing_lab.montecarlo import (
 )
 
 
-def _reference_spectrum(n, rng):
-    # one replica drawn and solved the replica-by-replica way
-    diag = rng.standard_normal(n)
+def _reference_spectrum(n, diagonal, off_diagonal):
+    # one replica drawn from its chunk's two streams and solved on its own
+    diag = diagonal.standard_normal(n)
+    off = np.sqrt(off_diagonal.gamma(shape=np.arange(1, n) / 2.0, scale=1.0))
     if n == 1:
         return diag
-    off = np.sqrt(rng.gamma(shape=np.arange(1, n) / 2.0, scale=1.0))
     return np.sort(eigh_tridiagonal(diag, off, eigvals_only=True))
 
 
@@ -112,7 +112,7 @@ class TestSampling:
 
     def test_gamma_draw_moments(self):
         # the off-diagonal entries square to these draws
-        rng = montecarlo._rng_for(99, 0)
+        rng = montecarlo._rng_for(99, 0, 1)
         for shape in (0.5, 1.0, 5.0):
             draws = rng.gamma(shape=shape, scale=1.0, size=1_000_000)
             assert abs(draws.mean() - shape) <= 0.01 * shape
@@ -123,15 +123,23 @@ class TestBatchedSampler:
     @pytest.mark.parametrize("n", [1, 2, 13])
     def test_rows_match_replica_loop(self, n):
         # 300 replicas cross the chunk boundary at CHUNK = 256
-        reps, seed = 300, 11
-        expected = []
-        for c in range((reps + montecarlo.CHUNK - 1) // montecarlo.CHUNK):
-            rng = montecarlo._rng_for(seed, c)
-            take = min(montecarlo.CHUNK, reps - c * montecarlo.CHUNK)
-            expected.extend(_reference_spectrum(n, rng) for _ in range(take))
+        expected = _replica_loop(n, 300, 11)
         for workers in (1, 3):
-            rows = sample_ensemble(n, reps, seed, workers=workers)
-            assert np.array_equal(rows, np.array(expected))
+            rows = sample_ensemble(n, 300, 11, workers=workers)
+            assert np.array_equal(rows, expected)
+
+    @pytest.mark.parametrize("n", [1, 2, 13])
+    def test_smaller_ensemble_is_a_prefix(self, n):
+        # the second chunk holds 44 rows in one and 256 in the other, so a
+        # chunk drawing both kinds from one stream would fail from n = 2
+        assert np.array_equal(sample_ensemble(n, 300, 7),
+                              sample_ensemble(n, 600, 7)[:300])
+
+    def test_streams_of_every_chunk_and_kind_differ(self):
+        # (seed, chunk) and (seed, chunk, 0) would key the same stream
+        firsts = {montecarlo._rng_for(4, chunk, kind).integers(1 << 62)
+                  for chunk in range(3) for kind in (0, 1)}
+        assert len(firsts) == 6
 
     def test_large_rank_solves_in_bounded_stacks(self):
         # one 256-row band at rank 201 would be 83 MB
@@ -145,8 +153,7 @@ class TestBatchedSampler:
         assert np.array_equal(rows, _replica_loop(201, 260, 3))
 
     def test_single_spectrum_matches_replica_loop(self):
-        expected = _reference_spectrum(13, montecarlo._rng_for(5, 0))
-        assert np.array_equal(_one_spectrum(13, 5), expected)
+        assert np.array_equal(_one_spectrum(13, 5), _replica_loop(13, 1, 5)[0])
 
     def test_rank_validation(self):
         with pytest.raises(ArgumentError):
@@ -154,12 +161,15 @@ class TestBatchedSampler:
 
 
 def _replica_loop(n, reps, seed):
-    # every chunk's replicas drawn and solved one by one, chunk after chunk
+    # every chunk's replicas drawn from its two streams and solved one by
+    # one, chunk after chunk
     rows = []
     for c in range((reps + montecarlo.CHUNK - 1) // montecarlo.CHUNK):
-        rng = montecarlo._rng_for(seed, c)
+        diagonal = montecarlo._rng_for(seed, c, 0)
+        off_diagonal = montecarlo._rng_for(seed, c, 1)
         take = min(montecarlo.CHUNK, reps - c * montecarlo.CHUNK)
-        rows.extend(_reference_spectrum(n, rng) for _ in range(take))
+        rows.extend(_reference_spectrum(n, diagonal, off_diagonal)
+                    for _ in range(take))
     return np.array(rows)
 
 
@@ -318,11 +328,12 @@ class TestCentralSpacing:
             central_spacings(np.arange(13.0), 2)
 
     def test_frozen_sample(self):
-        # regression pin for the rank-13 seed-1 draw
+        # regression pin for the rank-13 seed-1 draw of the two-stream
+        # contract
         unfolded = unfold(_one_spectrum(13, 1))
         assert central_spacings(unfolded, 0) == pytest.approx(
-            [1.13338467, 1.24494007], abs=1e-6)
-        assert central_spacings(unfolded, 1) == pytest.approx([2.37832474],
+            [1.82312770, 1.27246121], abs=1e-6)
+        assert central_spacings(unfolded, 1) == pytest.approx([3.09558891],
                                                               abs=1e-6)
 
 

