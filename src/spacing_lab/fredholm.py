@@ -50,7 +50,7 @@ _EIGENVALUE_FLOOR = 1e-16     # product truncation point
 _FORCED_LEVEL_GAP = 1e-14     # 1 - mu below this: level treated as occupied
 _MAX_GAP_ORDER = 30
 _MAX_NODES = 1600
-_DET_TOL = 1e-10
+DET_TOL = 1e-10
 _STENCIL_H = 1e-3             # step of the point stencils (_stencil)
 _GAUDIN_STEP = 1e-2           # largest grid step of gaudin_split
 
@@ -123,7 +123,7 @@ def _node_doubling(build, length: float, tol: float, context: dict,
 
 
 def _converged_spectrum(kernel_spec, interval: Interval,
-                        tol: float = _DET_TOL) -> FredholmSpectrum:
+                        tol: float = DET_TOL) -> FredholmSpectrum:
     """The spectrum of the first doubled rule on which det(1 - K) moves by
     at most tol."""
     return _node_doubling(
@@ -134,7 +134,7 @@ def _converged_spectrum(kernel_spec, interval: Interval,
 
 
 def fredholm_det(kernel_spec, interval: Interval, xi: float = 1.0,
-                 tol: float = _DET_TOL) -> float:
+                 tol: float = DET_TOL) -> float:
     """Converged det(1 - xi K) on the interval."""
     if interval.length == 0.0:
         return 1.0
@@ -211,19 +211,19 @@ def _dets(kernel_spec, half, xi: float, tol: float, memo) -> np.ndarray:
     return np.array(out)
 
 
-def e2_bulk_det(s, xi: float = 1.0, tol: float = _DET_TOL, memo=None):
+def e2_bulk_det(s, xi: float = 1.0, tol: float = DET_TOL, memo=None):
     """E2(0; interval of length s) from the sine-kernel determinant."""
     return on_points(s, 1.0, lambda v: _dets(kernels.sine_bulk(), v / 2.0,
                                              xi, tol, memo))
 
 
-def e1_bulk_det(s, tol: float = _DET_TOL, memo=None):
+def e1_bulk_det(s, tol: float = DET_TOL, memo=None):
     """E1(0; (-s, s)) = D_plus(s): only the even spectrum is built."""
     return on_points(s, 1.0, lambda v: _dets(kernels.sine_even(), v, 1.0,
                                              tol, memo))
 
 
-def e4_bulk_det(s, tol: float = _DET_TOL, memo=None):
+def e4_bulk_det(s, tol: float = DET_TOL, memo=None):
     """E4(0; (-s/2, s/2)) = (D_plus(s) + D_minus(s)) / 2.
 
     The parity determinants are taken on (-s, s): a length-s gap of the
@@ -235,7 +235,7 @@ def e4_bulk_det(s, tol: float = _DET_TOL, memo=None):
         + _dets(kernels.sine_odd(), v, 1.0, tol, memo)))
 
 
-def enn_det(s, xi: float = 1.0, tol: float = _DET_TOL):
+def enn_det(s, xi: float = 1.0, tol: float = DET_TOL):
     """Probability of no eigenvalue within distance s of a conditioned one.
 
     Determinant of the spectrum-singularity kernel (a = 1) on (-s, s).
@@ -244,7 +244,7 @@ def enn_det(s, xi: float = 1.0, tol: float = _DET_TOL):
                                              v, xi, tol, None))
 
 
-def en_bulk_det(s, n: int, tol: float = _DET_TOL):
+def en_bulk_det(s, n: int, tol: float = DET_TOL):
     """E2(n; interval of length s), exactly n eigenvalues, from gap_n."""
     if n < 0:
         raise ArgumentError(f"gap order must be >= 0, got {n}")
@@ -302,13 +302,13 @@ def _parity_jets(half: np.ndarray, tol: float):
             tuple(_det_jets(kernels.sine_odd(), half, 2, tol).T))
 
 
-def p1_det(s, tol: float = _DET_TOL):
+def p1_det(s, tol: float = DET_TOL):
     """p1(0; s) = d^2/ds^2 D_plus(s/2) = D_plus''(s/2) / 4."""
     return on_points(s, 0.0, lambda v: 0.25 * _det_jets(
         kernels.sine_even(), v / 2.0, 2, tol)[:, 2])
 
 
-def p2_det(s, tol: float = _DET_TOL):
+def p2_det(s, tol: float = DET_TOL):
     """p2(0; s) = d^2/ds^2 E2(0; s), with E2(0; s) = D_plus D_minus (s/2)."""
     def density(v):
         (dp, dp1, dp2), (dm, dm1, dm2) = _parity_jets(v / 2.0, tol)
@@ -316,7 +316,7 @@ def p2_det(s, tol: float = _DET_TOL):
     return on_points(s, 0.0, density)
 
 
-def p4_det(s, tol: float = _DET_TOL):
+def p4_det(s, tol: float = DET_TOL):
     """p4(0; s) = d^2/ds^2 E4(0; s) = (D_plus'' + D_minus'')(s) / 2."""
     def density(v):
         (_, _, dp2), (_, _, dm2) = _parity_jets(v, tol)
@@ -324,7 +324,7 @@ def p4_det(s, tol: float = _DET_TOL):
     return on_points(s, 0.0, density)
 
 
-def p1_gap1_det(s, tol: float = _DET_TOL):
+def p1_gap1_det(s, tol: float = DET_TOL):
     """Next-nearest beta=1 density p1(1; s) = d^2/ds^2 [2 E1(0;s) + E1(1;s)],
     the second derivative of D_plus(s/2) + D_minus(s/2) = 2 E4(0; s/2)."""
     def density(v):
@@ -333,23 +333,11 @@ def p1_gap1_det(s, tol: float = _DET_TOL):
     return on_points(s, 0.0, density)
 
 
-def p2_nn_det(s, tol: float = _DET_TOL):
+def p2_nn_det(s, tol: float = DET_TOL):
     """Nearest-neighbour density about a conditioned eigenvalue, -d/ds of
     enn_det."""
     return on_points(s, 0.0, lambda v: -_det_jets(
         kernels.spectrum_singularity(1.0), v, 1, tol)[:, 1])
-
-
-def rho_k_bulk(points) -> float:
-    """k-point bulk correlation: det [SineBulk(x_i, x_j)]."""
-    pts = np.asarray(points, dtype=float)
-    if pts.size < 1:
-        raise ArgumentError("need at least one point")
-    diffs = np.abs(pts[:, None] - pts[None, :])
-    np.fill_diagonal(diffs, 1.0)
-    if np.min(diffs) < 1e-12:
-        raise ArgumentError("repeated points make the correlation singular")
-    return float(np.linalg.det(kernels.kernel_matrix(kernels.sine_bulk(), pts)))
 
 
 # ---------------------------------------------------------------------------

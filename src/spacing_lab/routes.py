@@ -16,7 +16,6 @@ from .errors import UnsupportedError
 
 QUANTITIES = ("E2", "E1", "E4", "Enn", "p0", "p1gap", "p2nn", "En")
 METHODS = ("fredholm", "painleve", "surmise")
-DET_TOL = 1e-10
 
 _COLUMNS = {
     ("E2", "fredholm"): lambda s, tol, **_: fredholm.e2_bulk_det(s, tol=tol),
@@ -60,7 +59,7 @@ def methods_for(quantity: str, method: str = "all", n: int = 0) -> tuple:
 
 
 def evaluate(quantity: str, method: str, s, *, beta: int = 1, n: int = 0,
-             tol: float = DET_TOL) -> np.ndarray:
+             tol: float = fredholm.DET_TOL) -> np.ndarray:
     """The column ``<quantity>_<method>`` on the array of s."""
     methods_for(quantity, method, n)    # painleve En holds at n = 0 only
     return _COLUMNS[(quantity, method)](s, beta=beta, n=n, tol=tol)

@@ -60,10 +60,6 @@ def _fmt(x):
     return float(f"{x:.3g}")
 
 
-# Determinants shared by parity-identities and density-stencils: 71 of
-# the 350 intervals their Gaudin grid and stencil points ask for recur.
-_DETS = {}
-
 _ROUTE_GRID = np.arange(0.25, 2.01, 0.25)
 _ROUTE_TOL = 1e-7
 
@@ -110,6 +106,7 @@ def check_parity_identities():
     tol_product, tol_split = 1e-10, 1e-6
     worst_product = worst_split = 0.0
     max_nodes = 0
+    dets = {}       # the s = 0.5 Gaudin grid is the first half of s = 1's
     for s in (0.5, 1.0):
         iv = Interval(-s, s)
         full = fredholm._converged_spectrum(kernels.sine_bulk(), iv)
@@ -119,7 +116,7 @@ def check_parity_identities():
         e2 = fredholm.generating_value(full, 1.0)
         worst_product = max(worst_product, abs(d_plus * d_minus - e2))
         g_plus, g_minus = fredholm.gaudin_split(
-            lambda x: fredholm.e2_bulk_det(2.0 * x, memo=_DETS), s)
+            lambda x: fredholm.e2_bulk_det(2.0 * x, memo=dets), s)
         converged = fredholm.parity_split(iv)
         worst_split = max(worst_split, abs(g_plus - converged[0]),
                           abs(g_minus - converged[1]))
@@ -145,9 +142,10 @@ def check_density_stencils():
     differences of gap profiles."""
     tol = 1e-4
     grid = np.arange(0.2, 2.01, 0.2)
-    profiles = {1: lambda u: fredholm.e1_bulk_det(u / 2.0, memo=_DETS),
-                2: lambda u: fredholm.e2_bulk_det(u, memo=_DETS),
-                4: lambda u: fredholm.e4_bulk_det(u, memo=_DETS)}
+    dets = {}       # neighbouring stencils share points
+    profiles = {1: lambda u: fredholm.e1_bulk_det(u / 2.0, memo=dets),
+                2: lambda u: fredholm.e2_bulk_det(u, memo=dets),
+                4: lambda u: fredholm.e4_bulk_det(u, memo=dets)}
     worst = {f"p{beta}": float(np.max(np.abs(
         routes.evaluate("p0", "painleve", grid, beta=beta)
         - fredholm._stencil(profile, grid, 2))))
@@ -278,23 +276,23 @@ def check_nn_routes():
 
 @_criterion("csv-determinism")
 def check_csv_determinism():
-    """Identical configs yield byte-identical CSV output, the second
+    """Identical options yield byte-identical CSV output, the second
     tabulate's Painleve columns from a cold trajectory cache."""
     from . import cli
 
-    def tabulate_once():
+    def write_once(writer, argv):
         buf = io.StringIO()
-        config = cli.RunConfig(command="tabulate", quantity="E2",
-                               method="all", s_min=0.0, s_max=1.0,
-                               s_step=0.25)
-        cli.write_tabulate(config, buf)
+        writer(cli.parse_args(argv), buf)
         return buf.getvalue()
 
+    def tabulate_once():
+        return write_once(cli.write_tabulate, [
+            "tabulate", "--quantity", "E2", "--method", "all",
+            "--s-max", "1.0", "--s-step", "0.25"])
+
     def sample_once():
-        buf = io.StringIO()
-        config = cli.RunConfig(command="sample", n=13, reps=64, seed=7)
-        cli.write_sample(config, buf)
-        return buf.getvalue()
+        return write_once(cli.write_sample, [
+            "sample", "--n", "13", "--reps", "64", "--seed", "7"])
 
     same_sample = sample_once() == sample_once()
     first = tabulate_once()     # warm after the criteria run before it

@@ -26,7 +26,8 @@ def test_parity_identities():
 
 
 def test_e1_e4_dual_route_within_1e6():
-    # parity determinants vs the hard-edge sigma routes, E1, E4, p1, p4
+    # parity determinants vs the bulk transcendent by Gaudin's relation,
+    # and as a third column vs the hard-edge transcendents: E1, E4, p1, p4
     # and p1(1; s), relative gap within 1e-7
     _assert_criterion(verify.check_e1_e4_dual_route())
 

@@ -14,7 +14,8 @@ from spacing_lab import fredholm, painleve
 ROOT = Path(__file__).resolve().parents[1]
 
 # each removed name with the module that held it
-REMOVED = ((fredholm, "GapProfile"), (painleve, "extend_series"))
+REMOVED = ((fredholm, "GapProfile"), (painleve, "extend_series"),
+           (fredholm, "rho_k_bulk"))
 
 
 def _public_names():

@@ -3,26 +3,34 @@
 import hashlib
 import io
 import math
+import shlex
 
 import numpy as np
 import pytest
 
 from spacing_lab import (ArgumentError, UnsupportedError, cli, fredholm,
                          montecarlo, painleve, routes, sequences, verify)
-from spacing_lab.cli import RunConfig, main, write_primes, write_sample, write_tabulate
+from spacing_lab.cli import main, write_primes, write_sample, write_tabulate
 
 
-def _tabulate_config(**overrides):
-    base = dict(command="tabulate", quantity="E2", method="all",
-                s_min=0.0, s_max=1.0, s_step=0.25)
-    base.update(overrides)
-    return RunConfig(**base)
+def _args(command, **options):
+    """The parsed command line ``command`` with one ``--option value``
+    per keyword (``--option`` alone for True)."""
+    argv = [command]
+    for key, value in options.items():
+        flag = "--" + key.replace("_", "-")
+        argv += [flag] if value is True else [flag, str(value)]
+    return cli.parse_args(argv)
+
+
+def _tabulate_args(**overrides):
+    return _args("tabulate", **{"s_max": 1.0, "s_step": 0.25} | overrides)
 
 
 class TestTabulate:
     def test_csv_shape_and_agreement(self):
         out = io.StringIO()
-        table, deviations = write_tabulate(_tabulate_config(), out)
+        table, deviations = write_tabulate(_tabulate_args(), out)
         lines = out.getvalue().splitlines()
         meta = [l for l in lines if l.startswith("#")]
         assert any(l.startswith("# command: spacing-lab tabulate") for l in meta)
@@ -34,15 +42,15 @@ class TestTabulate:
 
     def test_round_trip_bit_exact(self):
         out = io.StringIO()
-        write_tabulate(_tabulate_config(), out)
+        write_tabulate(_tabulate_args(), out)
         text = out.getvalue()
         parsed = fredholm.SpacingTable.from_csv(io.StringIO(text))
         assert parsed.to_csv_text() == text
 
     def test_repeat_runs_identical(self):
         first, second = io.StringIO(), io.StringIO()
-        write_tabulate(_tabulate_config(), first)
-        write_tabulate(_tabulate_config(), second)
+        write_tabulate(_tabulate_args(), first)
+        write_tabulate(_tabulate_args(), second)
         assert first.getvalue() == second.getvalue()
 
     def test_thread_count_invisible(self):
@@ -50,27 +58,26 @@ class TestTabulate:
         # chunks of replicas are drawn in one process, then in several
         outputs = []
         for workers in (1, 3):
-            config = RunConfig(command="sample", n=13,
-                               reps=3 * montecarlo.CHUNK, seed=7,
-                               workers=workers)
+            args = _args("sample", n=13, reps=3 * montecarlo.CHUNK,
+                           seed=7, workers=workers)
             out = io.StringIO()
-            write_sample(config, out)
+            write_sample(args, out)
             outputs.append(out.getvalue())
         assert outputs[0] == outputs[1]
 
     def test_surmise_column(self):
         out = io.StringIO()
-        config = _tabulate_config(quantity="p0", method="surmise", beta=2)
-        write_tabulate(config, out)
+        args = _tabulate_args(quantity="p0", method="surmise", beta=2)
+        write_tabulate(args, out)
         header = next(l for l in out.getvalue().splitlines()
                       if not l.startswith("#"))
         assert header == "s,p0_surmise"
 
     def test_gap_count_column(self):
         out = io.StringIO()
-        config = _tabulate_config(quantity="En", method="fredholm", n=2,
+        args = _tabulate_args(quantity="En", method="fredholm", n=2,
                                   s_max=0.5)
-        table, _ = write_tabulate(config, out)
+        table, _ = write_tabulate(args, out)
         column = table.columns["En_fredholm"]
         assert column[0] == 0.0            # no room for 2 eigenvalues at s=0
         assert np.all(column >= 0.0)
@@ -80,8 +87,8 @@ class TestTabulate:
     def test_density_columns_vanish_at_zero(self, capsys, quantity, beta):
         # the Fredholm densities are exactly 0 at s = 0, so the row no
         # longer reads as relative deviation 1 against the Painleve column
-        config = _tabulate_config(quantity=quantity, beta=beta, s_max=3.0)
-        assert cli.run(config) == 0
+        args = _tabulate_args(quantity=quantity, beta=beta, s_max=3.0)
+        assert cli.run(args) == 0
         captured = capsys.readouterr()
         table = fredholm.SpacingTable.from_csv(io.StringIO(captured.out))
         assert table.columns[f"{quantity}_fredholm"][0] == 0.0
@@ -107,53 +114,53 @@ class TestTabulate:
         (4.0, 0.001, 4.0)])
     def test_grid_never_passes_s_max(self, s_max, s_step, last):
         table, _ = write_tabulate(
-            _tabulate_config(quantity="p0", method="surmise", s_max=s_max,
+            _tabulate_args(quantity="p0", method="surmise", s_max=s_max,
                              s_step=s_step), io.StringIO())
         assert table.s_grid[-1] == pytest.approx(last, abs=1e-12)
 
     def test_grid_validation(self):
         with pytest.raises(ArgumentError):
-            write_tabulate(_tabulate_config(s_step=0.0), io.StringIO())
+            write_tabulate(_tabulate_args(s_step=0.0), io.StringIO())
         with pytest.raises(ArgumentError):
-            write_tabulate(_tabulate_config(s_min=-1.0), io.StringIO())
+            write_tabulate(_tabulate_args(s_min=-1.0), io.StringIO())
 
 
 class TestSample:
     def test_csv_columns_and_seed(self):
         out = io.StringIO()
-        config = RunConfig(command="sample", n=13, reps=64, seed=7)
-        write_sample(config, out)
+        args = _args("sample", n=13, reps=64, seed=7)
+        write_sample(args, out)
         lines = out.getvalue().splitlines()
         assert "# seed: 7" in lines
         header = next(l for l in lines if not l.startswith("#"))
         assert header == "bin_left,bin_right,count,density,exact,surmise"
 
     def test_deterministic(self):
-        config = RunConfig(command="sample", n=13, reps=64, seed=7)
+        args = _args("sample", n=13, reps=64, seed=7)
         first, second = io.StringIO(), io.StringIO()
-        write_sample(config, first)
-        write_sample(config, second)
+        write_sample(args, first)
+        write_sample(args, second)
         assert first.getvalue() == second.getvalue()
 
     def test_even_rank_rejected(self):
-        config = RunConfig(command="sample", n=12, reps=10, seed=1)
+        args = _args("sample", n=12, reps=10, seed=1)
         with pytest.raises(ArgumentError):
-            write_sample(config, io.StringIO())
+            write_sample(args, io.StringIO())
 
 
 class TestPrimes:
     def test_histogram_output(self):
         out = io.StringIO()
-        config = RunConfig(command="primes", start=10**9 + 7, count=200)
-        write_primes(config, out)
+        args = _args("primes", start=10**9 + 7, count=200)
+        write_primes(args, out)
         lines = out.getvalue().splitlines()
         header = next(l for l in lines if not l.startswith("#"))
         assert header == "bin_left,bin_right,count,density,poisson"
 
     def test_raw_listing(self):
         out = io.StringIO()
-        config = RunConfig(command="primes", start=10, count=3, raw=True)
-        write_primes(config, out)
+        args = _args("primes", start=10, count=3, raw=True)
+        write_primes(args, out)
         body = [l for l in out.getvalue().splitlines()
                 if not l.startswith("#")]
         assert body == ["index,prime,gap", "0,11,2", "1,13,4", "2,17,0"]
@@ -316,27 +323,30 @@ class TestFredholmDigests:
         assert digest == (coarse if grid == "coarse" else one_sided)
 
 
+def _write_zeros(path):
+    """Ordinates at the smooth counting function's unit-spacing targets;
+    plumbing only, no statistics claimed."""
+    lines = []
+    for u in np.arange(5.0, 205.0):
+        g = 40.0
+        for _ in range(60):
+            w = g / (2.0 * math.pi)
+            g -= (w * (math.log(w) - 1.0) + 0.875 - u) \
+                / (math.log(w) / (2.0 * math.pi))
+        lines.append(f"{g:.12f}")
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
 class TestZeros:
     @pytest.fixture()
     def zeros_file(self, tmp_path):
-        # ordinates positioned exactly at the smooth counting function's
-        # unit-spacing targets; plumbing test only, no statistics claimed
-        path = tmp_path / "zeros.txt"
-        lines = []
-        for u in np.arange(5.0, 205.0):
-            g = 40.0
-            for _ in range(60):
-                w = g / (2.0 * math.pi)
-                g -= (w * (math.log(w) - 1.0) + 0.875 - u) \
-                    / (math.log(w) / (2.0 * math.pi))
-            lines.append(f"{g:.12f}")
-        path.write_text("\n".join(lines) + "\n")
-        return str(path)
+        return _write_zeros(tmp_path / "zeros.txt")
 
     def test_csv_output(self, zeros_file):
         out = io.StringIO()
-        config = RunConfig(command="zeros", zeros_path=zeros_file)
-        cli.write_zeros(config, out)
+        args = _args("zeros", file=zeros_file)
+        cli.write_zeros(args, out)
         lines = out.getvalue().splitlines()
         assert "# ordinates: 200" in lines
         assert any(l.startswith("# ks_exact: ") for l in lines)
@@ -346,13 +356,54 @@ class TestZeros:
 
     def test_exact_overlay_equals_scalar_loop(self, zeros_file):
         out = io.StringIO()
-        cli.write_zeros(RunConfig(command="zeros", zeros_path=zeros_file), out)
+        cli.write_zeros(_args("zeros", file=zeros_file), out)
         body = [l for l in out.getvalue().splitlines()
                 if not l.startswith("#")][1:]
         rows = np.loadtxt(body, delimiter=",", ndmin=2)
         centers = 0.5 * (rows[:, 0] + rows[:, 1])
         loop = [painleve.p2_nn(float(c)) for c in centers]
         assert np.array(loop).tobytes() == rows[:, 4].tobytes()
+
+
+class TestCommandLine:
+    """The `# command:` line of each CSV names every option that changes
+    what is written, so running it again writes the same bytes."""
+
+    @pytest.mark.parametrize("argv", [
+        ["tabulate", "--s-max", "1", "--s-step", "0.123456789",
+         "--det-tol", "1e-9"],
+        ["tabulate", "--quantity", "p0", "--beta", "4", "--s-max", "0.5",
+         "--s-step", "0.25"],
+        ["tabulate", "--quantity", "En", "--n", "2", "--s-max", "0.5",
+         "--s-step", "0.25"],
+        ["sample", "--reps", "300", "--bin-width", "0.2", "--workers", "1"],
+        ["sample", "--reps", "300", "--bin-width", "0.2", "--workers", "2"],
+        ["primes", "--bin-width", "0.05"],
+        ["primes", "--count", "200", "--raw"],
+        ["zeros", "--file", None],
+    ], ids=["tabulate-step-tol", "tabulate-p0-beta4", "tabulate-En2",
+            "sample-workers1", "sample-workers2", "primes-bin-width",
+            "primes-raw", "zeros-spaced-path"])
+    def test_rerun_writes_the_same_bytes(self, tmp_path, argv):
+        argv = [a if a is not None
+                else _write_zeros(tmp_path / "zero ordinates.txt")
+                for a in argv]
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main([*argv, "-o", str(first)]) == 0
+        recorded = next(line for line in first.read_text().splitlines()
+                        if line.startswith("# command: "))
+        program, *rerun = shlex.split(recorded[len("# command: "):])
+        assert program == "spacing-lab"
+        assert main([*rerun, "-o", str(second)]) == 0
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_every_option_in_declaration_order(self):
+        args = cli.parse_args(["tabulate", "--s-step", "0.123456789",
+                               "-o", "out.csv", "--workers", "2"])
+        assert cli.command_line(args) == (
+            "spacing-lab tabulate --quantity E2 --method all --s-min 0.0 "
+            "--s-max 2.0 --s-step 0.123456789 --beta 1 --n 0 "
+            "--det-tol 1e-10")
 
 
 class TestRouteTable:

@@ -436,29 +436,6 @@ class TestJacobiDensities:
         assert jet[2] == pytest.approx(full, abs=1e-13)
 
 
-class TestRhoK:
-    def test_single_point(self):
-        assert fredholm.rho_k_bulk([0.4]) == pytest.approx(1.0, abs=1e-15)
-
-    def test_pair(self):
-        s = 0.6
-        expected = 1.0 - (math.sin(math.pi * s) / (math.pi * s)) ** 2
-        assert fredholm.rho_k_bulk([0.0, s]) == pytest.approx(expected,
-                                                              abs=1e-14)
-
-    def test_triple_against_cofactor_expansion(self):
-        pts = [0.0, 0.3, 0.9]
-        k = np.sinc(np.subtract.outer(pts, pts))
-        det = (k[0, 0] * (k[1, 1] * k[2, 2] - k[1, 2] * k[2, 1])
-               - k[0, 1] * (k[1, 0] * k[2, 2] - k[1, 2] * k[2, 0])
-               + k[0, 2] * (k[1, 0] * k[2, 1] - k[1, 1] * k[2, 0]))
-        assert fredholm.rho_k_bulk(pts) == pytest.approx(det, abs=1e-12)
-
-    def test_repeated_points_rejected(self):
-        with pytest.raises(ArgumentError):
-            fredholm.rho_k_bulk([0.5, 0.5 + 1e-13])
-
-
 class TestSpacingFromGaps:
     def test_constant_column_has_zero_density(self):
         grid = np.arange(0.0, 0.1, 2e-3)

@@ -160,3 +160,14 @@ class TestMutations:
         assert result.details["worst_hard_E1"] > tol
         assert all(result.details[f"worst_{row}"] <= tol
                    for row in verify._HARD_EDGE)
+
+    def test_scaled_determinant_after_a_warm_run(self, monkeypatch):
+        # determinants solved by one run are not reused by the next, so a
+        # fault introduced between two runs in one process still shows
+        assert verify.check_density_stencils().passed
+        original = fredholm.fredholm_det
+        monkeypatch.setattr(fredholm, "fredholm_det",
+                            lambda *a, **k: 1.01 * original(*a, **k))
+        result = verify.check_density_stencils()
+        assert not result.passed, str(result)
+        assert result.details["p1"] > result.details["tol"]
