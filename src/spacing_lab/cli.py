@@ -174,6 +174,7 @@ def write_zeros(args, stream):
                 "poisson": sequences.poisson_nn_density(hist.centers)}
     metadata = _base_metadata(args)
     metadata["ordinates"] = len(data.ordinates)
+    metadata["ordinates_sha256"] = data.sha256
     metadata["ks_exact"] = f"{ks_exact:.6f}"
     metadata["ks_poisson"] = f"{ks_poisson:.6f}"
     _write_histogram_csv(stream, metadata, hist, overlays)
@@ -238,7 +239,7 @@ def _parsers():
     tab.add_argument("--s-min", type=float, default=0.0)
     tab.add_argument("--s-max", type=float, default=2.0)
     tab.add_argument("--s-step", type=float, default=0.05)
-    tab.add_argument("--beta", type=int, choices=(1, 2, 4), default=1,
+    tab.add_argument("--beta", type=int, choices=routes.BETAS, default=1,
                      help="spacing-density symmetry class for p0")
     tab.add_argument("--n", type=int, default=0,
                      help="gap order for the En quantity")

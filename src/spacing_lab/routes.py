@@ -16,6 +16,7 @@ from .errors import UnsupportedError
 
 QUANTITIES = ("E2", "E1", "E4", "Enn", "p0", "p1gap", "p2nn", "En")
 METHODS = ("fredholm", "painleve", "surmise")
+BETAS = (1, 2, 4)                       # the p0 columns
 
 _COLUMNS = {
     ("E2", "fredholm"): lambda s, tol, **_: fredholm.e2_bulk_det(s, tol=tol),
@@ -62,6 +63,9 @@ def evaluate(quantity: str, method: str, s, *, beta: int = 1, n: int = 0,
              tol: float = fredholm.DET_TOL) -> np.ndarray:
     """The column ``<quantity>_<method>`` on the array of s."""
     methods_for(quantity, method, n)    # painleve En holds at n = 0 only
+    if quantity == "p0" and beta not in BETAS:
+        raise UnsupportedError(
+            f"p0 is defined for beta in {set(BETAS)}, got {beta}")
     return _COLUMNS[(quantity, method)](s, beta=beta, n=n, tol=tol)
 
 

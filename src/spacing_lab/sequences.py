@@ -9,6 +9,7 @@ interior point.
 from __future__ import annotations
 
 import functools
+import io
 import math
 from dataclasses import dataclass
 
@@ -165,13 +166,17 @@ def histogram_ks_distance(hist: Histogram, cdf) -> float:
 class ZeroDataset:
     ordinates: np.ndarray
     source_path: str
+    sha256: str = ""            # of the file's bytes, as load_zeros read them
 
 
 def load_zeros(path: str) -> ZeroDataset:
     """Read ascending zero ordinates, one per line; '#' lines are comments."""
+    import hashlib      # here, not at import: it loads OpenSSL (about 3 MB)
     ordinates = []
     last = None
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "rb") as f:
+        content = f.read()
+    with io.TextIOWrapper(io.BytesIO(content), encoding="utf-8") as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -192,7 +197,8 @@ def load_zeros(path: str) -> ZeroDataset:
             last = value
     if not ordinates:
         raise FormatError(f"no ordinates found in {path}")
-    return ZeroDataset(ordinates=np.array(ordinates), source_path=str(path))
+    return ZeroDataset(ordinates=np.array(ordinates), source_path=str(path),
+                       sha256=hashlib.sha256(content).hexdigest())
 
 
 def unfold_zeros(data: ZeroDataset) -> np.ndarray:

@@ -354,6 +354,24 @@ class TestZeros:
         header = next(l for l in lines if not l.startswith("#"))
         assert header == "bin_left,bin_right,count,density,exact,poisson"
 
+    def test_metadata_records_the_file_digest(self, zeros_file):
+        def written():
+            out = io.StringIO()
+            cli.write_zeros(_args("zeros", file=zeros_file), out)
+            return out.getvalue().splitlines()
+
+        before = written()
+        with open(zeros_file, "rb") as f:
+            digest = hashlib.sha256(f.read()).hexdigest()
+        assert f"# ordinates_sha256: {digest}" in before
+        with open(zeros_file, "a", encoding="utf-8") as f:
+            f.write("# an edit that leaves every ordinate as it was\n")
+        after = written()
+        changed = [(a, b) for a, b in zip(before, after) if a != b]
+        assert len(before) == len(after) and len(changed) == 1
+        assert all(line.startswith("# ordinates_sha256: ")
+                   for line in changed[0])
+
     def test_exact_overlay_equals_scalar_loop(self, zeros_file):
         out = io.StringIO()
         cli.write_zeros(_args("zeros", file=zeros_file), out)
@@ -423,6 +441,18 @@ class TestRouteTable:
         else:
             assert code == 2
             assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["fredholm", "painleve", "surmise"])
+    def test_evaluate_refuses_an_unknown_beta(self, method, monkeypatch):
+        def evaluator(*args, **kwargs):
+            raise AssertionError("an evaluator ran")
+        for module in (fredholm, painleve, routes.surmise):
+            for name in ("p1_det", "p2_det", "p4_det", "p1_direct",
+                         "p2_direct", "p4_direct", "wigner_surmise"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, evaluator)
+        with pytest.raises(UnsupportedError, match="beta"):
+            routes.evaluate("p0", method, np.array([0.5]), beta=3)
 
     def test_evaluate_refuses_an_unlisted_method(self):
         # the painleve En column is E2(0; s), right at n = 0 only

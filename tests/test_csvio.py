@@ -1,11 +1,12 @@
 """The block CSV writer against row-by-row formatting."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from spacing_lab import Interval, csvio, fredholm
+from spacing_lab import ArgumentError, Interval, csvio, fredholm, sequences
 from spacing_lab.montecarlo import build_histogram
 
 
@@ -59,3 +60,87 @@ def test_integer_columns_stay_exact(block_rows):
     csvio.write_csv(out, ["i", "v"], [np.arange(3), big], ["%d", "%d"])
     assert out.getvalue() == "i,v\n" + "".join(
         f"{i},{int(v)}\n" for i, v in enumerate(big))
+
+
+def _by_percent(names, columns, formats):
+    # each value through Python's own % with its column's format
+    lines = [",".join(names) + "\n"]
+    for row in zip(*(list(c) if isinstance(c, range) else c.tolist()
+                     for c in columns)):
+        lines.append(",".join(f % v for f, v in zip(formats, row)) + "\n")
+    return "".join(lines)
+
+
+_POWERS = [10 ** k + d for k in range(19) for d in (-1, 0)]
+_HISTOGRAM_COUNTS = np.random.default_rng(3).integers(0, 10 ** 6, 40)
+_TABLES = {
+    "int64-edges": (
+        ["value", "negated"],
+        [np.array([0, -1, *_POWERS, 2 ** 63 - 1, -(2 ** 63 - 1), -2 ** 63],
+                  dtype=np.int64),
+         np.array([0, 1, *(-p for p in _POWERS), -(2 ** 63 - 1), 2 ** 63 - 1,
+                   -2 ** 63], dtype=np.int64)],
+        ["%d", "%d"]),
+    "uint64-edges": (
+        ["value"],
+        [np.array([0, 9, 10 ** 19 - 1, 10 ** 19, 2 ** 63, 2 ** 64 - 1],
+                  dtype=np.uint64)],
+        ["%d"]),
+    "range-offset": (
+        ["index", "square"],
+        [range(9_990, 10_050, 3), np.arange(9_990, 10_050, 3) ** 2],
+        ["%d", "%d"]),
+    "no-rows": (["index", "x"], [range(0), np.array([])], ["%d", "%.17g"]),
+    "histogram": (
+        ["bin_left", "bin_right", "count", "density"],
+        [np.linspace(0.0, 4.0, 41)[:-1], np.linspace(0.0, 4.0, 41)[1:],
+         _HISTOGRAM_COUNTS, _HISTOGRAM_COUNTS / _HISTOGRAM_COUNTS.sum() / 0.1],
+        ["%.17g", "%.17g", "%d", "%.17g"]),
+    "float-edges": (
+        ["x", "index"],
+        [np.array([-0.0, np.inf, -np.inf, np.nan, 5e-324,
+                   -1.2345678901234567e-308, -1.7976931348623157e308, 0.1,
+                   1e16, 123456789012345678.0, -2.5, 1.0]),
+         np.arange(12)],
+        ["%.17g", "%d"]),
+}
+
+
+@pytest.mark.parametrize("table", _TABLES.values(), ids=_TABLES)
+def test_every_value_as_percent_formats_it(block_rows, table):
+    names, columns, formats = table
+    out = io.StringIO()
+    csvio.write_csv(out, names, columns, formats)
+    assert out.getvalue() == _by_percent(names, columns, formats)
+
+
+def test_unknown_format_or_column_type_is_refused():
+    with pytest.raises(ArgumentError):
+        csvio.write_csv(io.StringIO(), ["x"], [np.arange(3)], ["%x"])
+    with pytest.raises(ArgumentError):
+        csvio.write_csv(io.StringIO(), ["x"], [np.arange(3.0)], ["%d"])
+
+
+class _Discard:
+    def write(self, text):
+        return len(text)
+
+
+def _peak_bytes_writing(window):
+    gaps = np.append(np.diff(window.primes), 0)
+    columns = [range(len(gaps)), window.primes, gaps]
+    tracemalloc.start()
+    try:
+        csvio.write_csv(_Discard(), ["index", "prime", "gap"], columns,
+                        ["%d"] * 3)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_is_bounded_by_a_block():
+    # ten times the rows may not double the peak: only a block is rendered
+    start = 10 ** 11 + 3
+    small = _peak_bytes_writing(sequences.primes_from(start, 20_000))
+    large = _peak_bytes_writing(sequences.primes_from(start, 200_000))
+    assert large < 2 * small
