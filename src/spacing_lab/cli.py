@@ -28,7 +28,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, fredholm, montecarlo, painleve, routes, sequences
+from . import __version__, fredholm, montecarlo, routes, sequences
 from . import verify as verify_mod
 from .errors import ArgumentError, SpacingLabError, UnsupportedError
 from .fredholm import SpacingTable
@@ -39,11 +39,8 @@ _UNRECORDED = ("output", "workers")
 
 
 def _pool_size(args) -> int:
-    if args.workers is not None:
-        if args.workers < 1:
-            raise ArgumentError(f"--workers must be >= 1, got {args.workers}")
-        return args.workers
-    return os.cpu_count() or 1
+    """--workers, by default the processor count."""
+    return (os.cpu_count() or 1) if args.workers is None else args.workers
 
 
 def command_line(args) -> str:
@@ -167,10 +164,10 @@ def write_zeros(args, stream):
     hist = montecarlo.build_histogram(
         stats, width, Interval(0.0, float(np.max(stats)) + width))
     ks_exact = sequences.ks_distance(
-        stats, lambda s: 1.0 - painleve.enn_generating(s))
+        stats, lambda s: 1.0 - routes.evaluate("Enn", "painleve", s))
     ks_poisson = sequences.ks_distance(
         stats, lambda s: 1.0 - np.exp(-2.0 * s))
-    overlays = {"exact": painleve.p2_nn(hist.centers),
+    overlays = {"exact": routes.evaluate("p2nn", "painleve", hist.centers),
                 "poisson": sequences.poisson_nn_density(hist.centers)}
     metadata = _base_metadata(args)
     metadata["ordinates"] = len(data.ordinates)
@@ -285,14 +282,18 @@ def _parsers():
 
 
 def parse_args(argv=None) -> argparse.Namespace:
-    """The options of one `spacing-lab` command line, as `main` reads them."""
-    return _parsers()[0].parse_args(argv)
+    """The options of one `spacing-lab` command line, as `main` reads them;
+    ArgumentError for a --workers below 1."""
+    args = _parsers()[0].parse_args(argv)
+    workers = getattr(args, "workers", None)
+    if workers is not None and workers < 1:
+        raise ArgumentError(f"--workers must be >= 1, got {workers}")
+    return args
 
 
 def main(argv=None) -> int:
-    args = parse_args(argv)
     try:
-        return run(args)
+        return run(parse_args(argv))
     except (ArgumentError, UnsupportedError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

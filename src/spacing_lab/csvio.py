@@ -4,9 +4,10 @@ A file is '#'-prefixed metadata lines, a header, then one row per index
 of equal-length columns.  Rows are rendered a block at a time into one
 byte array: each value into a fixed-width field padded with spaces, then
 a ',' or a newline.  No rendered value contains a space, so dropping every
-space gives the block's rows, which go out in one write.  Integers are
-rendered four digits per table lookup and floats by one %-format of the
-whole block, so no value is formatted by a Python call of its own.
+space gives the block's rows, which go out in one write.  A column's
+dtype picks its rendering: integers exactly, four digits per table lookup,
+and floats by one %.17g format of the whole block, so no value is
+formatted by a Python call of its own.
 """
 
 from __future__ import annotations
@@ -77,16 +78,16 @@ def _render_floats(values: np.ndarray, out: np.ndarray) -> None:
     out[:] = np.frombuffer(text.encode("ascii"), np.uint8).reshape(out.shape)
 
 
-def _field(column, fmt: str):
-    """The (width, render) functions that write ``column`` by ``fmt``."""
-    if fmt == "%.17g":
-        return (lambda values: _FLOAT_WIDTH), _render_floats
-    if fmt == "%d" and (isinstance(column, range)
-                        or column.dtype.kind in "biu"):
+def _field(column):
+    """The (width, render) functions that write ``column``, by its type."""
+    if isinstance(column, range):
         return _integer_width, _render_integers
-    raise ArgumentError(
-        f"cannot write a {getattr(column, 'dtype', 'range')} column by "
-        f"{fmt!r}: the formats are %d for integers and %.17g")
+    if column.ndim == 1 and column.dtype.kind in "biu":
+        return _integer_width, _render_integers
+    if column.ndim == 1 and column.dtype.kind == "f":
+        return (lambda values: _FLOAT_WIDTH), _render_floats
+    raise ArgumentError(f"cannot write a {column.ndim}-d {column.dtype} "
+                        "column: a column is 1-d, of integers or floats")
 
 
 def _materialised(part):
@@ -96,24 +97,31 @@ def _materialised(part):
     return part
 
 
-def write_csv(stream, names, columns, formats, metadata=None) -> None:
+def write_csv(stream, names, columns, metadata=None) -> None:
     """Write ``columns`` under the header ``names``, after ``metadata``.
 
     A column is an array, or a ``range`` (an index column that is never
-    materialised).  ``formats`` holds one format per column: ``%.17g``
-    round-trips a float, ``%d`` writes an integer column exactly at any
-    64-bit value.  ``stream`` is a text stream, or a path that is opened
-    and closed here.
+    materialised).  Its type picks its rendering: an integer column is
+    written exactly at any 64-bit value, a float column by ``%.17g``, which
+    round-trips it.  Any other type, a column of other than one dimension,
+    a name count other than the column count and columns of unequal
+    lengths are refused before anything is written.  ``stream`` is a text
+    stream, or a path that is opened and closed here.
     """
+    columns = [c if isinstance(c, range) else np.asarray(c) for c in columns]
+    fields = [_field(c) for c in columns]
+    if len(names) != len(columns):
+        raise ArgumentError(f"{len(names)} names for {len(columns)} columns")
+    lengths = sorted({len(c) for c in columns})
+    if len(lengths) > 1:
+        raise ArgumentError(f"columns of unequal lengths {lengths}")
     if isinstance(stream, (str, bytes)):
         with open(stream, "w", encoding="utf-8") as handle:
-            write_csv(handle, names, columns, formats, metadata)
+            write_csv(handle, names, columns, metadata)
         return
     for key, value in (metadata or {}).items():
         stream.write(f"# {key}: {value}\n")
     stream.write(",".join(names) + "\n")
-    columns = [c if isinstance(c, range) else np.asarray(c) for c in columns]
-    fields = [_field(c, f) for c, f in zip(columns, formats, strict=True)]
     n_rows = len(columns[0])
     for lo in range(0, n_rows, BLOCK_ROWS):
         parts = [_materialised(c[lo:lo + BLOCK_ROWS]) for c in columns]

@@ -429,8 +429,7 @@ class SpacingTable:
     def to_csv(self, stream) -> None:
         """17-significant-digit CSV with '#'-prefixed metadata lines."""
         write_csv(stream, ["s", *self.columns],
-                  [self.s_grid, *self.columns.values()],
-                  ["%.17g"] * (1 + len(self.columns)), self.metadata)
+                  [self.s_grid, *self.columns.values()], self.metadata)
 
     @classmethod
     def from_csv(cls, stream) -> "SpacingTable":

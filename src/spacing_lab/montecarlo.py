@@ -73,7 +73,6 @@ class Histogram:
                   [self.bin_edges[:-1], self.bin_edges[1:], self.counts,
                    self.density,
                    *(np.asarray(v, dtype=float) for v in overlays.values())],
-                  ["%.17g", "%.17g", "%d"] + ["%.17g"] * (1 + len(overlays)),
                   metadata)
 
 

@@ -12,7 +12,8 @@ and 4 columns, which verify compares with the determinants) and SIGMA_NN
 
 1. series: sigma = sum c_k x^k with x = sqrt(t), coefficients derived by
    substituting the ansatz into the ODE and matching orders, one unknown at
-   a time.  The resonant orders, where the next unknown acts on the
+   a time.  A series carries its truncation order, so + - * act on it as on
+   a float.  The resonant orders, where the next unknown acts on the
    residual no later than this one, so that matching cannot determine it,
    are pinned from the closed forms in _equation_setup; every pinned value
    is cross-checked against the determinantal route by the test suite.
@@ -24,16 +25,16 @@ and 4 columns, which verify compares with the determinants) and SIGMA_NN
    with the bits of the general product.  Derived problems are memoised
    until clear_cache().
 2. integration: every equation reads (t sigma'')^2 + G(A, sigma') = 0 with
-   A = t sigma' - sigma, and _EQUATIONS states each G once, run on series
-   (the residual), floats (the defect) and complex numbers: sigma''' =
-   -sigma''/t - (t G_A + G_sigma')/(2 t^2) takes its directional derivative
-   by a complex step.  The third-order system, with the log-integral as a
-   fourth component (and on the xi = 1 bulk trajectory the integral of
-   sqrt(sigma - t sigma')/t, Gaudin's split, as a fifth, its series the
-   square root of the -A series), is stepped on from t_switch as far as
-   requests need by the package's DOP853 (_dop853, which gives the bits of
-   SciPy's DOP853 and OdeSolution), and the ORIGINAL quadratic equation is
-   monitored as a defect at accepted steps.
+   A = t sigma' - sigma, and _EQUATIONS states each G once, run by the
+   same operators on series (the residual), floats (the defect) and complex
+   numbers: sigma''' = -sigma''/t - (t G_A + G_sigma')/(2 t^2) takes its
+   directional derivative by a complex step.  The third-order system, with
+   the log-integral as a fourth component (and on the xi = 1 bulk
+   trajectory the integral of sqrt(sigma - t sigma')/t, Gaudin's split, as
+   a fifth, its series the square root of the -A series), is stepped on
+   from t_switch as far as requests need by the package's DOP853 (_dop853,
+   which gives the bits of SciPy's DOP853 and OdeSolution), and the
+   ORIGINAL quadratic equation is monitored as a defect at accepted steps.
 3. evaluators: E and p compositions with frozen argument calibrations
    (upper limit pi*s for the bulk two-point gap, 2*pi*s for the parity
    determinants on (-s, s) and the conditioned nearest-neighbour gap, the
@@ -77,41 +78,56 @@ _T_BOUND = 1e6          # the stepper's bound, past any request
 
 # ---------------------------------------------------------------------------
 # truncated power series in x = sqrt(t); c[..., i] is the coefficient of
-# x^(off + i), off may be negative.  Leading axes of c hold a batch of series
-# that share off and length; every operation acts on each series of the batch
-# with the arithmetic, in the order, it would use on that series alone.
+# x^(off + i), off may be negative, and terms past x^order are dropped.
+# Leading axes of c hold a batch of series that share off and length; every
+# operation acts on each series of the batch with the arithmetic, in the
+# order, it would use on that series alone.  + - * take a series or a float,
+# the constant series (a float may stand left of - and *); a result keeps the
+# lower order of its operands.
 
 class _Series:
-    __slots__ = ("c", "off")
+    __slots__ = ("c", "off", "order")
 
-    def __init__(self, c, off=0):
+    def __init__(self, c, off, order):
         self.c = np.asarray(c, dtype=float)
         self.off = int(off)
+        self.order = order
+
+    def _operand(self, v):
+        return v if isinstance(v, _Series) else _Series([v], 0, self.order)
+
+    def __add__(self, v):
+        v = self._operand(v)
+        off, order = min(self.off, v.off), min(self.order, v.order)
+        batch = self.c.shape[:-1]
+        if v.c.shape[:-1] != batch:
+            batch = np.broadcast_shapes(batch, v.c.shape[:-1])
+        out = np.zeros(batch + (order - off + 1,))
+        for s in (self, v):
+            i = s.off - off
+            m = min(s.c.shape[-1], out.shape[-1] - i)
+            if m > 0:
+                out[..., i:i + m] += s.c[..., :m]
+        return _Series(out, off, order)
+
+    def __neg__(self):
+        return self * -1.0
+
+    def __sub__(self, v):
+        return self + -v
+
+    def __rsub__(self, v):
+        return self._operand(v) + -self
+
+    def __mul__(self, v):
+        if isinstance(v, _Series):
+            return _s_mul(self, v)
+        return _Series(self.c * v, self.off, self.order)
+
+    __rmul__ = __mul__
 
 
-def _zeros(a, b, n):
-    batch = a.c.shape[:-1]
-    if b.c.shape[:-1] != batch:
-        batch = np.broadcast_shapes(batch, b.c.shape[:-1])
-    return np.zeros(batch + (n,))
-
-
-def _s_add(a, b, order):
-    off = min(a.off, b.off)
-    out = _zeros(a, b, order - off + 1)
-    for s in (a, b):
-        i = s.off - off
-        m = min(s.c.shape[-1], out.shape[-1] - i)
-        if m > 0:
-            out[..., i:i + m] += s.c[..., :m]
-    return _Series(out, off)
-
-
-def _s_scale(a, v):
-    return _Series(a.c * v, a.off)
-
-
-def _s_mul(a, b, order):
+def _s_mul(a, b):
     """Truncated product, summed over the first factor's coefficients in
     increasing order from +0.0.
 
@@ -122,10 +138,10 @@ def _s_mul(a, b, order):
     Out-of-range and zero terms add a zero to an accumulator that, starting
     at +0.0, never holds -0.0, so every series of a batch gets the bits it
     would get alone."""
-    off = a.off + b.off
+    off, order = a.off + b.off, min(a.order, b.order)
     n = order - off + 1
     if n <= 0:
-        return _Series(np.zeros(1), order)
+        return _Series(np.zeros(1), order, order)
     ac = a.c[..., :n]
     na = ac.shape[-1]
     m = min(b.c.shape[-1], n)
@@ -136,40 +152,32 @@ def _s_mul(a, b, order):
     shifted = np.ndarray(padded.shape[:-1] + (na, n), padded.dtype, padded,
                          (na - 1) * step, padded.strides[:-1] + (-step, step))
     out = np.add.reduce(ac[..., None] * shifted, axis=-2, initial=0.0)
-    return _Series(out, off)
+    return _Series(out, off, order)
 
 
-def _s_mono(v, e, order):
-    return _Series(np.concatenate(([v], np.zeros(max(0, order - e)))), e)
-
-
-def _s_mul_mono(a, v, e, order):
+def _s_mul_mono(a, v, e):
     """a times the monomial v x^e, with the bits of _s_mul by
-    _s_mono(v, e, order) in either factor order.
+    _Series([v], e, a.order) in either factor order.
 
     Every term of that product but a_k v is a finite coefficient times an
     exact zero, and its sum starts at +0.0, so coefficient k is
     a_k * v + 0.0: a shifted, scaled copy whose -0.0 products read +0.0."""
-    off = a.off + e
+    off, order = a.off + e, a.order
     n = order - off + 1
     if n <= 0:
-        return _Series(np.zeros(1), order)
+        return _Series(np.zeros(1), order, order)
     m = min(a.c.shape[-1], n)
     out = np.zeros(a.c.shape[:-1] + (n,))
     out[..., :m] = a.c[..., :m] * v + 0.0
-    return _Series(out, off)
+    return _Series(out, off, order)
 
 
 def _s_dx(a):
-    return _Series(a.c * (a.off + np.arange(a.c.shape[-1])), a.off - 1)
+    return _Series(a.c * (a.off + np.arange(a.c.shape[-1])), a.off - 1,
+                   a.order)
 
 
-def _s_coeff(a, e):
-    i = e - a.off
-    return a.c[..., i] if 0 <= i < a.c.shape[-1] else 0.0
-
-
-def _s_sqrt(a, order):
+def _s_sqrt(a):
     """Series square root; the leading term must sit at an even exponent,
     the same one for every series of a batch."""
     c = a.c.reshape(-1, a.c.shape[-1])
@@ -187,7 +195,7 @@ def _s_sqrt(a, order):
             f"series sqrt needs a positive coefficient at an even exponent, "
             f"found exponent {e0}")
     off = e0 // 2
-    n = order - off + 1
+    n = a.order - off + 1
     y = np.zeros((len(c), n))
     y[:, 0] = np.sqrt(c[:, lead])
     rel = np.zeros((len(c), n))
@@ -197,15 +205,15 @@ def _s_sqrt(a, order):
         twice_root = 2.0 * yr[0]
         for k in range(1, n):       # np.dot per series keeps its bits
             yr[k] = (rr[k] - np.dot(yr[1:k], yr[k - 1:0:-1])) / twice_root
-    return _Series(y.reshape(a.c.shape[:-1] + (n,)), off)
+    return _Series(y.reshape(a.c.shape[:-1] + (n,)), off, a.order)
 
 
 def _sigma_series(coeffs, order):
     """sigma, sigma', sigma'' as x-series; derivatives are with respect to t."""
     pad = np.zeros(coeffs.shape[:-1] + (max(0, order - coeffs.shape[-1]),))
-    sig = _Series(np.concatenate((coeffs, pad), axis=-1), 1)
-    d1 = _s_mul_mono(_s_dx(sig), 0.5, -1, order)
-    d2 = _s_mul_mono(_s_dx(d1), 0.5, -1, order)
+    sig = _Series(np.concatenate((coeffs, pad), axis=-1), 1, order)
+    d1 = _s_mul_mono(_s_dx(sig), 0.5, -1)
+    d2 = _s_mul_mono(_s_dx(d1), 0.5, -1)
     return sig, d1, d2
 
 
@@ -216,47 +224,11 @@ def _sigma_series(coeffs, order):
 # derived coefficients' bits depend on it); the defect's scale is the largest
 # of 1, the lead and each group.
 
-class _Truncated:
-    """A _Series with its truncation order, so that + - * and _root act on
-    it; a float operand is the constant series."""
-
-    __slots__ = ("s", "order")
-
-    def __init__(self, s, order):
-        self.s = s
-        self.order = order
-
-    def _series(self, v):
-        return v.s if isinstance(v, _Truncated) else _s_mono(v, 0, self.order)
-
-    def _new(self, s):
-        return _Truncated(s, self.order)
-
-    def __add__(self, v):
-        return self._new(_s_add(self.s, self._series(v), self.order))
-
-    def __sub__(self, v):
-        return self + -self._new(self._series(v))
-
-    def __rsub__(self, v):
-        return self._new(self._series(v)) + -self
-
-    def __neg__(self):
-        return self._new(_s_scale(self.s, -1.0))
-
-    def __mul__(self, v):
-        if isinstance(v, _Truncated):
-            return self._new(_s_mul(self.s, v.s, self.order))
-        return self._new(_s_scale(self.s, v))
-
-    __rmul__ = __mul__
-
-
 def _root(w):
     """Square root; on floats and complex steps it reads 0, with a zero
     derivative, where w <= 0."""
-    if isinstance(w, _Truncated):
-        return w._new(_s_sqrt(w.s, w.order))
+    if isinstance(w, _Series):
+        return _s_sqrt(w)
     if isinstance(w, complex):
         return cmath.sqrt(w) if w.real > 0.0 else 0j
     return np.sqrt(np.maximum(w, 0.0))
@@ -293,14 +265,13 @@ EQUATION_IDS = tuple(_EQUATIONS)
 
 def _residual_series(equation_id, par, coeffs, order):
     S, Sp, Spp = _sigma_series(coeffs, order)
-    tSpp = _s_mul_mono(Spp, 1.0, 2, order)
-    r = _Truncated(_s_mul(tSpp, tSpp, order), order)
-    tSp = _s_mul_mono(Sp, 1.0, 2, order)
+    tSpp = _s_mul_mono(Spp, 1.0, 2)
+    r = tSpp * tSpp
     g = _EQUATIONS[equation_id][0]
-    for group in g(par, *(_Truncated(v, order) for v in (S, tSp, Sp))):
+    for group in g(par, S, _s_mul_mono(Sp, 1.0, 2), Sp):
         for term in group:
             r = r + term
-    return r.s
+    return r
 
 
 def _residual_terms(equation_id, par, t, s, sp, spp):
@@ -327,15 +298,15 @@ def _third_derivative(equation_id, par, t, s, sp, spp):
 # ---------------------------------------------------------------------------
 # coefficient matching
 
-def _first_action(R, order):
+def _first_action(R):
     """Where one probed unknown first acts: R is the residual batch of the
     base (the unknown at 0) and the probes c = +1 and c = -1.
 
-    Returns (i, beta, alpha) at the first index i of R's orders up to order
-    where the linear action beta or the quadratic action alpha exceeds
+    Returns (i, beta, alpha) at the first index i of R's orders up to
+    R.order where the linear action beta or the quadratic action alpha exceeds
     _ACTION_TOL times the largest of 1 and the three rows' peaks, or None
     where the unknown acts at no such order."""
-    c = R.c[:, :order - R.off + 1]
+    c = R.c[:, :R.order - R.off + 1]
     R0, Rp, Rm = c
     # Python's max, from 1.0 on, skips a NaN peak
     tol = _ACTION_TOL * max(1.0, *np.max(np.abs(c), axis=1).tolist())
@@ -372,7 +343,7 @@ def _match_coefficients(equation_id, par, leading, order, pinned):
         rows = np.repeat(coeffs[None], 3, axis=0)
         rows[:, e - 1] = 0.0, 1.0, -1.0
         R = _residual_series(equation_id, par, rows, order)
-        action = _first_action(R, order)
+        action = _first_action(R)
         if action is None:
             continue
         i, beta, alpha = action
@@ -390,9 +361,8 @@ def _match_coefficients(equation_id, par, leading, order, pinned):
             else:
                 coeffs[e - 1] = r1 if abs(r1) < abs(r2) else r2
     resid = _residual_series(equation_id, par, coeffs, order)
-    upto = order - _TRUNCATED_TOP
-    tail = np.array([_s_coeff(resid, d) for d in range(resid.off, upto)])
-    scale = max(1.0, float(np.max(np.abs(resid.c))) if len(resid.c) else 0.0)
+    tail = resid.c[:max(0, order - _TRUNCATED_TOP - resid.off)]
+    scale = max(1.0, float(np.max(np.abs(resid.c))))
     if len(tail) and np.max(np.abs(tail)) > 1e-8 * scale:
         raise DerivationError(
             f"series for {equation_id} {par} leaves residual "
@@ -560,8 +530,8 @@ def _derive_problem(equation_id, params, t_switch, n_terms):
         # the root's x^k takes -A's x^(k+2), so it stops at x^(n_terms - 2)
         k = np.arange(1, n_terms + 1)
         root = np.zeros(n_terms)
-        root[1:n_terms - 2] = _s_sqrt(_Series((1.0 - k / 2.0) * coeffs, 1),
-                                      n_terms - 2).c
+        root[1:n_terms - 2] = _s_sqrt(
+            _Series((1.0 - k / 2.0) * coeffs, 1, n_terms - 2)).c
         root.setflags(write=False)
     return PainleveProblem(equation_id=equation_id, params=params,
                            t_switch=float(t_switch), x_coefficients=coeffs,
@@ -840,9 +810,8 @@ def _series_numerator(u, weight, lead, T):
     lower orders cancel to roundoff."""
     n = len(u)
     k = np.arange(1, n + 1)
-    wu = _Series(weight * u, 1)
-    series = _s_add(_s_mul(wu, wu, n),
-                    _Series(weight * (k / 2.0 - 1.0) * u, 1), n)
+    wu = _Series(weight * u, 1, n)
+    series = wu * wu + _Series(weight * (k / 2.0 - 1.0) * u, 1, n)
     return np.sum(series.c[lead - series.off:] * np.sqrt(T)[:, None]
                   ** np.arange(lead, n + 1), axis=-1)
 

@@ -39,8 +39,7 @@ class PrimeWindow:
         """Columns index, prime, gap (gap to the next prime; 0 on the last row)."""
         gaps = np.append(np.diff(self.primes), 0)
         write_csv(stream, ["index", "prime", "gap"],
-                  [range(len(gaps)), self.primes, gaps], ["%d"] * 3,
-                  metadata)
+                  [range(len(gaps)), self.primes, gaps], metadata)
 
 
 @functools.lru_cache(maxsize=1)

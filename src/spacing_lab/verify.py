@@ -239,9 +239,10 @@ def check_montecarlo_histograms():
         pooled, 0.1, Interval(0.0, float(np.max(pooled)) + 0.1))
     h1 = montecarlo.build_histogram(
         skipped, 0.1, Interval(0.0, float(np.max(skipped)) + 0.1))
-    _, p0, _ = montecarlo.chi_square_test(h0, painleve.p1_direct)
+    _, p0, _ = montecarlo.chi_square_test(
+        h0, lambda s: routes.evaluate("p0", "painleve", s))
     _, p1, _ = montecarlo.chi_square_test(
-        h1, lambda s: 0.5 * painleve.p4_direct(s / 2.0))
+        h1, lambda s: routes.evaluate("p1gap", "painleve", s))
     return (p0 > p_floor and p1 > p_floor,
             {"p_order0": _fmt(p0), "p_order1": _fmt(p1), "p_floor": p_floor})
 
@@ -268,7 +269,8 @@ def check_nn_routes():
     tol_mass = 1e-3
     ok, details = _route_agreement(("Enn", {}), ("p2nn", {}))
     rule = gauss_legendre(40, Interval(0.0, 4.0))
-    mass = float(np.dot(rule.weights, painleve.p2_nn(rule.nodes)))
+    mass = float(np.dot(rule.weights,
+                        routes.evaluate("p2nn", "painleve", rule.nodes)))
     ok = ok and abs(mass - 1.0) <= tol_mass
     return (ok, details | {"mass": float(f"{mass:.6f}"),
                            "tol_mass": tol_mass})

@@ -547,6 +547,23 @@ class TestMainExitCodes:
         assert code == 2
         assert "--workers must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["tabulate", "--s-max", "0.5", "--workers", "-3"],
+        ["sample", "--reps", "8", "--workers", "-1"],
+        ["primes", "--count", "5", "--workers", "-1"],
+        ["zeros", "--file", "absent.txt", "--workers", "0"],
+    ], ids=["tabulate", "sample", "primes", "zeros"])
+    def test_workers_below_one_refused(self, capsys, tmp_path, argv):
+        # before any output file is opened or input file read, and for a
+        # library caller that passes the parsed options to a writer
+        target = tmp_path / "out.csv"
+        assert main([*argv, "-o", str(target)]) == 2
+        assert (f"--workers must be >= 1, got {argv[-1]}"
+                in capsys.readouterr().err)
+        assert not target.exists()
+        with pytest.raises(ArgumentError):
+            cli.parse_args(argv)
+
     def test_tabulate_to_file(self, tmp_path, capsys):
         target = tmp_path / "table.csv"
         code = main(["tabulate", "--quantity", "E2", "--s-max", "0.5",

@@ -57,13 +57,14 @@ def test_spacing_table(block_rows):
 def test_integer_columns_stay_exact(block_rows):
     big = np.array([2 ** 62 + 1, 3, 2 ** 63 - 1], dtype=np.int64)
     out = io.StringIO()
-    csvio.write_csv(out, ["i", "v"], [np.arange(3), big], ["%d", "%d"])
+    csvio.write_csv(out, ["i", "v"], [np.arange(3), big])
     assert out.getvalue() == "i,v\n" + "".join(
         f"{i},{int(v)}\n" for i, v in enumerate(big))
 
 
 def _by_percent(names, columns, formats):
-    # each value through Python's own % with its column's format
+    # each value through Python's own % with the format its column's type
+    # picks: %d for integers, %.17g for floats
     lines = [",".join(names) + "\n"]
     for row in zip(*(list(c) if isinstance(c, range) else c.tolist()
                      for c in columns)):
@@ -110,15 +111,43 @@ _TABLES = {
 def test_every_value_as_percent_formats_it(block_rows, table):
     names, columns, formats = table
     out = io.StringIO()
-    csvio.write_csv(out, names, columns, formats)
+    csvio.write_csv(out, names, columns)
     assert out.getvalue() == _by_percent(names, columns, formats)
 
 
-def test_unknown_format_or_column_type_is_refused():
+def _assert_refused_before_writing(tmp_path, write):
+    # nothing reaches a stream, and no file is made at a path
+    out = io.StringIO()
     with pytest.raises(ArgumentError):
-        csvio.write_csv(io.StringIO(), ["x"], [np.arange(3)], ["%x"])
+        write(out)
+    assert out.getvalue() == ""
     with pytest.raises(ArgumentError):
-        csvio.write_csv(io.StringIO(), ["x"], [np.arange(3.0)], ["%d"])
+        write(str(tmp_path / "refused.csv"))
+    assert not (tmp_path / "refused.csv").exists()
+
+
+@pytest.mark.parametrize("column", [
+    np.arange(3) + 1j, np.array(["a", "b", "c"]),
+    np.array([1, "b", 2.0], dtype=object), np.ones((3, 2)), np.float64(3.0)],
+    ids=["complex", "str", "object", "2-d", "0-d"])
+def test_unknown_column_type_is_refused(tmp_path, column):
+    _assert_refused_before_writing(tmp_path, lambda stream: csvio.write_csv(
+        stream, ["i", "x"], [range(3), column], {"seed": 1}))
+
+
+def test_name_count_must_match_columns(tmp_path):
+    _assert_refused_before_writing(tmp_path, lambda stream: csvio.write_csv(
+        stream, ["a", "b", "c"], [np.arange(2), np.arange(2.0)]))
+
+
+def test_unequal_columns_are_refused(tmp_path):
+    hist = build_histogram(np.linspace(0.05, 0.95, 10), 0.1,
+                           Interval(0.0, 1.0))
+    overlays = {"exact": np.ones(len(hist.counts) - 1)}
+    _assert_refused_before_writing(
+        tmp_path, lambda stream: hist.to_csv(stream, {"seed": 1}, overlays))
+    _assert_refused_before_writing(tmp_path, lambda stream: csvio.write_csv(
+        stream, ["index", "x"], [range(4), np.arange(3.0)]))
 
 
 class _Discard:
@@ -131,8 +160,7 @@ def _peak_bytes_writing(window):
     columns = [range(len(gaps)), window.primes, gaps]
     tracemalloc.start()
     try:
-        csvio.write_csv(_Discard(), ["index", "prime", "gap"], columns,
-                        ["%d"] * 3)
+        csvio.write_csv(_Discard(), ["index", "prime", "gap"], columns)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -504,8 +504,8 @@ class TestGaudinRoute:
         problem = build_problem(SIGMA_JMMS, (1.0,))
         c, r = problem.x_coefficients, problem._root
         k = np.arange(1, len(c) + 1)
-        square = painleve._s_mul(painleve._Series(r, 1),
-                                 painleve._Series(r, 1), len(c) - 2)
+        root = painleve._Series(r, 1, len(c) - 2)
+        square = root * root
         minus_a = (1.0 - k / 2.0) * c
         assert np.allclose(square.c[2:], minus_a[3:len(c) - 2], rtol=0.0,
                            atol=1e-15)
@@ -542,8 +542,8 @@ class TestSeriesProduct:
         a[..., 1] = 0.0
         a[..., -1] = -0.0
         b[..., 0] = -0.0
-        got = painleve._s_mul(painleve._Series(a, off_a),
-                              painleve._Series(b, off_b), order)
+        got = painleve._s_mul(painleve._Series(a, off_a, order),
+                              painleve._Series(b, off_b, order))
         assert got.off == off_a + off_b
         expected = _loop_product(a, b, off_a, off_b, order)
         assert got.c.tobytes() == expected.tobytes()
@@ -562,17 +562,55 @@ class TestSeriesProduct:
         b[:, :lead_b] = 0.0
         b[:, b.shape[1] - tail_b:] = -0.0
         for off_a, off_b, order in ((0, 0, 15), (-1, 2, 9), (1, -2, 30)):
-            got = painleve._s_mul(painleve._Series(a, off_a),
-                                  painleve._Series(b, off_b), order)
+            got = painleve._s_mul(painleve._Series(a, off_a, order),
+                                  painleve._Series(b, off_b, order))
             expected = _loop_product(a, b, off_a, off_b, order)
             assert got.c.tobytes() == expected.tobytes()
 
     def test_square_matches_loop(self):
         a = np.array([[0.0, 0.0, 3.0, -1e-9, 2e7, 0.0],
                       [0.0, 0.0, 3.0, 4e-9, -2e7, 0.0]])
-        series = painleve._Series(a, -1)
-        got = painleve._s_mul(series, series, 6)
+        series = painleve._Series(a, -1, 6)
+        got = painleve._s_mul(series, series)
         assert got.c.tobytes() == _loop_product(a, a, -1, -1, 6).tobytes()
+
+
+class TestSeriesArithmetic:
+    @staticmethod
+    def _combinations(x, y):
+        # + - and unary - of two series, and of a series with floats
+        return (x + y, y + x, x - y, y - x, -x, -y, x + 2.5, x - 2.5,
+                2.5 - x, -0.0 - y, x * 3.0, -0.5 * y)
+
+    def test_batch_rows_equal_rows_alone(self):
+        # operands of different off, signed zeros and terms spanning 30
+        # decades; y's order is below x's, and a result keeps the lower
+        rng = np.random.default_rng(17)
+        a = rng.standard_normal((3, 9)) * 10.0 ** rng.integers(-15, 15, (3, 9))
+        b = rng.standard_normal((3, 5)) * 10.0 ** rng.integers(-15, 15, (3, 5))
+        a[:, 1] = -0.0
+        a[1, 3] = -a[1, 3]
+        b[:, 0] = -0.0
+        b[2, 2] = 0.0
+        batch = self._combinations(painleve._Series(a, -2, 7),
+                                   painleve._Series(b, 1, 6))
+        for row in range(3):
+            alone = self._combinations(painleve._Series(a[row], -2, 7),
+                                       painleve._Series(b[row], 1, 6))
+            for got, expected in zip(batch, alone):
+                assert (got.off, got.order) == (expected.off, expected.order)
+                assert got.c[row].tobytes() == expected.c.tobytes()
+
+    def test_sum_aligns_exponents(self):
+        x = painleve._Series([1.0, 2.0, 3.0, 4.0], -1, 3)
+        y = painleve._Series([10.0, 20.0, 30.0, 40.0], 1, 3)
+        total = x + y - 0.5
+        assert (total.off, total.order) == (-1, 3)
+        assert total.c.tolist() == [1.0, 1.5, 13.0, 24.0, 30.0]
+        assert (0.5 - x).c.tolist() == [-1.0, -1.5, -3.0, -4.0, 0.0]
+        short = painleve._Series([1.0], 0, 2)
+        assert (short + y).order == (y + short).order == (y * short).order == 2
+        assert (y + short).c.tolist() == [1.0, 10.0, 20.0]
 
 
 class TestMonomialProduct:
@@ -589,11 +627,11 @@ class TestMonomialProduct:
         a[..., 0] = -0.0
         a[..., 2] = 0.0
         a[..., 1] = -5e-324             # times 0.5 underflows to -0.0
-        series = painleve._Series(a, off)
-        mono = painleve._s_mono(v, e, order)
-        got = painleve._s_mul_mono(series, v, e, order)
-        for expected in (painleve._s_mul(series, mono, order),
-                         painleve._s_mul(mono, series, order)):
+        series = painleve._Series(a, off, order)
+        mono = painleve._Series([v], e, order)
+        got = painleve._s_mul_mono(series, v, e)
+        for expected in (painleve._s_mul(series, mono),
+                         painleve._s_mul(mono, series)):
             assert got.off == expected.off
             assert got.c.shape == expected.c.shape
             assert got.c.tobytes() == expected.c.tobytes()
@@ -639,12 +677,12 @@ class TestSquareRoot:
         rows[7][lead + 3] = 1.0
         rows[7][lead + 6] = -1.0
         c = np.array(rows)
-        got = painleve._s_sqrt(painleve._Series(c, off), order)
+        got = painleve._s_sqrt(painleve._Series(c, off, order))
         assert got.off == (off + lead) // 2
         assert got.c.tobytes() == _sqrt_loop(c, off, order).tobytes()
         # a batch of one, and rows ahead of row 0
         for batch in (c[3:4], c[::-1]):
-            got = painleve._s_sqrt(painleve._Series(batch, off), order)
+            got = painleve._s_sqrt(painleve._Series(batch, off, order))
             assert got.c.tobytes() == _sqrt_loop(batch, off, order).tobytes()
 
 
@@ -689,6 +727,16 @@ class TestProblemMemo:
          "c5a04f7fb708989b37e7c0d2e592e32d65a4dbbb98f19e54e198ac6d61f4a700"),
     ]
 
+    # SHA-256 of the x^1.. coefficients of sqrt(sigma - t sigma') on the
+    # xi = 1 bulk trajectory, recorded before a series carried its order
+    ROOT_DIGEST = (
+        "b1e6b872a6d05630473e5b95b5e1f4333239ecdb6b9ecfa82796883d95fd2182")
+
+    def test_gaudin_root_unchanged(self):
+        painleve.clear_cache()
+        root = build_problem(SIGMA_JMMS, (1.0,))._root
+        assert hashlib.sha256(root.tobytes()).hexdigest() == self.ROOT_DIGEST
+
     @pytest.mark.parametrize("eq,params,digest", DIGESTS,
                              ids=[f"{e}{p}" for e, p, _ in DIGESTS])
     def test_coefficients_unchanged(self, eq, params, digest):
@@ -731,7 +779,7 @@ def _first_action_loop(c):
 
 def _assert_first_action_equals_loop(c, off, order):
     # c: a base row and one probe pair
-    got = painleve._first_action(painleve._Series(c, off), order)
+    got = painleve._first_action(painleve._Series(c, off, order))
     expected = _first_action_loop(c[:, :order - off + 1])
     assert _bits(got or ()) == _bits(expected or ())
     return got
