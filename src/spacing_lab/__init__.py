@@ -10,12 +10,7 @@ cross-checks the routes against each other; the ``cli`` module exposes
 everything as the ``spacing-lab`` command.
 """
 
-from importlib import metadata as _metadata
-
-try:
-    __version__ = _metadata.version("spacing-lab")
-except _metadata.PackageNotFoundError:      # running from a source checkout
-    __version__ = "0.0.0"
+__version__ = "1.0.0"
 
 from .errors import (ArgumentError, ConsistencyError, DerivationError,
                      FormatError, NumericError, SpacingLabError,

@@ -8,10 +8,9 @@ the ground truth.
 
 The evaluators of s (E2, E1, E4, Enn, En and the spacing densities p1, p2,
 p4, p1(1; s) and the conditioned nearest-neighbour density) take a float
-or an array of s, as points.on_points sets out.  Each distinct point of a
-call is solved on its own, so an array gives the floats of a loop of
-scalar calls.  E2, E1 and E4 take a ``memo`` dict that shares their
-determinants between calls (the verify criteria share one).
+or an array of s, as points.on_points sets out.  Each point of a call is
+solved on its own converged rule and nothing is kept between calls, so an
+array gives the floats of a loop of scalar calls.
 
 The densities are exact s-derivatives of determinants by Jacobi's formula:
 the Gauss rule sits on (-1, 1), the matrix A(x) = x sqrt(w_i w_j)
@@ -22,7 +21,7 @@ K(x t_i, x t_j) of the kernel on (-x, x) has closed-form x-derivatives
 
 where for the parity kernels A' is rank one and D'' = -D tr(R A'').  Each
 point costs one inverse per rule: it doubles its own rule until D and its
-derivatives settle, or raises NumericError.  The densities take no memo.
+derivatives settle, or raises NumericError.
 One table of 5-point stencils serves the centred differences of a profile
 at points (_stencil, which verify compares the densities against) and the
 grid second differences of gaudin_split and spacing_from_gaps.
@@ -30,7 +29,6 @@ grid second differences of gaudin_split and spacing_from_gaps.
 
 from __future__ import annotations
 
-import io
 import logging
 import math
 from dataclasses import dataclass, field
@@ -197,33 +195,26 @@ def gaudin_split(e2_profile, s: float):
         float(np.exp(half_log + 0.5 * integral))
 
 
-def _dets(kernel_spec, half, xi: float, tol: float, memo) -> np.ndarray:
+def _dets(kernel_spec, half, xi: float, tol: float) -> np.ndarray:
     """Converged det(1 - xi K) on (-x, x) at each x of a 1-D array, each
-    distinct interval solved once.  ``memo`` is a dict that keeps the
-    values for later calls to reuse, or None for one local to the call."""
-    memo = {} if memo is None else memo
-    out = []
-    for x in half.tolist():
-        key = (kernel_spec, x, xi, tol)
-        if key not in memo:
-            memo[key] = fredholm_det(kernel_spec, Interval(-x, x), xi, tol)
-        out.append(memo[key])
-    return np.array(out)
+    point solved on its own rule."""
+    return np.array([fredholm_det(kernel_spec, Interval(-x, x), xi, tol)
+                     for x in half.tolist()])
 
 
-def e2_bulk_det(s, xi: float = 1.0, tol: float = DET_TOL, memo=None):
+def e2_bulk_det(s, xi: float = 1.0, tol: float = DET_TOL):
     """E2(0; interval of length s) from the sine-kernel determinant."""
     return on_points(s, 1.0, lambda v: _dets(kernels.sine_bulk(), v / 2.0,
-                                             xi, tol, memo))
+                                             xi, tol))
 
 
-def e1_bulk_det(s, tol: float = DET_TOL, memo=None):
+def e1_bulk_det(s, tol: float = DET_TOL):
     """E1(0; (-s, s)) = D_plus(s): only the even spectrum is built."""
     return on_points(s, 1.0, lambda v: _dets(kernels.sine_even(), v, 1.0,
-                                             tol, memo))
+                                             tol))
 
 
-def e4_bulk_det(s, tol: float = DET_TOL, memo=None):
+def e4_bulk_det(s, tol: float = DET_TOL):
     """E4(0; (-s/2, s/2)) = (D_plus(s) + D_minus(s)) / 2.
 
     The parity determinants are taken on (-s, s): a length-s gap of the
@@ -231,8 +222,8 @@ def e4_bulk_det(s, tol: float = DET_TOL, memo=None):
     of the orthogonal one.
     """
     return on_points(s, 1.0, lambda v: 0.5 * (
-        _dets(kernels.sine_even(), v, 1.0, tol, memo)
-        + _dets(kernels.sine_odd(), v, 1.0, tol, memo)))
+        _dets(kernels.sine_even(), v, 1.0, tol)
+        + _dets(kernels.sine_odd(), v, 1.0, tol)))
 
 
 def enn_det(s, xi: float = 1.0, tol: float = DET_TOL):
@@ -241,7 +232,7 @@ def enn_det(s, xi: float = 1.0, tol: float = DET_TOL):
     Determinant of the spectrum-singularity kernel (a = 1) on (-s, s).
     """
     return on_points(s, 1.0, lambda v: _dets(kernels.spectrum_singularity(1.0),
-                                             v, xi, tol, None))
+                                             v, xi, tol))
 
 
 def en_bulk_det(s, n: int, tol: float = DET_TOL):
@@ -286,13 +277,11 @@ def _det_jets(kernel_spec, half: np.ndarray, order: int,
     its row moves by at most tol, so a row never depends on the other
     points of the call.
     """
-    rows = {}
-    for x in half.tolist():
-        if x not in rows:
-            rows[x] = _node_doubling(
-                lambda n: _det_jet(kernel_spec, x, n, order),
-                Interval(-x, x).length, tol, {"kernel": kernel_spec, "x": x})
-    return np.array([rows[x] for x in half.tolist()]).reshape(-1, order + 1)
+    return np.array([
+        _node_doubling(lambda n: _det_jet(kernel_spec, x, n, order),
+                       Interval(-x, x).length, tol,
+                       {"kernel": kernel_spec, "x": x})
+        for x in half.tolist()]).reshape(-1, order + 1)
 
 
 def _parity_jets(half: np.ndarray, tol: float):
@@ -430,43 +419,6 @@ class SpacingTable:
         """17-significant-digit CSV with '#'-prefixed metadata lines."""
         write_csv(stream, ["s", *self.columns],
                   [self.s_grid, *self.columns.values()], self.metadata)
-
-    @classmethod
-    def from_csv(cls, stream) -> "SpacingTable":
-        close = False
-        if isinstance(stream, (str, bytes)):
-            stream, close = open(stream, "r", encoding="utf-8"), True
-        try:
-            metadata, header, rows = {}, None, []
-            for idx, line in enumerate(stream, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    body = line[1:].strip()
-                    if ":" in body:
-                        key, value = body.split(":", 1)
-                        metadata[key.strip()] = value.strip()
-                    continue
-                if header is None:
-                    header = line.split(",")
-                    continue
-                rows.append([float(v) for v in line.split(",")])
-            if header is None or not rows:
-                raise ArgumentError("CSV holds no table data")
-            data = np.array(rows)
-            table = cls(s_grid=data[:, 0], metadata=metadata)
-            for j, name in enumerate(header[1:], start=1):
-                table.add_column(name, data[:, j])
-            return table
-        finally:
-            if close:
-                stream.close()
-
-    def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
 
 
 def spacing_from_gaps(table: SpacingTable, n: int, prefix: str = "E") -> np.ndarray:

@@ -208,10 +208,10 @@ def _s_sqrt(a):
     return _Series(y.reshape(a.c.shape[:-1] + (n,)), off, a.order)
 
 
-def _sigma_series(coeffs, order):
-    """sigma, sigma', sigma'' as x-series; derivatives are with respect to t."""
-    pad = np.zeros(coeffs.shape[:-1] + (max(0, order - coeffs.shape[-1]),))
-    sig = _Series(np.concatenate((coeffs, pad), axis=-1), 1, order)
+def _sigma_series(coeffs):
+    """sigma, sigma', sigma'' as x-series from the coefficients of x^1 up;
+    derivatives are with respect to t."""
+    sig = _Series(coeffs, 1, coeffs.shape[-1])
     d1 = _s_mul_mono(_s_dx(sig), 0.5, -1)
     d2 = _s_mul_mono(_s_dx(d1), 0.5, -1)
     return sig, d1, d2
@@ -263,8 +263,8 @@ _EQUATIONS = {SIGMA_JMMS: (_g_jmms, 1), SIGMA_HARD: (_g_hard, 3),
 EQUATION_IDS = tuple(_EQUATIONS)
 
 
-def _residual_series(equation_id, par, coeffs, order):
-    S, Sp, Spp = _sigma_series(coeffs, order)
+def _residual_series(equation_id, par, coeffs):
+    S, Sp, Spp = _sigma_series(coeffs)
     tSpp = _s_mul_mono(Spp, 1.0, 2)
     r = tSpp * tSpp
     g = _EQUATIONS[equation_id][0]
@@ -342,7 +342,7 @@ def _match_coefficients(equation_id, par, leading, order, pinned):
             continue
         rows = np.repeat(coeffs[None], 3, axis=0)
         rows[:, e - 1] = 0.0, 1.0, -1.0
-        R = _residual_series(equation_id, par, rows, order)
+        R = _residual_series(equation_id, par, rows)
         action = _first_action(R)
         if action is None:
             continue
@@ -360,7 +360,7 @@ def _match_coefficients(equation_id, par, leading, order, pinned):
                 coeffs[e - 1] = r1 if abs(r1) > abs(r2) else r2
             else:
                 coeffs[e - 1] = r1 if abs(r1) < abs(r2) else r2
-    resid = _residual_series(equation_id, par, coeffs, order)
+    resid = _residual_series(equation_id, par, coeffs)
     tail = resid.c[:max(0, order - _TRUNCATED_TOP - resid.off)]
     scale = max(1.0, float(np.max(np.abs(resid.c))))
     if len(tail) and np.max(np.abs(tail)) > 1e-8 * scale:

@@ -106,7 +106,6 @@ def check_parity_identities():
     tol_product, tol_split = 1e-10, 1e-6
     worst_product = worst_split = 0.0
     max_nodes = 0
-    dets = {}       # the s = 0.5 Gaudin grid is the first half of s = 1's
     for s in (0.5, 1.0):
         iv = Interval(-s, s)
         full = fredholm._converged_spectrum(kernels.sine_bulk(), iv)
@@ -116,7 +115,7 @@ def check_parity_identities():
         e2 = fredholm.generating_value(full, 1.0)
         worst_product = max(worst_product, abs(d_plus * d_minus - e2))
         g_plus, g_minus = fredholm.gaudin_split(
-            lambda x: fredholm.e2_bulk_det(2.0 * x, memo=dets), s)
+            lambda x: fredholm.e2_bulk_det(2.0 * x), s)
         converged = fredholm.parity_split(iv)
         worst_split = max(worst_split, abs(g_plus - converged[0]),
                           abs(g_minus - converged[1]))
@@ -142,10 +141,8 @@ def check_density_stencils():
     differences of gap profiles."""
     tol = 1e-4
     grid = np.arange(0.2, 2.01, 0.2)
-    dets = {}       # neighbouring stencils share points
-    profiles = {1: lambda u: fredholm.e1_bulk_det(u / 2.0, memo=dets),
-                2: lambda u: fredholm.e2_bulk_det(u, memo=dets),
-                4: lambda u: fredholm.e4_bulk_det(u, memo=dets)}
+    profiles = {1: lambda u: fredholm.e1_bulk_det(u / 2.0),
+                2: fredholm.e2_bulk_det, 4: fredholm.e4_bulk_det}
     worst = {f"p{beta}": float(np.max(np.abs(
         routes.evaluate("p0", "painleve", grid, beta=beta)
         - fredholm._stencil(profile, grid, 2))))

@@ -13,9 +13,10 @@ from spacing_lab import fredholm, painleve
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# each removed name with the module that held it
+# each removed name with the module or class that held it
 REMOVED = ((fredholm, "GapProfile"), (painleve, "extend_series"),
-           (fredholm, "rho_k_bulk"))
+           (fredholm, "rho_k_bulk"), (fredholm.SpacingTable, "from_csv"),
+           (fredholm.SpacingTable, "to_csv_text"))
 
 
 def _public_names():
@@ -41,6 +42,24 @@ def test_removed_names_are_absent():
         assert not hasattr(module, name)
         assert not hasattr(spacing_lab, name)
         assert name not in spacing_lab.__all__
+
+
+def test_version_is_stated_in_the_package():
+    # the version is a literal in spacing_lab/__init__.py, which setuptools
+    # reads at build time, so a checkout reports it too and the import does
+    # not go through importlib.metadata
+    script = textwrap.dedent("""
+        import sys
+        import spacing_lab
+        if "importlib.metadata" in sys.modules:
+            sys.exit("imported importlib.metadata")
+        if spacing_lab.__version__ == "0.0.0":
+            sys.exit("checkout fallback version")
+    """)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_runs_without_scipy():

@@ -51,7 +51,9 @@ def test_spacing_table(block_rows):
                                           np.exp(-grid[3:] ** 2))))
     expected = _row_by_row(table.metadata, ["s", "a", "b"],
                            [grid, table.columns["a"], table.columns["b"]])
-    assert table.to_csv_text() == expected
+    out = io.StringIO()
+    table.to_csv(out)
+    assert out.getvalue() == expected
 
 
 def test_integer_columns_stay_exact(block_rows):

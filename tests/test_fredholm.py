@@ -1,6 +1,5 @@
 """Determinantal route: generating values, gap profiles, parity splits."""
 
-import io
 import math
 from functools import reduce
 
@@ -314,28 +313,6 @@ class TestArrayEvaluators:
             fn(s)
 
 
-class TestDeterminantMemo:
-    def test_shared_memo_keeps_values_and_solves_each_interval_once(
-            self, monkeypatch):
-        grid = np.array([0.4, 0.8])
-
-        def p1_stencil(memo):
-            return fredholm._stencil(
-                lambda u: fredholm.e1_bulk_det(u / 2, memo=memo), grid, 2)
-
-        alone = p1_stencil(None), fredholm.e1_bulk_det(grid / 2.0)
-        memo = {}
-        p1 = p1_stencil(memo)
-        solved = []
-        original = fredholm._converged_spectrum
-        monkeypatch.setattr(fredholm, "_converged_spectrum",
-                            lambda *a: solved.append(a) or original(*a))
-        # the centre points of the p1 stencil are D_plus(s/2) itself
-        e1 = fredholm.e1_bulk_det(grid / 2.0, memo=memo)
-        assert solved == []
-        assert [p1.tolist(), e1.tolist()] == [a.tolist() for a in alone]
-
-
 class TestStencil:
     def test_points_below_two_steps_rejected(self):
         # only the centred stencil is kept, which would ask the profile
@@ -489,13 +466,3 @@ class TestSpacingTable:
         table = fredholm.SpacingTable(s_grid=np.array([0.0, 0.1, 0.2]))
         with pytest.raises(ArgumentError):
             table.add_column("E0", [1.0, 0.9])
-
-    def test_csv_round_trip_is_bit_exact(self):
-        grid = np.arange(0.0, 1.0 + 1e-12, 0.25)
-        table = fredholm.SpacingTable(s_grid=grid,
-                                      metadata={"method": "unit-test"})
-        table.add_column("E2", [fredholm.e2_bulk_det(s) for s in grid])
-        text = table.to_csv_text()
-        parsed = fredholm.SpacingTable.from_csv(io.StringIO(text))
-        assert parsed.to_csv_text() == text
-        assert parsed.metadata["method"] == "unit-test"

@@ -818,7 +818,7 @@ class TestFirstActions:
             rows[1:3, e - 1] = 1.0, -1.0
             if e < order:
                 rows[3:, e] = 1.0, -1.0
-            R = painleve._residual_series(eq, par, rows, order)
+            R = painleve._residual_series(eq, par, rows)
             c = R.c[:, :order - R.off + 1]
             own, later = (_first_action_loop(c[[0, j, j + 1]]) for j in (1, 3))
             if own is None:
