@@ -72,7 +72,8 @@ def _base_metadata(args) -> dict:
 # tabulate
 
 def write_tabulate(args, stream):
-    """Write the tabulate CSV; returns (table, pairwise max deviations)."""
+    """Write the tabulate CSV; returns the table and, for each pair of its
+    methods, (max absolute, max relative deviation) between their columns."""
     # nan fails every comparison, so each check below also refuses it
     if not 0.0 <= args.s_min < math.inf:
         raise ArgumentError(
@@ -83,9 +84,6 @@ def write_tabulate(args, stream):
     if not args.s_min <= args.s_max < math.inf:
         raise ArgumentError(
             f"--s-max must be finite and >= --s-min, got {args.s_max}")
-    if not 0.0 < args.det_tol < math.inf:
-        raise ArgumentError(
-            f"--det-tol must be finite and > 0, got {args.det_tol}")
     if args.quantity == "En" and args.n < 0:
         raise ArgumentError(f"--n must be >= 0, got {args.n}")
     # the last point passes --s-max by at most rounding (1e-9 of a step)
@@ -95,15 +93,16 @@ def write_tabulate(args, stream):
     methods = routes.methods_for(args.quantity, args.method, args.n)
 
     metadata = _base_metadata(args)
-    metadata["det_tol"] = f"{args.det_tol:g}"
+    metadata["det_tol"] = f"{fredholm.DET_TOL:g}"
     table = SpacingTable(s_grid=grid, metadata=metadata)
 
     columns = {m: routes.evaluate(args.quantity, m, grid, beta=args.beta,
-                                  n=args.n, tol=args.det_tol)
+                                  n=args.n)
                for m in methods}
     for method, values in columns.items():
         table.add_column(f"{args.quantity}_{method}", values)
-    deviations = {(a, b): float(np.max(np.abs(columns[a] - columns[b])))
+    deviations = {(a, b): (float(np.max(np.abs(columns[a] - columns[b]))),
+                           routes.max_relative(columns[a], columns[b]))
                   for a, b in itertools.combinations(methods, 2)}
     table.to_csv(stream)
     return table, deviations
@@ -199,11 +198,9 @@ def run(args) -> int:
     else:
         outcome = writer(args, sys.stdout)
     if args.command == "tabulate":
-        table, deviations = outcome
+        _, deviations = outcome
         q = args.quantity
-        for (m_i, m_j), delta in deviations.items():
-            relative = routes.max_relative(table.columns[f"{q}_{m_i}"],
-                                           table.columns[f"{q}_{m_j}"])
+        for (m_i, m_j), (delta, relative) in deviations.items():
             print(f"max |{q}_{m_i} - {q}_{m_j}| = {delta:.3g}, "
                   f"relative {relative:.3g}", file=sys.stderr)
     return 0
@@ -240,8 +237,6 @@ def _parsers():
                      help="spacing-density symmetry class for p0")
     tab.add_argument("--n", type=int, default=0,
                      help="gap order for the En quantity")
-    tab.add_argument("--det-tol", type=float, default=fredholm.DET_TOL,
-                     help="determinant convergence tolerance")
 
     smp = sub.add_parser(
         "sample", help="histogram central spacings of sampled spectra")

@@ -10,7 +10,8 @@ The evaluators of s (E2, E1, E4, Enn, En and the spacing densities p1, p2,
 p4, p1(1; s) and the conditioned nearest-neighbour density) take a float
 or an array of s, as points.on_points sets out.  Each point of a call is
 solved on its own converged rule and nothing is kept between calls, so an
-array gives the floats of a loop of scalar calls.
+array gives the floats of a loop of scalar calls.  Every rule is converged
+to the one absolute tolerance DET_TOL, read at call time.
 
 The densities are exact s-derivatives of determinants by Jacobi's formula:
 the Gauss rule sits on (-1, 1), the matrix A(x) = x sqrt(w_i w_j)
@@ -48,7 +49,7 @@ _EIGENVALUE_FLOOR = 1e-16     # product truncation point
 _FORCED_LEVEL_GAP = 1e-14     # 1 - mu below this: level treated as occupied
 _MAX_GAP_ORDER = 30
 _MAX_NODES = 1600
-DET_TOL = 1e-10
+DET_TOL = 1e-10               # node-doubling tolerance of every determinant
 _STENCIL_H = 1e-3             # step of the point stencils (_stencil)
 _GAUDIN_STEP = 1e-2           # largest grid step of gaudin_split
 
@@ -95,9 +96,9 @@ def gap_n(spectrum: FredholmSpectrum, n: int) -> float:
     return prefactor * float(e[k])
 
 
-def _node_doubling(build, length: float, tol: float, context: dict,
+def _node_doubling(build, length: float, context: dict,
                    measure=lambda built: built):
-    """build(n) on the first rule whose measure moves by at most tol.
+    """build(n) on the first rule whose measure moves by at most DET_TOL.
 
     Convergence is exponential in the node count for the analytic kernels
     (Bornemann, Math. Comp. 79, 2010), and the number of eigenvalues that
@@ -113,30 +114,28 @@ def _node_doubling(build, length: float, tol: float, context: dict,
         n = min(2 * n, _MAX_NODES)
         built = build(n)
         cur = measure(built)
-        if np.max(np.abs(cur - prev)) <= tol:
+        if np.max(np.abs(cur - prev)) <= DET_TOL:
             return built
         prev = cur
     raise NumericError("determinant did not converge under node doubling",
                        context=context)
 
 
-def _converged_spectrum(kernel_spec, interval: Interval,
-                        tol: float = DET_TOL) -> FredholmSpectrum:
+def _converged_spectrum(kernel_spec, interval: Interval) -> FredholmSpectrum:
     """The spectrum of the first doubled rule on which det(1 - K) moves by
-    at most tol."""
+    at most DET_TOL."""
     return _node_doubling(
         lambda n: nystrom_spectrum(kernel_spec, interval, n),
-        rule_interval(kernel_spec, interval).length, tol,
+        rule_interval(kernel_spec, interval).length,
         {"kernel": kernel_spec, "interval": interval},
         lambda spec: generating_value(spec, 1.0))
 
 
-def fredholm_det(kernel_spec, interval: Interval, xi: float = 1.0,
-                 tol: float = DET_TOL) -> float:
+def fredholm_det(kernel_spec, interval: Interval, xi: float = 1.0) -> float:
     """Converged det(1 - xi K) on the interval."""
     if interval.length == 0.0:
         return 1.0
-    return generating_value(_converged_spectrum(kernel_spec, interval, tol), xi)
+    return generating_value(_converged_spectrum(kernel_spec, interval), xi)
 
 
 def parity_split(interval: Interval, n_nodes: int | None = None):
@@ -195,26 +194,25 @@ def gaudin_split(e2_profile, s: float):
         float(np.exp(half_log + 0.5 * integral))
 
 
-def _dets(kernel_spec, half, xi: float, tol: float) -> np.ndarray:
+def _dets(kernel_spec, half, xi: float) -> np.ndarray:
     """Converged det(1 - xi K) on (-x, x) at each x of a 1-D array, each
     point solved on its own rule."""
-    return np.array([fredholm_det(kernel_spec, Interval(-x, x), xi, tol)
+    return np.array([fredholm_det(kernel_spec, Interval(-x, x), xi)
                      for x in half.tolist()])
 
 
-def e2_bulk_det(s, xi: float = 1.0, tol: float = DET_TOL):
+def e2_bulk_det(s, xi: float = 1.0):
     """E2(0; interval of length s) from the sine-kernel determinant."""
     return on_points(s, 1.0, lambda v: _dets(kernels.sine_bulk(), v / 2.0,
-                                             xi, tol))
+                                             xi))
 
 
-def e1_bulk_det(s, tol: float = DET_TOL):
+def e1_bulk_det(s):
     """E1(0; (-s, s)) = D_plus(s): only the even spectrum is built."""
-    return on_points(s, 1.0, lambda v: _dets(kernels.sine_even(), v, 1.0,
-                                             tol))
+    return on_points(s, 1.0, lambda v: _dets(kernels.sine_even(), v, 1.0))
 
 
-def e4_bulk_det(s, tol: float = DET_TOL):
+def e4_bulk_det(s):
     """E4(0; (-s/2, s/2)) = (D_plus(s) + D_minus(s)) / 2.
 
     The parity determinants are taken on (-s, s): a length-s gap of the
@@ -222,26 +220,26 @@ def e4_bulk_det(s, tol: float = DET_TOL):
     of the orthogonal one.
     """
     return on_points(s, 1.0, lambda v: 0.5 * (
-        _dets(kernels.sine_even(), v, 1.0, tol)
-        + _dets(kernels.sine_odd(), v, 1.0, tol)))
+        _dets(kernels.sine_even(), v, 1.0)
+        + _dets(kernels.sine_odd(), v, 1.0)))
 
 
-def enn_det(s, xi: float = 1.0, tol: float = DET_TOL):
+def enn_det(s, xi: float = 1.0):
     """Probability of no eigenvalue within distance s of a conditioned one.
 
     Determinant of the spectrum-singularity kernel (a = 1) on (-s, s).
     """
     return on_points(s, 1.0, lambda v: _dets(kernels.spectrum_singularity(1.0),
-                                             v, xi, tol))
+                                             v, xi))
 
 
-def en_bulk_det(s, n: int, tol: float = DET_TOL):
+def en_bulk_det(s, n: int):
     """E2(n; interval of length s), exactly n eigenvalues, from gap_n."""
     if n < 0:
         raise ArgumentError(f"gap order must be >= 0, got {n}")
     return on_points(s, 1.0 if n == 0 else 0.0, lambda v: np.array([
         gap_n(_converged_spectrum(kernels.sine_bulk(),
-                                  Interval(-x / 2.0, x / 2.0), tol), n)
+                                  Interval(-x / 2.0, x / 2.0)), n)
         for x in v.tolist()]))
 
 
@@ -269,64 +267,63 @@ def _det_jet(kernel_spec, x: float, n: int, order: int) -> np.ndarray:
     return np.array([det, *(-det * np.sum(r * d) for d in derivs)])
 
 
-def _det_jets(kernel_spec, half: np.ndarray, order: int,
-              tol: float) -> np.ndarray:
+def _det_jets(kernel_spec, half: np.ndarray, order: int) -> np.ndarray:
     """Rows _det_jet(kernel_spec, x, n, order) at each x of a 1-D array.
 
     Each point doubles its own rule by _node_doubling until every entry of
-    its row moves by at most tol, so a row never depends on the other
+    its row moves by at most DET_TOL, so a row never depends on the other
     points of the call.
     """
     return np.array([
         _node_doubling(lambda n: _det_jet(kernel_spec, x, n, order),
-                       Interval(-x, x).length, tol,
+                       Interval(-x, x).length,
                        {"kernel": kernel_spec, "x": x})
         for x in half.tolist()]).reshape(-1, order + 1)
 
 
-def _parity_jets(half: np.ndarray, tol: float):
+def _parity_jets(half: np.ndarray):
     """(D, D', D'') of the even and of the odd sine kernel on (-x, x), each
     a tuple of arrays over the x of a 1-D array."""
-    return (tuple(_det_jets(kernels.sine_even(), half, 2, tol).T),
-            tuple(_det_jets(kernels.sine_odd(), half, 2, tol).T))
+    return (tuple(_det_jets(kernels.sine_even(), half, 2).T),
+            tuple(_det_jets(kernels.sine_odd(), half, 2).T))
 
 
-def p1_det(s, tol: float = DET_TOL):
+def p1_det(s):
     """p1(0; s) = d^2/ds^2 D_plus(s/2) = D_plus''(s/2) / 4."""
     return on_points(s, 0.0, lambda v: 0.25 * _det_jets(
-        kernels.sine_even(), v / 2.0, 2, tol)[:, 2])
+        kernels.sine_even(), v / 2.0, 2)[:, 2])
 
 
-def p2_det(s, tol: float = DET_TOL):
+def p2_det(s):
     """p2(0; s) = d^2/ds^2 E2(0; s), with E2(0; s) = D_plus D_minus (s/2)."""
     def density(v):
-        (dp, dp1, dp2), (dm, dm1, dm2) = _parity_jets(v / 2.0, tol)
+        (dp, dp1, dp2), (dm, dm1, dm2) = _parity_jets(v / 2.0)
         return 0.25 * (dp2 * dm + 2.0 * dp1 * dm1 + dp * dm2)
     return on_points(s, 0.0, density)
 
 
-def p4_det(s, tol: float = DET_TOL):
+def p4_det(s):
     """p4(0; s) = d^2/ds^2 E4(0; s) = (D_plus'' + D_minus'')(s) / 2."""
     def density(v):
-        (_, _, dp2), (_, _, dm2) = _parity_jets(v, tol)
+        (_, _, dp2), (_, _, dm2) = _parity_jets(v)
         return 0.5 * (dp2 + dm2)
     return on_points(s, 0.0, density)
 
 
-def p1_gap1_det(s, tol: float = DET_TOL):
+def p1_gap1_det(s):
     """Next-nearest beta=1 density p1(1; s) = d^2/ds^2 [2 E1(0;s) + E1(1;s)],
     the second derivative of D_plus(s/2) + D_minus(s/2) = 2 E4(0; s/2)."""
     def density(v):
-        (_, _, dp2), (_, _, dm2) = _parity_jets(v / 2.0, tol)
+        (_, _, dp2), (_, _, dm2) = _parity_jets(v / 2.0)
         return 0.25 * (dp2 + dm2)
     return on_points(s, 0.0, density)
 
 
-def p2_nn_det(s, tol: float = DET_TOL):
+def p2_nn_det(s):
     """Nearest-neighbour density about a conditioned eigenvalue, -d/ds of
     enn_det."""
     return on_points(s, 0.0, lambda v: -_det_jets(
-        kernels.spectrum_singularity(1.0), v, 1, tol)[:, 1])
+        kernels.spectrum_singularity(1.0), v, 1)[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -366,15 +363,15 @@ def _second_derivative(values: np.ndarray, h: float) -> np.ndarray:
     return out / (12 * h * h)
 
 
-def _stencil(profile, s: np.ndarray, order: int,
-             h: float = _STENCIL_H) -> np.ndarray:
-    """Centred 5-point derivative of the given order of profile at each s
-    >= 2h of a 1-D array, so that profile is never asked for a negative
-    argument.
+def _stencil(profile, s: np.ndarray, order: int) -> np.ndarray:
+    """Centred 5-point derivative of the given order of profile, on the
+    step h = _STENCIL_H, at each s >= 2h of a 1-D array, so that profile is
+    never asked for a negative argument.
 
     ``profile`` maps an array of arguments to their values and is called
     once, on every point.
     """
+    h = _STENCIL_H
     if (s < 2.0 * h).any():
         raise ArgumentError(f"stencil points need s >= {2.0 * h:g}")
     offsets, weights = _STENCILS[order, "centred"]

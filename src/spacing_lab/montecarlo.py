@@ -47,6 +47,7 @@ CHUNK = 256          # replicas per stream pair; fixed so worker count is moot
 # are read: a whole chunk fits up to n = 64, one row at a time from n = 725
 _BAND_BYTES = 8 << 20
 _DENSITY_FLOOR = 1e-12
+_MIN_EXPECTED = 5.0  # chi_square_test merges bins up to this expected count
 
 
 @dataclass(frozen=True)
@@ -278,14 +279,14 @@ def build_histogram(data, bin_width: float, rng: Interval) -> Histogram:
                      overflow=int(data.size - inside))
 
 
-def chi_square_test(hist: Histogram, density_fn, min_expected: float = 5.0):
+def chi_square_test(hist: Histogram, density_fn):
     """(statistic, p_value, dof) of the histogram against an analytic density.
 
     Expected counts integrate density_fn over each bin by Simpson's rule
     on five points; density_fn is called once, on the (bins, 5) array of
     all of them, and must return the density at each.  The mass beyond the
     last edge absorbs the overflow tally.  Adjacent bins are merged left to
-    right until every expected count reaches min_expected.
+    right until every expected count reaches _MIN_EXPECTED.
     """
     edges = hist.bin_edges
     total = int(hist.counts.sum()) + hist.overflow
@@ -304,7 +305,7 @@ def chi_square_test(hist: Histogram, density_fn, min_expected: float = 5.0):
     for o, e in zip(observed, expected):
         acc_o += o
         acc_e += e
-        if acc_e >= min_expected:
+        if acc_e >= _MIN_EXPECTED:
             merged_obs.append(acc_o)
             merged_exp.append(acc_e)
             acc_o = acc_e = 0.0

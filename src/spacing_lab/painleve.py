@@ -66,9 +66,9 @@ _GAUDIN = (SIGMA_JMMS, (1.0,))  # the trajectory that carries Gaudin's split
 
 DEFAULT_T_SWITCH = 0.1
 DEFAULT_ORDER = 44
-DEFAULT_TOL = 1e-10
+DEFAULT_TOL = 1e-10     # the tolerance every trajectory is integrated to
 _DEFECT_FACTOR = 100.0
-_TOL_SAFETY = 100.0     # internal solver tolerance = tol / _TOL_SAFETY
+_TOL_SAFETY = 100.0     # internal solver tolerance = DEFAULT_TOL / this
 _MIN_SOLVER_TOL = 1e-13
 _ACTION_TOL = 1e-10     # smallest linearized action considered nonzero
 _TRUNCATED_TOP = 6      # top residual orders the final check skips
@@ -155,23 +155,6 @@ def _s_mul(a, b):
     return _Series(out, off, order)
 
 
-def _s_mul_mono(a, v, e):
-    """a times the monomial v x^e, with the bits of _s_mul by
-    _Series([v], e, a.order) in either factor order.
-
-    Every term of that product but a_k v is a finite coefficient times an
-    exact zero, and its sum starts at +0.0, so coefficient k is
-    a_k * v + 0.0: a shifted, scaled copy whose -0.0 products read +0.0."""
-    off, order = a.off + e, a.order
-    n = order - off + 1
-    if n <= 0:
-        return _Series(np.zeros(1), order, order)
-    m = min(a.c.shape[-1], n)
-    out = np.zeros(a.c.shape[:-1] + (n,))
-    out[..., :m] = a.c[..., :m] * v + 0.0
-    return _Series(out, off, order)
-
-
 def _s_dx(a):
     return _Series(a.c * (a.off + np.arange(a.c.shape[-1])), a.off - 1,
                    a.order)
@@ -212,8 +195,9 @@ def _sigma_series(coeffs):
     """sigma, sigma', sigma'' as x-series from the coefficients of x^1 up;
     derivatives are with respect to t."""
     sig = _Series(coeffs, 1, coeffs.shape[-1])
-    d1 = _s_mul_mono(_s_dx(sig), 0.5, -1)
-    d2 = _s_mul_mono(_s_dx(d1), 0.5, -1)
+    half_over_x = _Series([0.5], -1, sig.order)     # d/dt = d/dx / (2x)
+    d1 = half_over_x * _s_dx(sig)
+    d2 = half_over_x * _s_dx(d1)
     return sig, d1, d2
 
 
@@ -265,10 +249,11 @@ EQUATION_IDS = tuple(_EQUATIONS)
 
 def _residual_series(equation_id, par, coeffs):
     S, Sp, Spp = _sigma_series(coeffs)
-    tSpp = _s_mul_mono(Spp, 1.0, 2)
+    t = _Series([1.0], 2, S.order)
+    tSpp = t * Spp
     r = tSpp * tSpp
     g = _EQUATIONS[equation_id][0]
-    for group in g(par, S, _s_mul_mono(Sp, 1.0, 2), Sp):
+    for group in g(par, S, t * Sp, Sp):
         for term in group:
             r = r + term
     return r
@@ -570,7 +555,6 @@ class PainleveSolution:
     and int sqrt(sigma - t sigma')/t dt on the xi = 1 bulk trajectory."""
 
     problem: PainleveProblem
-    tol: float
     _stepper: DOP853 = field(repr=False)
     _dense: Dense = field(repr=False)
 
@@ -591,7 +575,7 @@ class PainleveSolution:
         if t_needed > _T_BOUND:
             raise ArgumentError(f"t={t_needed} beyond the bound {_T_BOUND:g}")
         stepper, problem = self._stepper, self.problem
-        allowed = _DEFECT_FACTOR * self.tol
+        allowed = _DEFECT_FACTOR * DEFAULT_TOL
         ts, Fs, y_olds = [], [], []
         while stepper.t < t_needed:
             message = stepper.step()
@@ -649,26 +633,26 @@ class PainleveSolution:
         return self._state(t, 3)
 
 
-def integrate(problem: PainleveProblem, t_max: float,
-              tol: float = DEFAULT_TOL) -> PainleveSolution:
+def integrate(problem: PainleveProblem, t_max: float) -> PainleveSolution:
     """Integrate the differentiated system from t_switch to its first
     accepted step at or past t_max; no step is cut short to end there.
 
     State is [sigma, sigma', sigma'', int_0^t sigma/tau dtau], and on the
     xi = 1 bulk trajectory int_0^t sqrt(sigma - tau sigma')/tau dtau; the
     undifferentiated equation is checked at every accepted step and must
-    stay within _DEFECT_FACTOR * tol of zero relative to its largest term.
-    The solver runs at tol / _TOL_SAFETY internally: global error grows
-    with the number of steps, so the delivered trajectory needs headroom
-    against the defect bound it is contractually held to.
+    stay within _DEFECT_FACTOR * DEFAULT_TOL of zero relative to its
+    largest term.  The solver runs at DEFAULT_TOL / _TOL_SAFETY internally:
+    global error grows with the number of steps, so the delivered
+    trajectory needs headroom against the defect bound it is contractually
+    held to.
     """
     ts = problem.t_switch
     if t_max <= ts:
         raise ArgumentError(f"t_max={t_max} must exceed t_switch={ts}")
     rhs, y0 = _system(problem)
-    solver_tol = max(tol / _TOL_SAFETY, _MIN_SOLVER_TOL)
+    solver_tol = max(DEFAULT_TOL / _TOL_SAFETY, _MIN_SOLVER_TOL)
     stepper = DOP853(rhs, ts, y0, _T_BOUND, rtol=solver_tol, atol=solver_tol)
-    solution = PainleveSolution(problem, tol, stepper,
+    solution = PainleveSolution(problem, stepper,
                                 Dense.start(ts, len(y0)))
     solution._extend(t_max)
     return solution

@@ -25,6 +25,7 @@ from .errors import ArgumentError, NumericError
 # Discretized kernels can produce slightly negative eigenvalues from
 # roundoff.  Anything below this magnitude signals a bug, not noise.
 NEGATIVE_EIGENVALUE_LIMIT = 1e-10
+_SYMMETRY_TOL = 1e-13       # Interval.is_symmetric, relative to max(1, length)
 
 
 @dataclass(frozen=True)
@@ -44,8 +45,8 @@ class Interval:
     def length(self) -> float:
         return self.hi - self.lo
 
-    def is_symmetric(self, tol: float = 1e-13) -> bool:
-        return abs(self.lo + self.hi) <= tol * max(1.0, self.length)
+    def is_symmetric(self) -> bool:
+        return abs(self.lo + self.hi) <= _SYMMETRY_TOL * max(1.0, self.length)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from .montecarlo import Histogram, build_histogram
 from .quadrature import Interval
 
 _UINT63 = 2 ** 63
-DEFAULT_SEGMENT = 1 << 20
+DEFAULT_SEGMENT = 1 << 20   # odd numbers sieved per segment
 _SLICE_BELOW = 1 << 12      # base primes below this strike one slice each
 _BASE_GRAIN = (1 << 12) - 1  # or-ed into the base-prime limit, so that
                              # neighbouring segments share one cached sieve
@@ -51,7 +51,7 @@ def _odd_base_primes(limit: int) -> np.ndarray:
     it the primes come segment by segment from _sieve_range, whose own base
     primes stop at sqrt(limit), so memory stays at one segment."""
     if limit > _DIRECT_BASE_MAX:
-        primes = _sieve_range(3, limit + 1, DEFAULT_SEGMENT)
+        primes = _sieve_range(3, limit + 1)
     else:
         sieve = np.ones(limit + 1, dtype=bool)
         sieve[:2] = False
@@ -63,13 +63,14 @@ def _odd_base_primes(limit: int) -> np.ndarray:
     return primes
 
 
-def _sieve_range(lo: int, hi: int, segment: int) -> np.ndarray:
-    """All primes in [lo, hi) by segmented odds-only sieving."""
+def _sieve_range(lo: int, hi: int) -> np.ndarray:
+    """All primes in [lo, hi) by odds-only sieving, DEFAULT_SEGMENT odd
+    numbers at a time."""
     found = [np.array([2], dtype=np.int64)] if lo <= 2 < hi else []
     odd_base = _odd_base_primes(math.isqrt(max(hi - 1, 0)) | _BASE_GRAIN)
     seg_lo = max(lo, 3) | 1          # first odd candidate
     while seg_lo < hi:
-        seg_hi = min(seg_lo + 2 * segment, hi)
+        seg_hi = min(seg_lo + 2 * DEFAULT_SEGMENT, hi)
         flags = np.ones((seg_hi - seg_lo + 1) // 2, dtype=bool)   # odds
         # base primes with p^2 < seg_hi; offsets from seg_lo of the first
         # odd multiple >= max(p^2, seg_lo), kept small so int64 holds them
@@ -93,12 +94,11 @@ def _sieve_range(lo: int, hi: int, segment: int) -> np.ndarray:
     return np.concatenate(found) if found else np.empty(0, dtype=np.int64)
 
 
-def primes_from(start: int, count: int,
-                segment: int = DEFAULT_SEGMENT) -> PrimeWindow:
+def primes_from(start: int, count: int) -> PrimeWindow:
     """First `count` primes >= start.
 
-    Sieves forward one segment of `segment` odd numbers at a time and stops
-    in the segment that holds the `count`-th prime.
+    Sieves forward one segment of DEFAULT_SEGMENT odd numbers at a time and
+    stops in the segment that holds the `count`-th prime.
     """
     if start < 2:
         raise ArgumentError(f"start must be >= 2, got {start}")
@@ -106,11 +106,11 @@ def primes_from(start: int, count: int,
         raise ArgumentError(f"count must be >= 1, got {count}")
     found, total, lo = [], 0, start
     while total < count:
-        hi = lo + 2 * segment
+        hi = lo + 2 * DEFAULT_SEGMENT
         if hi >= _UINT63:
             raise ArgumentError(
                 f"window [{start}, {hi}) risks 64-bit overflow")
-        found.append(_sieve_range(lo, hi, segment))
+        found.append(_sieve_range(lo, hi))
         total += found[-1].size
         lo = hi
     primes = np.concatenate(found)[:count]

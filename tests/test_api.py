@@ -8,8 +8,11 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 import spacing_lab
-from spacing_lab import fredholm, painleve
+from spacing_lab import Interval, fredholm, painleve, routes
+from spacing_lab.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -42,6 +45,30 @@ def test_removed_names_are_absent():
         assert not hasattr(module, name)
         assert not hasattr(spacing_lab, name)
         assert name not in spacing_lab.__all__
+
+
+# accuracy and tuning values are module constants, read at call time
+SETTINGS = {"tol", "segment", "min_expected"}
+
+
+def test_no_public_callable_takes_a_tolerance():
+    for name in spacing_lab.__all__:
+        value = getattr(spacing_lab, name)
+        if callable(value) and not (inspect.isclass(value)
+                                    and issubclass(value, Exception)):
+            assert not SETTINGS & inspect.signature(value).parameters.keys(), \
+                name
+    for function in (routes.evaluate, fredholm._converged_spectrum):
+        assert "tol" not in inspect.signature(function).parameters
+    assert list(inspect.signature(Interval.is_symmetric).parameters) == [
+        "self"]
+
+
+def test_tabulate_refuses_det_tol(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["tabulate", "--det-tol", "1e-9"])
+    assert excinfo.value.code == 2
+    assert "--det-tol" in capsys.readouterr().err
 
 
 def test_version_is_stated_in_the_package():

@@ -37,7 +37,10 @@ class TestTabulate:
         assert any(l.startswith("# package: spacing-lab") for l in meta)
         header = next(l for l in lines if not l.startswith("#"))
         assert header == "s,E2_fredholm,E2_painleve"
-        assert deviations[("fredholm", "painleve")] <= 1e-6
+        absolute, relative = deviations[("fredholm", "painleve")]
+        assert absolute <= 1e-6
+        assert relative == routes.max_relative(table.columns["E2_fredholm"],
+                                               table.columns["E2_painleve"])
         assert len(table.s_grid) == 5
 
     def test_repeat_runs_identical(self):
@@ -383,8 +386,7 @@ class TestCommandLine:
     what is written, so running it again writes the same bytes."""
 
     @pytest.mark.parametrize("argv", [
-        ["tabulate", "--s-max", "1", "--s-step", "0.123456789",
-         "--det-tol", "1e-9"],
+        ["tabulate", "--s-max", "1", "--s-step", "0.123456789"],
         ["tabulate", "--quantity", "p0", "--beta", "4", "--s-max", "0.5",
          "--s-step", "0.25"],
         ["tabulate", "--quantity", "En", "--n", "2", "--s-max", "0.5",
@@ -415,8 +417,7 @@ class TestCommandLine:
                                "-o", "out.csv", "--workers", "2"])
         assert cli.command_line(args) == (
             "spacing-lab tabulate --quantity E2 --method all --s-min 0.0 "
-            "--s-max 2.0 --s-step 0.123456789 --beta 1 --n 0 "
-            "--det-tol 1e-10")
+            "--s-max 2.0 --s-step 0.123456789 --beta 1 --n 0")
 
 
 class TestRouteTable:
@@ -521,11 +522,7 @@ class TestMainExitCodes:
         (["--s-min", "nan"], "--s-min must be finite and >= 0, got nan"),
         (["--s-max", "nan"], "--s-max must be finite and >= --s-min, got nan"),
         (["--s-max", "inf"], "--s-max must be finite and >= --s-min, got inf"),
-        (["--det-tol", "nan"], "--det-tol must be finite and > 0, got nan"),
-        (["--det-tol", "0"], "--det-tol must be finite and > 0, got 0.0"),
-        (["--det-tol", "-1"], "--det-tol must be finite and > 0, got -1.0"),
-    ], ids=["step-nan", "step-inf", "min-nan", "max-nan", "max-inf",
-            "tol-nan", "tol-zero", "tol-negative"])
+    ], ids=["step-nan", "step-inf", "min-nan", "max-nan", "max-inf"])
     def test_tabulate_arguments_checked_before_evaluation(
             self, monkeypatch, capsys, argv, message):
         calls = []

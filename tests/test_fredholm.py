@@ -178,9 +178,10 @@ class TestConvergedSpectrum:
                                     interval=interval, nodes_used=n)
 
         monkeypatch.setattr(fredholm, "nystrom_spectrum", record)
+        monkeypatch.setattr(fredholm, "DET_TOL", -1.0)
         with pytest.raises(NumericError):
             fredholm._converged_spectrum(
-                sine_bulk(), Interval(-length / 2.0, length / 2.0), tol=-1.0)
+                sine_bulk(), Interval(-length / 2.0, length / 2.0))
         assert max(built) == fredholm._MAX_NODES
         assert built == sorted(built)
 
@@ -385,10 +386,11 @@ class TestJacobiDensities:
 
         monkeypatch.setattr(fredholm, "nystrom_spectrum", spectrum)
         monkeypatch.setattr(fredholm, "_det_jet", jet)
+        monkeypatch.setattr(fredholm, "DET_TOL", -1.0)
         with pytest.raises(NumericError):
-            fredholm._converged_spectrum(kernel, Interval(-26.0, 26.0), -1.0)
+            fredholm._converged_spectrum(kernel, Interval(-26.0, 26.0))
         with pytest.raises(NumericError):
-            fredholm._det_jets(kernel, np.array([26.0]), 2, -1.0)
+            fredholm._det_jets(kernel, np.array([26.0]), 2)
         assert spectra == jets == [120, 240, 480, 960, fredholm._MAX_NODES]
 
     @pytest.mark.parametrize("kernel", [sine_even(), sine_odd()],

@@ -414,7 +414,8 @@ class TestChiSquare:
         _, p, _ = chi_square_test(hist, lambda s: wigner_surmise(1, s))
         assert p > 0.01
 
-    def test_density_called_once_on_all_simpson_points(self):
+    def test_density_called_once_on_all_simpson_points(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_MIN_EXPECTED", 0.0)
         hist = build_histogram([0.2, 0.7, 1.1, 1.6], 0.5, Interval(0.0, 2.0))
         calls = []
 
@@ -422,14 +423,15 @@ class TestChiSquare:
             calls.append(np.array(s))
             return np.exp(-s)
 
-        chi_square_test(hist, density, min_expected=0.0)
+        chi_square_test(hist, density)
         assert len(calls) == 1
         assert calls[0].shape == (4, 5)
         assert calls[0][1].tolist() == [0.5, 0.625, 0.75, 0.875, 1.0]
 
-    def test_matches_per_bin_simpson_loop(self):
-        # with min_expected = 0 no bins merge, so the statistic is a sum
+    def test_matches_per_bin_simpson_loop(self, monkeypatch):
+        # with _MIN_EXPECTED = 0 no bins merge, so the statistic is a sum
         # over every bin and the tail beyond the last edge
+        monkeypatch.setattr(montecarlo, "_MIN_EXPECTED", 0.0)
         rng = np.random.default_rng(3)
         hist = build_histogram(rng.exponential(1.0, 500), 0.25,
                                Interval(0.0, 3.0))
@@ -443,4 +445,4 @@ class TestChiSquare:
         observed = np.append(hist.counts, hist.overflow)
         expected = np.append(expected, 1.0 - np.sum(expected)) * total
         stat = float(np.sum((observed - expected) ** 2 / expected))
-        assert chi_square_test(hist, density, min_expected=0.0)[0] == stat
+        assert chi_square_test(hist, density)[0] == stat

@@ -89,7 +89,7 @@ class TestPrimesFrom:
         for start in rng.integers(2**47, 2**48, 10):
             lo = int(start)
             hi = lo + 1050
-            sieved = set(sequences._sieve_range(lo, hi, 1 << 20))
+            sieved = set(sequences._sieve_range(lo, hi))
             for n in range(lo, hi):
                 assert (n in sieved) == miller_rabin(n)
             checked += hi - lo
@@ -102,12 +102,15 @@ class TestPrimesFrom:
 
     @pytest.mark.parametrize("start, segment", [(10**6 + 1, 64),
                                                  (10**9 + 7, 1024)])
-    def test_segmented_window_matches_one_range(self, start, segment):
+    def test_segmented_window_matches_one_range(self, monkeypatch, start,
+                                                segment):
         # each 500-prime window spans 5 or more segments; from 1e9 the base
         # primes above 4096 strike one pass per multiple
-        window = primes_from(start, 500, segment=segment)
+        with monkeypatch.context() as patch:
+            patch.setattr(sequences, "DEFAULT_SEGMENT", segment)
+            window = primes_from(start, 500)
         last = int(window.primes[-1])
-        expected = sequences._sieve_range(start, last + 1, 1 << 20)
+        expected = sequences._sieve_range(start, last + 1)
         assert np.array_equal(window.primes, expected)
         assert window.primes.tolist() == [n for n in range(start, last + 1)
                                           if miller_rabin(n)]
@@ -131,8 +134,9 @@ class TestPrimesFrom:
         sequences._odd_base_primes.cache_clear()
 
     @pytest.mark.parametrize("start", [2, 3])
-    def test_small_start(self, start):
-        window = primes_from(start, 10, segment=4)
+    def test_small_start(self, monkeypatch, start):
+        monkeypatch.setattr(sequences, "DEFAULT_SEGMENT", 4)
+        window = primes_from(start, 10)
         expected = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31][start - 2:][:10]
         assert window.primes.tolist() == expected
 
