@@ -13,7 +13,8 @@ error.
 
 `tabulate` fills each column with one call of a library evaluator on the
 whole grid, the one the route table in `routes` names for it.  `sample`
-alone runs a pool: forked processes, sized by --workers.
+alone runs in more than one process: with --workers above 1 it draws one
+block of replicas itself and forks a child for each other block.
 """
 
 from __future__ import annotations
@@ -270,9 +271,10 @@ def _parsers():
     for p in (tab, smp, prm, zrs):
         p.add_argument("-o", "--output", default=None)
         p.add_argument("--workers", type=int, default=None,
-                       help="size of sample's pool of forked processes (at "
-                            "most one per usable CPU); no other command "
-                            "uses it; default: processor count")
+                       help="processes sample draws in, this one and "
+                            "forked children (at most one per usable CPU); "
+                            "no other command uses it; default: processor "
+                            "count")
     return parser, sub.choices
 
 

@@ -15,15 +15,17 @@ counter-based streams of its own, one for the diagonals and one for the
 squared off-diagonals, each drawn in one call per chunk.  With two
 streams a replica's draws do not depend on how many replicas follow it, so
 an ensemble is a prefix of any larger one of the same seed.  The chunks
-are spread over forked worker processes, one contiguous block of chunks
-each, and the blocks copied back in chunk order, so the output is
-bit-identical for any worker count.  The stacked eigvalsh, not the
-drawing, is the cost: on a shared 2-CPU Xeon (Python 3.11, numpy 2.4, one
-BLAS thread), the draws of 20000 rank-13 replicas took about 0.03 s and
-their solve about 0.19 s, and the whole took 0.14 s with 2 processes
-against 0.22 s serially (medians of 7).  No more processes start than
-there are chunks or usable CPUs, and the serial path runs where the
-platform cannot fork.
+are split into contiguous blocks, one per process: the caller draws the
+first block itself while a child forked for each other block draws that
+one and pipes it back, and the blocks are joined in chunk order, so the
+output is bit-identical for any worker count.  The stacked eigvalsh, not
+the drawing, is the cost: on a shared 2-CPU Xeon (Python 3.11, numpy 2.4,
+one BLAS thread), 20000 rank-13 replicas took 0.11 s with 2 processes
+against 0.16 s serially, and with a busy process on the other CPU 0.16 s
+against 0.17-0.20 s (medians of 7).  A ProcessPoolExecutor, whose caller
+idles while its workers draw and whose start costs about 15 ms, took
+0.14 s and 0.21-0.25 s.  No more processes start than there are chunks or
+usable CPUs, and the serial path runs where the platform cannot fork.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import functools
 import logging
 import math
 import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,8 +123,10 @@ def _draw_spectra(spectra: np.ndarray, seed: int, chunk: int) -> None:
 
 
 def _process_count(workers: int | None, n_chunks: int) -> int:
-    """Processes sample_ensemble uses: min(workers, n_chunks, usable CPUs)."""
-    if workers is None or workers <= 1 or n_chunks <= 1:
+    """Processes sample_ensemble uses: min(workers, n_chunks, usable CPUs),
+    and 1 where the platform cannot fork."""
+    if (workers is None or workers <= 1 or n_chunks <= 1
+            or not hasattr(os, "fork")):
         return 1
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
@@ -139,33 +144,67 @@ def _draw_chunks(n: int, reps: int, seed: int, first: int, stop: int):
     return block
 
 
-def _can_fork() -> bool:
-    import multiprocessing
-    return "fork" in multiprocessing.get_all_start_methods()
+def _fork_join(tasks):
+    """[task() for task in tasks]: tasks[0] runs in this process while each
+    other task runs in a child forked for it.
 
-
-def _draw_forked(n: int, reps: int, seed: int, n_chunks: int,
-                 processes: int):
-    """_draw_chunks over all chunks, one contiguous block per forked
-    process, copied back in chunk order.
-
-    Fork lets the workers inherit the module as the caller has it, and
-    exceptions come back pickled, so a NumericError keeps its context.
+    A child pipes back its pickled result, or the exception it raised, and
+    leaves by os._exit, so it runs no exit handler and flushes none of the
+    buffers it shares with this process.  Every pipe is drained and every
+    child reaped, also when tasks[0] raises.  Then a child's exception is
+    raised here as it was raised there (a NumericError keeps its context),
+    and a child that exits without writing raises ChildProcessError.
     """
-    import multiprocessing
-    from concurrent.futures.process import ProcessPoolExecutor
+    children = []
+    try:
+        for task in tasks[1:]:
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                _child(task, write_end)
+            os.close(write_end)
+            children.append((pid, read_end))
+        results = [tasks[0]()]
+    finally:
+        replies = [_reap(pid, read_end) for pid, read_end in children]
+    for pid, status, reply in replies:
+        if status or not reply:
+            raise ChildProcessError(
+                f"sampling process {pid} exited with status {status} "
+                "and no result")
+        ok, value = pickle.loads(reply)
+        if not ok:
+            raise value
+        results.append(value)
+    return results
 
-    bounds = [n_chunks * k // processes for k in range(processes + 1)]
-    spectra = np.empty((reps, n))
-    with ProcessPoolExecutor(
-            max_workers=processes,
-            mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = [pool.submit(_draw_chunks, n, reps, seed, first, stop)
-                   for first, stop in zip(bounds, bounds[1:])]
-        for first, future in zip(bounds, futures):
-            block = future.result()
-            spectra[first * CHUNK:first * CHUNK + len(block)] = block
-    return spectra
+
+def _child(task, write_end: int):
+    """Run task in a forked child, write (ok, result or exception) to the
+    pipe and exit: status 0 once the reply is written, 1 otherwise."""
+    status = 1
+    try:
+        try:
+            reply = (True, task())
+        except Exception as exc:        # raised again in the parent
+            reply = (False, exc)
+        with os.fdopen(write_end, "wb") as pipe:
+            pickle.dump(reply, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _reap(pid: int, read_end: int):
+    """(pid, exit status, bytes written) of a child, once it has exited."""
+    with os.fdopen(read_end, "rb") as pipe:
+        reply = pipe.read()
+    return pid, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), reply
 
 
 def sample_ensemble(n: int, reps: int, seed: int, workers: int | None = None):
@@ -175,8 +214,9 @@ def sample_ensemble(n: int, reps: int, seed: int, workers: int | None = None):
     its own two counter-based streams keyed by (seed, chunk index, kind)
     into its own rows, so the result is bit-identical for any worker count,
     and is the first reps rows of any larger ensemble of the same seed.
-    With ``workers`` > 1 the chunks are drawn in up to that many forked
-    processes (never more than the chunks or the usable CPUs).
+    With ``workers`` > 1 the chunks are drawn in up to that many processes,
+    this one and forked children (never more than the chunks or the usable
+    CPUs).
     """
     if n < 1:
         raise ArgumentError(f"matrix rank must be >= 1, got {n}")
@@ -184,11 +224,11 @@ def sample_ensemble(n: int, reps: int, seed: int, workers: int | None = None):
         raise ArgumentError(f"reps must be >= 1, got {reps}")
     n_chunks = (reps + CHUNK - 1) // CHUNK
     processes = _process_count(workers, n_chunks)
-    if processes > 1 and _can_fork():
-        spectra = _draw_forked(n, reps, seed, n_chunks, processes)
-    else:
-        spectra = _draw_chunks(n, reps, seed, 0, n_chunks)
-    return spectra
+    bounds = [n_chunks * k // processes for k in range(processes + 1)]
+    blocks = _fork_join([
+        functools.partial(_draw_chunks, n, reps, seed, first, stop)
+        for first, stop in zip(bounds, bounds[1:])])
+    return blocks[0] if processes == 1 else np.concatenate(blocks)
 
 
 def semicircle_density(x, n: int):

@@ -22,7 +22,7 @@ from .quadrature import Interval
 
 _UINT63 = 2 ** 63
 DEFAULT_SEGMENT = 1 << 20   # odd numbers sieved per segment
-_SLICE_BELOW = 1 << 12      # base primes below this strike one slice each
+_SLICE_BELOW = 1 << 13      # base primes below this strike one slice each
 _BASE_GRAIN = (1 << 12) - 1  # or-ed into the base-prime limit, so that
                              # neighbouring segments share one cached sieve
 _DIRECT_BASE_MAX = 1 << 16   # base primes up to here: one byte per integer
@@ -82,13 +82,17 @@ def _sieve_range(lo: int, hi: int) -> np.ndarray:
         few = np.searchsorted(base, _SLICE_BELOW)
         for p, i in zip(base[:few].tolist(), first[:few].tolist()):
             flags[i::p] = False
-        # the larger primes strike a few times each: one pass per multiple
+        # the larger primes strike a few times each, one pass per multiple:
+        # ordered by multiples left in the segment, pass j strikes the
+        # prefix of those with more than j left
         step, hit = base[few:], first[few:]
-        while hit.size:
-            live = hit < flags.size
-            step, hit = step[live], hit[live]
-            flags[hit] = False
-            hit += step
+        left = (flags.size - hit + step - 1) // step
+        order = np.argsort(-left)
+        step, hit, left = step[order], hit[order], left[order]
+        for k in np.searchsorted(-left, -np.arange(left.max(initial=0)),
+                                 side="left").tolist():
+            flags[hit[:k]] = False
+            hit[:k] += step[:k]
         found.append(seg_lo + 2 * np.flatnonzero(flags))
         seg_lo = seg_hi if seg_hi % 2 else seg_hi + 1
     return np.concatenate(found) if found else np.empty(0, dtype=np.int64)

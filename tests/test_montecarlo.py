@@ -2,9 +2,12 @@
 
 import io
 import math
-import multiprocessing
 import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,8 +185,8 @@ def cpus(monkeypatch):
     return use
 
 
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                    reason="the process pool needs the fork start method")
+@pytest.mark.skipif(not hasattr(os, "fork"),
+                    reason="sampling in more than one process needs os.fork")
 class TestProcessPool:
     # no test starts more than 3 processes: the CPU count is stubbed to 3
     @pytest.mark.parametrize("reps", [100, 300, 1000])
@@ -216,30 +219,92 @@ class TestProcessPool:
         assert count(8, 10) == 1
 
     def test_worker_numeric_error_reaches_caller(self, cpus, monkeypatch):
-        # the stub is in place before the fork, so the workers run it
-        def no_convergence(a, UPLO="L"):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        # the stub is in place before the fork; only the child's block fails
+        parent, solve = os.getpid(), np.linalg.eigvalsh
+
+        def child_fails(a, UPLO="L"):
+            if os.getpid() != parent:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return solve(a, UPLO=UPLO)
 
         cpus(2)
-        monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+        monkeypatch.setattr(np.linalg, "eigvalsh", child_fails)
         with pytest.raises(NumericError) as caught:
             sample_ensemble(13, 600, 1, workers=2)
         assert caught.value.context == {"n": 13}
-        assert type(caught.value.__cause__).__name__ == "_RemoteTraceback"
 
     def test_serial_without_fork(self, cpus, monkeypatch):
-        import concurrent.futures.process
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool was started")
-
         cpus(2)
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
-                            lambda: ["spawn"])
-        monkeypatch.setattr(concurrent.futures.process,
-                            "ProcessPoolExecutor", no_pool)
+        monkeypatch.delattr(os, "fork")
         assert np.array_equal(sample_ensemble(13, 600, 3, 2),
                               _replica_loop(13, 600, 3))
+
+    @pytest.mark.parametrize("failing", ["parent", "child"])
+    def test_every_child_is_reaped(self, cpus, monkeypatch, failing):
+        parent, draw = os.getpid(), montecarlo._draw_spectra
+
+        def draw_or_fail(spectra, seed, chunk):
+            if (os.getpid() == parent) == (failing == "parent"):
+                raise NumericError("stub failure", context={"chunk": chunk})
+            draw(spectra, seed, chunk)
+
+        cpus(3)
+        sample_ensemble(13, 1000, 2, workers=3)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        monkeypatch.setattr(montecarlo, "_draw_spectra", draw_or_fail)
+        with pytest.raises(NumericError) as caught:
+            sample_ensemble(13, 1000, 2, workers=3)
+        # a child's error is the first failing block's: chunk 1 of 0..3
+        assert caught.value.context == {"chunk": 0 if failing == "parent"
+                                        else 1}
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_child_exiting_without_a_result_raises(self, cpus, monkeypatch):
+        parent, draw = os.getpid(), montecarlo._draw_spectra
+
+        def child_exits(spectra, seed, chunk):
+            if os.getpid() != parent:
+                os._exit(0)
+            draw(spectra, seed, chunk)
+
+        cpus(2)
+        monkeypatch.setattr(montecarlo, "_draw_spectra", child_exits)
+        with pytest.raises(ChildProcessError, match="no result"):
+            sample_ensemble(13, 600, 4, workers=2)
+
+    def test_children_leave_the_callers_stdout_alone(self):
+        # a block-buffered stdout holds a line when the children fork; a
+        # child leaving by a normal exit would flush it a second time, and
+        # one returning into the command would write the CSV again
+        script = textwrap.dedent("""
+            import os, sys
+            os.sched_getaffinity = lambda pid: {0, 1}
+            from spacing_lab.cli import main
+            print("# before sampling")
+            sys.exit(main(["sample", "--n", "13", "--reps", "600",
+                           "--workers", "2"]))
+        """)
+        root = Path(__file__).resolve().parents[1]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(root / "src")
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("# before sampling") == 1
+        assert proc.stdout.count("bin_left") == 1
+
+
+def test_no_process_pool_machinery_is_imported():
+    script = ("import sys, spacing_lab.cli; "
+              "print(sorted({'multiprocessing', 'concurrent.futures'} "
+              "& set(sys.modules)))")
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout.strip() == "[]", proc.stderr
 
 
 class TestArrayUnfold:

@@ -116,6 +116,24 @@ class TestPrimesFrom:
                                           if miller_rabin(n)]
         assert np.array_equal(window.primes, primes_from(start, 500).primes)
 
+    @pytest.mark.parametrize("k", [1, 2, 5, 100])
+    def test_large_primes_without_a_multiple_in_the_segment(self, k):
+        # base primes up to 10^6, and most of those above _SLICE_BELOW have
+        # no odd multiple in a segment of k odd numbers
+        lo, hi = 10**12 + 1, 10**12 + 1 + 2 * k
+        limit = math.isqrt(hi - 1)
+        base = np.ones(limit + 1, dtype=bool)
+        base[:2] = False
+        for p in range(2, math.isqrt(limit) + 1):
+            if base[p]:
+                base[p * p::p] = False
+        flags = np.ones(hi - lo, dtype=bool)
+        for p in np.flatnonzero(base).tolist():
+            flags[-lo % p::p] = False
+        expected = lo + np.flatnonzero(flags)
+        assert np.array_equal(sequences._sieve_range(lo, hi), expected)
+        assert [n for n in range(lo, hi) if miller_rabin(n)] == expected.tolist()
+
     @pytest.mark.parametrize("offset", [-4096, -1, 0, 1, 2, 4095])
     def test_segmented_base_sieve_matches_direct(self, offset):
         # limits on both sides of the switch from the one-byte-per-integer
