@@ -13,8 +13,9 @@ error.
 
 `tabulate` fills each column with one call of a library evaluator on the
 whole grid, the one the route table in `routes` names for it.  `sample`
-alone runs in more than one process: with --workers above 1 it draws one
-block of replicas itself and forks a child for each other block.
+and `primes` honour --workers: above 1, each does the first block of its
+work itself (replicas, or integers to sieve) and forks a child for each
+other block.
 """
 
 from __future__ import annotations
@@ -141,7 +142,8 @@ def write_primes(args, stream):
     """Prime-gap histogram in s-units (or the raw window with --raw)."""
     if args.bin_width is not None and not args.raw:
         montecarlo.check_bin_width(args.bin_width)
-    window = sequences.primes_from(args.start, args.count)
+    window = sequences.primes_from(args.start, args.count,
+                                   workers=_pool_size(args))
     metadata = _base_metadata(args)
     if args.raw:
         window.to_csv(stream, metadata)
@@ -271,10 +273,10 @@ def _parsers():
     for p in (tab, smp, prm, zrs):
         p.add_argument("-o", "--output", default=None)
         p.add_argument("--workers", type=int, default=None,
-                       help="processes sample draws in, this one and "
-                            "forked children (at most one per usable CPU); "
-                            "no other command uses it; default: processor "
-                            "count")
+                       help="processes sample draws in and primes sieves "
+                            "in, this one and forked children (at most one "
+                            "per usable CPU); tabulate and zeros ignore it; "
+                            "default: processor count")
     return parser, sub.choices
 
 

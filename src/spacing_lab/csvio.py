@@ -133,4 +133,4 @@ def write_csv(stream, names, columns, metadata=None) -> None:
             body[:, at + width] = ord(",")
             at += width + 1
         body[:, -1] = ord("\n")
-        stream.write(body[body != _SPACE].tobytes().decode("ascii"))
+        stream.write(body.tobytes().translate(None, b" ").decode("ascii"))

@@ -33,12 +33,11 @@ from __future__ import annotations
 import functools
 import logging
 import math
-import os
-import pickle
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._fork import fork_join, process_count
 from .csvio import write_csv
 from .errors import ArgumentError, NumericError, UnsupportedError
 from .quadrature import Interval
@@ -122,19 +121,6 @@ def _draw_spectra(spectra: np.ndarray, seed: int, chunk: int) -> None:
                                context={"n": n}) from exc
 
 
-def _process_count(workers: int | None, n_chunks: int) -> int:
-    """Processes sample_ensemble uses: min(workers, n_chunks, usable CPUs),
-    and 1 where the platform cannot fork."""
-    if (workers is None or workers <= 1 or n_chunks <= 1
-            or not hasattr(os, "fork")):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return max(1, min(workers, n_chunks, cpus))
-
-
 def _draw_chunks(n: int, reps: int, seed: int, first: int, stop: int):
     """The (rows, n) spectra of chunks first..stop-1 of an ensemble."""
     block = np.empty((min(stop * CHUNK, reps) - first * CHUNK, n))
@@ -142,69 +128,6 @@ def _draw_chunks(n: int, reps: int, seed: int, first: int, stop: int):
         lo = (c - first) * CHUNK
         _draw_spectra(block[lo:lo + CHUNK], seed, c)
     return block
-
-
-def _fork_join(tasks):
-    """[task() for task in tasks]: tasks[0] runs in this process while each
-    other task runs in a child forked for it.
-
-    A child pipes back its pickled result, or the exception it raised, and
-    leaves by os._exit, so it runs no exit handler and flushes none of the
-    buffers it shares with this process.  Every pipe is drained and every
-    child reaped, also when tasks[0] raises.  Then a child's exception is
-    raised here as it was raised there (a NumericError keeps its context),
-    and a child that exits without writing raises ChildProcessError.
-    """
-    children = []
-    try:
-        for task in tasks[1:]:
-            read_end, write_end = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_end)
-                os.close(write_end)
-                raise
-            if pid == 0:
-                _child(task, write_end)
-            os.close(write_end)
-            children.append((pid, read_end))
-        results = [tasks[0]()]
-    finally:
-        replies = [_reap(pid, read_end) for pid, read_end in children]
-    for pid, status, reply in replies:
-        if status or not reply:
-            raise ChildProcessError(
-                f"sampling process {pid} exited with status {status} "
-                "and no result")
-        ok, value = pickle.loads(reply)
-        if not ok:
-            raise value
-        results.append(value)
-    return results
-
-
-def _child(task, write_end: int):
-    """Run task in a forked child, write (ok, result or exception) to the
-    pipe and exit: status 0 once the reply is written, 1 otherwise."""
-    status = 1
-    try:
-        try:
-            reply = (True, task())
-        except Exception as exc:        # raised again in the parent
-            reply = (False, exc)
-        with os.fdopen(write_end, "wb") as pipe:
-            pickle.dump(reply, pipe, protocol=pickle.HIGHEST_PROTOCOL)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _reap(pid: int, read_end: int):
-    """(pid, exit status, bytes written) of a child, once it has exited."""
-    with os.fdopen(read_end, "rb") as pipe:
-        reply = pipe.read()
-    return pid, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), reply
 
 
 def sample_ensemble(n: int, reps: int, seed: int, workers: int | None = None):
@@ -223,9 +146,9 @@ def sample_ensemble(n: int, reps: int, seed: int, workers: int | None = None):
     if reps < 1:
         raise ArgumentError(f"reps must be >= 1, got {reps}")
     n_chunks = (reps + CHUNK - 1) // CHUNK
-    processes = _process_count(workers, n_chunks)
+    processes = process_count(workers, n_chunks)
     bounds = [n_chunks * k // processes for k in range(processes + 1)]
-    blocks = _fork_join([
+    blocks = fork_join([
         functools.partial(_draw_chunks, n, reps, seed, first, stop)
         for first, stop in zip(bounds, bounds[1:])])
     return blocks[0] if processes == 1 else np.concatenate(blocks)

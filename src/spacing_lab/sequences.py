@@ -1,9 +1,10 @@
 """Deterministic-sequence spacing statistics: prime gaps and zeta zeros.
 
-Primes come from a segmented odds-only sieve.  Zero ordinates are ingested
-from text files and unfolded by the smooth counting function; the
-nearest-neighbour statistic is the minimum of the two flanking gaps at each
-interior point.
+Primes come from a segmented odds-only sieve over a window that the
+prime number theorem sizes, split into blocks that forked processes sieve
+side by side.  Zero ordinates are ingested from text files and unfolded by
+the smooth counting function; the nearest-neighbour statistic is the
+minimum of the two flanking gaps at each interior point.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._fork import fork_join, process_count
 from .csvio import write_csv
 from .errors import ArgumentError, FormatError
 from .montecarlo import Histogram, build_histogram
@@ -98,25 +100,50 @@ def _sieve_range(lo: int, hi: int) -> np.ndarray:
     return np.concatenate(found) if found else np.empty(0, dtype=np.int64)
 
 
-def primes_from(start: int, count: int) -> PrimeWindow:
+def _prime_span(start: int, count: int) -> int:
+    """Integers from start that hold `count` primes, with a margin.
+
+    By the prime number theorem the span is count * ln x with x = start +
+    span/2, solved by iteration.  The primes in a span spread no wider
+    than a Poisson count of the same mean, so six of its standard
+    deviations, 6 sqrt(count) ln x integers, are added.
+    """
+    span = count * math.log(start + count)
+    for _ in range(4):
+        span = count * math.log(start + span / 2)
+    return math.ceil(span + 6 * math.sqrt(count) * math.log(start + span / 2))
+
+
+def primes_from(start: int, count: int, workers: int | None = None
+                ) -> PrimeWindow:
     """First `count` primes >= start.
 
-    Sieves forward one segment of DEFAULT_SEGMENT odd numbers at a time and
-    stops in the segment that holds the `count`-th prime.
+    Sieves the span that _prime_span expects to hold them, split at whole
+    segments of DEFAULT_SEGMENT odd numbers into min(workers, segments,
+    usable CPUs) contiguous blocks: this process sieves the first block
+    and a forked child each other one.  Should the span fall short, it
+    sieves on one segment at a time.  The primes are the same for any
+    worker count.
     """
     if start < 2:
         raise ArgumentError(f"start must be >= 2, got {start}")
     if count < 1:
         raise ArgumentError(f"count must be >= 1, got {count}")
-    found, total, lo = [], 0, start
+    segment = 2 * DEFAULT_SEGMENT       # integers
+    found, total = [], 0
+    lo, hi = start, start + _prime_span(start, count)
     while total < count:
-        hi = lo + 2 * DEFAULT_SEGMENT
         if hi >= _UINT63:
             raise ArgumentError(
                 f"window [{start}, {hi}) risks 64-bit overflow")
-        found.append(_sieve_range(lo, hi))
-        total += found[-1].size
-        lo = hi
+        segments = -(-(hi - lo) // segment)
+        processes = process_count(workers, segments)
+        cuts = [lo + segment * (segments * k // processes)
+                for k in range(processes)] + [hi]
+        found += fork_join([functools.partial(_sieve_range, a, b)
+                            for a, b in zip(cuts, cuts[1:])])
+        total = sum(block.size for block in found)
+        lo, hi = hi, hi + segment
     primes = np.concatenate(found)[:count]
     return PrimeWindow(start=start, primes=primes, count=count)
 

@@ -16,7 +16,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import chdtrc
 
 from spacing_lab import (ArgumentError, Interval, NumericError,
-                         UnsupportedError, montecarlo)
+                         UnsupportedError, _fork, montecarlo)
 from spacing_lab.montecarlo import (
     build_histogram,
     central_spacings,
@@ -176,15 +176,6 @@ def _replica_loop(n, reps, seed):
     return np.array(rows)
 
 
-@pytest.fixture
-def cpus(monkeypatch):
-    """Set the usable CPU count that sizes the process pool."""
-    def use(count):
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: set(range(count)), raising=False)
-    return use
-
-
 @pytest.mark.skipif(not hasattr(os, "fork"),
                     reason="sampling in more than one process needs os.fork")
 class TestProcessPool:
@@ -203,7 +194,7 @@ class TestProcessPool:
                               sample_ensemble(13, 300, 8, 1))
 
     def test_process_count_rule(self, cpus, monkeypatch):
-        count = montecarlo._process_count
+        count = _fork.process_count
         cpus(2)
         assert count(None, 10) == 1
         assert count(1, 10) == 1

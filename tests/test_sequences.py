@@ -2,12 +2,14 @@
 
 import io
 import math
+import os
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from spacing_lab import ArgumentError, FormatError, Interval, csvio, sequences
+from spacing_lab import (ArgumentError, FormatError, Interval, NumericError,
+                         csvio, sequences)
 from spacing_lab.montecarlo import build_histogram, chi_square_test
 from spacing_lab.sequences import (
     ZeroDataset,
@@ -168,6 +170,80 @@ class TestPrimesFrom:
         out = io.StringIO()
         window.to_csv(out)
         assert out.getvalue() == expected
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"),
+                    reason="sieving in more than one process needs os.fork")
+class TestForkedWindow:
+    # no test starts more than 3 processes: the CPU count is stubbed to 3
+    @pytest.fixture
+    def blocks(self, cpus, monkeypatch):
+        """Small segments, 3 usable CPUs, and the block count of each
+        fork-join primes_from runs, in order."""
+        cpus(3)
+        monkeypatch.setattr(sequences, "DEFAULT_SEGMENT", 64)
+        counts, join = [], sequences.fork_join
+
+        def counting(tasks):
+            counts.append(len(tasks))
+            return join(tasks)
+
+        monkeypatch.setattr(sequences, "fork_join", counting)
+        return counts
+
+    @pytest.mark.parametrize("start", [2, 3, 10**6 + 1])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_blocks_match_serial_and_miller_rabin(self, blocks, start,
+                                                  workers):
+        window = primes_from(start, 500, workers)
+        assert blocks == [workers]
+        last = int(window.primes[-1])
+        assert window.primes.tolist() == [n for n in range(start, last + 1)
+                                          if miller_rabin(n)]
+        assert np.array_equal(window.primes, primes_from(start, 500).primes)
+
+    @pytest.mark.parametrize("span", [1, 3 * 128 + 5])
+    def test_short_span_is_topped_up(self, blocks, monkeypatch, span):
+        expected = primes_from(10**6 + 1, 500).primes
+        blocks.clear()
+        monkeypatch.setattr(sequences, "_prime_span", lambda start, count: span)
+        window = primes_from(10**6 + 1, 500, workers=3)
+        assert np.array_equal(window.primes, expected)
+        # the short span in one or three blocks, then one segment at a time
+        assert blocks[0] == (1 if span == 1 else 3)
+        assert len(blocks) > 1 and set(blocks[1:]) == {1}
+
+    def test_child_error_reaches_caller(self, blocks, monkeypatch):
+        parent, sieve = os.getpid(), sequences._sieve_range
+
+        def child_fails(lo, hi):
+            if os.getpid() != parent:
+                raise NumericError("stub failure", context={"lo": lo})
+            return sieve(lo, hi)
+
+        monkeypatch.setattr(sequences, "_sieve_range", child_fails)
+        with pytest.raises(NumericError) as caught:
+            primes_from(10**6 + 1, 500, workers=3)
+        assert caught.value.context["lo"] > 10**6 + 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+def test_window_sieves_little_past_its_last_prime(monkeypatch):
+    # 10^6 primes from 162509546661 end 25810618 integers on; whole
+    # segments of 2^21 integers sieved 27262976
+    start, sieved, sieve = 162509546661, [], sequences._sieve_range
+
+    def counting(lo, hi):
+        if lo >= start:             # not the base primes' own sieve
+            sieved.append(hi - lo)
+        return sieve(lo, hi)
+
+    monkeypatch.setattr(sequences, "_sieve_range", counting)
+    window = primes_from(start, 10**6, workers=1)
+    assert window.primes.size == 10**6
+    assert int(window.primes[-1]) - start == 25810618
+    assert sum(sieved) <= 1.01 * 25810618
 
 
 class TestPrimeSpacingHistogram:
