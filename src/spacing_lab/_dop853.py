@@ -3,7 +3,7 @@
 A port of SciPy 1.17.1's DOP853 solver (Hairer, Norsett and Wanner,
 Solving Ordinary Differential Equations I, Sec. II.10) cut to what
 the Painleve route uses: a real 1-D state, scalar rtol and atol, steps
-forward from t0 towards t_bound, no max_step and no given first step.
+forward from t0 with no bound, no max_step and no given first step.
 Every operation is SciPy's, in SciPy's order (the initial-step rule, the
 stage sums np.dot(K[:s].T, a[:s]) * h, the 5th/3rd-order error norm and
 step control, the interpolant's F and its alternating x / (1 - x) Horner
@@ -36,12 +36,12 @@ def _rms(x):
 
 
 class DOP853:
-    """One trajectory of y' = fun(t, y) from (t0, y0) forward to t_bound.
+    """One trajectory of y' = fun(t, y) forward from (t0, y0).
 
     fun returns an array_like of y's shape.  After each step(), status is
-    'running', 'finished' (t reached t_bound) or 'failed' (the step size
-    fell below ten spacings of floats at t, and step() returned why); t and
-    y are those of the last accepted step."""
+    'running' or 'failed' (the step size fell below ten spacings of floats
+    at t, and step() returned why); t and y are those of the last accepted
+    step."""
 
     A = _c.A[:_N, :_N]
     B = _c.B
@@ -52,16 +52,14 @@ class DOP853:
     A_EXTRA = _c.A[_N + 1:]
     C_EXTRA = _c.C[_N + 1:]
 
-    def __init__(self, fun, t0, y0, t_bound, rtol, atol):
+    def __init__(self, fun, t0, y0, rtol, atol):
         y0 = np.asarray(y0).astype(float, copy=False)
         if y0.ndim != 1 or not np.isfinite(y0).all():
             raise ValueError("y0 must be a finite 1-D state")
-        if not t_bound > t0:
-            raise ValueError("t_bound must lie past t0")
         if rtol < 100 * np.finfo(float).eps or atol < 0:
             raise ValueError(f"rtol={rtol} or atol={atol} out of range")
         self.fun = lambda t, y: np.asarray(fun(t, y), dtype=float)
-        self.t, self.y, self.t_bound = t0, y0, t_bound
+        self.t, self.y = t0, y0
         self.rtol, self.atol = rtol, atol
         self.status = "running"
         self.t_old = self.y_old = self.h_previous = None
@@ -73,7 +71,6 @@ class DOP853:
     def _initial_step(self):
         """Hairer-Norsett-Wanner's first-step estimate, Sec. II.4."""
         t0, y0, f0 = self.t, self.y, self.f
-        interval_length = abs(self.t_bound - t0)
         scale = self.atol + np.abs(y0) * self.rtol
         d0 = _rms(y0 / scale)
         d1 = _rms(f0 / scale)
@@ -81,14 +78,13 @@ class DOP853:
             h0 = 1e-6
         else:
             h0 = 0.01 * d0 / d1
-        h0 = min(h0, interval_length)
         f1 = self.fun(t0 + h0, y0 + h0 * f0)
         d2 = _rms((f1 - f0) / scale) / h0
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
         else:
             h1 = (0.01 / max(d1, d2)) ** (1 / (_ERROR_ORDER + 1))
-        return min(100 * h0, h1, interval_length)
+        return min(100 * h0, h1)
 
     def _error_norm(self, h, scale):
         err5 = np.dot(self.K.T, self.E5) / scale
@@ -103,7 +99,7 @@ class DOP853:
     def step(self):
         """Take one accepted step; returns None, or why the step failed."""
         if self.status != "running":
-            raise RuntimeError("step on a failed or finished stepper")
+            raise RuntimeError("step on a failed stepper")
         t, y, K = self.t, self.y, self.K
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs = min_step if self.h_abs < min_step else self.h_abs
@@ -113,8 +109,6 @@ class DOP853:
                 self.status = "failed"
                 return TOO_SMALL_STEP
             t_new = t + h_abs
-            if t_new - self.t_bound > 0:
-                t_new = self.t_bound
             h = t_new - t
             h_abs = np.abs(h)
 
@@ -143,8 +137,6 @@ class DOP853:
             rejected = True
         self.h_previous, self.y_old, self.t_old = h, y, t
         self.t, self.y, self.h_abs, self.f = t_new, y_new, h_abs, f_new
-        if self.t - self.t_bound >= 0:
-            self.status = "finished"
         return None
 
     def dense_output(self):

@@ -160,34 +160,28 @@ def semicircle_density(x, n: int):
     return np.sqrt(np.maximum(2.0 * n - x * x, 0.0)) / math.pi
 
 
-def unfold(spectra, density=None) -> np.ndarray:
+def unfold(spectra) -> np.ndarray:
     """Unfold each spectrum along the last axis of ``spectra`` (one
     spectrum, or a stack of them along the leading axes).
 
-    Each spacing is rescaled by the local density at its midpoint.  Default
-    density is the semicircle for the rank (the length of the last axis);
-    eigenvalues outside its support are clipped to the edge (count logged).
-    The density is floored at a tiny positive value so each unfolded
-    sequence stays strictly ascending even at the clipped edge.  A custom
-    ``density`` is called once, on the array of all midpoints, and must
-    return the density at each of them.
+    Each spacing is rescaled by the semicircle density for the rank (the
+    length of the last axis) at its midpoint, evaluated once on the array
+    of all midpoints.  Eigenvalues outside its support are clipped to the
+    edge (count logged).  The density is floored at a tiny positive value
+    so each unfolded sequence stays strictly ascending even at the clipped
+    edge.
     """
     raw = np.asarray(spectra, dtype=float)
     n = raw.shape[-1]
     if n < 2:
         raise ArgumentError("need at least 2 eigenvalues to unfold")
-    if density is None:
-        edge = math.sqrt(2.0 * n)
-        clipped = int(np.count_nonzero((raw < -edge) | (raw > edge)))
-        if clipped:
-            log.info("unfold: clipped %d eigenvalues to the support edge",
-                     clipped)
-        work = np.clip(raw, -edge, edge)
-        density = functools.partial(semicircle_density, n=n)
-    else:
-        work = raw
+    edge = math.sqrt(2.0 * n)
+    clipped = int(np.count_nonzero((raw < -edge) | (raw > edge)))
+    if clipped:
+        log.info("unfold: clipped %d eigenvalues to the support edge", clipped)
+    work = np.clip(raw, -edge, edge)
     mids = 0.5 * (work[..., 1:] + work[..., :-1])
-    rho = np.maximum(np.asarray(density(mids), dtype=float), _DENSITY_FLOOR)
+    rho = np.maximum(semicircle_density(mids, n), _DENSITY_FLOOR)
     scaled = np.diff(work, axis=-1) * rho
     first = work[..., :1]
     return np.concatenate((first, first + np.cumsum(scaled, axis=-1)),

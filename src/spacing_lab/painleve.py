@@ -48,9 +48,7 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -65,7 +63,7 @@ SIGMA_NN = "SIGMA_NN"      # conditioned-origin sigma, params (a, xi)
 _GAUDIN = (SIGMA_JMMS, (1.0,))  # the trajectory that carries Gaudin's split
 
 DEFAULT_T_SWITCH = 0.1
-DEFAULT_ORDER = 44
+DEFAULT_ORDER = 44      # x-coefficients every boundary series is derived to
 DEFAULT_TOL = 1e-10     # the tolerance every trajectory is integrated to
 _DEFECT_FACTOR = 100.0
 _TOL_SAFETY = 100.0     # internal solver tolerance = DEFAULT_TOL / this
@@ -73,7 +71,7 @@ _MIN_SOLVER_TOL = 1e-13
 _ACTION_TOL = 1e-10     # smallest linearized action considered nonzero
 _TRUNCATED_TOP = 6      # top residual orders the final check skips
 _STEP = 1e-30           # complex step of sigma'''; its h^2 is negligible
-_T_BOUND = 1e6          # the stepper's bound, past any request
+_T_BOUND = 1e6          # no trajectory is stepped past it on request
 
 
 # ---------------------------------------------------------------------------
@@ -426,12 +424,6 @@ class PainleveProblem:
     # trajectory, whose integral is Gaudin's split; None on any other
     _root: np.ndarray | None = field(default=None, compare=False, repr=False)
 
-    @property
-    def series(self):
-        """((exponent in t as Fraction, coefficient), ...), nonzero terms."""
-        return tuple((Fraction(k, 2), float(c))
-                     for k, c in enumerate(self.x_coefficients, 1) if c != 0.0)
-
     def series_value(self, t, deriv=0):
         """Series sigma (deriv 0..2) or int_0^t sigma/tau dtau (deriv=-1).
 
@@ -473,50 +465,42 @@ _problems: dict = {}
 _solutions: dict = {}
 
 
-def build_problem(equation_id, params=(), t_switch=DEFAULT_T_SWITCH,
-                  n_terms=DEFAULT_ORDER):
-    """Derive the boundary series and package it with its equation.
+def build_problem(equation_id, params=(), t_switch=DEFAULT_T_SWITCH):
+    """Derive the boundary series, to DEFAULT_ORDER x-coefficients, and
+    package it with its equation.
 
-    n_terms is an integer no smaller than the largest leading exponent.
-    Memoised on (equation_id, params, t_switch, n_terms) until
+    Memoised on (equation_id, params, t_switch, DEFAULT_ORDER) until
     clear_cache(): repeated calls return the same problem, whose
     x_coefficients array is read-only.
     """
     if not 0.0 < t_switch <= 0.1:
         raise ArgumentError(f"t_switch must lie in (0, 0.1], got {t_switch}")
-    if not isinstance(n_terms, numbers.Integral):
-        raise ArgumentError(f"n_terms must be an integer, got {n_terms!r}")
     params = tuple(float(p) for p in params)
-    n_terms = int(n_terms)
-    key = (equation_id, params, float(t_switch), n_terms)
+    key = (equation_id, params, float(t_switch), DEFAULT_ORDER)
     problem = _problems.get(key)
     if problem is None:
         problem = _problems[key] = _derive_problem(
-            equation_id, params, t_switch, n_terms)
+            equation_id, params, t_switch, DEFAULT_ORDER)
     return problem
 
 
-def _derive_problem(equation_id, params, t_switch, n_terms):
+def _derive_problem(equation_id, params, t_switch, order):
     par, leading, pinned = _equation_setup(equation_id, params)
-    if n_terms < max(leading):
-        raise ArgumentError(
-            f"{equation_id} {params} needs n_terms >= {max(leading)}, its "
-            f"leading exponent, got {n_terms}")
     if all(v == 0.0 for v in leading.values()):        # xi = 0: sigma == 0
-        coeffs = np.zeros(n_terms)
+        coeffs = np.zeros(order)
     else:
-        coeffs = _match_coefficients(equation_id, par, leading, n_terms,
+        coeffs = _match_coefficients(equation_id, par, leading, order,
                                      pinned)
         _check_tail(coeffs, t_switch)
     coeffs.setflags(write=False)
     root = None
-    if (equation_id, params) == _GAUDIN and n_terms >= 4:
+    if (equation_id, params) == _GAUDIN:
         # sigma - t sigma' = -A = sum (1 - k/2) c_k x^k, led by x^4 / pi^2;
-        # the root's x^k takes -A's x^(k+2), so it stops at x^(n_terms - 2)
-        k = np.arange(1, n_terms + 1)
-        root = np.zeros(n_terms)
-        root[1:n_terms - 2] = _s_sqrt(
-            _Series((1.0 - k / 2.0) * coeffs, 1, n_terms - 2)).c
+        # the root's x^k takes -A's x^(k+2), so it stops at x^(order - 2)
+        k = np.arange(1, order + 1)
+        root = np.zeros(order)
+        root[1:order - 2] = _s_sqrt(
+            _Series((1.0 - k / 2.0) * coeffs, 1, order - 2)).c
         root.setflags(write=False)
     return PainleveProblem(equation_id=equation_id, params=params,
                            t_switch=float(t_switch), x_coefficients=coeffs,
@@ -651,7 +635,7 @@ def integrate(problem: PainleveProblem, t_max: float) -> PainleveSolution:
         raise ArgumentError(f"t_max={t_max} must exceed t_switch={ts}")
     rhs, y0 = _system(problem)
     solver_tol = max(DEFAULT_TOL / _TOL_SAFETY, _MIN_SOLVER_TOL)
-    stepper = DOP853(rhs, ts, y0, _T_BOUND, rtol=solver_tol, atol=solver_tol)
+    stepper = DOP853(rhs, ts, y0, rtol=solver_tol, atol=solver_tol)
     solution = PainleveSolution(problem, stepper,
                                 Dense.start(ts, len(y0)))
     solution._extend(t_max)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fredholm, kernels, montecarlo, painleve, routes, sequences
-from .errors import ArgumentError
+from .errors import ArgumentError, SpacingLabError
 from .quadrature import Interval, gauss_legendre
 
 _MC_SEED = 42
@@ -41,12 +41,17 @@ ALL_CRITERIA = []
 def _criterion(name):
     """Register a check under the name its result prints.  The check
     returns (passed, details); the registered function returns the
-    CriterionResult, carries the name as ``criterion`` and is appended to
-    ALL_CRITERIA."""
+    CriterionResult (failing, with ``error`` its one detail, where the
+    check raises a SpacingLabError), carries the name as ``criterion``
+    and is appended to ALL_CRITERIA."""
     def register(check):
         @functools.wraps(check)
         def run() -> CriterionResult:
-            passed, details = check()
+            try:
+                passed, details = check()
+            except SpacingLabError as exc:
+                return CriterionResult(
+                    name, False, {"error": f"{type(exc).__name__}: {exc}"})
             return CriterionResult(name, passed, details)
 
         run.criterion = name
@@ -247,7 +252,7 @@ def check_montecarlo_histograms():
 @_criterion("prime-gap-poisson")
 def check_prime_gaps():
     """2000 primes from 1e9+7: gap histograms within KS 0.08 of the model."""
-    tol = 0.08
+    tol, last_prime = 0.08, 1000041709  # its 2000th by Miller-Rabin too
     window = sequences.primes_from(10 ** 9 + 7, 2000)
     ks0 = sequences.histogram_ks_distance(
         sequences.prime_spacing_histogram(window, 0),
@@ -255,8 +260,10 @@ def check_prime_gaps():
     ks1 = sequences.histogram_ks_distance(
         sequences.prime_spacing_histogram(window, 1),
         lambda s: 1.0 - (1.0 + s) * np.exp(-s))
-    return (ks0 <= tol and ks1 <= tol,
-            {"ks_order0": _fmt(ks0), "ks_order1": _fmt(ks1), "tol": tol})
+    last = int(window.primes[-1])       # a dropped or extra prime moves it
+    return (ks0 <= tol and ks1 <= tol and last == last_prime,
+            {"ks_order0": _fmt(ks0), "ks_order1": _fmt(ks1), "tol": tol,
+             "last_prime": last})
 
 
 @_criterion("nearest-neighbour-routes")

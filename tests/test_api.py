@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import spacing_lab
-from spacing_lab import Interval, fredholm, painleve, routes
+from spacing_lab import (Interval, _dop853, fredholm, montecarlo, painleve,
+                         routes)
 from spacing_lab.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -19,7 +20,8 @@ ROOT = Path(__file__).resolve().parents[1]
 # each removed name with the module or class that held it
 REMOVED = ((fredholm, "GapProfile"), (painleve, "extend_series"),
            (fredholm, "rho_k_bulk"), (fredholm.SpacingTable, "from_csv"),
-           (fredholm.SpacingTable, "to_csv_text"))
+           (fredholm.SpacingTable, "to_csv_text"),
+           (painleve.PainleveProblem, "series"))
 
 
 def _public_names():
@@ -48,7 +50,7 @@ def test_removed_names_are_absent():
 
 
 # accuracy and tuning values are module constants, read at call time
-SETTINGS = {"tol", "segment", "min_expected"}
+SETTINGS = {"tol", "segment", "min_expected", "n_terms"}
 
 
 def test_no_public_callable_takes_a_tolerance():
@@ -62,6 +64,15 @@ def test_no_public_callable_takes_a_tolerance():
         assert "tol" not in inspect.signature(function).parameters
     assert list(inspect.signature(Interval.is_symmetric).parameters) == [
         "self"]
+
+
+def test_unfold_and_stepper_take_no_hooks():
+    # unfold always uses the semicircle of its rank; the stepper has no
+    # horizon, painleve's guard on requests being the only bound
+    assert list(inspect.signature(montecarlo.unfold).parameters) == [
+        "spectra"]
+    assert list(inspect.signature(_dop853.DOP853).parameters) == [
+        "fun", "t0", "y0", "rtol", "atol"]
 
 
 def test_tabulate_refuses_det_tol(capsys):
@@ -87,6 +98,15 @@ def test_version_is_stated_in_the_package():
     proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_leaves_out_fractions_and_decimal():
+    script = ("import sys, spacing_lab; "
+              "print(sorted({'fractions', 'decimal'} & sys.modules.keys()))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout.strip() == "[]", proc.stderr
 
 
 def test_runs_without_scipy():

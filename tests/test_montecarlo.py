@@ -36,17 +36,13 @@ def _reference_spectrum(n, diagonal, off_diagonal):
     return np.sort(eigh_tridiagonal(diag, off, eigvals_only=True))
 
 
-def _reference_unfold(raw, density=None):
+def _reference_unfold(raw, density=semicircle_density):
     # the per-spectrum unfolding loop the array path replaced
     n = raw.size
-    if density is None:
-        edge = math.sqrt(2.0 * n)
-        work = np.clip(raw, -edge, edge)
-        density = lambda x: semicircle_density(x, n)
-    else:
-        work = raw
+    edge = math.sqrt(2.0 * n)
+    work = np.clip(raw, -edge, edge)
     mids = 0.5 * (work[1:] + work[:-1])
-    rho = np.maximum(np.asarray(density(mids), dtype=float), 1e-12)
+    rho = np.maximum(density(mids, n), 1e-12)
     return np.concatenate(([work[0]], work[0] + np.cumsum(np.diff(work) * rho)))
 
 
@@ -299,21 +295,33 @@ def test_no_process_pool_machinery_is_imported():
 
 
 class TestArrayUnfold:
+    # unfold reads the module's semicircle_density at call time, so a test
+    # can put another profile in its place
     @pytest.mark.parametrize("density", [
-        None, lambda x: 0.25 + 0.01 * x * x])
-    def test_matches_per_spectrum_loop(self, density):
+        None, lambda x, n: 0.25 + 0.01 * x * x])
+    def test_matches_per_spectrum_loop(self, density, monkeypatch):
+        if density is None:
+            density = semicircle_density
+        else:
+            monkeypatch.setattr(montecarlo, "semicircle_density", density)
         raw = sample_ensemble(13, 300, 4)
         raw[0, -1] = 10.0          # beyond the semicircle edge: clipped
         expected = np.array([_reference_unfold(r, density) for r in raw])
-        assert np.array_equal(unfold(raw, density), expected)
+        assert np.array_equal(unfold(raw), expected)
         for i in (0, 1, 299):
-            assert np.array_equal(unfold(raw[i], density), expected[i])
+            assert np.array_equal(unfold(raw[i]), expected[i])
 
-    def test_density_called_once_on_all_midpoints(self):
+    def test_density_called_once_on_all_midpoints(self, monkeypatch):
         raw = sample_ensemble(13, 5, 4)
         calls = []
-        unfold(raw, lambda x: calls.append(x.shape) or np.ones_like(x))
-        assert calls == [(5, 12)]
+
+        def recording(x, n):
+            calls.append((x.shape, n))
+            return semicircle_density(x, n)
+
+        monkeypatch.setattr(montecarlo, "semicircle_density", recording)
+        unfold(raw)
+        assert calls == [((5, 12), 13)]
 
     def test_spacings_match_per_spectrum(self):
         raw = sample_ensemble(13, 300, 4)
@@ -330,9 +338,11 @@ class TestArrayUnfold:
 
 
 class TestUnfold:
-    def test_constant_density_is_identity(self):
-        raw = np.array([0.3, 0.9, 1.4, 2.0])
-        unfolded = unfold(raw, density=lambda x: np.ones_like(x))
+    def test_constant_density_is_identity(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "semicircle_density",
+                            lambda x, n: np.ones_like(x))
+        raw = np.array([0.3, 0.9, 1.4, 2.0])    # inside the support, 2.83
+        unfolded = unfold(raw)
         assert np.allclose(unfolded, raw, atol=1e-15)
 
     def test_mean_central_spacing_is_unity(self):

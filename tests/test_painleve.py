@@ -48,36 +48,25 @@ class TestSeriesLayer:
         # the first three derived terms alone already satisfy the equation
         # to 1e-8 near zero; the tiny switch point keeps the truncated
         # series inside its own tail bound
-        problem = build_problem(SIGMA_HARD, (-0.5, 2.0, 1.0), t_switch=1e-8,
-                                n_terms=5)
+        problem = painleve._derive_problem(SIGMA_HARD, (-0.5, 2.0, 1.0),
+                                           1e-8, 5)
         assert series_residual(problem, 1e-3) <= 1e-8
 
     def test_conditioned_origin_degenerates_to_translation_form(self):
         # at a=0 the leading term collapses to the plain bulk one, -xi t/pi
-        nn = build_problem(SIGMA_NN, (0.0, 1.0))
-        jmms = build_problem(SIGMA_JMMS, (1.0,))
-        exp_nn, coeff_nn = nn.series[0]
-        exp_j, coeff_j = jmms.series[0]
-        assert exp_nn == exp_j == 1
+        nn = build_problem(SIGMA_NN, (0.0, 1.0)).x_coefficients
+        jmms = build_problem(SIGMA_JMMS, (1.0,)).x_coefficients
+        (k_nn, *_), (k_j, *_) = np.flatnonzero(nn), np.flatnonzero(jmms)
+        assert k_nn == k_j == 1         # x^2 = t
+        coeff_nn, coeff_j = nn[k_nn], jmms[k_j]
         assert coeff_nn == pytest.approx(coeff_j, rel=1e-13)
         assert coeff_j == pytest.approx(-1.0 / math.pi, rel=1e-13)
 
-    @pytest.mark.parametrize("n_terms", [0, 1, 3, 5, -2, 2.5, None])
-    def test_n_terms_domain(self, n_terms):
-        # the a = 1 conditioned-origin series leads at x^6
-        problem = build_problem(SIGMA_NN, (1.0, 1.0), n_terms=np.int64(6))
-        assert problem is build_problem(SIGMA_NN, (1.0, 1.0), n_terms=6)
-        with pytest.raises(ArgumentError):
-            build_problem(SIGMA_NN, (1.0, 1.0), n_terms=n_terms)
-        with pytest.raises(ArgumentError):
-            build_problem(problem.equation_id, problem.params,
-                          problem.t_switch, n_terms)
-
     def test_extend_series_preserves_prefix(self):
-        problem = build_problem(SIGMA_JMMS, (1.0,), n_terms=30)
-        longer = build_problem(problem.equation_id, problem.params,
-                               problem.t_switch, 40).series
-        assert longer[:len(problem.series)] == problem.series
+        shorter, longer = (painleve._derive_problem(
+            SIGMA_JMMS, (1.0,), painleve.DEFAULT_T_SWITCH, order)
+            .x_coefficients for order in (30, 40))
+        assert np.array_equal(longer[:30], shorter)
 
     def test_t_switch_domain(self):
         with pytest.raises(ArgumentError):
@@ -114,7 +103,7 @@ class TestSeriesLayer:
 
     def test_xi_zero_series_vanishes(self):
         problem = build_problem(SIGMA_JMMS, (0.0,))
-        assert problem.series == ()
+        assert not problem.x_coefficients.any()
         assert problem.series_value(0.05) == 0.0
 
     def test_series_value_derivative_orders(self):
@@ -757,15 +746,21 @@ class TestProblemMemo:
         ids=[f"{e}{p}-{n}" for e, p, n, _ in MORE_DIGESTS])
     def test_more_coefficients_unchanged(self, eq, params, n_terms, digest):
         painleve.clear_cache()
-        coeffs = build_problem(eq, params, n_terms=n_terms).x_coefficients
+        coeffs = painleve._derive_problem(
+            eq, params, painleve.DEFAULT_T_SWITCH, n_terms).x_coefficients
         assert hashlib.sha256(coeffs.tobytes()).hexdigest() == digest
 
-    def test_memoised_and_read_only(self):
+    def test_memoised_and_read_only(self, monkeypatch):
         painleve.clear_cache()
         params = (-0.5, 2.0, 1.0)
         problem = build_problem(SIGMA_HARD, params)
-        assert build_problem(SIGMA_HARD, params, 0.1, 44) is problem
-        assert build_problem(SIGMA_HARD, params, n_terms=30) is not problem
+        assert build_problem(SIGMA_HARD, params, 0.1) is problem
+        # the order is read at call time and keys the memo
+        monkeypatch.setattr(painleve, "DEFAULT_ORDER", 30)
+        shorter = build_problem(SIGMA_HARD, params)
+        assert shorter is not problem and len(shorter.x_coefficients) == 30
+        monkeypatch.undo()
+        assert build_problem(SIGMA_HARD, params) is problem
         with pytest.raises(ValueError):
             problem.x_coefficients[0] = 1.0
         painleve.clear_cache()
@@ -818,7 +813,8 @@ class TestFirstActions:
         # pinned ones.  The last two conditioned-origin unknowns at a = 1
         # act only past the series
         par, leading, pinned = painleve._equation_setup(eq, params)
-        final = build_problem(eq, params, n_terms=order).x_coefficients
+        final = painleve._derive_problem(
+            eq, params, painleve.DEFAULT_T_SWITCH, order).x_coefficients
         collisions, silent = set(), set()
         for e in sorted(set(range(1, order + 1)) - set(leading)):
             known = [k < e or k in leading for k in range(1, order + 1)]

@@ -6,7 +6,9 @@ tests pin how much work the criteria do to reach it.
 
 import pytest
 
-from spacing_lab import Interval, fredholm, kernels, painleve, verify
+from spacing_lab import (Interval, NumericError, fredholm, kernels, painleve,
+                         sequences, verify)
+from spacing_lab.cli import main
 
 
 @pytest.fixture()
@@ -97,8 +99,11 @@ class TestTrajectoryFetches:
 
 
 class TestMutations:
-    """Faults each route criterion must catch; every one of them passed
-    verify when the criteria compared only E2, E1, E4 and Enn."""
+    """Faults the criteria must catch, each with the criterion that
+    catches it.  The scaled densities and equations passed verify when the
+    criteria compared only E2, E1, E4 and Enn; the conditioned-origin
+    fault stopped verify at its first error, and the sieve fault passed
+    every criterion before the window's last prime was pinned."""
 
     @pytest.mark.parametrize("module, name, factor, criterion, row", [
         (fredholm, "p2_det", 2.0, "e2-cross-route", "p0_beta2"),
@@ -171,3 +176,65 @@ class TestMutations:
         result = verify.check_density_stencils()
         assert not result.passed, str(result)
         assert result.details["p1"] > result.details["tol"]
+
+    def test_nn_equation_off_by_1e7(self, monkeypatch, capsys):
+        # the conditioned-origin G scaled by 1 + 1e-7: its integrator fails
+        # at t = 22.58, which fails nearest-neighbour-routes alone (the
+        # series residuals stay small), and every other criterion still
+        # reports
+        g = painleve._g_nn
+
+        def g_faulty(par, s, tsp, sp):
+            ((term,),) = g(par, s, tsp, sp)
+            return (((1.0 + 1e-7) * term,),)
+
+        painleve.clear_cache()
+        monkeypatch.setitem(painleve._EQUATIONS, painleve.SIGMA_NN,
+                            (g_faulty, 2))
+        try:
+            code = main(["verify"])
+        finally:
+            painleve.clear_cache()
+        results = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("[")]
+        assert code == 1
+        assert len(results) == 13
+        [failed] = [line for line in results if line.startswith("[FAIL]")]
+        assert failed.startswith(
+            "[FAIL] nearest-neighbour-routes: error=StiffnessError: ")
+        assert "t=22.58" in failed
+
+    def test_sieve_dropping_a_prime_per_block(self, monkeypatch):
+        # both KS distances stay within tol; only the pinned last prime of
+        # the window sees the gap, and no other criterion sieves
+        original = sequences._sieve_range
+        monkeypatch.setattr(sequences, "_sieve_range",
+                            lambda lo, hi: original(lo, hi)[1:])
+        results = verify.run_all()
+        failed = [r for r in results if not r.passed]
+        assert [r.name for r in failed] == ["prime-gap-poisson"]
+        details = failed[0].details
+        assert details["last_prime"] == 1000041719
+        assert details["ks_order0"] <= details["tol"]
+        assert details["ks_order1"] <= details["tol"]
+
+
+class TestRaisingCriterion:
+    def test_package_error_fails_only_its_criterion(self, monkeypatch):
+        def failing(s, a):
+            raise NumericError("no residual")
+
+        monkeypatch.setattr(painleve, "am5_identity_residual", failing)
+        identity, series = verify.run_all(["hard-edge-derivative-identity",
+                                           "series-boundary-layers"])
+        assert not identity.passed
+        assert identity.details == {"error": "NumericError: no residual"}
+        assert series.passed
+
+    def test_other_exceptions_propagate(self, monkeypatch):
+        def failing(s, a):
+            raise ZeroDivisionError("a bug")
+
+        monkeypatch.setattr(painleve, "am5_identity_residual", failing)
+        with pytest.raises(ZeroDivisionError):
+            verify.run_all(["hard-edge-derivative-identity"])
