@@ -22,8 +22,7 @@ from .kernels import (KernelSpec, hard_edge_bessel, kernel_matrix, sine_bulk,
 from .fredholm import (SpacingTable, e1_bulk_det, e2_bulk_det, e4_bulk_det,
                        en_bulk_det, enn_det, fredholm_det, gap_n,
                        gaudin_split, generating_value, p1_det, p1_gap1_det,
-                       p2_det, p2_nn_det, p4_det, parity_split,
-                       spacing_from_gaps)
+                       p2_det, p2_nn_det, p4_det, parity_split)
 from .painleve import (EQUATION_IDS, PainleveProblem, PainleveSolution,
                        SIGMA_HARD, SIGMA_JMMS, SIGMA_NN,
                        am5_identity_residual, build_problem, e1_bulk,
@@ -57,7 +56,7 @@ __all__ = [
     "SpacingTable", "generating_value", "gap_n", "fredholm_det",
     "parity_split", "gaudin_split", "e2_bulk_det", "e1_bulk_det",
     "e4_bulk_det", "enn_det", "en_bulk_det", "p1_det", "p2_det", "p4_det",
-    "p1_gap1_det", "p2_nn_det", "spacing_from_gaps",
+    "p1_gap1_det", "p2_nn_det",
     # painleve
     "EQUATION_IDS", "SIGMA_JMMS", "SIGMA_HARD", "SIGMA_NN",
     "PainleveProblem", "PainleveSolution",

@@ -89,8 +89,11 @@ def write_tabulate(args, stream):
     if args.quantity == "En" and args.n < 0:
         raise ArgumentError(f"--n must be >= 0, got {args.n}")
     # the last point passes --s-max by at most rounding (1e-9 of a step)
-    n_points = math.floor((args.s_max - args.s_min) / args.s_step
-                          + 1e-9) + 1
+    span = (args.s_max - args.s_min) / args.s_step + 1e-9
+    if span >= montecarlo.MAX_POINTS:
+        raise ArgumentError(f"--s-step {args.s_step!r} would give more than "
+                            f"{montecarlo.MAX_POINTS} grid points")
+    n_points = math.floor(span) + 1
     grid = args.s_min + args.s_step * np.arange(n_points)
     methods = routes.methods_for(args.quantity, args.method, args.n)
 

@@ -25,12 +25,11 @@ point costs one inverse per rule: it doubles its own rule until D and its
 derivatives settle, or raises NumericError.
 One table of 5-point stencils serves the centred differences of a profile
 at points (_stencil, which verify compares the densities against) and the
-grid second differences of gaudin_split and spacing_from_gaps.
+grid second differences of gaudin_split.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -42,8 +41,6 @@ from .errors import ArgumentError, NumericError, UnsupportedError
 from .points import on_points
 from .quadrature import (FredholmSpectrum, Interval, gauss_legendre,
                          nystrom_spectrum, rule_interval)
-
-log = logging.getLogger(__name__)
 
 _EIGENVALUE_FLOOR = 1e-16     # product truncation point
 _FORCED_LEVEL_GAP = 1e-14     # 1 - mu below this: level treated as occupied
@@ -106,9 +103,11 @@ def _node_doubling(build, length: float, context: dict,
     p = sqrt(x) for hard-edge kernels), so the first rule has
     16 + ceil(2 length) nodes; each next one doubles it.  The measure is a
     float or an array, compared entry by entry.  No rule exceeds
-    _MAX_NODES; a rule there that still moves raises NumericError.
+    _MAX_NODES, and 2 length is capped there before its ceiling, which an
+    infinite length would overflow; a rule there that still moves raises
+    NumericError.
     """
-    n = min(16 + math.ceil(2.0 * length), _MAX_NODES)
+    n = min(16 + math.ceil(min(2.0 * length, _MAX_NODES)), _MAX_NODES)
     prev = measure(build(n))
     while n < _MAX_NODES:
         n = min(2 * n, _MAX_NODES)
@@ -194,22 +193,21 @@ def gaudin_split(e2_profile, s: float):
         float(np.exp(half_log + 0.5 * integral))
 
 
-def _dets(kernel_spec, half, xi: float) -> np.ndarray:
-    """Converged det(1 - xi K) on (-x, x) at each x of a 1-D array, each
+def _dets(kernel_spec, half) -> np.ndarray:
+    """Converged det(1 - K) on (-x, x) at each x of a 1-D array, each
     point solved on its own rule."""
-    return np.array([fredholm_det(kernel_spec, Interval(-x, x), xi)
+    return np.array([fredholm_det(kernel_spec, Interval(-x, x))
                      for x in half.tolist()])
 
 
-def e2_bulk_det(s, xi: float = 1.0):
+def e2_bulk_det(s):
     """E2(0; interval of length s) from the sine-kernel determinant."""
-    return on_points(s, 1.0, lambda v: _dets(kernels.sine_bulk(), v / 2.0,
-                                             xi))
+    return on_points(s, 1.0, lambda v: _dets(kernels.sine_bulk(), v / 2.0))
 
 
 def e1_bulk_det(s):
     """E1(0; (-s, s)) = D_plus(s): only the even spectrum is built."""
-    return on_points(s, 1.0, lambda v: _dets(kernels.sine_even(), v, 1.0))
+    return on_points(s, 1.0, lambda v: _dets(kernels.sine_even(), v))
 
 
 def e4_bulk_det(s):
@@ -220,17 +218,16 @@ def e4_bulk_det(s):
     of the orthogonal one.
     """
     return on_points(s, 1.0, lambda v: 0.5 * (
-        _dets(kernels.sine_even(), v, 1.0)
-        + _dets(kernels.sine_odd(), v, 1.0)))
+        _dets(kernels.sine_even(), v) + _dets(kernels.sine_odd(), v)))
 
 
-def enn_det(s, xi: float = 1.0):
+def enn_det(s):
     """Probability of no eigenvalue within distance s of a conditioned one.
 
     Determinant of the spectrum-singularity kernel (a = 1) on (-s, s).
     """
-    return on_points(s, 1.0, lambda v: _dets(kernels.spectrum_singularity(1.0),
-                                             v, xi))
+    return on_points(s, 1.0, lambda v: _dets(
+        kernels.spectrum_singularity(1.0), v))
 
 
 def en_bulk_det(s, n: int):
@@ -382,7 +379,7 @@ def _stencil(profile, s: np.ndarray, order: int) -> np.ndarray:
 
 @dataclass
 class SpacingTable:
-    """A uniform s-grid with one named column per (quantity, method) pair."""
+    """An s-grid with one named column per (quantity, method) pair."""
 
     s_grid: np.ndarray
     columns: dict = field(default_factory=dict)
@@ -390,19 +387,6 @@ class SpacingTable:
 
     def __post_init__(self):
         self.s_grid = np.asarray(self.s_grid, dtype=float)
-        if len(self.s_grid) >= 2:
-            steps = np.diff(self.s_grid)
-            if np.any(steps <= 0.0):
-                raise ArgumentError("s grid must be strictly ascending")
-            if np.max(np.abs(steps - steps[0])) > 1e-9 * abs(steps[0]):
-                raise ArgumentError("s grid must be uniform")
-
-    @property
-    def step(self) -> float:
-        if len(self.s_grid) < 2:
-            raise ArgumentError(
-                f"a grid of {len(self.s_grid)} point(s) has no step")
-        return float(self.s_grid[1] - self.s_grid[0])
 
     def add_column(self, name: str, values):
         values = np.asarray(values, dtype=float)
@@ -417,25 +401,3 @@ class SpacingTable:
         write_csv(stream, ["s", *self.columns],
                   [self.s_grid, *self.columns.values()], self.metadata)
 
-
-def spacing_from_gaps(table: SpacingTable, n: int, prefix: str = "E") -> np.ndarray:
-    """p(n; s) = d^2/ds^2 sum_{j<=n} (n + 1 - j) E(j; s) on the table grid.
-
-    Expects columns ``prefix + str(j)`` for j = 0..n.  Derivatives are
-    5-point stencils (one-sided at the ends); negative roundoff is clipped
-    at 0 and the clip count logged.
-    """
-    if table.step > 5e-3 + 1e-12:
-        raise ArgumentError(
-            f"grid step {table.step} too coarse for stencil accuracy")
-    total = np.zeros_like(table.s_grid)
-    for j in range(n + 1):
-        name = f"{prefix}{j}"
-        if name not in table.columns:
-            raise ArgumentError(f"missing gap column {name!r}")
-        total += (n + 1 - j) * table.columns[name]
-    p = _second_derivative(total, table.step)
-    clipped = int(np.count_nonzero(p < 0.0))
-    if clipped:
-        log.info("spacing_from_gaps(n=%d): clipped %d negative values", n, clipped)
-    return np.clip(p, 0.0, None)

@@ -114,11 +114,6 @@ def _eval_array(spec: KernelSpec, x, y):
     raise UnsupportedError(spec.variant)
 
 
-def evaluate(spec: KernelSpec, x: float, y: float) -> float:
-    """Kernel value at a point; the diagonal is the analytic limit."""
-    return float(_eval_array(spec, x, y))
-
-
 def kernel_matrix(spec: KernelSpec, nodes: np.ndarray) -> np.ndarray:
     """Dense symmetric matrix [K(x_i, x_j)] over a node set."""
     x = np.asarray(nodes, dtype=float)

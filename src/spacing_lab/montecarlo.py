@@ -50,6 +50,7 @@ CHUNK = 256          # replicas per stream pair; fixed so worker count is moot
 _BAND_BYTES = 8 << 20
 _DENSITY_FLOOR = 1e-12
 _MIN_EXPECTED = 5.0  # chi_square_test merges bins up to this expected count
+MAX_POINTS = 10 ** 6  # most bins of a histogram or points of a tabulate grid
 
 
 @dataclass(frozen=True)
@@ -145,6 +146,8 @@ def sample_ensemble(n: int, reps: int, seed: int, workers: int | None = None):
         raise ArgumentError(f"matrix rank must be >= 1, got {n}")
     if reps < 1:
         raise ArgumentError(f"reps must be >= 1, got {reps}")
+    if seed < 0:
+        raise ArgumentError(f"seed must be >= 0, got {seed}")
     n_chunks = (reps + CHUNK - 1) // CHUNK
     processes = process_count(workers, n_chunks)
     bounds = [n_chunks * k // processes for k in range(processes + 1)]
@@ -221,12 +224,17 @@ def check_bin_width(bin_width: float) -> None:
 
 
 def build_histogram(data, bin_width: float, rng: Interval) -> Histogram:
-    """Fixed-width histogram on rng; out-of-range points go to overflow."""
+    """Fixed-width histogram on rng, of at most MAX_POINTS bins;
+    out-of-range points go to overflow."""
     data = np.asarray(data, dtype=float)
     if data.size == 0:
         raise ArgumentError("cannot histogram empty data")
     check_bin_width(bin_width)
-    n_bins = max(1, int(math.ceil((rng.hi - rng.lo) / bin_width - 1e-12)))
+    bins = (rng.hi - rng.lo) / bin_width - 1e-12
+    if bins > MAX_POINTS:
+        raise ArgumentError(
+            f"bin width {bin_width:g} would give more than {MAX_POINTS} bins")
+    n_bins = max(1, int(math.ceil(bins)))
     edges = rng.lo + bin_width * np.arange(n_bins + 1)
     counts, _ = np.histogram(data, bins=edges)
     inside = int(counts.sum())

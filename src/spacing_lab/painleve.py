@@ -424,16 +424,6 @@ class PainleveProblem:
     # trajectory, whose integral is Gaudin's split; None on any other
     _root: np.ndarray | None = field(default=None, compare=False, repr=False)
 
-    def series_value(self, t, deriv=0):
-        """Series sigma (deriv 0..2) or int_0^t sigma/tau dtau (deriv=-1).
-
-        t is a float (a float is returned) or an array of t >= 0."""
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0.0):
-            raise ArgumentError(f"t must be >= 0, got {t[t < 0.0].flat[0]}")
-        values = _x_sum(self.x_coefficients, t, deriv)
-        return float(values) if values.ndim == 0 else values
-
     def _series_component(self, t, component):
         """State component from the series layer at an array of t >= 0."""
         if component == _ROOT_INTEGRAL:
@@ -452,10 +442,8 @@ def _x_sum(c, t, deriv):
         terms = c * (k / 2.0) * x ** (k - 2)
     elif deriv == 2:
         terms = c * (k / 2.0) * ((k - 2) / 2.0) * x ** (k - 4)
-    elif deriv == -1:
-        terms = c * x ** k / (k / 2.0)
     else:
-        raise ArgumentError(f"unsupported derivative order {deriv}")
+        terms = c * x ** k / (k / 2.0)
     return np.sum(terms, axis=-1)
 
 
@@ -521,11 +509,13 @@ def _check_tail(coeffs, t_switch):
             "or lower t_switch")
 
 
-def series_residual(problem: PainleveProblem, t=None) -> float:
-    """Relative defect of the truncated series in its own equation at t."""
-    t = problem.t_switch if t is None else float(t)
-    r, scale = _residual_terms(problem.equation_id, problem._par, t,
-                               *(problem.series_value(t, d) for d in range(3)))
+def series_residual(problem: PainleveProblem) -> float:
+    """Relative defect of the truncated series in its own equation at
+    t_switch."""
+    t = problem.t_switch
+    r, scale = _residual_terms(
+        problem.equation_id, problem._par, t,
+        *(float(_x_sum(problem.x_coefficients, t, d)) for d in range(3)))
     return float(abs(r) / scale)
 
 
@@ -716,41 +706,36 @@ def _gap(equation_id, params, t):
     return _exp(_solution(equation_id, params, t).log_integral_at(t))
 
 
-def e2_bulk(s, xi: float = 1.0):
+def e2_bulk(s):
     """E2(0; interval of length s) as exp int_0^{pi s} sigma/u du.
 
     The upper limit pi*s (argument = pi * interval length) is the frozen
     calibration against the determinantal route.
     """
-    _check_xi(xi)
-    return on_points(s, 1.0, lambda v: 1.0 if xi == 0.0
-                     else _gap(SIGMA_JMMS, (xi,), math.pi * v))
+    return on_points(s, 1.0, lambda v: _gap(SIGMA_JMMS, (1.0,), math.pi * v))
 
 
-def e2_hard(s, a: float, xi: float = 1.0):
-    """Hard-edge gap generating value exp int_0^s u(t;a;xi)/t dt on (0, s)."""
-    _check_xi(xi)
-    return on_points(s, 1.0, lambda v: 1.0 if xi == 0.0
-                     else _gap(SIGMA_HARD, (a, 0.0, xi), v))
+def e2_hard(s, a: float):
+    """Hard-edge gap probability exp int_0^s u(t;a)/t dt on (0, s)."""
+    return on_points(s, 1.0, lambda v: _gap(SIGMA_HARD, (a, 0.0, 1.0), v))
 
 
-def enn_generating(s, a: float = 1.0, xi: float = 1.0):
-    """Conditioned-origin gap generating value on (-s, s).
+def enn_generating(s):
+    """Conditioned-origin gap probability on (-s, s).
 
-    exp int_0^{2 pi s} sigma_a/t dt; the 2*pi*s upper limit (argument =
+    exp int_0^{2 pi s} sigma_1/t dt; the 2*pi*s upper limit (argument =
     pi * interval length, the interval having length 2s) is the frozen
     calibration, consistent with e2_bulk.
     """
-    _check_xi(xi)
-    return on_points(s, 1.0, lambda v: 1.0 if xi == 0.0
-                     else _gap(SIGMA_NN, (a, xi), 2.0 * math.pi * v))
+    return on_points(s, 1.0, lambda v: _gap(SIGMA_NN, (1.0, 1.0),
+                                            2.0 * math.pi * v))
 
 
 def p2_nn(s):
     """Nearest-neighbour spacing density about a conditioned eigenvalue.
 
-    -dE/ds of enn_generating at a = xi = 1: -sigma_a(2 pi s)/s times the
-    generating value (the chain-rule factor 2*pi combines with the 1/(2*pi*s)
+    -dE/ds of enn_generating: -sigma_1(2 pi s)/s times the gap
+    probability (the chain-rule factor 2*pi combines with the 1/(2*pi*s)
     of the inner logarithmic derivative to leave 1/s).
     """
     def density(v):
@@ -906,14 +891,14 @@ def p1_gap1(s):
 def _e1_hard(s):
     """E1(0; (-s, s)) through the hard-edge a=-1/2 transcendent."""
     return on_points(
-        s, 1.0, lambda v: e2_hard(_squared(math.pi * v), -0.5, 1.0))
+        s, 1.0, lambda v: e2_hard(_squared(math.pi * v), -0.5))
 
 
 def _e4_hard(s):
     """E4(0; (-s/2, s/2)) as the average of the two hard-edge exponentials."""
     def average(v):
         t = _squared(math.pi * v)
-        return 0.5 * (e2_hard(t, -0.5, 1.0) + e2_hard(t, 0.5, 1.0))
+        return 0.5 * (e2_hard(t, -0.5) + e2_hard(t, 0.5))
 
     return on_points(s, 1.0, average)
 

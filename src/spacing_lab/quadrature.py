@@ -55,8 +55,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    order: int
-    interval: Interval
 
 
 def _legendre_and_derivative(n: int, x: np.ndarray):
@@ -108,8 +106,7 @@ def gauss_legendre(n: int, interval: Interval) -> QuadratureRule:
     x, w = _reference_rule(n)
     mid = 0.5 * (interval.lo + interval.hi)
     half = 0.5 * interval.length
-    return QuadratureRule(nodes=mid + half * x, weights=half * w,
-                          order=n, interval=interval)
+    return QuadratureRule(nodes=mid + half * x, weights=half * w)
 
 
 @dataclass(frozen=True)
@@ -121,14 +118,8 @@ class FredholmSpectrum:
     """
 
     eigenvalues: np.ndarray
-    kernel: object
-    interval: Interval
     nodes_used: int
     clamp_applied: float = field(default=0.0)
-
-    @property
-    def trace(self) -> float:
-        return float(np.sum(self.eigenvalues))
 
 
 def rule_interval(kernel, interval: Interval) -> Interval:
@@ -155,8 +146,7 @@ def nystrom_spectrum(kernel, interval: Interval, n: int) -> FredholmSpectrum:
     from . import kernels as _kernels
 
     if interval.length == 0.0:
-        return FredholmSpectrum(eigenvalues=np.zeros(0), kernel=kernel,
-                                interval=interval, nodes_used=0)
+        return FredholmSpectrum(eigenvalues=np.zeros(0), nodes_used=0)
     rule = gauss_legendre(n, rule_interval(kernel, interval))
     if kernel.variant == _kernels.HARD_EDGE_BESSEL:
         nodes, weights = rule.nodes ** 2, 2.0 * rule.nodes * rule.weights
@@ -177,5 +167,5 @@ def nystrom_spectrum(kernel, interval: Interval, n: int) -> FredholmSpectrum:
             context={"kernel": kernel, "interval": interval, "n": n})
     clamp = float(max(0.0, -worst))
     mu = np.clip(mu, 0.0, 1.0)
-    return FredholmSpectrum(eigenvalues=mu, kernel=kernel, interval=interval,
-                            nodes_used=n, clamp_applied=clamp)
+    return FredholmSpectrum(eigenvalues=mu, nodes_used=n,
+                            clamp_applied=clamp)

@@ -195,7 +195,6 @@ def histogram_ks_distance(hist: Histogram, cdf) -> float:
 @dataclass(frozen=True)
 class ZeroDataset:
     ordinates: np.ndarray
-    source_path: str
     sha256: str = ""            # of the file's bytes, as load_zeros read them
 
 
@@ -227,7 +226,7 @@ def load_zeros(path: str) -> ZeroDataset:
             last = value
     if not ordinates:
         raise FormatError(f"no ordinates found in {path}")
-    return ZeroDataset(ordinates=np.array(ordinates), source_path=str(path),
+    return ZeroDataset(ordinates=np.array(ordinates),
                        sha256=hashlib.sha256(content).hexdigest())
 
 

@@ -1,6 +1,7 @@
 """The package namespace: what ``spacing_lab`` exports by name, and what
 it needs at run time."""
 
+import dataclasses
 import inspect
 import os
 import subprocess
@@ -11,8 +12,9 @@ from pathlib import Path
 import pytest
 
 import spacing_lab
-from spacing_lab import (Interval, _dop853, fredholm, montecarlo, painleve,
-                         routes)
+from spacing_lab import (FredholmSpectrum, Interval, QuadratureRule,
+                         ZeroDataset, _dop853, fredholm, kernels, montecarlo,
+                         painleve, routes)
 from spacing_lab.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -21,7 +23,11 @@ ROOT = Path(__file__).resolve().parents[1]
 REMOVED = ((fredholm, "GapProfile"), (painleve, "extend_series"),
            (fredholm, "rho_k_bulk"), (fredholm.SpacingTable, "from_csv"),
            (fredholm.SpacingTable, "to_csv_text"),
-           (painleve.PainleveProblem, "series"))
+           (painleve.PainleveProblem, "series"),
+           (fredholm, "spacing_from_gaps"), (kernels, "evaluate"),
+           (FredholmSpectrum, "trace"),
+           (painleve.PainleveProblem, "series_value"),
+           (fredholm.SpacingTable, "step"))
 
 
 def _public_names():
@@ -73,6 +79,26 @@ def test_unfold_and_stepper_take_no_hooks():
         "spectra"]
     assert list(inspect.signature(_dop853.DOP853).parameters) == [
         "fun", "t0", "y0", "rtol", "atol"]
+
+
+def test_evaluators_of_s_take_s_alone():
+    # xi and a reach the generating function through fredholm_det,
+    # generating_value and build_problem
+    for function in (painleve.e2_bulk, fredholm.e2_bulk_det,
+                     painleve.enn_generating, fredholm.enn_det):
+        assert list(inspect.signature(function).parameters) == ["s"]
+    assert list(inspect.signature(painleve.e2_hard).parameters) == ["s", "a"]
+    assert list(inspect.signature(painleve.series_residual).parameters) == [
+        "problem"]
+
+
+def test_records_hold_only_what_is_read():
+    assert [f.name for f in dataclasses.fields(FredholmSpectrum)] == [
+        "eigenvalues", "nodes_used", "clamp_applied"]
+    assert [f.name for f in dataclasses.fields(QuadratureRule)] == [
+        "nodes", "weights"]
+    assert [f.name for f in dataclasses.fields(ZeroDataset)] == [
+        "ordinates", "sha256"]
 
 
 def test_tabulate_refuses_det_tol(capsys):

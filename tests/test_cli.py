@@ -533,6 +533,22 @@ class TestMainExitCodes:
         assert calls == []
         assert message in capsys.readouterr().err
 
+    def test_negative_seed(self, capsys):
+        code = main(["sample", "--n", "13", "--reps", "10", "--seed", "-1"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "usage error: seed must be >= 0, got -1\n")
+
+    def test_huge_s_is_a_numeric_error(self, capsys):
+        # 2 s overflows the first rule's ceiling; the clamp leaves the
+        # kernel's own non-finite check to refuse it
+        with np.errstate(all="ignore"):
+            code = main(["tabulate", "--quantity", "E2", "--method",
+                         "fredholm", "--s-min", "1e308", "--s-max", "1.7e308",
+                         "--s-step", "1e308"])
+        assert code == 3
+        assert "non-finite" in capsys.readouterr().err
+
     def test_zero_workers(self, capsys):
         # sample is the one command that sizes a pool
         code = main(["sample", "--n", "3", "--reps", "8", "--workers", "0"])
@@ -605,6 +621,60 @@ class TestMainExitCodes:
         captured = capsys.readouterr()
         assert "bogus" in captured.err
         assert "criteria passed" not in captured.out
+
+
+class TestSizeLimit:
+    # montecarlo.MAX_POINTS bounds every tabulate grid and histogram
+    COMMANDS = [
+        ["tabulate", "--quantity", "p0", "--method", "surmise"],
+        ["sample", "--n", "13", "--reps", "50", "--workers", "1"],
+        ["primes", "--count", "50", "--workers", "1"],
+        ["zeros"],
+    ]
+    IDS = ["tabulate", "sample", "primes", "zeros"]
+    TINY = {"tabulate": "--s-step", "sample": "--bin-width",
+            "primes": "--bin-width", "zeros": "--bin-width"}
+
+    @staticmethod
+    def _argv(argv, tmp_path):
+        if argv[0] == "zeros":
+            return [*argv, "--file", _write_zeros(tmp_path / "zeros.txt")]
+        return argv
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=IDS)
+    def test_tiny_step_is_a_usage_error(self, capsys, tmp_path, argv):
+        argv = self._argv(argv, tmp_path)
+        assert main([*argv, self.TINY[argv[0]], "1e-300"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert "would give more than 1000000" in err
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=IDS)
+    def test_one_past_the_limit(self, capsys, monkeypatch, tmp_path, argv):
+        # a command that sizes n points or bins passes at a limit of n and
+        # is refused at n - 1
+        argv = [*self._argv(argv, tmp_path), "-o", str(tmp_path / "out.csv")]
+        assert main(argv) == 0
+        rows = (tmp_path / "out.csv").read_text().splitlines()
+        n = sum(not line.startswith("#") for line in rows) - 1
+        monkeypatch.setattr(montecarlo, "MAX_POINTS", n)
+        assert main(argv) == 0
+        monkeypatch.setattr(montecarlo, "MAX_POINTS", n - 1)
+        assert main(argv) == 2
+        assert f"more than {n - 1}" in capsys.readouterr().err
+
+    def test_grid_one_past_the_stated_limit(self, monkeypatch, capsys):
+        # [0, 1] in steps of 1e-6 is 10^6 + 1 points, refused before any
+        # column is evaluated
+        calls = []
+        monkeypatch.setattr(routes, "_COLUMNS", {
+            key: lambda s, **keywords: calls.append(len(s))
+            or np.zeros_like(s) for key in routes._COLUMNS})
+        assert main(["tabulate", "--s-max", "1", "--s-step", "1e-6"]) == 2
+        assert calls == []
+        assert main(["tabulate", "--s-max", "1", "--s-step", "1e-5"]) == 0
+        assert calls == [100_001] * len(routes.methods_for("E2"))
+        assert "1000000 grid points" in capsys.readouterr().err
 
 
 class TestCriterionNames:

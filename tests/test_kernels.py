@@ -8,7 +8,7 @@ import pytest
 from spacing_lab import ArgumentError, UnsupportedError
 from spacing_lab.kernels import (
     KernelSpec,
-    evaluate,
+    _eval_array,
     hard_edge_bessel,
     kernel_matrix,
     scaled_jets,
@@ -25,23 +25,25 @@ ALL_SPECS = [sine_bulk(), sine_even(), sine_odd(),
 
 class TestSineFamily:
     def test_diagonal_value(self):
-        assert evaluate(sine_bulk(), 0.7, 0.7) == pytest.approx(1.0, abs=1e-15)
+        assert _eval_array(sine_bulk(), 0.7, 0.7) == pytest.approx(
+            1.0, abs=1e-15)
 
     def test_off_diagonal_value(self):
-        assert evaluate(sine_bulk(), 0.0, 0.5) == pytest.approx(2.0 / math.pi,
-                                                                abs=1e-15)
+        assert _eval_array(sine_bulk(), 0.0, 0.5) == pytest.approx(
+            2.0 / math.pi, abs=1e-15)
 
     def test_parity_decomposition(self):
         # even part + odd part recovers the translation kernel
         rng = np.random.default_rng(0)
         for x, y in rng.uniform(-3.0, 3.0, (64, 2)):
-            total = (evaluate(sine_even(), x, y) + evaluate(sine_odd(), x, y))
-            assert abs(total - evaluate(sine_bulk(), x, y)) <= 1e-14
+            total = (_eval_array(sine_even(), x, y)
+                     + _eval_array(sine_odd(), x, y))
+            assert abs(total - _eval_array(sine_bulk(), x, y)) <= 1e-14
 
     def test_taylor_branch_agrees_with_direct(self):
         # the near-diagonal expansion must join the generic branch smoothly
         for gap in (5e-5, 9.9e-5, 1.01e-4, 2e-4):
-            near = evaluate(sine_bulk(), 1.0, 1.0 + gap)
+            near = _eval_array(sine_bulk(), 1.0, 1.0 + gap)
             direct = math.sin(math.pi * gap) / (math.pi * gap)
             assert abs(near - direct) <= 1e-12
 
@@ -52,12 +54,13 @@ class TestSymmetry:
         rng = np.random.default_rng(1)
         lo = 0.05 if spec.variant == "HardEdgeBessel" else -3.0
         for x, y in rng.uniform(lo, 3.0, (32, 2)):
-            assert abs(evaluate(spec, x, y) - evaluate(spec, y, x)) <= 1e-14
+            assert abs(_eval_array(spec, x, y)
+                       - _eval_array(spec, y, x)) <= 1e-14
 
 
 def _diagonal(a, t):
     """K(t, t) of the hard-edge kernel: sinc(0) = 1 fills the limit."""
-    return evaluate(hard_edge_bessel(a), t, t)
+    return _eval_array(hard_edge_bessel(a), t, t)
 
 
 class TestHardEdge:
@@ -66,18 +69,18 @@ class TestHardEdge:
         # the pi rescaling of both arguments and the overall 2/pi factor
         rng = np.random.default_rng(2)
         for x, y in rng.uniform(0.05, 3.0, (64, 2)):
-            lhs = 2.0 * math.sqrt(x * y) * evaluate(hard_edge_bessel(0.5),
+            lhs = 2.0 * math.sqrt(x * y) * _eval_array(hard_edge_bessel(0.5),
                                                     x * x, y * y)
-            rhs = (2.0 / math.pi) * evaluate(sine_odd(), x / math.pi,
+            rhs = (2.0 / math.pi) * _eval_array(sine_odd(), x / math.pi,
                                              y / math.pi)
             assert abs(lhs - rhs) <= 1e-12
 
     def test_even_kernel_correspondence(self):
         rng = np.random.default_rng(3)
         for x, y in rng.uniform(0.05, 3.0, (64, 2)):
-            lhs = 2.0 * math.sqrt(x * y) * evaluate(hard_edge_bessel(-0.5),
+            lhs = 2.0 * math.sqrt(x * y) * _eval_array(hard_edge_bessel(-0.5),
                                                     x * x, y * y)
-            rhs = (2.0 / math.pi) * evaluate(sine_even(), x / math.pi,
+            rhs = (2.0 / math.pi) * _eval_array(sine_even(), x / math.pi,
                                              y / math.pi)
             assert abs(lhs - rhs) <= 1e-12
 
@@ -85,7 +88,7 @@ class TestHardEdge:
         for a in (-0.5, 0.5):
             for t in (0.3, 1.0, 4.0):
                 diag = _diagonal(a, t)
-                near = evaluate(hard_edge_bessel(a), t, t * (1.0 + 1e-9))
+                near = _eval_array(hard_edge_bessel(a), t, t * (1.0 + 1e-9))
                 assert abs(diag - near) <= 1e-6 * abs(diag)
 
     def test_diagonal_small_t_exponent(self):
@@ -104,12 +107,12 @@ class TestHardEdge:
         for a, parity in ((-0.5, sine_even()), (0.5, sine_odd())):
             for t in (0.2, 1.37, 5.0):
                 x = math.sqrt(t) / math.pi
-                expected = evaluate(parity, x, x) / (math.pi * math.sqrt(t))
+                expected = _eval_array(parity, x, x) / (math.pi * math.sqrt(t))
                 assert _diagonal(a, t) == pytest.approx(expected, rel=1e-13)
 
     def test_domain_validation(self):
         with pytest.raises(ArgumentError):
-            evaluate(hard_edge_bessel(0.5), -1.0, 2.0)
+            _eval_array(hard_edge_bessel(0.5), -1.0, 2.0)
 
     def test_unsupported_order(self):
         with pytest.raises(UnsupportedError):
@@ -123,8 +126,8 @@ class TestSpectrumSingularity:
         rng = np.random.default_rng(4)
         spec = spectrum_singularity(0.0)
         for x, y in rng.uniform(-2.5, 2.5, (64, 2)):
-            assert abs(evaluate(spec, x, y)
-                       - evaluate(sine_bulk(), x, y)) <= 1e-12
+            assert abs(_eval_array(spec, x, y)
+                       - _eval_array(sine_bulk(), x, y)) <= 1e-12
 
     def test_unsupported_order(self):
         with pytest.raises(UnsupportedError):
@@ -136,8 +139,8 @@ def test_kernel_matrix_matches_pointwise():
     matrix = kernel_matrix(sine_even(), nodes)
     for i, x in enumerate(nodes):
         for j, y in enumerate(nodes):
-            assert matrix[i, j] == pytest.approx(evaluate(sine_even(), x, y),
-                                                 abs=1e-15)
+            assert matrix[i, j] == pytest.approx(
+                _eval_array(sine_even(), x, y), abs=1e-15)
 
 
 # kernels with closed-form s-derivatives, with the highest order given

@@ -158,6 +158,11 @@ class TestBatchedSampler:
         with pytest.raises(ArgumentError):
             sample_ensemble(0, 10, 1)
 
+    def test_negative_seed_refused_before_drawing(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_draw_spectra", None)
+        with pytest.raises(ArgumentError, match="seed must be >= 0, got -1"):
+            sample_ensemble(13, 10, -1)
+
 
 def _replica_loop(n, reps, seed):
     # every chunk's replicas drawn from its two streams and solved one by
@@ -424,6 +429,16 @@ class TestHistogram:
     def test_empty_data_rejected(self):
         with pytest.raises(ArgumentError):
             build_histogram([], 0.1, Interval(0.0, 1.0))
+
+    def test_bins_limited_before_any_array_is_sized(self):
+        # 10^6 bins pass; one more, or a width whose bin count overflows a
+        # float, is refused
+        limit = montecarlo.MAX_POINTS
+        hist = build_histogram([0.5], 1.0, Interval(0.0, float(limit)))
+        assert len(hist.counts) == limit == 10 ** 6
+        for width, hi in ((1.0, limit + 1.0), (1e-300, 2.0), (1e-300, 1e300)):
+            with pytest.raises(ArgumentError, match="more than 1000000 bins"):
+                build_histogram([0.5], width, Interval(0.0, hi))
 
     @pytest.mark.parametrize("width", [-1.0, math.inf])
     def test_bin_width_must_be_finite_and_positive(self, width):

@@ -1,5 +1,6 @@
 """Sigma-form ODE route: series layers, integration, direct densities."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -17,7 +18,7 @@ from spacing_lab import (
     routes,
 )
 from spacing_lab._dop853 import Dense
-from spacing_lab.kernels import hard_edge_bessel
+from spacing_lab.kernels import hard_edge_bessel, sine_bulk
 from spacing_lab.painleve import (
     SIGMA_HARD,
     SIGMA_JMMS,
@@ -50,7 +51,8 @@ class TestSeriesLayer:
         # series inside its own tail bound
         problem = painleve._derive_problem(SIGMA_HARD, (-0.5, 2.0, 1.0),
                                            1e-8, 5)
-        assert series_residual(problem, 1e-3) <= 1e-8
+        assert series_residual(
+            dataclasses.replace(problem, t_switch=1e-3)) <= 1e-8
 
     def test_conditioned_origin_degenerates_to_translation_form(self):
         # at a=0 the leading term collapses to the plain bulk one, -xi t/pi
@@ -104,12 +106,7 @@ class TestSeriesLayer:
     def test_xi_zero_series_vanishes(self):
         problem = build_problem(SIGMA_JMMS, (0.0,))
         assert not problem.x_coefficients.any()
-        assert problem.series_value(0.05) == 0.0
-
-    def test_series_value_derivative_orders(self):
-        problem = build_problem(SIGMA_JMMS, (1.0,))
-        with pytest.raises(ArgumentError):
-            problem.series_value(0.05, deriv=3)
+        assert series_residual(problem) == 0.0
 
 
 class TestIntegration:
@@ -189,7 +186,9 @@ class TestIntegration:
 class TestBulkEvaluators:
     def test_boundary_values(self):
         assert painleve.e2_bulk(0.0) == 1.0
-        assert painleve.e2_bulk(1.3, xi=0.0) == 1.0
+        # xi = 0 reaches the generating function through the trajectory
+        t = np.array([math.pi * 1.3])
+        assert painleve._gap(SIGMA_JMMS, (0.0,), t).tolist() == [1.0]
         assert painleve.e1_bulk(0.0) == 1.0
         assert painleve.e4_bulk(0.0) == 1.0
 
@@ -203,8 +202,9 @@ class TestBulkEvaluators:
             fredholm.e2_bulk_det(0.1), abs=1e-10)
 
     def test_e2_partial_xi(self):
-        assert painleve.e2_bulk(0.8, xi=0.5) == pytest.approx(
-            fredholm.e2_bulk_det(0.8, xi=0.5), abs=1e-8)
+        (value,) = painleve._gap(SIGMA_JMMS, (0.5,), np.array([math.pi * 0.8]))
+        assert value == pytest.approx(fredholm.fredholm_det(
+            sine_bulk(), Interval(-0.4, 0.4), 0.5), abs=1e-8)
 
     def test_hard_edge_boundary_value(self):
         assert painleve.e2_hard(0.0, -0.5) == 1.0
@@ -1051,10 +1051,12 @@ class TestSmallArguments:
     def test_one_term_series_at_tiny_xi(self):
         # at xi = 1e-8 the derived series is its leading term alone
         s = np.linspace(0.5, 3.0, 6)
-        tiny = painleve.e2_bulk(s, xi=1e-8)
-        assert np.all(np.abs(tiny - fredholm.e2_bulk_det(s, xi=1e-8)) <= 1e-12)
+        tiny = painleve._gap(SIGMA_JMMS, (1e-8,), math.pi * s)
+        det = [fredholm.fredholm_det(sine_bulk(), Interval(-x / 2.0, x / 2.0),
+                                     1e-8) for x in s.tolist()]
+        assert np.all(np.abs(tiny - det) <= 1e-12)
         # at a = 0 the conditioned-origin form is the translation form
-        assert np.all(np.abs(painleve.enn_generating(s / 2.0, 0.0, 1e-8)
+        assert np.all(np.abs(painleve._gap(SIGMA_NN, (0.0, 1e-8), math.pi * s)
                              - tiny) <= 1e-12)
 
     def test_failed_extension_drops_the_trajectory(self):

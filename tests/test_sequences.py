@@ -327,7 +327,6 @@ class TestLoadZeros:
         path.write_text("# header\n14.13\n21.02\n\n25.01\n")
         data = load_zeros(str(path))
         assert data.ordinates.tolist() == [14.13, 21.02, 25.01]
-        assert data.source_path == str(path)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "zeros.txt"
@@ -352,13 +351,12 @@ class TestLoadZeros:
 
 class TestUnfoldZeros:
     def test_low_ordinates_rejected(self):
-        data = ZeroDataset(ordinates=np.array([10.0, 20.0]), source_path="")
+        data = ZeroDataset(ordinates=np.array([10.0, 20.0]))
         with pytest.raises(ArgumentError):
             unfold_zeros(data)
 
     def test_monotone(self):
-        data = ZeroDataset(ordinates=np.linspace(20.0, 400.0, 200),
-                           source_path="")
+        data = ZeroDataset(ordinates=np.linspace(20.0, 400.0, 200))
         assert np.all(np.diff(unfold_zeros(data)) > 0.0)
 
     def test_inverse_construction_has_unit_mean_spacing(self):
@@ -375,8 +373,7 @@ class TestUnfoldZeros:
             return g
 
         ordinates = np.array([ordinate_of(u) for u in targets])
-        unfolded = unfold_zeros(ZeroDataset(ordinates=ordinates,
-                                            source_path=""))
+        unfolded = unfold_zeros(ZeroDataset(ordinates=ordinates))
         spacings = np.diff(unfolded)
         assert abs(spacings.mean() - 1.0) <= 1e-3
         assert np.max(np.abs(unfolded - targets)) <= 1e-6
