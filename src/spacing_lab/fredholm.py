@@ -131,10 +131,19 @@ def _converged_spectrum(kernel_spec, interval: Interval) -> FredholmSpectrum:
 
 
 def fredholm_det(kernel_spec, interval: Interval, xi: float = 1.0) -> float:
-    """Converged det(1 - xi K) on the interval."""
+    """Converged det(1 - xi K) on the interval.
+
+    Raises NumericError where it is exactly 0: an eigenvalue rounded to 1
+    left no digit of a determinant that is positive.
+    """
     if interval.length == 0.0:
         return 1.0
-    return generating_value(_converged_spectrum(kernel_spec, interval), xi)
+    det = generating_value(_converged_spectrum(kernel_spec, interval), xi)
+    if det == 0.0:
+        raise NumericError("determinant is exactly 0: an eigenvalue rounded "
+                           "to 1", context={"kernel": kernel_spec,
+                                            "interval": interval})
+    return det
 
 
 def parity_split(interval: Interval, n_nodes: int | None = None):

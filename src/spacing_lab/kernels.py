@@ -92,6 +92,9 @@ def sinc(z):
     return out if out.ndim else float(out)
 
 
+# an overflowing argument gives inf or nan without a warning: the caller's
+# non-finite check (nystrom_spectrum) reports it as the one error
+@np.errstate(over="ignore", invalid="ignore")
 def _eval_array(spec: KernelSpec, x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)

@@ -4,6 +4,7 @@ import hashlib
 import io
 import math
 import shlex
+import warnings
 
 import numpy as np
 import pytest
@@ -541,13 +542,22 @@ class TestMainExitCodes:
 
     def test_huge_s_is_a_numeric_error(self, capsys):
         # 2 s overflows the first rule's ceiling; the clamp leaves the
-        # kernel's own non-finite check to refuse it
-        with np.errstate(all="ignore"):
+        # kernel's own non-finite check to refuse it, the one line on stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code = main(["tabulate", "--quantity", "E2", "--method",
                          "fredholm", "--s-min", "1e308", "--s-max", "1.7e308",
                          "--s-step", "1e308"])
         assert code == 3
-        assert "non-finite" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: kernel evaluated to a non-finite value\n")
+
+    def test_zero_determinant_is_a_numeric_error(self, capsys):
+        # E1(0; 6) = 1.410e-43, which the Fredholm column printed as 0
+        code = main(["tabulate", "--quantity", "E1", "--method", "all",
+                     "--s-max", "6.2", "--s-step", "0.4"])
+        assert code == 3
+        assert "determinant is exactly 0" in capsys.readouterr().err
 
     def test_zero_workers(self, capsys):
         # sample is the one command that sizes a pool

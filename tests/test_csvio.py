@@ -117,6 +117,34 @@ def test_every_value_as_percent_formats_it(block_rows, table):
     assert out.getvalue() == _by_percent(names, columns, formats)
 
 
+def _hard_floats():
+    """Floats whose %.17g a vectorised formatter can get wrong: random bit
+    patterns (subnormals, both signs), powers of ten and their neighbours
+    one ulp away, powers of two, exact rounding ties, and the edges."""
+    bits = np.random.default_rng(34).integers(0, 2 ** 64, 200_000,
+                                              dtype=np.uint64)
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    twos = np.ldexp(1.0, np.arange(-1074, 1024))
+    ties = 1.0 + np.arange(1, 2 ** 17, 2) * 2.0 ** -17  # 1.0000076293945312|5
+    edges = np.array([5e-324, 0.0, -0.0, np.inf, -np.inf, np.nan])
+    near = [np.nextafter(tens, np.inf), tens, np.nextafter(tens, -np.inf)]
+    return np.concatenate([bits.view(np.float64), *near, *(-v for v in near),
+                           twos, -twos, ties, edges])
+
+
+def test_every_float_as_percent_formats_it(block_rows):
+    # 32 columns, so 7-row blocks still pass many values at a time
+    values = _hard_floats()
+    columns = list(np.resize(values, (32, -(-len(values) // 32))))
+    out = io.StringIO()
+    csvio.write_csv(out, [f"x{j}" for j in range(32)], columns)
+    lines = out.getvalue().splitlines()
+    fields = [field for line in lines[1:] for field in line.split(",")]
+    values = np.transpose(columns).ravel().tolist()
+    wrong = [(v, f) for v, f in zip(values, fields) if f != "%.17g" % v]
+    assert len(fields) == len(values) and wrong == []
+
+
 def _assert_refused_before_writing(tmp_path, write):
     # nothing reaches a stream, and no file is made at a path
     out = io.StringIO()

@@ -197,6 +197,15 @@ class TestConvergedSpectrum:
         with np.errstate(all="ignore"), pytest.raises(NumericError):
             fredholm.e2_bulk_det(1.7e308)
 
+    @pytest.mark.parametrize("evaluator, s", [
+        (fredholm.e1_bulk_det, 6.0), (fredholm.e4_bulk_det, 8.0),
+        (fredholm.e2_bulk_det, 12.8)], ids=["E1-6", "E4-8", "E2-12.8"])
+    def test_exactly_zero_determinant_raises(self, evaluator, s):
+        # an eigenvalue rounds to 1, so det(1 - K) reads 0.0 where E1(0; 6)
+        # is 1.410e-43
+        with pytest.raises(NumericError, match="exactly 0"):
+            evaluator(s)
+
 
 class TestHardEdge:
     @pytest.mark.parametrize("a", [-0.5, 0.5])
