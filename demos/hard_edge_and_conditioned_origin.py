@@ -20,8 +20,6 @@ from spacing_lab import (
     e2_hard,
     enn_det,
     enn_generating,
-    fredholm_det,
-    hard_edge_bessel,
     p2_nn,
     parity_split,
 )
@@ -39,12 +37,6 @@ for t in (0.5, 1.0, 2.0, 4.0):
     d_plus, d_minus = parity_split(Interval(-u / 2.0, u / 2.0))
     print(f"{t:4.2f}    {abs(d_plus - e2_hard(t, -0.5)):.2e}"
           f"        {abs(d_minus - e2_hard(t, 0.5)):.2e}")
-
-# for a = +1/2 the operator is mild enough that the direct Bessel-kernel
-# determinant also converges, a route with no trigonometry shared
-direct = fredholm_det(hard_edge_bessel(0.5), Interval(0.0, 2.0))
-print(f"\ndirect Bessel determinant at t = 2, a = +1/2: "
-      f"{abs(direct - e2_hard(2.0, 0.5)):.2e} from the sigma route")
 
 # ------------------------------------------------------------------
 # A derivative identity tying the transcendent to its own boundary data

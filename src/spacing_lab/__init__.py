@@ -17,8 +17,8 @@ from .errors import (ArgumentError, ConsistencyError, DerivationError,
                      StiffnessError, UnsupportedError)
 from .quadrature import (FredholmSpectrum, Interval, QuadratureRule,
                          gauss_legendre, nystrom_spectrum)
-from .kernels import (KernelSpec, hard_edge_bessel, kernel_matrix, sine_bulk,
-                      sine_even, sine_odd, spectrum_singularity)
+from .kernels import (KernelSpec, kernel_matrix, sine_bulk, sine_even,
+                      sine_odd, spectrum_singularity)
 from .fredholm import (SpacingTable, e1_bulk_det, e2_bulk_det, e4_bulk_det,
                        en_bulk_det, enn_det, fredholm_det, gap_n,
                        gaudin_split, generating_value, p1_det, p1_gap1_det,
@@ -50,7 +50,7 @@ __all__ = [
     "Interval", "QuadratureRule", "FredholmSpectrum", "gauss_legendre",
     "nystrom_spectrum",
     # kernels
-    "KernelSpec", "sine_bulk", "sine_even", "sine_odd", "hard_edge_bessel",
+    "KernelSpec", "sine_bulk", "sine_even", "sine_odd",
     "spectrum_singularity", "kernel_matrix",
     # fredholm
     "SpacingTable", "generating_value", "gap_n", "fredholm_det",

@@ -197,12 +197,9 @@ def run(args) -> int:
 
     writers = {"tabulate": write_tabulate, "sample": write_sample,
                "primes": write_primes, "zeros": write_zeros}
-    writer = writers[args.command]
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as stream:
-            outcome = writer(args, stream)
-    else:
-        outcome = writer(args, sys.stdout)
+    # csvio.write_csv opens an -o path only once the table is computed, so
+    # a command that fails leaves an existing file as it was
+    outcome = writers[args.command](args, args.output or sys.stdout)
     if args.command == "tabulate":
         _, deviations = outcome
         q = args.quantity

@@ -40,7 +40,7 @@ from .csvio import write_csv
 from .errors import ArgumentError, NumericError, UnsupportedError
 from .points import on_points
 from .quadrature import (FredholmSpectrum, Interval, gauss_legendre,
-                         nystrom_spectrum, rule_interval)
+                         nystrom_spectrum)
 
 _EIGENVALUE_FLOOR = 1e-16     # product truncation point
 _FORCED_LEVEL_GAP = 1e-14     # 1 - mu below this: level treated as occupied
@@ -67,7 +67,9 @@ def gap_n(spectrum: FredholmSpectrum, n: int) -> float:
     Evaluated as prod(1 - mu) * e_n(mu/(1 - mu)) with e_n the elementary
     symmetric function, built by the ascending recurrence (no derivatives,
     no alternating sums).  Eigenvalues within _FORCED_LEVEL_GAP of 1 are
-    factored out as forced occupied levels, since their ratio overflows.
+    factored out as forced occupied levels, since their ratio overflows;
+    NumericError where n is below their count, as E(n) then reads 0 and
+    no digit of it is left.
     """
     if n < 0:
         raise ArgumentError(f"gap order must be >= 0, got {n}")
@@ -79,7 +81,9 @@ def gap_n(spectrum: FredholmSpectrum, n: int) -> float:
     forced = mu > 1.0 - _FORCED_LEVEL_GAP
     n_forced = int(np.count_nonzero(forced))
     if n < n_forced:
-        return 0.0
+        raise NumericError(
+            f"gap probability E({n}) is forced to 0: an eigenvalue rounded "
+            "to 1", context={"n": n, "forced_levels": n_forced})
     free = mu[~forced]
     prefactor = float(np.prod(mu[forced])) * float(np.prod(1.0 - free))
     ratios = free / (1.0 - free)
@@ -99,8 +103,7 @@ def _node_doubling(build, length: float, context: dict,
 
     Convergence is exponential in the node count for the analytic kernels
     (Bornemann, Math. Comp. 79, 2010), and the number of eigenvalues that
-    matter grows like the length of the interval the rule lives on (in
-    p = sqrt(x) for hard-edge kernels), so the first rule has
+    matter grows like the length of the interval, so the first rule has
     16 + ceil(2 length) nodes; each next one doubles it.  The measure is a
     float or an array, compared entry by entry.  No rule exceeds
     _MAX_NODES, and 2 length is capped there before its ceiling, which an
@@ -125,7 +128,7 @@ def _converged_spectrum(kernel_spec, interval: Interval) -> FredholmSpectrum:
     at most DET_TOL."""
     return _node_doubling(
         lambda n: nystrom_spectrum(kernel_spec, interval, n),
-        rule_interval(kernel_spec, interval).length,
+        interval.length,
         {"kernel": kernel_spec, "interval": interval},
         lambda spec: generating_value(spec, 1.0))
 
@@ -146,7 +149,7 @@ def fredholm_det(kernel_spec, interval: Interval, xi: float = 1.0) -> float:
     return det
 
 
-def parity_split(interval: Interval, n_nodes: int | None = None):
+def parity_split(interval: Interval):
     """(D_plus, D_minus): determinants of the even and odd sine components.
 
     The interval must be symmetric about 0.  D_plus * D_minus equals the
@@ -154,15 +157,8 @@ def parity_split(interval: Interval, n_nodes: int | None = None):
     """
     if not interval.is_symmetric():
         raise ArgumentError(f"parity split needs (-s, s), got {interval}")
-    if interval.length == 0.0:
-        return 1.0, 1.0
-    if n_nodes is None:
-        even = _converged_spectrum(kernels.sine_even(), interval)
-        odd = _converged_spectrum(kernels.sine_odd(), interval)
-    else:
-        even = nystrom_spectrum(kernels.sine_even(), interval, n_nodes)
-        odd = nystrom_spectrum(kernels.sine_odd(), interval, n_nodes)
-    return generating_value(even, 1.0), generating_value(odd, 1.0)
+    return (fredholm_det(kernels.sine_even(), interval),
+            fredholm_det(kernels.sine_odd(), interval))
 
 
 def gaudin_split(e2_profile, s: float):
@@ -236,7 +232,7 @@ def enn_det(s):
     Determinant of the spectrum-singularity kernel (a = 1) on (-s, s).
     """
     return on_points(s, 1.0, lambda v: _dets(
-        kernels.spectrum_singularity(1.0), v))
+        kernels.spectrum_singularity(), v))
 
 
 def en_bulk_det(s, n: int):
@@ -261,9 +257,11 @@ def _det_jet(kernel_spec, x: float, n: int, order: int) -> np.ndarray:
     """
     rule = gauss_legendre(n, Interval(-1.0, 1.0))
     sw = np.sqrt(rule.weights)
-    a, *derivs = [sw[:, None] * m * sw[None, :]
-                  for m in kernels.scaled_jets(kernel_spec, rule.nodes, x,
-                                               order)]
+    jets = kernels.scaled_jets(kernel_spec, rule.nodes, x, order)
+    if not all(np.isfinite(m).all() for m in jets):
+        raise NumericError("kernel evaluated to a non-finite value",
+                           context={"kernel": kernel_spec, "x": x})
+    a, *derivs = [sw[:, None] * m * sw[None, :] for m in jets]
     m = np.eye(n) - a
     det = np.linalg.det(m)
     r = np.linalg.inv(m)
@@ -329,7 +327,7 @@ def p2_nn_det(s):
     """Nearest-neighbour density about a conditioned eigenvalue, -d/ds of
     enn_det."""
     return on_points(s, 0.0, lambda v: -_det_jets(
-        kernels.spectrum_singularity(1.0), v, 1)[:, 1])
+        kernels.spectrum_singularity(), v, 1)[:, 1])
 
 
 # ---------------------------------------------------------------------------

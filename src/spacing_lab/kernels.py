@@ -1,17 +1,16 @@
-"""Closed-form kernels: sine family, hard-edge Bessel, spectrum singularity.
+"""Closed-form kernels: the sine family and the spectrum singularity.
 
-All supported kernels reduce to the cardinal sine, so every evaluation is
-cancellation-free: sinc gets a 4-term Taylor branch near 0, and the
-hard-edge kernel is written in a form that is regular on the diagonal.
+All supported kernels are built from the cardinal sine, so every
+evaluation is cancellation-free: sinc gets a 4-term Taylor branch near 0.
+The hard-edge Bessel kernels of order a = -1/2 and +1/2 on (0, t) are the
+even and odd sine kernels on (-sqrt(t)/pi, sqrt(t)/pi) in p = sqrt(x), so
+their determinants are those of SineEven and SineOdd.
 
 Conventions (mean spacing 1 in the bulk):
   SineBulk(x, y)             = sinc(pi (x - y))
   SineEven/Odd(x, y)         = (sinc(pi (x - y)) +/- sinc(pi (x + y))) / 2
-  HardEdgeBessel(a)(x, y)    = (1/(2 pi)) (xy)^(-1/4)
-                               * (sinc(sqrt x - sqrt y) -/+ sinc(sqrt x + sqrt y))
-                               with - for a = +1/2, + for a = -1/2
-  SpectrumSingularity(1)     = sinc(pi (x - y)) - sinc(pi x) sinc(pi y)
-  SpectrumSingularity(0)     = SineBulk
+  SpectrumSingularity(x, y)  = sinc(pi (x - y)) - sinc(pi x) sinc(pi y),
+                               the bulk conditioned on an eigenvalue at 0
 """
 
 from __future__ import annotations
@@ -20,16 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, UnsupportedError
+from .errors import UnsupportedError
 
 SINE_BULK = "SineBulk"
 SINE_EVEN = "SineEven"
 SINE_ODD = "SineOdd"
-HARD_EDGE_BESSEL = "HardEdgeBessel"
 SPECTRUM_SINGULARITY = "SpectrumSingularity"
-
-_HARD_EDGE_ORDERS = (-0.5, 0.5)
-_SINGULARITY_ORDERS = (0.0, 1.0)
 
 # both sinc branches agree to ~1e-12 at this threshold (scaled variables)
 _SINC_SWITCH = 1e-4
@@ -41,23 +36,10 @@ _COS_MINUS_SINC_SWITCH = 0.1
 @dataclass(frozen=True)
 class KernelSpec:
     variant: str
-    a: float | None = None
 
     def __post_init__(self):
-        if self.variant in (SINE_BULK, SINE_EVEN, SINE_ODD):
-            if self.a is not None:
-                raise ArgumentError(f"{self.variant} takes no parameter")
-        elif self.variant == HARD_EDGE_BESSEL:
-            if self.a not in _HARD_EDGE_ORDERS:
-                raise UnsupportedError(
-                    f"hard-edge kernel implemented for a in {_HARD_EDGE_ORDERS}, "
-                    f"got {self.a}")
-        elif self.variant == SPECTRUM_SINGULARITY:
-            if self.a not in _SINGULARITY_ORDERS:
-                raise UnsupportedError(
-                    f"spectrum-singularity kernel implemented for a in "
-                    f"{_SINGULARITY_ORDERS}, got {self.a}")
-        else:
+        if self.variant not in (SINE_BULK, SINE_EVEN, SINE_ODD,
+                                SPECTRUM_SINGULARITY):
             raise UnsupportedError(f"unknown kernel variant {self.variant!r}")
 
 
@@ -73,12 +55,8 @@ def sine_odd() -> KernelSpec:
     return KernelSpec(SINE_ODD)
 
 
-def hard_edge_bessel(a: float) -> KernelSpec:
-    return KernelSpec(HARD_EDGE_BESSEL, a=float(a))
-
-
-def spectrum_singularity(a: float) -> KernelSpec:
-    return KernelSpec(SPECTRUM_SINGULARITY, a=float(a))
+def spectrum_singularity() -> KernelSpec:
+    return KernelSpec(SPECTRUM_SINGULARITY)
 
 
 def sinc(z):
@@ -93,8 +71,12 @@ def sinc(z):
 
 
 # an overflowing argument gives inf or nan without a warning: the caller's
-# non-finite check (nystrom_spectrum) reports it as the one error
-@np.errstate(over="ignore", invalid="ignore")
+# non-finite check (nystrom_spectrum, fredholm._det_jet) reports it as the
+# one error
+_QUIET = np.errstate(over="ignore", invalid="ignore")
+
+
+@_QUIET
 def _eval_array(spec: KernelSpec, x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -104,17 +86,7 @@ def _eval_array(spec: KernelSpec, x, y):
         return 0.5 * (sinc(np.pi * (x - y)) + sinc(np.pi * (x + y)))
     if spec.variant == SINE_ODD:
         return 0.5 * (sinc(np.pi * (x - y)) - sinc(np.pi * (x + y)))
-    if spec.variant == HARD_EDGE_BESSEL:
-        if np.any(x <= 0.0) or np.any(y <= 0.0):
-            raise ArgumentError("hard-edge kernel domain is x, y > 0")
-        p, q = np.sqrt(x), np.sqrt(y)
-        sign = 1.0 if spec.a == -0.5 else -1.0
-        return (sinc(p - q) + sign * sinc(p + q)) / (2.0 * np.pi * np.sqrt(p * q))
-    if spec.variant == SPECTRUM_SINGULARITY:
-        if spec.a == 0.0:
-            return sinc(np.pi * (x - y))
-        return sinc(np.pi * (x - y)) - sinc(np.pi * x) * sinc(np.pi * y)
-    raise UnsupportedError(spec.variant)
+    return sinc(np.pi * (x - y)) - sinc(np.pi * x) * sinc(np.pi * y)
 
 
 def kernel_matrix(spec: KernelSpec, nodes: np.ndarray) -> np.ndarray:
@@ -147,6 +119,7 @@ def _cos_minus_sinc(z: np.ndarray) -> np.ndarray:
     return np.where(small, taylor, np.cos(z) - sinc(z))
 
 
+@_QUIET
 def scaled_jets(spec: KernelSpec, t: np.ndarray, s: float,
                 order: int) -> list:
     """[s K(s t_i, s t_j)] over reference nodes t and its first ``order``
@@ -154,7 +127,7 @@ def scaled_jets(spec: KernelSpec, t: np.ndarray, s: float,
 
     This is the Nystrom matrix of the kernel on (-s, s) with the rule put
     on (-1, 1), before the weights.  Implemented for the parity sine
-    kernels up to order 2 and for SpectrumSingularity(1) up to order 1.
+    kernels up to order 2 and for SpectrumSingularity up to order 1.
     The first derivative of a parity kernel is rank one: cos a_i cos a_j
     (even) or sin a_i sin a_j (odd) with a = pi s t.
     """
@@ -164,7 +137,7 @@ def scaled_jets(spec: KernelSpec, t: np.ndarray, s: float,
         minus = _scaled_sinc_jet(s, t[:, None] - t[None, :], order)
         plus = _scaled_sinc_jet(s, t[:, None] + t[None, :], order)
         return [0.5 * (m + sign * p) for m, p in zip(minus, plus)]
-    if spec == spectrum_singularity(1.0) and order <= 1:
+    if spec.variant == SPECTRUM_SINGULARITY and order <= 1:
         # s sinc(pi s t_i) sinc(pi s t_j), whose s-derivative is
         # sinc_i sinc_j + g_i sinc_j + sinc_i g_j with g = cos - sinc at
         # z = pi s t

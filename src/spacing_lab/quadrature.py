@@ -5,22 +5,17 @@ polynomial with the classical cosine initial guesses, so the module has no
 dependency beyond numpy for linear algebra.  Each reference rule is computed
 once per order and cached as read-only arrays; rules on a general interval
 are affine images of it.
-
-Hard-edge Bessel kernels carry an (xy)^(-1/4) endpoint factor, against which
-Gauss-Legendre converges only algebraically.  They are discretized in
-p = sqrt(x) instead: a Gauss rule on (sqrt(lo), sqrt(hi)) mapped to nodes p^2
-with weights 2 p w, which makes the symmetrized matrix analytic in p.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ArgumentError, NumericError
+from .kernels import kernel_matrix
 
 # Discretized kernels can produce slightly negative eigenvalues from
 # roundoff.  Anything below this magnitude signals a bug, not noise.
@@ -122,43 +117,23 @@ class FredholmSpectrum:
     clamp_applied: float = field(default=0.0)
 
 
-def rule_interval(kernel, interval: Interval) -> Interval:
-    """The interval that nystrom_spectrum puts its Gauss rule on:
-    (sqrt(lo), sqrt(hi)) for hard-edge kernels, the interval itself
-    otherwise."""
-    from . import kernels as _kernels
-
-    if kernel.variant != _kernels.HARD_EDGE_BESSEL:
-        return interval
-    if interval.lo < 0.0:
-        raise ArgumentError("hard-edge kernel domain is x, y > 0")
-    return Interval(math.sqrt(interval.lo), math.sqrt(interval.hi))
-
-
 def nystrom_spectrum(kernel, interval: Interval, n: int) -> FredholmSpectrum:
     """Spectrum of the operator with the given kernel on the interval.
 
     Discretizes on Gauss-Legendre nodes and diagonalizes the symmetrized
     matrix [sqrt(w_i) K(x_i, x_j) sqrt(w_j)], whose eigenvalues converge
-    spectrally to the operator's for analytic kernels.  Hard-edge kernels
-    are discretized in p = sqrt(x), where that matrix is analytic.
+    spectrally to the operator's for analytic kernels.
     """
-    from . import kernels as _kernels
-
     if interval.length == 0.0:
         return FredholmSpectrum(eigenvalues=np.zeros(0), nodes_used=0)
-    rule = gauss_legendre(n, rule_interval(kernel, interval))
-    if kernel.variant == _kernels.HARD_EDGE_BESSEL:
-        nodes, weights = rule.nodes ** 2, 2.0 * rule.nodes * rule.weights
-    else:
-        nodes, weights = rule.nodes, rule.weights
-    matrix = _kernels.kernel_matrix(kernel, nodes)
+    rule = gauss_legendre(n, interval)
+    matrix = kernel_matrix(kernel, rule.nodes)
     if not np.all(np.isfinite(matrix)):
         i, j = np.argwhere(~np.isfinite(matrix))[0]
         raise NumericError(
             "kernel evaluated to a non-finite value",
-            context={"x": float(nodes[i]), "y": float(nodes[j])})
-    sw = np.sqrt(weights)
+            context={"x": float(rule.nodes[i]), "y": float(rule.nodes[j])})
+    sw = np.sqrt(rule.weights)
     mu = np.linalg.eigvalsh(sw[:, None] * matrix * sw[None, :])[::-1]
     worst = float(mu[-1])
     if worst < -NEGATIVE_EIGENVALUE_LIMIT:

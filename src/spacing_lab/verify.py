@@ -17,7 +17,7 @@ import numpy as np
 
 from . import fredholm, kernels, montecarlo, painleve, routes, sequences
 from .errors import ArgumentError, SpacingLabError
-from .quadrature import Interval, gauss_legendre
+from .quadrature import Interval, gauss_legendre, nystrom_spectrum
 
 _MC_SEED = 42
 
@@ -116,7 +116,9 @@ def check_parity_identities():
         full = fredholm._converged_spectrum(kernels.sine_bulk(), iv)
         n = full.nodes_used
         max_nodes = max(max_nodes, n)
-        d_plus, d_minus = fredholm.parity_split(iv, n)
+        d_plus, d_minus = (
+            fredholm.generating_value(nystrom_spectrum(k, iv, n), 1.0)
+            for k in (kernels.sine_even(), kernels.sine_odd()))
         e2 = fredholm.generating_value(full, 1.0)
         worst_product = max(worst_product, abs(d_plus * d_minus - e2))
         g_plus, g_minus = fredholm.gaudin_split(

@@ -12,9 +12,9 @@ from pathlib import Path
 import pytest
 
 import spacing_lab
-from spacing_lab import (FredholmSpectrum, Interval, QuadratureRule,
-                         ZeroDataset, _dop853, fredholm, kernels, montecarlo,
-                         painleve, routes)
+from spacing_lab import (FredholmSpectrum, Interval, KernelSpec,
+                         QuadratureRule, ZeroDataset, _dop853, fredholm,
+                         kernels, montecarlo, painleve, quadrature, routes)
 from spacing_lab.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -27,7 +27,8 @@ REMOVED = ((fredholm, "GapProfile"), (painleve, "extend_series"),
            (fredholm, "spacing_from_gaps"), (kernels, "evaluate"),
            (FredholmSpectrum, "trace"),
            (painleve.PainleveProblem, "series_value"),
-           (fredholm.SpacingTable, "step"))
+           (fredholm.SpacingTable, "step"), (kernels, "hard_edge_bessel"),
+           (quadrature, "rule_interval"))
 
 
 def _public_names():
@@ -90,6 +91,15 @@ def test_evaluators_of_s_take_s_alone():
     assert list(inspect.signature(painleve.e2_hard).parameters) == ["s", "a"]
     assert list(inspect.signature(painleve.series_residual).parameters) == [
         "problem"]
+
+
+def test_kernels_take_no_parameter():
+    # the hard-edge kernels are the parity blocks, and the conditioned
+    # origin is the one spectrum-singularity kernel any route runs
+    assert [f.name for f in dataclasses.fields(KernelSpec)] == ["variant"]
+    assert not inspect.signature(kernels.spectrum_singularity).parameters
+    assert list(inspect.signature(fredholm.parity_split).parameters) == [
+        "interval"]
 
 
 def test_records_hold_only_what_is_read():

@@ -552,6 +552,40 @@ class TestMainExitCodes:
         assert capsys.readouterr().err == (
             "error: kernel evaluated to a non-finite value\n")
 
+    @pytest.mark.parametrize("quantity", [
+        ["p0", "--beta", "1"], ["p0", "--beta", "2"], ["p0", "--beta", "4"],
+        ["p1gap"], ["p2nn"]], ids=["p0-1", "p0-2", "p0-4", "p1gap", "p2nn"])
+    def test_huge_s_density_is_a_numeric_error(self, capsys, quantity):
+        # the Jacobi jets overflow in their sines; the jet's own non-finite
+        # check refuses it before det, with no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["tabulate", "--quantity", *quantity, "--method",
+                         "fredholm", "--s-min", "1e308", "--s-max", "1.7e308",
+                         "--s-step", "1e308"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: kernel evaluated to a non-finite value\n")
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--s-step", "1e-300"], 2),
+        (["--quantity", "E2", "--method", "fredholm", "--s-min", "1e308",
+          "--s-max", "1.7e308", "--s-step", "1e308"], 3)],
+        ids=["usage", "numeric"])
+    def test_failed_command_keeps_the_output_file(self, tmp_path, argv, code):
+        # the -o file is opened only once the table is computed
+        target = tmp_path / "out.csv"
+        target.write_text("keep me\n")
+        assert main(["tabulate", *argv, "-o", str(target)]) == code
+        assert target.read_text() == "keep me\n"
+
+    def test_forced_gap_is_a_numeric_error(self, capsys):
+        # E2(0; 12.8) is about 1e-82: an eigenvalue rounds to 1
+        code = main(["tabulate", "--quantity", "En", "--n", "0", "--method",
+                     "fredholm", "--s-min", "12.8", "--s-max", "12.8"])
+        assert code == 3
+        assert "forced to 0" in capsys.readouterr().err
+
     def test_zero_determinant_is_a_numeric_error(self, capsys):
         # E1(0; 6) = 1.410e-43, which the Fredholm column printed as 0
         code = main(["tabulate", "--quantity", "E1", "--method", "all",

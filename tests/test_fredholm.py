@@ -15,8 +15,8 @@ from spacing_lab import (
     gauss_legendre,
     painleve,
 )
-from spacing_lab.kernels import (hard_edge_bessel, scaled_jets, sine_bulk,
-                                 sine_even, sine_odd, spectrum_singularity)
+from spacing_lab.kernels import (scaled_jets, sine_bulk, sine_even, sine_odd,
+                                 spectrum_singularity)
 from spacing_lab.quadrature import FredholmSpectrum, nystrom_spectrum
 
 
@@ -101,6 +101,14 @@ class TestGapN:
         assert fredholm.gap_n(spectrum, n) == pytest.approx(expected,
                                                             abs=1e-6)
 
+    def test_forced_level_raises(self):
+        # an eigenvalue within _FORCED_LEVEL_GAP of 1 leaves no digit of
+        # E(0); E(1) factors it out as an occupied level
+        spectrum = _manual_spectrum([1.0 - 1e-15, 0.5])
+        with pytest.raises(NumericError, match=r"E\(0\) is forced to 0"):
+            fredholm.gap_n(spectrum, 0)
+        assert fredholm.gap_n(spectrum, 1) == pytest.approx(0.5, rel=1e-14)
+
     def test_order_bound(self):
         spectrum = _manual_spectrum([0.5])
         with pytest.raises(UnsupportedError):
@@ -120,11 +128,11 @@ class TestParitySplit:
     def test_product_recovers_full_determinant(self):
         # even and odd eigenvalues together are the full sine spectrum,
         # so the split is exact at matched discretization
-        n_nodes = 240
-        d_plus, d_minus = fredholm.parity_split(Interval(-1.0, 1.0), n_nodes)
-        spectrum = nystrom_spectrum(sine_bulk(), Interval(-1.0, 1.0), n_nodes)
-        assert d_plus * d_minus == pytest.approx(
-            fredholm.generating_value(spectrum, 1.0), abs=1e-10)
+        iv = Interval(-1.0, 1.0)
+        d_plus, d_minus, full = (
+            fredholm.generating_value(nystrom_spectrum(kernel, iv, 240), 1.0)
+            for kernel in (sine_even(), sine_odd(), sine_bulk()))
+        assert d_plus * d_minus == pytest.approx(full, abs=1e-10)
 
     def test_even_determinant_decreasing(self):
         values = [fredholm.parity_split(Interval(-s, s))[0]
@@ -153,7 +161,7 @@ class TestGaudinSplit:
 
 class TestConvergedSpectrum:
     @pytest.mark.parametrize("kernel", [sine_bulk(), sine_even(), sine_odd(),
-                                        spectrum_singularity(1.0)],
+                                        spectrum_singularity()],
                              ids=lambda k: k.variant)
     @pytest.mark.parametrize("length", [0.5, 2.0, 6.0])
     def test_accepted_at_few_nodes(self, kernel, length):
@@ -205,37 +213,6 @@ class TestConvergedSpectrum:
         # is 1.410e-43
         with pytest.raises(NumericError, match="exactly 0"):
             evaluator(s)
-
-
-class TestHardEdge:
-    @pytest.mark.parametrize("a", [-0.5, 0.5])
-    @pytest.mark.parametrize("s", [0.5, 2.0, 4.0, 16.0])
-    def test_matches_parity_split(self, a, s):
-        # in p = sqrt(x) the a = -1/2 (+1/2) kernel on (0, s) is the even
-        # (odd) sine kernel on (-sqrt(s)/pi, sqrt(s)/pi)
-        r = math.sqrt(s) / math.pi
-        d_plus, d_minus = fredholm.parity_split(Interval(-r, r))
-        det = fredholm.fredholm_det(hard_edge_bessel(a), Interval(0.0, s))
-        assert det == pytest.approx(d_plus if a == -0.5 else d_minus,
-                                    abs=1e-14)
-
-    def test_first_rule_sized_from_p_length(self, monkeypatch):
-        # on (0, 16) the rule lives on (0, 4) in p: 16 + 2 * 4 = 24 nodes
-        # (the x-length 16 would start at 48), accepted after one doubling
-        built = []
-
-        def record(kernel, interval, n):
-            built.append(n)
-            return nystrom_spectrum(kernel, interval, n)
-
-        monkeypatch.setattr(fredholm, "nystrom_spectrum", record)
-        fredholm._converged_spectrum(hard_edge_bessel(-0.5),
-                                     Interval(0.0, 16.0))
-        assert built == [24, 48]
-
-    def test_negative_endpoint_rejected(self):
-        with pytest.raises(ArgumentError):
-            nystrom_spectrum(hard_edge_bessel(0.5), Interval(-1.0, 1.0), 16)
 
 
 class TestGapEvaluators:
@@ -389,7 +366,7 @@ class TestJacobiDensities:
             fredholm.p4_det(3.0)
 
     @pytest.mark.parametrize("kernel", [sine_even(), sine_odd(),
-                                        spectrum_singularity(1.0)],
+                                        spectrum_singularity()],
                              ids=lambda k: k.variant)
     def test_jets_double_the_rules_of_the_spectrum(self, monkeypatch, kernel):
         # one doubling policy: on (-26, 26) both start at 16 + 2 * 52 nodes

@@ -5,11 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from spacing_lab import ArgumentError, UnsupportedError
+from spacing_lab import UnsupportedError
 from spacing_lab.kernels import (
     KernelSpec,
     _eval_array,
-    hard_edge_bessel,
     kernel_matrix,
     scaled_jets,
     sine_bulk,
@@ -18,9 +17,7 @@ from spacing_lab.kernels import (
     spectrum_singularity,
 )
 
-ALL_SPECS = [sine_bulk(), sine_even(), sine_odd(),
-             hard_edge_bessel(-0.5), hard_edge_bessel(0.5),
-             spectrum_singularity(0.0), spectrum_singularity(1.0)]
+ALL_SPECS = [sine_bulk(), sine_even(), sine_odd(), spectrum_singularity()]
 
 
 class TestSineFamily:
@@ -49,89 +46,19 @@ class TestSineFamily:
 
 
 class TestSymmetry:
-    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.variant + str(s.a))
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.variant)
     def test_symmetric_in_arguments(self, spec):
         rng = np.random.default_rng(1)
-        lo = 0.05 if spec.variant == "HardEdgeBessel" else -3.0
-        for x, y in rng.uniform(lo, 3.0, (32, 2)):
+        for x, y in rng.uniform(-3.0, 3.0, (32, 2)):
             assert abs(_eval_array(spec, x, y)
                        - _eval_array(spec, y, x)) <= 1e-14
 
 
-def _diagonal(a, t):
-    """K(t, t) of the hard-edge kernel: sinc(0) = 1 fills the limit."""
-    return _eval_array(hard_edge_bessel(a), t, t)
-
-
-class TestHardEdge:
-    def test_odd_kernel_correspondence(self):
-        # 2 sqrt(xy) K_hard(x^2, y^2) at a=1/2 is the odd sine kernel up to
-        # the pi rescaling of both arguments and the overall 2/pi factor
-        rng = np.random.default_rng(2)
-        for x, y in rng.uniform(0.05, 3.0, (64, 2)):
-            lhs = 2.0 * math.sqrt(x * y) * _eval_array(hard_edge_bessel(0.5),
-                                                    x * x, y * y)
-            rhs = (2.0 / math.pi) * _eval_array(sine_odd(), x / math.pi,
-                                             y / math.pi)
-            assert abs(lhs - rhs) <= 1e-12
-
-    def test_even_kernel_correspondence(self):
-        rng = np.random.default_rng(3)
-        for x, y in rng.uniform(0.05, 3.0, (64, 2)):
-            lhs = 2.0 * math.sqrt(x * y) * _eval_array(hard_edge_bessel(-0.5),
-                                                    x * x, y * y)
-            rhs = (2.0 / math.pi) * _eval_array(sine_even(), x / math.pi,
-                                             y / math.pi)
-            assert abs(lhs - rhs) <= 1e-12
-
-    def test_diagonal_matches_kernel_limit(self):
-        for a in (-0.5, 0.5):
-            for t in (0.3, 1.0, 4.0):
-                diag = _diagonal(a, t)
-                near = _eval_array(hard_edge_bessel(a), t, t * (1.0 + 1e-9))
-                assert abs(diag - near) <= 1e-6 * abs(diag)
-
-    def test_diagonal_small_t_exponent(self):
-        # K(t, t) ~ const * t^(1/2) as t -> 0 at a = 1/2
-        lo, hi = 1e-6, 1e-5
-        slope = (math.log(_diagonal(0.5, hi))
-                 - math.log(_diagonal(0.5, lo))) / math.log(hi / lo)
-        assert slope == pytest.approx(0.5, abs=1e-4)
-
-    def test_diagonal_finite_positive(self):
-        assert _diagonal(-0.5, 1.0) > 0.0
-
-    def test_diagonal_is_sine_diagonal_under_variable_map(self):
-        # with x = sqrt(t)/pi the a=-1/2 diagonal is the even sine diagonal
-        # divided by pi sqrt(t); same for a=+1/2 with the odd kernel
-        for a, parity in ((-0.5, sine_even()), (0.5, sine_odd())):
-            for t in (0.2, 1.37, 5.0):
-                x = math.sqrt(t) / math.pi
-                expected = _eval_array(parity, x, x) / (math.pi * math.sqrt(t))
-                assert _diagonal(a, t) == pytest.approx(expected, rel=1e-13)
-
-    def test_domain_validation(self):
-        with pytest.raises(ArgumentError):
-            _eval_array(hard_edge_bessel(0.5), -1.0, 2.0)
-
-    def test_unsupported_order(self):
-        with pytest.raises(UnsupportedError):
-            hard_edge_bessel(1.5)
-        with pytest.raises(UnsupportedError):
-            KernelSpec(variant="HardEdgeBessel", a=2.0)
-
-
-class TestSpectrumSingularity:
-    def test_a_zero_reduces_to_sine(self):
-        rng = np.random.default_rng(4)
-        spec = spectrum_singularity(0.0)
-        for x, y in rng.uniform(-2.5, 2.5, (64, 2)):
-            assert abs(_eval_array(spec, x, y)
-                       - _eval_array(sine_bulk(), x, y)) <= 1e-12
-
-    def test_unsupported_order(self):
-        with pytest.raises(UnsupportedError):
-            spectrum_singularity(2.0)
+def test_unknown_variant_refused():
+    # the hard-edge kernels at a = -1/2, +1/2 are taken as the parity
+    # blocks in p = sqrt(x), not as a variant of their own
+    with pytest.raises(UnsupportedError, match="HardEdgeBessel"):
+        KernelSpec("HardEdgeBessel")
 
 
 def test_kernel_matrix_matches_pointwise():
@@ -144,7 +71,7 @@ def test_kernel_matrix_matches_pointwise():
 
 
 # kernels with closed-form s-derivatives, with the highest order given
-JET_SPECS = [(sine_even(), 2), (sine_odd(), 2), (spectrum_singularity(1.0), 1)]
+JET_SPECS = [(sine_even(), 2), (sine_odd(), 2), (spectrum_singularity(), 1)]
 
 
 class TestScaledJets:
@@ -194,9 +121,7 @@ class TestScaledJets:
         assert taylor == pytest.approx(direct, rel=1e-12)
 
     @pytest.mark.parametrize("spec, order", [
-        (sine_bulk(), 0), (hard_edge_bessel(0.5), 0),
-        (spectrum_singularity(0.0), 0), (spectrum_singularity(1.0), 2),
-        (sine_even(), 3)])
+        (sine_bulk(), 0), (spectrum_singularity(), 2), (sine_even(), 3)])
     def test_unsupported(self, spec, order):
         with pytest.raises(UnsupportedError):
             scaled_jets(spec, self.NODES, 1.0, order)

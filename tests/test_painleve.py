@@ -18,7 +18,7 @@ from spacing_lab import (
     routes,
 )
 from spacing_lab._dop853 import Dense
-from spacing_lab.kernels import hard_edge_bessel, sine_bulk
+from spacing_lab.kernels import sine_bulk
 from spacing_lab.painleve import (
     SIGMA_HARD,
     SIGMA_JMMS,
@@ -215,8 +215,11 @@ class TestBulkEvaluators:
         assert value == pytest.approx(fredholm.e1_bulk_det(s), abs=1e-6)
 
     def test_hard_edge_against_bessel_determinant(self):
+        # at a = +1/2 the Bessel kernel on (0, t) is, in p = sqrt(x), the
+        # odd sine kernel on (-sqrt(t)/pi, sqrt(t)/pi)
         value = painleve.e2_hard(2.0, 0.5)
-        det = fredholm.fredholm_det(hard_edge_bessel(0.5), Interval(0.0, 2.0))
+        r = math.sqrt(2.0) / math.pi
+        det = fredholm.parity_split(Interval(-r, r))[1]
         assert value == pytest.approx(det, abs=1e-7)
 
 

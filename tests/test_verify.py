@@ -50,30 +50,28 @@ class TestConvergedRules:
         assert result.details["max_nodes"] == max(sizes)
 
     def test_parity_rule_is_the_converged_count(self, rules, monkeypatch):
-        # the product D+ * D- takes the parity split on the node count at
-        # which the full determinant converged
-        splits = []
-        original = fredholm.parity_split
+        # the product D+ * D- takes the even and odd spectra on the node
+        # count at which the full determinant converged
+        shared = []
+        original = verify.nystrom_spectrum
 
-        def recording(interval, n_nodes=None):
-            splits.append((interval, n_nodes))
-            return original(interval, n_nodes)
+        def recording(kernel, interval, n):
+            shared.append((kernel, interval, n))
+            return original(kernel, interval, n)
 
-        monkeypatch.setattr(fredholm, "parity_split", recording)
+        monkeypatch.setattr(verify, "nystrom_spectrum", recording)
         result = verify.check_parity_identities()
         assert result.passed, str(result)
         assert not {n for *_, n in rules} & {240, 320}
-        shared = [(iv, n) for iv, n in splits if n is not None]
         expected = []
         for s in (0.5, 1.0):
             iv = Interval(-s, s)
             accepted = fredholm._converged_spectrum(kernels.sine_bulk(), iv)
             n = accepted.nodes_used
-            expected.append((iv, n))
-            assert {(kernels.sine_even(), iv, n),
-                    (kernels.sine_odd(), iv, n)} <= set(rules)
+            expected += [(kernels.sine_even(), iv, n),
+                         (kernels.sine_odd(), iv, n)]
         assert shared == expected
-        assert result.details["max_nodes"] == max(n for _, n in shared)
+        assert result.details["max_nodes"] == max(n for *_, n in shared)
 
 
 class TestTrajectoryFetches:
