@@ -292,9 +292,26 @@ def _parity_jets(half: np.ndarray):
             tuple(_det_jets(kernels.sine_odd(), half, 2).T))
 
 
+def _density(s, fn):
+    """on_points(s, 0.0, fn) for a density.  A negative value lies below
+    the determinant's absolute accuracy, where its sign is noise, and
+    raises NumericError."""
+    def checked(v):
+        values = fn(v)
+        bad = np.flatnonzero(values < 0.0)
+        if len(bad):
+            at, value = float(v[bad[0]]), float(values[bad[0]])
+            raise NumericError(
+                f"density {value:.3g} at s = {at:g} is negative: below the "
+                "determinant's absolute accuracy",
+                context={"s": at, "value": value})
+        return values
+    return on_points(s, 0.0, checked)
+
+
 def p1_det(s):
     """p1(0; s) = d^2/ds^2 D_plus(s/2) = D_plus''(s/2) / 4."""
-    return on_points(s, 0.0, lambda v: 0.25 * _det_jets(
+    return _density(s, lambda v: 0.25 * _det_jets(
         kernels.sine_even(), v / 2.0, 2)[:, 2])
 
 
@@ -303,7 +320,7 @@ def p2_det(s):
     def density(v):
         (dp, dp1, dp2), (dm, dm1, dm2) = _parity_jets(v / 2.0)
         return 0.25 * (dp2 * dm + 2.0 * dp1 * dm1 + dp * dm2)
-    return on_points(s, 0.0, density)
+    return _density(s, density)
 
 
 def p4_det(s):
@@ -311,7 +328,7 @@ def p4_det(s):
     def density(v):
         (_, _, dp2), (_, _, dm2) = _parity_jets(v)
         return 0.5 * (dp2 + dm2)
-    return on_points(s, 0.0, density)
+    return _density(s, density)
 
 
 def p1_gap1_det(s):
@@ -320,13 +337,13 @@ def p1_gap1_det(s):
     def density(v):
         (_, _, dp2), (_, _, dm2) = _parity_jets(v / 2.0)
         return 0.25 * (dp2 + dm2)
-    return on_points(s, 0.0, density)
+    return _density(s, density)
 
 
 def p2_nn_det(s):
     """Nearest-neighbour density about a conditioned eigenvalue, -d/ds of
     enn_det."""
-    return on_points(s, 0.0, lambda v: -_det_jets(
+    return _density(s, lambda v: -_det_jets(
         kernels.spectrum_singularity(), v, 1)[:, 1])
 
 

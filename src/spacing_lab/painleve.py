@@ -12,18 +12,10 @@ and 4 columns, which verify compares with the determinants) and SIGMA_NN
 
 1. series: sigma = sum c_k x^k with x = sqrt(t), coefficients derived by
    substituting the ansatz into the ODE and matching orders, one unknown at
-   a time.  A series carries its truncation order, so + - * act on it as on
-   a float.  The resonant orders, where the next unknown acts on the
-   residual no later than this one, so that matching cannot determine it,
-   are pinned from the closed forms in _equation_setup; every pinned value
-   is cross-checked against the determinantal route by the test suite.
-   Every other unknown is probed by one pair, c = +1 and c = -1: the two
-   residuals and the base's are evaluated as one batch of three series,
-   each with the bits it would get alone, and the unknown solves the
-   residual at the first order where it acts (one that acts at no order of
-   the series stays 0).  Products by a monomial are shifted, scaled copies
-   with the bits of the general product.  Derived problems are memoised
-   until clear_cache().
+   a time (_match_coefficients), on relaxed series that compute each
+   coefficient once, from their operands' up to its order.  The resonant
+   orders take closed forms (_equation_setup).  Derived problems are
+   memoised until clear_cache().
 2. integration: every equation reads (t sigma'')^2 + G(A, sigma') = 0 with
    A = t sigma' - sigma, and _EQUATIONS states each G once, run by the
    same operators on series (the residual), floats (the defect) and complex
@@ -49,6 +41,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 
@@ -75,38 +69,92 @@ _T_BOUND = 1e6          # no trajectory is stepped past it on request
 
 
 # ---------------------------------------------------------------------------
-# truncated power series in x = sqrt(t); c[..., i] is the coefficient of
-# x^(off + i), off may be negative, and terms past x^order are dropped.
-# Leading axes of c hold a batch of series that share off and length; every
-# operation acts on each series of the batch with the arithmetic, in the
-# order, it would use on that series alone.  + - * take a series or a float,
-# the constant series (a float may stand left of - and *); a result keeps the
-# lower order of its operands.
+# relaxed truncated power series in x = sqrt(t) (van der Hoeven, "Relax,
+# but don't be too lazy", J. Symbolic Comput. 34, 2002).  Coefficient k, of
+# x^(off + k), is computed on demand from the operand coefficients that
+# reach it, and kept once final: once every leaf coefficient it depends on
+# is (a leaf's first _nf are).  Terms past x^order are dropped; a result
+# keeps the lower order of its operands.  A coefficient is a float, or an
+# array over a batch, in Python's arithmetic: a series of a batch gets the
+# bits it would get alone, and every sum runs in increasing index from
+# +0.0, with no BLAS.
+
+def _zero(v):
+    return v == 0.0 if isinstance(v, float) else not np.any(v)
+
 
 class _Series:
-    __slots__ = ("c", "off", "order")
+    """A leaf of the coefficients c, or a node of n coefficients over the
+    series of, coefficient k from rule(node, k) -> (value, final).  + - *
+    take a series or a float, the constant series (a float may stand left
+    of - and *)."""
+    __slots__ = ("off", "order", "_n", "_v", "_nf", "_z", "_rule", "_args",
+                 "_stamp", "_shape")
+    clock = 0       # moved on each change to a leaf: unkept values expire
 
-    def __init__(self, c, off, order):
-        self.c = np.asarray(c, dtype=float)
-        self.off = int(off)
-        self.order = order
+    def __init__(self, c, off, order, rule=None, args=(), n=0, of=()):
+        self.off, self.order, self._rule, self._args = int(off), order, \
+            rule, args
+        self._v, self._nf, self._z, self._stamp, self._n = [], 0, 0, 0, n
+        self._shape = np.broadcast_shapes(*(s._shape for s in of))
+        if rule is None:
+            c = np.asarray(c, dtype=float)
+            self._n = self._nf = c.shape[-1]
+            self._shape = c.shape[:-1]
+            self._v = c.tolist() if c.ndim == 1 else list(
+                np.moveaxis(c, -1, 0))
 
-    def _operand(self, v):
-        return v if isinstance(v, _Series) else _Series([v], 0, self.order)
+    def _upto(self, j):
+        """A list of coefficients 0..j at least, those past the final ones
+        from the leaves' present values."""
+        v = self._v
+        if j < self._nf or self._rule is None:
+            return v
+        if self._stamp != _Series.clock:
+            del v[self._nf:]
+            self._stamp = _Series.clock
+        for k in range(len(v), j + 1):
+            x, final = self._rule(self, k)
+            v.append(x)
+            if final and k == self._nf:
+                self._nf += 1
+                if self._z == k and _zero(x):
+                    self._z += 1
+        return v
+
+    def _get(self, k):
+        """Coefficient k; one past those computed is computed alone."""
+        v = self._v
+        if k < self._nf:
+            return v[k]
+        if self._stamp == _Series.clock and k < len(v) or self._rule is None:
+            return v[k]
+        if k > self._nf:
+            return self._rule(self, k)[0]
+        return self._upto(k)[k]
+
+    @property
+    def c(self):
+        out = np.zeros(self._shape + (self._n,))
+        for k, x in enumerate(self._upto(self._n - 1)[:self._n]):
+            out[..., k] = x
+        return out
 
     def __add__(self, v):
-        v = self._operand(v)
-        off, order = min(self.off, v.off), min(self.order, v.order)
-        batch = self.c.shape[:-1]
-        if v.c.shape[:-1] != batch:
-            batch = np.broadcast_shapes(batch, v.c.shape[:-1])
-        out = np.zeros(batch + (order - off + 1,))
-        for s in (self, v):
-            i = s.off - off
-            m = min(s.c.shape[-1], out.shape[-1] - i)
-            if m > 0:
-                out[..., i:i + m] += s.c[..., :m]
-        return _Series(out, off, order)
+        """Coefficient k sums the operands' from +0.0, left to right: a left
+        sum by its terms (a sum never holds -0.0), a series times a float as
+        (series, float)."""
+        def term(s):
+            return s._args if s._rule is _scale else (s, None)
+
+        if not isinstance(v, _Series):
+            v = _Series([v], 0, self.order)
+        terms = [*self._args] if self._rule is _sum else [term(self)]
+        terms.append(term(v))
+        off = min(s.off for s, _ in terms)
+        order = min(s.order for s, _ in terms)
+        return _Series((), off, order, _sum, terms, order - off + 1,
+                       [s for s, _ in terms])
 
     def __neg__(self):
         return self * -1.0
@@ -115,88 +163,97 @@ class _Series:
         return self + -v
 
     def __rsub__(self, v):
-        return self._operand(v) + -self
+        return _Series([v], 0, self.order) + -self
 
     def __mul__(self, v):
         if isinstance(v, _Series):
             return _s_mul(self, v)
-        return _Series(self.c * v, self.off, self.order)
+        return _Series((), self.off, self.order, _scale, (self, v), self._n,
+                       (self,))
 
     __rmul__ = __mul__
 
 
+def _sum(node, k):
+    v, final = 0.0, True
+    for s, f in node._args:
+        i = k + node.off - s.off
+        if 0 <= i < s._n:
+            x = s._get(i)
+            v = v + (x if f is None else x * f)
+            if i >= s._nf:
+                final = False
+    return v, final
+
+
+def _scale(node, k):
+    a, v = node._args
+    return a._get(k) * v, k < a._nf
+
+
+def _product(node, k):
+    a, b = node._args
+    lo, hi = k - b._n + 1, k - b._z
+    lo, hi = a._z if lo < a._z else lo, a._n - 1 if hi >= a._n else hi
+    if lo > hi:
+        return 0.0, True
+    av, bv = a._upto(hi), b._upto(k - lo)
+    terms = map(mul, av[lo:hi + 1], reversed(bv[k - hi:k - lo + 1]))
+    return reduce(add, terms, 0.0), hi < a._nf and k - lo < b._nf
+
+
 def _s_mul(a, b):
-    """Truncated product, summed over the first factor's coefficients in
-    increasing order from +0.0.
-
-    Row i of a strided view of the zero-padded second factor holds b
-    shifted right by i, so one product gives every term a_i b_(k-i) and
-    one reduction over the row axis sums them.  That axis is not the
-    innermost one, so the sum runs in sequence over i, as a loop would.
-    Out-of-range and zero terms add a zero to an accumulator that, starting
-    at +0.0, never holds -0.0, so every series of a batch gets the bits it
-    would get alone."""
+    """Coefficient k sums a_i b_(k-i) over the first factor's i in
+    increasing order from +0.0.  A term left out is an exact zero, and a
+    sum from +0.0 never holds -0.0, so it has the bits of the sum over every
+    i: a monomial factor gives a shifted, scaled copy, a_i v + 0.0."""
     off, order = a.off + b.off, min(a.order, b.order)
-    n = order - off + 1
-    if n <= 0:
+    if order < off:
         return _Series(np.zeros(1), order, order)
-    ac = a.c[..., :n]
-    na = ac.shape[-1]
-    m = min(b.c.shape[-1], n)
-    padded = np.zeros(b.c.shape[:-1] + (na - 1 + n,))
-    padded[..., na - 1:na - 1 + m] = b.c[..., :m]
-    # shifted[..., i, k] = padded[..., na - 1 - i + k]
-    step = padded.strides[-1]
-    shifted = np.ndarray(padded.shape[:-1] + (na, n), padded.dtype, padded,
-                         (na - 1) * step, padded.strides[:-1] + (-step, step))
-    out = np.add.reduce(ac[..., None] * shifted, axis=-2, initial=0.0)
-    return _Series(out, off, order)
+    return _Series((), off, order, _product, (a, b), order - off + 1,
+                   (a, b))
 
 
-def _s_dx(a):
-    return _Series(a.c * (a.off + np.arange(a.c.shape[-1])), a.off - 1,
-                   a.order)
+def _ddt(node, k):
+    a = node._args
+    if k >= a._n:
+        return 0.0, True
+    return a._get(k) * (a.off + k) * 0.5 + 0.0, k < a._nf
+
+
+def _s_ddt(a, shift):
+    """x^shift d/dt, d/dt = d/dx / (2x): the bits of the monomials x^shift
+    and 1/(2x) times the x-derivative."""
+    off = a.off - 2 + shift
+    return _Series((), off, a.order, _ddt, a, a.order - off + 1, (a,))
+
+
+def _square_root(node, k):
+    a, lead = node._args
+    w = a._get(lead + k) if lead + k < a._n else 0.0
+    final = lead + k >= a._n or lead + k < a._nf
+    if k == 0:
+        return (np.sqrt(w) if isinstance(w, np.ndarray) else math.sqrt(w),
+                final)
+    y = node._upto(k - 1)
+    return (w - reduce(add, map(mul, y[1:k], reversed(y[1:k])), 0.0)) / (
+        2.0 * y[0]), final
 
 
 def _s_sqrt(a):
-    """Series square root; the leading term must sit at an even exponent,
-    the same one for every series of a batch."""
-    c = a.c.reshape(-1, a.c.shape[-1])
-    live = np.abs(c) > 1e-300
-    if not np.all(np.any(live, axis=1)):
+    """Series square root, summed as a product is; the leading term must be
+    positive at an even exponent, the same for every series of a batch."""
+    live = (k for k in range(a._n) if np.any(np.abs(a._get(k)) > 1e-300))
+    lead = next(live, None)
+    if lead is None:
         raise DerivationError("square root of a vanishing series")
-    leads = np.argmax(live, axis=1)
-    lead = int(leads[0])
     e0 = a.off + lead
-    if np.any(leads != lead):
-        raise DerivationError("series sqrt of a batch with different "
-                              "leading exponents")
-    if e0 % 2 != 0 or np.any(c[:, lead] <= 0.0):
+    if e0 % 2 != 0 or not np.all(a._get(lead) > 0.0):
         raise DerivationError(
-            f"series sqrt needs a positive coefficient at an even exponent, "
-            f"found exponent {e0}")
-    off = e0 // 2
-    n = a.order - off + 1
-    y = np.zeros((len(c), n))
-    y[:, 0] = np.sqrt(c[:, lead])
-    rel = np.zeros((len(c), n))
-    m = min(c.shape[1] - lead, n)
-    rel[:, :m] = c[:, lead:lead + m]
-    for yr, rr in zip(y, rel):
-        twice_root = 2.0 * yr[0]
-        for k in range(1, n):       # np.dot per series keeps its bits
-            yr[k] = (rr[k] - np.dot(yr[1:k], yr[k - 1:0:-1])) / twice_root
-    return _Series(y.reshape(a.c.shape[:-1] + (n,)), off, a.order)
-
-
-def _sigma_series(coeffs):
-    """sigma, sigma', sigma'' as x-series from the coefficients of x^1 up;
-    derivatives are with respect to t."""
-    sig = _Series(coeffs, 1, coeffs.shape[-1])
-    half_over_x = _Series([0.5], -1, sig.order)     # d/dt = d/dx / (2x)
-    d1 = half_over_x * _s_dx(sig)
-    d2 = half_over_x * _s_dx(d1)
-    return sig, d1, d2
+            "series sqrt needs a positive coefficient at an even exponent, "
+            f"the same for a batch, found exponent {e0}")
+    return _Series((), e0 // 2, a.order, _square_root, (a, lead),
+                   a.order - e0 // 2 + 1, (a,))
 
 
 # ---------------------------------------------------------------------------
@@ -245,13 +302,16 @@ _EQUATIONS = {SIGMA_JMMS: (_g_jmms, 1), SIGMA_HARD: (_g_hard, 3),
 EQUATION_IDS = tuple(_EQUATIONS)
 
 
-def _residual_series(equation_id, par, coeffs):
-    S, Sp, Spp = _sigma_series(coeffs)
-    t = _Series([1.0], 2, S.order)
-    tSpp = t * Spp
-    r = tSpp * tSpp
+def _residual_series(equation_id, par, sigma):
+    """The residual series of sigma: a series from x^1 on, or its
+    x-coefficients (a batch on leading axes)."""
+    if not isinstance(sigma, _Series):
+        sigma = _Series(sigma, 1, sigma.shape[-1])
+    sp = _s_ddt(sigma, 0)               # sigma', and t sigma', t sigma''
+    t_spp = _s_ddt(sp, 2)
+    r = t_spp * t_spp
     g = _EQUATIONS[equation_id][0]
-    for group in g(par, S, t * Sp, Sp):
+    for group in g(par, sigma, _s_ddt(sigma, 2), sp):
         for term in group:
             r = r + term
     return r
@@ -281,77 +341,73 @@ def _third_derivative(equation_id, par, t, s, sp, spp):
 # ---------------------------------------------------------------------------
 # coefficient matching
 
-def _first_action(R):
-    """Where one probed unknown first acts: R is the residual batch of the
-    base (the unknown at 0) and the probes c = +1 and c = -1.
+def _probe(r, values, j, probe, i):
+    """Residual coefficient i with the unknown values[j] at probe."""
+    values[j] = probe
+    _Series.clock += 1
+    return r._get(i)
 
-    Returns (i, beta, alpha) at the first index i of R's orders up to
-    R.order where the linear action beta or the quadratic action alpha exceeds
-    _ACTION_TOL times the largest of 1 and the three rows' peaks, or None
-    where the unknown acts at no such order."""
-    c = R.c[:, :R.order - R.off + 1]
-    R0, Rp, Rm = c
-    # Python's max, from 1.0 on, skips a NaN peak
-    tol = _ACTION_TOL * max(1.0, *np.max(np.abs(c), axis=1).tolist())
-    beta = (Rp - Rm) / 2.0
-    alpha = (Rp + Rm - 2.0 * R0) / 2.0
-    acts = np.flatnonzero((np.abs(beta) > tol) | (np.abs(alpha) > tol))
-    if len(acts) == 0:
+
+def _first_action(r, values, j, lo):
+    """(order index, root) where the unknown values[j] of r's leaf first
+    acts on r from index lo on, or None.  Each order is probed with it at
+    +1, -1 and 0 (where it is left), every later unknown at 0; it acts
+    where its linear or quadratic action exceeds _ACTION_TOL times the
+    largest of 1 and the three residuals.  Of two roots the smaller is
+    taken, or over a base residual that vanishes exactly up to that order
+    the larger (the zero branch's escape root)."""
+    for i in range(lo, r._n):
+        Rp, Rm, R0 = (_probe(r, values, j, p, i) for p in (1.0, -1.0, 0.0))
+        beta = (Rp - Rm) / 2.0
+        alpha = (Rp + Rm - 2.0 * R0) / 2.0
+        # Python's max, from 1.0 on, skips a NaN
+        tol = _ACTION_TOL * max(1.0, abs(R0), abs(Rp), abs(Rm))
+        if abs(beta) > tol or abs(alpha) > tol:
+            break
+    else:
         return None
-    i = acts[0]
-    return i, beta[i], alpha[i]
+    if abs(alpha) <= _ACTION_TOL * max(abs(beta), 1.0):
+        return i, -R0 / beta
+    disc = math.sqrt(max(beta * beta - 4.0 * alpha * R0, 0.0))
+    r1, r2 = (-beta + disc) / (2.0 * alpha), (-beta - disc) / (2.0 * alpha)
+    peak = float(np.max(np.abs(
+        [_probe(r, values, j, 0.0, k) for k in range(i + 1)])))
+    exact = peak < 1e-12 * max(1.0, peak)
+    return i, r1 if (abs(r1) > abs(r2) if exact else abs(r1) < abs(r2)) else r2
 
 
 def _match_coefficients(equation_id, par, leading, order, pinned):
     """Derive x-coefficients 1..order from the leading data, one unknown at
-    a time in increasing order.
-
-    A resonant unknown takes its pinned value.  Every other unknown c_e is
-    probed with one batch of three residuals, c_e = 0, +1 and -1, which
-    gives the first order where c_e acts and its linear and quadratic
-    action there; c_e solves the residual at that order.  Of the two roots
-    of a quadratic action the one of smaller magnitude is taken, or, over a
-    base residual that vanishes exactly, the larger (the zero branch's
-    escape root).  An unknown that acts at no order up to order stays 0.
-    """
-    coeffs = np.zeros(order)
+    a time in increasing order, on one residual series whose leaf's
+    coefficients turn final as they are found.  A resonant unknown takes
+    its pinned value; every other one solves the residual at the first
+    order where it acts (_first_action), from the order after the last
+    unknown's on (one acting no later would make that one resonant), or
+    stays 0.  Every coefficient of the residual is then checked."""
+    sig = _Series(np.zeros(order), 1, order)
+    values, sig._nf, sig._z = sig._v, 0, 0
     for e, v in leading.items():
-        coeffs[e - 1] = v
-    for e in range(1, order + 1):
-        if e in leading:
-            continue
-        if e in pinned:
-            coeffs[e - 1] = pinned[e]
-            continue
-        rows = np.repeat(coeffs[None], 3, axis=0)
-        rows[:, e - 1] = 0.0, 1.0, -1.0
-        R = _residual_series(equation_id, par, rows)
-        action = _first_action(R)
-        if action is None:
-            continue
-        i, beta, alpha = action
-        R0 = R.c[0]
-        gamma = R0[i]
-        if abs(alpha) <= _ACTION_TOL * max(abs(beta), 1.0):
-            coeffs[e - 1] = -gamma / beta
-        else:
-            disc = max(beta * beta - 4.0 * alpha * gamma, 0.0)
-            r1 = (-beta + math.sqrt(disc)) / (2.0 * alpha)
-            r2 = (-beta - math.sqrt(disc)) / (2.0 * alpha)
-            peak = float(np.max(np.abs(R0)))
-            if peak < 1e-12 * max(1.0, peak):         # exact base
-                coeffs[e - 1] = r1 if abs(r1) > abs(r2) else r2
-            else:
-                coeffs[e - 1] = r1 if abs(r1) < abs(r2) else r2
-    resid = _residual_series(equation_id, par, coeffs)
-    tail = resid.c[:max(0, order - _TRUNCATED_TOP - resid.off)]
-    scale = max(1.0, float(np.max(np.abs(resid.c))))
+        values[e - 1] = v
+    r = _residual_series(equation_id, par, sig)
+    last = -1                       # order index of the last action
+    for j in range(order):
+        if j + 1 in pinned:
+            values[j] = pinned[j + 1]
+        elif j + 1 not in leading:
+            action = _first_action(r, values, j, last + 1)
+            if action is not None:
+                last, values[j] = action
+        sig._nf += 1
+        _Series.clock += 1
+    c = r.c
+    tail = c[:max(0, order - _TRUNCATED_TOP - r.off)]
+    scale = max(1.0, float(np.max(np.abs(c))))
     if len(tail) and np.max(np.abs(tail)) > 1e-8 * scale:
         raise DerivationError(
             f"series for {equation_id} {par} leaves residual "
             f"{np.max(np.abs(tail)):.2e} (scale {scale:.2e}); "
             "inconsistent leading data")
-    return coeffs
+    return np.array(values)
 
 
 def _equation_setup(equation_id, params):

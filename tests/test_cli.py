@@ -593,6 +593,21 @@ class TestMainExitCodes:
         assert code == 3
         assert "determinant is exactly 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("quantity", [["p0", "--beta", "4"], ["p2nn"]],
+                             ids=["p0-beta4", "p2nn"])
+    def test_negative_density_is_a_numeric_error(self, tmp_path, capsys,
+                                                 quantity):
+        # the Jacobi-jet p4 and p2nn change sign past s = 7.3: at s = 8
+        # they read -1.2e-59 and -6.0e-115
+        target = tmp_path / "out.csv"
+        target.write_text("keep me\n")
+        code = main(["tabulate", "--quantity", *quantity, "--method",
+                     "fredholm", "--s-min", "3", "--s-max", "8",
+                     "--s-step", "1", "-o", str(target)])
+        assert code == 3
+        assert "at s = 8 is negative" in capsys.readouterr().err
+        assert target.read_text() == "keep me\n"
+
     def test_zero_workers(self, capsys):
         # sample is the one command that sizes a pool
         code = main(["sample", "--n", "3", "--reps", "8", "--workers", "0"])

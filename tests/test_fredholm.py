@@ -411,6 +411,25 @@ class TestJacobiDensities:
         assert jet[1] == pytest.approx(-det * np.trace(ra1), abs=1e-14)
         assert jet[2] == pytest.approx(full, abs=1e-13)
 
+    @pytest.mark.parametrize("fn", [
+        fredholm.p1_det, fredholm.p2_det, fredholm.p4_det,
+        fredholm.p1_gap1_det, fredholm.p2_nn_det],
+        ids=["p1", "p2", "p4", "p1gap", "p2nn"])
+    def test_negative_density_raises(self, monkeypatch, fn):
+        # one check serves every Jacobi-jet density: jets with D = 1, D' = 0
+        # and D'' = -1 (D' = 1 for p2nn, whose density is -D') make each
+        # negative, and D'' = D' = 0 give an exact zero, which passes
+        def jets(kernel_spec, half, order):
+            row = [[1.0, sign], [1.0, 0.0, -sign]][order - 1]
+            return np.tile(row, (len(half), 1))
+
+        sign = 1.0
+        monkeypatch.setattr(fredholm, "_det_jets", jets)
+        with pytest.raises(NumericError, match="at s = 2 is negative"):
+            fn(np.array([2.0, 3.0]))
+        sign = 0.0
+        assert fn(2.0) == 0.0
+
 
 class TestSpacingTable:
     def test_column_length_mismatch(self):

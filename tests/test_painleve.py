@@ -638,7 +638,8 @@ class TestMonomialProduct:
 
 
 def _sqrt_loop(c, off, order):
-    # the square-root recurrence run on each series alone
+    # the square-root recurrence run on each series alone, its sums taken
+    # term by term in increasing index from +0.0
     lead = int(np.argmax(np.abs(c[0]) > 1e-300))
     n = order - (off + lead) // 2 + 1
     out = np.zeros((len(c), n))
@@ -648,7 +649,10 @@ def _sqrt_loop(c, off, order):
         rel[:m] = row[lead:lead + m]
         y[0] = np.sqrt(rel[0])
         for k in range(1, n):
-            y[k] = (rel[k] - np.dot(y[1:k], y[k - 1:0:-1])) / (2.0 * y[0])
+            total = 0.0
+            for i in range(1, k):
+                total += y[i] * y[k - i]
+            y[k] = (rel[k] - total) / (2.0 * y[0])
     return out
 
 
@@ -709,7 +713,9 @@ class TestProblemMemo:
     # shared square-root prefixes (the 60-order row when the mu = 2 hard-edge
     # id took over the beta = 1 transcendent); xi != 1 makes the SIGMA_NN
     # square root sum terms of mixed size, where the summation order shows
-    # in the bits
+    # in the bits: its two a = 1 rows were recorded again when those sums
+    # became term by term, with no BLAS dot, and moved by at most 8.3e-16
+    # and 1.6e-14 relative (the second on a coefficient of 5e-19)
     MORE_DIGESTS = [
         (SIGMA_JMMS, (0.37,), 44,
          "ef947c313318253655ce2bb82eb4710857b040a7a17aa49ecba8a4c16679be5e"),
@@ -718,9 +724,9 @@ class TestProblemMemo:
         (SIGMA_HARD, (0.5, 0.0, 0.77), 44,
          "67bb91300e78cf569185197d748400b76e185f7b9bb903d9e98be06cd24816f5"),
         (SIGMA_NN, (1.0, 0.3), 44,
-         "05285f29509cea81188d441fa181bca6ef1ca10e27448cb7fcf91ef1198296f6"),
+         "800f11032bb383b6c72f9b26080ddd97053ea0fa7923b5067d930c3d83ef61f5"),
         (SIGMA_NN, (1.0, 0.05), 44,
-         "56a3e18668f9942006a3977e349912adf4806a68d499bc8ce5992b6de8ea3b91"),
+         "2d98a775c0e5ece2c8f1f4d1ae1c75af9ff4861c10a46eee4e40e805a3210d9c"),
         (SIGMA_NN, (0.0, 0.8), 44,
          "d95a835dfc5dc82f03f9e362601858dcd5e8849ceb97252f6291a48abf71ef7d"),
         (SIGMA_HARD, (-0.5, 2.0, 1.0), 60,
@@ -728,9 +734,11 @@ class TestProblemMemo:
     ]
 
     # SHA-256 of the x^1.. coefficients of sqrt(sigma - t sigma') on the
-    # xi = 1 bulk trajectory, recorded before a series carried its order
+    # xi = 1 bulk trajectory, recorded when the square root's sums became
+    # term by term, with no BLAS dot: the even coefficients from x^18 on moved
+    # by up to 6e-12 relative, 9e-21 of the largest
     ROOT_DIGEST = (
-        "b1e6b872a6d05630473e5b95b5e1f4333239ecdb6b9ecfa82796883d95fd2182")
+        "39319aac3ebf005551b7d0b61a3bd8dda99df0043f852b2401df479c8e1b2e85")
 
     def test_gaudin_root_unchanged(self):
         painleve.clear_cache()
@@ -783,9 +791,65 @@ def _first_action_loop(c):
     return None
 
 
+def _reference_first_action(R):
+    # the probe-batch matcher's first action: R is the residual batch of the
+    # base (the unknown at 0) and the probes c = +1 and c = -1, and the
+    # threshold is _ACTION_TOL times the largest of 1 and the three rows'
+    # peaks; (i, beta, alpha) at the first order index i over it, or None
+    c = R.c[:, :R.order - R.off + 1]
+    R0, Rp, Rm = c
+    tol = painleve._ACTION_TOL * max(1.0, *np.max(np.abs(c), axis=1).tolist())
+    beta = (Rp - Rm) / 2.0
+    alpha = (Rp + Rm - 2.0 * R0) / 2.0
+    acts = np.flatnonzero((np.abs(beta) > tol) | (np.abs(alpha) > tol))
+    if len(acts) == 0:
+        return None
+    i = acts[0]
+    return i, beta[i], alpha[i]
+
+
+def _reference_match(eq, params, order):
+    # the probe-batch matcher the recurrence replaced: every unknown probed
+    # by the full residual of three rows, the unknown at 0, +1 and -1, the
+    # root chosen over the whole base row.  Returns the coefficients and
+    # each probed unknown's (e, first action index or None)
+    par, leading, pinned = painleve._equation_setup(eq, params)
+    coeffs, actions = np.zeros(order), []
+    for e, v in leading.items():
+        coeffs[e - 1] = v
+    for e in range(1, order + 1):
+        if e in leading:
+            continue
+        if e in pinned:
+            coeffs[e - 1] = pinned[e]
+            continue
+        rows = np.repeat(coeffs[None], 3, axis=0)
+        rows[:, e - 1] = 0.0, 1.0, -1.0
+        R = painleve._residual_series(eq, par, rows)
+        action = _reference_first_action(R)
+        actions.append((e, None if action is None else int(action[0])))
+        if action is None:
+            continue
+        i, beta, alpha = action
+        R0 = R.c[0]
+        gamma = R0[i]
+        if abs(alpha) <= painleve._ACTION_TOL * max(abs(beta), 1.0):
+            coeffs[e - 1] = -gamma / beta
+        else:
+            disc = max(beta * beta - 4.0 * alpha * gamma, 0.0)
+            r1 = (-beta + math.sqrt(disc)) / (2.0 * alpha)
+            r2 = (-beta - math.sqrt(disc)) / (2.0 * alpha)
+            peak = float(np.max(np.abs(R0)))
+            if peak < 1e-12 * max(1.0, peak):
+                coeffs[e - 1] = r1 if abs(r1) > abs(r2) else r2
+            else:
+                coeffs[e - 1] = r1 if abs(r1) < abs(r2) else r2
+    return coeffs, actions
+
+
 def _assert_first_action_equals_loop(c, off, order):
     # c: a base row and one probe pair
-    got = painleve._first_action(painleve._Series(c, off, order))
+    got = _reference_first_action(painleve._Series(c, off, order))
     expected = _first_action_loop(c[:, :order - off + 1])
     assert _bits(got or ()) == _bits(expected or ())
     return got
@@ -861,16 +925,89 @@ class TestFirstActions:
         c[1, 1] = np.nextafter(2.0 * painleve._ACTION_TOL, 1.0)
         assert _assert_first_action_equals_loop(c, 0, 5)[0] == 1
 
-    def test_one_probe_batch_per_unknown(self, monkeypatch):
-        # the a = -1/2, mu = 2 hard-edge series at 44 orders has one leading
-        # and one pinned coefficient: 42 unknowns are each probed by one
-        # batch of three residuals, and one residual of the result is checked
-        shapes, original = [], painleve._residual_series
-        monkeypatch.setattr(painleve, "_residual_series", lambda *args: (
-            shapes.append(args[2].shape) or original(*args)))
-        painleve.clear_cache()
-        build_problem(SIGMA_HARD, (-0.5, 2.0, 1.0))
-        assert shapes == [(3, 44)] * 42 + [(44,)]
+    def test_threshold_of_one_order(self):
+        # the matcher's threshold is _ACTION_TOL times the largest of 1 and
+        # the three residuals at the order probed: on the residual a c_j the
+        # unknown acts where a exceeds _ACTION_TOL, not at it, and on 3 + a
+        # c_j not at a = 2 _ACTION_TOL.  Orders below the first one probed
+        # are not looked at, and the probes leave the unknown at 0
+        tol = painleve._ACTION_TOL
+        for const, a, acts in ((0.0, tol, False),
+                               (0.0, np.nextafter(tol, 1.0), True),
+                               (3.0, 2.0 * tol, False), (3.0, 4.0 * tol, True)):
+            leaf = painleve._Series(np.zeros(4), 0, 3)
+            values, leaf._nf, leaf._z = leaf._v, 0, 0      # none final
+            r = leaf * a + const
+            assert painleve._first_action(r, values, 0, 1) is None
+            got = painleve._first_action(r, values, 0, 0)
+            assert (got is not None) == acts
+            if acts:
+                assert got[0] == 0
+                assert got[1] == pytest.approx(-const / a, rel=1e-6)
+            assert values == [0.0] * 4
+
+    def test_full_residual_once_and_quadratic_work(self, monkeypatch):
+        # the a = -1/2, mu = 2 hard-edge series reads every coefficient of
+        # its residual once, for the final check, and the coefficients the
+        # derivation computes grow about linearly with the order: each
+        # unknown costs one residual coefficient per probe.  Doubling the
+        # order takes 1218 to 2418; the probe-batch matcher, which computes
+        # every coefficient for every unknown, grows quadratically, from 8692
+        # to 35392
+        reads, evaluations = [], [0]
+        full = painleve._Series.c
+        monkeypatch.setattr(painleve._Series, "c", property(
+            lambda series: reads.append(series) or full.fget(series)))
+        for name in ("_sum", "_scale", "_ddt", "_product", "_square_root"):
+            def counted(node, k, rule=getattr(painleve, name)):
+                evaluations[0] += 1
+                return rule(node, k)
+            monkeypatch.setattr(painleve, name, counted)
+        counts = {}
+        for order in (30, 60):
+            monkeypatch.setattr(painleve, "DEFAULT_ORDER", order)
+            reads.clear()
+            evaluations[0] = 0
+            painleve.clear_cache()
+            build_problem(SIGMA_HARD, (-0.5, 2.0, 1.0))
+            assert len(reads) == 1 and reads[0].order == order
+            counts[order] = evaluations[0]
+        assert counts[60] <= 3 * counts[30]
+
+
+class TestReferenceMatcher:
+    # the recurrence matcher against the probe-batch matcher it replaced,
+    # on every problem with a recorded digest
+    PROBLEMS = TestFirstActions.PROBLEMS
+    LONGER = TestFirstActions.LONGER
+
+    @pytest.mark.parametrize("eq,params,order", PROBLEMS,
+                             ids=[f"{e}{p}-{n}" for e, p, n in PROBLEMS])
+    def test_agrees_with_probe_batches(self, eq, params, order, monkeypatch):
+        self._assert_agrees(eq, params, order, monkeypatch)
+
+    @pytest.mark.parametrize("eq,params,order", LONGER,
+                             ids=[f"{n}-{e}{p}" for e, p, n in LONGER])
+    def test_longer_series_agrees(self, eq, params, order, monkeypatch):
+        self._assert_agrees(eq, params, order, monkeypatch)
+
+    @staticmethod
+    def _assert_agrees(eq, params, order, monkeypatch):
+        # the same first-action index for every probed unknown, None for
+        # the silent ones, and coefficients within 1e-14 relative
+        actions, first = [], painleve._first_action
+
+        def recorded(r, values, j, lo):
+            action = first(r, values, j, lo)
+            actions.append((j + 1, None if action is None else action[0]))
+            return action
+
+        monkeypatch.setattr(painleve, "_first_action", recorded)
+        got = painleve._derive_problem(
+            eq, params, painleve.DEFAULT_T_SWITCH, order).x_coefficients
+        expected, expected_actions = _reference_match(eq, params, order)
+        assert actions == expected_actions
+        assert np.all(np.abs(got - expected) <= 1e-14 * np.abs(expected))
 
 
 # the hand-written sigma''' and defect of every family, as the route used
