@@ -2,13 +2,16 @@
 
 Every quantity here is an exp(int sigma(t)/t dt) representation built from a
 sigma-form equation: quadratic in sigma'', with a power-series boundary layer
-at t = 0 and adaptive integration beyond it.  There are three equations,
-one id each: SIGMA_JMMS (bulk gap; at xi = 1 its trajectory carries every
-beta = 1, 2 and 4 gap probability and spacing density, beta = 1 and 4
-through Gaudin's relation for the parity determinants), SIGMA_HARD (hard
-edge; its trajectories are kept as an independent check of the beta = 1
-and 4 columns, which verify compares with the determinants) and SIGMA_NN
-(conditioned origin).  Three layers:
+at t = 0 and Taylor steps beyond it.  There are three equations, one id
+each: SIGMA_JMMS (bulk gap; at xi = 1 its trajectory carries every beta = 1,
+2 and 4 gap probability and spacing density, beta = 1 and 4 through
+Gaudin's relation for the parity determinants), SIGMA_HARD (hard edge; its
+trajectories are kept as an independent check of the beta = 1 and 4
+columns, which verify compares with the determinants) and SIGMA_NN
+(conditioned origin).  Every equation reads (t sigma'')^2 + G = 0 with G a
+function of (sigma, t sigma', sigma'), and _EQUATIONS states each G once,
+run by the same operators on series (the residual) and on floats (the
+defect).  Three layers:
 
 1. series: sigma = sum c_k x^k with x = sqrt(t), coefficients derived by
    substituting the ansatz into the ODE and matching orders, one unknown at
@@ -16,29 +19,28 @@ and 4 columns, which verify compares with the determinants) and SIGMA_NN
    coefficient once, from their operands' up to its order.  The resonant
    orders take closed forms (_equation_setup).  Derived problems are
    memoised until clear_cache().
-2. integration: every equation reads (t sigma'')^2 + G(A, sigma') = 0 with
-   A = t sigma' - sigma, and _EQUATIONS states each G once, run by the
-   same operators on series (the residual), floats (the defect) and complex
-   numbers: sigma''' = -sigma''/t - (t G_A + G_sigma')/(2 t^2) takes its
-   directional derivative by a complex step.  The third-order system, with
-   the log-integral as a fourth component (and on the xi = 1 bulk
-   trajectory the integral of sqrt(sigma - t sigma')/t, Gaudin's split, as
-   a fifth, its series the square root of the -A series), is stepped on
-   from t_switch as far as requests need by the package's DOP853 (_dop853,
-   which gives the bits of SciPy's DOP853 and OdeSolution), and the
-   ORIGINAL quadratic equation is monitored as a defect at accepted steps.
+2. Taylor steps in x (Jorba and Zou, Experiment. Math. 14, 2005): from
+   t_switch on, sigma(x0 + lam u) = sum c_k u^k on the same relaxed series
+   and the same G, lam the step before.  The state at x0 fixes c0, c1 and
+   c2; each later c_k solves residual order k - 2, where it acts only
+   through (t sigma'')^2 (_taylor_step).  The step is a fixed fraction of
+   the radius the last two coefficients show.  Each step's u-polynomials
+   of sigma, sigma', sigma'', the log-integral int sigma/t dt = 2 int
+   sigma/x dx and, on the xi = 1 bulk trajectory, Gaudin's split int
+   sqrt(sigma - t sigma')/t dt are the dense output, and the equation's
+   defect is checked at every step end.  Steps in t would stall: the branch
+   point at t = 0 caps their radius at about t.
 3. evaluators: E and p compositions with frozen argument calibrations
    (upper limit pi*s for the bulk two-point gap, 2*pi*s for the parity
    determinants on (-s, s) and the conditioned nearest-neighbour gap, the
    hard-edge variable used as is).  Each takes a float or an array of s;
    an array is served by one trajectory fetch, one series evaluation and
-   one dense-output call, and gets the floats a loop of scalar calls would
+   one dense-output pass, and gets the floats a loop of scalar calls would
    get.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from functools import reduce
@@ -46,7 +48,6 @@ from operator import add, mul
 
 import numpy as np
 
-from ._dop853 import DOP853, Dense
 from .errors import (ArgumentError, ConsistencyError, DerivationError,
                      StiffnessError, UnsupportedError)
 from .points import on_points
@@ -58,14 +59,13 @@ _GAUDIN = (SIGMA_JMMS, (1.0,))  # the trajectory that carries Gaudin's split
 
 DEFAULT_T_SWITCH = 0.1
 DEFAULT_ORDER = 44      # x-coefficients every boundary series is derived to
-DEFAULT_TOL = 1e-10     # the tolerance every trajectory is integrated to
-_DEFECT_FACTOR = 100.0
-_TOL_SAFETY = 100.0     # internal solver tolerance = DEFAULT_TOL / this
-_MIN_SOLVER_TOL = 1e-13
+DEFECT_TOL = 1e-8       # every step end's relative defect is within it
+_STEP_ORDER = 36        # u-coefficients c_0..c_P of every Taylor step
+_STEP_EPS = 1e-20       # a step is _STEP_EPS^(1/P) of the series' radius
 _ACTION_TOL = 1e-10     # smallest linearized action considered nonzero
 _TRUNCATED_TOP = 6      # top residual orders the final check skips
-_STEP = 1e-30           # complex step of sigma'''; its h^2 is negligible
 _T_BOUND = 1e6          # no trajectory is stepped past it on request
+_GAUDIN_T_END = 40.0    # where the xi = 1 bulk trajectory ends (_extend)
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +228,38 @@ def _s_ddt(a, shift):
     return _Series((), off, a.order, _ddt, a, a.order - off + 1, (a,))
 
 
+# rules on a series in u from u^0 on, with x = x0 + lam u
+
+def _dx(node, k):
+    a, _, lam = node._args
+    return a._get(k + 1) * (k + 1) / lam, k + 1 < a._nf
+
+
+def _half_x(node, k):
+    a, x0, lam = node._args
+    v = x0 * a._get(k)
+    if k:
+        v = v + lam * a._get(k - 1)
+    return 0.5 * v, k < a._nf
+
+
+def _over_2x(node, k):
+    """q = a / 2x: 2 (x0 + lam u) q = a gives q_k = (a_k/2 - lam q_(k-1)) /
+    x0."""
+    a, x0, lam = node._args
+    v = 0.5 * a._get(k)
+    if k:
+        v = v - lam * node._upto(k - 1)[k - 1]
+    return v / x0, k < a._nf
+
+
+def _s_step(rule, a, x0, lam):
+    """d/dx (_dx), x/2 times (_half_x) or 1/2x times (_over_2x) a series in
+    u, truncated at a's order, one less for d/dx."""
+    order = a.order - 1 if rule is _dx else a.order
+    return _Series((), 0, order, rule, (a, x0, lam), order + 1, (a,))
+
+
 def _square_root(node, k):
     a, lead = node._args
     w = a._get(lead + k) if lead + k < a._n else 0.0
@@ -264,12 +296,9 @@ def _s_sqrt(a):
 # of 1, the lead and each group.
 
 def _root(w):
-    """Square root; on floats and complex steps it reads 0, with a zero
-    derivative, where w <= 0."""
+    """Square root; on floats it reads 0 where w <= 0."""
     if isinstance(w, _Series):
         return _s_sqrt(w)
-    if isinstance(w, complex):
-        return cmath.sqrt(w) if w.real > 0.0 else 0j
     return np.sqrt(np.maximum(w, 0.0))
 
 
@@ -302,19 +331,23 @@ _EQUATIONS = {SIGMA_JMMS: (_g_jmms, 1), SIGMA_HARD: (_g_hard, 3),
 EQUATION_IDS = tuple(_EQUATIONS)
 
 
+def _residual(equation_id, par, s, tsp, sp, t_spp):
+    """(t sigma'')^2 + G(sigma, t sigma', sigma') on series."""
+    r = t_spp * t_spp
+    for group in _EQUATIONS[equation_id][0](par, s, tsp, sp):
+        for term in group:
+            r = r + term
+    return r
+
+
 def _residual_series(equation_id, par, sigma):
     """The residual series of sigma: a series from x^1 on, or its
     x-coefficients (a batch on leading axes)."""
     if not isinstance(sigma, _Series):
         sigma = _Series(sigma, 1, sigma.shape[-1])
     sp = _s_ddt(sigma, 0)               # sigma', and t sigma', t sigma''
-    t_spp = _s_ddt(sp, 2)
-    r = t_spp * t_spp
-    g = _EQUATIONS[equation_id][0]
-    for group in g(par, sigma, _s_ddt(sigma, 2), sp):
-        for term in group:
-            r = r + term
-    return r
+    return _residual(equation_id, par, sigma, _s_ddt(sigma, 2), sp,
+                     _s_ddt(sp, 2))
 
 
 def _residual_terms(equation_id, par, t, s, sp, spp):
@@ -324,18 +357,6 @@ def _residual_terms(equation_id, par, t, s, sp, spp):
     parts += [sum(group) for group in g(par, s, t * sp, sp)]
     scale = np.max(np.abs(np.stack(np.broadcast_arrays(1.0, *parts))), axis=0)
     return sum(parts), scale
-
-
-def _third_derivative(equation_id, par, t, s, sp, spp):
-    """sigma''' = -sigma''/t - (t G_A + G_sigma')/(2 t^2), from d/dt of the
-    equation with sigma'' divided out.  The directional derivative is
-    Im G / h with A stepped by i h t and sigma' by i h, t sigma' held real:
-    a complex step, free of cancellation."""
-    dg, g = 0.0, _EQUATIONS[equation_id][0]
-    for group in g(par, complex(s, -_STEP * t), t * sp, complex(sp, _STEP)):
-        for term in group:
-            dg += term.imag
-    return -spp / t - dg / (2.0 * _STEP * t * t)
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +500,9 @@ class PainleveProblem:
     # x-coefficients from x^1 of sqrt(sigma - t sigma') on the xi = 1 bulk
     # trajectory, whose integral is Gaudin's split; None on any other
     _root: np.ndarray | None = field(default=None, compare=False, repr=False)
+    # on the same trajectory, the x-coefficients of the density numerators
+    # (_numerator) of p2 from x^8 and of D_plus and D_minus from x^6
+    _numerators: tuple = field(default=(), compare=False, repr=False)
 
     def _series_component(self, t, component):
         """State component from the series layer at an array of t >= 0."""
@@ -489,11 +513,16 @@ class PainleveProblem:
 
 def _x_sum(c, t, deriv):
     """sum_k c_k x^k with x = sqrt(t), c from x^1 on (deriv 0), its first
-    and second t-derivatives (1, 2) or its int_0^t ./tau dtau (-1)."""
+    and second t-derivatives (1, 2), x-derivatives ("x", "xx") or its
+    int_0^t ./tau dtau (-1)."""
     x = np.sqrt(t)[..., None]
     k = np.arange(1, len(c) + 1, dtype=float)
     if deriv == 0:
         terms = c * x ** k
+    elif deriv == "x":
+        terms = c * k * x ** (k - 1)
+    elif deriv == "xx":
+        terms = c * (k * (k - 1)) * x ** (k - 2)
     elif deriv == 1:
         terms = c * (k / 2.0) * x ** (k - 2)
     elif deriv == 2:
@@ -537,7 +566,7 @@ def _derive_problem(equation_id, params, t_switch, order):
                                      pinned)
         _check_tail(coeffs, t_switch)
     coeffs.setflags(write=False)
-    root = None
+    root, numerators = None, ()
     if (equation_id, params) == _GAUDIN:
         # sigma - t sigma' = -A = sum (1 - k/2) c_k x^k, led by x^4 / pi^2;
         # the root's x^k takes -A's x^(k+2), so it stops at x^(order - 2)
@@ -546,9 +575,12 @@ def _derive_problem(equation_id, params, t_switch, order):
         root[1:order - 2] = _s_sqrt(
             _Series((1.0 - k / 2.0) * coeffs, 1, order - 2)).c
         root.setflags(write=False)
+        numerators = (_numerator(coeffs, 1.0, 8),
+                      _numerator(coeffs - root, 0.5, 6),
+                      _numerator(coeffs + root, 0.5, 6))
     return PainleveProblem(equation_id=equation_id, params=params,
                            t_switch=float(t_switch), x_coefficients=coeffs,
-                           _par=par, _root=root)
+                           _par=par, _root=root, _numerators=numerators)
 
 
 def _check_tail(coeffs, t_switch):
@@ -581,58 +613,95 @@ _ROOT_INTEGRAL = 4      # the state component int sqrt(sigma - t sigma')/t
 
 @dataclass(eq=False)
 class PainleveSolution:
-    """Dense (sigma, sigma', sigma'', int sigma/t dt) on [t_switch, t_max],
-    and int sqrt(sigma - t sigma')/t dt on the xi = 1 bulk trajectory."""
+    """(sigma, sigma', sigma'', int sigma/t dt) on [0, t_max], and int
+    sqrt(sigma - t sigma')/t dt on the xi = 1 bulk trajectory: the series
+    layer up to t_switch, a Taylor step's u-polynomials after it."""
 
     problem: PainleveProblem
-    _stepper: DOP853 = field(repr=False)
-    _dense: Dense = field(repr=False)
-
-    @property
-    def grid(self):
-        """t_switch and every accepted step after it."""
-        return self._dense.ts
+    grid: np.ndarray        # t_switch and the t of every step end
+    _x: np.ndarray = field(repr=False)      # sqrt(t) at each grid point
+    _lam: np.ndarray = field(repr=False)    # lam of each step and the next
+    # (u-power, row, step): sigma, sigma_x, sigma_xx, L[, I] in u
+    _pieces: np.ndarray = field(repr=False)
+    _end: list = field(repr=False)          # the rows' values at grid[-1]
 
     @property
     def t_max(self):
-        return float(self._dense.t_max)
+        return float(self.grid[-1])
 
     def _extend(self, t_needed):
-        """Step on to the first accepted step at or past t_needed, with the
-        steps a cold integration takes; each step's defect must stay within
+        """Step on to the first step end at or past t_needed, with the steps
+        a cold integration takes; each step end's defect must stay within
         integrate's bound.  A failure raises at the first bad step and
-        leaves grid and dense output as they were."""
+        leaves the solution as it was."""
         if t_needed > _T_BOUND:
             raise ArgumentError(f"t={t_needed} beyond the bound {_T_BOUND:g}")
-        stepper, problem = self._stepper, self.problem
-        allowed = _DEFECT_FACTOR * DEFAULT_TOL
-        ts, Fs, y_olds = [], [], []
-        while stepper.t < t_needed:
-            message = stepper.step()
-            if stepper.status == "failed":
-                raise StiffnessError(
-                    f"integrator failed for {problem.equation_id} "
-                    f"{problem.params} at t={stepper.t:.6g}: {message}")
-            t, y = stepper.t, stepper.y
-            defect, scale = _residual_terms(problem.equation_id, problem._par,
-                                            t, *y[:3])
+        problem = self.problem
+        # on the xi = 1 bulk trajectory the start's rounding grows as e^t
+        # (at large t the linearized equation reads eta'' = eta) and moves
+        # E1 by 2.5% at t = 39 and 8% at 40: its last step ends at t = 40
+        x_end = math.inf if problem._root is None else math.sqrt(
+            _GAUDIN_T_END)
+        if t_needed > x_end * x_end:
+            raise ConsistencyError(
+                f"the xi = 1 bulk trajectory ends at t = {_GAUDIN_T_END:g}",
+                context={"equation": problem.equation_id, "t": t_needed})
+        x, lam = float(self._x[-1]), float(self._lam[-1])
+        state, t = self._end, self.t_max
+        xs, hs, pieces = [], [], []
+        while t < t_needed:
+            h, coef = _taylor_step(problem, x, lam, state)
+            if x + h > x_end:
+                h = x_end - x
+            state = _horner(coef[..., None], 0, h / lam).tolist()
+            x, lam = x + h, h
+            t = x * x
+            s = state[0]
+            sp, spp = _t_form(x, *state[1:3])
+            defect, scale = _residual_terms(problem.equation_id,
+                                            problem._par, t, s, sp, spp)
             rel = float(abs(defect) / scale)
-            if rel > allowed:
+            if not rel <= DEFECT_TOL:
                 raise ConsistencyError(
                     "branch drift: equation defect exceeded tolerance",
                     context={"equation": problem.equation_id,
-                             "params": problem.params, "t": float(t),
-                             "defect": rel, "allowed": allowed})
-            ts.append(t)
-            Fs.append(stepper.dense_output())
-            y_olds.append(stepper.y_old)
-        self._dense = self._dense.extended(ts, Fs, y_olds)
+                             "params": problem.params, "t": t,
+                             "defect": rel, "allowed": DEFECT_TOL})
+            w = s - t * sp
+            if len(state) > _ROOT_INTEGRAL and not w > 0.0:
+                raise ConsistencyError(
+                    "Gaudin's relation needs sigma - t sigma' > 0",
+                    context={"equation": problem.equation_id,
+                             "params": problem.params, "t": t, "value": w})
+            xs.append(x)
+            hs.append(h)
+            pieces.append(coef)
+        if xs:
+            xs = np.array(xs)
+            self.grid = np.concatenate((self.grid, xs * xs))
+            self._x = np.concatenate((self._x, xs))
+            self._lam = np.concatenate((self._lam, hs))
+            self._pieces = np.concatenate(
+                (self._pieces, np.stack(pieces, axis=-1)), axis=-1)
+            self._end = state
+
+    def _dense(self, t, components):
+        """The components (a list) at an array of t past t_switch, from the
+        rows they need of their steps' u-polynomials, in one Horner pass."""
+        x = np.sqrt(t)
+        i = np.searchsorted(self._x[1:-1], x, side="right")
+        rows = sorted({*components, *(1 for k in components if k == 2)})
+        v = dict(zip(rows, _horner(self._pieces[:, rows], i,
+                                   (x - self._x[i]) / self._lam[i])))
+        if 1 in v:          # v[2] is read only where it was asked for
+            v[1], v[2] = _t_form(x, v[1], v.get(2, 0.0))
+        return [v[k] for k in components]
 
     def _state(self, t, component):
         """One state component (an int) at a float t (a float is returned)
         or at an array of t, or several (a tuple), stacked on a leading
-        axis: the series layer up to t_switch, the dense output of the
-        integrator beyond it, each called once for all its points."""
+        axis: the series layer up to t_switch, the steps beyond it, each
+        called once for all its points."""
         t = np.asarray(t, dtype=float)
         flat = t.ravel()
         if (flat < 0.0).any():
@@ -650,7 +719,7 @@ class PainleveSolution:
                 row[series] = self.problem._series_component(flat[series], k)
         if n_series < len(flat):
             dense = ~series
-            out[:, dense] = self._dense(flat[dense])[list(components)]
+            out[:, dense] = self._dense(flat[dense], list(components))
         if isinstance(component, tuple):
             return out.reshape((len(components),) + t.shape)
         return float(out[0, 0]) if t.ndim == 0 else out[0].reshape(t.shape)
@@ -664,53 +733,109 @@ class PainleveSolution:
 
 
 def integrate(problem: PainleveProblem, t_max: float) -> PainleveSolution:
-    """Integrate the differentiated system from t_switch to its first
-    accepted step at or past t_max; no step is cut short to end there.
+    """Step from t_switch to the first step end at or past t_max; no step
+    is cut short to end there, but the xi = 1 bulk trajectory's last.
 
-    State is [sigma, sigma', sigma'', int_0^t sigma/tau dtau], and on the
-    xi = 1 bulk trajectory int_0^t sqrt(sigma - tau sigma')/tau dtau; the
-    undifferentiated equation is checked at every accepted step and must
-    stay within _DEFECT_FACTOR * DEFAULT_TOL of zero relative to its
-    largest term.  The solver runs at DEFAULT_TOL / _TOL_SAFETY internally:
-    global error grows with the number of steps, so the delivered
-    trajectory needs headroom against the defect bound it is contractually
-    held to.
+    The components are [sigma, sigma', sigma'', int_0^t sigma/tau dtau],
+    and on the xi = 1 bulk trajectory int_0^t sqrt(sigma - tau sigma')/tau
+    dtau; the steps carry sigma_x and sigma_xx for sigma' and sigma''.  The
+    equation is checked at every step end and must stay within DEFECT_TOL
+    of zero relative to its largest term.
     """
     ts = problem.t_switch
     if t_max <= ts:
         raise ArgumentError(f"t_max={t_max} must exceed t_switch={ts}")
-    rhs, y0 = _system(problem)
-    solver_tol = max(DEFAULT_TOL / _TOL_SAFETY, _MIN_SOLVER_TOL)
-    stepper = DOP853(rhs, ts, y0, rtol=solver_tol, atol=solver_tol)
-    solution = PainleveSolution(problem, stepper,
-                                Dense.start(ts, len(y0)))
+    n = 5 if problem._root is not None else 4
+    x0 = math.sqrt(ts)
+    c = problem.x_coefficients
+    rows = [float(_x_sum(c, ts, d)) for d in (0, "x", "xx")] + [
+        float(problem._series_component(ts, j)) for j in range(3, n)]
+    solution = PainleveSolution(
+        problem, np.array([ts]), np.array([x0]), np.array([x0]),
+        np.zeros((_STEP_ORDER + 1, n, 0)), rows)
     solution._extend(t_max)
     return solution
 
 
-def _system(problem):
-    """(rhs, y0) of the differentiated first-order system at t_switch."""
-    equation_id, par = problem.equation_id, problem._par
-    gaudin = problem._root is not None
-    y0 = [float(problem._series_component(np.asarray(problem.t_switch), k))
-          for k in range(5 if gaudin else 4)]
+def _t_form(x, sx, sxx):
+    """(sigma', sigma'') from (sigma_x, sigma_xx) at x: sigma' = sigma_x / 2x
+    has a pole at x = 0 where sigma_x(0) != 0, which caps the radius of its
+    own u-series at x0, so it is formed at the point."""
+    return sx / (2.0 * x), (sxx - sx / x) / (4.0 * x * x)
 
-    def rhs(t, y):
-        t = float(t)
-        s, sp, spp, *_ = y.tolist()
-        f = [sp, spp, _third_derivative(equation_id, par, t, s, sp, spp),
-             s / t]
-        if gaudin:
-            w = s - t * sp
-            if not w > 0.0:
-                raise ConsistencyError(
-                    "Gaudin's relation needs sigma - t sigma' > 0",
-                    context={"equation": equation_id,
-                             "params": problem.params, "t": t, "value": w})
-            f.append(math.sqrt(w) / t)
-        return f
 
-    return rhs, y0
+def _horner(pieces, i, u):
+    """sum_k pieces[k, :, i] u^k by Horner's rule, elementwise: (row, point)
+    for an array of steps i and of u, each power read by one flat take."""
+    flat = pieces.reshape(len(pieces), -1)
+    at = np.add.outer(np.arange(pieces.shape[1]) * pieces.shape[2], i)
+    acc = flat[-1].take(at)
+    for a in flat[-2::-1]:
+        acc *= u
+        acc += a.take(at)
+    return acc
+
+
+def _taylor_step(problem, x0, lam, state):
+    """One step from x0 with the state (sigma, sigma_x, sigma_xx, L[, I])
+    there: (h, the (u-power, row) coefficients in u = (x - x0) / lam).
+
+    With x = x0 + lam u, sigma = sum c_k u^k takes c0, c1 and c2 from the
+    state.  c_k for k >= 3 acts on residual order k - 2 only through
+    (t sigma'')^2, no G reading sigma'', with the slope 2 (t sigma'')_0 k
+    (k - 1) / (4 lam^2): one residual coefficient each.  Where t sigma''
+    vanishes the two roots of the quadratic meet and no c_k acts: the
+    step keeps c0 + c1 u + c2 u^2, which solves the equation where G
+    vanishes with it (sigma == 0 at xi = 0, and sigma = -xi t / pi, the
+    one-term series of a tiny xi), and the defect check at its end refuses
+    it anywhere else.  h = lam rho _STEP_EPS^(1/P), rho the radius in u
+    that c_(P-1) and c_P show, and on the xi = 1 bulk trajectory the last
+    two of sqrt(sigma - t sigma'), so a step stays short of a zero of its
+    argument (a series with no such radius keeps lam)."""
+    s0, sx0, sxx0 = state[:3]
+    c = _Series(np.zeros(_STEP_ORDER + 1), 0, _STEP_ORDER)
+    values = c._v
+    values[:3] = [s0, lam * sx0, 0.5 * lam * lam * sxx0]
+    c._nf = 3
+    sx = _s_step(_dx, c, x0, lam)               # d sigma / dx
+    dsdt = _s_step(_over_2x, sx, x0, lam)       # sigma' = sigma_x / 2x
+    dspdx = _s_step(_dx, dsdt, x0, lam)
+    t_spp = _s_step(_half_x, dspdx, x0, lam)    # t sigma'' = x/2 dsigma'/dx
+    tsp = _s_step(_half_x, sx, x0, lam)         # t sigma' = x sigma_x / 2
+    r = _residual(problem.equation_id, problem._par, c, tsp, dsdt, t_spp)
+    lead = t_spp._get(0)
+    # t sigma'' = (sigma_xx - sigma_x / x) / 4; zero to _ACTION_TOL of its
+    # terms, no c_k acts, and the step keeps the quadratic
+    if abs(lead) > _ACTION_TOL * 0.25 * (abs(sxx0) + abs(sx0 / x0)):
+        slope = lead / (2.0 * lam * lam)
+        for k in range(3, _STEP_ORDER + 1):
+            values[k] = -r._get(k - 2) / (slope * (k * (k - 1)))
+            c._nf += 1
+            _Series.clock += 1
+    c._nf = _STEP_ORDER + 1
+    _Series.clock += 1
+    rows = [c, sx, _s_step(_dx, sx, x0, lam),
+            _s_step(_over_2x, c, x0, lam)]      # sigma_xx and sigma / 2x
+    radial = [values]
+    if len(state) > _ROOT_INTEGRAL:
+        root = _s_sqrt(c - tsp)
+        rows.append(_s_step(_over_2x, root, x0, lam))
+        radial.append(root.c)
+    top = max(abs(v[k]) ** (1.0 / k) for v in radial
+              for k in (len(v) - 2, len(v) - 1))
+    h = lam if top == 0.0 else lam * _STEP_EPS ** (1.0 / _STEP_ORDER) / top
+    if not (math.isfinite(h) and x0 + h > x0):
+        raise StiffnessError(
+            f"Taylor step of {problem.equation_id} {problem.params} at "
+            f"t={x0 * x0:.6g} is {h:.3g}")
+    coef = np.zeros((len(state), _STEP_ORDER + 1))
+    for row, series in zip(coef, rows):
+        row[:series._n] = series.c
+    # int sigma/t dt = int 4 (sigma / 2x) dx, its u^(k+1) 4 lam q_k / (k + 1)
+    for row, v in zip(coef[3:], state[3:]):
+        row[1:] = 4.0 * lam * row[:-1] / np.arange(1, _STEP_ORDER + 1)
+        row[0] = v
+    return h, coef.T
 
 
 # ---------------------------------------------------------------------------
@@ -728,7 +853,7 @@ def _solution(equation_id, params, t) -> PainleveSolution:
         try:
             sol._extend(t_needed)
         except (StiffnessError, ConsistencyError):
-            del _solutions[key]     # its stepper is past its grid
+            del _solutions[key]     # the next request starts cold
             raise
     return sol
 
@@ -808,21 +933,26 @@ def p2_nn(s):
 # falls, while the series loses digits to truncation as T grows (3e-14 in
 # sigma and 2e-12 in sigma'' at t = 1, 4e-9 in sigma'' at 1.5).  Measured
 # worst relative gap of p4_direct to p4_det on s = 0.01 .. 0.6 (step 0.002)
-# by crossover: 1.3e-9 at 0.8, 7.1e-10 at 0.9 and 1.0, 4.4e-10 at 1.05,
-# 4.3e-9 at 1.2 and 2.0e-7 at 1.5.
+# by crossover: 2.4e-10 at every crossover from 0.5 to 1.0, 4.4e-10 at
+# 1.05, 4.3e-9 at 1.2 and 2.0e-7 at 1.5.
 _SERIES_DENSITY_T = 1.0
 
 
-def _series_numerator(u, weight, lead, T):
-    """w^2 u^2 + w (T u' - u) at each T of an array, from the x-coefficients
-    u (from x^1 on) of a sigma-like function, summed from x^lead on: its
-    lower orders cancel to roundoff."""
+def _numerator(u, weight, lead):
+    """The x-coefficients from x^lead on of w^2 u^2 + w (T u' - u), from
+    the x-coefficients u (from x^1 on) of a sigma-like function: its lower
+    orders cancel to roundoff."""
     n = len(u)
     k = np.arange(1, n + 1)
     wu = _Series(weight * u, 1, n)
     series = wu * wu + _Series(weight * (k / 2.0 - 1.0) * u, 1, n)
-    return np.sum(series.c[lead - series.off:] * np.sqrt(T)[:, None]
-                  ** np.arange(lead, n + 1), axis=-1)
+    return series.c[lead - series.off:]
+
+
+def _numerator_sum(c, lead, T):
+    """sum_k c_k x^(lead + k) at each T of an array, x = sqrt(T)."""
+    return np.sum(c * np.sqrt(T)[:, None] ** np.arange(lead, lead + len(c)),
+                  axis=-1)
 
 
 def p2_direct(s):
@@ -837,8 +967,7 @@ def p2_direct(s):
         sigma, sp, L = sol._state(T, (0, 1, 3))
         num = sigma * sigma + T * sp - sigma
         low = T <= _SERIES_DENSITY_T
-        num[low] = _series_numerator(sol.problem.x_coefficients, 1.0, 8,
-                                     T[low])
+        num[low] = _numerator_sum(sol.problem._numerators[0], 8, T[low])
         return num / (v * v) * _exp(L)
 
     return on_points(s, 0.0, density)
@@ -860,7 +989,7 @@ def _parity_gaps(x):
 
 def _parity_seconds(x):
     """(D_plus'', D_minus'') at each x of an array.  Past _SERIES_DENSITY_T
-    they come from one dense-output call; up to it, from the series of
+    they come from one dense-output pass; up to it, from the series of
     sigma and R, L and I included, which keeps the digits that p4 and p1gap
     lose where D_plus'' and D_minus'' cancel.  The numerators are summed
     from x^6 on: the x^4 terms of u_plus^2/4 and (T u_plus' - u_plus)/2
@@ -880,12 +1009,11 @@ def _parity_seconds(x):
     R = np.sqrt(-A)
     dR = -t * t * spp / (2.0 * R) - R     # T R' - R, with R' = -T sigma''/2R
     seconds = []
-    for sign in (-1.0, 1.0):
+    for sign, c in zip((-1.0, 1.0), problem._numerators[1:]):
         num = np.empty(T.shape)
         u = sigma + sign * R
         num[high] = 0.25 * u * u + 0.5 * (A + sign * dR)
-        num[low] = _series_numerator(
-            problem.x_coefficients + sign * problem._root, 0.5, 6, T[low])
+        num[low] = _numerator_sum(c, 6, T[low])
         seconds.append(_exp(0.5 * (L + sign * I))
                        * (2.0 * math.pi / T) ** 2 * num)
     return tuple(seconds)

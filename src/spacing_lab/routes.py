@@ -5,7 +5,8 @@ compares fredholm with painleve entries through it.  An entry takes an
 array of s and the keywords ``beta`` and ``n``, and looks its evaluator up
 on the module when called, so a replaced module attribute (a test double,
 a tracer) is the one that runs.  Each route runs at its module's stated
-tolerance (fredholm.DET_TOL, painleve.DEFAULT_TOL).
+settings, none of them an option: fredholm.DET_TOL, and painleve's fixed
+Taylor steps with every step end's defect within painleve.DEFECT_TOL.
 """
 
 from __future__ import annotations

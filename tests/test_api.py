@@ -13,7 +13,7 @@ import pytest
 
 import spacing_lab
 from spacing_lab import (FredholmSpectrum, Interval, KernelSpec,
-                         QuadratureRule, ZeroDataset, _dop853, fredholm,
+                         QuadratureRule, ZeroDataset, fredholm,
                          kernels, montecarlo, painleve, quadrature, routes)
 from spacing_lab.cli import main
 
@@ -74,12 +74,13 @@ def test_no_public_callable_takes_a_tolerance():
 
 
 def test_unfold_and_stepper_take_no_hooks():
-    # unfold always uses the semicircle of its rank; the stepper has no
-    # horizon, painleve's guard on requests being the only bound
+    # unfold always uses the semicircle of its rank; a Taylor step has no
+    # horizon and no tolerance, painleve's guard on requests being the only
+    # bound
     assert list(inspect.signature(montecarlo.unfold).parameters) == [
         "spectra"]
-    assert list(inspect.signature(_dop853.DOP853).parameters) == [
-        "fun", "t0", "y0", "rtol", "atol"]
+    assert list(inspect.signature(painleve._taylor_step).parameters) == [
+        "problem", "x0", "lam", "state"]
 
 
 def test_evaluators_of_s_take_s_alone():
