@@ -8,10 +8,23 @@ the ground truth.
 
 The evaluators of s (E2, E1, E4, Enn, En and the spacing densities p1, p2,
 p4, p1(1; s) and the conditioned nearest-neighbour density) take a float
-or an array of s, as points.on_points sets out.  Each point of a call is
-solved on its own converged rule and nothing is kept between calls, so an
-array gives the floats of a loop of scalar calls.  Every rule is converged
-to the one absolute tolerance DET_TOL, read at call time.
+or an array of s, as points.on_points sets out.  A call runs all its
+points together, in node-doubling rounds (_node_doubling): the first two
+Gauss rules of every point, which each point always solves on, come from
+one Newton run, and so do a later round's.  The densities solve the
+points that share a rule size as one stack of at most _STACK_BYTES per
+matrix array, by one det and one inverse (_det_jet_stack).  The gap
+probabilities solve one point and one matrix at a time
+(_converged_spectrum, quadrature.nystrom_spectrum), the units whose calls
+bench/tracing.py counts.  Each point still doubles its own rule until it
+settles, and a stacked LAPACK call gives each matrix the bits of its own
+call, so an array gives the floats of a loop of scalar calls; fredholm_det
+is _dets on one point.  Nothing but the reference rules is kept between
+calls.  Every rule is converged to the one absolute tolerance DET_TOL,
+read at call time.  On a shared 2-CPU machine a cold det-tables round
+(7 commands on 13 points) makes 1 Newton run for its 24 rules, where a run
+per rule made 24, and its commands take 0.048 s against 0.059 s (medians
+of 10 alternated bench/run.py pairs).
 
 The densities are exact s-derivatives of determinants by Jacobi's formula:
 the Gauss rule sits on (-1, 1), the matrix A(x) = x sqrt(w_i w_j)
@@ -39,8 +52,8 @@ from . import kernels
 from .csvio import write_csv
 from .errors import ArgumentError, NumericError, UnsupportedError
 from .points import on_points
-from .quadrature import (FredholmSpectrum, Interval, gauss_legendre,
-                         nystrom_spectrum)
+from .quadrature import (FredholmSpectrum, Interval, _prepare_rules,
+                         gauss_legendre, nystrom_spectrum)
 
 _EIGENVALUE_FLOOR = 1e-16     # product truncation point
 _FORCED_LEVEL_GAP = 1e-14     # 1 - mu below this: level treated as occupied
@@ -49,6 +62,10 @@ _MAX_NODES = 1600
 DET_TOL = 1e-10               # node-doubling tolerance of every determinant
 _STENCIL_H = 1e-3             # step of the point stencils (_stencil)
 _GAUDIN_STEP = 1e-2           # largest grid step of gaudin_split
+# most bytes of one stacked matrix array, unless a single matrix is larger;
+# at 1 MiB the stacks' temporaries left verify's peak RSS 0.4 MB higher,
+# and no grid ran faster
+_STACK_BYTES = 1 << 18
 
 
 def generating_value(spectrum: FredholmSpectrum, xi: float) -> float:
@@ -97,56 +114,120 @@ def gap_n(spectrum: FredholmSpectrum, n: int) -> float:
     return prefactor * float(e[k])
 
 
-def _node_doubling(build, length: float, context: dict,
-                   measure=lambda built: built):
-    """build(n) on the first rule whose measure moves by at most DET_TOL.
+def _first_size(length: float) -> int:
+    """Nodes of the first rule of a point: 16 + ceil(2 length), with
+    2 length capped at _MAX_NODES before its ceiling, which an infinite
+    length would overflow, and the count capped there too."""
+    return min(16 + math.ceil(min(2.0 * length, _MAX_NODES)), _MAX_NODES)
+
+
+def _first_rules(lengths) -> list:
+    """The first rule size of each point of positive length and its double:
+    node doubling solves every such point on both.  A point of length 0 is
+    left out: its spectrum is empty and reads no rule."""
+    firsts = [_first_size(length) for length in lengths if length > 0.0]
+    return firsts + [min(2 * n, _MAX_NODES) for n in firsts]
+
+
+def _node_doubling(solve, lengths, measure, context) -> list:
+    """For each point, solve's result on the first of its rules on which
+    the measure moves by at most DET_TOL, as a list over the points.
 
     Convergence is exponential in the node count for the analytic kernels
     (Bornemann, Math. Comp. 79, 2010), and the number of eigenvalues that
-    matter grows like the length of the interval, so the first rule has
-    16 + ceil(2 length) nodes; each next one doubles it.  The measure is a
-    float or an array, compared entry by entry.  No rule exceeds
-    _MAX_NODES, and 2 length is capped there before its ceiling, which an
-    infinite length would overflow; a rule there that still moves raises
-    NumericError.
+    matter grows like the length of the interval, so point i starts on
+    _first_size(lengths[i]) nodes and each next rule doubles it.  No rule
+    exceeds _MAX_NODES; a point whose rule there still moves raises
+    NumericError with context(i).
+
+    The points run together, in rounds.  The first two rules of every
+    point come from one Newton run (_first_rules), and any later round's
+    from one more.  solve(n, points) gives the results of a list of points
+    on the n-node rule, as one stack of at most _STACK_BYTES per matrix
+    array.  A point's rules and results do not depend on the other points,
+    so a call gives the floats of a loop of one-point calls.  The measure
+    of a result is a float or an array, compared entry by entry.
     """
-    n = min(16 + math.ceil(min(2.0 * length, _MAX_NODES)), _MAX_NODES)
-    prev = measure(build(n))
-    while n < _MAX_NODES:
-        n = min(2 * n, _MAX_NODES)
-        built = build(n)
-        cur = measure(built)
-        if np.max(np.abs(cur - prev)) <= DET_TOL:
-            return built
-        prev = cur
-    raise NumericError("determinant did not converge under node doubling",
-                       context=context)
+    sizes = [_first_size(length) for length in lengths]
+    rules = _first_rules(lengths)
+    prev = [None] * len(sizes)
+    done = [None] * len(sizes)
+    pending = list(range(len(sizes)))
+    while pending:
+        _prepare_rules(rules)
+        by_size = {}
+        for i in pending:
+            by_size.setdefault(sizes[i], []).append(i)
+        pending = []
+        for n in sorted(by_size):
+            points = by_size[n]
+            step = max(1, _STACK_BYTES // (8 * n * n))
+            for lo in range(0, len(points), step):
+                stack = points[lo:lo + step]
+                for i, built in zip(stack, solve(n, stack)):
+                    cur = measure(built)
+                    if (prev[i] is not None
+                            and np.abs(cur - prev[i]).max() <= DET_TOL):
+                        done[i] = built
+                        continue
+                    if n == _MAX_NODES:
+                        raise NumericError(
+                            "determinant did not converge under node "
+                            "doubling", context=context(i))
+                    prev[i] = cur
+                    sizes[i] = min(2 * n, _MAX_NODES)
+                    pending.append(i)
+        pending.sort()
+        rules = [sizes[i] for i in pending if lengths[i] > 0.0]
+    return done
 
 
 def _converged_spectrum(kernel_spec, interval: Interval) -> FredholmSpectrum:
     """The spectrum of the first doubled rule on which det(1 - K) moves by
     at most DET_TOL."""
     return _node_doubling(
-        lambda n: nystrom_spectrum(kernel_spec, interval, n),
-        interval.length,
-        {"kernel": kernel_spec, "interval": interval},
-        lambda spec: generating_value(spec, 1.0))
+        lambda n, points: [nystrom_spectrum(kernel_spec, interval, n)],
+        [interval.length], lambda spec: generating_value(spec, 1.0),
+        lambda i: {"kernel": kernel_spec, "interval": interval})[0]
+
+
+def _converged_spectra(kernel_spec, intervals: list) -> list:
+    """_converged_spectrum on each interval of a list, after caching the
+    first two rules of all of them in one Newton run.
+
+    Each point is one _converged_spectrum call and each of its rules one
+    nystrom_spectrum call, not a stack: bench/tracing.py counts spectra,
+    nodes and kernel entries per call of those two functions.
+    """
+    _prepare_rules(_first_rules([interval.length for interval in intervals]))
+    return [_converged_spectrum(kernel_spec, interval)
+            for interval in intervals]
+
+
+def _dets(kernel_spec, intervals: list, xi: float = 1.0) -> np.ndarray:
+    """Converged det(1 - xi K) on each interval of a list.
+
+    Raises NumericError where one is exactly 0: an eigenvalue rounded to 1
+    left no digit of a determinant that is positive.
+    """
+    dets = np.array([generating_value(spectrum, xi) for spectrum
+                     in _converged_spectra(kernel_spec, intervals)])
+    zero = np.flatnonzero(dets == 0.0)
+    if len(zero):
+        raise NumericError("determinant is exactly 0: an eigenvalue rounded "
+                           "to 1", context={"kernel": kernel_spec,
+                                            "interval": intervals[zero[0]]})
+    return dets
 
 
 def fredholm_det(kernel_spec, interval: Interval, xi: float = 1.0) -> float:
-    """Converged det(1 - xi K) on the interval.
+    """Converged det(1 - xi K) on the interval: _dets on one interval."""
+    return float(_dets(kernel_spec, [interval], xi)[0])
 
-    Raises NumericError where it is exactly 0: an eigenvalue rounded to 1
-    left no digit of a determinant that is positive.
-    """
-    if interval.length == 0.0:
-        return 1.0
-    det = generating_value(_converged_spectrum(kernel_spec, interval), xi)
-    if det == 0.0:
-        raise NumericError("determinant is exactly 0: an eigenvalue rounded "
-                           "to 1", context={"kernel": kernel_spec,
-                                            "interval": interval})
-    return det
+
+def _symmetric(half: np.ndarray) -> list:
+    """(-x, x) for each x of a 1-D array."""
+    return [Interval(-x, x) for x in half.tolist()]
 
 
 def parity_split(interval: Interval):
@@ -198,21 +279,16 @@ def gaudin_split(e2_profile, s: float):
         float(np.exp(half_log + 0.5 * integral))
 
 
-def _dets(kernel_spec, half) -> np.ndarray:
-    """Converged det(1 - K) on (-x, x) at each x of a 1-D array, each
-    point solved on its own rule."""
-    return np.array([fredholm_det(kernel_spec, Interval(-x, x))
-                     for x in half.tolist()])
-
-
 def e2_bulk_det(s):
     """E2(0; interval of length s) from the sine-kernel determinant."""
-    return on_points(s, 1.0, lambda v: _dets(kernels.sine_bulk(), v / 2.0))
+    return on_points(s, 1.0, lambda v: _dets(kernels.sine_bulk(),
+                                             _symmetric(v / 2.0)))
 
 
 def e1_bulk_det(s):
     """E1(0; (-s, s)) = D_plus(s): only the even spectrum is built."""
-    return on_points(s, 1.0, lambda v: _dets(kernels.sine_even(), v))
+    return on_points(s, 1.0, lambda v: _dets(kernels.sine_even(),
+                                             _symmetric(v)))
 
 
 def e4_bulk_det(s):
@@ -223,7 +299,8 @@ def e4_bulk_det(s):
     of the orthogonal one.
     """
     return on_points(s, 1.0, lambda v: 0.5 * (
-        _dets(kernels.sine_even(), v) + _dets(kernels.sine_odd(), v)))
+        _dets(kernels.sine_even(), _symmetric(v))
+        + _dets(kernels.sine_odd(), _symmetric(v))))
 
 
 def enn_det(s):
@@ -232,7 +309,7 @@ def enn_det(s):
     Determinant of the spectrum-singularity kernel (a = 1) on (-s, s).
     """
     return on_points(s, 1.0, lambda v: _dets(
-        kernels.spectrum_singularity(), v))
+        kernels.spectrum_singularity(), _symmetric(v)))
 
 
 def en_bulk_det(s, n: int):
@@ -240,17 +317,18 @@ def en_bulk_det(s, n: int):
     if n < 0:
         raise ArgumentError(f"gap order must be >= 0, got {n}")
     return on_points(s, 1.0 if n == 0 else 0.0, lambda v: np.array([
-        gap_n(_converged_spectrum(kernels.sine_bulk(),
-                                  Interval(-x / 2.0, x / 2.0)), n)
-        for x in v.tolist()]))
+        gap_n(spectrum, n) for spectrum in _converged_spectra(
+            kernels.sine_bulk(), _symmetric(v / 2.0))]))
 
 
 # Spacing densities from exact s-derivatives of determinants (Jacobi's
 # formula); each is exactly 0 at s = 0.
 
-def _det_jet(kernel_spec, x: float, n: int, order: int) -> np.ndarray:
-    """(D, D', D'')[:order + 1] in x of D(x) = det(1 - K) on (-x, x), on the
-    n-node rule put on (-1, 1).
+def _det_jet_stack(kernel_spec, x: np.ndarray, n: int,
+                   order: int) -> np.ndarray:
+    """Rows (D, D', D'')[:order + 1] in x of D(x) = det(1 - K) on (-x, x),
+    at each x of a 1-D array, on the n-node rule put on (-1, 1): one
+    stacked det and one stacked inverse.
 
     With A the weighted matrix of x K(x t_i, x t_j) and R = (1 - A)^-1,
     D' = -D tr(R A') and D'' = D [(tr R A')^2 - tr(R A'') - tr(R A' R A')].
@@ -258,31 +336,33 @@ def _det_jet(kernel_spec, x: float, n: int, order: int) -> np.ndarray:
     rule = gauss_legendre(n, Interval(-1.0, 1.0))
     sw = np.sqrt(rule.weights)
     jets = kernels.scaled_jets(kernel_spec, rule.nodes, x, order)
-    if not all(np.isfinite(m).all() for m in jets):
+    finite = np.logical_and.reduce([np.isfinite(m).all(axis=(1, 2))
+                                    for m in jets])
+    if not finite.all():
         raise NumericError("kernel evaluated to a non-finite value",
-                           context={"kernel": kernel_spec, "x": x})
+                           context={"kernel": kernel_spec,
+                                    "x": float(x[np.argmin(finite)])})
     a, *derivs = [sw[:, None] * m * sw[None, :] for m in jets]
     m = np.eye(n) - a
     det = np.linalg.det(m)
     r = np.linalg.inv(m)
-    # R and the A^(k) are symmetric, so tr(R A^(k)) sums their product.
-    # The A' that kernels.scaled_jets gives at order 2 is rank one, where
+    # R and the A^(k) are symmetric, so tr(R A^(k)) sums their product,
+    # over each matrix as one row of n * n entries.  The A' that
+    # kernels.scaled_jets gives at order 2 is rank one, where
     # (tr R A')^2 = tr(R A' R A') cancels exactly, so D'' = -D tr(R A'').
-    return np.array([det, *(-det * np.sum(r * d) for d in derivs)])
+    return np.stack([det, *(-det * np.sum((r * d).reshape(len(x), n * n),
+                                          axis=1) for d in derivs)], axis=1)
 
 
 def _det_jets(kernel_spec, half: np.ndarray, order: int) -> np.ndarray:
-    """Rows _det_jet(kernel_spec, x, n, order) at each x of a 1-D array.
-
-    Each point doubles its own rule by _node_doubling until every entry of
-    its row moves by at most DET_TOL, so a row never depends on the other
-    points of the call.
-    """
-    return np.array([
-        _node_doubling(lambda n: _det_jet(kernel_spec, x, n, order),
-                       Interval(-x, x).length,
-                       {"kernel": kernel_spec, "x": x})
-        for x in half.tolist()]).reshape(-1, order + 1)
+    """Rows (D, D', D'')[:order + 1] of _det_jet_stack at each x of a 1-D
+    array, each on the first of its doubled rules on which every entry of
+    its row moves by at most DET_TOL (_node_doubling)."""
+    return np.array(_node_doubling(
+        lambda n, points: _det_jet_stack(kernel_spec, half[points], n, order),
+        [2.0 * x for x in half.tolist()], lambda row: row,
+        lambda i: {"kernel": kernel_spec, "x": float(half[i])})
+    ).reshape(-1, order + 1)
 
 
 def _parity_jets(half: np.ndarray):

@@ -60,19 +60,25 @@ def spectrum_singularity() -> KernelSpec:
 
 
 def sinc(z):
-    """sin(z)/z with its removable singularity filled in."""
+    """sin(z)/z with its removable singularity filled in: sin z / z is
+    taken everywhere else, and the Taylor branch only on the entries with
+    |z| < _SINC_SWITCH."""
     z = np.asarray(z, dtype=float)
+    if not z.ndim:
+        return float(sinc(z[None])[0])
     small = np.abs(z) < _SINC_SWITCH
-    safe = np.where(small, 1.0, z)
-    z2 = z * z
-    taylor = 1.0 - z2 / 6.0 + z2 * z2 / 120.0 - z2 * z2 * z2 / 5040.0
-    out = np.where(small, taylor, np.sin(safe) / safe)
-    return out if out.ndim else float(out)
+    out = np.where(small, 1.0, z)
+    np.divide(np.sin(out), out, out=out)
+    if small.any():
+        z2 = z[small] * z[small]
+        out[small] = (1.0 - z2 / 6.0 + z2 * z2 / 120.0
+                      - z2 * z2 * z2 / 5040.0)
+    return out
 
 
 # an overflowing argument gives inf or nan without a warning: the caller's
-# non-finite check (nystrom_spectrum, fredholm._det_jet) reports it as the
-# one error
+# non-finite check (nystrom_spectrum, fredholm._det_jet_stack) reports it as
+# the one error
 _QUIET = np.errstate(over="ignore", invalid="ignore")
 
 
@@ -95,7 +101,7 @@ def kernel_matrix(spec: KernelSpec, nodes: np.ndarray) -> np.ndarray:
     return _eval_array(spec, x[:, None], x[None, :])
 
 
-def _scaled_sinc_jet(s: float, d: np.ndarray, order: int) -> list:
+def _scaled_sinc_jet(s: np.ndarray, d: np.ndarray, order: int) -> list:
     """s sinc(pi s d) = sin(pi s d)/(pi d) (s where d = 0) and its first
     ``order`` derivatives in s: cos(pi s d), then -pi d sin(pi s d)."""
     z = np.pi * s * d
@@ -119,36 +125,44 @@ def _cos_minus_sinc(z: np.ndarray) -> np.ndarray:
     return np.where(small, taylor, np.cos(z) - sinc(z))
 
 
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.outer of the last axes, over any leading ones."""
+    return a[..., :, None] * b[..., None, :]
+
+
 @_QUIET
-def scaled_jets(spec: KernelSpec, t: np.ndarray, s: float,
+def scaled_jets(spec: KernelSpec, t: np.ndarray, s,
                 order: int) -> list:
     """[s K(s t_i, s t_j)] over reference nodes t and its first ``order``
     derivatives in s, in closed form.
 
     This is the Nystrom matrix of the kernel on (-s, s) with the rule put
-    on (-1, 1), before the weights.  Implemented for the parity sine
-    kernels up to order 2 and for SpectrumSingularity up to order 1.
-    The first derivative of a parity kernel is rank one: cos a_i cos a_j
-    (even) or sin a_i sin a_j (odd) with a = pi s t.
+    on (-1, 1), before the weights.  For an array of s each entry is the
+    stack of these matrices over s, with the bits of a call at that s
+    alone.  Implemented for the parity sine kernels up to order 2 and for
+    SpectrumSingularity up to order 1.  The first derivative of a parity
+    kernel is rank one: cos a_i cos a_j (even) or sin a_i sin a_j (odd)
+    with a = pi s t.
     """
     t = np.asarray(t, dtype=float)
+    s = np.asarray(s, dtype=float)
+    matrix_s = s[..., None, None]
     if spec.variant in (SINE_EVEN, SINE_ODD) and order <= 2:
         sign = 1.0 if spec.variant == SINE_EVEN else -1.0
-        minus = _scaled_sinc_jet(s, t[:, None] - t[None, :], order)
-        plus = _scaled_sinc_jet(s, t[:, None] + t[None, :], order)
+        minus = _scaled_sinc_jet(matrix_s, t[:, None] - t[None, :], order)
+        plus = _scaled_sinc_jet(matrix_s, t[:, None] + t[None, :], order)
         return [0.5 * (m + sign * p) for m, p in zip(minus, plus)]
     if spec.variant == SPECTRUM_SINGULARITY and order <= 1:
         # s sinc(pi s t_i) sinc(pi s t_j), whose s-derivative is
         # sinc_i sinc_j + g_i sinc_j + sinc_i g_j with g = cos - sinc at
         # z = pi s t
-        z = np.pi * s * t
+        z = np.pi * s[..., None] * t
         c = sinc(z)
-        jet = _scaled_sinc_jet(s, t[:, None] - t[None, :], order)
-        jet[0] = jet[0] - s * np.outer(c, c)
+        jet = _scaled_sinc_jet(matrix_s, t[:, None] - t[None, :], order)
+        jet[0] = jet[0] - matrix_s * _outer(c, c)
         if order == 1:
             g = _cos_minus_sinc(z)
-            jet[1] = jet[1] - (np.outer(c, c) + np.outer(g, c)
-                               + np.outer(c, g))
+            jet[1] = jet[1] - (_outer(c, c) + _outer(g, c) + _outer(c, g))
         return jet
     raise UnsupportedError(
         f"no closed-form s-derivatives of order {order} for {spec}")

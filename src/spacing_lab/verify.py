@@ -189,9 +189,9 @@ def check_sum_rule():
     nodes = []
 
     def cumulative(u: np.ndarray) -> np.ndarray:
-        spectra = [fredholm._converged_spectrum(kernels.sine_bulk(),
-                                                Interval(-x / 2.0, x / 2.0))
-                   for x in u.tolist()]
+        spectra = fredholm._converged_spectra(
+            kernels.sine_bulk(), [Interval(-x / 2.0, x / 2.0)
+                                  for x in u.tolist()])
         nodes.extend(spectrum.nodes_used for spectrum in spectra)
         return np.array([sum(w * fredholm.gap_n(spectrum, j)
                              for j, w in enumerate(weights))

@@ -1,6 +1,7 @@
 """Determinantal route: generating values, gap profiles, parity splits."""
 
 import math
+from collections import OrderedDict
 from functools import reduce
 
 import numpy as np
@@ -14,6 +15,8 @@ from spacing_lab import (
     fredholm,
     gauss_legendre,
     painleve,
+    quadrature,
+    routes,
 )
 from spacing_lab.kernels import (scaled_jets, sine_bulk, sine_even, sine_odd,
                                  spectrum_singularity)
@@ -197,8 +200,9 @@ class TestConvergedSpectrum:
         # escapes
         built = []
         with pytest.raises(NumericError):
-            fredholm._node_doubling(lambda n: built.append(n) or 0.0,
-                                    1.7e308, {})
+            fredholm._node_doubling(
+                lambda n, points: [built.append(n) or 0.0 for _ in points],
+                [1.7e308], lambda value: value, lambda i: {})
         assert built == [fredholm._MAX_NODES]
 
     def test_huge_s_raises_numeric_error(self):
@@ -378,11 +382,11 @@ class TestJacobiDensities:
             return FredholmSpectrum(eigenvalues=np.zeros(0), nodes_used=n)
 
         def jet(kernel, x, n, order):
-            jets.append(n)
-            return np.zeros(order + 1)
+            jets.extend(n for _ in x)
+            return np.zeros((len(x), order + 1))
 
         monkeypatch.setattr(fredholm, "nystrom_spectrum", spectrum)
-        monkeypatch.setattr(fredholm, "_det_jet", jet)
+        monkeypatch.setattr(fredholm, "_det_jet_stack", jet)
         monkeypatch.setattr(fredholm, "DET_TOL", -1.0)
         with pytest.raises(NumericError):
             fredholm._converged_spectrum(kernel, Interval(-26.0, 26.0))
@@ -406,7 +410,7 @@ class TestJacobiDensities:
         ra1 = r @ a1
         full = det * (np.trace(ra1) ** 2 - np.trace(r @ a2)
                       - np.trace(ra1 @ ra1))
-        jet = fredholm._det_jet(kernel, x, n, 2)
+        jet = fredholm._det_jet_stack(kernel, np.array([x]), n, 2)[0]
         assert jet[0] == pytest.approx(det, abs=1e-15)
         assert jet[1] == pytest.approx(-det * np.trace(ra1), abs=1e-14)
         assert jet[2] == pytest.approx(full, abs=1e-13)
@@ -436,3 +440,123 @@ class TestSpacingTable:
         table = fredholm.SpacingTable(s_grid=np.array([0.0, 0.1, 0.2]))
         with pytest.raises(ArgumentError):
             table.add_column("E0", [1.0, 0.9])
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+# interval lengths s and 2 s both start these points on rules of one size
+_SHARED_GRID = np.linspace(0.02, 0.2, 10)
+# and these on rules of pairwise different sizes, in every round
+_DISTINCT_GRID = np.array([3.9, 0.3, 2.4, 1.1])
+
+
+@pytest.fixture()
+def stacks(monkeypatch):
+    """Every stacked solve of a density: (rule size, points in the stack)."""
+    solved = []
+    jets = fredholm._det_jet_stack
+
+    def jet_stack(kernel, x, n, order):
+        solved.append((n, len(x)))
+        return jets(kernel, x, n, order)
+
+    monkeypatch.setattr(fredholm, "_det_jet_stack", jet_stack)
+    return solved
+
+
+@pytest.fixture()
+def newton_runs(monkeypatch):
+    """The orders of every Newton run, from a cold rule cache."""
+    runs = []
+    newton = quadrature._newton
+
+    def counting(sizes):
+        runs.append(sorted(sizes))
+        return newton(sizes)
+
+    monkeypatch.setattr(quadrature, "_RULES", OrderedDict())
+    monkeypatch.setattr(quadrature, "_newton", counting)
+    return runs
+
+
+_STACKED = ["p1", "p2", "p4", "p1gap", "p2nn"]     # solved in stacks
+
+
+@pytest.mark.parametrize("name", list(_EVALUATORS))
+class TestBatchedRounds:
+    """A call runs its points together, in doubling rounds; each point
+    keeps the rule sequence and the floats of a call on it alone."""
+
+    @pytest.mark.parametrize("grid", [_SHARED_GRID, _DISTINCT_GRID],
+                             ids=["shared", "distinct"])
+    def test_array_matches_one_point_calls(self, name, grid):
+        fn, _ = _EVALUATORS[name]
+        assert _bits(fn(grid)) == _bits([fn(float(s)) for s in grid])
+
+    def test_first_two_rules_in_one_newton_run(self, name, newton_runs):
+        # every point is solved on its first rule and on the doubled one,
+        # and on these grids no point needs a third
+        fn, _ = _EVALUATORS[name]
+        fn(_DISTINCT_GRID)
+        assert len(newton_runs) == 1
+
+
+@pytest.mark.parametrize("name", _STACKED)
+class TestDensityStacks:
+    """The densities solve the points on one rule size as one stack."""
+
+    def test_one_stack_per_rule_size(self, name, stacks):
+        fn, _ = _EVALUATORS[name]
+        fn(_SHARED_GRID)
+        assert max(k for _, k in stacks) == len(_SHARED_GRID)
+        stacks.clear()
+        fn(_DISTINCT_GRID)
+        assert {k for _, k in stacks} == {1}
+
+    def test_stacks_within_the_byte_budget(self, name, stacks,
+                                           monkeypatch):
+        # a budget of three 20-node matrices splits the 10 points of the
+        # shared grid into stacks of 3, 3, 3 and 1 on rules of <= 20 nodes,
+        # and the floats do not move
+        fn, _ = _EVALUATORS[name]
+        expected = fn(_SHARED_GRID)
+        stacks.clear()
+        budget = 3 * 8 * 20 * 20
+        monkeypatch.setattr(fredholm, "_STACK_BYTES", budget)
+        out = fn(_SHARED_GRID)
+        assert all(k == 1 or 8 * k * n * n <= budget for n, k in stacks)
+        assert any(k > 1 for _, k in stacks)
+        assert _bits(out) == _bits(expected)
+
+
+class TestRuleRounds:
+    def test_cold_p0_beta4_runs_one_newton_run(self, newton_runs):
+        # det-tables' p0 beta = 4 grid starts its 12 points on 12 rule
+        # sizes, and each converges on its first doubled rule: 24 rules
+        # from one Newton run, which the odd kernel finds cached
+        routes.evaluate("p0", "fredholm", np.arange(0.0, 3.0001, 0.25),
+                        beta=4)
+        assert len(newton_runs) == 1 and len(newton_runs[0]) == 24
+
+    def test_later_round_rules_in_one_newton_run(self, newton_runs,
+                                                 monkeypatch):
+        # a negative tolerance takes every point through rounds to the
+        # cap: the first two rules in one run, each later round in one
+        monkeypatch.setattr(fredholm, "DET_TOL", -1.0)
+        with pytest.raises(NumericError):
+            fredholm._det_jets(sine_even(), np.array([0.5, 2.0]), 2)
+        assert newton_runs[:2] == [[18, 24, 36, 48], [72, 96]]
+
+    def test_zero_length_reads_no_rule(self, newton_runs):
+        assert fredholm.fredholm_det(sine_bulk(), Interval(0.5, 0.5)) == 1.0
+        assert newton_runs == []
+
+    def test_default_budget_holds_on_a_dense_grid(self, stacks):
+        # 200 points of one rule size per round: the 34-node round no
+        # longer fits one stack of at most _STACK_BYTES
+        fredholm.p1_det(np.linspace(0.001, 0.4, 200))
+        assert [n for n, _ in stacks].count(34) > 1
+        assert all(k == 1 or 8 * k * n * n <= fredholm._STACK_BYTES
+                   for n, k in stacks)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spacing_lab import UnsupportedError
+from spacing_lab import UnsupportedError, kernels
 from spacing_lab.kernels import (
     KernelSpec,
     _eval_array,
@@ -43,6 +43,22 @@ class TestSineFamily:
             near = _eval_array(sine_bulk(), 1.0, 1.0 + gap)
             direct = math.sin(math.pi * gap) / (math.pi * gap)
             assert abs(near - direct) <= 1e-12
+
+    def test_sinc_bits_of_the_full_taylor_select(self):
+        # the Taylor branch runs only on the small entries, with the
+        # floats of evaluating both branches everywhere and selecting
+        nodes = np.concatenate([np.linspace(-1.0, 1.0, 41), [1e-6, -1e-6]])
+        z = np.pi * (nodes[:, None] - nodes[None, :] + 1e-6 * np.eye(43))
+        z[0, 1] = 0.0
+        small = np.abs(z) < kernels._SINC_SWITCH
+        z2 = z * z
+        taylor = 1.0 - z2 / 6.0 + z2 * z2 / 120.0 - z2 * z2 * z2 / 5040.0
+        safe = np.where(small, 1.0, z)
+        selected = np.where(small, taylor, np.sin(safe) / safe)
+        assert small.sum() > 43
+        assert kernels.sinc(z).tobytes() == selected.tobytes()
+        assert kernels.sinc(z[2, 3]) == float(selected[2, 3])
+        assert kernels.sinc(0.0) == 1.0
 
 
 class TestSymmetry:
@@ -119,6 +135,17 @@ class TestScaledJets:
         taylor = kernels._cos_minus_sinc(np.array([z * (1 - 1e-12)]))[0]
         direct = kernels._cos_minus_sinc(np.array([z]))[0]
         assert taylor == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize("spec, order", JET_SPECS,
+                             ids=lambda v: getattr(v, "variant", v))
+    def test_stack_of_s_bits(self, spec, order):
+        # an array of s gives each matrix the bits of a call at that s
+        s = np.array([0.2, 1.3, 4.0])
+        stack = scaled_jets(spec, self.NODES, s, order)
+        for at, one in enumerate(s):
+            for k, matrix in enumerate(scaled_jets(spec, self.NODES, one,
+                                                   order)):
+                assert stack[k][at].tobytes() == matrix.tobytes()
 
     @pytest.mark.parametrize("spec, order", [
         (sine_bulk(), 0), (spectrum_singularity(), 2), (sine_even(), 3)])

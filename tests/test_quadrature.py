@@ -1,11 +1,13 @@
 """Gauss-Legendre rules and Nystrom spectra."""
 
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
-from spacing_lab import ArgumentError, Interval, gauss_legendre, nystrom_spectrum
+from spacing_lab import (ArgumentError, Interval, gauss_legendre,
+                         nystrom_spectrum, quadrature)
 from spacing_lab.kernels import sine_bulk
 
 
@@ -78,6 +80,18 @@ class TestGaussLegendre:
         rule.nodes[0] = 0.0                    # a rule owns its arrays
         assert nodes[0] != 0.0
 
+    def test_cache_is_bounded(self, monkeypatch):
+        # the least recently used order leaves first
+        monkeypatch.setattr(quadrature, "_RULES", OrderedDict())
+        monkeypatch.setattr(quadrature, "_RULES_KEPT", 3)
+        quadrature._prepare_rules([5, 6, 7])
+        quadrature._reference_rule(5)
+        quadrature._reference_rule(8)
+        assert list(quadrature._RULES) == [7, 5, 8]
+        # more orders than the cache keeps are left to their reads
+        quadrature._prepare_rules([1, 2, 3, 4])
+        assert list(quadrature._RULES) == [7, 5, 8]
+
     def test_invalid_order(self):
         with pytest.raises(ArgumentError):
             gauss_legendre(0, Interval(0.0, 1.0))
@@ -108,3 +122,63 @@ class TestNystromSpectrum:
         mu = spectrum.eigenvalues
         assert np.all(np.diff(mu) <= 0.0)
         assert np.all(mu >= 0.0) and np.all(mu <= 1.0 + 1e-10)
+
+
+def _one_size_rule(n):
+    """The order-n rule by Newton iteration on P_n alone, from the cosine
+    guesses, stopping at max |dx| < 1e-15: the classical one-size run."""
+    if n == 1:
+        return np.array([0.0]), np.array([2.0])
+
+    def legendre(x):
+        p_prev, p = np.ones_like(x), x.copy()
+        for k in range(2, n + 1):
+            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+        return p, n * (x * p - p_prev) / (x * x - 1.0)
+
+    x = np.cos(np.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
+    while True:
+        p, dp = legendre(x)
+        dx = p / dp
+        x = x - dx
+        if np.max(np.abs(dx)) < 1e-15:
+            break
+    dp = legendre(x)[1]
+    return x[::-1], (2.0 / ((1.0 - x * x) * dp * dp))[::-1]
+
+
+class TestReferenceRules:
+    """The rules of a group of orders come from one Newton run; each keeps
+    the bits of a run of its order alone."""
+
+    SIZES = list(range(1, 201))
+
+    @pytest.fixture(scope="class")
+    def alone(self):
+        return {n: _one_size_rule(n) for n in self.SIZES}
+
+    @staticmethod
+    def _cold(monkeypatch, sizes):
+        monkeypatch.setattr(quadrature, "_RULES", OrderedDict())
+        quadrature._prepare_rules(sizes)
+        assert sorted(quadrature._RULES) == sorted(sizes)
+        return dict(quadrature._RULES)
+
+    def _assert_bits(self, rules, alone):
+        for n, (nodes, weights) in rules.items():
+            assert nodes.tobytes() == alone[n][0].tobytes(), n
+            assert weights.tobytes() == alone[n][1].tobytes(), n
+
+    def test_one_size_runs(self, monkeypatch, alone):
+        for n in self.SIZES:
+            self._assert_bits(self._cold(monkeypatch, [n]), alone)
+
+    def test_all_sizes_in_one_run(self, monkeypatch, alone):
+        self._assert_bits(self._cold(monkeypatch, self.SIZES[::-1]), alone)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_groups(self, monkeypatch, alone, seed):
+        order = np.random.default_rng(seed).permutation(self.SIZES).tolist()
+        cuts = [0, 7, 30, 31, 90, 200]
+        for lo, hi in zip(cuts, cuts[1:]):
+            self._assert_bits(self._cold(monkeypatch, order[lo:hi]), alone)

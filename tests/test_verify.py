@@ -168,8 +168,8 @@ class TestMutations:
         # determinants solved by one run are not reused by the next, so a
         # fault introduced between two runs in one process still shows
         assert verify.check_density_stencils().passed
-        original = fredholm.fredholm_det
-        monkeypatch.setattr(fredholm, "fredholm_det",
+        original = fredholm._dets
+        monkeypatch.setattr(fredholm, "_dets",
                             lambda *a, **k: 1.01 * original(*a, **k))
         result = verify.check_density_stencils()
         assert not result.passed, str(result)
