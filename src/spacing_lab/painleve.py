@@ -13,23 +13,21 @@ function of (sigma, t sigma', sigma'), and _EQUATIONS states each G once,
 run by the same operators on series (the residual) and on floats (the
 defect).  Three layers:
 
-1. series: sigma = sum c_k x^k with x = sqrt(t), coefficients derived by
-   substituting the ansatz into the ODE and matching orders, one unknown at
-   a time (_match_coefficients), on relaxed series that compute each
-   coefficient once, from their operands' up to its order.  The resonant
-   orders take closed forms (_equation_setup).  Derived problems are
-   memoised until clear_cache().
+1. series: sigma = sum c_k x^k with x = sqrt(t), derived by matching
+   orders one unknown at a time (_match_coefficients), each probe one eager
+   pass over the residual's graph (_Pass) from the entries it reaches; the
+   resonant orders take closed forms (_equation_setup).  Derived problems
+   are memoised until clear_cache().
 2. Taylor steps in x (Jorba and Zou, Experiment. Math. 14, 2005): from
-   t_switch on, sigma(x0 + lam u) = sum c_k u^k on the same relaxed series
-   and the same G, lam the step before.  The state at x0 fixes c0, c1 and
-   c2; each later c_k solves residual order k - 2, where it acts only
-   through (t sigma'')^2 (_taylor_step).  The step is a fixed fraction of
-   the radius the last two coefficients show.  Each step's u-polynomials
-   of sigma, sigma', sigma'', the log-integral int sigma/t dt = 2 int
-   sigma/x dx and, on the xi = 1 bulk trajectory, Gaudin's split int
-   sqrt(sigma - t sigma')/t dt are the dense output, and the equation's
-   defect is checked at every step end.  Steps in t would stall: the branch
-   point at t = 0 caps their radius at about t.
+   t_switch on, sigma(x0 + lam u) = sum c_k u^k on the same G, lam the step
+   before; the state at x0 fixes c0, c1 and c2, and each later c_k solves
+   residual order k - 2 in one eager pass, on a graph each problem builds
+   once (_taylor_step).  A step is a fixed fraction of the radius its
+   last two coefficients show.  Each step's u-polynomials of sigma, sigma',
+   sigma'', int sigma/t dt = 2 int sigma/x dx and, on the xi = 1 bulk
+   trajectory, Gaudin's split int sqrt(sigma - t sigma')/t dt are the dense
+   output, and the equation's defect is checked at every step end.  Steps
+   in t would stall: the branch point at t = 0 caps their radius at about t.
 3. evaluators: E and p compositions with frozen argument calibrations
    (upper limit pi*s for the bulk two-point gap, 2*pi*s for the parity
    determinants on (-s, s) and the conditioned nearest-neighbour gap, the
@@ -69,74 +67,36 @@ _GAUDIN_T_END = 40.0    # where the xi = 1 bulk trajectory ends (_extend)
 
 
 # ---------------------------------------------------------------------------
-# relaxed truncated power series in x = sqrt(t) (van der Hoeven, "Relax,
-# but don't be too lazy", J. Symbolic Comput. 34, 2002).  Coefficient k, of
-# x^(off + k), is computed on demand from the operand coefficients that
-# reach it, and kept once final: once every leaf coefficient it depends on
-# is (a leaf's first _nf are).  Terms past x^order are dropped; a result
-# keeps the lower order of its operands.  A coefficient is a float, or an
-# array over a batch, in Python's arithmetic: a series of a batch gets the
-# bits it would get alone, and every sum runs in increasing index from
-# +0.0, with no BLAS.
-
-def _zero(v):
-    return v == 0.0 if isinstance(v, float) else not np.any(v)
-
+# truncated power series in x = sqrt(t), evaluated eagerly: coefficient k,
+# of x^(off + k), is rule(node, k), read from its operands' lists and its
+# own.  Terms past x^order are dropped; a result keeps the lower order of
+# its operands.  A coefficient is a float, or an array over a batch, in
+# Python's arithmetic: a series of a batch gets the bits it would get alone,
+# and every sum runs in increasing index from +0.0, with no BLAS.
 
 class _Series:
-    """A leaf of the coefficients c, or a node of n coefficients over the
-    series of, coefficient k from rule(node, k) -> (value, final).  + - *
-    take a series or a float, the constant series (a float may stand left
-    of - and *)."""
-    __slots__ = ("off", "order", "_n", "_v", "_nf", "_z", "_rule", "_args",
-                 "_stamp", "_shape")
-    clock = 0       # moved on each change to a leaf: unkept values expire
+    """A leaf of the coefficients c, or a node of n coefficients from rule
+    over the (series, d) of: coefficient k reads theirs up to k + d, past a
+    product's other factor's leading zeros _z.  + - * take a series or a
+    float, the constant series (a float may stand left of - and *)."""
+    __slots__ = ("off", "order", "_n", "_v", "_z", "_rule", "_args", "_of",
+                 "_shape")
 
     def __init__(self, c, off, order, rule=None, args=(), n=0, of=()):
         self.off, self.order, self._rule, self._args = int(off), order, \
             rule, args
-        self._v, self._nf, self._z, self._stamp, self._n = [], 0, 0, 0, n
-        self._shape = np.broadcast_shapes(*(s._shape for s in of))
+        self._v, self._n, self._of, self._z = [], n, of, 0
+        self._shape = np.broadcast_shapes(*(s._shape for s, _ in of))
         if rule is None:
             c = np.asarray(c, dtype=float)
-            self._n = self._nf = c.shape[-1]
-            self._shape = c.shape[:-1]
+            self._n, self._shape = c.shape[-1], c.shape[:-1]
             self._v = c.tolist() if c.ndim == 1 else list(
                 np.moveaxis(c, -1, 0))
-
-    def _upto(self, j):
-        """A list of coefficients 0..j at least, those past the final ones
-        from the leaves' present values."""
-        v = self._v
-        if j < self._nf or self._rule is None:
-            return v
-        if self._stamp != _Series.clock:
-            del v[self._nf:]
-            self._stamp = _Series.clock
-        for k in range(len(v), j + 1):
-            x, final = self._rule(self, k)
-            v.append(x)
-            if final and k == self._nf:
-                self._nf += 1
-                if self._z == k and _zero(x):
-                    self._z += 1
-        return v
-
-    def _get(self, k):
-        """Coefficient k; one past those computed is computed alone."""
-        v = self._v
-        if k < self._nf:
-            return v[k]
-        if self._stamp == _Series.clock and k < len(v) or self._rule is None:
-            return v[k]
-        if k > self._nf:
-            return self._rule(self, k)[0]
-        return self._upto(k)[k]
 
     @property
     def c(self):
         out = np.zeros(self._shape + (self._n,))
-        for k, x in enumerate(self._upto(self._n - 1)[:self._n]):
+        for k, x in enumerate(_Pass(self).fill(self._n - 1)[:self._n]):
             out[..., k] = x
         return out
 
@@ -149,12 +109,14 @@ class _Series:
 
         if not isinstance(v, _Series):
             v = _Series([v], 0, self.order)
-        terms = [*self._args] if self._rule is _sum else [term(self)]
+        terms = [t[:2] for t in self._args] if self._rule is _sum else [
+            term(self)]
         terms.append(term(v))
         off = min(s.off for s, _ in terms)
         order = min(s.order for s, _ in terms)
-        return _Series((), off, order, _sum, terms, order - off + 1,
-                       [s for s, _ in terms])
+        return _Series((), off, order, _sum,
+                       [(s, f, off - s.off) for s, f in terms],
+                       order - off + 1, [(s, off - s.off) for s, _ in terms])
 
     def __neg__(self):
         return self * -1.0
@@ -169,123 +131,176 @@ class _Series:
         if isinstance(v, _Series):
             return _s_mul(self, v)
         return _Series((), self.off, self.order, _scale, (self, v), self._n,
-                       (self,))
+                       ((self, 0),))
 
     __rmul__ = __mul__
 
 
+class _Pass:
+    """The roots' graph in topological order: fill(i) computes each node up
+    to the entries the first root's coefficient i reads, and write(j, value)
+    sets the leaf's coefficient j and drops each node's entries from the
+    first one it reaches, both by the index shifts d (plan)."""
+
+    def __init__(self, *roots, leaf=None):
+        self.roots, self.leaf, order = roots, leaf, []
+
+        def visit(node):
+            if node is not leaf and node not in order:
+                for s, _ in node._of:
+                    visit(s)
+                order.append(node)
+
+        for root in roots:
+            visit(root)
+        self._nodes = [s for s in order if s._rule]
+        self.plan(0)
+
+    def plan(self, j, fit=False):
+        """Drops for writes at the leaf's j, and fills; fit first sets each
+        product's factors' _z to the zeros they hold below the first entry
+        such a write reaches, and says whether every later j leaves them."""
+        reach, ahead, settled = {self.leaf: j}, dict.fromkeys(self.roots, 0), \
+            True
+        for node in self._nodes:
+            if fit and node._rule is _product:
+                for s, _ in node._of:
+                    lead = next((i for i, x in enumerate(s._v) if x != 0.0),
+                                len(s._v))
+                    s._z = min(lead, reach.get(s, math.inf))
+                    settled &= lead == s._z < len(s._v)
+                (a, _), (b, _) = node._of
+                node._of = (a, -b._z), (b, -a._z)
+            reach[node] = min(reach.get(s, math.inf) - d for s, d in node._of)
+        for node in reversed(self._nodes):
+            for s, d in node._of:
+                ahead[s] = max(ahead.get(s, -math.inf), ahead[node] + d)
+        self._fills = [(s, s._v, s._rule, s._n, ahead[s] + 1)
+                       for s in self._nodes]
+        self._drops = [(s._v, reach[s] - j) for s in self._nodes
+                       if reach[s] < math.inf]
+        return settled
+
+    def fill(self, i):
+        """The first root's coefficients, 0..i at least."""
+        for node, v, rule, n, ahead in self._fills:
+            top = i + ahead
+            for k in range(len(v), n if top > n else top):
+                v.append(rule(node, k))
+        return self.roots[0]._v
+
+    def write(self, j, value):
+        self.leaf._v[j] = value
+        for v, lag in self._drops:
+            del v[j + lag if j + lag > 0 else 0:]
+
+
 def _sum(node, k):
-    v, final = 0.0, True
-    for s, f in node._args:
-        i = k + node.off - s.off
-        if 0 <= i < s._n:
-            x = s._get(i)
-            v = v + (x if f is None else x * f)
-            if i >= s._nf:
-                final = False
-    return v, final
+    v = 0.0
+    for s, f, d in node._args:
+        if 0 <= k + d < s._n:
+            v = v + (s._v[k + d] if f is None else s._v[k + d] * f)
+    return v
 
 
 def _scale(node, k):
     a, v = node._args
-    return a._get(k) * v, k < a._nf
+    return a._v[k] * v
 
 
 def _product(node, k):
     a, b = node._args
     lo, hi = k - b._n + 1, k - b._z
     lo, hi = a._z if lo < a._z else lo, a._n - 1 if hi >= a._n else hi
-    if lo > hi:
-        return 0.0, True
-    av, bv = a._upto(hi), b._upto(k - lo)
-    terms = map(mul, av[lo:hi + 1], reversed(bv[k - hi:k - lo + 1]))
-    return reduce(add, terms, 0.0), hi < a._nf and k - lo < b._nf
+    v, bv, i = 0.0, b._v, k - lo
+    for x in a._v[lo:hi + 1]:
+        v = v + x * bv[i]
+        i -= 1
+    return v
 
 
 def _s_mul(a, b):
-    """Coefficient k sums a_i b_(k-i) over the first factor's i in
-    increasing order from +0.0.  A term left out is an exact zero, and a
-    sum from +0.0 never holds -0.0, so it has the bits of the sum over every
-    i: a monomial factor gives a shifted, scaled copy, a_i v + 0.0."""
+    """Coefficient k sums a_i b_(k-i) in increasing i from +0.0, past each
+    factor's leading zeros: an exact-zero term leaves such a sum as it is,
+    so a monomial factor gives a shifted, scaled copy, a_i v + 0.0."""
     off, order = a.off + b.off, min(a.order, b.order)
     if order < off:
         return _Series(np.zeros(1), order, order)
     return _Series((), off, order, _product, (a, b), order - off + 1,
-                   (a, b))
+                   ((a, 0), (b, 0)))
 
 
 def _ddt(node, k):
     a = node._args
-    if k >= a._n:
-        return 0.0, True
-    return a._get(k) * (a.off + k) * 0.5 + 0.0, k < a._nf
+    return a._v[k] * (a.off + k) * 0.5 + 0.0 if k < a._n else 0.0
 
 
 def _s_ddt(a, shift):
     """x^shift d/dt, d/dt = d/dx / (2x): the bits of the monomials x^shift
     and 1/(2x) times the x-derivative."""
     off = a.off - 2 + shift
-    return _Series((), off, a.order, _ddt, a, a.order - off + 1, (a,))
+    return _Series((), off, a.order, _ddt, a, a.order - off + 1, ((a, 0),))
 
 
-# rules on a series in u from u^0 on, with x = x0 + lam u
+# rules on a series in u from u^0 on, with x = x0 + lam u and (x0, lam) a
+# cell the step graph shares
 
 def _dx(node, k):
-    a, _, lam = node._args
-    return a._get(k + 1) * (k + 1) / lam, k + 1 < a._nf
+    a, (_, lam) = node._args
+    return a._v[k + 1] * (k + 1) / lam
 
 
 def _half_x(node, k):
-    a, x0, lam = node._args
-    v = x0 * a._get(k)
+    a, (x0, lam) = node._args
+    v = x0 * a._v[k]
     if k:
-        v = v + lam * a._get(k - 1)
-    return 0.5 * v, k < a._nf
+        v = v + lam * a._v[k - 1]
+    return 0.5 * v
 
 
 def _over_2x(node, k):
-    """q = a / 2x: 2 (x0 + lam u) q = a gives q_k = (a_k/2 - lam q_(k-1)) /
-    x0."""
-    a, x0, lam = node._args
-    v = 0.5 * a._get(k)
+    """q = a / 2x: q_k = (a_k / 2 - lam q_(k-1)) / x0, from 2 x q = a."""
+    a, (x0, lam) = node._args
+    v = 0.5 * a._v[k]
     if k:
-        v = v - lam * node._upto(k - 1)[k - 1]
-    return v / x0, k < a._nf
+        v = v - lam * node._v[k - 1]
+    return v / x0
 
 
-def _s_step(rule, a, x0, lam):
+def _s_step(rule, a, at):
     """d/dx (_dx), x/2 times (_half_x) or 1/2x times (_over_2x) a series in
     u, truncated at a's order, one less for d/dx."""
     order = a.order - 1 if rule is _dx else a.order
-    return _Series((), 0, order, rule, (a, x0, lam), order + 1, (a,))
+    return _Series((), 0, order, rule, (a, at), order + 1,
+                   ((a, int(rule is _dx)),))
 
 
 def _square_root(node, k):
     a, lead = node._args
-    w = a._get(lead + k) if lead + k < a._n else 0.0
-    final = lead + k >= a._n or lead + k < a._nf
+    w = a._v[lead + k] if lead + k < a._n else 0.0
     if k == 0:
-        return (np.sqrt(w) if isinstance(w, np.ndarray) else math.sqrt(w),
-                final)
-    y = node._upto(k - 1)
+        if not np.all(w > 0.0):
+            raise DerivationError(f"series sqrt needs a positive x^"
+                                  f"{a.off + lead}, the same for a batch")
+        return np.sqrt(w) if isinstance(w, np.ndarray) else math.sqrt(w)
+    y = node._v
     return (w - reduce(add, map(mul, y[1:k], reversed(y[1:k])), 0.0)) / (
-        2.0 * y[0]), final
+        2.0 * y[0])
 
 
 def _s_sqrt(a):
-    """Series square root, summed as a product is; the leading term must be
-    positive at an even exponent, the same for every series of a batch."""
-    live = (k for k in range(a._n) if np.any(np.abs(a._get(k)) > 1e-300))
+    """Series square root, summed as a product is, from a's first nonzero
+    term, which must lie at an even exponent: the rule refuses a leading
+    coefficient that is not positive whenever it is computed."""
+    fill = _Pass(a).fill
+    live = (k for k in range(a._n) if np.any(np.abs(fill(k)[k]) > 1e-300))
     lead = next(live, None)
-    if lead is None:
-        raise DerivationError("square root of a vanishing series")
-    e0 = a.off + lead
-    if e0 % 2 != 0 or not np.all(a._get(lead) > 0.0):
+    if lead is None or (a.off + lead) % 2:
         raise DerivationError(
-            "series sqrt needs a positive coefficient at an even exponent, "
-            f"the same for a batch, found exponent {e0}")
+            "series sqrt needs a nonzero series led by an even exponent")
+    e0 = a.off + lead
     return _Series((), e0 // 2, a.order, _square_root, (a, lead),
-                   a.order - e0 // 2 + 1, (a,))
+                   a.order - e0 // 2 + 1, ((a, lead),))
 
 
 # ---------------------------------------------------------------------------
@@ -362,23 +377,15 @@ def _residual_terms(equation_id, par, t, s, sp, spp):
 # ---------------------------------------------------------------------------
 # coefficient matching
 
-def _probe(r, values, j, probe, i):
-    """Residual coefficient i with the unknown values[j] at probe."""
-    values[j] = probe
-    _Series.clock += 1
-    return r._get(i)
-
-
-def _first_action(r, values, j, lo):
-    """(order index, root) where the unknown values[j] of r's leaf first
-    acts on r from index lo on, or None.  Each order is probed with it at
-    +1, -1 and 0 (where it is left), every later unknown at 0; it acts
-    where its linear or quadratic action exceeds _ACTION_TOL times the
-    largest of 1 and the three residuals.  Of two roots the smaller is
-    taken, or over a base residual that vanishes exactly up to that order
-    the larger (the zero branch's escape root)."""
-    for i in range(lo, r._n):
-        Rp, Rm, R0 = (_probe(r, values, j, p, i) for p in (1.0, -1.0, 0.0))
+def _first_action(p, j, lo):
+    """(order index, root) where the unknown j of p's leaf first acts on p's
+    residual from index lo on, or None.  Each order is probed with it at +1,
+    -1 and 0 (where it is left), every later unknown at 0; it acts where its
+    linear or quadratic action exceeds _ACTION_TOL times the largest of 1
+    and the three residuals.  Of two roots the smaller is taken, or over a
+    base residual that vanishes exactly up to that order the larger."""
+    for i in range(lo, p.roots[0]._n):
+        Rp, Rm, R0 = (p.write(j, v) or p.fill(i)[i] for v in (1., -1., 0.))
         beta = (Rp - Rm) / 2.0
         alpha = (Rp + Rm - 2.0 * R0) / 2.0
         # Python's max, from 1.0 on, skips a NaN
@@ -391,35 +398,31 @@ def _first_action(r, values, j, lo):
         return i, -R0 / beta
     disc = math.sqrt(max(beta * beta - 4.0 * alpha * R0, 0.0))
     r1, r2 = (-beta + disc) / (2.0 * alpha), (-beta - disc) / (2.0 * alpha)
-    peak = float(np.max(np.abs(
-        [_probe(r, values, j, 0.0, k) for k in range(i + 1)])))
+    peak = float(np.max(np.abs(p.roots[0]._v[:i + 1])))
     exact = peak < 1e-12 * max(1.0, peak)
     return i, r1 if (abs(r1) > abs(r2) if exact else abs(r1) < abs(r2)) else r2
 
 
 def _match_coefficients(equation_id, par, leading, order, pinned):
     """Derive x-coefficients 1..order from the leading data, one unknown at
-    a time in increasing order, on one residual series whose leaf's
-    coefficients turn final as they are found.  A resonant unknown takes
-    its pinned value; every other one solves the residual at the first
-    order where it acts (_first_action), from the order after the last
-    unknown's on (one acting no later would make that one resonant), or
-    stays 0.  Every coefficient of the residual is then checked."""
-    sig = _Series(np.zeros(order), 1, order)
-    values, sig._nf, sig._z = sig._v, 0, 0
-    for e, v in leading.items():
-        values[e - 1] = v
+    a time in increasing order.  A resonant unknown takes its pinned value;
+    every other one solves the residual at the first order where it acts
+    (_first_action), from the order after the last unknown's on (one acting
+    no later would make that one resonant), or stays 0.  Every coefficient
+    of the residual is then checked."""
+    sig = _Series([leading.get(e + 1, 0.0) for e in range(order)], 1, order)
     r = _residual_series(equation_id, par, sig)
-    last = -1                       # order index of the last action
+    p = _Pass(r, leaf=sig)
+    last, fitted = -1, False        # order index of the last action
     for j in range(order):
+        fitted = fitted or p.plan(j, fit=True)
         if j + 1 in pinned:
-            values[j] = pinned[j + 1]
+            p.write(j, pinned[j + 1])
         elif j + 1 not in leading:
-            action = _first_action(r, values, j, last + 1)
+            action = _first_action(p, j, last + 1)
             if action is not None:
-                last, values[j] = action
-        sig._nf += 1
-        _Series.clock += 1
+                last, root = action
+                p.write(j, root)
     c = r.c
     tail = c[:max(0, order - _TRUNCATED_TOP - r.off)]
     scale = max(1.0, float(np.max(np.abs(c))))
@@ -428,7 +431,7 @@ def _match_coefficients(equation_id, par, leading, order, pinned):
             f"series for {equation_id} {par} leaves residual "
             f"{np.max(np.abs(tail)):.2e} (scale {scale:.2e}); "
             "inconsistent leading data")
-    return np.array(values)
+    return np.array(sig._v)
 
 
 def _equation_setup(equation_id, params):
@@ -439,10 +442,7 @@ def _equation_setup(equation_id, params):
     (a, xi) with a in {0, 1}.  Exponents are in x = sqrt(t).
     The pinned orders are the resonances, where c_(e+1) acts on the
     residual no later than c_e, so that matching cannot determine c_e;
-    their values are closed forms, which the matcher takes as given.  The
-    test suite replays each derivation to check that the pinned orders are
-    exactly the resonant ones, and exercises each value against the
-    determinantal route.
+    their values are closed forms, which the matcher takes as given.
     """
     if equation_id not in _EQUATIONS:
         raise ArgumentError(f"unknown equation id {equation_id!r}")
@@ -503,6 +503,8 @@ class PainleveProblem:
     # on the same trajectory, the x-coefficients of the density numerators
     # (_numerator) of p2 from x^8 and of D_plus and D_minus from x^6
     _numerators: tuple = field(default=(), compare=False, repr=False)
+    # the Taylor-step graph of each row count, built at the first step
+    _steps: dict = field(default_factory=dict, compare=False, repr=False)
 
     def _series_component(self, t, component):
         """State component from the series layer at an array of t >= 0."""
@@ -780,47 +782,45 @@ def _taylor_step(problem, x0, lam, state):
     """One step from x0 with the state (sigma, sigma_x, sigma_xx, L[, I])
     there: (h, the (u-power, row) coefficients in u = (x - x0) / lam).
 
-    With x = x0 + lam u, sigma = sum c_k u^k takes c0, c1 and c2 from the
-    state.  c_k for k >= 3 acts on residual order k - 2 only through
-    (t sigma'')^2, no G reading sigma'', with the slope 2 (t sigma'')_0 k
-    (k - 1) / (4 lam^2): one residual coefficient each.  Where t sigma''
-    vanishes the two roots of the quadratic meet and no c_k acts: the
-    step keeps c0 + c1 u + c2 u^2, which solves the equation where G
-    vanishes with it (sigma == 0 at xi = 0, and sigma = -xi t / pi, the
-    one-term series of a tiny xi), and the defect check at its end refuses
-    it anywhere else.  h = lam rho _STEP_EPS^(1/P), rho the radius in u
-    that c_(P-1) and c_P show, and on the xi = 1 bulk trajectory the last
-    two of sqrt(sigma - t sigma'), so a step stays short of a zero of its
-    argument (a series with no such radius keeps lam)."""
+    sigma = sum c_k u^k takes c0, c1 and c2 from the state, written with x0
+    and lam into the problem's step graph; c_k for k >= 3 acts on residual
+    order k - 2 only through (t sigma'')^2, no G reading sigma'', with the
+    slope 2 (t sigma'')_0 k (k - 1) / (4 lam^2).  Where t sigma'' vanishes
+    no c_k acts: the step keeps c0 + c1 u + c2 u^2, which solves the
+    equation where G vanishes with it (sigma == 0 at xi = 0, sigma = -xi t /
+    pi at a tiny xi), and the defect check at its end refuses it anywhere
+    else.  h = lam rho _STEP_EPS^(1/P), rho the radius in u that c_(P-1)
+    and c_P show, and on the xi = 1 bulk trajectory the last two of
+    sqrt(sigma - t sigma'), so a step stays short of a zero of its argument
+    (no radius keeps lam)."""
     s0, sx0, sxx0 = state[:3]
-    c = _Series(np.zeros(_STEP_ORDER + 1), 0, _STEP_ORDER)
-    values = c._v
-    values[:3] = [s0, lam * sx0, 0.5 * lam * lam * sxx0]
-    c._nf = 3
-    sx = _s_step(_dx, c, x0, lam)               # d sigma / dx
-    dsdt = _s_step(_over_2x, sx, x0, lam)       # sigma' = sigma_x / 2x
-    dspdx = _s_step(_dx, dsdt, x0, lam)
-    t_spp = _s_step(_half_x, dspdx, x0, lam)    # t sigma'' = x/2 dsigma'/dx
-    tsp = _s_step(_half_x, sx, x0, lam)         # t sigma' = x sigma_x / 2
-    r = _residual(problem.equation_id, problem._par, c, tsp, dsdt, t_spp)
-    lead = t_spp._get(0)
+    leaf = [s0, lam * sx0, 0.5 * lam * lam * sxx0] + [0.0] * (_STEP_ORDER - 2)
+    n = len(state)
+    if n not in problem._steps:     # a square root takes its lead from leaf
+        at, c = [x0, lam], _Series(leaf, 0, _STEP_ORDER)
+        sx = _s_step(_dx, c, at)                # d sigma / dx
+        dsdt = _s_step(_over_2x, sx, at)        # sigma' = sigma_x / 2x
+        t_spp = _s_step(_half_x, _s_step(_dx, dsdt, at), at)  # t sigma''
+        tsp = _s_step(_half_x, sx, at)          # t sigma' = x sigma_x / 2
+        rows = [c, sx, _s_step(_dx, sx, at), _s_step(_over_2x, c, at)]
+        if n > _ROOT_INTEGRAL:                  # sqrt(sigma - t sigma') / 2x
+            rows.append(_s_step(_over_2x, _s_sqrt(c - tsp), at))
+        r = _residual(problem.equation_id, problem._par, c, tsp, dsdt, t_spp)
+        problem._steps[n] = at, c, t_spp, _Pass(r, leaf=c), _Pass(*rows,
+                                                                 leaf=c)
+    at, c, t_spp, p, filled = problem._steps[n]
+    at[:], c._v[:] = (x0, lam), leaf
+    for v, _ in p._drops + filled._drops:
+        del v[:]
+    lead = p.fill(0) and t_spp._v[0]
     # t sigma'' = (sigma_xx - sigma_x / x) / 4; zero to _ACTION_TOL of its
     # terms, no c_k acts, and the step keeps the quadratic
     if abs(lead) > _ACTION_TOL * 0.25 * (abs(sxx0) + abs(sx0 / x0)):
         slope = lead / (2.0 * lam * lam)
         for k in range(3, _STEP_ORDER + 1):
-            values[k] = -r._get(k - 2) / (slope * (k * (k - 1)))
-            c._nf += 1
-            _Series.clock += 1
-    c._nf = _STEP_ORDER + 1
-    _Series.clock += 1
-    rows = [c, sx, _s_step(_dx, sx, x0, lam),
-            _s_step(_over_2x, c, x0, lam)]      # sigma_xx and sigma / 2x
-    radial = [values]
-    if len(state) > _ROOT_INTEGRAL:
-        root = _s_sqrt(c - tsp)
-        rows.append(_s_step(_over_2x, root, x0, lam))
-        radial.append(root.c)
+            p.write(k, -p.fill(k - 2)[k - 2] / (slope * (k * (k - 1))))
+    filled.fill(_STEP_ORDER)
+    radial = [c._v] + [row._args[0]._v for row in filled.roots[4:]]
     top = max(abs(v[k]) ** (1.0 / k) for v in radial
               for k in (len(v) - 2, len(v) - 1))
     h = lam if top == 0.0 else lam * _STEP_EPS ** (1.0 / _STEP_ORDER) / top
@@ -829,8 +829,8 @@ def _taylor_step(problem, x0, lam, state):
             f"Taylor step of {problem.equation_id} {problem.params} at "
             f"t={x0 * x0:.6g} is {h:.3g}")
     coef = np.zeros((len(state), _STEP_ORDER + 1))
-    for row, series in zip(coef, rows):
-        row[:series._n] = series.c
+    for row, series in zip(coef, filled.roots):
+        row[:series._n] = series._v
     # int sigma/t dt = int 4 (sigma / 2x) dx, its u^(k+1) 4 lam q_k / (k + 1)
     for row, v in zip(coef[3:], state[3:]):
         row[1:] = 4.0 * lam * row[:-1] / np.arange(1, _STEP_ORDER + 1)

@@ -1,4 +1,5 @@
-"""tools/bench_layers.py: the counts it writes for a cold det-tables round."""
+"""tools/bench_layers.py: the counts it writes for cold det-tables and
+ode-tables rounds."""
 
 import json
 import subprocess
@@ -21,6 +22,24 @@ def test_det_tables_counts(tmp_path):
     assert (counts["newton_runs"], counts["rules_computed"]) == (1, 24)
     assert (counts["matrices_solved"], counts["nodes"]) == (192, 5832)
     assert counts["solves"] == 192
+    run_s = figures["run_s"]
+    assert len(run_s["rounds"]) == 2
+    assert run_s["q1"] <= run_s["median"] <= run_s["q3"]
+
+
+def test_ode_tables_counts(tmp_path):
+    # 9 commands from cold caches: the bulk (xi = 1) and conditioned-origin
+    # series are derived and integrated once each, in 20 Taylor steps, and
+    # the counting round times the derivations and the steps
+    subprocess.run([sys.executable, str(ROOT / "tools" / "bench_layers.py"),
+                    "--workload", "ode-tables", "--rounds", "2",
+                    "--out", str(tmp_path)], check=True,
+                   stdout=subprocess.DEVNULL)
+    figures = json.loads((tmp_path / "BENCH_ode-tables.json").read_text())
+    assert figures["counts"] == {"derivations": 2, "integrations": 2,
+                                 "taylor_steps": 20}
+    assert set(figures["layer_s"]) == {"derivations", "taylor_steps"}
+    assert all(s > 0.0 for s in figures["layer_s"].values())
     run_s = figures["run_s"]
     assert len(run_s["rounds"]) == 2
     assert run_s["q1"] <= run_s["median"] <= run_s["q3"]

@@ -10,6 +10,7 @@ import pytest
 from spacing_lab import (
     ArgumentError,
     ConsistencyError,
+    DerivationError,
     Interval,
     NumericError,
     UnsupportedError,
@@ -837,6 +838,75 @@ class TestProblemMemo:
         assert np.array_equal(again.x_coefficients, problem.x_coefficients)
 
 
+class TestStepDigests:
+    """SHA-256 of grid, _pieces and _end of each trajectory verify
+    integrates, cold, recorded on the relaxed-series steps before the
+    series engine became eager."""
+
+    TRAJECTORIES = [
+        (SIGMA_JMMS, (1.0,), 40.0, 30, (
+            "4830570d37a98ddc93a8732fc5b85f66c2ac2ae94bd40500d56e37eb9732d7dd",
+            "52b2dd578b9a2b024e933b7b47ced54566c2521cb1a4ec5576029235bdc306ce",
+            "654f07c56ca8b0a4c7fa9e70afd8851afd57421dd5dd9d35b9b49adb90232fbe")),
+        (SIGMA_NN, (1.0, 1.0), 8.0 * math.pi, 11, (
+            "3e44ad18ab554037b699db5a8fced3511c86eaac511c69e8460175e48539d67b",
+            "65cc0fd04c455b3eee11b2bf7c3ca90f1bc58bbe17f210851f86323da24b62ea",
+            "28605719e01a98e7cdbd3ff2e392898fa9517a917159c99e8b2e4b6befecddf8")),
+        (SIGMA_HARD, (-0.5, 0.0, 1.0), 4.0 * math.pi ** 2, 6, (
+            "c3d8c73d264d6e88fb1bdddc7389925249f955e02a9e23461f77a33b98d20fed",
+            "f9571df47c970ea85ace8d6766748cd32389721e61f68ef6b7fc51d9db691e9e",
+            "616ef1fbeeedbdfb4ffff6a99ddda38369c30974b99ad35f9c1cb17cbb2ff570")),
+        (SIGMA_HARD, (-0.5, 2.0, 1.0), 4.0 * math.pi ** 2, 7, (
+            "ec0c9c235fbfaebac6b8234b2c9f851737bbac9f295f42958b3f8047d1444f90",
+            "a806ff4c2fbaab70037c7841cd8fcca3a8af7bb5f5b7ffd2a1ee5f68b9d1a029",
+            "69169e423e54b0b3aa8f11050afa45609247d228e61f680f2cbaeb3fb69979e2")),
+        (SIGMA_HARD, (0.5, 0.0, 1.0), 4.0 * math.pi ** 2, 7, (
+            "5e8465f4c08526b7f340c072eca6f1b0832525ce07152a3bf9cd0c8191716d0a",
+            "1938b808dc805a69e0ed7534f57c50c479d1241bfb3a7fe5009131dab3d40b1c",
+            "1ed82a3a2fc0e5866437b9fc9d87100e69f77f02759295d66f419a5ac068ff7b")),
+        (SIGMA_HARD, (0.5, 2.0, 1.0), 4.0 * math.pi ** 2, 6, (
+            "f15deea716799ccb8979c3ef98c6b082bc7aa21c8c1d4f8f78d674d103fae7a3",
+            "e0b86f02fe763f34eba3f229b2f171dc330e15373743930b8d002c74193a6956",
+            "ae81b38dd4279aab1e2771aa7a1b62e195bd77e3c358437c2f3d79c562b0ffc9")),
+    ]
+
+    @pytest.mark.parametrize("eq,params,t_max,steps,digests", TRAJECTORIES,
+                             ids=[f"{e}{p}" for e, p, *_ in TRAJECTORIES])
+    def test_steps_unchanged(self, eq, params, t_max, steps, digests):
+        painleve.clear_cache()
+        solution = integrate(build_problem(eq, params), t_max)
+        assert len(solution.grid) == steps + 1
+        got = tuple(hashlib.sha256(np.asarray(a, dtype=float).tobytes())
+                    .hexdigest() for a in (solution.grid, solution._pieces,
+                                           solution._end))
+        assert got == digests
+
+    def test_bulk_steps_through_the_crossing(self):
+        # the drifted t sigma'' of the xi = 1 bulk trajectory crosses zero
+        # at t = 38.21, where 15 steps shrink to 7.7e-6 in x and grow back
+        painleve.clear_cache()
+        grid = integrate(build_problem(SIGMA_JMMS, (1.0,)), 40.0).grid
+        assert np.count_nonzero((grid > 38.2) & (grid < 39.2)) == 15
+        assert np.min(np.diff(np.sqrt(grid))) < 1e-5
+
+
+class TestSmallXiEdge:
+    # below xi of about 1e-9 a linear action falls under _ACTION_TOL: at
+    # 1e-9 the a = 1/2 hard-edge series is still derived, at 1e-10 the tail
+    # check refuses what is left of it
+    DIGEST = "e3a243873776a9ac52f37aa60f4af6cfdd473885c678b76a99cac0a64c9f4e9c"
+
+    def test_derived_at_1e_9(self):
+        painleve.clear_cache()
+        coeffs = build_problem(SIGMA_HARD, (0.5, 0.0, 1e-9)).x_coefficients
+        assert hashlib.sha256(coeffs.tobytes()).hexdigest() == self.DIGEST
+
+    def test_refused_at_1e_10(self):
+        painleve.clear_cache()
+        with pytest.raises(DerivationError, match="series tail"):
+            build_problem(SIGMA_HARD, (0.5, 0.0, 1e-10))
+
+
 def _first_action_loop(c):
     # where the unknown that rows 1 and 2 of c probe first acts, order by
     # order in Python floats: (index, beta, alpha), or None
@@ -993,15 +1063,14 @@ class TestFirstActions:
                                (0.0, np.nextafter(tol, 1.0), True),
                                (3.0, 2.0 * tol, False), (3.0, 4.0 * tol, True)):
             leaf = painleve._Series(np.zeros(4), 0, 3)
-            values, leaf._nf, leaf._z = leaf._v, 0, 0      # none final
-            r = leaf * a + const
-            assert painleve._first_action(r, values, 0, 1) is None
-            got = painleve._first_action(r, values, 0, 0)
+            p = painleve._Pass(leaf * a + const, leaf=leaf)
+            assert painleve._first_action(p, 0, 1) is None
+            got = painleve._first_action(p, 0, 0)
             assert (got is not None) == acts
             if acts:
                 assert got[0] == 0
                 assert got[1] == pytest.approx(-const / a, rel=1e-6)
-            assert values == [0.0] * 4
+            assert leaf._v == [0.0] * 4
 
     def test_full_residual_once_and_quadratic_work(self, monkeypatch):
         # the a = -1/2, mu = 2 hard-edge series reads every coefficient of
@@ -1054,8 +1123,8 @@ class TestReferenceMatcher:
         # the silent ones, and coefficients within 1e-14 relative
         actions, first = [], painleve._first_action
 
-        def recorded(r, values, j, lo):
-            action = first(r, values, j, lo)
+        def recorded(p, j, lo):
+            action = first(p, j, lo)
             actions.append((j + 1, None if action is None else action[0]))
             return action
 

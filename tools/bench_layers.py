@@ -1,20 +1,26 @@
-"""Layer figures of the det-tables and verify-suite benchmark workloads.
+"""Layer figures of the det-tables, ode-tables and verify-suite benchmark
+workloads.
 
     python3 tools/bench_layers.py [--rounds 11] [--root .] [--out .]
 
 Each round runs the commands of one workload, as bench/workloads.py builds
 them, through spacing_lab.cli.main in a fresh interpreter with one BLAS
-thread, importing spacing_lab from ROOT/src, so the Gauss rule cache starts
-cold as it does for a command-line user.  One more round per workload
-counts the work of the determinant layers instead of timing it.  The
-script writes BENCH_<workload>.json into OUT with
+thread, importing spacing_lab from ROOT/src, so the Gauss rule cache and
+the Painleve caches start cold as they do for a command-line user.  One
+more round per workload counts the work of the determinant and ODE layers
+instead of timing the commands.  The script writes BENCH_<workload>.json
+into OUT with
 
 * run_s: the median and quartiles of the commands' wall time over the
   timed rounds, and each round's figure;
 * counts, which machine load cannot move: Newton runs and the reference
   rules they computed, LAPACK solves (one eigvalsh for a spectrum, one det
-  and one inverse for a stack of density matrices), and the Nystrom
-  matrices solved and their nodes.
+  and one inverse for a stack of density matrices), the Nystrom matrices
+  solved and their nodes, boundary-series derivations, integrations and
+  Taylor steps (each _taylor_step call, those that extend a trajectory
+  included);
+* layer_s: the seconds the counting round spent inside the series
+  derivation (_derive_problem) and the Taylor steps (_taylor_step).
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from pathlib import Path
 import numpy
 
 TOOLS = Path(__file__).resolve().parent
-WORKLOADS = ("det-tables", "verify-suite")
+WORKLOADS = ("det-tables", "ode-tables", "verify-suite")
 CHILD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
              "MKL_NUM_THREADS": "1", "PYTHONDONTWRITEBYTECODE": "1"}
 
@@ -62,9 +68,27 @@ def _count_solver(counts, fn, matrices):
     _replace(fn, counted)
 
 
-def _install_counters(counts):
-    """Count Newton runs, rules, solves, matrices and nodes."""
-    from spacing_lab import fredholm, quadrature
+def _count_calls(counts, fn, key, seconds=None):
+    """fn counting its calls, and timing them into seconds[key]."""
+    def counted(*args):
+        counts[key] += 1
+        start = time.perf_counter()
+        try:
+            return fn(*args)
+        finally:
+            if seconds is not None:
+                seconds[key] += time.perf_counter() - start
+    _replace(fn, counted)
+
+
+def _install_counters(counts, seconds):
+    """Count Newton runs, rules, solves, matrices and nodes, derivations,
+    integrations and Taylor steps; time the derivations and the steps."""
+    from spacing_lab import fredholm, painleve, quadrature
+
+    _count_calls(counts, painleve._derive_problem, "derivations", seconds)
+    _count_calls(counts, painleve.integrate, "integrations")
+    _count_calls(counts, painleve._taylor_step, "taylor_steps", seconds)
 
     _count_solver(counts, quadrature.nystrom_spectrum,
                   lambda kernel, interval, n: (n, int(interval.length > 0.0)))
@@ -84,9 +108,9 @@ def child(spec_path: str) -> int:
     spec = json.loads(Path(spec_path).read_text(encoding="utf-8"))
     from spacing_lab import cli
 
-    counts = Counter()
+    counts, seconds = Counter(), Counter()
     if spec["count"]:
-        _install_counters(counts)
+        _install_counters(counts, seconds)
     exits = []
     start = time.perf_counter()
     for argv in spec["commands"]:
@@ -94,7 +118,8 @@ def child(spec_path: str) -> int:
             exits.append(cli.main(argv))
     run_s = time.perf_counter() - start
     Path(spec["result"]).write_text(json.dumps(
-        {"run_s": run_s, "exits": exits, "counts": dict(counts)}),
+        {"run_s": run_s, "exits": exits, "counts": dict(counts),
+         "layer_s": dict(seconds)}),
         encoding="utf-8")
     return 0
 
@@ -132,6 +157,7 @@ def measure(root: Path, workload: str, rounds: int) -> dict:
             "run_s": {"median": median, "q1": q1, "q3": q3,
                       "rounds": run_s},
             "counts": counted["counts"],
+            "layer_s": counted["layer_s"],
             "machine": {"python": platform.python_version(),
                         "numpy": numpy.__version__,
                         "cpus": os.cpu_count()}}
@@ -144,7 +170,7 @@ def main(argv=None) -> int:
                         help="source checkout whose src/ and bench/ run")
     parser.add_argument("--out", type=Path, default=Path("."))
     parser.add_argument("--workload", choices=WORKLOADS, action="append",
-                        help="one workload (repeatable); default both")
+                        help="one workload (repeatable); default all")
     parser.add_argument("--child", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
