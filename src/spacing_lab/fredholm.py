@@ -8,10 +8,13 @@ the ground truth.
 
 The evaluators of s (E2, E1, E4, Enn, En and the spacing densities p1, p2,
 p4, p1(1; s) and the conditioned nearest-neighbour density) take a float
-or an array of s, as points.on_points sets out.  A call runs all its
-points together, in node-doubling rounds (_node_doubling): the first two
-Gauss rules of every point, which each point always solves on, come from
-one Newton run, and so do a later round's.  The densities solve the
+or an array of s, as points.on_points sets out, and every density obeys
+points.on_density.  E1, E4, p1, p4 and p1(1; s) are the parity identities
+of points.PARITY_IDENTITIES, on the even and odd determinants and their
+second derivatives (_parities).  A call runs all its points together, in
+node-doubling rounds (_node_doubling): the first two Gauss rules of every
+point, which each point always solves on, come from one Newton run, and so
+do a later round's.  The densities solve the
 points that share a rule size as one stack of at most _STACK_BYTES per
 matrix array, by one det and one inverse (_det_jet_stack).  The gap
 probabilities solve one point and one matrix at a time
@@ -51,7 +54,7 @@ import numpy as np
 from . import kernels
 from .csvio import write_csv
 from .errors import ArgumentError, NumericError, UnsupportedError
-from .points import on_points
+from .points import from_parities, on_density, on_points
 from .quadrature import (FredholmSpectrum, Interval, _prepare_rules,
                          gauss_legendre, nystrom_spectrum)
 
@@ -285,10 +288,19 @@ def e2_bulk_det(s):
                                              _symmetric(v / 2.0)))
 
 
+def _parities(x: np.ndarray, order: int, signs) -> list:
+    """D_sign of the sine kernel on (-x, x), or D_sign'' at order 2, at
+    each x of a 1-D array for each sign asked for (points.from_parities),
+    from the spectra or Jacobi jets of that sign's parity kernel alone."""
+    kernel = {1: kernels.sine_even, -1: kernels.sine_odd}
+    if order == 0:
+        return [_dets(kernel[sign](), _symmetric(x)) for sign in signs]
+    return [_det_jets(kernel[sign](), x, 2)[:, 2] for sign in signs]
+
+
 def e1_bulk_det(s):
     """E1(0; (-s, s)) = D_plus(s): only the even spectrum is built."""
-    return on_points(s, 1.0, lambda v: _dets(kernels.sine_even(),
-                                             _symmetric(v)))
+    return from_parities("E1", s, _parities)
 
 
 def e4_bulk_det(s):
@@ -298,9 +310,7 @@ def e4_bulk_det(s):
     symplectic ensemble corresponds to a length-2s parity-constrained gap
     of the orthogonal one.
     """
-    return on_points(s, 1.0, lambda v: 0.5 * (
-        _dets(kernels.sine_even(), _symmetric(v))
-        + _dets(kernels.sine_odd(), _symmetric(v))))
+    return from_parities("E4", s, _parities)
 
 
 def enn_det(s):
@@ -365,65 +375,37 @@ def _det_jets(kernel_spec, half: np.ndarray, order: int) -> np.ndarray:
     ).reshape(-1, order + 1)
 
 
-def _parity_jets(half: np.ndarray):
-    """(D, D', D'') of the even and of the odd sine kernel on (-x, x), each
-    a tuple of arrays over the x of a 1-D array."""
-    return (tuple(_det_jets(kernels.sine_even(), half, 2).T),
-            tuple(_det_jets(kernels.sine_odd(), half, 2).T))
-
-
-def _density(s, fn):
-    """on_points(s, 0.0, fn) for a density.  A negative value lies below
-    the determinant's absolute accuracy, where its sign is noise, and
-    raises NumericError."""
-    def checked(v):
-        values = fn(v)
-        bad = np.flatnonzero(values < 0.0)
-        if len(bad):
-            at, value = float(v[bad[0]]), float(values[bad[0]])
-            raise NumericError(
-                f"density {value:.3g} at s = {at:g} is negative: below the "
-                "determinant's absolute accuracy",
-                context={"s": at, "value": value})
-        return values
-    return on_points(s, 0.0, checked)
-
-
 def p1_det(s):
-    """p1(0; s) = d^2/ds^2 D_plus(s/2) = D_plus''(s/2) / 4."""
-    return _density(s, lambda v: 0.25 * _det_jets(
-        kernels.sine_even(), v / 2.0, 2)[:, 2])
+    """p1(0; s) = d^2/ds^2 D_plus(s/2) = D_plus''(s/2) / 4: only the even
+    jets are solved."""
+    return from_parities("p1", s, _parities)
 
 
 def p2_det(s):
     """p2(0; s) = d^2/ds^2 E2(0; s), with E2(0; s) = D_plus D_minus (s/2)."""
     def density(v):
-        (dp, dp1, dp2), (dm, dm1, dm2) = _parity_jets(v / 2.0)
+        (dp, dp1, dp2), (dm, dm1, dm2) = (
+            _det_jets(kernel, v / 2.0, 2).T
+            for kernel in (kernels.sine_even(), kernels.sine_odd()))
         return 0.25 * (dp2 * dm + 2.0 * dp1 * dm1 + dp * dm2)
-    return _density(s, density)
+    return on_density(s, density)
 
 
 def p4_det(s):
     """p4(0; s) = d^2/ds^2 E4(0; s) = (D_plus'' + D_minus'')(s) / 2."""
-    def density(v):
-        (_, _, dp2), (_, _, dm2) = _parity_jets(v)
-        return 0.5 * (dp2 + dm2)
-    return _density(s, density)
+    return from_parities("p4", s, _parities)
 
 
 def p1_gap1_det(s):
     """Next-nearest beta=1 density p1(1; s) = d^2/ds^2 [2 E1(0;s) + E1(1;s)],
     the second derivative of D_plus(s/2) + D_minus(s/2) = 2 E4(0; s/2)."""
-    def density(v):
-        (_, _, dp2), (_, _, dm2) = _parity_jets(v / 2.0)
-        return 0.25 * (dp2 + dm2)
-    return _density(s, density)
+    return from_parities("p1gap", s, _parities)
 
 
 def p2_nn_det(s):
     """Nearest-neighbour density about a conditioned eigenvalue, -d/ds of
     enn_det."""
-    return _density(s, lambda v: -_det_jets(
+    return on_density(s, lambda v: -_det_jets(
         kernels.spectrum_singularity(), v, 1)[:, 1])
 
 

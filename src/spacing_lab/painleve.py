@@ -31,7 +31,11 @@ defect).  Three layers:
 3. evaluators: E and p compositions with frozen argument calibrations
    (upper limit pi*s for the bulk two-point gap, 2*pi*s for the parity
    determinants on (-s, s) and the conditioned nearest-neighbour gap, the
-   hard-edge variable used as is).  Each takes a float or an array of s;
+   hard-edge variable used as is).  E1, E4, p1, p4 and p1(1; s) are
+   points.PARITY_IDENTITIES on the parity determinants and their second
+   derivatives, which the bulk trajectory supplies (_gaudin_parities) and,
+   for verify, the hard-edge transcendents (_hard_parities); every density
+   obeys points.on_density.  Each takes a float or an array of s;
    an array is served by one trajectory fetch, one series evaluation and
    one dense-output pass, and gets the floats a loop of scalar calls would
    get.
@@ -48,7 +52,7 @@ import numpy as np
 
 from .errors import (ArgumentError, ConsistencyError, DerivationError,
                      StiffnessError, UnsupportedError)
-from .points import on_points
+from .points import from_parities, on_density, on_points
 
 SIGMA_JMMS = "SIGMA_JMMS"  # bulk two-point generating sigma, params (xi,)
 SIGMA_HARD = "SIGMA_HARD"  # hard-edge sigma, params (a, mu, xi)
@@ -924,7 +928,7 @@ def p2_nn(s):
         sol = _solution(SIGMA_NN, (1.0, 1.0), T)
         return -sol.sigma_at(T) / v * _exp(sol.log_integral_at(T))
 
-    return on_points(s, 0.0, density)
+    return on_density(s, density)
 
 
 # Up to this t the densities take their numerator, T^2 G''/G for G =
@@ -970,32 +974,29 @@ def p2_direct(s):
         num[low] = _numerator_sum(sol.problem._numerators[0], 8, T[low])
         return num / (v * v) * _exp(L)
 
-    return on_points(s, 0.0, density)
+    return on_density(s, density)
 
 
-# The parity determinants D_plus and D_minus of the sine kernel on (-x, x)
-# from the bulk trajectory by Gaudin's relation: with T = 2 pi x, L its
-# log-integral and I = int_0^T R/t dt, R = sqrt(sigma - t sigma'),
-#     log D_pm(x) = (L -/+ I) / 2 = (1/2) int_0^T u_pm/t dt,  u_pm = sigma -/+ R.
-# E1 = D_plus(s), E4 = (D_plus + D_minus)(s) / 2, and the densities are
-# second x-derivatives D'' = D (2 pi / T)^2 (u^2/4 + (T u' - u)/2).
+# The parity determinants of the sine kernel on (-x, x), D_plus (sign 1)
+# and D_minus (sign -1), from the bulk trajectory by Gaudin's relation: with
+# T = 2 pi x, L its log-integral and I = int_0^T R/t dt, R = sqrt(sigma -
+# t sigma'),
+#     log D(x) = (L - sign I) / 2 = (1/2) int_0^T u/t dt,  u = sigma - sign R,
+# and D'' = D (2 pi / T)^2 (u^2/4 + (T u' - u)/2) in x.
 
-def _parity_gaps(x):
-    """(D_plus, D_minus) at each x of an array."""
-    T = 2.0 * math.pi * x
-    L, I = _solution(*_GAUDIN, T)._state(T, (3, _ROOT_INTEGRAL))
-    return _exp(0.5 * (L - I)), _exp(0.5 * (L + I))
-
-
-def _parity_seconds(x):
-    """(D_plus'', D_minus'') at each x of an array.  Past _SERIES_DENSITY_T
-    they come from one dense-output pass; up to it, from the series of
-    sigma and R, L and I included, which keeps the digits that p4 and p1gap
-    lose where D_plus'' and D_minus'' cancel.  The numerators are summed
-    from x^6 on: the x^4 terms of u_plus^2/4 and (T u_plus' - u_plus)/2
-    cancel, and u_minus is O(T^3) though sigma and R are O(T)."""
+def _gaudin_parities(x, order, signs):
+    """D_sign, or D_sign'' at order 2, at each x of an array for each sign
+    asked for (points.from_parities).  Past _SERIES_DENSITY_T the second
+    derivatives come from one dense-output pass; up to it, from the series
+    of sigma and R, L and I included, which keeps the digits that p4 and
+    p1gap lose where D_plus'' and D_minus'' cancel.  The numerators are
+    summed from x^6 on: the x^4 terms of u_plus^2/4 and (T u_plus' -
+    u_plus)/2 cancel, and u_minus is O(T^3) though sigma and R are O(T)."""
     T = 2.0 * math.pi * x
     sol = _solution(*_GAUDIN, T)
+    if order == 0:
+        L, I = sol._state(T, (3, _ROOT_INTEGRAL))
+        return [_exp(0.5 * (L - sign * I)) for sign in signs]
     problem = sol.problem
     low = T <= _SERIES_DENSITY_T
     high = ~low
@@ -1009,51 +1010,37 @@ def _parity_seconds(x):
     R = np.sqrt(-A)
     dR = -t * t * spp / (2.0 * R) - R     # T R' - R, with R' = -T sigma''/2R
     seconds = []
-    for sign, c in zip((-1.0, 1.0), problem._numerators[1:]):
+    for sign in signs:
         num = np.empty(T.shape)
-        u = sigma + sign * R
-        num[high] = 0.25 * u * u + 0.5 * (A + sign * dR)
-        num[low] = _numerator_sum(c, 6, T[low])
-        seconds.append(_exp(0.5 * (L + sign * I))
+        u = sigma - sign * R
+        num[high] = 0.25 * u * u + 0.5 * (A - sign * dR)
+        num[low] = _numerator_sum(problem._numerators[1 if sign > 0 else 2],
+                                  6, T[low])
+        seconds.append(_exp(0.5 * (L - sign * I))
                        * (2.0 * math.pi / T) ** 2 * num)
-    return tuple(seconds)
+    return seconds
 
 
 def e1_bulk(s):
     """E1(0; (-s, s)) = D_plus(s), by Gaudin's relation on the bulk
     trajectory."""
-    return on_points(s, 1.0, lambda v: _parity_gaps(v)[0])
+    return from_parities("E1", s, _gaudin_parities)
 
 
 def e4_bulk(s):
     """E4(0; (-s/2, s/2)) = (D_plus(s) + D_minus(s)) / 2: a length-s gap of
     the symplectic ensemble is a length-2s parity gap of the orthogonal one."""
-    def average(v):
-        plus, minus = _parity_gaps(v)
-        return 0.5 * (plus + minus)
-
-    return on_points(s, 1.0, average)
+    return from_parities("E4", s, _gaudin_parities)
 
 
 def p1_direct(s):
     """Spacing density p1(0; s) = D_plus''(s/2) / 4."""
-    return on_points(s, 0.0, lambda v: 0.25 * _parity_seconds(v / 2.0)[0])
+    return from_parities("p1", s, _gaudin_parities)
 
 
 def p4_direct(s):
     """Spacing density p4(0; s) = (D_plus'' + D_minus'')(s) / 2."""
-    def density(v):
-        plus, minus = _parity_seconds(v)
-        value = 0.5 * (plus + minus)
-        negative = value < -1e-9
-        if negative.any():
-            raise ConsistencyError(
-                "p4 composition produced a negative density",
-                context={"s": float(v[negative][0]),
-                         "value": float(value[negative][0])})
-        return np.where(value < 0.0, 0.0, value)
-
-    return on_points(s, 0.0, density)
+    return from_parities("p4", s, _gaudin_parities)
 
 
 def p1_gap1(s):
@@ -1062,67 +1049,36 @@ def p1_gap1(s):
     p1(1; s) = d^2/ds^2 [2 E1(0;s) + E1(1;s)] = (D_plus'' + D_minus'')(s/2)
     / 4 through the parity identities.
     """
-    def density(v):
-        plus, minus = _parity_seconds(v / 2.0)
-        return 0.25 * (plus + minus)
-
-    return on_points(s, 0.0, density)
+    return from_parities("p1gap", s, _gaudin_parities)
 
 
-# The same five columns from the hard-edge transcendents, which verify
-# compares with the determinants so that SIGMA_HARD stays checked.
+# The parity determinants from the hard-edge transcendents, an independent
+# route to the same five quantities, which verify compares with the
+# determinants so that SIGMA_HARD stays checked.
 
-def _e1_hard(s):
-    """E1(0; (-s, s)) through the hard-edge a=-1/2 transcendent."""
-    return on_points(
-        s, 1.0, lambda v: e2_hard(_squared(math.pi * v), -0.5))
-
-
-def _e4_hard(s):
-    """E4(0; (-s/2, s/2)) as the average of the two hard-edge exponentials."""
-    def average(v):
-        t = _squared(math.pi * v)
-        return 0.5 * (e2_hard(t, -0.5) + e2_hard(t, 0.5))
-
-    return on_points(s, 1.0, average)
+def _hard_parities(x, order, signs):
+    """D_sign, or D_sign'' at order 2, at each x of an array for each sign
+    asked for (points.from_parities), from the hard-edge transcendents at
+    a = -sign/2 and T = (pi x)^2, integrated only for those signs: D =
+    exp int_0^T sigma/t dt at mu = 0, and with sigma and L = int_0^T
+    sigma/t dt at mu = 2, D_plus'' = -(4 sigma / x) e^L and D_minus'' =
+    -(4 pi^2 x / 3)(sigma + 1) e^L."""
+    T = _squared(math.pi * x)
+    if order == 0:
+        return [e2_hard(T, -0.5 * sign) for sign in signs]
+    seconds = []
+    for sign in signs:
+        sol = _solution(SIGMA_HARD, (-0.5 * sign, 2.0, 1.0), T)
+        sigma = sol.sigma_at(T)
+        lead = (-4.0 * sigma / x if sign > 0
+                else -(4.0 * math.pi ** 2 * x / 3.0) * (sigma + 1.0))
+        seconds.append(lead * _exp(sol.log_integral_at(T)))
+    return seconds
 
 
 def _p1_hard(s):
-    """p1(0; s) = -(2 sigma(T) / s) exp int_0^T sigma/t dt with T = (pi s /
-    2)^2 and sigma the hard-edge transcendent at a = -1/2, mu = 2, xi = 1."""
-    def density(v):
-        T = _squared(math.pi * v / 2.0)
-        sol = _solution(SIGMA_HARD, (-0.5, 2.0, 1.0), T)
-        return -2.0 * sol.sigma_at(T) / v * _exp(sol.log_integral_at(T))
-
-    return on_points(s, 0.0, density)
-
-
-def _dminus_second(u):
-    """Second derivative of the odd-parity determinant profile at u.
-
-    -(4 pi^2 u / 3)(sigma(T) + 1) exp int_0^T sigma/t dt with T = (pi u)^2
-    and sigma the hard-edge transcendent at a = 1/2, mu = 2, xi = 1.
-    """
-    def second(w):
-        T = _squared(math.pi * w)
-        sol = _solution(SIGMA_HARD, (0.5, 2.0, 1.0), T)
-        return -(4.0 * math.pi ** 2 * w / 3.0) * (sol.sigma_at(T) + 1.0) * \
-            _exp(sol.log_integral_at(T))
-
-    return on_points(u, 0.0, second)
-
-
-def _p4_hard(s):
-    """p4(0; s) = 2 p1(0; 2s) + (1/2) D''_-(s)."""
-    return on_points(s, 0.0, lambda v: 2.0 * _p1_hard(2.0 * v)
-                     + 0.5 * _dminus_second(v))
-
-
-def _p1_gap1_hard(s):
-    """p1(1; s) = p1(0; s) + (1/4) D''_-(s/2)."""
-    return on_points(
-        s, 0.0, lambda v: _p1_hard(v) + 0.25 * _dminus_second(v / 2.0))
+    """p1(0; s) from the hard-edge transcendents alone."""
+    return from_parities("p1", s, _hard_parities)
 
 
 def am5_identity_residual(s: float, a: float) -> float:
@@ -1131,8 +1087,8 @@ def am5_identity_residual(s: float, a: float) -> float:
     Left side: -(d/ds) exp int_0^s u|_{mu=0}/t dt.  Right side:
     s^a / (2^{2a+2} Gamma(a+1) Gamma(a+2)) * exp int_0^s u|_{mu=2}/t dt.
     Both exponentials come from SIGMA_HARD trajectories; the mu=2 one is
-    the trajectory _p1_hard (a = -1/2) or _dminus_second (a = 1/2) steps
-    on.
+    the trajectory that _hard_parities steps on for D_plus'' (a = -1/2) or
+    D_minus'' (a = 1/2).
     """
     if a not in (-0.5, 0.5):
         raise UnsupportedError(f"identity implemented for a = +-1/2, got {a}")

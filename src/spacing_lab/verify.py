@@ -17,6 +17,7 @@ import numpy as np
 
 from . import fredholm, kernels, montecarlo, painleve, routes, sequences
 from .errors import ArgumentError, SpacingLabError
+from .points import from_parities
 from .quadrature import Interval, gauss_legendre, nystrom_spectrum
 
 _MC_SEED = 42
@@ -69,11 +70,11 @@ _ROUTE_GRID = np.arange(0.25, 2.01, 0.25)
 _ROUTE_TOL = 1e-7
 
 # A third column for the rows whose painleve column comes from the bulk
-# trajectory by Gaudin's relation: the same quantity from the hard-edge
-# transcendents, so that a fault in their equations still shows.
-_HARD_EDGE = {"E1": painleve._e1_hard, "E4": painleve._e4_hard,
-              "p0_beta1": painleve._p1_hard, "p0_beta4": painleve._p4_hard,
-              "p1gap": painleve._p1_gap1_hard}
+# trajectory by Gaudin's relation: the same parity identity on the
+# hard-edge transcendents' D_pm and D_pm'', so that a fault in their
+# equations still shows.
+_HARD_EDGE = {"E1": "E1", "E4": "E4", "p0_beta1": "p1", "p0_beta4": "p4",
+              "p1gap": "p1gap"}
 
 
 def _route_agreement(*rows):
@@ -89,8 +90,8 @@ def _route_agreement(*rows):
             det, routes.evaluate(quantity, "painleve", _ROUTE_GRID,
                                  **keywords))
         if label in _HARD_EDGE:
-            worst[f"hard_{label}"] = routes.max_relative(
-                det, _HARD_EDGE[label](_ROUTE_GRID))
+            worst[f"hard_{label}"] = routes.max_relative(det, from_parities(
+                _HARD_EDGE[label], _ROUTE_GRID, painleve._hard_parities))
     return (all(gap <= _ROUTE_TOL for gap in worst.values()),
             {f"worst_{k}": _fmt(v) for k, v in worst.items()}
             | {"tol": _ROUTE_TOL})
@@ -137,7 +138,9 @@ def check_parity_identities():
 def check_e1_e4_dual_route():
     """Parity determinants vs the bulk transcendent by Gaudin's relation
     and vs the hard-edge transcendents: E1, E4, p1, p4 and the
-    next-nearest spacing p1(1; s)."""
+    next-nearest spacing p1(1; s).  All three routes build them by the
+    one table points.PARITY_IDENTITIES, so this compares each route's D_pm
+    and D_pm''; the tests pin the identities themselves."""
     return _route_agreement(("E1", {}), ("E4", {}), ("p0", {"beta": 1}),
                             ("p0", {"beta": 4}), ("p1gap", {}))
 

@@ -254,6 +254,18 @@ class TestGapEvaluators:
         fredholm.e1_bulk_det(np.array([0.5, 1.5]))
         assert built and set(built) == {sine_even().variant}
 
+    def test_p1_solves_only_the_even_jets(self, monkeypatch):
+        solved = []
+        original = fredholm._det_jet_stack
+
+        def record(kernel, x, n, order):
+            solved.append(kernel.variant)
+            return original(kernel, x, n, order)
+
+        monkeypatch.setattr(fredholm, "_det_jet_stack", record)
+        fredholm.p1_det(np.array([0.5, 1.5]))
+        assert solved and set(solved) == {sine_even().variant}
+
 
 # (evaluator, exact value at s = 0)
 _EVALUATORS = {
@@ -347,10 +359,8 @@ class TestJacobiDensities:
         # that a stencil of determinants leaves
         density, direct, _, _ = _DENSITIES[name]
         if name == "p1gap" and s == 0.001:
-            # the Painleve p1(1; s) adds p1_direct, whose s <= 1e-3 branch
-            # is the bare pi^2 s / 6 (off by 1.6e-9 here), to a cancelling
-            # D_minus'' term; the reference is p1(1; s) = p4(0; s/2) / 2
-            # with p4 = (16 pi^4 / 135) s^4 (1 + O(s^2))
+            # the reference is the leading term of p1(1; s) = p4(0; s/2) / 2
+            # with p4 = (16 pi^4 / 135) s^4 (1 + O(s^2)), relative O(s^2)
             expected = math.pi ** 4 * s ** 4 / 270.0
         else:
             expected = direct(s)

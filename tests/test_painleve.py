@@ -27,6 +27,7 @@ from spacing_lab.painleve import (
     integrate,
     series_residual,
 )
+from spacing_lab.points import from_parities
 
 CANONICAL_PROBLEMS = [
     (SIGMA_JMMS, (1.0,)),
@@ -396,17 +397,26 @@ class TestArrayEvaluation:
     def test_empty_array(self):
         assert painleve.e2_bulk(np.array([])).shape == (0,)
 
-    def test_negative_p4_element_raises(self, monkeypatch):
-        real = painleve._parity_seconds
+    @pytest.mark.parametrize("fn", [painleve.p1_direct, painleve.p2_direct,
+                                    painleve.p4_direct, painleve.p1_gap1,
+                                    painleve.p2_nn],
+                             ids=["p1_direct", "p2_direct", "p4_direct",
+                                  "p1_gap1", "p2_nn"])
+    def test_negative_density_element_raises(self, monkeypatch, fn):
+        # every density ends in a product with _exp of its points' log
+        # integrals: negated from the third point on, it turns s = 0.8 and
+        # 1.1 negative, and the one sign rule names the first of them
+        real = painleve._exp
 
-        def sunk(x):
-            plus, minus = real(x)
-            return plus, np.where(np.asarray(x) == 0.8, -100.0, minus)
+        def sunk(v):
+            values = real(v)
+            return np.where(np.arange(len(values)) >= 2, -values, values)
 
-        monkeypatch.setattr(painleve, "_parity_seconds", sunk)
-        assert painleve.p4_direct(0.7) >= 0.0
-        with pytest.raises(ConsistencyError) as info:
-            painleve.p4_direct(np.array([0.2, 0.7, 0.8, 1.1]))
+        monkeypatch.setattr(painleve, "_exp", sunk)
+        assert fn(0.7) >= 0.0
+        with pytest.raises(NumericError, match="at s = 0.8 is negative") \
+                as info:
+            fn(np.array([0.2, 0.7, 0.8, 1.1]))
         assert info.value.context["s"] == 0.8
 
     def test_state_beyond_range_raises_for_any_element(self):
@@ -562,6 +572,69 @@ class TestGaudinRoute:
                            atol=1e-15)
         for eq, params in CANONICAL_PROBLEMS[1:]:
             assert build_problem(eq, params)._root is None
+
+
+# each route's D_pm and D_pm'' (points.from_parities)
+PARITY_ROUTES = {"fredholm": fredholm._parities,
+                 "gaudin": painleve._gaudin_parities,
+                 "hard_edge": painleve._hard_parities}
+
+
+class TestParityIdentities:
+    """The five identities of points.PARITY_IDENTITIES, which every route
+    shares, so no cross-route criterion would see a wrong one: E1 and E4
+    against the 40-digit determinants (the bulk route in TestGaudinRoute),
+    each bound 3x the relative error the route read, rounded up:
+    - fredholm E1 -8.9e-13, -4.9e-9, +1.2e-6 and E4 +1.2e-13, -3.0e-12,
+      +6.5e-9 at s = 2, 3 and 4;
+    - hard edge E1 -2.5e-11, -1.1e-8, -4.8e-6 and E4 -3.2e-14, +7.0e-12,
+      +2.7e-9;
+    and the densities at s = 1e-3 against their leading terms, which every
+    route read within 2.4e-6."""
+
+    @pytest.mark.parametrize("route,s,rel", [
+        ("fredholm", 2.0, 2.7e-12), ("fredholm", 3.0, 1.5e-8),
+        ("fredholm", 4.0, 3.7e-6), ("hard_edge", 2.0, 7.5e-11),
+        ("hard_edge", 3.0, 3.2e-8), ("hard_edge", 4.0, 1.5e-5)])
+    def test_e1_against_reference(self, route, s, rel):
+        assert from_parities("E1", s, PARITY_ROUTES[route]) == pytest.approx(
+            PARITY_REFERENCE[s][0], rel=rel, abs=0.0)
+
+    @pytest.mark.parametrize("route,s,rel", [
+        ("fredholm", 2.0, 3.6e-13), ("fredholm", 3.0, 9.1e-12),
+        ("fredholm", 4.0, 2e-8), ("hard_edge", 2.0, 1e-13),
+        ("hard_edge", 3.0, 2.1e-11), ("hard_edge", 4.0, 8.2e-9)])
+    def test_e4_against_reference(self, route, s, rel):
+        assert from_parities("E4", s, PARITY_ROUTES[route]) == pytest.approx(
+            0.5 * sum(PARITY_REFERENCE[s]), rel=rel, abs=0.0)
+
+    # p1 = D_plus''(s/2) / 4, p4 = (D_plus'' + D_minus'')(s) / 2 and
+    # p1(1; s) = p4(0; s/2) / 2, each to relative O(s^2)
+    @pytest.mark.parametrize("quantity,leading", [
+        ("p1", math.pi ** 2 * 1e-3 / 6.0),
+        ("p4", 16.0 * math.pi ** 4 * 1e-12 / 135.0),
+        ("p1gap", math.pi ** 4 * 1e-12 / 270.0)], ids=["p1", "p4", "p1gap"])
+    @pytest.mark.parametrize("route", list(PARITY_ROUTES))
+    def test_density_leading_term(self, route, quantity, leading):
+        assert from_parities(quantity, 1e-3, PARITY_ROUTES[route]) == \
+            pytest.approx(leading, rel=1e-4)
+
+    def test_hard_edge_even_quantities_integrate_only_even_trajectories(
+            self, monkeypatch):
+        # E1 reads D_plus at mu = 0 and p1 D_plus'' at mu = 2, both a = -1/2
+        painleve.clear_cache()
+        integrated = []
+        original = painleve.integrate
+
+        def record(problem, t_max, *args):
+            integrated.append(problem.params)
+            return original(problem, t_max, *args)
+
+        monkeypatch.setattr(painleve, "integrate", record)
+        grid = np.array([0.5, 1.5])
+        from_parities("E1", grid, painleve._hard_parities)
+        from_parities("p1", grid, painleve._hard_parities)
+        assert integrated == [(-0.5, 0.0, 1.0), (-0.5, 2.0, 1.0)]
 
 
 def _loop_product(a, b, off_a, off_b, order):
